@@ -135,41 +135,6 @@ func DedupRecords(records []prov.Record) []prov.Record {
 	return out
 }
 
-// MerkleRoot folds a set of subject leaves into one commitment root:
-// leaves are sorted and deduplicated (set semantics again), then reduced
-// pairwise. The empty set has the distinguished root "empty".
-func MerkleRoot(leaves []string) string {
-	if len(leaves) == 0 {
-		return "empty"
-	}
-	level := append([]string(nil), leaves...)
-	sort.Strings(level)
-	level = dedupSorted(level)
-	for len(level) > 1 {
-		next := make([]string, 0, (len(level)+1)/2)
-		for i := 0; i < len(level); i += 2 {
-			if i+1 == len(level) {
-				next = append(next, level[i])
-				continue
-			}
-			h := sha256.Sum256([]byte(level[i] + level[i+1]))
-			next = append(next, hex.EncodeToString(h[:])[:hashHexLen])
-		}
-		level = next
-	}
-	return level[0]
-}
-
-func dedupSorted(s []string) []string {
-	out := s[:0]
-	for i, v := range s {
-		if i == 0 || v != s[i-1] {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
 // ComposeRoots folds per-shard roots into the single namespace root the
 // router exposes: shard order is part of the commitment (shard i's root in
 // position i), so swapping two shards' stores is itself a divergence.
@@ -194,16 +159,22 @@ type Checkpoint struct {
 	Root string
 }
 
-// Token renders the stored form: "v1|writer|seq|count|root".
+// Writers are caller-chosen labels, so the token escapes its own
+// separator in them; labels free of '|' and '%' are stored as they are.
+var (
+	writerEscaper   = strings.NewReplacer("%", "%25", "|", "%7C")
+	writerUnescaper = strings.NewReplacer("%25", "%", "%7C", "|")
+)
+
+// Token renders the stored form: "v2|writer|seq|count|root".
 func (c Checkpoint) Token() string {
-	return fmt.Sprintf("v1|%s|%d|%d|%s", c.Writer, c.Seq, c.Count, c.Root)
+	return fmt.Sprintf("v2|%s|%d|%d|%s", writerEscaper.Replace(c.Writer), c.Seq, c.Count, c.Root)
 }
 
-// ParseCheckpoint reverses Token. Writers may contain '|' only if they
-// enjoy corrupt verification reports, so they must not.
+// ParseCheckpoint reverses Token.
 func ParseCheckpoint(token string) (Checkpoint, error) {
 	parts := strings.Split(token, "|")
-	if len(parts) != 5 || parts[0] != "v1" {
+	if len(parts) != 5 || parts[0] != "v2" {
 		return Checkpoint{}, fmt.Errorf("integrity: malformed checkpoint token %q", token)
 	}
 	seq, err := strconv.Atoi(parts[2])
@@ -214,7 +185,7 @@ func ParseCheckpoint(token string) (Checkpoint, error) {
 	if err != nil || count < 0 {
 		return Checkpoint{}, fmt.Errorf("integrity: malformed checkpoint count in %q", token)
 	}
-	return Checkpoint{Writer: parts[1], Seq: seq, Count: count, Root: parts[4]}, nil
+	return Checkpoint{Writer: writerUnescaper.Replace(parts[1]), Seq: seq, Count: count, Root: parts[4]}, nil
 }
 
 // Ledger tracks one writer's committed subject leaves, keyed by storage
@@ -225,13 +196,17 @@ func ParseCheckpoint(token string) (Checkpoint, error) {
 // records converges to the same state, and an S3 metadata overwrite that
 // supersedes an older version's records supersedes its leaves too.
 //
+// The leaves live in a Merkle set maintained in place, so a commit costs
+// O(log n) hashes per changed leaf however many the ledger holds. A leaf
+// held by several slots is one member of the set.
+//
 // Ledger is safe for concurrent use.
 type Ledger struct {
 	mu     sync.Mutex
 	writer string
 	seq    int
-	slots  map[string][]string
-	nleaf  int
+	slots  map[string][]leafKey
+	set    merkleSet
 }
 
 // NewLedger builds an empty ledger for the named writer.
@@ -239,7 +214,7 @@ func NewLedger(writer string) *Ledger {
 	if writer == "" {
 		writer = "w"
 	}
-	return &Ledger{writer: writer, slots: make(map[string][]string)}
+	return &Ledger{writer: writer, slots: make(map[string][]leafKey)}
 }
 
 // Commit replaces the given slots' leaves and mints the next checkpoint
@@ -250,16 +225,17 @@ func (l *Ledger) Commit(slots map[string][]string) Checkpoint {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	for slot, leaves := range slots {
-		if prev, ok := l.slots[slot]; ok {
-			l.nleaf -= len(prev)
+		// Take the new references before dropping the old, so a leaf the
+		// slot keeps never leaves the set.
+		keys := make([]leafKey, len(leaves))
+		for i, leaf := range leaves {
+			keys[i] = hashLeaf(leaf)
+			l.set.add(&keys[i])
 		}
-		if len(leaves) == 0 {
-			delete(l.slots, slot)
-			continue
+		l.dropLocked(slot)
+		if len(keys) > 0 {
+			l.slots[slot] = keys
 		}
-		cp := append([]string(nil), leaves...)
-		l.slots[slot] = cp
-		l.nleaf += len(cp)
 	}
 	l.seq++
 	return l.checkpointLocked()
@@ -270,10 +246,15 @@ func (l *Ledger) Commit(slots map[string][]string) Checkpoint {
 func (l *Ledger) Remove(slot string) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if prev, ok := l.slots[slot]; ok {
-		l.nleaf -= len(prev)
-		delete(l.slots, slot)
+	l.dropLocked(slot)
+}
+
+func (l *Ledger) dropLocked(slot string) {
+	keys := l.slots[slot]
+	for i := range keys {
+		l.set.release(&keys[i])
 	}
+	delete(l.slots, slot)
 }
 
 // Slots lists the ledger's live slot keys. Removal paths use it to find
@@ -298,13 +279,5 @@ func (l *Ledger) Checkpoint() Checkpoint {
 }
 
 func (l *Ledger) checkpointLocked() Checkpoint {
-	leaves := make([]string, 0, l.nleaf)
-	for _, ls := range l.slots {
-		leaves = append(leaves, ls...)
-	}
-	root := MerkleRoot(leaves)
-	// Count distinct leaves, matching MerkleRoot's set semantics.
-	sort.Strings(leaves)
-	leaves = dedupSorted(leaves)
-	return Checkpoint{Writer: l.writer, Seq: l.seq, Count: len(leaves), Root: root}
+	return Checkpoint{Writer: l.writer, Seq: l.seq, Count: l.set.distinct, Root: l.set.root()}
 }

@@ -149,24 +149,21 @@ func VerifyAudit(a *Audit) *ShardResult {
 	res := &ShardResult{Shard: a.Shard, Subjects: len(a.Entries)}
 	res.Divergences = append(res.Divergences, verifyChains(a, &res.Detached)...)
 
-	leaves := make([]string, 0, len(a.Entries))
-	for ref, records := range a.Entries {
+	for _, records := range a.Entries {
 		res.Records += len(records)
-		leaves = append(leaves, SubjectHash(ref, records))
 	}
-	res.Root = MerkleRoot(leaves)
-
-	cp, multi, ok := latestCheckpoint(a.Checkpoints)
-	res.MultiWriter = multi
+	root, cp, writers := DeriveRoot(a)
+	res.Root = root
+	res.MultiWriter = writers > 1
 	switch {
-	case !ok:
+	case writers == 0:
 		if len(a.Entries) > 0 {
 			res.Divergences = append(res.Divergences, Divergence{
 				Kind: CheckpointMissing, Shard: a.Shard,
 				Detail: fmt.Sprintf("%d subjects stored but no checkpoint rider found", len(a.Entries)),
 			})
 		}
-	case multi:
+	case writers > 1:
 		// Several writers committed here; each root covers only its own
 		// writes, so no single checkpoint matches the union. Chain checks
 		// above still hold every record accountable to its predecessor.
@@ -176,7 +173,7 @@ func VerifyAudit(a *Audit) *ShardResult {
 			res.Divergences = append(res.Divergences, Divergence{
 				Kind: RootMismatch, Shard: a.Shard,
 				Detail: fmt.Sprintf("committed root %s (seq %d, %d subjects) != derived root %s (%d subjects)",
-					cp.Root, cp.Seq, cp.Count, res.Root, len(leaves)),
+					cp.Root, cp.Seq, cp.Count, res.Root, len(a.Entries)),
 			})
 		}
 	}
@@ -256,26 +253,28 @@ func verifyLink(a *Audit, ref prov.Ref, detached *int) []Divergence {
 	return nil
 }
 
-// latestCheckpoint picks each writer's highest-Seq checkpoint and reports
-// whether more than one writer committed. With exactly one writer its
-// final checkpoint is returned.
-func latestCheckpoint(cps []Checkpoint) (cp Checkpoint, multi, ok bool) {
+// DeriveRoot re-derives a shard's Merkle root from its stored records and
+// picks the checkpoint it must equal: the highest-Seq one, when exactly
+// one writer's checkpoints survive. writers counts the distinct writers
+// found; committed is set only when that is 1, since with several each
+// root covers only its own writer's commits.
+func DeriveRoot(a *Audit) (derived string, committed Checkpoint, writers int) {
+	leaves := make([]string, 0, len(a.Entries))
+	for ref, records := range a.Entries {
+		leaves = append(leaves, SubjectHash(ref, records))
+	}
 	latest := make(map[string]Checkpoint)
-	for _, c := range cps {
+	for _, c := range a.Checkpoints {
 		if have, seen := latest[c.Writer]; !seen || c.Seq > have.Seq {
 			latest[c.Writer] = c
 		}
 	}
-	if len(latest) == 0 {
-		return Checkpoint{}, false, false
+	if len(latest) == 1 {
+		for _, c := range latest {
+			committed = c
+		}
 	}
-	if len(latest) > 1 {
-		return Checkpoint{}, true, true
-	}
-	for _, c := range latest {
-		return c, false, true
-	}
-	panic("unreachable")
+	return MerkleRoot(leaves), committed, len(latest)
 }
 
 // sortDivergences orders findings deterministically: by subject, then kind.

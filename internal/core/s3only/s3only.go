@@ -77,7 +77,7 @@ const (
 const budget = s3.MaxMetadataSize - 64 - riderReserve
 
 // riderReserve holds space for the x-root metadata key and its checkpoint
-// token ("v1|writer|seq|count|32-hex-root").
+// token ("v2|writer|seq|count|32-hex-root").
 const riderReserve = 96
 
 // Config parameterizes the store.
@@ -410,14 +410,17 @@ func (s *Store) mintRider(key string, own prov.Ref, ownRecords, foreign []prov.R
 	if len(ownRecords) > 0 {
 		leaves = append(leaves, integrity.SubjectHash(own, ownRecords))
 	}
-	for _, ref := range riderSubjects(foreign) {
-		var recs []prov.Record
-		for _, r := range foreign {
-			if r.Subject == ref {
-				recs = append(recs, r)
-			}
+	// One leaf per rider subject, in first-appearance order.
+	bySubject := make(map[prov.Ref][]prov.Record)
+	var order []prov.Ref
+	for _, r := range foreign {
+		if _, seen := bySubject[r.Subject]; !seen {
+			order = append(order, r.Subject)
 		}
-		leaves = append(leaves, integrity.SubjectHash(ref, recs))
+		bySubject[r.Subject] = append(bySubject[r.Subject], r)
+	}
+	for _, ref := range order {
+		leaves = append(leaves, integrity.SubjectHash(ref, bySubject[ref]))
 	}
 	meta[integrity.AttrRoot] = s.ledger.Commit(map[string][]string{key: leaves}).Token()
 }

@@ -350,25 +350,10 @@ func (c *Controller) audit(ctx context.Context, i int) (*integrity.Audit, error)
 // survived or several writers committed (each writer's root covers only
 // its own writes).
 func ledgerCheck(side string, a *integrity.Audit) error {
-	latest := make(map[string]integrity.Checkpoint)
-	for _, cp := range a.Checkpoints {
-		if have, ok := latest[cp.Writer]; !ok || cp.Seq > have.Seq {
-			latest[cp.Writer] = cp
-		}
-	}
-	if len(latest) != 1 {
-		return nil
-	}
-	leaves := make([]string, 0, len(a.Entries))
-	for ref, records := range a.Entries {
-		leaves = append(leaves, integrity.SubjectHash(ref, integrity.DedupRecords(records)))
-	}
-	derived := integrity.MerkleRoot(leaves)
-	for _, cp := range latest {
-		if cp.Root != derived {
-			return fmt.Errorf("%w: %s ledger committed root %s != derived root %s",
-				ErrVerifyFailed, side, cp.Root, derived)
-		}
+	derived, cp, writers := integrity.DeriveRoot(a)
+	if writers == 1 && cp.Root != derived {
+		return fmt.Errorf("%w: %s ledger committed root %s != derived root %s",
+			ErrVerifyFailed, side, cp.Root, derived)
 	}
 	return nil
 }

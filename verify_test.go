@@ -55,6 +55,36 @@ func TestVerifyCleanAfterPipeline(t *testing.T) {
 	}
 }
 
+// TestVerifyCleanWithSeparatorInClientID: the checkpoint token joins its
+// fields on '|', so a client label containing one used to yield riders no
+// store could parse back — a healthy store then reported
+// checkpoint-missing. The label must survive the round trip instead.
+func TestVerifyCleanWithSeparatorInClientID(t *testing.T) {
+	for _, arch := range allArchitectures {
+		for _, shards := range []int{0, 4} {
+			t.Run(fmt.Sprintf("%s/shards%d", arch, shards), func(t *testing.T) {
+				c, err := New(Options{Architecture: arch, Seed: 42, Shards: shards, ClientID: "lab|alice%7C"})
+				if err != nil {
+					t.Fatal(err)
+				}
+				runPipeline(t, c)
+				rep, err := c.VerifyAll(ctx)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, d := range rep.Divergences() {
+					t.Errorf("healthy run flagged: %s", d)
+				}
+				for _, sr := range rep.Shards {
+					if sr.Subjects > 0 && sr.CheckpointRoot != sr.Root {
+						t.Errorf("shard %d: checkpoint root %q was not compared against derived root %q", sr.Shard, sr.CheckpointRoot, sr.Root)
+					}
+				}
+			})
+		}
+	}
+}
+
 // TestIntegrityOpCountParity: the tamper-evidence subsystem rides writes
 // the architectures already issue — chain records travel inside flushed
 // record sets and checkpoints ride as metadata/attributes on those same

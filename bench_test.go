@@ -210,9 +210,15 @@ func BenchmarkTable3Queries(b *testing.B) {
 		name string
 		run  func(q core.Querier) error
 	}{
-		{"Q1", func(q core.Querier) error { _, err := core.AllProvenance(ctx, q); return err }},
-		{"Q2", func(q core.Querier) error { _, err := core.OutputsOf(ctx, q, tool); return err }},
-		{"Q3", func(q core.Querier) error { _, err := core.DescendantsOfOutputs(ctx, q, tool); return err }},
+		{"Q1", func(q core.Querier) error { _, err := core.CollectBySubject(q.Query(ctx, prov.Q1())); return err }},
+		{"Q2", func(q core.Querier) error {
+			_, err := core.CollectRefs(q.Query(ctx, prov.QOutputsOf(tool)))
+			return err
+		}},
+		{"Q3", func(q core.Querier) error {
+			_, err := core.CollectRefs(q.Query(ctx, prov.QDescendantsOfOutputs(tool)))
+			return err
+		}},
 	}
 	for _, query := range queries {
 		for _, backend := range []string{"S3", "SimpleDB"} {
@@ -246,13 +252,13 @@ func BenchmarkRepeatedQueryAmortization(b *testing.B) {
 	for _, backend := range []string{"S3", "SimpleDB"} {
 		be := env.backends[backend+"/cached"]
 		b.Run(backend, func(b *testing.B) {
-			if _, err := core.OutputsOf(ctx, be.querier, tool); err != nil {
+			if _, err := core.CollectRefs(be.querier.Query(ctx, prov.QOutputsOf(tool))); err != nil {
 				b.Fatal(err) // prime the snapshot
 			}
 			before := be.cloud.Usage().TotalOps()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := core.OutputsOf(ctx, be.querier, tool); err != nil {
+				if _, err := core.CollectRefs(be.querier.Query(ctx, prov.QOutputsOf(tool))); err != nil {
 					b.Fatal(err)
 				}
 			}

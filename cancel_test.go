@@ -156,7 +156,7 @@ func TestPutBatchCancellationAborts(t *testing.T) {
 			if !ok {
 				t.Fatal("store is not a Querier")
 			}
-			all, err := core.AllProvenance(ctx, q)
+			all, err := core.CollectBySubject(q.Query(ctx, prov.Q1()))
 			if err != nil {
 				t.Fatal(err)
 			}

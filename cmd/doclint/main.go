@@ -1,11 +1,15 @@
 // Command doclint is the repository's documentation gate, run by the CI
 // docs job (and by its own test, so `go test ./...` enforces it too). It
-// checks two things:
+// checks three things:
 //
 //   - every exported identifier (types, functions, methods, package-level
 //     consts and vars) in the given package directories carries a doc
 //     comment — the `revive` exported rule, self-contained so the gate
 //     needs nothing the toolchain does not already ship;
+//   - no declaration outside the module's root package is documented as
+//     deprecated: below the public API a superseded function has no
+//     outside callers to wait for, so it is deleted and its callers moved,
+//     never kept beside its replacement;
 //   - every relative link in the given markdown files resolves to a file
 //     or directory in the repository (-md), so README/ARCHITECTURE cannot
 //     silently rot.
@@ -74,7 +78,8 @@ func main() {
 }
 
 // lintDir reports every exported identifier in dir (non-test files) that
-// lacks a doc comment, as "file:line: name" strings.
+// lacks a doc comment, as "file:line: name" strings, plus — unless dir is
+// the module's root package — every declaration marked deprecated.
 func lintDir(dir string) ([]string, error) {
 	fset := token.NewFileSet()
 	pkgs, err := parser.ParseDir(fset, dir, func(fi os.FileInfo) bool {
@@ -88,11 +93,26 @@ func lintDir(dir string) ([]string, error) {
 		p := fset.Position(pos)
 		findings = append(findings, fmt.Sprintf("%s:%d: exported %s %s has no doc comment", p.Filename, p.Line, kind, name))
 	}
+	// Only the root package has callers outside the module to deprecate for.
+	_, err = os.Stat(filepath.Join(dir, "go.mod"))
+	internal := err != nil
+	deprecated := func(doc *ast.CommentGroup, name string) {
+		if !internal || doc == nil {
+			return
+		}
+		for _, line := range strings.Split(doc.Text(), "\n") {
+			if strings.HasPrefix(line, deprecatedMarker) {
+				p := fset.Position(doc.Pos())
+				findings = append(findings, fmt.Sprintf("%s:%d: %s is marked deprecated outside the root package: delete it and move its callers", p.Filename, p.Line, name))
+			}
+		}
+	}
 	for _, pkg := range pkgs {
 		for _, file := range pkg.Files {
 			for _, decl := range file.Decls {
 				switch d := decl.(type) {
 				case *ast.FuncDecl:
+					deprecated(d.Doc, d.Name.Name)
 					if !d.Name.IsExported() || !exportedReceiver(d) {
 						continue
 					}
@@ -104,13 +124,17 @@ func lintDir(dir string) ([]string, error) {
 						report(d.Pos(), kind, d.Name.Name)
 					}
 				case *ast.GenDecl:
-					lintGenDecl(d, report)
+					lintGenDecl(d, report, deprecated)
 				}
 			}
 		}
 	}
 	return findings, nil
 }
+
+// deprecatedMarker opens the godoc paragraph that marks a declaration as
+// superseded.
+const deprecatedMarker = "Deprecated:"
 
 // exportedReceiver reports whether a method's receiver type is exported
 // (functions have no receiver and pass). Methods on unexported types are
@@ -139,18 +163,21 @@ func exportedReceiver(d *ast.FuncDecl) bool {
 // lintGenDecl checks type/const/var declarations. A doc comment on the
 // grouped declaration covers every spec inside it (the const-block idiom);
 // otherwise each exported spec needs its own.
-func lintGenDecl(d *ast.GenDecl, report func(token.Pos, string, string)) {
+func lintGenDecl(d *ast.GenDecl, report func(token.Pos, string, string), deprecated func(*ast.CommentGroup, string)) {
 	if d.Tok != token.TYPE && d.Tok != token.CONST && d.Tok != token.VAR {
 		return
 	}
+	deprecated(d.Doc, d.Tok.String()+" declaration")
 	groupDoc := d.Doc != nil
 	for _, spec := range d.Specs {
 		switch s := spec.(type) {
 		case *ast.TypeSpec:
+			deprecated(s.Doc, s.Name.Name)
 			if s.Name.IsExported() && s.Doc == nil && !groupDoc {
 				report(s.Pos(), "type", s.Name.Name)
 			}
 		case *ast.ValueSpec:
+			deprecated(s.Doc, s.Names[0].Name)
 			if s.Doc != nil || s.Comment != nil || groupDoc {
 				continue
 			}

@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -13,6 +14,7 @@ import (
 var lintedPackages = []string{
 	".",
 	"internal/core",
+	"internal/core/arch",
 	"internal/core/shard",
 	"internal/prov",
 	"internal/cloud",
@@ -63,6 +65,34 @@ func TestExportedDocComments(t *testing.T) {
 	}
 }
 
+// TestNoDeprecatedBelowRoot walks every package under internal/, cmd/ and
+// examples/ — not just the doc-linted ones — for the deprecated-marker
+// rule: a superseded internal function is deleted, never kept beside its
+// replacement.
+func TestNoDeprecatedBelowRoot(t *testing.T) {
+	root := repoRoot(t)
+	for _, top := range []string{"internal", "cmd", "examples"} {
+		err := filepath.WalkDir(filepath.Join(root, top), func(path string, d os.DirEntry, err error) error {
+			if err != nil || !d.IsDir() {
+				return err
+			}
+			findings, err := lintDir(path)
+			if err != nil {
+				return err
+			}
+			for _, f := range findings {
+				if strings.Contains(f, "marked deprecated") {
+					t.Error(f)
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestMarkdownLinks fails on broken relative links in the core documents.
 func TestMarkdownLinks(t *testing.T) {
 	root := repoRoot(t)
@@ -103,6 +133,19 @@ func (u *Undocumented) Method() {}
 type hidden struct{}
 
 func (h hidden) Skipped() {}
+
+// Old is kept beside its replacement.
+//
+// Deprecated: use Documented.
+func Old() {}
+
+// old is unexported, and still a finding.
+//
+// Deprecated: use Documented.
+func old() {}
+
+// Mentioning the word Deprecated: mid-line is not the marker.
+func Fine() {}
 `
 	if err := os.WriteFile(filepath.Join(dir, "x.go"), []byte(src), 0o644); err != nil {
 		t.Fatal(err)
@@ -111,8 +154,16 @@ func (h hidden) Skipped() {}
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(findings) != 4 {
-		t.Fatalf("expected 4 findings, got %d: %v", len(findings), findings)
+	if len(findings) != 6 {
+		t.Fatalf("expected 6 findings, got %d: %v", len(findings), findings)
+	}
+	// The same file as a module's root package may deprecate: it has
+	// callers outside the module to wait for.
+	if err := os.WriteFile(filepath.Join(dir, "go.mod"), []byte("module x\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if findings, err = lintDir(dir); err != nil || len(findings) != 4 {
+		t.Fatalf("root package: expected 4 findings, got %d: %v (err %v)", len(findings), findings, err)
 	}
 
 	md := filepath.Join(dir, "doc.md")

@@ -453,37 +453,26 @@ func runSession(client *passcloud.Client, in io.Reader, out io.Writer, state *se
 			for _, r := range records {
 				fmt.Fprintf(out, "  %s = %s\n", r.Attr, truncate(r.Value, 60))
 			}
-		case "outputs":
+		case "outputs", "descendants", "ancestors":
 			if err := need(1); err != nil {
 				return err
 			}
-			refs, err := client.OutputsOf(ctx, args[0])
+			spec := passcloud.QuerySpec{Tool: args[0], Type: "file", RefsOnly: true}
+			switch cmd {
+			case "descendants":
+				spec.Direction = passcloud.TraverseDescendants
+			case "ancestors":
+				obj, err := client.Get(ctx, args[0])
+				if err != nil {
+					return fail(err)
+				}
+				spec = passcloud.QuerySpec{Refs: []passcloud.Ref{obj.Ref}, Direction: passcloud.TraverseAncestors, RefsOnly: true}
+			}
+			res, err := client.Search(ctx, spec)
 			if err != nil {
 				return fail(err)
 			}
-			printRefs(out, refs)
-		case "descendants":
-			if err := need(1); err != nil {
-				return err
-			}
-			refs, err := client.DescendantsOfOutputs(ctx, args[0])
-			if err != nil {
-				return fail(err)
-			}
-			printRefs(out, refs)
-		case "ancestors":
-			if err := need(1); err != nil {
-				return err
-			}
-			obj, err := client.Get(ctx, args[0])
-			if err != nil {
-				return fail(err)
-			}
-			refs, err := client.Ancestors(ctx, obj.Ref)
-			if err != nil {
-				return fail(err)
-			}
-			printRefs(out, refs)
+			printRefs(out, res.Entries)
 		case "query":
 			fs := flag.NewFlagSet("query", flag.ContinueOnError)
 			opts, err := parseQueryFlags(fs, args)
@@ -588,13 +577,13 @@ func printVerifyReport(out io.Writer, rep *passcloud.VerifyReport) {
 	fmt.Fprintln(out, "verification: FAILED")
 }
 
-func printRefs(out io.Writer, refs []passcloud.Ref) {
-	if len(refs) == 0 {
+func printRefs(out io.Writer, entries []passcloud.ProvenanceEntry) {
+	if len(entries) == 0 {
 		fmt.Fprintln(out, "  (none)")
 		return
 	}
-	for _, r := range refs {
-		fmt.Fprintf(out, "  %s\n", r)
+	for _, e := range entries {
+		fmt.Fprintf(out, "  %s\n", e.Ref)
 	}
 }
 

@@ -66,45 +66,46 @@ func main() {
 	must(client.Sync(ctx))
 	client.Settle()
 
+	// outputsOf is the paper's Q.2 as a QuerySpec; with a descendants
+	// traversal it becomes Q.3.
+	outputsOf := func(tool string, dir passcloud.TraversalDirection) []passcloud.ProvenanceEntry {
+		res, err := client.Search(ctx, passcloud.QuerySpec{Tool: tool, Type: "file", Direction: dir, RefsOnly: true})
+		if err != nil {
+			log.Fatal(err)
+		}
+		return res.Entries
+	}
+
 	// The discovery: aligner v1.0 is flawed. One indexed query finds its
 	// direct outputs...
-	direct, err := client.OutputsOf(ctx, "aligner-v1.0")
-	if err != nil {
-		log.Fatal(err)
-	}
+	direct := outputsOf("aligner-v1.0", passcloud.TraverseNone)
 	fmt.Println("datasets produced directly by the flawed aligner v1.0:")
-	for _, ref := range direct {
-		fmt.Printf("  %s\n", ref)
+	for _, e := range direct {
+		fmt.Printf("  %s\n", e.Ref)
 	}
 
 	// ...and the descendant closure finds everything contaminated
 	// downstream (the merge result included).
-	tainted, err := client.DescendantsOfOutputs(ctx, "aligner-v1.0")
-	if err != nil {
-		log.Fatal(err)
-	}
+	tainted := outputsOf("aligner-v1.0", passcloud.TraverseDescendants)
 	fmt.Println("\neverything derived from those outputs (also suspect):")
-	for _, ref := range tainted {
-		fmt.Printf("  %s\n", ref)
+	for _, e := range tainted {
+		fmt.Printf("  %s\n", e.Ref)
 	}
 
 	// Sanity: the clean aligner's exclusive outputs are not implicated.
-	clean, err := client.OutputsOf(ctx, "aligner-v1.1")
-	if err != nil {
-		log.Fatal(err)
-	}
+	clean := outputsOf("aligner-v1.1", passcloud.TraverseNone)
 	taintedSet := map[string]bool{}
-	for _, rfs := range [][]passcloud.Ref{direct, tainted} {
-		for _, r := range rfs {
-			taintedSet[r.Object] = true
+	for _, entries := range [][]passcloud.ProvenanceEntry{direct, tainted} {
+		for _, e := range entries {
+			taintedSet[e.Ref.Object] = true
 		}
 	}
 	fmt.Println("\nclean v1.1 outputs unaffected:")
-	for _, ref := range clean {
-		if ref.Object != "/aligned/sample05.bam" && taintedSet[ref.Object] {
-			log.Fatalf("clean output %s wrongly implicated", ref)
+	for _, e := range clean {
+		if e.Ref.Object != "/aligned/sample05.bam" && taintedSet[e.Ref.Object] {
+			log.Fatalf("clean output %s wrongly implicated", e.Ref)
 		}
-		fmt.Printf("  %s\n", ref)
+		fmt.Printf("  %s\n", e.Ref)
 	}
 }
 

@@ -76,13 +76,19 @@ func main() {
 	}
 	fmt.Println("results differ — comparing provenance of the two experiments")
 
+	ancestors := func(result passcloud.Ref) []passcloud.ProvenanceEntry {
+		res, err := client.Search(ctx, passcloud.QuerySpec{
+			Refs: []passcloud.Ref{result}, Direction: passcloud.TraverseAncestors, RefsOnly: true,
+		})
+		must(err)
+		return res.Entries
+	}
+
 	// Walk both ancestries, collecting each ancestor's argv records.
 	argvs := func(result passcloud.Ref) map[string]string {
 		out := map[string]string{}
-		ancestors, err := client.Ancestors(ctx, result)
-		must(err)
-		for _, ref := range ancestors {
-			records, err := client.Provenance(ctx, ref)
+		for _, anc := range ancestors(result) {
+			records, err := client.Provenance(ctx, anc.Ref)
 			must(err)
 			for _, r := range records {
 				if r.Attr == "argv" {
@@ -112,8 +118,8 @@ func main() {
 	// Both derive from the same initial conditions — confirm the inputs
 	// were NOT the difference.
 	shared := false
-	for _, ref := range mustRefs(client.Ancestors(ctx, a.Ref)) {
-		if ref.Object == "/public/initial-conditions.dat" {
+	for _, anc := range ancestors(a.Ref) {
+		if anc.Ref.Object == "/public/initial-conditions.dat" {
 			shared = true
 		}
 	}
@@ -126,9 +132,4 @@ func must(err error) {
 	if err != nil {
 		log.Fatal(err)
 	}
-}
-
-func mustRefs(refs []passcloud.Ref, err error) []passcloud.Ref {
-	must(err)
-	return refs
 }

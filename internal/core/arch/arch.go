@@ -1,0 +1,135 @@
+// Package arch is the one factory above the paper's three architectures:
+// a name, a cloud namespace and the handful of settings any caller varies
+// go in; a shard.Store — and, for the WAL design, its commit daemon — comes
+// out. It hides the three per-architecture Config types, the split between
+// the Writer label of the first two architectures and the ClientID of the
+// third, and the daemon wiring, so the public client, the load target, the
+// cost harness, the fault sweep and the property checker all build stores
+// the same way.
+package arch
+
+import (
+	"fmt"
+
+	"passcloud/internal/cloud"
+	"passcloud/internal/cloud/retry"
+	"passcloud/internal/core/s3only"
+	"passcloud/internal/core/s3sdb"
+	"passcloud/internal/core/s3sdbsqs"
+	"passcloud/internal/core/shard"
+	"passcloud/internal/sim"
+)
+
+// Names lists the architectures in the paper's order (§4.1–4.3).
+var Names = []string{"s3", "s3+sdb", "s3+sdb+sqs"}
+
+// Config describes one store. Only Name and Cloud are required; every
+// other zero value selects the architecture's own default.
+type Config struct {
+	// Name selects the architecture: one of Names.
+	Name string
+	// Cloud is the namespace the store binds to. BuildSharded sets it per
+	// member.
+	Cloud *cloud.Cloud
+	// Bucket and Domain override the default resource names.
+	Bucket, Domain string
+	// Writer labels the integrity checkpoints of "s3" and "s3+sdb".
+	// ClientID names the WAL queue of "s3+sdb+sqs" and labels its
+	// checkpoints. A caller that identifies its client sets both to the
+	// same label; each architecture reads its own.
+	Writer, ClientID string
+	// Faults injects client crashes at the store's protocol points.
+	Faults *sim.FaultPlan
+	// Retry bounds the transient-error backoff around every cloud call.
+	Retry retry.Policy
+	// PutConcurrency and ScanConcurrency bound in-flight S3 requests on
+	// "s3"; the SimpleDB architectures ignore them.
+	PutConcurrency, ScanConcurrency int
+	// DisableQueryCache restores the paper's one-scan-per-query costs.
+	DisableQueryCache bool
+	// DisableIntegrity turns off the Merkle ledger and checkpoint riders.
+	DisableIntegrity bool
+}
+
+// Build constructs one store. The daemon is non-nil only for
+// "s3+sdb+sqs"; its Threshold and Visibility are the caller's to adjust.
+func Build(cfg Config) (shard.Store, *s3sdbsqs.CommitDaemon, error) {
+	switch cfg.Name {
+	case "s3":
+		st, err := s3only.New(s3only.Config{
+			Cloud: cfg.Cloud, Bucket: cfg.Bucket, Faults: cfg.Faults,
+			PutConcurrency: cfg.PutConcurrency, ScanConcurrency: cfg.ScanConcurrency,
+			DisableQueryCache: cfg.DisableQueryCache, Retry: cfg.Retry,
+			Writer: cfg.Writer, DisableIntegrity: cfg.DisableIntegrity,
+		})
+		if err != nil {
+			return nil, nil, err
+		}
+		return st, nil, nil
+	case "s3+sdb":
+		st, err := s3sdb.New(s3sdb.Config{
+			Cloud: cfg.Cloud, Bucket: cfg.Bucket, Domain: cfg.Domain, Faults: cfg.Faults,
+			DisableQueryCache: cfg.DisableQueryCache, Retry: cfg.Retry,
+			Writer: cfg.Writer, DisableIntegrity: cfg.DisableIntegrity,
+		})
+		if err != nil {
+			return nil, nil, err
+		}
+		return st, nil, nil
+	case "s3+sdb+sqs":
+		st, err := s3sdbsqs.New(s3sdbsqs.Config{
+			Cloud: cfg.Cloud, Bucket: cfg.Bucket, Domain: cfg.Domain, ClientID: cfg.ClientID,
+			Faults: cfg.Faults, DisableQueryCache: cfg.DisableQueryCache, Retry: cfg.Retry,
+			DisableIntegrity: cfg.DisableIntegrity,
+		})
+		if err != nil {
+			return nil, nil, err
+		}
+		return st, s3sdbsqs.NewCommitDaemon(st, nil), nil
+	default:
+		return nil, nil, fmt.Errorf("arch: unknown architecture %q", cfg.Name)
+	}
+}
+
+// Sharded is n members of one architecture, each on its own namespace of
+// a multi-namespace region, composed behind one store.
+type Sharded struct {
+	// Store is the consistent-hash router when n > 1, else the one member.
+	Store shard.Store
+	// Router is Store as a router; nil when n == 1.
+	Router *shard.Router
+	// Members, Clouds and Daemons are in shard order. Daemons is empty off
+	// the WAL architecture.
+	Members []shard.Store
+	Clouds  []*cloud.Cloud
+	Daemons []*s3sdbsqs.CommitDaemon
+}
+
+// BuildSharded builds n members (n < 1 means one). member names shard i's
+// namespace key — also its billing key — and gives its Config; Cloud is
+// filled in here from that namespace.
+func BuildSharded(multi *cloud.Multi, n int, member func(i int) (key string, cfg Config)) (*Sharded, error) {
+	s := &Sharded{}
+	for i := 0; i < max(n, 1); i++ {
+		key, cfg := member(i)
+		cfg.Cloud = multi.Namespace(key)
+		st, daemon, err := Build(cfg)
+		if err != nil {
+			return nil, err
+		}
+		s.Members = append(s.Members, st)
+		s.Clouds = append(s.Clouds, cfg.Cloud)
+		if daemon != nil {
+			s.Daemons = append(s.Daemons, daemon)
+		}
+	}
+	s.Store = s.Members[0]
+	if len(s.Members) > 1 {
+		r, err := shard.New(shard.Config{Shards: s.Members})
+		if err != nil {
+			return nil, err
+		}
+		s.Store, s.Router = r, r
+	}
+	return s, nil
+}

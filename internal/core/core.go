@@ -164,10 +164,10 @@ func (p Properties) ReadCorrectness() bool { return p.Atomicity && p.Consistency
 
 // Querier is the composable query surface every architecture implements:
 // one entrypoint taking a prov.Query descriptor, plus a cost planner. The
-// evaluation's fixed query classes (Table 3) are descriptor compilations —
-// see the package-level AllProvenance, OutputsOf, DescendantsOfOutputs and
-// Dependents helpers — and each backend's native plan reproduces the
-// fixed verbs' exact cloud ops.
+// evaluation's fixed query classes (Table 3) are descriptor compilations
+// (prov.Q1, prov.QOutputsOf, prov.QDescendantsOfOutputs, prov.QDependents)
+// drained with CollectRefs, CollectEntries or CollectBySubject; each
+// backend's native plan reproduces the paper's cloud ops for them.
 type Querier interface {
 	// Query answers one descriptor, streaming entries. A non-nil error
 	// ends the sequence (its entry is zero); breaking early is allowed
@@ -194,53 +194,6 @@ type Entry struct {
 	Cursor string
 }
 
-// --- fixed-verb wrappers -----------------------------------------------------
-//
-// Deprecated surface: each verb compiles to a prov.Query descriptor and
-// runs through the one Querier entrypoint. They remain because the paper's
-// evaluation is phrased in these verbs; new callers should build
-// descriptors directly.
-
-// AllProvenance retrieves the provenance of every object version in the
-// repository — Q.1 "performed on all objects" — materialized as a map.
-//
-// Deprecated: build prov.Q1() and use Querier.Query.
-func AllProvenance(ctx context.Context, q Querier) (map[prov.Ref][]prov.Record, error) {
-	out := make(map[prov.Ref][]prov.Record)
-	for entry, err := range q.Query(ctx, prov.Q1()) {
-		if err != nil {
-			return nil, err
-		}
-		out[entry.Ref] = append(out[entry.Ref], entry.Records...)
-	}
-	return out, nil
-}
-
-// OutputsOf finds every file version written by an instance of the named
-// tool — Q.2 ("all the files that were outputs of blast").
-//
-// Deprecated: build prov.QOutputsOf and use Querier.Query.
-func OutputsOf(ctx context.Context, q Querier, tool string) ([]prov.Ref, error) {
-	return CollectRefs(q.Query(ctx, prov.QOutputsOf(tool)))
-}
-
-// DescendantsOfOutputs finds everything transitively derived from the named
-// tool's outputs — Q.3 ("all the descendants of files derived from blast").
-//
-// Deprecated: build prov.QDescendantsOfOutputs and use Querier.Query.
-func DescendantsOfOutputs(ctx context.Context, q Querier, tool string) ([]prov.Ref, error) {
-	return CollectRefs(q.Query(ctx, prov.QDescendantsOfOutputs(tool)))
-}
-
-// Dependents finds every object version that lists any version of object
-// among its inputs. It powers the provenance-aware deletion guard (the
-// paper's §7 direction).
-//
-// Deprecated: build prov.QDependents and use Querier.Query.
-func Dependents(ctx context.Context, q Querier, object prov.ObjectID) ([]prov.Ref, error) {
-	return CollectRefs(q.Query(ctx, prov.QDependents(object)))
-}
-
 // CollectRefs drains a query stream into its references.
 func CollectRefs(seq iter.Seq2[Entry, error]) ([]prov.Ref, error) {
 	var out []prov.Ref
@@ -261,6 +214,20 @@ func CollectEntries(seq iter.Seq2[Entry, error]) ([]Entry, error) {
 			return nil, err
 		}
 		out = append(out, entry)
+	}
+	return out, nil
+}
+
+// CollectBySubject drains a query stream into one record set per subject.
+// An uncached S3-only Q.1 scan yields a subject whose records rode several
+// carrier PUTs in pieces; they merge here, in arrival order.
+func CollectBySubject(seq iter.Seq2[Entry, error]) (map[prov.Ref][]prov.Record, error) {
+	out := make(map[prov.Ref][]prov.Record)
+	for entry, err := range seq {
+		if err != nil {
+			return nil, err
+		}
+		out[entry.Ref] = append(out[entry.Ref], entry.Records...)
 	}
 	return out, nil
 }
@@ -311,12 +278,4 @@ func ProvenanceGraph(ctx context.Context, q Querier) (*prov.Graph, error) {
 		g.AddAll(entry.Records)
 	}
 	return g, nil
-}
-
-// AllProvenanceSeq streams q's repository provenance — the Q.1 descriptor
-// through the one query entrypoint.
-//
-// Deprecated: build prov.Q1() and use Querier.Query.
-func AllProvenanceSeq(ctx context.Context, q Querier) iter.Seq2[Entry, error] {
-	return q.Query(ctx, prov.Q1())
 }

@@ -417,18 +417,3 @@ func TestConcurrentQueriesDuringWrites(t *testing.T) {
 	}
 	wg.Wait()
 }
-
-func TestMapFromGraphCopies(t *testing.T) {
-	g := testGraph(2)
-	m := MapFromGraph(g)
-	if len(m) != 2 {
-		t.Fatalf("len = %d", len(m))
-	}
-	for ref, records := range m {
-		records[0].Attr = "mutated"
-		if g.Records(ref)[0].Attr == "mutated" {
-			t.Fatal("MapFromGraph aliases the snapshot's records")
-		}
-		break
-	}
-}

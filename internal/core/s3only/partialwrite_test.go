@@ -210,7 +210,7 @@ func TestAckLossExhaustionCannotDoubleApplyRiders(t *testing.T) {
 		t.Fatal(err)
 	}
 	cl.Settle()
-	all, err := core.AllProvenance(ctx, st)
+	all, err := core.CollectBySubject(st.Query(ctx, prov.Q1()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +248,7 @@ func TestSyncRestoresBufferedProvenanceOnFailure(t *testing.T) {
 		t.Fatalf("second sync: %v", err)
 	}
 	cl.Settle()
-	all, err := core.AllProvenance(ctx, st)
+	all, err := core.CollectBySubject(st.Query(ctx, prov.Q1()))
 	if err != nil {
 		t.Fatal(err)
 	}

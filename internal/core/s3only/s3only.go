@@ -739,62 +739,17 @@ func (s *Store) Provenance(ctx context.Context, ref prov.Ref) ([]prov.Record, er
 		return nil, err
 	}
 
-	// Older version or transient subject: scan everything.
-	all, err := s.AllProvenance(ctx)
+	// Older version or transient subject: only the repository graph (the
+	// warm snapshot, else one scan) knows it.
+	g, err := s.scanGraph(ctx)
 	if err != nil {
 		return nil, err
 	}
-	records, ok := all[ref]
-	if !ok {
+	if !g.Has(ref) {
 		return nil, fmt.Errorf("%w: %s", core.ErrNotFound, ref)
 	}
-	return records, nil
-}
-
-// AllProvenance implements core.Querier by iterating over the provenance of
-// every object in the repository: LIST pages, bounded-concurrency HEADs per
-// page, one GET per overflow/bundle object. This is the cost Table 3
-// charges the S3-only architecture for every query class — paid once per
-// snapshot generation when the cache is enabled, once per call otherwise.
-func (s *Store) AllProvenance(ctx context.Context) (map[prov.Ref][]prov.Record, error) {
-	if s.cache != nil {
-		g, err := s.snapshot(ctx)
-		if err != nil {
-			return nil, err
-		}
-		return qcache.MapFromGraph(g), nil
-	}
-	out := make(map[prov.Ref][]prov.Record)
-	for entry, err := range s.scanSeq(ctx) {
-		if err != nil {
-			return nil, err
-		}
-		out[entry.Ref] = append(out[entry.Ref], entry.Records...)
-	}
-	return out, nil
-}
-
-// AllProvenanceSeq streams the repository scan. With the cache disabled
-// it is the live paged scan, one LIST page resident at a time; a subject
-// whose records rode more than one carrier PUT may then be yielded more
-// than once. With the cache enabled it yields from the (built-if-needed)
-// snapshot — merged, one entry per subject, zero cloud ops when warm.
-func (s *Store) AllProvenanceSeq(ctx context.Context) iter.Seq2[core.Entry, error] {
-	if s.cache == nil {
-		return s.scanSeq(ctx)
-	}
-	return func(yield func(core.Entry, error) bool) {
-		g, err := s.snapshot(ctx)
-		if err != nil {
-			yield(core.Entry{}, err)
-			return
-		}
-		for _, subject := range g.Subjects() {
-			if !yield(core.Entry{Ref: subject, Records: g.Records(subject)}, nil) {
-				return
-			}
-		}
-	}
+	// The graph is shared: hand out a copy.
+	return append([]prov.Record(nil), g.Records(ref)...), nil
 }
 
 // scanned is one object's decoded scan result.
@@ -979,15 +934,25 @@ func (s *Store) evalAll(ctx context.Context, q prov.Query) ([]core.Entry, error)
 // runQuery executes one non-paginated descriptor.
 func (s *Store) runQuery(ctx context.Context, q prov.Query, yield func(core.Entry, error) bool) {
 	if !q.HasFilters() && q.Direction == prov.TraverseNone && q.Projection == prov.ProjectFull {
-		// Q.1: stream the scan (or the warm snapshot) as-is. A subject
-		// whose records rode several carrier PUTs may stream in pieces on
-		// the uncached path, exactly like the deprecated AllProvenanceSeq.
-		for entry, err := range s.AllProvenanceSeq(ctx) {
-			if err != nil {
-				yield(core.Entry{}, err)
-				return
-			}
-			if !yield(entry, nil) {
+		// Q.1 — "iterate over the provenance of every object in the
+		// repository": LIST pages, bounded-concurrency HEADs per page, one
+		// GET per overflow/bundle object, the cost Table 3 charges this
+		// architecture for every query class. Uncached it is the live paged
+		// scan, one LIST page resident at a time, and a subject whose records
+		// rode several carrier PUTs streams in pieces; cached it is the
+		// (built-if-needed) snapshot, one entry per subject, zero cloud ops
+		// when warm.
+		if s.cache == nil {
+			s.scanSeq(ctx)(yield)
+			return
+		}
+		g, err := s.snapshot(ctx)
+		if err != nil {
+			yield(core.Entry{}, err)
+			return
+		}
+		for _, subject := range g.Subjects() {
+			if !yield(core.Entry{Ref: subject, Records: g.Records(subject)}, nil) {
 				return
 			}
 		}
@@ -1043,28 +1008,6 @@ func (s *Store) Explain(q prov.Query) core.QueryPlan {
 		p.AddStep("-", "paginate", 0, "first page evaluates fully, sorts and pins; later pages are free")
 	}
 	return p
-}
-
-// OutputsOf implements Q.2 over the scan.
-//
-// Deprecated: build prov.QOutputsOf and use Query.
-func (s *Store) OutputsOf(ctx context.Context, tool string) ([]prov.Ref, error) {
-	return core.OutputsOf(ctx, s, tool)
-}
-
-// DescendantsOfOutputs implements Q.3 over the scan.
-//
-// Deprecated: build prov.QDescendantsOfOutputs and use Query.
-func (s *Store) DescendantsOfOutputs(ctx context.Context, tool string) ([]prov.Ref, error) {
-	return core.DescendantsOfOutputs(ctx, s, tool)
-}
-
-// Dependents finds every subject whose inputs reference any version of
-// object. Like every other query here, it scans.
-//
-// Deprecated: build prov.QDependents and use Query.
-func (s *Store) Dependents(ctx context.Context, object prov.ObjectID) ([]prov.Ref, error) {
-	return core.Dependents(ctx, s, object)
 }
 
 // Sync persists any buffered transient provenance that no descendant PUT

@@ -186,7 +186,7 @@ func TestAtomicityUnderCrash(t *testing.T) {
 	if _, err := st.Get(ctx, "/out.dat"); !errors.Is(err, core.ErrNotFound) {
 		t.Fatalf("data visible after crash: %v", err)
 	}
-	all, err := st.AllProvenance(ctx)
+	all, err := core.CollectBySubject(st.Query(ctx, prov.Q1()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +272,7 @@ func TestQueriesRequireFullScan(t *testing.T) {
 	}
 
 	before := cl.Usage().OpCount(billing.S3, "HEAD")
-	outputs, err := st.OutputsOf(ctx, "blast")
+	outputs, err := core.CollectRefs(st.Query(ctx, prov.QOutputsOf("blast")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +284,7 @@ func TestQueriesRequireFullScan(t *testing.T) {
 		t.Fatalf("query issued %d HEADs; expected one per stored object (full scan)", heads)
 	}
 
-	desc, err := st.DescendantsOfOutputs(ctx, "blast")
+	desc, err := core.CollectRefs(st.Query(ctx, prov.QDescendantsOfOutputs("blast")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +292,7 @@ func TestQueriesRequireFullScan(t *testing.T) {
 		t.Fatalf("DescendantsOfOutputs = %v", desc)
 	}
 
-	all, err := st.AllProvenance(ctx)
+	all, err := core.CollectBySubject(st.Query(ctx, prov.Q1()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,7 +338,7 @@ func TestFullWorkloadThroughStore(t *testing.T) {
 	if err != nil || string(obj.Data) != "result" {
 		t.Fatalf("Get = %v, %v", obj, err)
 	}
-	outputs, err := st.OutputsOf(ctx, "tool")
+	outputs, err := core.CollectRefs(st.Query(ctx, prov.QOutputsOf("tool")))
 	if err != nil || len(outputs) != 1 {
 		t.Fatalf("OutputsOf = %v, %v", outputs, err)
 	}
@@ -371,7 +371,7 @@ func TestSnapshotCacheMakesRepeatQueriesFree(t *testing.T) {
 
 	// Cold: the full scan.
 	before := cl.Usage().TotalOps()
-	if _, err := st.OutputsOf(ctx, "blast"); err != nil {
+	if _, err := core.CollectRefs(st.Query(ctx, prov.QOutputsOf("blast"))); err != nil {
 		t.Fatal(err)
 	}
 	cold := cl.Usage().TotalOps() - before
@@ -381,16 +381,16 @@ func TestSnapshotCacheMakesRepeatQueriesFree(t *testing.T) {
 
 	// Warm: every query class answers from the snapshot at zero cloud ops.
 	before = cl.Usage().TotalOps()
-	if refs, err := st.OutputsOf(ctx, "blast"); err != nil || len(refs) != 1 {
+	if refs, err := core.CollectRefs(st.Query(ctx, prov.QOutputsOf("blast"))); err != nil || len(refs) != 1 {
 		t.Fatalf("warm OutputsOf = %v, %v", refs, err)
 	}
-	if _, err := st.DescendantsOfOutputs(ctx, "blast"); err != nil {
+	if _, err := core.CollectRefs(st.Query(ctx, prov.QDescendantsOfOutputs("blast"))); err != nil {
 		t.Fatal(err)
 	}
-	if all, err := st.AllProvenance(ctx); err != nil || len(all) != 22 {
+	if all, err := core.CollectBySubject(st.Query(ctx, prov.Q1())); err != nil || len(all) != 22 {
 		t.Fatalf("warm AllProvenance = %d, %v", len(all), err)
 	}
-	if _, err := st.Dependents(ctx, blast.Ref.Object); err != nil {
+	if _, err := core.CollectRefs(st.Query(ctx, prov.QDependents(blast.Ref.Object))); err != nil {
 		t.Fatal(err)
 	}
 	if warm := cl.Usage().TotalOps() - before; warm != 0 {
@@ -412,7 +412,7 @@ func TestWriteBetweenQueriesInvalidatesSnapshot(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	refs, err := st.OutputsOf(ctx, "blast")
+	refs, err := core.CollectRefs(st.Query(ctx, prov.QOutputsOf("blast")))
 	if err != nil || len(refs) != 1 {
 		t.Fatalf("OutputsOf = %v, %v", refs, err)
 	}
@@ -422,7 +422,7 @@ func TestWriteBetweenQueriesInvalidatesSnapshot(t *testing.T) {
 	if err := core.Put(ctx, st, out2); err != nil {
 		t.Fatal(err)
 	}
-	refs, err = st.OutputsOf(ctx, "blast")
+	refs, err = core.CollectRefs(st.Query(ctx, prov.QOutputsOf("blast")))
 	if err != nil || len(refs) != 2 {
 		t.Fatalf("OutputsOf after write = %v, %v; stale snapshot served", refs, err)
 	}
@@ -461,7 +461,7 @@ func TestScanCancellationHonoredPerObject(t *testing.T) {
 			// old per-page check would have drained the whole page.
 			cctx := &ctxAfterChecks{Context: context.Background(), n: 6}
 			before := cl.Usage().OpCount(billing.S3, "HEAD")
-			_, err = st.AllProvenance(cctx)
+			_, err = core.CollectBySubject(st.Query(cctx, prov.Q1()))
 			if !errors.Is(err, context.Canceled) {
 				t.Fatalf("err = %v, want context.Canceled", err)
 			}
@@ -487,7 +487,7 @@ func TestParallelScanMatchesSequential(t *testing.T) {
 			t.Fatal(err)
 		}
 		loadN(t, st, 30)
-		all, err := st.AllProvenance(ctx)
+		all, err := core.CollectBySubject(st.Query(ctx, prov.Q1()))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -565,5 +565,48 @@ func TestPagedScanMergesPieces(t *testing.T) {
 	}
 	if procRecords != 2 {
 		t.Fatalf("process entry carries %d records, want both pieces merged", procRecords)
+	}
+}
+
+// TestProvenanceFallbackAllocsConstant pins the cost of reading one
+// transient subject (or an older version) off the warm snapshot: a graph
+// lookup and one copied record slice, however large the shard. The fallback
+// used to materialize a map of the whole repository — one copied slice per
+// subject — to index a single ref, on every non-home shard probe of
+// Router.Provenance.
+func TestProvenanceFallbackAllocsConstant(t *testing.T) {
+	st, _ := newTestStore(t, nil)
+	ctx := context.Background()
+	blast := procEvent("blast", 1)
+	out := fileEvent("/out", 0, "o", prov.NewInput(prov.Ref{Object: "/out"}, blast.Ref))
+	for _, ev := range []pass.FlushEvent{blast, out} {
+		if err := core.Put(ctx, st, ev); err != nil {
+			t.Fatal(err)
+		}
+	}
+	loadN(t, st, 1000)
+	want, err := st.Provenance(ctx, blast.Ref) // warms the snapshot
+	if err != nil || len(want) != len(blast.Records) {
+		t.Fatalf("Provenance(%s) = %v, %v", blast.Ref, want, err)
+	}
+
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := st.Provenance(ctx, blast.Ref); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 100 {
+		t.Fatalf("warm Provenance of a transient subject allocates %.0f times on a 1002-subject store; want O(1)", allocs)
+	}
+
+	// The result is the caller's: scribbling on it must not reach the
+	// shared snapshot.
+	want[0].Attr = "mutated"
+	again, err := st.Provenance(ctx, blast.Ref)
+	if err != nil || again[0].Attr == "mutated" {
+		t.Fatalf("Provenance aliases the snapshot's records: %v, %v", again, err)
+	}
+	if _, err := st.Provenance(ctx, prov.Ref{Object: "proc/9/absent"}); !errors.Is(err, core.ErrNotFound) {
+		t.Fatalf("unknown subject: err = %v, want ErrNotFound", err)
 	}
 }

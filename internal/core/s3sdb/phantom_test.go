@@ -34,14 +34,14 @@ func TestFailedForeignWriteKeepsExplainExactAndCacheWarm(t *testing.T) {
 	cl.Settle()
 
 	// Warm the snapshot and establish the baseline plan.
-	if _, err := core.AllProvenance(ctx, a); err != nil {
+	if _, err := core.CollectBySubject(a.Query(ctx, prov.Q1())); err != nil {
 		t.Fatal(err)
 	}
 	if plan := a.Explain(prov.Q1()); !plan.Exact {
 		t.Fatalf("baseline plan should be exact (no foreign writes): %+v", plan)
 	}
 	warmOps := cl.Usage().TotalOps()
-	if _, err := core.AllProvenance(ctx, a); err != nil {
+	if _, err := core.CollectBySubject(a.Query(ctx, prov.Q1())); err != nil {
 		t.Fatal(err)
 	}
 	if d := cl.Usage().TotalOps() - warmOps; d != 0 {
@@ -72,7 +72,7 @@ func TestFailedForeignWriteKeepsExplainExactAndCacheWarm(t *testing.T) {
 		t.Fatalf("failed foreign write degraded Explain to estimate: %+v", plan)
 	}
 	before := cl.Usage().TotalOps()
-	if _, err := core.AllProvenance(ctx, a); err != nil {
+	if _, err := core.CollectBySubject(a.Query(ctx, prov.Q1())); err != nil {
 		t.Fatal(err)
 	}
 	if d := cl.Usage().TotalOps() - before; d != 0 {
@@ -109,7 +109,7 @@ func TestFailedOwnWriteKeepsExplainExact(t *testing.T) {
 		t.Fatalf("own failed write degraded Explain to estimate: %+v", plan)
 	}
 	// And the failed subject must not appear in query results.
-	all, err := core.AllProvenance(ctx, st)
+	all, err := core.CollectBySubject(st.Query(ctx, prov.Q1()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -281,11 +281,11 @@ func TestQueries(t *testing.T) {
 	headsBefore := cl.Usage().OpCount(billing.S3, "HEAD")
 	queriesBefore := cl.Usage().OpCount(billing.SimpleDB, "Query")
 
-	outputs, err := st.OutputsOf(ctx, "blast")
+	outputs, err := core.CollectRefs(st.Query(ctx, prov.QOutputsOf("blast")))
 	if err != nil || len(outputs) != 1 || outputs[0].Object != "/out1" {
 		t.Fatalf("OutputsOf = %v, %v", outputs, err)
 	}
-	desc, err := st.DescendantsOfOutputs(ctx, "blast")
+	desc, err := core.CollectRefs(st.Query(ctx, prov.QDescendantsOfOutputs("blast")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +301,7 @@ func TestQueries(t *testing.T) {
 		t.Fatal("no SimpleDB queries issued")
 	}
 
-	all, err := st.AllProvenance(ctx)
+	all, err := core.CollectBySubject(st.Query(ctx, prov.Q1()))
 	if err != nil || len(all) != 6 {
 		t.Fatalf("AllProvenance = %d subjects, %v", len(all), err)
 	}
@@ -344,7 +344,7 @@ func TestFullWorkloadThroughStore(t *testing.T) {
 	if err != nil || string(obj.Data) != "result" {
 		t.Fatalf("Get = %v, %v", obj, err)
 	}
-	outputs, err := st.OutputsOf(ctx, "tool")
+	outputs, err := core.CollectRefs(st.Query(ctx, prov.QOutputsOf("tool")))
 	if err != nil || len(outputs) != 1 {
 		t.Fatalf("OutputsOf = %v, %v", outputs, err)
 	}
@@ -400,7 +400,7 @@ func TestConcurrentQueriesDuringWrites(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
-				outputs, err := st.OutputsOf(ctx, "tool")
+				outputs, err := core.CollectRefs(st.Query(ctx, prov.QOutputsOf("tool")))
 				if err != nil {
 					t.Errorf("OutputsOf: %v", err)
 					return
@@ -409,7 +409,7 @@ func TestConcurrentQueriesDuringWrites(t *testing.T) {
 					t.Errorf("query observed %d outputs with only %d writes started", len(outputs), n)
 					return
 				}
-				if _, err := st.AllProvenance(ctx); err != nil {
+				if _, err := core.CollectBySubject(st.Query(ctx, prov.Q1())); err != nil {
 					t.Errorf("AllProvenance: %v", err)
 					return
 				}
@@ -418,7 +418,7 @@ func TestConcurrentQueriesDuringWrites(t *testing.T) {
 	}
 	wg.Wait()
 
-	outputs, err := st.OutputsOf(ctx, "tool")
+	outputs, err := core.CollectRefs(st.Query(ctx, prov.QOutputsOf("tool")))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -469,3 +469,43 @@ func (d *CommitDaemon) staleReplay(tx *txState, dm walMessage) (bool, error) {
 // PendingTransactions reports how many transactions are partially
 // assembled — a test observability hook.
 func (d *CommitDaemon) PendingTransactions() int { return len(d.pending) }
+
+// ErrNotDrained is returned by Drain when the daemons did not reach
+// quiescence within the round budget or before the context ended.
+var ErrNotDrained = errors.New("s3sdbsqs: commit daemon did not drain")
+
+// drainRounds bounds Drain when the caller's context carries no deadline.
+const drainRounds = 50
+
+// Drain pumps the daemons to quiescence: every daemon runs one forced cycle
+// per round, settle (nil: none) lets the region converge between rounds, and
+// the drain ends when a round commits nothing and no transaction is left
+// partially assembled. Cancellation ends it with an error wrapping both
+// ErrNotDrained and the context's error; a wedged queue ends it with
+// ErrNotDrained after the round budget rather than looping forever.
+func Drain(ctx context.Context, settle func(), daemons ...*CommitDaemon) error {
+	if len(daemons) == 0 {
+		return nil
+	}
+	for i := 0; i < drainRounds; i++ {
+		if err := ctx.Err(); err != nil {
+			return fmt.Errorf("%w: %w", ErrNotDrained, err)
+		}
+		committed, pending := 0, 0
+		for _, d := range daemons {
+			n, err := d.RunOnce(ctx, true)
+			if err != nil {
+				return err
+			}
+			committed += n
+			pending += d.PendingTransactions()
+		}
+		if committed == 0 && pending == 0 {
+			return nil
+		}
+		if settle != nil {
+			settle()
+		}
+	}
+	return ErrNotDrained
+}

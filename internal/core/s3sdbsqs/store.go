@@ -57,8 +57,6 @@ type Config struct {
 	ClientID string
 	// Faults optionally injects client crashes at protocol points.
 	Faults *sim.FaultPlan
-	// MaxReadRetries bounds the consistency retry loop.
-	MaxReadRetries int
 	// DisableQueryCache turns off the sdbprov layer's generation-stamped
 	// query cache, restoring the paper's one-query-run-per-call costs.
 	DisableQueryCache bool
@@ -98,7 +96,6 @@ func New(cfg Config) (*Store, error) {
 		Bucket:            cfg.Bucket,
 		Domain:            cfg.Domain,
 		Faults:            cfg.Faults,
-		MaxReadRetries:    cfg.MaxReadRetries,
 		DisableQueryCache: cfg.DisableQueryCache,
 		Retry:             cfg.Retry,
 		Writer:            cfg.ClientID,
@@ -398,44 +395,9 @@ func (s *Store) PlanQueryRefs(q prov.Query) ([]prov.Ref, bool) {
 	return s.layer.PlanQueryRefs(q)
 }
 
-// AllProvenance implements Q.1.
-//
-// Deprecated: build prov.Q1 and use Query.
-func (s *Store) AllProvenance(ctx context.Context) (map[prov.Ref][]prov.Record, error) {
-	return s.layer.AllProvenance(ctx)
-}
-
-// AllProvenanceSeq streams Q.1.
-//
-// Deprecated: build prov.Q1 and use Query.
-func (s *Store) AllProvenanceSeq(ctx context.Context) iter.Seq2[core.Entry, error] {
-	return s.layer.AllProvenanceSeq(ctx)
-}
-
 // ProvenanceGraph implements core.GraphQuerier.
 func (s *Store) ProvenanceGraph(ctx context.Context) (*prov.Graph, error) {
 	return s.layer.ProvenanceGraph(ctx)
-}
-
-// OutputsOf implements Q.2.
-//
-// Deprecated: build prov.QOutputsOf and use Query.
-func (s *Store) OutputsOf(ctx context.Context, tool string) ([]prov.Ref, error) {
-	return s.layer.OutputsOf(ctx, tool)
-}
-
-// DescendantsOfOutputs implements Q.3.
-//
-// Deprecated: build prov.QDescendantsOfOutputs and use Query.
-func (s *Store) DescendantsOfOutputs(ctx context.Context, tool string) ([]prov.Ref, error) {
-	return s.layer.DescendantsOfOutputs(ctx, tool)
-}
-
-// Dependents runs one indexed prefix query.
-//
-// Deprecated: build prov.QDependents and use Query.
-func (s *Store) Dependents(ctx context.Context, object prov.ObjectID) ([]prov.Ref, error) {
-	return s.layer.Dependents(ctx, object)
 }
 
 // Audit implements integrity.Auditor via the shared provenance layer. Only

@@ -168,13 +168,19 @@ func (l *Layer) runQuery(ctx context.Context, q prov.Query, yield func(core.Entr
 			}
 		}
 	case l.seedPlanOf(q) == seedAll && q.Direction == prov.TraverseNone && q.Projection == prov.ProjectFull:
-		// Q.1: stream the one-query-per-item scan (or the warm snapshot).
-		for entry, err := range l.AllProvenanceSeq(ctx) {
-			if err != nil {
-				yield(core.Entry{}, err)
-				return
-			}
-			if !yield(entry, nil) {
+		// Q.1: the live one-query-per-item scan when uncached, else the
+		// (built-if-needed) snapshot — zero cloud ops when warm.
+		if l.cache == nil {
+			l.scanSeq(ctx)(yield)
+			return
+		}
+		g, err := l.snapshot(ctx)
+		if err != nil {
+			yield(core.Entry{}, err)
+			return
+		}
+		for _, subject := range g.Subjects() {
+			if !yield(core.Entry{Ref: subject, Records: g.Records(subject)}, nil) {
 				return
 			}
 		}
@@ -613,9 +619,11 @@ func inputChunkExpr(refs []prov.Ref) string {
 // query"). When attrNames is non-empty, each item's requested attributes
 // ride the same query response — the aggregation that removes the
 // one-GetAttributes-per-dependent N+1 from Q.2. Chunks run concurrently
-// under the QueryConcurrency bound; results merge in chunk order,
+// under the queryConcurrency bound; results merge in chunk order,
 // deduplicated, so the output is identical to the sequential scan's.
 func (l *Layer) dependentsOf(ctx context.Context, refs []prov.Ref, attrNames []string) ([]refAttrs, error) {
+	// queryConcurrency bounds the in-flight chunk queries per BFS level.
+	const queryConcurrency = 4
 	chunk := l.cfg.QueryChunk
 	nchunks := (len(refs) + chunk - 1) / chunk
 	if nchunks == 0 {
@@ -639,7 +647,7 @@ func (l *Layer) dependentsOf(ctx context.Context, refs []prov.Ref, attrNames []s
 	}
 
 	results := make([][]refAttrs, nchunks)
-	err := core.RunLimited(ctx, nchunks, l.cfg.QueryConcurrency, func(ci int) error {
+	err := core.RunLimited(ctx, nchunks, queryConcurrency, func(ci int) error {
 		start := ci * chunk
 		end := min(start+chunk, len(refs))
 		found, err := runChunk(refs[start:end])
@@ -664,36 +672,6 @@ func (l *Layer) dependentsOf(ctx context.Context, refs []prov.Ref, attrNames []s
 		}
 	}
 	return out, nil
-}
-
-// --- deprecated fixed verbs --------------------------------------------------
-
-// OutputsOf implements Q.2: instances of tool, then the files depending on
-// them — the QOutputsOf descriptor through the native engine, with the
-// type filter riding phase two's QueryWithAttributes.
-//
-// Deprecated: build prov.QOutputsOf and use Query.
-func (l *Layer) OutputsOf(ctx context.Context, tool string) ([]prov.Ref, error) {
-	return core.OutputsOf(ctx, l, tool)
-}
-
-// DescendantsOfOutputs implements Q.3 by iterated dependency queries:
-// "SimpleDB ... does not support recursive queries or stored procedures.
-// Hence, for ancestry queries, it has to retrieve each item ... then lookup
-// further ancestors."
-//
-// Deprecated: build prov.QDescendantsOfOutputs and use Query.
-func (l *Layer) DescendantsOfOutputs(ctx context.Context, tool string) ([]prov.Ref, error) {
-	return core.DescendantsOfOutputs(ctx, l, tool)
-}
-
-// Dependents finds items listing any version of object among their inputs,
-// with a single indexed prefix query: input values are "object:version", so
-// ['input' starts-with 'object:'] covers every version at once.
-//
-// Deprecated: build prov.QDependents and use Query.
-func (l *Layer) Dependents(ctx context.Context, object prov.ObjectID) ([]prov.Ref, error) {
-	return core.Dependents(ctx, l, object)
 }
 
 // escapeQuery escapes single quotes inside a bracket-language attribute

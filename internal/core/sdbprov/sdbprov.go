@@ -97,8 +97,6 @@ type Config struct {
 	Domain string
 	// Faults optionally injects crashes inside multi-step writes.
 	Faults *sim.FaultPlan
-	// MaxReadRetries bounds the consistency retry loop (default 16).
-	MaxReadRetries int
 	// RetryWait is called between consistency retries. The default
 	// advances the simulated clock by a quarter of the propagation
 	// horizon, modeling the real time a client would wait before
@@ -107,9 +105,6 @@ type Config struct {
 	// QueryChunk is the number of OR-ed values per ancestry query
 	// expression (default 32).
 	QueryChunk int
-	// QueryConcurrency bounds the in-flight chunked ancestry queries per
-	// BFS level (default 4). 1 restores strictly sequential chunks.
-	QueryConcurrency int
 	// DisableQueryCache turns off the generation-stamped query cache,
 	// restoring one indexed query run per call (Table 3's SimpleDB row).
 	DisableQueryCache bool
@@ -164,14 +159,8 @@ func New(cfg Config) (*Layer, error) {
 	if cfg.Domain == "" {
 		cfg.Domain = "provenance"
 	}
-	if cfg.MaxReadRetries <= 0 {
-		cfg.MaxReadRetries = 16
-	}
 	if cfg.QueryChunk <= 0 {
 		cfg.QueryChunk = 32
-	}
-	if cfg.QueryConcurrency <= 0 {
-		cfg.QueryConcurrency = 4
 	}
 	if cfg.RetryWait == nil {
 		clock := cfg.Cloud.Clock
@@ -665,8 +654,10 @@ func (l *Layer) decodeStored(ctx context.Context, subject prov.Ref, attr, raw st
 // core.ErrNoProvenance when data exists but its item never appears —
 // the atomicity-violation surface.
 func (l *Layer) VerifiedGet(ctx context.Context, object prov.ObjectID) (*core.Object, error) {
+	// maxReadRetries bounds the consistency retry loop.
+	const maxReadRetries = 16
 	var lastErr error = core.ErrInconsistent
-	for attempt := 0; attempt <= l.cfg.MaxReadRetries; attempt++ {
+	for attempt := 0; attempt <= maxReadRetries; attempt++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -715,31 +706,9 @@ func (l *Layer) VerifiedGet(ctx context.Context, object prov.ObjectID) (*core.Ob
 
 // --- query engine (Table 3, SimpleDB column) --------------------------------
 
-// AllProvenanceSeq streams every item's provenance one object version at a
-// time: "there is no way for SimpleDB to generalize the query and needs to
-// issue one query per item" (§5, Q.1). With the cache disabled, pagination
-// means only one Select page plus one item are resident at once; with the
-// cache enabled, entries come from the (built-if-needed) snapshot — zero
-// cloud ops when warm.
-func (l *Layer) AllProvenanceSeq(ctx context.Context) iter.Seq2[core.Entry, error] {
-	if l.cache == nil {
-		return l.scanSeq(ctx)
-	}
-	return func(yield func(core.Entry, error) bool) {
-		g, err := l.snapshot(ctx)
-		if err != nil {
-			yield(core.Entry{}, err)
-			return
-		}
-		for _, subject := range g.Subjects() {
-			if !yield(core.Entry{Ref: subject, Records: g.Records(subject)}, nil) {
-				return
-			}
-		}
-	}
-}
-
-// scanSeq is the live one-query-per-item repository scan.
+// scanSeq is the live repository scan: "there is no way for SimpleDB to
+// generalize the query and needs to issue one query per item" (§5, Q.1).
+// Pagination keeps one Select page plus one item resident at a time.
 func (l *Layer) scanSeq(ctx context.Context) iter.Seq2[core.Entry, error] {
 	return func(yield func(core.Entry, error) bool) {
 		token := ""
@@ -776,27 +745,6 @@ func (l *Layer) scanSeq(ctx context.Context) iter.Seq2[core.Entry, error] {
 			token = res.NextToken
 		}
 	}
-}
-
-// AllProvenance materializes the repository's provenance into a map (Q.1
-// over all objects, for callers that need the whole repository at once) —
-// from the snapshot cache when enabled.
-func (l *Layer) AllProvenance(ctx context.Context) (map[prov.Ref][]prov.Record, error) {
-	if l.cache != nil {
-		g, err := l.snapshot(ctx)
-		if err != nil {
-			return nil, err
-		}
-		return qcache.MapFromGraph(g), nil
-	}
-	out := make(map[prov.Ref][]prov.Record)
-	for entry, err := range l.scanSeq(ctx) {
-		if err != nil {
-			return nil, err
-		}
-		out[entry.Ref] = entry.Records
-	}
-	return out, nil
 }
 
 // buildGraph materializes the scan into a provenance graph.

@@ -261,15 +261,15 @@ func TestQueryEngineAgainstGroundTruth(t *testing.T) {
 		prov.NewString(child, prov.AttrType, prov.TypeFile),
 		prov.NewInput(child, out))
 
-	outputs, err := layer.OutputsOf(ctx, "blast")
+	outputs, err := core.CollectRefs(layer.Query(ctx, prov.QOutputsOf("blast")))
 	if err != nil || len(outputs) != 1 || outputs[0] != out {
 		t.Fatalf("OutputsOf = %v, %v", outputs, err)
 	}
-	desc, err := layer.DescendantsOfOutputs(ctx, "blast")
+	desc, err := core.CollectRefs(layer.Query(ctx, prov.QDescendantsOfOutputs("blast")))
 	if err != nil || len(desc) != 1 || desc[0] != child {
 		t.Fatalf("Descendants = %v, %v", desc, err)
 	}
-	all, err := layer.AllProvenance(ctx)
+	all, err := core.CollectBySubject(layer.Query(ctx, prov.Q1()))
 	if err != nil || len(all) != 5 {
 		t.Fatalf("AllProvenance = %d, %v", len(all), err)
 	}
@@ -305,7 +305,7 @@ func TestDependentsChunking(t *testing.T) {
 		}
 	}
 	before := cl.Usage()
-	outputs, err := layer.OutputsOf(ctx, "tool")
+	outputs, err := core.CollectRefs(layer.Query(ctx, prov.QOutputsOf("tool")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -554,7 +554,7 @@ func TestOutputsOfNoNPlusOne(t *testing.T) {
 	}
 
 	before := cl.Usage()
-	outputs, err := layer.OutputsOf(ctx, "tool")
+	outputs, err := core.CollectRefs(layer.Query(ctx, prov.QOutputsOf("tool")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -591,10 +591,13 @@ func TestLayerCacheRepeatQueriesFree(t *testing.T) {
 	}
 
 	cold := []func() error{
-		func() error { _, err := layer.OutputsOf(ctx, "tool"); return err },
-		func() error { _, err := layer.DescendantsOfOutputs(ctx, "tool"); return err },
-		func() error { _, err := layer.AllProvenance(ctx); return err },
-		func() error { _, err := layer.Dependents(ctx, tool.Object); return err },
+		func() error { _, err := core.CollectRefs(layer.Query(ctx, prov.QOutputsOf("tool"))); return err },
+		func() error {
+			_, err := core.CollectRefs(layer.Query(ctx, prov.QDescendantsOfOutputs("tool")))
+			return err
+		},
+		func() error { _, err := core.CollectBySubject(layer.Query(ctx, prov.Q1())); return err },
+		func() error { _, err := core.CollectRefs(layer.Query(ctx, prov.QDependents(tool.Object))); return err },
 	}
 	for _, q := range cold {
 		if err := q(); err != nil {
@@ -620,7 +623,7 @@ func TestLayerCacheRepeatQueriesFree(t *testing.T) {
 	}, "", "t"); err != nil {
 		t.Fatal(err)
 	}
-	outputs, err := layer.OutputsOf(ctx, "tool")
+	outputs, err := core.CollectRefs(layer.Query(ctx, prov.QOutputsOf("tool")))
 	if err != nil || len(outputs) != 2 {
 		t.Fatalf("OutputsOf after write = %v, %v; stale memo served", outputs, err)
 	}
@@ -640,11 +643,11 @@ func TestUncachedLayerKeepsPaperCosts(t *testing.T) {
 	}, "", "t"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := layer.OutputsOf(ctx, "tool"); err != nil {
+	if _, err := core.CollectRefs(layer.Query(ctx, prov.QOutputsOf("tool"))); err != nil {
 		t.Fatal(err)
 	}
 	before := cl.Usage().TotalOps()
-	if _, err := layer.OutputsOf(ctx, "tool"); err != nil {
+	if _, err := core.CollectRefs(layer.Query(ctx, prov.QOutputsOf("tool"))); err != nil {
 		t.Fatal(err)
 	}
 	if ops := cl.Usage().TotalOps() - before; ops == 0 {

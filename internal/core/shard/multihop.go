@@ -336,7 +336,7 @@ func (r *Router) newMHRun(ctx context.Context) *mhRun {
 func (x *mhRun) fanRefs(q prov.Query, _ string) ([]prov.Ref, error) {
 	r := x.r
 	perShard := make([][]core.Entry, len(r.shards))
-	err := core.RunLimited(x.ctx, len(r.shards), r.fanout, func(i int) error {
+	err := core.RunLimited(x.ctx, len(r.shards), len(r.shards), func(i int) error {
 		entries, err := collectMerged(r.shards[i].Query(x.ctx, q))
 		if err != nil {
 			return fmt.Errorf("shard %d: %w", i, err)

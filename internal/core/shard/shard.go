@@ -66,22 +66,19 @@ type Config struct {
 	// bucket/domain/queue and billing key); the router never assumes they
 	// share anything.
 	Shards []Store
-	// VirtualNodes is the number of ring points per shard (default 256).
-	// More points smooth placement balance at the cost of a larger ring;
-	// 256 keeps the worst shard within ~15% of the mean for workloads of
-	// a few dozen objects and within a few percent at scale.
-	VirtualNodes int
-	// FanOut bounds concurrent per-shard calls during batch writes and
-	// query fan-outs (default: number of shards).
-	FanOut int
 }
+
+// virtualNodes is the number of ring points per shard. More points smooth
+// placement balance at the cost of a larger ring; 256 keeps the worst shard
+// within ~15% of the mean for workloads of a few dozen objects and within a
+// few percent at scale.
+const virtualNodes = 256
 
 // Router is a sharded provenance store. It implements core.Store,
 // core.Querier, core.GraphQuerier, core.Syncer and core.Stamped, and is
 // safe for concurrent use.
 type Router struct {
 	shards []Store
-	fanout int
 
 	// ringMu guards the ring's owner assignment, the ring epoch and the
 	// migration window state. Ring point hashes are immutable after New;
@@ -132,15 +129,7 @@ func New(cfg Config) (*Router, error) {
 	if len(cfg.Shards) == 0 {
 		return nil, errors.New("shard: Config.Shards is required")
 	}
-	vnodes := cfg.VirtualNodes
-	if vnodes <= 0 {
-		vnodes = 256
-	}
-	fanout := cfg.FanOut
-	if fanout <= 0 {
-		fanout = len(cfg.Shards)
-	}
-	r := &Router{shards: cfg.Shards, fanout: fanout}
+	r := &Router{shards: cfg.Shards}
 	r.refPlanned = true
 	for _, s := range cfg.Shards {
 		if _, ok := s.(core.RefPlanner); !ok {
@@ -148,9 +137,9 @@ func New(cfg Config) (*Router, error) {
 			break
 		}
 	}
-	r.ring = make([]ringPoint, 0, len(cfg.Shards)*vnodes)
+	r.ring = make([]ringPoint, 0, len(cfg.Shards)*virtualNodes)
 	for i := range cfg.Shards {
-		for v := 0; v < vnodes; v++ {
+		for v := 0; v < virtualNodes; v++ {
 			r.ring = append(r.ring, ringPoint{hash: hash64(fmt.Sprintf("shard-%d/vn-%d", i, v)), shard: i})
 		}
 	}
@@ -281,7 +270,7 @@ func (r *Router) routeBatch(batch []pass.FlushEvent) [][]pass.FlushEvent {
 }
 
 // PutBatch implements core.Store: the batch splits into per-shard
-// sub-batches that execute concurrently under the FanOut bound. Failures
+// sub-batches that execute concurrently, one call per shard. Failures
 // merge into one typed core.PartialWriteError whose Landed set is the
 // union of every shard's fully applied events (a shard that succeeded
 // outright contributes its whole sub-batch), so the flush layer retries
@@ -301,7 +290,7 @@ func (r *Router) PutBatch(ctx context.Context, batch []pass.FlushEvent) error {
 	var mu sync.Mutex
 	var landed []prov.Ref
 	var errs []error
-	err := core.RunLimited(ctx, len(active), r.fanout, func(k int) error {
+	err := core.RunLimited(ctx, len(active), len(r.shards), func(k int) error {
 		i := active[k]
 		sub := subs[i]
 		err := r.shards[i].PutBatch(ctx, sub)
@@ -344,8 +333,8 @@ func (r *Router) Get(ctx context.Context, object prov.ObjectID) (*core.Object, e
 // Provenance implements core.Store. File versions live on their home
 // shard; a transient subject's records live wherever its carrier file
 // landed, so a home-shard miss falls back to probing the remaining
-// shards concurrently under the FanOut bound — one extra round trip of
-// latency instead of up to N-1 sequential ones.
+// shards concurrently — one extra round trip of latency instead of up to
+// N-1 sequential ones.
 func (r *Router) Provenance(ctx context.Context, ref prov.Ref) ([]prov.Record, error) {
 	mig := r.migSnapshot()
 	home := r.ShardFor(ref.Object)
@@ -366,7 +355,7 @@ func (r *Router) Provenance(ctx context.Context, ref prov.Ref) ([]prov.Record, e
 	var mu sync.Mutex
 	var found []prov.Record
 	ok := false
-	err = core.RunLimited(ctx, len(others), r.fanout, func(k int) error {
+	err = core.RunLimited(ctx, len(others), len(r.shards), func(k int) error {
 		records, err := r.shards[others[k]].Provenance(ctx, ref)
 		if err != nil {
 			if errors.Is(err, core.ErrNotFound) {
@@ -504,7 +493,7 @@ func (r *Router) evalAll(ctx context.Context, q prov.Query) ([]core.Entry, error
 func (r *Router) fanIn(ctx context.Context, q prov.Query) ([]core.Entry, error) {
 	mig := r.migSnapshot()
 	perShard := make([][]core.Entry, len(r.shards))
-	err := core.RunLimited(ctx, len(r.shards), r.fanout, func(i int) error {
+	err := core.RunLimited(ctx, len(r.shards), len(r.shards), func(i int) error {
 		entries, err := collectMerged(r.shards[i].Query(ctx, q))
 		if err != nil {
 			return fmt.Errorf("shard %d: %w", i, err)
@@ -622,7 +611,7 @@ func (r *Router) unionGraph(ctx context.Context) (*prov.Graph, error) {
 	if len(stale) == 0 && c.graph != nil && mig == nil {
 		return c.graph, nil
 	}
-	err := core.RunLimited(ctx, len(stale), r.fanout, func(k int) error {
+	err := core.RunLimited(ctx, len(stale), len(r.shards), func(k int) error {
 		i := stale[k]
 		var records []prov.Record
 		for e, err := range r.shards[i].Query(ctx, prov.Q1()) {

@@ -47,8 +47,8 @@ import (
 	"passcloud/internal/cloud/retry"
 	"passcloud/internal/cloud/s3"
 	"passcloud/internal/core"
+	"passcloud/internal/core/arch"
 	"passcloud/internal/core/integrity"
-	"passcloud/internal/core/s3only"
 	"passcloud/internal/core/s3sdb"
 	"passcloud/internal/core/s3sdbsqs"
 	"passcloud/internal/core/sdbprov"
@@ -60,7 +60,7 @@ import (
 )
 
 // Arches lists the architectures the sweep covers.
-var Arches = []string{"s3", "s3+sdb", "s3+sdb+sqs"}
+var Arches = arch.Names
 
 // AllClasses is the default fault-class mix (the recovery classes).
 var AllClasses = []sim.FaultClass{sim.ClassCrash, sim.ClassTransient, sim.ClassPermanent, sim.ClassAckLoss}
@@ -236,9 +236,6 @@ type shardEnv struct {
 	sqs    *s3sdbsqs.Store
 	daemon func() *s3sdbsqs.CommitDaemon // fresh daemon per pump (restart semantics)
 	stats  func() retry.Snapshot
-	// mirror builds an uncached store over the same namespace for
-	// freshness cross-checks; constructed lazily after recovery.
-	mirror func() (shard.Store, error)
 }
 
 // env is the architecture wired for the sweep, one shardEnv per shard.
@@ -248,6 +245,10 @@ type env struct {
 	shards []*shardEnv
 	store  core.Store // the router, or the sole shard's store
 	faults *sim.FaultPlan
+	// mirrorCfg builds the uncached, integrity-free twin of a member for
+	// freshness cross-checks (the WAL architecture's twin reads its domain
+	// as a plain "s3+sdb" store: it must not grow a queue of its own).
+	mirrorCfg arch.Config
 	// tampered tracks victims already hit by a corruption, so a later draw
 	// of the same kind cannot pick the same victim and silently undo the
 	// tampering (swapping the same pair twice restores the original).
@@ -276,101 +277,67 @@ func (e *env) advance(d time.Duration) {
 const daemonVisibility = 10 * time.Second
 
 func buildEnv(cfg Config, faults *sim.FaultPlan) (*env, error) {
-	n := cfg.Shards
-	if n < 1 {
-		n = 1
+	e := &env{faults: faults, mirrorCfg: arch.Config{
+		Name: cfg.Arch, PutConcurrency: 1, ScanConcurrency: 1, DisableQueryCache: true, DisableIntegrity: true,
+	}}
+	if cfg.Arch == "s3+sdb+sqs" {
+		e.mirrorCfg.Name = "s3+sdb"
 	}
-	e := &env{faults: faults}
 	ccfg := cloud.Config{Seed: cfg.Seed, MaxDelay: cfg.MaxDelay, Faults: faults}
-	var clouds []*cloud.Cloud
-	if n == 1 {
-		e.single = cloud.New(ccfg)
-		clouds = []*cloud.Cloud{e.single}
-	} else {
+	if cfg.Shards > 1 {
 		e.multi = cloud.NewMulti(ccfg)
-		for i := 0; i < n; i++ {
-			clouds = append(clouds, e.multi.Namespace(fmt.Sprintf("shard%d", i)))
-		}
+	} else {
+		e.single = cloud.New(ccfg)
 	}
-	stores := make([]shard.Store, n)
-	for i, cl := range clouds {
-		se, err := buildShard(cfg, cl, faults)
-		if err != nil {
-			return nil, err
-		}
-		e.shards = append(e.shards, se)
-		stores[i] = se.store
-	}
-	if n == 1 {
-		e.store = stores[0]
-		return e, nil
-	}
-	r, err := shard.New(shard.Config{Shards: stores})
+	b, err := e.compose(cfg.Shards, arch.Config{
+		Name: cfg.Arch, Faults: faults, PutConcurrency: 1, ScanConcurrency: 1, Retry: retryPolicy,
+	})
 	if err != nil {
 		return nil, err
 	}
-	e.store = r
+	e.store = b.Store
+	for i, st := range b.Members {
+		se := &shardEnv{cloud: b.Clouds[i], store: st}
+		se.stats = st.(interface{ RetryStats() retry.Snapshot }).RetryStats
+		switch st := st.(type) {
+		case *s3sdb.Store:
+			se.layer, se.s3sdb = st.Layer(), st
+		case *s3sdbsqs.Store:
+			se.layer, se.sqs = st.Layer(), st
+			se.daemon = func() *s3sdbsqs.CommitDaemon {
+				d := s3sdbsqs.NewCommitDaemon(st, faults)
+				d.Visibility = daemonVisibility
+				return d
+			}
+		}
+		e.shards = append(e.shards, se)
+	}
 	return e, nil
 }
 
-// buildShard wires one shard's store on its namespace.
-func buildShard(cfg Config, cl *cloud.Cloud, faults *sim.FaultPlan) (*shardEnv, error) {
-	se := &shardEnv{cloud: cl}
-	switch cfg.Arch {
-	case "s3":
-		st, err := s3only.New(s3only.Config{Cloud: cl, Faults: faults, PutConcurrency: 1, ScanConcurrency: 1, Retry: retryPolicy})
-		if err != nil {
-			return nil, err
-		}
-		se.store, se.stats = st, st.RetryStats
-		se.mirror = func() (shard.Store, error) {
-			return s3only.New(s3only.Config{Cloud: cl, PutConcurrency: 1, ScanConcurrency: 1, DisableQueryCache: true, DisableIntegrity: true})
-		}
-	case "s3+sdb":
-		st, err := s3sdb.New(s3sdb.Config{Cloud: cl, Faults: faults, Retry: retryPolicy})
-		if err != nil {
-			return nil, err
-		}
-		se.store, se.layer, se.s3sdb, se.stats = st, st.Layer(), st, st.RetryStats
-		se.mirror = func() (shard.Store, error) {
-			return s3sdb.New(s3sdb.Config{Cloud: cl, DisableQueryCache: true, DisableIntegrity: true})
-		}
-	case "s3+sdb+sqs":
-		st, err := s3sdbsqs.New(s3sdbsqs.Config{Cloud: cl, Faults: faults, Retry: retryPolicy})
-		if err != nil {
-			return nil, err
-		}
-		se.store, se.layer, se.sqs, se.stats = st, st.Layer(), st, st.RetryStats
-		se.daemon = func() *s3sdbsqs.CommitDaemon {
-			d := s3sdbsqs.NewCommitDaemon(st, faults)
-			d.Visibility = daemonVisibility
-			return d
-		}
-		se.mirror = func() (shard.Store, error) {
-			return s3sdb.New(s3sdb.Config{Cloud: cl, DisableQueryCache: true, DisableIntegrity: true})
-		}
-	default:
-		return nil, fmt.Errorf("sweep: unknown arch %q", cfg.Arch)
+// compose builds n stores from cfg, one per namespace ("shard<i>" of the
+// multi-namespace region, or the single region when unsharded), behind a
+// router when n > 1.
+func (e *env) compose(n int, cfg arch.Config) (*arch.Sharded, error) {
+	if e.multi == nil {
+		cfg.Cloud = e.single
+		st, _, err := arch.Build(cfg)
+		return &arch.Sharded{Store: st, Members: []shard.Store{st}, Clouds: []*cloud.Cloud{e.single}}, err
 	}
-	return se, nil
+	return arch.BuildSharded(e.multi, n, func(i int) (string, arch.Config) {
+		return fmt.Sprintf("shard%d", i), cfg
+	})
 }
 
 // mirror builds the uncached cross-check querier: the sole shard's
 // uncached twin, or a router over every shard's twin (same ring order, so
 // placement matches the primary).
 func (e *env) mirror() (core.Querier, error) {
-	twins := make([]shard.Store, len(e.shards))
-	for i, se := range e.shards {
-		m, err := se.mirror()
-		if err != nil {
-			return nil, err
-		}
-		twins[i] = m
+	b, err := e.compose(len(e.shards), e.mirrorCfg)
+	if err != nil {
+		return nil, err
 	}
-	if len(twins) == 1 {
-		return twins[0], nil
-	}
-	return shard.New(shard.Config{Shards: twins})
+	return b.Store, nil
 }
 
 // script is the deterministic workload: a pipeline with version churn,
@@ -946,7 +913,7 @@ func (e *env) checkInvariants(ctx context.Context, cfg Config, sys *pass.System,
 		v = append(v, fmt.Sprintf("mirror build failed: %v", err))
 		return v
 	}
-	uncached, err := core.AllProvenance(ctx, mirror)
+	uncached, err := core.CollectBySubject(mirror.Query(ctx, prov.Q1()))
 	if err != nil {
 		v = append(v, fmt.Sprintf("uncached scan failed: %v", err))
 		return v
@@ -964,14 +931,14 @@ func (e *env) checkInvariants(ctx context.Context, cfg Config, sys *pass.System,
 		}
 	}
 	if q, ok := e.store.(core.Querier); ok {
-		cached, err := core.AllProvenance(ctx, q)
+		cached, err := core.CollectBySubject(q.Query(ctx, prov.Q1()))
 		if err != nil {
 			v = append(v, fmt.Sprintf("cached scan failed: %v", err))
 		} else if diff := diffProvenance(cached, uncached); diff != "" {
 			v = append(v, "query cache stale after failed/retried writes: "+diff)
 		} else {
 			// Repeat on the warm path: the memoized answer must agree too.
-			again, err := core.AllProvenance(ctx, q)
+			again, err := core.CollectBySubject(q.Query(ctx, prov.Q1()))
 			if err != nil {
 				v = append(v, fmt.Sprintf("warm cached scan failed: %v", err))
 			} else if diff := diffProvenance(again, uncached); diff != "" {
@@ -1095,7 +1062,7 @@ func (e *env) digest(ctx context.Context) string {
 				token = res.NextToken
 			}
 		} else if q, ok := se.store.(core.Querier); ok {
-			all, err := core.AllProvenance(ctx, q)
+			all, err := core.CollectBySubject(q.Query(ctx, prov.Q1()))
 			if err == nil {
 				for ref, records := range all {
 					entries = append(entries, fmt.Sprintf("shard%d item %s\n%s", si, ref, canonRecords(records)))

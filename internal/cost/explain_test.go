@@ -80,10 +80,10 @@ func TestExplainCachedPath(t *testing.T) {
 		run := h.findRun(arch)
 		q := run.store.(core.Querier)
 		// Warm the snapshot and the Q.2 memo.
-		if _, err := core.AllProvenance(ctx, q); err != nil {
+		if _, err := core.CollectBySubject(q.Query(ctx, prov.Q1())); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := core.OutputsOf(ctx, q, "softmean"); err != nil {
+		if _, err := core.CollectRefs(q.Query(ctx, prov.QOutputsOf("softmean"))); err != nil {
 			t.Fatal(err)
 		}
 		for _, desc := range []prov.Query{prov.Q1(), prov.QOutputsOf("softmean")} {

@@ -8,10 +8,11 @@ import (
 	"passcloud/internal/cloud/billing"
 	"passcloud/internal/cloud/retry"
 	"passcloud/internal/core"
-	"passcloud/internal/core/s3only"
-	"passcloud/internal/core/s3sdb"
+	"passcloud/internal/core/arch"
 	"passcloud/internal/core/s3sdbsqs"
+	"passcloud/internal/core/shard"
 	"passcloud/internal/pass"
+	"passcloud/internal/prov"
 	"passcloud/internal/sim"
 	"passcloud/internal/workload"
 )
@@ -47,12 +48,68 @@ type Harness struct {
 type archRun struct {
 	name    string
 	cloud   *cloud.Cloud
-	store   core.Store
-	querier core.Querier
+	store   shard.Store
 	setup   billing.Usage // after construction, before load
 	loadEnd billing.Usage // after load + settle
 	// retryStats reports the store's cumulative retry overhead.
 	retryStats func() retry.Snapshot
+}
+
+// walThreshold is the queue depth at which the harness's commit daemons
+// drain, and walPollEvents how many flushed events pass between their
+// depth checks ("the daemon periodically monitors the WAL queue").
+const (
+	walThreshold  = 256
+	walPollEvents = 64
+)
+
+// pollingFlush wraps flush so every daemon checks its threshold each
+// walPollEvents flushed events. With no daemons it is flush itself.
+func pollingFlush(flush pass.FlushFunc, daemons []*s3sdbsqs.CommitDaemon) pass.FlushFunc {
+	if len(daemons) == 0 {
+		return flush
+	}
+	events := 0
+	return func(ctx context.Context, batch []pass.FlushEvent) error {
+		if err := flush(ctx, batch); err != nil {
+			return err
+		}
+		if events += len(batch); events >= walPollEvents {
+			events = 0
+			for _, d := range daemons {
+				if _, err := d.RunOnce(ctx, false); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
+	}
+}
+
+// table3Queries are the paper's three query classes as descriptors, each
+// reduced to its result count. Q.1 counts distinct subjects: an uncached
+// S3 scan yields a subject whose records rode several PUTs in pieces.
+func table3Queries(ctx context.Context, tool string) []table3Query {
+	refs := func(d prov.Query) func(core.Querier) (int, error) {
+		return func(q core.Querier) (int, error) {
+			refs, err := core.CollectRefs(q.Query(ctx, d))
+			return len(refs), err
+		}
+	}
+	return []table3Query{
+		{"Q.1", func(q core.Querier) (int, error) {
+			all, err := core.CollectBySubject(q.Query(ctx, prov.Q1()))
+			return len(all), err
+		}},
+		{"Q.2", refs(prov.QOutputsOf(tool))},
+		{"Q.3", refs(prov.QDescendantsOfOutputs(tool))},
+	}
+}
+
+// table3Query is one named query class.
+type table3Query struct {
+	name string
+	run  func(core.Querier) (int, error)
 }
 
 // defaults fills zero fields.
@@ -79,79 +136,22 @@ func (h *Harness) Load(ctx context.Context) error {
 	}
 	h.defaults()
 
-	type build struct {
-		name string
-		make func(cl *cloud.Cloud) (core.Store, pass.FlushFunc, func(context.Context) error, error)
-	}
-	uncached := !h.CachedQueries
-	builds := []build{
-		{name: "s3", make: func(cl *cloud.Cloud) (core.Store, pass.FlushFunc, func(context.Context) error, error) {
-			st, err := s3only.New(s3only.Config{Cloud: cl, DisableQueryCache: uncached})
-			if err != nil {
-				return nil, nil, nil, err
-			}
-			return st, core.Flusher(st), nil, nil
-		}},
-		{name: "s3+sdb", make: func(cl *cloud.Cloud) (core.Store, pass.FlushFunc, func(context.Context) error, error) {
-			st, err := s3sdb.New(s3sdb.Config{Cloud: cl, DisableQueryCache: uncached})
-			if err != nil {
-				return nil, nil, nil, err
-			}
-			return st, core.Flusher(st), nil, nil
-		}},
-		{name: "s3+sdb+sqs", make: func(cl *cloud.Cloud) (core.Store, pass.FlushFunc, func(context.Context) error, error) {
-			st, err := s3sdbsqs.New(s3sdbsqs.Config{Cloud: cl, DisableQueryCache: uncached})
-			if err != nil {
-				return nil, nil, nil, err
-			}
-			daemon := s3sdbsqs.NewCommitDaemon(st, nil)
-			daemon.Threshold = 256
-			// The daemon "periodically monitors the WAL queue": poll every
-			// few flushed events, drain when the threshold trips.
-			events := 0
-			flush := func(ctx context.Context, batch []pass.FlushEvent) error {
-				if err := st.PutBatch(ctx, batch); err != nil {
-					return err
-				}
-				events += len(batch)
-				if events >= 64 {
-					events = 0
-					if _, err := daemon.RunOnce(ctx, false); err != nil {
-						return err
-					}
-				}
-				return nil
-			}
-			final := func(ctx context.Context) error {
-				for i := 0; i < 50; i++ {
-					n, err := daemon.RunOnce(ctx, true)
-					if err != nil {
-						return err
-					}
-					if n == 0 && daemon.PendingTransactions() == 0 {
-						return nil
-					}
-					cl.Settle()
-				}
-				return fmt.Errorf("cost: commit daemon did not drain (%d pending)", daemon.PendingTransactions())
-			}
-			return st, flush, final, nil
-		}},
-	}
-
 	collected := false
-	for _, b := range builds {
+	for _, name := range arch.Names {
 		cl := cloud.New(cloud.Config{Seed: h.Seed})
-		st, flush, finish, err := b.make(cl)
+		st, daemon, err := arch.Build(arch.Config{Name: name, Cloud: cl, DisableQueryCache: !h.CachedQueries})
 		if err != nil {
-			return fmt.Errorf("cost: build %s: %w", b.name, err)
+			return fmt.Errorf("cost: build %s: %w", name, err)
 		}
-		run := &archRun{name: b.name, cloud: cl, store: st, setup: cl.Usage()}
+		var daemons []*s3sdbsqs.CommitDaemon
+		if daemon != nil {
+			daemon.Threshold = walThreshold
+			daemons = append(daemons, daemon)
+		}
+		flush := pollingFlush(core.Flusher(st), daemons)
+		run := &archRun{name: name, cloud: cl, store: st, setup: cl.Usage()}
 		if rs, ok := st.(interface{ RetryStats() retry.Snapshot }); ok {
 			run.retryStats = rs.RetryStats
-		}
-		if q, ok := st.(core.Querier); ok {
-			run.querier = q
 		}
 
 		// Collect dataset stats exactly once: all three runs see the same
@@ -166,15 +166,13 @@ func (h *Harness) Load(ctx context.Context) error {
 		sys := pass.NewSystem(pass.Config{Flush: flush})
 		w := workload.NewCombined(h.Scale)
 		if err := workload.Run(ctx, sys, sim.NewRNG(h.Seed), w); err != nil {
-			return fmt.Errorf("cost: load %s: %w", b.name, err)
+			return fmt.Errorf("cost: load %s: %w", name, err)
 		}
 		if err := core.SyncStore(ctx, st); err != nil {
-			return fmt.Errorf("cost: sync %s: %w", b.name, err)
+			return fmt.Errorf("cost: sync %s: %w", name, err)
 		}
-		if finish != nil {
-			if err := finish(ctx); err != nil {
-				return err
-			}
+		if err := s3sdbsqs.Drain(ctx, cl.Settle, daemons...); err != nil {
+			return fmt.Errorf("cost: drain %s: %w", name, err)
 		}
 		cl.Settle()
 		run.loadEnd = cl.Usage()
@@ -251,24 +249,7 @@ func (h *Harness) Table3Measured(ctx context.Context) (*Table3, error) {
 		{"S3", h.findRun("s3")},
 		{"SimpleDB", h.findRun("s3+sdb")},
 	}
-	type queryFn struct {
-		name string
-		run  func(core.Querier) (int, error)
-	}
-	queries := []queryFn{
-		{"Q.1", func(q core.Querier) (int, error) {
-			all, err := core.AllProvenance(ctx, q)
-			return len(all), err
-		}},
-		{"Q.2", func(q core.Querier) (int, error) {
-			refs, err := core.OutputsOf(ctx, q, h.Tool)
-			return len(refs), err
-		}},
-		{"Q.3", func(q core.Querier) (int, error) {
-			refs, err := core.DescendantsOfOutputs(ctx, q, h.Tool)
-			return len(refs), err
-		}},
-	}
+	queries := table3Queries(ctx, h.Tool)
 
 	for _, query := range queries {
 		for _, backend := range backends {
@@ -276,7 +257,7 @@ func (h *Harness) Table3Measured(ctx context.Context) (*Table3, error) {
 				return nil, fmt.Errorf("cost: backend %s not loaded", backend.label)
 			}
 			before := backend.run.cloud.Usage()
-			n, err := query.run(backend.run.querier)
+			n, err := query.run(backend.run.store)
 			if err != nil {
 				return nil, fmt.Errorf("cost: %s on %s: %w", query.name, backend.label, err)
 			}
@@ -291,7 +272,7 @@ func (h *Harness) Table3Measured(ctx context.Context) (*Table3, error) {
 			if h.CachedQueries {
 				// The repeat run: the repository has not changed, so the
 				// snapshot cache answers without touching the cloud.
-				n2, err := query.run(backend.run.querier)
+				n2, err := query.run(backend.run.store)
 				if err != nil {
 					return nil, fmt.Errorf("cost: %s repeat on %s: %w", query.name, backend.label, err)
 				}

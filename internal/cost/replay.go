@@ -6,10 +6,9 @@ import (
 	"sort"
 	"strings"
 
-	"passcloud/internal/cloud"
 	"passcloud/internal/cloud/billing"
 	"passcloud/internal/core"
-	"passcloud/internal/core/shard"
+	"passcloud/internal/core/arch"
 	"passcloud/internal/pass"
 	"passcloud/internal/prov"
 	"passcloud/internal/replay"
@@ -64,11 +63,11 @@ func (h *Harness) Replay(ctx context.Context, shardCounts []int) (*ReplayCosts, 
 	counts := append([]int(nil), shardCounts...)
 	sort.Ints(counts)
 	out := &ReplayCosts{Scale: h.Scale, Seed: h.Seed, ShardCounts: counts}
-	for _, arch := range []string{"s3", "s3+sdb", "s3+sdb+sqs"} {
+	for _, name := range arch.Names {
 		for _, n := range counts {
-			row, err := h.replayRun(ctx, arch, n)
+			row, err := h.replayRun(ctx, name, n)
 			if err != nil {
-				return nil, fmt.Errorf("cost: replay %s x%d: %w", arch, n, err)
+				return nil, fmt.Errorf("cost: replay %s x%d: %w", name, n, err)
 			}
 			out.Rows = append(out.Rows, *row)
 		}
@@ -76,29 +75,12 @@ func (h *Harness) Replay(ctx context.Context, shardCounts []int) (*ReplayCosts, 
 	return out, nil
 }
 
-// buildStoreMatrix assembles one architecture at one shard count on a
-// fresh region, routing through the shard router when n > 1.
-func buildStoreMatrix(arch string, seed int64, n int) (*cloud.Multi, *shardedBuild, core.Store, error) {
-	multi := cloud.NewMulti(cloud.Config{Seed: seed})
-	b, err := buildShardedArch(arch, multi, n)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	if n == 1 {
-		return multi, b, b.stores[0].(core.Store), nil
-	}
-	r, err := shard.New(shard.Config{Shards: b.stores})
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return multi, b, r, nil
-}
-
-func (h *Harness) replayRun(ctx context.Context, arch string, n int) (*ReplayRow, error) {
-	multi, b, store, err := buildStoreMatrix(arch, h.Seed, n)
+func (h *Harness) replayRun(ctx context.Context, name string, n int) (*ReplayRow, error) {
+	b, err := newMatrixCell(name, h.Seed, n)
 	if err != nil {
 		return nil, err
 	}
+	store := b.Store
 	sys := pass.NewSystem(pass.Config{Flush: core.Flusher(store)})
 	if err := workload.Run(ctx, sys, sim.NewRNG(h.Seed), workload.NewCombined(h.Scale)); err != nil {
 		return nil, err
@@ -106,16 +88,11 @@ func (h *Harness) replayRun(ctx context.Context, arch string, n int) (*ReplayRow
 	if err := core.SyncStore(ctx, store); err != nil {
 		return nil, err
 	}
-	if err := b.drain(ctx, multi); err != nil {
+	if err := b.drain(ctx); err != nil {
 		return nil, err
 	}
-	multi.Settle()
 
-	querier, ok := store.(core.Querier)
-	if !ok {
-		return nil, fmt.Errorf("store is not a querier")
-	}
-	targets, err := currentFileVersions(ctx, querier)
+	targets, err := currentFileVersions(ctx, store)
 	if err != nil {
 		return nil, err
 	}
@@ -123,31 +100,30 @@ func (h *Harness) replayRun(ctx context.Context, arch string, n int) (*ReplayRow
 		return nil, fmt.Errorf("workload left no file versions to replay")
 	}
 
-	sandboxMulti, sb, sandboxStore, err := buildStoreMatrix(arch, h.Seed, n)
+	sb, err := newMatrixCell(name, h.Seed, n)
 	if err != nil {
 		return nil, err
 	}
 	setup := sb.usage()
 	before := b.usage()
 	rep, err := replay.Replay(ctx, replay.Config{
-		Source: querier,
+		Source: store,
 		Fetch:  store.Get,
-		Target: sandboxStore,
+		Target: sb.Store,
 		Runner: workload.Tools{},
 		Kernel: pass.DefaultKernel,
 	}, targets...)
 	if err != nil {
 		return nil, err
 	}
-	if err := sb.drain(ctx, sandboxMulti); err != nil {
+	if err := sb.drain(ctx); err != nil {
 		return nil, err
 	}
-	sandboxMulti.Settle()
 	after := b.usage()
 	spent := sb.usage().Sub(setup)
 
 	return &ReplayRow{
-		Arch:        arch,
+		Arch:        name,
 		Shards:      n,
 		Subjects:    rep.Subjects,
 		Sources:     rep.Sources,

@@ -9,11 +9,9 @@ import (
 	"passcloud/internal/cloud"
 	"passcloud/internal/cloud/billing"
 	"passcloud/internal/core"
+	"passcloud/internal/core/arch"
 	"passcloud/internal/core/integrity"
-	"passcloud/internal/core/s3only"
-	"passcloud/internal/core/s3sdb"
 	"passcloud/internal/core/s3sdbsqs"
-	"passcloud/internal/core/shard"
 	"passcloud/internal/pass"
 	"passcloud/internal/sim"
 	"passcloud/internal/workload"
@@ -71,74 +69,47 @@ type ShardedCosts struct {
 	Rows        []ShardedRow `json:"rows"`
 }
 
-// shardedBuild is the per-shard store construction for one architecture,
-// mirroring the unsharded harness builds (uncached queries, the WAL
-// architecture's polling commit daemon).
-type shardedBuild struct {
-	stores  []shard.Store
-	clouds  []*cloud.Cloud
-	daemons []*s3sdbsqs.CommitDaemon
+// matrixCell is one architecture at one shard count on its own fresh
+// region, built like the unsharded harness builds (uncached queries, the
+// WAL architecture's polling commit daemons): members on namespaces
+// "s<i>", behind the shard router when n > 1.
+type matrixCell struct {
+	*arch.Sharded
+	multi *cloud.Multi
 }
 
-func buildShardedArch(arch string, multi *cloud.Multi, n int) (*shardedBuild, error) {
-	b := &shardedBuild{}
-	for s := 0; s < n; s++ {
-		cl := multi.Namespace(fmt.Sprintf("s%d", s))
-		b.clouds = append(b.clouds, cl)
-		switch arch {
-		case "s3":
-			st, err := s3only.New(s3only.Config{Cloud: cl, DisableQueryCache: true})
-			if err != nil {
-				return nil, err
-			}
-			b.stores = append(b.stores, st)
-		case "s3+sdb":
-			st, err := s3sdb.New(s3sdb.Config{Cloud: cl, DisableQueryCache: true})
-			if err != nil {
-				return nil, err
-			}
-			b.stores = append(b.stores, st)
-		case "s3+sdb+sqs":
-			st, err := s3sdbsqs.New(s3sdbsqs.Config{Cloud: cl, ClientID: fmt.Sprintf("s%d", s), DisableQueryCache: true})
-			if err != nil {
-				return nil, err
-			}
-			d := s3sdbsqs.NewCommitDaemon(st, nil)
-			d.Threshold = 256
-			b.daemons = append(b.daemons, d)
-			b.stores = append(b.stores, st)
-		default:
-			return nil, fmt.Errorf("cost: unknown architecture %q", arch)
-		}
+func newMatrixCell(name string, seed int64, n int) (*matrixCell, error) {
+	multi := cloud.NewMulti(cloud.Config{Seed: seed})
+	b, err := arch.BuildSharded(multi, n, func(s int) (string, arch.Config) {
+		key := fmt.Sprintf("s%d", s)
+		return key, arch.Config{Name: name, ClientID: key, DisableQueryCache: true}
+	})
+	if err != nil {
+		return nil, err
 	}
-	return b, nil
+	for _, d := range b.Daemons {
+		d.Threshold = walThreshold
+	}
+	return &matrixCell{Sharded: b, multi: multi}, nil
 }
 
 // drain runs every commit daemon to quiescence (no-op off the WAL
-// architecture).
-func (b *shardedBuild) drain(ctx context.Context, multi *cloud.Multi) error {
-	for _, d := range b.daemons {
-		for i := 0; ; i++ {
-			n, err := d.RunOnce(ctx, true)
-			if err != nil {
-				return err
-			}
-			if n == 0 && d.PendingTransactions() == 0 {
-				break
-			}
-			if i >= 50 {
-				return fmt.Errorf("cost: sharded commit daemon did not drain (%d pending)", d.PendingTransactions())
-			}
-			multi.Settle()
+// architecture) — one daemon at a time, so an already idle daemon's queue
+// is not polled again while a neighbour finishes — then settles the region.
+func (b *matrixCell) drain(ctx context.Context) error {
+	for _, d := range b.Daemons {
+		if err := s3sdbsqs.Drain(ctx, b.multi.Settle, d); err != nil {
+			return err
 		}
 	}
+	b.multi.Settle()
 	return nil
 }
 
 // usage sums the member namespaces' meters.
-func (b *shardedBuild) usage() billing.Usage {
+func (b *matrixCell) usage() billing.Usage {
 	var u billing.Usage
-	for _, cl := range b.clouds {
+	for _, cl := range b.Clouds {
 		u = u.Add(cl.Usage())
 	}
 	return u
@@ -159,11 +130,11 @@ func (h *Harness) Sharded(ctx context.Context, shardCounts []int) (*ShardedCosts
 	sort.Ints(counts)
 	out := &ShardedCosts{Scale: h.Scale, Seed: h.Seed, Tool: h.Tool, ShardCounts: counts}
 
-	for _, arch := range []string{"s3", "s3+sdb", "s3+sdb+sqs"} {
+	for _, name := range arch.Names {
 		for _, n := range counts {
-			row, err := h.shardedRun(ctx, arch, n)
+			row, err := h.shardedRun(ctx, name, n)
 			if err != nil {
-				return nil, fmt.Errorf("cost: sharded %s x%d: %w", arch, n, err)
+				return nil, fmt.Errorf("cost: sharded %s x%d: %w", name, n, err)
 			}
 			out.Rows = append(out.Rows, *row)
 		}
@@ -171,46 +142,17 @@ func (h *Harness) Sharded(ctx context.Context, shardCounts []int) (*ShardedCosts
 	return out, nil
 }
 
-func (h *Harness) shardedRun(ctx context.Context, arch string, n int) (*ShardedRow, error) {
-	multi := cloud.NewMulti(cloud.Config{Seed: h.Seed})
-	b, err := buildShardedArch(arch, multi, n)
+func (h *Harness) shardedRun(ctx context.Context, name string, n int) (*ShardedRow, error) {
+	b, err := newMatrixCell(name, h.Seed, n)
 	if err != nil {
 		return nil, err
 	}
-	var store core.Store
-	if n == 1 {
-		store = b.stores[0].(core.Store)
-	} else {
-		r, err := shard.New(shard.Config{Shards: b.stores})
-		if err != nil {
-			return nil, err
-		}
-		store = r
-	}
+	store := b.Store
 	setup := b.usage()
 
 	// Load: same flush shape as the unsharded harness — the WAL daemons
 	// poll every few flushed events, then drain fully.
-	events := 0
-	flush := core.Flusher(store)
-	if len(b.daemons) > 0 {
-		inner := flush
-		flush = func(ctx context.Context, batch []pass.FlushEvent) error {
-			if err := inner(ctx, batch); err != nil {
-				return err
-			}
-			events += len(batch)
-			if events >= 64 {
-				events = 0
-				for _, d := range b.daemons {
-					if _, err := d.RunOnce(ctx, false); err != nil {
-						return err
-					}
-				}
-			}
-			return nil
-		}
-	}
+	flush := pollingFlush(core.Flusher(store), b.Daemons)
 	// Collect dataset stats if the unsharded harness has not run: the
 	// sharded matrix sees the identical deterministic flush stream.
 	var collector *Collector
@@ -229,17 +171,16 @@ func (h *Harness) shardedRun(ctx context.Context, arch string, n int) (*ShardedR
 	if err := core.SyncStore(ctx, store); err != nil {
 		return nil, err
 	}
-	if err := b.drain(ctx, multi); err != nil {
+	if err := b.drain(ctx); err != nil {
 		return nil, err
 	}
-	multi.Settle()
 	loadEnd := b.usage()
 
 	rawBytes, rawOps := h.stats.DataBytes, h.stats.Objects
-	row := &ShardedRow{Arch: arch, Shards: n}
+	row := &ShardedRow{Arch: name, Shards: n}
 	row.ProvOps = loadEnd.TotalOps() - setup.TotalOps() - rawOps
 	s3Extra := loadEnd.Storage(billing.S3) - rawBytes
-	switch arch {
+	switch name {
 	case "s3":
 		row.ProvBytes = s3Extra
 	case "s3+sdb":
@@ -251,32 +192,10 @@ func (h *Harness) shardedRun(ctx context.Context, arch string, n int) (*ShardedR
 
 	// Table 3 classes through the router, cold, for the two backends the
 	// paper reports.
-	if arch != "s3+sdb+sqs" {
-		querier, ok := store.(core.Querier)
-		if !ok {
-			return nil, fmt.Errorf("store is not a querier")
-		}
-		type queryFn struct {
-			name string
-			run  func() (int, error)
-		}
-		queries := []queryFn{
-			{"Q.1", func() (int, error) {
-				all, err := core.AllProvenance(ctx, querier)
-				return len(all), err
-			}},
-			{"Q.2", func() (int, error) {
-				refs, err := core.OutputsOf(ctx, querier, h.Tool)
-				return len(refs), err
-			}},
-			{"Q.3", func() (int, error) {
-				refs, err := core.DescendantsOfOutputs(ctx, querier, h.Tool)
-				return len(refs), err
-			}},
-		}
-		for _, q := range queries {
+	if name != "s3+sdb+sqs" {
+		for _, q := range table3Queries(ctx, h.Tool) {
 			before := b.usage()
-			results, err := q.run()
+			results, err := q.run(store)
 			if err != nil {
 				return nil, fmt.Errorf("%s: %w", q.name, err)
 			}
@@ -293,8 +212,8 @@ func (h *Harness) shardedRun(ctx context.Context, arch string, n int) (*ShardedR
 
 	// Verification cost: a full audit of every shard, composed into the
 	// namespace root, priced off the meter delta.
-	auditors := make([]integrity.Auditor, len(b.stores))
-	for i, st := range b.stores {
+	auditors := make([]integrity.Auditor, len(b.Members))
+	for i, st := range b.Members {
 		a, ok := st.(integrity.Auditor)
 		if !ok {
 			return nil, fmt.Errorf("shard %d is not auditable", i)

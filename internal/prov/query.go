@@ -230,11 +230,10 @@ func (q Query) RefsKey() string {
 	return q.Key()
 }
 
-// --- fixed-verb compilers ----------------------------------------------------
+// --- the paper's query classes -----------------------------------------------
 //
-// The deprecated verbs of the original core.Querier compile to these
-// descriptors; each backend's native plan reproduces the verb's exact cloud
-// ops, so the paper's Table 3 is unchanged.
+// The evaluation's fixed queries as descriptors; each backend's native plan
+// for them reproduces the paper's cloud ops, so Table 3 is unchanged.
 
 // Q1 compiles the paper's Q.1: the provenance of every object version.
 func Q1() Query { return Query{Projection: ProjectFull} }

@@ -2,19 +2,16 @@ package workload
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"passcloud/internal/cloud"
-	"passcloud/internal/core/s3only"
-	"passcloud/internal/core/s3sdb"
+	"passcloud/internal/core/arch"
 	"passcloud/internal/core/s3sdbsqs"
-	"passcloud/internal/core/shard"
 )
 
 // LoadArchs is the architecture axis the load harness drives, in report
 // order (the paper's names).
-var LoadArchs = []string{"s3", "s3+sdb", "s3+sdb+sqs"}
+var LoadArchs = arch.Names
 
 // BuildLoadTarget constructs the standard load target for one tenant:
 // `shards` member stores of the named architecture, each bound to its own
@@ -22,65 +19,21 @@ var LoadArchs = []string{"s3", "s3+sdb", "s3+sdb+sqs"}
 // composed behind a shard router when shards > 1. This is the one
 // construction passbench -load and the harness tests share, so the
 // capacity numbers in the README come from exactly the code under test.
-func BuildLoadTarget(multi *cloud.Multi, arch string, tenant, shards int) (LoadTarget, error) {
-	if shards <= 0 {
-		shards = 1
+func BuildLoadTarget(multi *cloud.Multi, name string, tenant, shards int) (LoadTarget, error) {
+	b, err := arch.BuildSharded(multi, shards, func(s int) (string, arch.Config) {
+		return fmt.Sprintf("t%d/s%d", tenant, s),
+			arch.Config{Name: name, ClientID: fmt.Sprintf("t%d-s%d", tenant, s)}
+	})
+	if err != nil {
+		return LoadTarget{}, err
 	}
-	tg := LoadTarget{}
-	var stores []shard.Store
-	var drains []func(context.Context) error
-	for s := 0; s < shards; s++ {
-		cl := multi.Namespace(fmt.Sprintf("t%d/s%d", tenant, s))
-		tg.Clouds = append(tg.Clouds, cl)
-		switch arch {
-		case "s3":
-			st, err := s3only.New(s3only.Config{Cloud: cl})
-			if err != nil {
-				return tg, err
-			}
-			stores = append(stores, st)
-		case "s3+sdb":
-			st, err := s3sdb.New(s3sdb.Config{Cloud: cl})
-			if err != nil {
-				return tg, err
-			}
-			stores = append(stores, st)
-		case "s3+sdb+sqs":
-			st, err := s3sdbsqs.New(s3sdbsqs.Config{Cloud: cl, ClientID: fmt.Sprintf("t%d-s%d", tenant, s)})
-			if err != nil {
-				return tg, err
-			}
-			daemon := s3sdbsqs.NewCommitDaemon(st, nil)
-			drains = append(drains, func(ctx context.Context) error {
-				for i := 0; i < 100; i++ {
-					n, err := daemon.RunOnce(ctx, true)
-					if err != nil {
-						return err
-					}
-					if n == 0 && daemon.PendingTransactions() == 0 {
-						return nil
-					}
-				}
-				return errors.New("workload: commit daemon did not drain")
-			})
-			stores = append(stores, st)
-		default:
-			return tg, fmt.Errorf("workload: unknown architecture %q", arch)
-		}
-	}
-	if shards == 1 {
-		tg.Store = stores[0]
-	} else {
-		r, err := shard.New(shard.Config{Shards: stores})
-		if err != nil {
-			return tg, err
-		}
-		tg.Store = r
-	}
-	if len(drains) > 0 {
+	tg := LoadTarget{Store: b.Store, Clouds: b.Clouds}
+	if len(b.Daemons) > 0 {
+		// One daemon at a time, each to quiescence: round-robin would re-poll
+		// the queues of daemons that are already idle.
 		tg.Drain = func(ctx context.Context) error {
-			for _, d := range drains {
-				if err := d(ctx); err != nil {
+			for _, d := range b.Daemons {
+				if err := s3sdbsqs.Drain(ctx, nil, d); err != nil {
 					return err
 				}
 			}

@@ -32,7 +32,6 @@ package passcloud
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"iter"
 	"time"
@@ -196,7 +195,7 @@ var (
 	// within its round budget or before the context ended. The returned
 	// error also wraps the context's error when cancellation cut the
 	// drain short.
-	ErrSyncTimeout = errors.New("passcloud: commit daemon did not drain")
+	ErrSyncTimeout = s3sdbsqs.ErrNotDrained
 )
 
 // Client is a provenance-aware cloud storage client. It holds no
@@ -206,7 +205,7 @@ type Client struct {
 	opts  Options
 	cloud *cloud.Cloud // unsharded region; nil when sharded
 	multi *cloud.Multi // multi-namespace region; nil when unsharded
-	store core.Store
+	store shard.Store
 	sys   *pass.System
 	// daemons holds the WAL commit daemons (one per shard; at most one
 	// when unsharded).
@@ -227,6 +226,9 @@ type Client struct {
 // New builds a client with its own simulated AWS region. To share one
 // region between several clients, use NewRegion.
 func New(opts Options) (*Client, error) {
+	if err := checkArchitecture(opts.Architecture); err != nil {
+		return nil, err
+	}
 	if sharded(opts) {
 		return newShardedClient(cloud.NewMulti(cloud.Config{
 			Seed:     opts.Seed,
@@ -341,10 +343,6 @@ func (c *Client) Fetch(ctx context.Context, path string) (*Object, error) {
 	}, nil
 }
 
-// syncRoundBudget bounds the commit-daemon drain when the caller's context
-// carries no deadline of its own.
-const syncRoundBudget = 50
-
 // Sync drains everything toward the cloud: pending PASS versions, buffered
 // client state, and (for the WAL architecture) the commit daemon. The
 // drain honors ctx — cancellation or a deadline ends it with an error
@@ -358,28 +356,7 @@ func (c *Client) Sync(ctx context.Context) error {
 	if err := core.SyncStore(ctx, c.store); err != nil {
 		return err
 	}
-	if len(c.daemons) > 0 {
-		for i := 0; i < syncRoundBudget; i++ {
-			if err := ctx.Err(); err != nil {
-				return fmt.Errorf("%w: %w", ErrSyncTimeout, err)
-			}
-			committed, pending := 0, 0
-			for _, d := range c.daemons {
-				n, err := d.RunOnce(ctx, true)
-				if err != nil {
-					return err
-				}
-				committed += n
-				pending += d.PendingTransactions()
-			}
-			if committed == 0 && pending == 0 {
-				return nil
-			}
-			c.Settle()
-		}
-		return ErrSyncTimeout
-	}
-	return nil
+	return s3sdbsqs.Drain(ctx, c.Settle, c.daemons...)
 }
 
 // Settle advances simulated time past the region's replication horizon so
@@ -436,47 +413,41 @@ func (c *Client) ProvenanceSeq(ctx context.Context, ref Ref) iter.Seq2[Record, e
 }
 
 // OutputsOf finds the files written by instances of the named tool (Q.2).
-// It compiles to the descriptor {Tool: tool, Type: "file", RefsOnly: true}
-// with byte-identical cloud ops.
 //
 // Deprecated: use Search with a QuerySpec.
 func (c *Client) OutputsOf(ctx context.Context, tool string) ([]Ref, error) {
-	q, err := c.querier()
-	if err != nil {
-		return nil, err
-	}
-	refs, err := core.OutputsOf(ctx, q, tool)
-	return toPublicRefs(refs), err
+	return c.searchRefs(ctx, QuerySpec{Tool: tool, Type: "file", RefsOnly: true})
 }
 
 // DescendantsOfOutputs finds everything derived from the named tool's
-// outputs (Q.3) — the paper's flawed-tool scenario. It compiles to the Q.2
-// descriptor plus Direction: TraverseDescendants.
+// outputs (Q.3) — the paper's flawed-tool scenario.
 //
 // Deprecated: use Search with a QuerySpec.
 func (c *Client) DescendantsOfOutputs(ctx context.Context, tool string) ([]Ref, error) {
-	q, err := c.querier()
-	if err != nil {
-		return nil, err
-	}
-	refs, err := core.DescendantsOfOutputs(ctx, q, tool)
-	return toPublicRefs(refs), err
+	return c.searchRefs(ctx, QuerySpec{Tool: tool, Type: "file", Direction: TraverseDescendants, RefsOnly: true})
 }
 
-// Ancestors returns every object version in ref's ancestry. It compiles to
-// the descriptor {Refs: [ref], Direction: TraverseAncestors}, which every
-// backend answers from the repository's provenance graph — with the query
-// cache enabled (default) the walk runs on the store's shared snapshot,
-// zero cloud ops once warm; on the S3-only architecture a cold call scans.
+// Ancestors returns every object version in ref's ancestry. Every backend
+// answers it from the repository's provenance graph — with the query cache
+// enabled (default) the walk runs on the store's shared snapshot, zero
+// cloud ops once warm; on the S3-only architecture a cold call scans.
 //
 // Deprecated: use Search with a QuerySpec.
 func (c *Client) Ancestors(ctx context.Context, ref Ref) ([]Ref, error) {
-	q, err := c.querier()
+	return c.searchRefs(ctx, QuerySpec{Refs: []Ref{ref}, Direction: TraverseAncestors, RefsOnly: true})
+}
+
+// searchRefs runs spec and keeps the references.
+func (c *Client) searchRefs(ctx context.Context, spec QuerySpec) ([]Ref, error) {
+	res, err := c.Search(ctx, spec)
 	if err != nil {
 		return nil, err
 	}
-	refs, err := core.CollectRefs(q.Query(ctx, prov.QAncestors(toInternalRef(ref))))
-	return toPublicRefs(refs), err
+	refs := make([]Ref, len(res.Entries))
+	for i, e := range res.Entries {
+		refs[i] = e.Ref
+	}
+	return refs, nil
 }
 
 // AllProvenance retrieves the provenance of every object version (Q.1 over
@@ -486,17 +457,12 @@ func (c *Client) Ancestors(ctx context.Context, ref Ref) ([]Ref, error) {
 //
 // Deprecated: use Search with a zero QuerySpec.
 func (c *Client) AllProvenance(ctx context.Context) (map[Ref][]Record, error) {
-	q, err := c.querier()
-	if err != nil {
-		return nil, err
-	}
-	all, err := core.AllProvenance(ctx, q)
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[Ref][]Record, len(all))
-	for ref, records := range all {
-		out[toPublicRef(ref)] = toPublicRecords(records)
+	out := make(map[Ref][]Record)
+	for entry, err := range c.SearchSeq(ctx, QuerySpec{}) {
+		if err != nil {
+			return nil, err
+		}
+		out[entry.Ref] = append(out[entry.Ref], entry.Records...)
 	}
 	return out, nil
 }
@@ -521,31 +487,7 @@ type ProvenanceEntry struct {
 // S3-only architecture a subject whose records rode more than one carrier
 // PUT may be yielded more than once.
 func (c *Client) AllProvenanceSeq(ctx context.Context) iter.Seq2[ProvenanceEntry, error] {
-	return func(yield func(ProvenanceEntry, error) bool) {
-		q, err := c.querier()
-		if err != nil {
-			yield(ProvenanceEntry{}, err)
-			return
-		}
-		for entry, err := range core.AllProvenanceSeq(ctx, q) {
-			if err != nil {
-				yield(ProvenanceEntry{}, err)
-				return
-			}
-			pub := ProvenanceEntry{Ref: toPublicRef(entry.Ref), Records: toPublicRecords(entry.Records)}
-			if !yield(pub, nil) {
-				return
-			}
-		}
-	}
-}
-
-func (c *Client) querier() (core.Querier, error) {
-	q, ok := c.store.(core.Querier)
-	if !ok {
-		return nil, fmt.Errorf("passcloud: %s does not support queries", c.store.Name())
-	}
-	return q, nil
+	return c.SearchSeq(ctx, QuerySpec{})
 }
 
 // --- accounting ---------------------------------------------------------------
@@ -601,12 +543,4 @@ func usageFrom(u billing.Usage) UsageSummary {
 		TransferredOut: u.BytesOut(billing.S3) + u.BytesOut(billing.SimpleDB) + u.BytesOut(billing.SQS),
 		USD:            cost.Total(),
 	}
-}
-
-func toPublicRefs(refs []prov.Ref) []Ref {
-	out := make([]Ref, len(refs))
-	for i, r := range refs {
-		out[i] = toPublicRef(r)
-	}
-	return out
 }

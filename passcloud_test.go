@@ -84,7 +84,7 @@ func TestPipelineAllArchitectures(t *testing.T) {
 			}
 
 			// Q.2: outputs of analyze.
-			outputs, err := c.OutputsOf(ctx, "analyze")
+			outputs, err := c.searchRefs(ctx, outputsSpec("analyze"))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -93,7 +93,7 @@ func TestPipelineAllArchitectures(t *testing.T) {
 			}
 
 			// Q.3: everything derived from analyze's outputs.
-			desc, err := c.DescendantsOfOutputs(ctx, "analyze")
+			desc, err := c.searchRefs(ctx, descendantsSpec("analyze"))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -112,7 +112,7 @@ func TestPipelineAllArchitectures(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			anc, err := c.Ancestors(ctx, png.Ref)
+			anc, err := c.searchRefs(ctx, ancestorsSpec(png.Ref))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -142,19 +142,19 @@ func TestArchitecturesAgreeOnAnswers(t *testing.T) {
 			t.Fatal(err)
 		}
 		runPipeline(t, c)
-		outputs, err := c.OutputsOf(ctx, "analyze")
+		outputs, err := c.searchRefs(ctx, outputsSpec("analyze"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		desc, err := c.DescendantsOfOutputs(ctx, "analyze")
+		desc, err := c.searchRefs(ctx, descendantsSpec("analyze"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		all, err := c.AllProvenance(ctx)
+		all, err := c.Search(ctx, QuerySpec{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got = append(got, answers{outputs: outputs, desc: desc, subjects: len(all)})
+		got = append(got, answers{outputs: outputs, desc: desc, subjects: len(all.Entries)})
 	}
 	for i := 1; i < len(got); i++ {
 		if !reflect.DeepEqual(got[i].outputs, got[0].outputs) {
@@ -292,7 +292,7 @@ func TestAppendAndPipe(t *testing.T) {
 		t.Fatalf("log = %v, %v", obj, err)
 	}
 	// The log's ancestry includes gen, through the pipe.
-	anc, err := c.Ancestors(ctx, obj.Ref)
+	anc, err := c.searchRefs(ctx, ancestorsSpec(obj.Ref))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,18 +346,18 @@ func TestQueryCacheThroughPublicAPI(t *testing.T) {
 
 			// Cold round, then the repeat round must be free.
 			queries := func() (int, int) {
-				outputs, err := c.OutputsOf(ctx, "analyze")
+				outputs, err := c.searchRefs(ctx, outputsSpec("analyze"))
 				if err != nil {
 					t.Fatal(err)
 				}
-				desc, err := c.DescendantsOfOutputs(ctx, "analyze")
+				desc, err := c.searchRefs(ctx, descendantsSpec("analyze"))
 				if err != nil {
 					t.Fatal(err)
 				}
-				if _, err := c.AllProvenance(ctx); err != nil {
+				if _, err := c.Search(ctx, QuerySpec{}); err != nil {
 					t.Fatal(err)
 				}
-				if _, err := c.Ancestors(ctx, Ref{Object: "/results/trends.png", Version: 0}); err != nil {
+				if _, err := c.searchRefs(ctx, ancestorsSpec(Ref{Object: "/results/trends.png", Version: 0})); err != nil {
 					t.Fatal(err)
 				}
 				return len(outputs), len(desc)
@@ -389,7 +389,7 @@ func TestQueryCacheThroughPublicAPI(t *testing.T) {
 				t.Fatal(err)
 			}
 			c.Settle()
-			got, err := c.OutputsOf(ctx, "analyze")
+			got, err := c.searchRefs(ctx, outputsSpec("analyze"))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -406,11 +406,11 @@ func TestDisableQueryCacheRestoresPaperCosts(t *testing.T) {
 		t.Fatal(err)
 	}
 	runPipeline(t, c)
-	if _, err := c.OutputsOf(ctx, "analyze"); err != nil {
+	if _, err := c.searchRefs(ctx, outputsSpec("analyze")); err != nil {
 		t.Fatal(err)
 	}
 	before := c.Usage().S3Ops
-	if _, err := c.OutputsOf(ctx, "analyze"); err != nil {
+	if _, err := c.searchRefs(ctx, outputsSpec("analyze")); err != nil {
 		t.Fatal(err)
 	}
 	if ops := c.Usage().S3Ops - before; ops == 0 {

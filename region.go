@@ -7,9 +7,7 @@ import (
 
 	"passcloud/internal/cloud"
 	"passcloud/internal/core"
-	"passcloud/internal/core/s3only"
-	"passcloud/internal/core/s3sdb"
-	"passcloud/internal/core/s3sdbsqs"
+	"passcloud/internal/core/arch"
 	"passcloud/internal/core/shard"
 	"passcloud/internal/pass"
 	"passcloud/internal/prov"
@@ -42,10 +40,8 @@ type Region struct {
 // NewRegion builds a shared region. Options.ClientID is ignored here; each
 // client gets its own.
 func NewRegion(opts Options) (*Region, error) {
-	switch opts.Architecture {
-	case S3Only, S3SimpleDB, S3SimpleDBSQS:
-	default:
-		return nil, fmt.Errorf("passcloud: unknown architecture %v", opts.Architecture)
+	if err := checkArchitecture(opts.Architecture); err != nil {
+		return nil, err
 	}
 	cfg := cloud.Config{Seed: opts.Seed, MaxDelay: opts.ConsistencyDelay}
 	if sharded(opts) {
@@ -106,55 +102,49 @@ func (r *Region) Usage() UsageSummary {
 // newClientOn builds a client against an existing single-namespace
 // region. New and Region.NewClient funnel through here when unsharded.
 func newClientOn(cl *cloud.Cloud, opts Options) (*Client, error) {
-	c := &Client{opts: opts, cloud: cl}
-
-	st, daemon, err := newStoreOn(cl, opts, opts.ClientID)
+	cfg := archConfig(opts, opts.ClientID)
+	cfg.Cloud = cl
+	st, daemon, err := arch.Build(cfg)
 	if err != nil {
 		return nil, err
 	}
-	c.store = st
-	c.shardStores = []shard.Store{st}
+	c := &Client{opts: opts, cloud: cl, store: st, shardStores: []shard.Store{st}}
 	if daemon != nil {
 		c.daemons = append(c.daemons, daemon)
 	}
-	c.sys = pass.NewSystem(pass.Config{
-		Kernel:       opts.Kernel,
-		Namespace:    opts.ClientID,
-		Flush:        core.Flusher(c.store),
-		DisableChain: opts.DisableIntegrity,
-	})
+	c.sys = c.newSystem()
 	return c, nil
 }
 
-// newStoreOn builds one architecture store (and its commit daemon, for
-// the WAL design) on one namespace.
-func newStoreOn(cl *cloud.Cloud, opts Options, clientID string) (shard.Store, *s3sdbsqs.CommitDaemon, error) {
-	switch opts.Architecture {
-	case S3Only:
-		st, err := s3only.New(s3only.Config{
-			Cloud: cl, Bucket: opts.Bucket, DisableQueryCache: opts.DisableQueryCache,
-			Writer: clientLabel(clientID), DisableIntegrity: opts.DisableIntegrity,
-		})
-		return st, nil, err
-	case S3SimpleDB:
-		st, err := s3sdb.New(s3sdb.Config{
-			Cloud: cl, Bucket: opts.Bucket, Domain: opts.Domain,
-			DisableQueryCache: opts.DisableQueryCache,
-			Writer:            clientLabel(clientID), DisableIntegrity: opts.DisableIntegrity,
-		})
-		return st, nil, err
-	case S3SimpleDBSQS:
-		st, err := s3sdbsqs.New(s3sdbsqs.Config{
-			Cloud: cl, Bucket: opts.Bucket, Domain: opts.Domain, ClientID: clientID,
-			DisableQueryCache: opts.DisableQueryCache, DisableIntegrity: opts.DisableIntegrity,
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-		return st, s3sdbsqs.NewCommitDaemon(st, nil), nil
-	default:
-		return nil, nil, fmt.Errorf("passcloud: unknown architecture %v", opts.Architecture)
+// checkArchitecture rejects values outside the paper's three designs, so
+// archConfig can index arch.Names.
+func checkArchitecture(a Architecture) error {
+	if a < S3Only || a > S3SimpleDBSQS {
+		return fmt.Errorf("passcloud: unknown architecture %v", a)
 	}
+	return nil
+}
+
+// archConfig lowers the public options to one store's factory settings.
+// The WAL queue takes the raw client id (the store defaults an empty one);
+// the checkpoint writer label is always the defaulted form.
+func archConfig(opts Options, clientID string) arch.Config {
+	return arch.Config{
+		Name:   arch.Names[opts.Architecture],
+		Bucket: opts.Bucket, Domain: opts.Domain,
+		Writer: clientLabel(clientID), ClientID: clientID,
+		DisableQueryCache: opts.DisableQueryCache, DisableIntegrity: opts.DisableIntegrity,
+	}
+}
+
+// newSystem wires the PASS layer to flush into the client's store.
+func (c *Client) newSystem() *pass.System {
+	return pass.NewSystem(pass.Config{
+		Kernel:       c.opts.Kernel,
+		Namespace:    c.opts.ClientID,
+		Flush:        core.Flusher(c.store),
+		DisableChain: c.opts.DisableIntegrity,
+	})
 }
 
 // tenantLabel is the namespace prefix a tenant's shards live under.
@@ -171,41 +161,16 @@ func tenantLabel(tenant string) string {
 // "<tenant>/shard<i>", so clients of one tenant share state while
 // tenants stay isolated.
 func newShardedClient(m *cloud.Multi, opts Options) (*Client, error) {
-	n := opts.Shards
-	if n <= 0 {
-		n = 1
-	}
-	c := &Client{opts: opts, multi: m}
-	stores := make([]shard.Store, n)
-	for i := 0; i < n; i++ {
-		cl := m.Namespace(fmt.Sprintf("%s/shard%d", tenantLabel(opts.Tenant), i))
-		st, daemon, err := newStoreOn(cl, opts, fmt.Sprintf("%s-s%d", clientLabel(opts.ClientID), i))
-		if err != nil {
-			return nil, err
-		}
-		stores[i] = st
-		c.shardClouds = append(c.shardClouds, cl)
-		if daemon != nil {
-			c.daemons = append(c.daemons, daemon)
-		}
-	}
-	if n == 1 {
-		c.store = stores[0]
-	} else {
-		r, err := shard.New(shard.Config{Shards: stores})
-		if err != nil {
-			return nil, err
-		}
-		c.store = r
-		c.router = r
-	}
-	c.shardStores = stores
-	c.sys = pass.NewSystem(pass.Config{
-		Kernel:       opts.Kernel,
-		Namespace:    opts.ClientID,
-		Flush:        core.Flusher(c.store),
-		DisableChain: opts.DisableIntegrity,
+	b, err := arch.BuildSharded(m, opts.Shards, func(i int) (string, arch.Config) {
+		return fmt.Sprintf("%s/shard%d", tenantLabel(opts.Tenant), i),
+			archConfig(opts, fmt.Sprintf("%s-s%d", clientLabel(opts.ClientID), i))
 	})
+	if err != nil {
+		return nil, err
+	}
+	c := &Client{opts: opts, multi: m, store: b.Store, router: b.Router,
+		shardClouds: b.Clouds, shardStores: b.Members, daemons: b.Daemons}
+	c.sys = c.newSystem()
 	return c, nil
 }
 
@@ -218,19 +183,18 @@ func clientLabel(id string) string {
 }
 
 // Dependents returns every object version that directly consumed any
-// version of path — the provenance-aware deletion check. It compiles to
-// the descriptor {RefPrefix: path + ":", Direction: TraverseDescendants,
-// Depth: 1, IncludeSeeds: true}: one indexed starts-with query on the
-// SimpleDB architectures.
+// version of path — the provenance-aware deletion check: one indexed
+// starts-with query on the SimpleDB architectures.
 //
 // Deprecated: use Search with a QuerySpec.
 func (c *Client) Dependents(ctx context.Context, path string) ([]Ref, error) {
-	q, err := c.querier()
-	if err != nil {
-		return nil, err
-	}
-	refs, err := core.Dependents(ctx, q, prov.ObjectID(path))
-	return toPublicRefs(refs), err
+	return c.searchRefs(ctx, dependentsSpec(path))
+}
+
+// dependentsSpec is the deletion-guard query. IncludeSeeds keeps later
+// versions of the object itself, which depend on earlier ones.
+func dependentsSpec(path string) QuerySpec {
+	return QuerySpec{RefPrefix: path + ":", Direction: TraverseDescendants, Depth: 1, IncludeSeeds: true, RefsOnly: true}
 }
 
 // ErrHasDependents is returned by SafeDelete when living derivations exist.
@@ -251,7 +215,7 @@ func (e *ErrHasDependents) Error() string {
 // with the data presents AWS cloud with many hints"). The provenance record
 // itself is retained: lineage of deleted data is still history.
 func (c *Client) SafeDelete(ctx context.Context, path string) error {
-	deps, err := c.Dependents(ctx, path)
+	deps, err := c.searchRefs(ctx, dependentsSpec(path))
 	if err != nil {
 		return err
 	}

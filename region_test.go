@@ -68,7 +68,7 @@ func TestRegionSharedBetweenClients(t *testing.T) {
 			region.Settle()
 
 			// Cross-client lineage: bob's output descends from alice's tool.
-			desc, err := alice.DescendantsOfOutputs(ctx, "alice-tool")
+			desc, err := alice.searchRefs(ctx, descendantsSpec("alice-tool"))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -228,7 +228,7 @@ func TestDependentsSurviveOverwrite(t *testing.T) {
 			}
 			c.Settle()
 
-			deps, err := c.Dependents(ctx, "/census/data.csv")
+			deps, err := c.searchRefs(ctx, dependentsSpec("/census/data.csv"))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -257,7 +257,7 @@ func TestDependentsListsDirectConsumers(t *testing.T) {
 		t.Fatal(err)
 	}
 	runPipeline(t, c)
-	deps, err := c.Dependents(ctx, "/results/trends.dat")
+	deps, err := c.searchRefs(ctx, dependentsSpec("/results/trends.dat"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -83,13 +83,9 @@ func (c *Client) Replay(ctx context.Context, path string) (*ReplayReport, error)
 // repository — the full-repository divergence audit. Call Sync first for
 // a fully-acknowledged view.
 func (c *Client) ReplayAll(ctx context.Context) (*ReplayReport, error) {
-	q, err := c.querier()
-	if err != nil {
-		return nil, err
-	}
 	current := make(map[prov.ObjectID]prov.Version)
 	spec := prov.Query{Type: prov.TypeFile, Projection: prov.ProjectRefs}
-	for entry, qerr := range q.Query(ctx, spec) {
+	for entry, qerr := range c.store.Query(ctx, spec) {
 		if qerr != nil {
 			return nil, qerr
 		}
@@ -110,10 +106,6 @@ func (c *Client) ReplayAll(ctx context.Context) (*ReplayReport, error) {
 // replay runs the extraction/schedule/re-execute/diff pipeline against a
 // fresh sandbox client of the same architecture.
 func (c *Client) replay(ctx context.Context, targets ...prov.Ref) (*ReplayReport, error) {
-	q, err := c.querier()
-	if err != nil {
-		return nil, err
-	}
 	sandbox, err := New(Options{
 		Architecture: c.opts.Architecture,
 		Seed:         c.opts.Seed,
@@ -125,7 +117,7 @@ func (c *Client) replay(ctx context.Context, targets ...prov.Ref) (*ReplayReport
 		return nil, fmt.Errorf("passcloud: replay sandbox: %w", err)
 	}
 	rep, err := replay.Replay(ctx, replay.Config{
-		Source: q,
+		Source: c.store,
 		Fetch:  c.store.Get,
 		Target: sandbox.store,
 		Runner: workload.Tools{},

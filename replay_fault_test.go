@@ -172,10 +172,7 @@ type multiInputFile struct {
 }
 
 func loadLineageStructure(t *testing.T, c *Client) *lineageStructure {
-	q, err := c.querier()
-	if err != nil {
-		t.Fatal(err)
-	}
+	q := c.store
 	type subjectInfo struct {
 		typ, name, argv string
 		inputs          []prov.Ref

@@ -118,10 +118,7 @@ func TestReplayEnvDrift(t *testing.T) {
 	if err := c.Sync(ctx); err != nil {
 		t.Fatal(err)
 	}
-	q, err := c.querier()
-	if err != nil {
-		t.Fatal(err)
-	}
+	q := c.store
 	obj, err := c.store.Get(ctx, "/fmri/run0000/atlas.img")
 	if err != nil {
 		t.Fatal(err)

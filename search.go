@@ -122,12 +122,8 @@ var (
 // Search runs one composable query and materializes the result (one page
 // of it when Limit is set).
 func (c *Client) Search(ctx context.Context, spec QuerySpec) (*SearchResult, error) {
-	q, err := c.querier()
-	if err != nil {
-		return nil, err
-	}
 	res := &SearchResult{}
-	for entry, err := range q.Query(ctx, spec.compile()) {
+	for entry, err := range c.store.Query(ctx, spec.compile()) {
 		if err != nil {
 			return nil, err
 		}
@@ -148,12 +144,7 @@ func (c *Client) Search(ctx context.Context, spec QuerySpec) (*SearchResult, err
 // is surfaced on SearchResult.
 func (c *Client) SearchSeq(ctx context.Context, spec QuerySpec) iter.Seq2[ProvenanceEntry, error] {
 	return func(yield func(ProvenanceEntry, error) bool) {
-		q, err := c.querier()
-		if err != nil {
-			yield(ProvenanceEntry{}, err)
-			return
-		}
-		for entry, err := range q.Query(ctx, spec.compile()) {
+		for entry, err := range c.store.Query(ctx, spec.compile()) {
 			if err != nil {
 				yield(ProvenanceEntry{}, err)
 				return
@@ -220,15 +211,11 @@ func (p QueryPlan) internal() core.QueryPlan {
 
 // Explain predicts the cloud cost of Search(spec) without running it.
 func (c *Client) Explain(spec QuerySpec) (QueryPlan, error) {
-	q, err := c.querier()
-	if err != nil {
-		return QueryPlan{}, err
-	}
 	desc := spec.compile()
 	if err := desc.Validate(); err != nil {
 		return QueryPlan{}, fmt.Errorf("passcloud: %w", err)
 	}
-	p := q.Explain(desc)
+	p := c.store.Explain(desc)
 	pub := QueryPlan{
 		Arch:     p.Arch,
 		Strategy: p.Strategy,

@@ -180,9 +180,11 @@ func TestAblationEventualConsistencyWithoutVerificationTearsReads(t *testing.T) 
 		ref := prov.Ref{Object: "/t", Version: prov.Version(v)}
 		marker := []byte{byte('0' + v)}
 		nonce := string(marker)
-		if err := layer.WriteItem(context.Background(), ref, []prov.Record{
-			prov.NewString(ref, prov.AttrEnv, string(marker)),
-		}, sdbprov.ConsistencyMD5(marker, nonce), "ablate"); err != nil {
+		if err := layer.WriteEncodedBatch(ctx, []sdbprov.ItemWrite{{
+			Subject: ref,
+			Records: []prov.Record{prov.NewString(ref, prov.AttrEnv, string(marker))},
+			MD5:     sdbprov.ConsistencyMD5(marker, nonce),
+		}}, "ablate"); err != nil {
 			t.Fatal(err)
 		}
 		meta := map[string]string{sdbprov.MetaNonce: nonce, sdbprov.MetaVersion: "0"}

@@ -1,12 +1,20 @@
 // Command benchdiff compares two passbench -json reports (the BENCH_<sha>
 // trajectory artifacts CI persists) and fails when the new run regresses
 // cloud-operation costs: write-path cloud ops per event (Table 2), the
-// Table 3 query costs per architecture and query class, the scale-out
-// load matrix, and the sharded cost matrix with its verification-cost
-// columns (the ops and dollars a full tamper-evidence audit costs).
+// Table 3 query costs per architecture and query class, retry overhead,
+// the scale-out load matrix, the rebalance bench, the sharded cost matrix
+// with its verification-cost columns, and the replay cost matrix.
 //
 //	benchdiff old.json new.json            # fail on any ops regression
 //	benchdiff -tol 0.02 old.json new.json  # allow 2% drift
+//
+// Every gated section is one descriptor in the sections table below — where
+// its rows live in the report, what identifies a row, and how each field
+// gates — and one loop runs them all, so the structural rules hold for
+// every section alike: a section or row the old report carries and the new
+// one lacks is a regression (the gate would otherwise disable itself
+// exactly when the wiring broke), while a section newly appearing is the
+// seeding case and passes.
 //
 // Reports with different scale/seed/tool are not comparable; benchdiff
 // then exits 0 with a notice so a deliberate recalibration does not wedge
@@ -17,512 +25,373 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"log"
+	"io"
 	"os"
+	"sort"
+	"strconv"
+	"strings"
 )
 
-// report mirrors the passbench/v1 fields benchdiff reads.
-type report struct {
-	Schema string  `json:"schema"`
-	Scale  float64 `json:"scale"`
-	Seed   int64   `json:"seed"`
-	Tool   string  `json:"tool"`
-	Table2 *struct {
-		Rows []struct {
-			Arch    string
-			ProvOps int64
-		}
-	} `json:"table2"`
-	Table3 *struct {
-		Rows []struct {
-			Query   string
-			Arch    string
-			Ops     int64
-			Results int
-		}
-	} `json:"table3"`
-	Dataset *struct {
-		Objects    int64
-		Transients int64
-	} `json:"dataset"`
-	Retry map[string]struct {
-		Retries   int64 `json:"retries"`
-		Exhausted int64 `json:"exhausted"`
-	} `json:"retry"`
-	Load *struct {
-		Tenants int   `json:"tenants"`
-		Writers int   `json:"writers"`
-		Batches int   `json:"batches"`
-		Seed    int64 `json:"seed"`
-		Runs    []struct {
-			Arch       string  `json:"arch"`
-			Shards     int     `json:"shards"`
-			Events     int64   `json:"events"`
-			WriteOps   int64   `json:"write_ops"`
-			Throughput float64 `json:"throughput_eps"`
-		} `json:"runs"`
-	} `json:"load"`
-	Rebalance *struct {
-		Writers     int     `json:"writers"`
-		Batches     int     `json:"batches"`
-		Seed        int64   `json:"seed"`
-		Shards      int     `json:"shards"`
-		HotFraction float64 `json:"hot_fraction"`
-		Runs        []struct {
-			Arch         string  `json:"arch"`
-			Action       string  `json:"action"`
-			PreHotShare  float64 `json:"pre_hot_share"`
-			PostHotShare float64 `json:"post_hot_share"`
-			MigOps       int64   `json:"mig_ops"`
-			MigBytes     int64   `json:"mig_bytes"`
-			MigUSD       float64 `json:"mig_usd"`
-		} `json:"runs"`
-	} `json:"rebalance"`
-	Sharded *struct {
-		Rows []struct {
-			Arch    string `json:"arch"`
-			Shards  int    `json:"shards"`
-			ProvOps int64  `json:"prov_ops"`
-			Queries []struct {
-				Query   string  `json:"query"`
-				Ops     int64   `json:"ops"`
-				Results int     `json:"results"`
-				USD     float64 `json:"usd"`
-			} `json:"queries"`
-			VerifyOps   int64   `json:"verify_ops"`
-			VerifyUSD   float64 `json:"verify_usd"`
-			VerifyClean bool    `json:"verify_clean"`
-		} `json:"rows"`
-	} `json:"sharded"`
-	Replay *struct {
-		Rows []struct {
-			Arch        string  `json:"arch"`
-			Shards      int     `json:"shards"`
-			Subjects    int     `json:"subjects"`
-			Sources     int     `json:"sources"`
-			Compared    int     `json:"compared"`
-			Divergences int     `json:"divergences"`
-			ExtractOps  int64   `json:"extract_ops"`
-			ReplayOps   int64   `json:"replay_ops"`
-			ReplayUSD   float64 `json:"replay_usd"`
-		} `json:"rows"`
-	} `json:"replay"`
+// obj is one decoded JSON object of a passbench/v1 report.
+type obj = map[string]any
+
+// kind says how a field gates.
+type kind int
+
+const (
+	// growth: an integer cost. The new value may exceed the old by at
+	// most -tol; a cost appearing from zero always fails.
+	growth kind = iota
+	// growthF: a fractional cost (a share, a dollar bill), gated like
+	// growth once the old report carries a nonzero value — reports that
+	// predate the field decode it as zero, so a seeding run passes.
+	growthF
+	// dropF: a benefit (throughput): the new value may fall short of the
+	// old by at most -tol.
+	dropF
+	// same: an identity. Any change fails — or, when want is set, only
+	// leaving want does.
+	same
+	// holds: the new value must equal want whatever the old one was.
+	holds
+)
+
+// field is one gated leaf of a row.
+type field struct {
+	json   string // key in the row object
+	name   string // metric-name component; "" gates under the row's own name
+	kind   kind
+	format string // growthF, dropF: how a value prints
+	want   any    // same, holds
+	why    string // same, holds: what a failure means
 }
 
-func load(path string) (*report, error) {
+// section describes one gated section of the report.
+type section struct {
+	// name is the section's key in the report and its metrics' prefix.
+	name string
+	// rows is the key of the row list inside the section; "" means the
+	// section itself is a map of rows keyed by row name.
+	rows string
+	// key lists the fields identifying a row, in printed order; a shard
+	// count prints as xN.
+	key []string
+	// fieldFirst prints metrics as section/field/row rather than
+	// section/row/field.
+	fieldFirst bool
+	// settings are section-level values that must match for the two
+	// sides to describe the same offered workload; otherwise the gate
+	// is skipped with a notice.
+	settings []string
+	fields   []field
+	// sub describes rows nested inside each row.
+	sub *section
+	// note prints informational lines after the section's rows.
+	note func(d *differ, oldRep, newRep obj)
+}
+
+var sections = []section{
+	// Write path: same scale and seed means the same event stream, so raw
+	// provenance ops compare directly.
+	{name: "table2", rows: "Rows", key: []string{"Arch"}, fieldFirst: true,
+		fields: []field{{json: "ProvOps", name: "provops"}},
+		note:   opsPerEvent},
+	// Query path, plus a result-count identity: a faster query returning
+	// different answers is not an improvement.
+	{name: "table3", rows: "Rows", key: []string{"Query", "Arch"}, fieldFirst: true,
+		fields: []field{
+			{json: "Ops", name: "ops"},
+			{json: "Results", name: "results", kind: same, why: "answers changed"},
+		}},
+	// Retry overhead: the simulated region injects no faults during a
+	// benchmark run, so retries or exhaustions appearing (or growing) mean
+	// the write path started misclassifying errors or re-running work.
+	{name: "retry", fieldFirst: true,
+		fields: []field{{json: "retries", name: "retries"}, {json: "exhausted", name: "exhausted"}}},
+	// Scale-out load matrix. The WAL architecture's op totals can drift a
+	// few ops with queue interleaving; -tol absorbs it.
+	{name: "load", rows: "runs", key: []string{"arch", "shards"},
+		settings: []string{"tenants", "writers", "batches", "seed"},
+		fields: []field{
+			{json: "events", kind: same, why: "offered workload changed"},
+			{json: "write_ops", name: "writeops"},
+			{json: "throughput_eps", name: "eps", kind: dropF, format: "%-8.0f"},
+		}},
+	// Elastic resharding: the controller must keep splitting hot shards,
+	// the post-split hot share must not creep back up, and the migration's
+	// own cost must not regress.
+	{name: "rebalance", rows: "runs", key: []string{"arch"},
+		settings: []string{"writers", "batches", "seed", "shards", "hot_fraction"},
+		fields: []field{
+			{json: "action", kind: same, want: "split", why: "hot shard no longer detected"},
+			{json: "post_hot_share", name: "posthotshare", kind: growthF, format: "%-8.3f"},
+			{json: "mig_ops", name: "migops"},
+			{json: "mig_usd", name: "migusd", kind: growthF, format: "$%-9.6f"},
+		}},
+	// Sharded cost matrix and the cost of a full tamper-evidence audit.
+	{name: "sharded", rows: "rows", key: []string{"arch", "shards"},
+		fields: []field{
+			{json: "prov_ops", name: "provops"},
+			{json: "verify_ops", name: "verifyops"},
+			{json: "verify_clean", kind: holds, want: true, why: "namespace no longer verifies clean"},
+			{json: "verify_usd", name: "verifyusd", kind: growthF, format: "$%-7.4f"},
+		},
+		sub: &section{rows: "queries", key: []string{"query"},
+			fields: []field{
+				{json: "ops", name: "ops"},
+				{json: "usd", name: "usd", kind: growthF, format: "$%-9.6f"},
+				{json: "results", kind: same, why: "answers changed"},
+			}}},
+	// Replay cost matrix: the divergence oracle's bill. The harness replays
+	// its own faithful capture, so any divergence is a correctness failure,
+	// and a change in coverage means the audit silently shrank or grew.
+	{name: "replay", rows: "rows", key: []string{"arch", "shards"},
+		fields: []field{
+			{json: "extract_ops", name: "extractops"},
+			{json: "replay_ops", name: "replayops"},
+			{json: "divergences", kind: holds, want: 0.0, why: "a faithful capture diverged on replay"},
+			{json: "compared", kind: same, why: "audit coverage changed"},
+			{json: "replay_usd", name: "replayusd", kind: growthF, format: "$%-7.4f"},
+		}},
+}
+
+// differ accumulates one comparison's output and verdict.
+type differ struct {
+	out    io.Writer
+	tol    float64
+	failed bool
+}
+
+// regress prints one failing line — what was seen and, when it needs
+// saying, why that is a regression — and records the failure.
+func (d *differ) regress(metric, what, why string) {
+	if why != "" {
+		why = " (" + why + ")"
+	}
+	fmt.Fprintf(d.out, "%-40s %s  REGRESSION%s\n", metric, what, why)
+	d.failed = true
+}
+
+// ratio gates and prints a relative change: worse is the fractional move
+// in the bad direction, sign (+1 for costs, -1 for benefits) turns it back
+// into the change shown.
+func (d *differ) ratio(metric, format string, oldV, newV any, worse, sign float64) {
+	status := "ok"
+	if worse > d.tol {
+		status = "REGRESSION"
+		d.failed = true
+	}
+	fmt.Fprintf(d.out, "%-40s old="+format+" new="+format+" delta=%+.2f%%  %s\n", metric, oldV, newV, 100*sign*worse, status)
+}
+
+// gate applies one field's rule to a pair of rows.
+func (d *differ) gate(metric string, f field, oldRow, newRow obj) {
+	oldV, newV := oldRow[f.json], newRow[f.json]
+	o, n := num(oldV), num(newV)
+	switch f.kind {
+	case growth:
+		switch {
+		case o > 0:
+			d.ratio(metric, "%-8d", int64(o), int64(n), (n-o)/o, +1)
+		case n > 0: // a metric appearing from zero is still a cost regression
+			d.regress(metric, fmt.Sprintf("old=%-8d new=%-8d", int64(o), int64(n)), "new cost")
+		}
+	case growthF:
+		if o > 0 {
+			d.ratio(metric, f.format, o, n, (n-o)/o, +1)
+		}
+	case dropF:
+		if o > 0 {
+			d.ratio(metric, f.format, o, n, (o-n)/o, -1)
+		}
+	case same:
+		if oldV != newV && (f.want == nil || oldV == f.want) {
+			d.regress(metric, fmt.Sprintf("%s %s -> %s", strings.ToLower(f.json), show(oldV), show(newV)), f.why)
+		}
+	case holds:
+		if newV != f.want {
+			d.regress(metric, f.json+" "+show(newV), f.why)
+		}
+	}
+}
+
+// compare gates the rows s describes inside a pair of containers — the
+// two sections, or for a sub-section two parent rows — under prefix.
+func (d *differ) compare(prefix string, s section, oldC, newC obj) {
+	newRows := map[string]obj{}
+	for _, r := range rowsOf(s, newC) {
+		newRows[r.name] = r.obj
+	}
+	for _, r := range rowsOf(s, oldC) {
+		row := prefix + "/" + r.name
+		nr, ok := newRows[r.name]
+		if !ok {
+			d.regress(row, "missing in new report", "")
+			continue
+		}
+		for _, f := range s.fields {
+			metric := row
+			switch {
+			case f.name != "" && s.fieldFirst:
+				metric = prefix + "/" + f.name + "/" + r.name
+			case f.name != "":
+				metric = row + "/" + f.name
+			}
+			d.gate(metric, f, r.obj, nr)
+		}
+		if s.sub != nil {
+			d.compare(row, *s.sub, r.obj, nr)
+		}
+	}
+}
+
+// namedRow is one row with the name its key fields spell.
+type namedRow struct {
+	name string
+	obj  obj
+}
+
+// rowsOf extracts s's rows from a container, in report order (map-shaped
+// sections: sorted by name).
+func rowsOf(s section, c obj) []namedRow {
+	var out []namedRow
+	if s.rows == "" {
+		for name, v := range c {
+			if row, ok := v.(obj); ok {
+				out = append(out, namedRow{name, row})
+			}
+		}
+		sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
+		return out
+	}
+	list, _ := c[s.rows].([]any)
+	for _, v := range list {
+		row, ok := v.(obj)
+		if !ok {
+			continue
+		}
+		parts := make([]string, len(s.key))
+		for i, k := range s.key {
+			parts[i] = show(row[k])
+			if k == "shards" {
+				parts[i] = "x" + parts[i]
+			}
+		}
+		out = append(out, namedRow{strings.Join(parts, "/"), row})
+	}
+	return out
+}
+
+// num reads a JSON number (anything else is zero).
+func num(v any) float64 {
+	f, _ := v.(float64)
+	return f
+}
+
+// show renders a JSON leaf; integral numbers print without an exponent.
+func show(v any) string {
+	if f, ok := v.(float64); ok && f == float64(int64(f)) {
+		return strconv.FormatInt(int64(f), 10)
+	}
+	return fmt.Sprint(v)
+}
+
+// opsPerEvent prints Table 2's per-event ratio for the trajectory log:
+// provenance ops over persistent objects plus transient versions.
+func opsPerEvent(d *differ, oldRep, newRep obj) {
+	events := func(rep obj) float64 {
+		ds, _ := rep["dataset"].(obj)
+		return num(ds["Objects"]) + num(ds["Transients"])
+	}
+	nev := events(newRep)
+	if events(oldRep) <= 0 || nev <= 0 {
+		return
+	}
+	t2, _ := newRep["table2"].(obj)
+	for _, r := range rowsOf(section{rows: "Rows", key: []string{"Arch"}}, t2) {
+		fmt.Fprintf(d.out, "%-40s %.3f cloudops/event\n", "table2/opsperevent/"+r.name, num(r.obj["ProvOps"])/nev)
+	}
+}
+
+func load(path string) (obj, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	var r report
+	var r obj
 	if err := json.Unmarshal(raw, &r); err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	if r.Schema != "passbench/v1" {
-		return nil, fmt.Errorf("%s: unknown schema %q", path, r.Schema)
+	if r["schema"] != "passbench/v1" {
+		return nil, fmt.Errorf("%s: unknown schema %q", path, r["schema"])
 	}
-	return &r, nil
+	return r, nil
 }
 
-// events is the write-path event count the per-event ratio normalizes by:
-// persistent objects plus transient versions.
-func (r *report) events() int64 {
-	if r.Dataset == nil {
+// differing returns "old vs new" renderings of the settings that differ.
+func differing(settings []string, oldC, newC obj) string {
+	var diffs []string
+	for _, k := range settings {
+		if oldC[k] != newC[k] {
+			diffs = append(diffs, fmt.Sprintf("%s %s vs %s", k, show(oldC[k]), show(newC[k])))
+		}
+	}
+	return strings.Join(diffs, ", ")
+}
+
+// run is main without the process exit: it returns the exit code.
+func run(args []string, out, errOut io.Writer) int {
+	fs := flag.NewFlagSet("benchdiff", flag.ContinueOnError)
+	fs.SetOutput(errOut)
+	tol := fs.Float64("tol", 0, "allowed fractional regression (0.02 = 2%)")
+	if err := fs.Parse(args); err != nil || fs.NArg() != 2 {
+		fmt.Fprintln(errOut, "usage: benchdiff [-tol f] old.json new.json")
+		return 1
+	}
+	oldRep, err := load(fs.Arg(0))
+	if err != nil {
+		fmt.Fprintln(errOut, err)
+		return 1
+	}
+	newRep, err := load(fs.Arg(1))
+	if err != nil {
+		fmt.Fprintln(errOut, err)
+		return 1
+	}
+	return diff(oldRep, newRep, *tol, out)
+}
+
+// diff compares two loaded reports and returns the exit code.
+func diff(oldRep, newRep obj, tol float64, out io.Writer) int {
+	if d := differing([]string{"scale", "seed", "tool"}, oldRep, newRep); d != "" {
+		fmt.Fprintf(out, "benchdiff: baselines not comparable (%s); skipping\n", d)
 		return 0
 	}
-	return r.Dataset.Objects + r.Dataset.Transients
+	d := &differ{out: out, tol: tol}
+	for _, s := range sections {
+		oldC, _ := oldRep[s.name].(obj)
+		newC, _ := newRep[s.name].(obj)
+		mismatch := differing(s.settings, oldC, newC)
+		switch {
+		case len(oldC) == 0:
+			// Nothing to hold the new report to: the seeding case.
+		case len(newC) == 0:
+			d.regress(s.name+"/(all)", "missing in new report", "")
+		case mismatch != "":
+			fmt.Fprintf(out, "benchdiff: %s configs not comparable (%s); skipping %s gate\n", s.name, mismatch, s.name)
+		default:
+			d.compare(s.name, s, oldC, newC)
+			if s.note != nil {
+				s.note(d, oldRep, newRep)
+			}
+		}
+	}
+	if d.failed {
+		fmt.Fprintln(out, "benchdiff: FAIL")
+		return 1
+	}
+	fmt.Fprintln(out, "benchdiff: OK")
+	return 0
 }
 
-func main() {
-	tol := flag.Float64("tol", 0, "allowed fractional regression (0.02 = 2%)")
-	flag.Parse()
-	if flag.NArg() != 2 {
-		log.Fatal("usage: benchdiff [-tol f] old.json new.json")
-	}
-	oldRep, err := load(flag.Arg(0))
-	if err != nil {
-		log.Fatal(err)
-	}
-	newRep, err := load(flag.Arg(1))
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	if oldRep.Scale != newRep.Scale || oldRep.Seed != newRep.Seed || oldRep.Tool != newRep.Tool {
-		fmt.Printf("benchdiff: baselines not comparable (scale/seed/tool %v/%d/%s vs %v/%d/%s); skipping\n",
-			oldRep.Scale, oldRep.Seed, oldRep.Tool, newRep.Scale, newRep.Seed, newRep.Tool)
-		return
-	}
-
-	failed := false
-	check := func(metric string, oldV, newV int64) {
-		if oldV <= 0 {
-			// A metric appearing from zero is still a cost regression.
-			if newV > 0 {
-				fmt.Printf("%-40s old=%-8d new=%-8d  REGRESSION (new cost)\n", metric, oldV, newV)
-				failed = true
-			}
-			return
-		}
-		delta := float64(newV-oldV) / float64(oldV)
-		status := "ok"
-		if delta > *tol {
-			status = "REGRESSION"
-			failed = true
-		}
-		fmt.Printf("%-40s old=%-8d new=%-8d delta=%+.2f%%  %s\n", metric, oldV, newV, 100*delta, status)
-	}
-
-	// Write path: Table 2 provenance ops per architecture (same scale and
-	// seed means the same event stream, so raw ops compare directly; the
-	// per-event ratio is printed for the trajectory log).
-	if oldRep.Table2 != nil && newRep.Table2 != nil {
-		newOps := map[string]int64{}
-		for _, row := range newRep.Table2.Rows {
-			newOps[row.Arch] = row.ProvOps
-		}
-		for _, row := range oldRep.Table2.Rows {
-			ops, ok := newOps[row.Arch]
-			if !ok {
-				fmt.Printf("%-40s missing in new report  REGRESSION\n", "table2/provops/"+row.Arch)
-				failed = true
-				continue
-			}
-			check("table2/provops/"+row.Arch, row.ProvOps, ops)
-		}
-		if ev, nev := oldRep.events(), newRep.events(); ev > 0 && nev > 0 {
-			for _, row := range newRep.Table2.Rows {
-				fmt.Printf("%-40s %.3f cloudops/event\n", "table2/opsperevent/"+row.Arch,
-					float64(row.ProvOps)/float64(nev))
-			}
-		}
-	}
-
-	// Query path: Table 3 ops per query class and backend, plus a result-
-	// count identity check (a faster query returning different answers is
-	// not an improvement).
-	if oldRep.Table3 != nil && newRep.Table3 != nil {
-		type key struct{ q, arch string }
-		newRows := map[key]struct {
-			ops     int64
-			results int
-		}{}
-		for _, row := range newRep.Table3.Rows {
-			newRows[key{row.Query, row.Arch}] = struct {
-				ops     int64
-				results int
-			}{row.Ops, row.Results}
-		}
-		for _, row := range oldRep.Table3.Rows {
-			n, ok := newRows[key{row.Query, row.Arch}]
-			if !ok {
-				fmt.Printf("%-40s missing in new report  REGRESSION\n", "table3/"+row.Query+"/"+row.Arch)
-				failed = true
-				continue
-			}
-			check("table3/ops/"+row.Query+"/"+row.Arch, row.Ops, n.ops)
-			if n.results != row.Results {
-				fmt.Printf("%-40s results %d -> %d  REGRESSION (answers changed)\n",
-					"table3/results/"+row.Query+"/"+row.Arch, row.Results, n.results)
-				failed = true
-			}
-		}
-	}
-
-	// Retry overhead: the simulated region injects no faults during a
-	// benchmark run, so retries or exhaustions appearing (or growing) mean
-	// the write path started misclassifying errors or re-running work.
-	// Old reports may predate the counters; gate only when both sides
-	// carry them.
-	if len(oldRep.Retry) > 0 && len(newRep.Retry) == 0 {
-		// The counters existed and vanished wholesale — the gate would
-		// silently disable itself exactly when the wiring broke.
-		fmt.Printf("%-40s missing in new report  REGRESSION\n", "retry/(all)")
-		failed = true
-	}
-	if len(oldRep.Retry) > 0 && len(newRep.Retry) > 0 {
-		for arch, o := range oldRep.Retry {
-			n, ok := newRep.Retry[arch]
-			if !ok {
-				// Counters vanishing for an arch disables the gate, which
-				// is itself a regression — mirror the op-table checks.
-				fmt.Printf("%-40s missing in new report  REGRESSION\n", "retry/"+arch)
-				failed = true
-				continue
-			}
-			check("retry/retries/"+arch, o.Retries, n.Retries)
-			check("retry/exhausted/"+arch, o.Exhausted, n.Exhausted)
-		}
-	}
-
-	// Scale-out load matrix: deterministic write metrics per (arch,
-	// shards). Op counts must not grow (same tolerance as the tables);
-	// modeled throughput must not drop — the inverse direction, so it
-	// gets its own check. Event counts are an identity: same seed and
-	// config means the same offered workload. The WAL architecture's op
-	// totals can drift a few ops with queue interleaving; -tol absorbs it.
-	if oldRep.Load != nil && newRep.Load == nil {
-		fmt.Printf("%-40s missing in new report  REGRESSION\n", "load/(all)")
-		failed = true
-	}
-	if oldRep.Load != nil && newRep.Load != nil {
-		o, n := oldRep.Load, newRep.Load
-		if o.Tenants != n.Tenants || o.Writers != n.Writers || o.Batches != n.Batches || o.Seed != n.Seed {
-			fmt.Printf("benchdiff: load configs not comparable (%d/%d/%d/%d vs %d/%d/%d/%d); skipping load gate\n",
-				o.Tenants, o.Writers, o.Batches, o.Seed, n.Tenants, n.Writers, n.Batches, n.Seed)
-		} else {
-			type key struct {
-				arch   string
-				shards int
-			}
-			newRuns := map[key]struct {
-				events, ops int64
-				eps         float64
-			}{}
-			for _, r := range n.Runs {
-				newRuns[key{r.Arch, r.Shards}] = struct {
-					events, ops int64
-					eps         float64
-				}{r.Events, r.WriteOps, r.Throughput}
-			}
-			for _, r := range o.Runs {
-				name := fmt.Sprintf("load/%s/x%d", r.Arch, r.Shards)
-				nr, ok := newRuns[key{r.Arch, r.Shards}]
-				if !ok {
-					fmt.Printf("%-40s missing in new report  REGRESSION\n", name)
-					failed = true
-					continue
-				}
-				if nr.events != r.Events {
-					fmt.Printf("%-40s events %d -> %d  REGRESSION (offered workload changed)\n", name, r.Events, nr.events)
-					failed = true
-				}
-				check(name+"/writeops", r.WriteOps, nr.ops)
-				if r.Throughput > 0 {
-					drop := (r.Throughput - nr.eps) / r.Throughput
-					status := "ok"
-					if drop > *tol {
-						status = "REGRESSION"
-						failed = true
-					}
-					fmt.Printf("%-40s old=%-8.0f new=%-8.0f delta=%+.2f%%  %s\n",
-						name+"/eps", r.Throughput, nr.eps, -100*drop, status)
-				}
-			}
-		}
-	}
-
-	// Rebalance (elastic resharding): the controller must keep splitting
-	// hot shards, the post-split hot share must not creep back up, and
-	// the migration's own cost (ops and dollars) must not regress. Same
-	// vanished-section rule as every other gate.
-	if oldRep.Rebalance != nil && newRep.Rebalance == nil {
-		fmt.Printf("%-40s missing in new report  REGRESSION\n", "rebalance/(all)")
-		failed = true
-	}
-	if oldRep.Rebalance != nil && newRep.Rebalance != nil {
-		o, n := oldRep.Rebalance, newRep.Rebalance
-		if o.Writers != n.Writers || o.Batches != n.Batches || o.Seed != n.Seed ||
-			o.Shards != n.Shards || o.HotFraction != n.HotFraction {
-			fmt.Println("benchdiff: rebalance configs not comparable; skipping rebalance gate")
-		} else {
-			type rrun struct {
-				action string
-				post   float64
-				migOps int64
-				migUSD float64
-			}
-			newRuns := map[string]rrun{}
-			for _, r := range n.Runs {
-				newRuns[r.Arch] = rrun{r.Action, r.PostHotShare, r.MigOps, r.MigUSD}
-			}
-			for _, r := range o.Runs {
-				name := "rebalance/" + r.Arch
-				nr, ok := newRuns[r.Arch]
-				if !ok {
-					fmt.Printf("%-40s missing in new report  REGRESSION\n", name)
-					failed = true
-					continue
-				}
-				if r.Action == "split" && nr.action != "split" {
-					fmt.Printf("%-40s action %q -> %q  REGRESSION (hot shard no longer detected)\n",
-						name, r.Action, nr.action)
-					failed = true
-				}
-				if r.PostHotShare > 0 {
-					delta := (nr.post - r.PostHotShare) / r.PostHotShare
-					status := "ok"
-					if delta > *tol {
-						status = "REGRESSION"
-						failed = true
-					}
-					fmt.Printf("%-40s old=%-8.3f new=%-8.3f delta=%+.2f%%  %s\n",
-						name+"/posthotshare", r.PostHotShare, nr.post, 100*delta, status)
-				}
-				check(name+"/migops", r.MigOps, nr.migOps)
-				if r.MigUSD > 0 {
-					delta := (nr.migUSD - r.MigUSD) / r.MigUSD
-					status := "ok"
-					if delta > *tol {
-						status = "REGRESSION"
-						failed = true
-					}
-					fmt.Printf("%-40s old=$%-9.6f new=$%-9.6f delta=%+.2f%%  %s\n",
-						name+"/migusd", r.MigUSD, nr.migUSD, 100*delta, status)
-				}
-			}
-		}
-	}
-
-	// Sharded cost matrix and verification cost. Same vanished-section
-	// rule as the other gates: an old report carrying the section that the
-	// new one lacks means the tamper-evidence cost gate silently disabled
-	// itself — a regression, not a skip. (The section newly appearing is
-	// the seeding case and passes: every old row is still covered.)
-	if oldRep.Sharded != nil && newRep.Sharded == nil {
-		fmt.Printf("%-40s missing in new report  REGRESSION\n", "sharded/(all)")
-		failed = true
-	}
-	if oldRep.Sharded != nil && newRep.Sharded != nil {
-		type rkey struct {
-			arch   string
-			shards int
-		}
-		type qcost struct {
-			ops     int64
-			results int
-			usd     float64
-		}
-		type rowView struct {
-			provOps   int64
-			verifyOps int64
-			verifyUSD float64
-			clean     bool
-			queries   map[string]qcost
-		}
-		newRows := map[rkey]rowView{}
-		for _, r := range newRep.Sharded.Rows {
-			v := rowView{provOps: r.ProvOps, verifyOps: r.VerifyOps, verifyUSD: r.VerifyUSD,
-				clean: r.VerifyClean, queries: map[string]qcost{}}
-			for _, q := range r.Queries {
-				v.queries[q.Query] = qcost{q.Ops, q.Results, q.USD}
-			}
-			newRows[rkey{r.Arch, r.Shards}] = v
-		}
-		for _, r := range oldRep.Sharded.Rows {
-			name := fmt.Sprintf("sharded/%s/x%d", r.Arch, r.Shards)
-			n, ok := newRows[rkey{r.Arch, r.Shards}]
-			if !ok {
-				fmt.Printf("%-40s missing in new report  REGRESSION\n", name)
-				failed = true
-				continue
-			}
-			check(name+"/provops", r.ProvOps, n.provOps)
-			check(name+"/verifyops", r.VerifyOps, n.verifyOps)
-			if !n.clean {
-				fmt.Printf("%-40s namespace no longer verifies clean  REGRESSION\n", name)
-				failed = true
-			}
-			if r.VerifyUSD > 0 {
-				delta := (n.verifyUSD - r.VerifyUSD) / r.VerifyUSD
-				status := "ok"
-				if delta > *tol {
-					status = "REGRESSION"
-					failed = true
-				}
-				fmt.Printf("%-40s old=$%-7.4f new=$%-7.4f delta=%+.2f%%  %s\n",
-					name+"/verifyusd", r.VerifyUSD, n.verifyUSD, 100*delta, status)
-			}
-			for _, q := range r.Queries {
-				nq, ok := n.queries[q.Query]
-				if !ok {
-					fmt.Printf("%-40s missing in new report  REGRESSION\n", name+"/"+q.Query)
-					failed = true
-					continue
-				}
-				check(name+"/"+q.Query+"/ops", q.Ops, nq.ops)
-				// The query bill gates like verifyusd: only once the old
-				// report carries a nonzero price, so a seeding run (old
-				// reports predating the field decode it as zero) passes.
-				if q.USD > 0 {
-					delta := (nq.usd - q.USD) / q.USD
-					status := "ok"
-					if delta > *tol {
-						status = "REGRESSION"
-						failed = true
-					}
-					fmt.Printf("%-40s old=$%-9.6f new=$%-9.6f delta=%+.2f%%  %s\n",
-						name+"/"+q.Query+"/usd", q.USD, nq.usd, 100*delta, status)
-				}
-				if nq.results != q.Results {
-					fmt.Printf("%-40s results %d -> %d  REGRESSION (answers changed)\n",
-						name+"/"+q.Query, q.Results, nq.results)
-					failed = true
-				}
-			}
-		}
-	}
-
-	// Replay cost matrix: the divergence oracle's bill. Vanished-section
-	// rule as above; beyond the op/USD gates, a row reporting divergences
-	// is a correctness failure (the harness replays its own faithful
-	// capture), and a change in coverage means the audit silently shrank
-	// or grew.
-	if oldRep.Replay != nil && newRep.Replay == nil {
-		fmt.Printf("%-40s missing in new report  REGRESSION\n", "replay/(all)")
-		failed = true
-	}
-	if oldRep.Replay != nil && newRep.Replay != nil {
-		type rkey struct {
-			arch   string
-			shards int
-		}
-		type rowView struct {
-			compared    int
-			divergences int
-			extractOps  int64
-			replayOps   int64
-			replayUSD   float64
-		}
-		newRows := map[rkey]rowView{}
-		for _, r := range newRep.Replay.Rows {
-			newRows[rkey{r.Arch, r.Shards}] = rowView{r.Compared, r.Divergences, r.ExtractOps, r.ReplayOps, r.ReplayUSD}
-		}
-		for _, r := range oldRep.Replay.Rows {
-			name := fmt.Sprintf("replay/%s/x%d", r.Arch, r.Shards)
-			n, ok := newRows[rkey{r.Arch, r.Shards}]
-			if !ok {
-				fmt.Printf("%-40s missing in new report  REGRESSION\n", name)
-				failed = true
-				continue
-			}
-			check(name+"/extractops", r.ExtractOps, n.extractOps)
-			check(name+"/replayops", r.ReplayOps, n.replayOps)
-			if n.divergences > 0 {
-				fmt.Printf("%-40s %d divergences replaying a faithful capture  REGRESSION\n", name, n.divergences)
-				failed = true
-			}
-			if n.compared != r.Compared {
-				fmt.Printf("%-40s compared %d -> %d  REGRESSION (audit coverage changed)\n",
-					name, r.Compared, n.compared)
-				failed = true
-			}
-			if r.ReplayUSD > 0 {
-				delta := (n.replayUSD - r.ReplayUSD) / r.ReplayUSD
-				status := "ok"
-				if delta > *tol {
-					status = "REGRESSION"
-					failed = true
-				}
-				fmt.Printf("%-40s old=$%-7.4f new=$%-7.4f delta=%+.2f%%  %s\n",
-					name+"/replayusd", r.ReplayUSD, n.replayUSD, 100*delta, status)
-			}
-		}
-	}
-
-	if failed {
-		fmt.Println("benchdiff: FAIL")
-		os.Exit(1)
-	}
-	fmt.Println("benchdiff: OK")
-}
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }

@@ -218,6 +218,45 @@ func CollectEntries(seq iter.Seq2[Entry, error]) ([]Entry, error) {
 	return out, nil
 }
 
+// EntryMerger folds a stream of entries into one entry per ref, in
+// first-arrival order, concatenating the records of duplicate refs — the
+// one merge rule behind paged evaluations (an uncached S3-only scan streams
+// a subject in pieces), the router's per-shard piece merging and its
+// cross-shard fan-in.
+type EntryMerger struct {
+	// Entries holds the merged entries so far.
+	Entries []Entry
+	idx     map[prov.Ref]int
+}
+
+// NewEntryMerger returns a merger pre-sized for n distinct refs (0 when
+// unknown), so wide fan-ins fold without rehash/regrow churn.
+func NewEntryMerger(n int) *EntryMerger {
+	return &EntryMerger{Entries: make([]Entry, 0, n), idx: make(map[prov.Ref]int, n)}
+}
+
+// Add folds one entry in.
+func (m *EntryMerger) Add(e Entry) {
+	if j, ok := m.idx[e.Ref]; ok {
+		m.Entries[j].Records = append(m.Entries[j].Records, e.Records...)
+		return
+	}
+	m.idx[e.Ref] = len(m.Entries)
+	m.Entries = append(m.Entries, e)
+}
+
+// CollectMerged drains a query stream into one entry per ref.
+func CollectMerged(seq iter.Seq2[Entry, error]) ([]Entry, error) {
+	merged := NewEntryMerger(0)
+	for e, err := range seq {
+		if err != nil {
+			return nil, err
+		}
+		merged.Add(e)
+	}
+	return merged.Entries, nil
+}
+
 // CollectBySubject drains a query stream into one record set per subject.
 // An uncached S3-only Q.1 scan yields a subject whose records rode several
 // carrier PUTs in pieces; they merge here, in arrival order.

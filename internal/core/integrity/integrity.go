@@ -271,6 +271,23 @@ func (l *Ledger) Slots() []string {
 	return out
 }
 
+// Phantoms lists the slots outside live that departing accepts: entries
+// of a departing arc whose stored carrier is already gone. Their leaves
+// must still leave the commitment or the next audit flags a root mismatch
+// against records that no longer exist. A nil ledger has none.
+func (l *Ledger) Phantoms(live map[string]bool, departing func(slot string) bool) []string {
+	if l == nil {
+		return nil
+	}
+	var out []string
+	for _, slot := range l.Slots() {
+		if !live[slot] && departing(slot) {
+			out = append(out, slot)
+		}
+	}
+	return out
+}
+
 // Checkpoint reports the current state without advancing Seq.
 func (l *Ledger) Checkpoint() Checkpoint {
 	l.mu.Lock()

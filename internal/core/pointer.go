@@ -36,3 +36,9 @@ func DecodeValue(v string) (key string, literal string, isPointer bool) {
 // OverflowThreshold is the record-value size above which the paper diverts
 // the value to its own S3 object (1 KB).
 const OverflowThreshold = 1 << 10
+
+// Pushable reports whether a filter value's stored form stays inline:
+// values over the overflow threshold are stored as S3 pointers, which the
+// SimpleDB index cannot match by equality, so neither a member's pushdown
+// plan nor the router's multi-hop rounds can carry them in an expression.
+func Pushable(v string) bool { return len(v) <= OverflowThreshold }

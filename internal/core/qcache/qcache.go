@@ -34,6 +34,7 @@ package qcache
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -63,6 +64,10 @@ type Stamp struct {
 	Gen   uint64
 	Epoch int64
 }
+
+// Token renders the stamp as the opaque generation token pagination
+// cursors bind to (core.Stamped).
+func (s Stamp) Token() string { return fmt.Sprintf("%d.%d", s.Gen, s.Epoch) }
 
 // StampFunc samples the current stamp. It must be cheap and safe for
 // concurrent use.

@@ -174,6 +174,35 @@ func MatchRecords(records []prov.Record, attr, value string) bool {
 	return false
 }
 
+// FilterRefPrefix keeps, in place, the refs whose canonical string form
+// starts with prefix; an empty prefix keeps everything.
+func FilterRefPrefix(refs []prov.Ref, prefix string) []prov.Ref {
+	if prefix == "" {
+		return refs
+	}
+	out := refs[:0]
+	for _, r := range refs {
+		if strings.HasPrefix(r.String(), prefix) {
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
+// DedupeRefs returns a fresh slice of refs with duplicates removed, order
+// preserved.
+func DedupeRefs(refs []prov.Ref) []prov.Ref {
+	seen := make(map[prov.Ref]bool, len(refs))
+	out := make([]prov.Ref, 0, len(refs))
+	for _, r := range refs {
+		if !seen[r] {
+			seen[r] = true
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
 // SortEntries orders entries canonically by ref — the stable total order
 // pagination slices.
 func SortEntries(entries []Entry) {

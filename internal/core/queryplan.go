@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"iter"
 	"strconv"
 	"strings"
 	"sync"
@@ -16,8 +17,8 @@ import (
 )
 
 // This file holds the query planner's public shapes (QueryPlan, PlanStep),
-// the opaque pagination cursor, and the snapshot-pinned paging runner every
-// backend shares.
+// the opaque pagination cursor, the snapshot-pinned paging runner, and the
+// Query/Explain frame every backend's Querier is written in.
 
 // PlanStep is one predicted cloud operation class of a query plan.
 type PlanStep struct {
@@ -388,4 +389,54 @@ func PlanCursor(q prov.Query, pins *Pins, stamp string) CursorDisposition {
 		return CursorReEval
 	}
 	return CursorFails
+}
+
+// --- the Querier frame -------------------------------------------------------
+
+// RunFunc executes one non-paginated descriptor on a backend, streaming
+// entries to yield; a non-nil error ends the stream.
+type RunFunc func(ctx context.Context, q prov.Query, yield func(Entry, error) bool)
+
+// Query is the run half of the frame every Querier shares: validate, then
+// either one snapshot-pinned page (RunPaged over the full evaluation, the
+// pieces of each ref merged so a page never repeats one) or the backend's
+// stream untouched — an unpaged S3-only Q.1 keeps one LIST page resident at
+// a time. Backends supply only run.
+func Query(ctx context.Context, q prov.Query, s Stamped, pins *Pins, run RunFunc) iter.Seq2[Entry, error] {
+	return func(yield func(Entry, error) bool) {
+		if err := q.Validate(); err != nil {
+			yield(Entry{}, err)
+			return
+		}
+		if q.Limit == 0 && q.Cursor == "" {
+			run(ctx, q, yield)
+			return
+		}
+		evalAll := func(ctx context.Context, q prov.Query) ([]Entry, error) {
+			return CollectMerged(func(yield func(Entry, error) bool) { run(ctx, q, yield) })
+		}
+		RunPaged(ctx, q, s.StampToken(), pins, evalAll, yield)
+	}
+}
+
+// Explain is the plan half of the frame: p arrives with Arch and Exact set;
+// invalid descriptors, the cursor's disposition (ExplainCursor), pagination
+// stripping and the trailing "paginate" step are decided here, and plan
+// costs the stripped descriptor. plan runs with q.Cursor still set only
+// when an evicted pin re-evaluates at an unchanged generation.
+func Explain(p QueryPlan, q prov.Query, s Stamped, pins *Pins, plan func(p *QueryPlan, stripped prov.Query)) QueryPlan {
+	if err := q.Validate(); err != nil {
+		p.Strategy = "invalid"
+		return p
+	}
+	if q.Cursor != "" && ExplainCursor(&p, q, pins, s.StampToken()) {
+		return p
+	}
+	stripped := q
+	stripped.Limit, stripped.Cursor = 0, ""
+	plan(&p, stripped)
+	if q.Limit > 0 {
+		p.AddStep("-", "paginate", 0, "first page evaluates fully, sorts and pins; later pages are free")
+	}
+	return p
 }

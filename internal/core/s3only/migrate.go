@@ -45,21 +45,11 @@ type arcPayload struct {
 // matches the predicate, skipping the reshard marker (writer-local
 // bookkeeping that never migrates).
 func (s *Store) listData(ctx context.Context, match func(prov.ObjectID) bool, fn func(key string, object prov.ObjectID) error) error {
-	marker := ""
-	for {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		var page *s3.ListPage
-		err := s.retrier.Do(ctx, "s3only/reshard-list", func() error {
-			var lerr error
-			page, lerr = s.cloud.S3.List(s.bucket, dataPrefix, marker, 0)
-			return lerr
-		})
+	for infos, err := range core.S3Pages(ctx, s.retrier, s.cloud.S3, s.bucket, dataPrefix) {
 		if err != nil {
 			return err
 		}
-		for _, info := range page.Objects {
+		for _, info := range infos {
 			object := prov.ObjectID(strings.TrimPrefix(info.Key, dataPrefix))
 			if object == reshardMarker || !match(object) {
 				continue
@@ -68,11 +58,8 @@ func (s *Store) listData(ctx context.Context, match func(prov.ObjectID) bool, fn
 				return err
 			}
 		}
-		if !page.IsTruncated {
-			return nil
-		}
-		marker = page.NextMarker
 	}
+	return nil
 }
 
 // ExportArc implements core.Migrator.
@@ -168,14 +155,9 @@ func (s *Store) RemoveArc(ctx context.Context, match func(prov.ObjectID) bool) (
 		}
 		var victims []victim
 		if err := s.listData(ctx, match, func(key string, object prov.ObjectID) error {
-			var info *s3.Info
-			err := s.retrier.Do(ctx, "s3only/reshard-head", func() error {
-				var herr error
-				info, herr = s.cloud.S3.Head(s.bucket, key)
-				return herr
-			})
-			if err != nil {
-				return nil // deleted between LIST and HEAD
+			info, ok, err := s.head(ctx, key)
+			if err != nil || !ok {
+				return err // !ok: deleted between LIST and HEAD
 			}
 			ref, _, err := s.decodeAll(object, info.Metadata)
 			if err != nil {
@@ -187,26 +169,15 @@ func (s *Store) RemoveArc(ctx context.Context, match func(prov.ObjectID) bool) (
 			return err
 		}
 		// Phantom slots: a ledger entry whose carrier is already gone (a
-		// tampered-away object the LIST can no longer surface). The leaves
-		// must still leave the commitment or the next audit flags a root
-		// mismatch against records that no longer exist.
-		var phantoms []string
-		if s.ledger != nil {
-			live := make(map[string]bool, len(victims))
-			for _, v := range victims {
-				live[v.key] = true
-			}
-			for _, slot := range s.ledger.Slots() {
-				if !strings.HasPrefix(slot, dataPrefix) || live[slot] {
-					continue
-				}
-				object := prov.ObjectID(strings.TrimPrefix(slot, dataPrefix))
-				if object == reshardMarker || !match(object) {
-					continue
-				}
-				phantoms = append(phantoms, slot)
-			}
+		// tampered-away object the LIST can no longer surface).
+		live := make(map[string]bool, len(victims))
+		for _, v := range victims {
+			live[v.key] = true
 		}
+		phantoms := s.ledger.Phantoms(live, func(slot string) bool {
+			object := prov.ObjectID(strings.TrimPrefix(slot, dataPrefix))
+			return strings.HasPrefix(slot, dataPrefix) && object != reshardMarker && match(object)
+		})
 		if len(victims) == 0 && len(phantoms) == 0 {
 			return nil
 		}
@@ -215,7 +186,7 @@ func (s *Store) RemoveArc(ctx context.Context, match func(prov.ObjectID) bool) (
 			// The carrier's overflow and bundle objects live under its
 			// subject's prov/ prefix (foreign riders' spills included —
 			// they encode under the carrier subject).
-			if err := s.deletePrefix(ctx, fmt.Sprintf("%s/%s/", provPrefix, prov.EncodeItemName(v.ref))); err != nil {
+			if err := core.DeleteS3Prefix(ctx, s.retrier, s.cloud.S3, s.bucket, fmt.Sprintf("%s/%s/", provPrefix, prov.EncodeItemName(v.ref))); err != nil {
 				return err
 			}
 			err := s.retrier.Do(ctx, "s3only/reshard-delete", func() error {
@@ -257,38 +228,6 @@ func (s *Store) RemoveArc(ctx context.Context, match func(prov.ObjectID) bool) (
 		return nil
 	})
 	return removed, err
-}
-
-// deletePrefix removes every S3 object under prefix.
-func (s *Store) deletePrefix(ctx context.Context, prefix string) error {
-	marker := ""
-	for {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		var page *s3.ListPage
-		err := s.retrier.Do(ctx, "s3only/reshard-list", func() error {
-			var lerr error
-			page, lerr = s.cloud.S3.List(s.bucket, prefix, marker, 0)
-			return lerr
-		})
-		if err != nil {
-			return err
-		}
-		for _, info := range page.Objects {
-			key := info.Key
-			err := s.retrier.Do(ctx, "s3only/reshard-prefix-delete", func() error {
-				return s.cloud.S3.Delete(s.bucket, key)
-			})
-			if err != nil {
-				return err
-			}
-		}
-		if !page.IsTruncated {
-			return nil
-		}
-		marker = page.NextMarker
-	}
 }
 
 var _ core.Migrator = (*Store)(nil)

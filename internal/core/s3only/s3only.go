@@ -752,39 +752,41 @@ func (s *Store) Provenance(ctx context.Context, ref prov.Ref) ([]prov.Record, er
 	return append([]prov.Record(nil), g.Records(ref)...), nil
 }
 
-// scanned is one object's decoded scan result.
-type scanned struct {
-	skip    bool // deleted between LIST and HEAD
-	records []prov.Record
+// head fetches one listed object's metadata under the retrier. ok is false
+// only when the object was deleted between LIST and HEAD; any other failure
+// is an error — a throttled HEAD must never shorten a scan or an audit.
+func (s *Store) head(ctx context.Context, key string) (info *s3.Info, ok bool, err error) {
+	err = s.retrier.Do(ctx, "s3only/scan-head", func() error {
+		var herr error
+		info, herr = s.cloud.S3.Head(s.bucket, key)
+		return herr
+	})
+	if errors.Is(err, s3.ErrNoSuchKey) {
+		return nil, false, nil
+	}
+	return info, err == nil, err
 }
 
 // scanPage HEADs and decodes one LIST page with bounded concurrency,
-// returning results in page order. Every worker checks ctx before each
-// HEAD, so cancellation mid-page stops promptly instead of draining the
-// page's remaining objects.
-func (s *Store) scanPage(ctx context.Context, infos []s3.Info) ([]scanned, error) {
-	out := make([]scanned, len(infos))
+// returning each object's records in page order (nil for an object deleted
+// since the LIST). Every worker checks ctx before each HEAD, so
+// cancellation mid-page stops promptly instead of draining the page's
+// remaining objects.
+func (s *Store) scanPage(ctx context.Context, infos []s3.Info) ([][]prov.Record, error) {
+	out := make([][]prov.Record, len(infos))
 	err := core.RunLimited(ctx, len(infos), s.scanConc, func(i int) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		head, err := s.cloud.S3.Head(s.bucket, infos[i].Key)
-		if err != nil {
-			out[i].skip = true // deleted between LIST and HEAD
-			return nil
-		}
-		object := prov.ObjectID(strings.TrimPrefix(infos[i].Key, dataPrefix))
-		_, records, err := s.decodeAll(object, head.Metadata)
-		if err != nil {
+		head, ok, err := s.head(ctx, infos[i].Key)
+		if err != nil || !ok {
 			return err
 		}
-		out[i].records = records
-		return nil
+		object := prov.ObjectID(strings.TrimPrefix(infos[i].Key, dataPrefix))
+		_, out[i], err = s.decodeAll(object, head.Metadata)
+		return err
 	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	return out, err
 }
 
 // scanSeq is the live repository scan: LIST pages, parallel HEADs within
@@ -792,29 +794,20 @@ func (s *Store) scanPage(ctx context.Context, infos []s3.Info) ([]scanned, error
 // object, not per page.
 func (s *Store) scanSeq(ctx context.Context) iter.Seq2[core.Entry, error] {
 	return func(yield func(core.Entry, error) bool) {
-		marker := ""
-		for {
-			if err := ctx.Err(); err != nil {
-				yield(core.Entry{}, err)
-				return
-			}
-			page, err := s.cloud.S3.List(s.bucket, dataPrefix, marker, 0)
+		for infos, err := range core.S3Pages(ctx, s.retrier, s.cloud.S3, s.bucket, dataPrefix) {
 			if err != nil {
 				yield(core.Entry{}, err)
 				return
 			}
-			results, err := s.scanPage(ctx, page.Objects)
+			results, err := s.scanPage(ctx, infos)
 			if err != nil {
 				yield(core.Entry{}, err)
 				return
 			}
-			for _, res := range results {
-				if res.skip {
-					continue
-				}
+			for _, records := range results {
 				var subjects []prov.Ref
 				bySubject := make(map[prov.Ref][]prov.Record)
-				for _, r := range res.records {
+				for _, r := range records {
 					if _, ok := bySubject[r.Subject]; !ok {
 						subjects = append(subjects, r.Subject)
 					}
@@ -826,10 +819,6 @@ func (s *Store) scanSeq(ctx context.Context) iter.Seq2[core.Entry, error] {
 					}
 				}
 			}
-			if !page.IsTruncated {
-				return
-			}
-			marker = page.NextMarker
 		}
 	}
 }
@@ -883,53 +872,13 @@ func (s *Store) ProvenanceGraph(ctx context.Context) (*prov.Graph, error) {
 // scan without materializing. Paginated descriptors pin their evaluation
 // to the snapshot generation of the first page.
 func (s *Store) Query(ctx context.Context, q prov.Query) iter.Seq2[core.Entry, error] {
-	return func(yield func(core.Entry, error) bool) {
-		if err := q.Validate(); err != nil {
-			yield(core.Entry{}, err)
-			return
-		}
-		if q.Limit > 0 || q.Cursor != "" {
-			core.RunPaged(ctx, q, s.stampToken(), &s.pins, s.evalAll, yield)
-			return
-		}
-		s.runQuery(ctx, q, yield)
-	}
-}
-
-// stampToken renders the repository generation cursors bind to.
-func (s *Store) stampToken() string {
-	st := s.stamp()
-	return fmt.Sprintf("%d.%d", st.Gen, st.Epoch)
+	return core.Query(ctx, q, s, &s.pins, s.runQuery)
 }
 
 // StampToken implements core.Stamped: the repository generation this
-// store's cursors bind to, exported for composing stores (the shard
+// store's cursors bind to, also read by composing stores (the shard
 // router) that mint composite stamps.
-func (s *Store) StampToken() string { return s.stampToken() }
-
-// evalAll materializes a full evaluation for the paging layer. On the
-// uncached Q.1 streaming path a subject whose records rode several carrier
-// PUTs arrives in pieces; pages must have exactly one entry per ref (the
-// no-duplicates cursor contract), so pieces merge here before pinning.
-func (s *Store) evalAll(ctx context.Context, q prov.Query) ([]core.Entry, error) {
-	var out []core.Entry
-	idx := make(map[prov.Ref]int)
-	var ferr error
-	s.runQuery(ctx, q, func(e core.Entry, err error) bool {
-		if err != nil {
-			ferr = err
-			return false
-		}
-		if i, ok := idx[e.Ref]; ok {
-			out[i].Records = append(out[i].Records, e.Records...)
-			return true
-		}
-		idx[e.Ref] = len(out)
-		out = append(out, e)
-		return true
-	})
-	return out, ferr
-}
+func (s *Store) StampToken() string { return s.stamp().Token() }
 
 // runQuery executes one non-paginated descriptor.
 func (s *Store) runQuery(ctx context.Context, q prov.Query, yield func(core.Entry, error) bool) {
@@ -980,22 +929,13 @@ func (s *Store) Explain(q prov.Query) core.QueryPlan {
 	// Exact only while every region mutation was this client's own: the
 	// catalog never sees other writers' objects.
 	p := core.QueryPlan{Arch: s.Name(), Exact: s.tracker.Foreign() == 0}
-	if err := q.Validate(); err != nil {
-		p.Strategy = "invalid"
-		return p
-	}
-	if q.Cursor != "" {
-		if core.ExplainCursor(&p, q, &s.pins, s.stampToken()) {
-			return p
+	return core.Explain(p, q, s, &s.pins, func(p *core.QueryPlan, _ prov.Query) {
+		if s.cache != nil && s.cache.Warm() {
+			p.Strategy = "snapshot"
+			p.Cached = true
+			p.AddStep("-", "snapshot", 0, "warm snapshot: zero cloud ops")
+			return
 		}
-		// Evicted pin at an unchanged generation: fall through and cost the
-		// re-evaluation (free only if the snapshot is warm).
-	}
-	if s.cache != nil && s.cache.Warm() {
-		p.Strategy = "snapshot"
-		p.Cached = true
-		p.AddStep("-", "snapshot", 0, "warm snapshot: zero cloud ops")
-	} else {
 		p.Strategy = "scan"
 		objects, gets := s.catalog.ScanCost()
 		p.AddStep("S3", "LIST", core.PlanPages(objects, s3.DefaultMaxKeys), "page the data prefix")
@@ -1003,11 +943,7 @@ func (s *Store) Explain(q prov.Query) core.QueryPlan {
 		if gets > 0 {
 			p.AddStep("S3", "GET", gets, "resolve overflow and bundle objects")
 		}
-	}
-	if q.Limit > 0 {
-		p.AddStep("-", "paginate", 0, "first page evaluates fully, sorts and pins; later pages are free")
-	}
-	return p
+	})
 }
 
 // Sync persists any buffered transient provenance that no descendant PUT
@@ -1072,19 +1008,17 @@ func (s *Store) sync(ctx context.Context) error {
 // legitimately vanish and a missing predecessor is not a divergence.
 func (s *Store) Audit(ctx context.Context) (*integrity.Audit, error) {
 	a := &integrity.Audit{Entries: make(map[prov.Ref][]prov.Record)}
-	marker := ""
-	for {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		page, err := s.cloud.S3.List(s.bucket, dataPrefix, marker, 0)
+	for infos, err := range core.S3Pages(ctx, s.retrier, s.cloud.S3, s.bucket, dataPrefix) {
 		if err != nil {
 			return nil, err
 		}
-		for _, info := range page.Objects {
-			head, err := s.cloud.S3.Head(s.bucket, info.Key)
+		for _, info := range infos {
+			head, ok, err := s.head(ctx, info.Key)
 			if err != nil {
-				continue // deleted between LIST and HEAD
+				return nil, err
+			}
+			if !ok {
+				continue
 			}
 			if tok, ok := head.Metadata[integrity.AttrRoot]; ok {
 				if cp, err := integrity.ParseCheckpoint(tok); err == nil {
@@ -1100,11 +1034,8 @@ func (s *Store) Audit(ctx context.Context) (*integrity.Audit, error) {
 				a.Entries[r.Subject] = append(a.Entries[r.Subject], r)
 			}
 		}
-		if !page.IsTruncated {
-			return a, nil
-		}
-		marker = page.NextMarker
 	}
+	return a, nil
 }
 
 // RetryStats snapshots the store's retry counters.

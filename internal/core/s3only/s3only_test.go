@@ -473,6 +473,52 @@ func TestScanCancellationHonoredPerObject(t *testing.T) {
 	}
 }
 
+// TestThrottledHeadNeverShortensScanOrAudit: a HEAD that fails for any
+// reason other than the object having vanished since the LIST must never
+// drop the object from a scan or an audit — a shorter result would be
+// cached as the repository, and a shorter audit reads as tampering. A
+// transient fault is absorbed by the retrier; a permanent one surfaces.
+func TestThrottledHeadNeverShortensScanOrAudit(t *testing.T) {
+	ctx := context.Background()
+	faults := sim.NewFaultPlan()
+	cl := cloud.New(cloud.Config{Seed: 1, Faults: faults})
+	st, err := New(Config{Cloud: cl})
+	if err != nil {
+		t.Fatal(err)
+	}
+	loadN(t, st, 3)
+
+	faults.ArmOp("s3/HEAD", sim.ClassTransient, 1, 1)
+	for _, phase := range []string{"cold", "warm"} {
+		all, err := core.CollectBySubject(st.Query(ctx, prov.Q1()))
+		if err != nil || len(all) != 3 {
+			t.Fatalf("%s Q.1 under a one-shot HEAD fault = %d subjects, %v; want 3", phase, len(all), err)
+		}
+	}
+	if !st.Explain(prov.Q1()).Cached {
+		t.Fatal("the retried scan did not warm the snapshot")
+	}
+	faults.ArmOp("s3/HEAD", sim.ClassTransient, 1, 1)
+	audit, err := st.Audit(ctx)
+	if err != nil || len(audit.Entries) != 3 {
+		t.Fatalf("Audit under a one-shot HEAD fault = %d subjects, %v; want 3", len(audit.Entries), err)
+	}
+
+	// A permanent fault is an error, never a shorter result.
+	loadN(t, st, 4) // one more object; invalidates the snapshot
+	faults.ArmOp("s3/HEAD", sim.ClassPermanent, 1, 1)
+	if all, err := core.CollectBySubject(st.Query(ctx, prov.Q1())); err == nil {
+		t.Fatalf("Q.1 under a permanent HEAD fault returned %d subjects and no error", len(all))
+	}
+	faults.ArmOp("s3/HEAD", sim.ClassPermanent, 1, 1)
+	if audit, err := st.Audit(ctx); err == nil {
+		t.Fatalf("Audit under a permanent HEAD fault returned %d subjects and no error", len(audit.Entries))
+	}
+	if all, err := core.CollectBySubject(st.Query(ctx, prov.Q1())); err != nil || len(all) != 4 {
+		t.Fatalf("Q.1 after the faults cleared = %d subjects, %v; want 4", len(all), err)
+	}
+}
+
 func TestParallelScanMatchesSequential(t *testing.T) {
 	ctx := context.Background()
 	var want map[prov.Ref][]prov.Record

@@ -27,7 +27,7 @@ type Cleaner struct {
 
 // NewCleaner builds a cleaner for a store's bucket.
 func NewCleaner(st *Store) *Cleaner {
-	return NewCleanerForLayer(st.cloud, st.layer)
+	return NewCleanerForLayer(st.cloud, st.Layer())
 }
 
 // NewCleanerForLayer builds a cleaner directly over a provenance layer.

@@ -86,7 +86,7 @@ type txState struct {
 func NewCommitDaemon(st *Store, faults *sim.FaultPlan) *CommitDaemon {
 	return &CommitDaemon{
 		cloud:            st.cloud,
-		layer:            st.layer,
+		layer:            st.Layer(),
 		queue:            st.queue,
 		faults:           faults,
 		Threshold:        1,

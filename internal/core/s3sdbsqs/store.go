@@ -27,7 +27,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"iter"
 	"strconv"
 	"sync"
 
@@ -68,10 +67,13 @@ type Config struct {
 	DisableIntegrity bool
 }
 
-// Store is the S3+SimpleDB+SQS architecture (client side).
+// Store is the S3+SimpleDB+SQS architecture (client side): the log phase
+// here, everything else the read side shared with architecture 2. Data
+// logged but not yet committed is invisible to it until the commit daemon
+// runs.
 type Store struct {
+	sdbprov.ReadSide
 	cloud  *cloud.Cloud
-	layer  *sdbprov.Layer
 	faults *sim.FaultPlan
 	queue  string
 
@@ -109,12 +111,14 @@ func New(cfg Config) (*Store, error) {
 	if err := cfg.Cloud.SQS.CreateQueue(queue); err != nil && !errors.Is(err, sqs.ErrQueueExists) {
 		return nil, err
 	}
-	return &Store{cloud: cfg.Cloud, layer: layer, faults: cfg.Faults, queue: queue,
-		logged: make(map[prov.ObjectID]prov.Version)}, nil
+	return &Store{ReadSide: sdbprov.NewReadSide(layer, archName), cloud: cfg.Cloud,
+		faults: cfg.Faults, queue: queue, logged: make(map[prov.ObjectID]prov.Version)}, nil
 }
 
+const archName = "s3+sdb+sqs"
+
 // Name implements core.Store.
-func (s *Store) Name() string { return "s3+sdb+sqs" }
+func (s *Store) Name() string { return archName }
 
 // Properties implements core.Store: Table 1 row 3 — everything.
 func (s *Store) Properties() core.Properties {
@@ -126,39 +130,8 @@ func (s *Store) Properties() core.Properties {
 	}
 }
 
-// Layer exposes the SimpleDB provenance layer.
-func (s *Store) Layer() *sdbprov.Layer { return s.layer }
-
-// RetryStats snapshots the store's retry counters (shared with its layer,
-// the commit daemon and the cleaner).
-func (s *Store) RetryStats() retry.Snapshot { return s.layer.RetryStats() }
-
 // Queue returns the WAL queue name.
 func (s *Store) Queue() string { return s.queue }
-
-// ExportArc implements core.Migrator via the provenance layer. The WAL
-// must be drained first (the reshard controller syncs and pumps the
-// commit daemon before exporting): logged-but-uncommitted transactions
-// are invisible to the layer scan and would be left behind.
-func (s *Store) ExportArc(ctx context.Context, match func(prov.ObjectID) bool) (*core.ArcExport, error) {
-	return s.layer.ExportArc(ctx, match)
-}
-
-// ImportArc implements core.Migrator via the provenance layer, bypassing
-// the WAL exactly like the commit daemon's apply path does: the records
-// were already made durable by the source shard, so re-logging them
-// would only add a redundant failure window.
-func (s *Store) ImportArc(ctx context.Context, exp *core.ArcExport) error {
-	return s.layer.ImportArc(ctx, exp)
-}
-
-// RemoveArc implements core.Migrator via the provenance layer.
-func (s *Store) RemoveArc(ctx context.Context, match func(prov.ObjectID) bool) (int, error) {
-	return s.layer.RemoveArc(ctx, match)
-}
-
-// StampToken implements core.Stamped via the provenance layer's stamp.
-func (s *Store) StampToken() string { return s.layer.StampToken() }
 
 // PutBatch implements core.Store: the §4.3 log phase, batch-first. The
 // whole batch becomes ONE write-ahead-log transaction — a single begin
@@ -173,7 +146,7 @@ func (s *Store) StampToken() string { return s.layer.StampToken() }
 // at any point leaves an uncommitted transaction that the commit daemon
 // ignores and the cleaner eventually reaps, so a retried batch is safe.
 func (s *Store) PutBatch(ctx context.Context, batch []pass.FlushEvent) error {
-	return s.layer.TrackWrites(func() error { return s.putBatch(ctx, batch) })
+	return s.Layer().TrackWrites(func() error { return s.putBatch(ctx, batch) })
 }
 
 func (s *Store) putBatch(ctx context.Context, batch []pass.FlushEvent) error {
@@ -187,7 +160,7 @@ func (s *Store) putBatch(ctx context.Context, batch []pass.FlushEvent) error {
 	// transaction (WriteEncodedBatch bumps the layer's generation then),
 	// but the contract is that every PutBatch invalidates: a retried or
 	// replayed batch must never be answered from a pre-write snapshot.
-	defer s.layer.InvalidateQueries()
+	defer s.Layer().InvalidateQueries()
 	txid := s.cloud.RNG.Hex(8)
 
 	// Assemble the messages that follow begin: per event — data pointer,
@@ -210,10 +183,10 @@ func (s *Store) putBatch(ctx context.Context, batch []pass.FlushEvent) error {
 		// encoding diverts >1 KB values to pointers; it travels in the WAL
 		// because the commit daemon never sees the decoded form.
 		var leaf string
-		if s.layer.IntegrityEnabled() {
+		if s.Layer().IntegrityEnabled() {
 			leaf = integrity.SubjectHash(ev.Ref, ev.Records)
 		}
-		encoded, err := s.layer.EncodeValues(ctx, ev.Ref, ev.Records, "wal")
+		encoded, err := s.Layer().EncodeValues(ctx, ev.Ref, ev.Records, "wal")
 		if err != nil {
 			return err
 		}
@@ -280,8 +253,8 @@ func (s *Store) putBatch(ctx context.Context, batch []pass.FlushEvent) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		err := s.layer.Retrier().Do(ctx, "s3sdbsqs/tmp-put", func() error {
-			return s.cloud.S3.Put(s.layer.Bucket(), tp.key, tp.data, tp.meta)
+		err := s.Layer().Retrier().Do(ctx, "s3sdbsqs/tmp-put", func() error {
+			return s.cloud.S3.Put(s.Layer().Bucket(), tp.key, tp.data, tp.meta)
 		})
 		if err != nil {
 			return fmt.Errorf("s3sdbsqs: temp put: %w", err)
@@ -342,7 +315,7 @@ func (s *Store) send(ctx context.Context, m walMessage) error {
 	if err != nil {
 		return err
 	}
-	err = s.layer.Retrier().Do(ctx, "s3sdbsqs/wal-send", func() error {
+	err = s.Layer().Retrier().Do(ctx, "s3sdbsqs/wal-send", func() error {
 		_, serr := s.cloud.SQS.SendMessage(s.queue, body)
 		return serr
 	})
@@ -350,61 +323,6 @@ func (s *Store) send(ctx context.Context, m walMessage) error {
 		return fmt.Errorf("s3sdbsqs: wal send: %w", err)
 	}
 	return nil
-}
-
-// Get implements core.Store via the verified-read protocol (shared with
-// architecture 2). Data logged but not yet committed is not visible; once
-// the commit daemon runs, reads verify MD5(data‖nonce) and retry across
-// the COPY/PutAttributes window until both sides agree.
-func (s *Store) Get(ctx context.Context, object prov.ObjectID) (*core.Object, error) {
-	return s.layer.VerifiedGet(ctx, object)
-}
-
-// Provenance implements core.Store.
-func (s *Store) Provenance(ctx context.Context, ref prov.Ref) ([]prov.Record, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	records, _, ok, err := s.layer.FetchItem(ctx, ref)
-	if err != nil {
-		return nil, err
-	}
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", core.ErrNotFound, ref)
-	}
-	return records, nil
-}
-
-// Query implements core.Querier: the SimpleDB layer's native plans —
-// predicate pushdown, two-phase tool queries, prefix traversals, snapshot
-// fallback — answer every descriptor.
-func (s *Store) Query(ctx context.Context, q prov.Query) iter.Seq2[core.Entry, error] {
-	return s.layer.Query(ctx, q)
-}
-
-// Explain implements core.Querier.
-func (s *Store) Explain(q prov.Query) core.QueryPlan {
-	p := s.layer.Explain(q)
-	p.Arch = s.Name()
-	return p
-}
-
-// PlanQueryRefs implements core.RefPlanner: the SimpleDB layer's plan
-// simulation predicts the reference set q's native plan would return.
-func (s *Store) PlanQueryRefs(q prov.Query) ([]prov.Ref, bool) {
-	return s.layer.PlanQueryRefs(q)
-}
-
-// ProvenanceGraph implements core.GraphQuerier.
-func (s *Store) ProvenanceGraph(ctx context.Context) (*prov.Graph, error) {
-	return s.layer.ProvenanceGraph(ctx)
-}
-
-// Audit implements integrity.Auditor via the shared provenance layer. Only
-// committed state is auditable: WAL transactions the commit daemon has not
-// drained yet are invisible, exactly like they are to queries.
-func (s *Store) Audit(ctx context.Context) (*integrity.Audit, error) {
-	return s.layer.Audit(ctx)
 }
 
 var (

@@ -1,45 +1,26 @@
 package sdbprov
 
 import (
-	"strings"
-
 	"passcloud/internal/cloud/sdb"
 	"passcloud/internal/core"
 	"passcloud/internal/prov"
 )
 
 // This file implements Explain: the Table 3 cost model extended to
-// arbitrary descriptors. Instead of closed-form formulas, the planner
-// *simulates* the exact native pipeline (plan selection, phase order, chunk
-// boundaries, page boundaries) against the client-side catalog of observed
-// writes, so on a single-writer repository the predicted operation counts
-// equal the metered ones. The simulation deliberately mirrors
-// computeRefs/computeDescendants step for step — when one changes, change
-// the other.
+// arbitrary descriptors. Instead of closed-form formulas, the planner runs
+// the native refs pipeline itself (nativeRefs in query.go: plan selection,
+// phase order, chunk boundaries) on catalogExec, an executor that answers
+// each primitive from the client-side catalog of observed writes and
+// accounts the calls and pages the live executor would meter — so on a
+// single-writer repository the predicted operation counts equal the
+// metered ones.
 
 // Explain implements core.Querier.
 func (l *Layer) Explain(q prov.Query) core.QueryPlan {
 	// Predictions are exact only while every region mutation came from
 	// this client: the catalog never sees other writers' items.
 	p := core.QueryPlan{Arch: "simpledb", Exact: l.tracker.Foreign() == 0}
-	if err := q.Validate(); err != nil {
-		p.Strategy = "invalid"
-		return p
-	}
-	if q.Cursor != "" {
-		if core.ExplainCursor(&p, q, &l.pins, l.stampToken()) {
-			return p
-		}
-		// Evicted pin at an unchanged generation: fall through and cost the
-		// re-evaluation (free only when memoized or snapshot-warm).
-	}
-	stripped := q
-	stripped.Limit = 0
-	l.explainInto(&p, stripped)
-	if q.Limit > 0 {
-		p.AddStep("-", "paginate", 0, "first page evaluates fully, sorts and pins; later pages are free")
-	}
-	return p
+	return core.Explain(p, q, l, &l.pins, l.explainInto)
 }
 
 // explainInto fills the plan for a non-paginated descriptor.
@@ -62,17 +43,14 @@ func (l *Layer) explainInto(p *core.QueryPlan, q prov.Query) {
 		}
 		p.AddStep("SimpleDB", "Select", core.PlanPages(l.catalog.Items(), sdb.SelectPageLimit), "item names only")
 	default:
-		sim := &planSim{l: l, p: p}
-		var refs []prov.Ref
+		x := &catalogExec{l: l, p: p}
 		if l.memoizedRefs(q) {
 			p.Strategy = "memo"
 			p.Cached = true
 			p.AddStep("-", "memo", 0, "refs memoized for this generation")
-			sim.mute = true
-			refs = sim.refs(q)
-		} else {
-			refs = sim.refs(q)
+			x.mute = true
 		}
+		refs, _ := l.nativeRefs(x, q) // the catalog executor never fails
 		if q.Projection == prov.ProjectFull {
 			if l.warmGraph() != nil {
 				p.AddStep("-", "snapshot", 0, "records from the warm snapshot")
@@ -109,198 +87,109 @@ func (l *Layer) memoizedRefs(q prov.Query) bool {
 	return l.cache != nil && l.cache.HasRefs(refsMemoKey(q))
 }
 
-// planSim simulates the native refs pipeline against the planner catalog,
-// accumulating predicted steps. mute suppresses step accounting (used when
-// a memoized sub-result makes a phase free).
-type planSim struct {
+// catalogExec runs the native refs pipeline against the planner catalog,
+// accumulating predicted steps into p. mute suppresses the accounting
+// (a memoized result makes a phase free; PlanQueryRefs wants refs only).
+type catalogExec struct {
 	l    *Layer
 	p    *core.QueryPlan
 	mute bool
 }
 
-func (s *planSim) step(service, op string, count int64, note string) {
-	if !s.mute {
-		s.p.AddStep(service, op, count, note)
+func (x *catalogExec) step(service, op string, count int64, note string) {
+	if !x.mute {
+		x.p.AddStep(service, op, count, note)
 	}
 }
 
-func (s *planSim) strategy(name string) {
-	if !s.mute && s.p.Strategy == "" {
-		s.p.Strategy = name
+// shape names the plan after the first primitive it runs and records the
+// backend expression that primitive pushes down.
+func (x *catalogExec) shape(strategy, pushdown string) {
+	if x.mute {
+		return
+	}
+	if x.p.Strategy == "" {
+		x.p.Strategy = strategy
+	}
+	if pushdown != "" {
+		x.p.Pushdown = append(x.p.Pushdown, pushdown)
 	}
 }
 
-func (s *planSim) pushdown(expr string) {
-	if !s.mute {
-		s.p.Pushdown = append(s.p.Pushdown, expr)
-	}
+func (x *catalogExec) instancesOf(tool string) ([]prov.Ref, error) {
+	x.shape("indexed-two-phase", instancesExpr(tool))
+	instances := x.l.catalog.MatchAttr(prov.AttrName, core.EscapeLiteral(tool))
+	x.step("SimpleDB", "Query", core.PlanPages(len(instances), sdb.QueryPageLimit), "phase 1: instances of the tool")
+	return instances, nil
 }
 
-// refs mirrors computeRefs.
-func (s *planSim) refs(q prov.Query) []prov.Ref {
-	if q.Direction == prov.TraverseDescendants {
-		return s.descendants(q)
-	}
-	return s.seeds(q)
+func (x *catalogExec) matchAttrs(filters []prov.AttrFilter) ([]prov.Ref, error) {
+	x.shape("indexed-pushdown", pushdownExpr(filters))
+	matches := x.l.catalog.MatchAttrs(storedFilters(filters))
+	x.step("SimpleDB", "Query", core.PlanPages(len(matches), sdb.QueryPageLimit), "predicates evaluated inside the backend")
+	return matches, nil
 }
 
-// seeds mirrors the seed strategies of computeRefs.
-func (s *planSim) seeds(q prov.Query) []prov.Ref {
-	cat := s.l.catalog
-	switch s.l.seedPlanOf(q) {
-	case seedTwoPhase:
-		s.strategy("indexed-two-phase")
-		s.pushdown(instancesExpr(q.Tool))
-		instances := cat.MatchAttr(prov.AttrName, core.EscapeLiteral(q.Tool))
-		s.step("SimpleDB", "Query", core.PlanPages(len(instances), sdb.QueryPageLimit), "phase 1: instances of the tool")
-		filters := q.AttrFilters()
-		names := make([]string, len(filters))
-		for i, f := range filters {
-			names[i] = f.Attr
-		}
-		deps := s.chunkedDependents(instances, "phase 2: dependents, filter attributes riding along", names)
-		var out []prov.Ref
-		for _, d := range deps {
-			if !s.matchesStored(d, filters) {
-				continue
-			}
-			if q.RefPrefix != "" && !strings.HasPrefix(d.String(), q.RefPrefix) {
-				continue
-			}
-			out = append(out, d)
-		}
-		return out
-	case seedPushdown:
-		s.strategy("indexed-pushdown")
-		s.pushdown(pushdownExpr(q.AttrFilters()))
-		matches := cat.MatchAttrs(storedFilters(q.AttrFilters()))
-		s.step("SimpleDB", "Query", core.PlanPages(len(matches), sdb.QueryPageLimit), "predicates evaluated inside the backend")
-		return filterPrefix(matches, q.RefPrefix)
-	case seedPinned:
-		s.strategy("pinned-refs")
-		filters := q.AttrFilters()
-		seen := make(map[prov.Ref]bool, len(q.Refs))
-		var pinned []prov.Ref
-		for _, r := range q.Refs {
-			if seen[r] {
-				continue
-			}
-			seen[r] = true
-			if q.RefPrefix != "" && !strings.HasPrefix(r.String(), q.RefPrefix) {
-				continue
-			}
-			pinned = append(pinned, r)
-		}
-		if len(filters) == 0 {
-			prov.SortRefs(pinned)
-			return pinned
-		}
-		s.step("SimpleDB", "GetAttributes", int64(len(pinned)), "fetch pinned items to apply filters")
-		if gets := cat.ItemGets(pinned); gets > 0 {
-			s.step("S3", "GET", gets, "resolve overflow/spill values of pinned items")
-		}
-		var out []prov.Ref
-		for _, r := range pinned {
-			if s.matchesStored(r, filters) {
-				out = append(out, r)
-			}
-		}
-		prov.SortRefs(out)
-		return out
-	default: // seedListing, seedAll
-		s.strategy("item-listing")
-		s.step("SimpleDB", "Select", core.PlanPages(cat.Items(), sdb.SelectPageLimit), "enumerate item names")
-		return filterPrefix(cat.AllRefs(), q.RefPrefix)
-	}
+func (x *catalogExec) dependentsOfPrefix(prefix string) ([]prov.Ref, error) {
+	x.shape("indexed-prefix", startsWithExpr(prefix))
+	level1 := x.l.catalog.DependentsOfPrefix(prefix)
+	x.step("SimpleDB", "Query", core.PlanPages(len(level1), sdb.QueryPageLimit), "starts-with covers every matching version at once")
+	return level1, nil
 }
 
-// descendants mirrors computeDescendants.
-func (s *planSim) descendants(q prov.Query) []prov.Ref {
-	seedsQ := stripTraversal(q)
-
-	found := make(map[prov.Ref]bool)
-	expanded := make(map[prov.Ref]bool)
-	var out []prov.Ref
-	var frontier []prov.Ref
-	level := 0
-	var isSeed func(prov.Ref) bool
-
-	if s.l.seedPlanOf(seedsQ) == seedListing {
-		s.strategy("indexed-prefix")
-		s.pushdown(startsWithExpr(q.RefPrefix))
-		level1 := s.l.catalog.DependentsOfPrefix(q.RefPrefix)
-		s.step("SimpleDB", "Query", core.PlanPages(len(level1), sdb.QueryPageLimit), "starts-with covers every matching version at once")
-		prefix := q.RefPrefix
-		isSeed = func(r prov.Ref) bool { return strings.HasPrefix(r.String(), prefix) }
-		for _, n := range level1 {
-			if !found[n] && (q.IncludeSeeds || !isSeed(n)) {
-				found[n] = true
-				out = append(out, n)
-			}
-			if !expanded[n] {
-				expanded[n] = true
-				frontier = append(frontier, n)
-			}
-		}
-		level = 1
-	} else {
-		var seeds []prov.Ref
-		if !s.mute && s.l.memoizedRefs(seedsQ) {
-			s.step("-", "memo", 0, "seed query memoized for this generation")
-			prev := s.mute
-			s.mute = true
-			seeds = s.seeds(seedsQ)
-			s.mute = prev
-		} else {
-			seeds = s.seeds(seedsQ)
-		}
-		s.strategy("indexed-bfs")
-		seedSet := make(map[prov.Ref]bool, len(seeds))
-		for _, sr := range seeds {
-			seedSet[sr] = true
-			expanded[sr] = true
-		}
-		isSeed = func(r prov.Ref) bool { return seedSet[r] }
-		frontier = seeds
-	}
-
-	for ; len(frontier) > 0 && (q.Depth == 0 || level < q.Depth); level++ {
-		next := s.chunkedDependents(frontier, "BFS level: chunked dependency queries", nil)
-		frontier = frontier[:0]
-		for _, n := range next {
-			if !found[n] && (q.IncludeSeeds || !isSeed(n)) {
-				found[n] = true
-				out = append(out, n)
-			}
-			if !expanded[n] {
-				expanded[n] = true
-				frontier = append(frontier, n)
-			}
-		}
-	}
-	return out
+func (x *catalogExec) listRefs() ([]prov.Ref, error) {
+	x.shape("item-listing", "")
+	x.step("SimpleDB", "Select", core.PlanPages(x.l.catalog.Items(), sdb.SelectPageLimit), "enumerate item names")
+	return x.l.catalog.AllRefs(), nil
 }
 
-// chunkedDependents mirrors dependentsOf: ⌈n/chunk⌉ queries, each paging on
-// its own match count, results deduplicated in chunk order. When attrNames
-// ride along (QueryWithAttributes), decoding a pointer-encoded requested
-// value costs an S3 GET per chunk response it appears in — exactly as the
-// runtime's per-chunk decode does, including re-decoding an item matched
-// by several chunks.
-func (s *planSim) chunkedDependents(refs []prov.Ref, note string, attrNames []string) []prov.Ref {
-	chunkSize := s.l.cfg.QueryChunk
+func (x *catalogExec) fetchAndMatch(refs []prov.Ref, filters []prov.AttrFilter) ([]prov.Ref, error) {
+	x.shape("pinned-refs", "")
+	if len(filters) == 0 {
+		return refs, nil
+	}
+	x.step("SimpleDB", "GetAttributes", int64(len(refs)), "fetch pinned items to apply filters")
+	if gets := x.l.catalog.ItemGets(refs); gets > 0 {
+		x.step("S3", "GET", gets, "resolve overflow/spill values of pinned items")
+	}
+	return x.matchingStored(refs, filters), nil
+}
+
+// seedsOf costs the seed sub-query unless the live run would find it
+// memoized, and only then names the traversal: a seed phase that ran keeps
+// its own strategy.
+func (x *catalogExec) seedsOf(seedsQ prov.Query) ([]prov.Ref, error) {
+	prev := x.mute
+	if !x.mute && x.l.memoizedRefs(seedsQ) {
+		x.step("-", "memo", 0, "seed query memoized for this generation")
+		x.mute = true
+	}
+	seeds, err := x.l.nativeRefs(x, seedsQ)
+	x.mute = prev
+	x.shape("indexed-bfs", "")
+	return seeds, err
+}
+
+// dependentsOf predicts ⌈n/chunk⌉ queries, each paging on its own match
+// count, results deduplicated in chunk order. When attributes ride along
+// (QueryWithAttributes), decoding a pointer-encoded requested value costs
+// an S3 GET per chunk response it appears in — exactly as the live
+// per-chunk decode does, including re-decoding an item matched by several
+// chunks.
+func (x *catalogExec) dependentsOf(refs []prov.Ref, riding []prov.AttrFilter, note string) ([]prov.Ref, error) {
+	chunkSize := x.l.cfg.QueryChunk
 	op := "Query"
-	if len(attrNames) > 0 {
-		op = "QueryWithAttributes"
+	attrNames := make([]string, len(riding))
+	for i, f := range riding {
+		op, attrNames[i] = "QueryWithAttributes", f.Attr
 	}
 	var ops, gets int64
 	seen := make(map[prov.Ref]bool)
 	var out []prov.Ref
 	for start := 0; start < len(refs); start += chunkSize {
-		end := min(start+chunkSize, len(refs))
-		matches := s.l.catalog.Dependents(refs[start:end])
+		matches := x.l.catalog.Dependents(refs[start:min(start+chunkSize, len(refs))])
 		ops += core.PlanPages(len(matches), sdb.QueryPageLimit)
-		gets += s.l.catalog.AttrGets(matches, attrNames)
+		gets += x.l.catalog.AttrGets(matches, attrNames)
 		for _, m := range matches {
 			if !seen[m] {
 				seen[m] = true
@@ -309,28 +198,29 @@ func (s *planSim) chunkedDependents(refs []prov.Ref, note string, attrNames []st
 		}
 	}
 	if len(refs) > 0 {
-		s.step("SimpleDB", op, ops, note)
+		x.step("SimpleDB", op, ops, note)
 		if gets > 0 {
-			s.step("S3", "GET", gets, "resolve pointer-encoded riding attribute values")
+			x.step("S3", "GET", gets, "resolve pointer-encoded riding attribute values")
+		}
+	}
+	return x.matchingStored(out, riding), nil
+}
+
+// matchingStored keeps, in place, the refs whose stored-form catalog
+// records satisfy filters — the mirror of the live decoded comparison
+// (stored and decoded equality agree because the escaping is injective).
+func (x *catalogExec) matchingStored(refs []prov.Ref, filters []prov.AttrFilter) []prov.Ref {
+	if len(filters) == 0 {
+		return refs
+	}
+	stored := storedFilters(filters)
+	out := refs[:0]
+	for _, r := range refs {
+		if matchesAll(x.l.catalog.Records(r), stored) {
+			out = append(out, r)
 		}
 	}
 	return out
-}
-
-// matchesStored applies attribute filters against the catalog's stored-form
-// records, mirroring the runtime's decoded comparison (stored and decoded
-// equality agree because the escaping is injective).
-func (s *planSim) matchesStored(ref prov.Ref, filters []prov.AttrFilter) bool {
-	if len(filters) == 0 {
-		return true
-	}
-	records := s.l.catalog.Records(ref)
-	for _, f := range filters {
-		if !core.MatchRecords(records, f.Attr, core.EscapeLiteral(f.Value)) {
-			return false
-		}
-	}
-	return true
 }
 
 // storedFilters converts decoded filter values to their stored forms.
@@ -379,6 +269,6 @@ func (l *Layer) PlanQueryRefs(q prov.Query) ([]prov.Ref, bool) {
 	if l.graphFallback(q) {
 		return nil, false
 	}
-	sim := &planSim{l: l, p: &core.QueryPlan{}, mute: true}
-	return sim.refs(q), true
+	refs, _ := l.nativeRefs(&catalogExec{l: l, p: &core.QueryPlan{}, mute: true}, q)
+	return refs, true
 }

@@ -43,57 +43,22 @@ type arcPayload struct {
 	datas []arcData
 }
 
-// scanItemNames pages "select itemName()" over the domain and calls fn
-// for every item that parses as a subject and matches the predicate.
+// scanItemNames calls fn for every item of the domain that parses as a
+// subject and whose object matches the predicate.
 func (l *Layer) scanItemNames(ctx context.Context, match func(prov.ObjectID) bool, fn func(item string, ref prov.Ref) error) error {
-	token := ""
-	for {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		page, err := l.selectItemNames(ctx, token)
+	for name, err := range l.SelectItems(ctx, ItemNames) {
 		if err != nil {
 			return err
 		}
-		for _, name := range page.names {
-			ref, perr := prov.ParseItemName(name)
-			if perr != nil {
-				continue // the ledger item, never a subject
-			}
-			if !match(ref.Object) {
-				continue
-			}
-			if err := fn(name, ref); err != nil {
-				return err
-			}
+		ref, perr := prov.ParseItemName(name)
+		if perr != nil || !match(ref.Object) {
+			continue // the ledger item never parses: never a subject
 		}
-		if page.next == "" {
-			return nil
+		if err := fn(name, ref); err != nil {
+			return err
 		}
-		token = page.next
 	}
-}
-
-type itemNamePage struct {
-	names []string
-	next  string
-}
-
-func (l *Layer) selectItemNames(ctx context.Context, token string) (itemNamePage, error) {
-	var page itemNamePage
-	err := l.retrier.Do(ctx, "sdbprov/reshard-select", func() error {
-		res, serr := l.cfg.Cloud.SDB.Select("select itemName() from "+l.cfg.Domain, token)
-		if serr != nil {
-			return serr
-		}
-		page.names = page.names[:0]
-		for _, item := range res.Items {
-			page.names = append(page.names, item.Name)
-		}
-		page.next = res.NextToken
-		return nil
-	})
-	return page, err
+	return nil
 }
 
 // ExportArc implements core.Migrator.
@@ -200,26 +165,18 @@ func (l *Layer) RemoveArc(ctx context.Context, match func(prov.ObjectID) bool) (
 			return err
 		}
 		// Phantom slots: a ledger entry whose item is already gone (a
-		// tampered-away item the Select can no longer surface). Its leaves
-		// must still leave the commitment or the next audit flags a root
-		// mismatch against records that no longer exist.
-		var phantoms []string
-		if l.ledger != nil {
-			live := make(map[string]bool, len(items))
-			for _, item := range items {
-				live[item] = true
-			}
-			for _, slot := range l.ledger.Slots() {
-				if slot == LedgerItem || live[slot] {
-					continue
-				}
-				ref, perr := prov.ParseItemName(slot)
-				if perr != nil || !match(ref.Object) {
-					continue
-				}
-				phantoms = append(phantoms, slot)
-				l.catalog.Forget(ref)
-			}
+		// tampered-away item the Select can no longer surface).
+		live := make(map[string]bool, len(items))
+		for _, item := range items {
+			live[item] = true
+		}
+		phantoms := l.ledger.Phantoms(live, func(slot string) bool {
+			ref, perr := prov.ParseItemName(slot) // the ledger item never parses
+			return perr == nil && match(ref.Object)
+		})
+		for _, slot := range phantoms {
+			ref, _ := prov.ParseItemName(slot)
+			l.catalog.Forget(ref)
 		}
 		if len(items) == 0 && len(phantoms) == 0 {
 			return nil
@@ -229,7 +186,7 @@ func (l *Layer) RemoveArc(ctx context.Context, match func(prov.ObjectID) bool) (
 		seenObject := make(map[prov.ObjectID]bool)
 		for i, item := range items {
 			// Overflow and spill objects all live under the item's prefix.
-			if err := l.deletePrefix(ctx, OverflowPrefix+"/"+item+"/"); err != nil {
+			if err := core.DeleteS3Prefix(ctx, l.retrier, l.cfg.Cloud.S3, l.cfg.Bucket, OverflowPrefix+"/"+item+"/"); err != nil {
 				return err
 			}
 			err := l.retrier.Do(ctx, "sdbprov/reshard-delete-item", func() error {
@@ -253,38 +210,6 @@ func (l *Layer) RemoveArc(ctx context.Context, match func(prov.ObjectID) bool) (
 		return l.DropFromLedger(ctx, append(items, phantoms...))
 	})
 	return removed, err
-}
-
-// deletePrefix removes every S3 object under prefix.
-func (l *Layer) deletePrefix(ctx context.Context, prefix string) error {
-	marker := ""
-	for {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		var page *s3.ListPage
-		err := l.retrier.Do(ctx, "sdbprov/reshard-list", func() error {
-			var lerr error
-			page, lerr = l.cfg.Cloud.S3.List(l.cfg.Bucket, prefix, marker, 0)
-			return lerr
-		})
-		if err != nil {
-			return err
-		}
-		for _, info := range page.Objects {
-			key := info.Key
-			err := l.retrier.Do(ctx, "sdbprov/reshard-delete", func() error {
-				return l.cfg.Cloud.S3.Delete(l.cfg.Bucket, key)
-			})
-			if err != nil {
-				return err
-			}
-		}
-		if !page.IsTruncated {
-			return nil
-		}
-		marker = page.NextMarker
-	}
 }
 
 var _ core.Migrator = (*Layer)(nil)

@@ -50,7 +50,7 @@ func genRepo(t *testing.T, layer *Layer, rng *rand.Rand, n int) *prov.Graph {
 		for k := 0; k < rng.Intn(3) && len(subjects) > 0; k++ {
 			records = append(records, prov.NewInput(subject, subjects[rng.Intn(len(subjects))]))
 		}
-		if err := layer.WriteItem(context.Background(), subject, records, "", "gen"); err != nil {
+		if err := writeItem(context.Background(), layer, subject, records, "", "gen"); err != nil {
 			t.Fatal(err)
 		}
 		g.AddAll(records)
@@ -186,14 +186,14 @@ func TestToolFilterFetchesNothingExtra(t *testing.T) {
 		t.Fatal(err)
 	}
 	tool := prov.Ref{Object: "proc/1/blast", Version: 0}
-	if err := layer.WriteItem(context.Background(), tool, []prov.Record{
+	if err := writeItem(context.Background(), layer, tool, []prov.Record{
 		prov.NewString(tool, prov.AttrType, prov.TypeProcess),
 		prov.NewString(tool, prov.AttrName, "blast"),
 	}, "", "t"); err != nil {
 		t.Fatal(err)
 	}
 	out := prov.Ref{Object: "/out", Version: 0}
-	if err := layer.WriteItem(context.Background(), out, []prov.Record{
+	if err := writeItem(context.Background(), layer, out, []prov.Record{
 		prov.NewString(out, prov.AttrType, prov.TypeFile),
 		prov.NewInput(out, tool),
 	}, "", "t"); err != nil {
@@ -201,7 +201,7 @@ func TestToolFilterFetchesNothingExtra(t *testing.T) {
 	}
 	for i := 0; i < 40; i++ {
 		noise := prov.Ref{Object: prov.ObjectID(fmt.Sprintf("/noise%02d", i)), Version: 0}
-		if err := layer.WriteItem(context.Background(), noise, []prov.Record{
+		if err := writeItem(context.Background(), layer, noise, []prov.Record{
 			prov.NewString(noise, prov.AttrType, prov.TypeFile),
 		}, "", "t"); err != nil {
 			t.Fatal(err)

@@ -2,8 +2,8 @@ package sdbprov
 
 import (
 	"context"
-	"fmt"
 	"iter"
+	"slices"
 	"strings"
 
 	"passcloud/internal/cloud/sdb"
@@ -62,21 +62,16 @@ const (
 	seedGraph
 )
 
-// pushable reports whether a filter value's stored form stays inline —
-// values over the overflow threshold are stored as S3 pointers, which the
-// SimpleDB index cannot match by equality.
-func pushable(v string) bool { return len(v) <= core.OverflowThreshold }
-
 // seedPlanOf picks the native seed strategy for q's filter section.
 func (l *Layer) seedPlanOf(q prov.Query) seedPlan {
 	filters := q.AttrFilters()
 	switch {
 	case q.Tool != "":
-		if len(q.Refs) > 0 || !pushable(q.Tool) {
+		if len(q.Refs) > 0 || !core.Pushable(q.Tool) {
 			return seedGraph
 		}
 		for _, f := range filters {
-			if !pushable(f.Value) {
+			if !core.Pushable(f.Value) {
 				return seedGraph
 			}
 		}
@@ -85,7 +80,7 @@ func (l *Layer) seedPlanOf(q prov.Query) seedPlan {
 		return seedPinned
 	case len(filters) > 0:
 		for _, f := range filters {
-			if !pushable(f.Value) {
+			if !core.Pushable(f.Value) {
 				return seedGraph
 			}
 		}
@@ -112,46 +107,13 @@ func (l *Layer) graphFallback(q prov.Query) bool {
 // paginated descriptor (Limit/Cursor) returns one ref-sorted page whose
 // last entry carries the resume cursor.
 func (l *Layer) Query(ctx context.Context, q prov.Query) iter.Seq2[core.Entry, error] {
-	return func(yield func(core.Entry, error) bool) {
-		if err := q.Validate(); err != nil {
-			yield(core.Entry{}, err)
-			return
-		}
-		if q.Limit > 0 || q.Cursor != "" {
-			core.RunPaged(ctx, q, l.stampToken(), &l.pins, l.evalAll, yield)
-			return
-		}
-		l.runQuery(ctx, q, yield)
-	}
-}
-
-// stampToken renders the repository generation cursors bind to.
-func (l *Layer) stampToken() string {
-	st := l.stamp()
-	return fmt.Sprintf("%d.%d", st.Gen, st.Epoch)
+	return core.Query(ctx, q, l, &l.pins, l.runQuery)
 }
 
 // StampToken implements core.Stamped: the repository generation this
-// layer's cursors bind to, exported for composing stores (the shard
+// layer's cursors bind to, also read by composing stores (the shard
 // router) that mint composite stamps.
-func (l *Layer) StampToken() string { return l.stampToken() }
-
-// evalAll materializes a full (non-paginated) evaluation for the paging
-// layer. Memoized refs make a re-evaluation at an unchanged generation
-// free.
-func (l *Layer) evalAll(ctx context.Context, q prov.Query) ([]core.Entry, error) {
-	var out []core.Entry
-	var ferr error
-	l.runQuery(ctx, q, func(e core.Entry, err error) bool {
-		if err != nil {
-			ferr = err
-			return false
-		}
-		out = append(out, e)
-		return true
-	})
-	return out, ferr
-}
+func (l *Layer) StampToken() string { return l.stamp().Token() }
 
 // runQuery executes one non-paginated descriptor.
 func (l *Layer) runQuery(ctx context.Context, q prov.Query, yield func(core.Entry, error) bool) {
@@ -233,147 +195,107 @@ func (l *Layer) warmGraph() *prov.Graph {
 	return l.cache.PeekGraph()
 }
 
-// refsFor computes q's matched references, memoized under the descriptor's
-// canonical key for the current write generation.
+// refsFor computes q's matched references on the live domain, memoized
+// under the descriptor's canonical key for the current write generation.
 func (l *Layer) refsFor(ctx context.Context, q prov.Query) ([]prov.Ref, error) {
-	if l.cache == nil {
-		return l.computeRefs(ctx, q)
+	compute := func(ctx context.Context) ([]prov.Ref, error) {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		return l.nativeRefs(liveExec{l: l, ctx: ctx}, q)
 	}
-	refs, err := l.cache.Refs(ctx, refsMemoKey(q), func(ctx context.Context) ([]prov.Ref, error) {
-		return l.computeRefs(ctx, q)
-	})
+	if l.cache == nil {
+		return compute(ctx)
+	}
+	refs, err := l.cache.Refs(ctx, refsMemoKey(q), compute)
 	return qcache.CopyRefs(refs), err
 }
 
 // refsMemoKey is the cache key of a descriptor's reference set.
 func refsMemoKey(q prov.Query) string { return "qv2\x00" + q.RefsKey() }
 
-// computeRefs is the uncached native pipeline.
-func (l *Layer) computeRefs(ctx context.Context, q prov.Query) ([]prov.Ref, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
+// refsExec is the substrate the native refs pipeline runs on. The pipeline
+// (nativeRefs) is written once against these primitives and driven by two
+// executors: liveExec issues the SimpleDB calls, catalogExec (explain.go)
+// answers from the planner catalog and accounts the steps the live calls
+// would meter. Query runs the first, Explain and PlanQueryRefs the second,
+// so a plan cannot drift from the run it predicts.
+type refsExec interface {
+	// instancesOf finds the item versions whose name attribute is tool
+	// (phase one of Q.2: "retrieve all objects that correspond to
+	// instances of blast").
+	instancesOf(tool string) ([]prov.Ref, error)
+	// matchAttrs finds the items satisfying every filter inside the
+	// backend: one pushdown expression joined with `intersection`.
+	matchAttrs(filters []prov.AttrFilter) ([]prov.Ref, error)
+	// dependentsOf finds the items listing any of refs as an input, the
+	// OR expression chunked, results deduplicated in chunk order. Riding
+	// filters' attributes travel in the same responses and items failing
+	// them are dropped. note labels the step in a plan.
+	dependentsOf(refs []prov.Ref, riding []prov.AttrFilter, note string) ([]prov.Ref, error)
+	// dependentsOfPrefix finds the items with an input whose ref string
+	// starts with prefix — every version of an object at once.
+	dependentsOfPrefix(prefix string) ([]prov.Ref, error)
+	// listRefs enumerates every item's ref, names only.
+	listRefs() ([]prov.Ref, error)
+	// fetchAndMatch keeps the refs whose fetched records satisfy filters:
+	// one GetAttributes per ref, free when there are no filters.
+	fetchAndMatch(refs []prov.Ref, filters []prov.AttrFilter) ([]prov.Ref, error)
+	// seedsOf answers a traversal's seed descriptor through the pipeline
+	// again, memoized per generation (Q.2 inside Q.3).
+	seedsOf(seedsQ prov.Query) ([]prov.Ref, error)
+}
+
+// nativeRefs is the native refs pipeline: the seed strategy seedPlanOf
+// picks, then — for descendants — the traversal.
+func (l *Layer) nativeRefs(x refsExec, q prov.Query) ([]prov.Ref, error) {
 	if q.Direction == prov.TraverseDescendants {
-		return l.computeDescendants(ctx, q)
+		return l.descendants(x, q)
 	}
+	filters := q.AttrFilters()
 	switch l.seedPlanOf(q) {
 	case seedTwoPhase:
-		return l.computeTwoPhase(ctx, q)
+		// The paper's Q.2 plan generalized: the tool's instances by indexed
+		// name lookup, then their dependents with every requested filter
+		// attribute riding the same chunked responses — no per-dependent
+		// follow-up calls.
+		instances, err := x.instancesOf(q.Tool)
+		if err != nil {
+			return nil, err
+		}
+		deps, err := x.dependentsOf(instances, filters, "phase 2: dependents, filter attributes riding along")
+		return core.FilterRefPrefix(deps, q.RefPrefix), err
 	case seedPushdown:
-		refs, err := l.queryRefs(ctx, pushdownExpr(q.AttrFilters()))
-		if err != nil {
-			return nil, err
-		}
-		return filterPrefix(refs, q.RefPrefix), nil
+		refs, err := x.matchAttrs(filters)
+		return core.FilterRefPrefix(refs, q.RefPrefix), err
 	case seedPinned:
-		return l.computePinned(ctx, q)
+		pinned := core.FilterRefPrefix(core.DedupeRefs(q.Refs), q.RefPrefix)
+		out, err := x.fetchAndMatch(pinned, filters)
+		prov.SortRefs(out)
+		return out, err
 	default: // seedListing, seedAll
-		refs, err := l.listRefs(ctx)
-		if err != nil {
-			return nil, err
-		}
-		return filterPrefix(refs, q.RefPrefix), nil
+		refs, err := x.listRefs()
+		return core.FilterRefPrefix(refs, q.RefPrefix), err
 	}
 }
 
-// computeTwoPhase is the paper's Q.2 plan generalized: phase one retrieves
-// the tool's instances by indexed name lookup; phase two retrieves their
-// dependents with every requested filter attribute riding the same chunked
-// QueryWithAttributes responses — no per-dependent follow-up calls.
-func (l *Layer) computeTwoPhase(ctx context.Context, q prov.Query) ([]prov.Ref, error) {
-	instances, err := l.instancesOf(ctx, q.Tool)
-	if err != nil {
-		return nil, err
-	}
-	filters := q.AttrFilters()
-	names := make([]string, len(filters))
-	for i, f := range filters {
-		names[i] = f.Attr
-	}
-	deps, err := l.dependentsOf(ctx, instances, names)
-	if err != nil {
-		return nil, err
-	}
-	var out []prov.Ref
-	for _, d := range deps {
-		if !d.matches(filters) {
-			continue
-		}
-		if q.RefPrefix != "" && !strings.HasPrefix(d.ref.String(), q.RefPrefix) {
-			continue
-		}
-		out = append(out, d.ref)
-	}
-	return out, nil
-}
-
-// computePinned resolves an explicit Refs seed set: free for refs-only
-// descriptors, one FetchItem per ref when attribute filters must be
-// checked.
-func (l *Layer) computePinned(ctx context.Context, q prov.Query) ([]prov.Ref, error) {
-	filters := q.AttrFilters()
-	seen := make(map[prov.Ref]bool, len(q.Refs))
-	var out []prov.Ref
-	for _, r := range q.Refs {
-		if seen[r] {
-			continue
-		}
-		seen[r] = true
-		if q.RefPrefix != "" && !strings.HasPrefix(r.String(), q.RefPrefix) {
-			continue
-		}
-		if len(filters) > 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			records, _, ok, err := l.FetchItem(ctx, r)
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				continue
-			}
-			match := true
-			for _, f := range filters {
-				if !core.MatchRecords(records, f.Attr, f.Value) {
-					match = false
-					break
-				}
-			}
-			if !match {
-				continue
-			}
-		}
-		out = append(out, r)
-	}
-	prov.SortRefs(out)
-	return out, nil
-}
-
-// computeDescendants runs the traversal: seeds from the filter section,
-// then chunked dependency queries per BFS level ("it has to retrieve each
-// item ... then lookup further ancestors"). Prefix-only seeds skip seed
+// descendants runs the traversal: seeds from the filter section, then
+// chunked dependency queries per BFS level ("it has to retrieve each item
+// ... then lookup further ancestors"). Prefix-only seeds skip seed
 // materialization entirely — the whole first level is one starts-with
 // query over every version at once.
-func (l *Layer) computeDescendants(ctx context.Context, q prov.Query) ([]prov.Ref, error) {
+func (l *Layer) descendants(x refsExec, q prov.Query) ([]prov.Ref, error) {
 	seedsQ := stripTraversal(q)
 
 	found := make(map[prov.Ref]bool)
 	expanded := make(map[prov.Ref]bool)
-	var out []prov.Ref
-	var frontier []prov.Ref
-	level := 0
+	var out, frontier []prov.Ref
 	var isSeed func(prov.Ref) bool
-
-	if l.seedPlanOf(seedsQ) == seedListing {
-		expr := startsWithExpr(q.RefPrefix)
-		level1, err := l.queryRefs(ctx, expr)
-		if err != nil {
-			return nil, err
-		}
-		prefix := q.RefPrefix
-		isSeed = func(r prov.Ref) bool { return strings.HasPrefix(r.String(), prefix) }
-		for _, n := range level1 {
+	// advance emits one level's newly reached refs and makes the
+	// not-yet-expanded ones the next frontier.
+	advance := func(reached []prov.Ref) {
+		frontier = frontier[:0]
+		for _, n := range reached {
 			if !found[n] && (q.IncludeSeeds || !isSeed(n)) {
 				found[n] = true
 				out = append(out, n)
@@ -383,9 +305,19 @@ func (l *Layer) computeDescendants(ctx context.Context, q prov.Query) ([]prov.Re
 				frontier = append(frontier, n)
 			}
 		}
+	}
+
+	level := 0
+	if l.seedPlanOf(seedsQ) == seedListing {
+		level1, err := x.dependentsOfPrefix(q.RefPrefix)
+		if err != nil {
+			return nil, err
+		}
+		isSeed = func(r prov.Ref) bool { return strings.HasPrefix(r.String(), q.RefPrefix) }
+		advance(level1)
 		level = 1
 	} else {
-		seeds, err := l.refsFor(ctx, seedsQ) // memoized sub-query (Q.2 inside Q.3)
+		seeds, err := x.seedsOf(seedsQ)
 		if err != nil {
 			return nil, err
 		}
@@ -399,21 +331,11 @@ func (l *Layer) computeDescendants(ctx context.Context, q prov.Query) ([]prov.Re
 	}
 
 	for ; len(frontier) > 0 && (q.Depth == 0 || level < q.Depth); level++ {
-		next, err := l.dependentsOf(ctx, frontier, nil)
+		next, err := x.dependentsOf(frontier, nil, "BFS level: chunked dependency queries")
 		if err != nil {
 			return nil, err
 		}
-		frontier = frontier[:0]
-		for _, n := range next {
-			if !found[n.ref] && (q.IncludeSeeds || !isSeed(n.ref)) {
-				found[n.ref] = true
-				out = append(out, n.ref)
-			}
-			if !expanded[n.ref] {
-				expanded[n.ref] = true
-				frontier = append(frontier, n.ref)
-			}
-		}
+		advance(next)
 	}
 	return out, nil
 }
@@ -455,27 +377,113 @@ func startsWithExpr(prefix string) string {
 	return "['" + escapeQuery(prov.AttrInput) + "' starts-with " + sdb.QuoteString(prefix) + "]"
 }
 
-// filterPrefix keeps refs whose canonical form has the prefix.
-func filterPrefix(refs []prov.Ref, prefix string) []prov.Ref {
-	if prefix == "" {
-		return refs
+// --- live executor -----------------------------------------------------------
+
+// liveExec runs the refs pipeline against the SimpleDB domain.
+type liveExec struct {
+	l   *Layer
+	ctx context.Context
+}
+
+func (x liveExec) instancesOf(tool string) ([]prov.Ref, error) {
+	return x.l.queryRefs(x.ctx, instancesExpr(tool))
+}
+
+func (x liveExec) matchAttrs(filters []prov.AttrFilter) ([]prov.Ref, error) {
+	return x.l.queryRefs(x.ctx, pushdownExpr(filters))
+}
+
+func (x liveExec) dependentsOfPrefix(prefix string) ([]prov.Ref, error) {
+	return x.l.queryRefs(x.ctx, startsWithExpr(prefix))
+}
+
+// listRefs reads Select itemName() — names only, no attribute fetch.
+func (x liveExec) listRefs() ([]prov.Ref, error) {
+	var out []prov.Ref
+	for name, err := range x.l.SelectItems(x.ctx, ItemNames) {
+		if err != nil {
+			return nil, err
+		}
+		if ref, err := prov.ParseItemName(name); err == nil { // else a foreign item in a shared domain
+			out = append(out, ref)
+		}
 	}
-	out := refs[:0]
+	return out, nil
+}
+
+func (x liveExec) seedsOf(seedsQ prov.Query) ([]prov.Ref, error) {
+	return x.l.refsFor(x.ctx, seedsQ)
+}
+
+func (x liveExec) fetchAndMatch(refs []prov.Ref, filters []prov.AttrFilter) ([]prov.Ref, error) {
+	if len(filters) == 0 {
+		return refs, nil
+	}
+	var out []prov.Ref
 	for _, r := range refs {
-		if strings.HasPrefix(r.String(), prefix) {
+		if err := x.ctx.Err(); err != nil {
+			return nil, err
+		}
+		records, _, ok, err := x.l.FetchItem(x.ctx, r)
+		if err != nil {
+			return nil, err
+		}
+		if ok && matchesAll(records, filters) {
 			out = append(out, r)
 		}
 	}
-	return out
+	return out, nil
 }
 
-// --- backend primitives ------------------------------------------------------
+// matchesAll reports whether records satisfy every filter (the
+// multi-valued-attribute rule: some value of the attribute matches).
+func matchesAll(records []prov.Record, filters []prov.AttrFilter) bool {
+	for _, f := range filters {
+		if !core.MatchRecords(records, f.Attr, f.Value) {
+			return false
+		}
+	}
+	return true
+}
 
-// instancesOf finds all object versions whose name attribute is tool
-// (phase one of Q.2: "retrieve all objects that correspond to instances of
-// blast").
-func (l *Layer) instancesOf(ctx context.Context, tool string) ([]prov.Ref, error) {
-	return l.queryRefs(ctx, instancesExpr(tool))
+// dependentsOf chunks the OR expression ("execute a second
+// QueryWithAttributes to retrieve all objects that have as ancestor,
+// objects in the result of the first query"). Riding attributes come back
+// in the same query response — the aggregation that removes the
+// one-GetAttributes-per-dependent N+1 from Q.2. Chunks run concurrently
+// under the queryConcurrency bound; results merge in chunk order,
+// deduplicated, so the output is identical to the sequential scan's.
+func (x liveExec) dependentsOf(refs []prov.Ref, riding []prov.AttrFilter, _ string) ([]prov.Ref, error) {
+	// queryConcurrency bounds the in-flight chunk queries per BFS level.
+	const queryConcurrency = 4
+	chunk := x.l.cfg.QueryChunk
+	nchunks := (len(refs) + chunk - 1) / chunk
+
+	results := make([][]prov.Ref, nchunks)
+	err := core.RunLimited(x.ctx, nchunks, queryConcurrency, func(ci int) error {
+		expr := inputChunkExpr(refs[ci*chunk : min((ci+1)*chunk, len(refs))])
+		var err error
+		if len(riding) > 0 {
+			results[ci], err = x.l.queryRefsMatching(x.ctx, expr, riding)
+		} else {
+			results[ci], err = x.l.queryRefs(x.ctx, expr)
+		}
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	var out []prov.Ref
+	seen := make(map[prov.Ref]bool)
+	for _, part := range results {
+		for _, ref := range part {
+			if !seen[ref] {
+				seen[ref] = true
+				out = append(out, ref)
+			}
+		}
+	}
+	return out, nil
 }
 
 // queryRefs runs one Query expression to completion, parsing item names.
@@ -491,11 +499,9 @@ func (l *Layer) queryRefs(ctx context.Context, expr string) ([]prov.Ref, error) 
 			return nil, err
 		}
 		for _, item := range res.ItemNames {
-			ref, err := prov.ParseItemName(item)
-			if err != nil {
-				continue
+			if ref, err := prov.ParseItemName(item); err == nil {
+				out = append(out, ref)
 			}
-			out = append(out, ref)
 		}
 		if res.NextToken == "" {
 			return out, nil
@@ -504,67 +510,15 @@ func (l *Layer) queryRefs(ctx context.Context, expr string) ([]prov.Ref, error) 
 	}
 }
 
-// listRefs enumerates every item's ref from Select itemName() — names
-// only, no attribute fetch.
-func (l *Layer) listRefs(ctx context.Context) ([]prov.Ref, error) {
+// queryRefsMatching runs one QueryWithAttributes expression to completion
+// and keeps the items whose riding attributes, decoded from the same
+// response — no follow-up GetAttributes per item — satisfy filters.
+func (l *Layer) queryRefsMatching(ctx context.Context, expr string, filters []prov.AttrFilter) ([]prov.Ref, error) {
+	attrNames := make([]string, len(filters))
+	for i, f := range filters {
+		attrNames[i] = f.Attr
+	}
 	var out []prov.Ref
-	token := ""
-	for {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		res, err := l.cfg.Cloud.SDB.Select("select itemName() from "+l.cfg.Domain, token)
-		if err != nil {
-			return nil, err
-		}
-		for _, item := range res.Items {
-			ref, err := prov.ParseItemName(item.Name)
-			if err != nil {
-				continue // foreign item in a shared domain
-			}
-			out = append(out, ref)
-		}
-		if res.NextToken == "" {
-			return out, nil
-		}
-		token = res.NextToken
-	}
-}
-
-// refAttrs pairs a matched item with the decoded values of the attributes
-// that rode the query response.
-type refAttrs struct {
-	ref   prov.Ref
-	attrs map[string][]string
-}
-
-// matches applies decoded attribute equality filters: every filter must be
-// satisfied by some value (the multi-valued-attribute rule).
-func (ra refAttrs) matches(filters []prov.AttrFilter) bool {
-	for _, f := range filters {
-		ok := false
-		for _, v := range ra.attrs[f.Attr] {
-			if v == f.Value {
-				ok = true
-				break
-			}
-		}
-		if !ok {
-			return false
-		}
-	}
-	return true
-}
-
-// queryRefAttrs runs one QueryWithAttributes expression to completion,
-// returning each matching item with the requested attributes decoded from
-// the same response — no follow-up GetAttributes per item.
-func (l *Layer) queryRefAttrs(ctx context.Context, expr string, attrNames []string) ([]refAttrs, error) {
-	want := make(map[string]bool, len(attrNames))
-	for _, n := range attrNames {
-		want[n] = true
-	}
-	var out []refAttrs
 	token := ""
 	for {
 		if err := ctx.Err(); err != nil {
@@ -579,18 +533,20 @@ func (l *Layer) queryRefAttrs(ctx context.Context, expr string, attrNames []stri
 			if err != nil {
 				continue
 			}
-			ra := refAttrs{ref: ref, attrs: make(map[string][]string)}
+			var riding []prov.Record
 			for _, a := range item.Attrs {
-				if !want[a.Name] {
+				if !slices.Contains(attrNames, a.Name) {
 					continue
 				}
 				rec, err := l.decodeStored(ctx, ref, a.Name, a.Value)
 				if err != nil {
 					return nil, err
 				}
-				ra.attrs[a.Name] = append(ra.attrs[a.Name], rec.Value.String())
+				riding = append(riding, rec)
 			}
-			out = append(out, ra)
+			if matchesAll(riding, filters) {
+				out = append(out, ref)
+			}
 		}
 		if res.NextToken == "" {
 			return out, nil
@@ -611,67 +567,6 @@ func inputChunkExpr(refs []prov.Ref) string {
 	}
 	b.WriteString("]")
 	return b.String()
-}
-
-// dependentsOf finds items listing any of refs as an input, chunking the
-// OR expression ("execute a second QueryWithAttributes to retrieve all
-// objects that have as ancestor, objects in the result of the first
-// query"). When attrNames is non-empty, each item's requested attributes
-// ride the same query response — the aggregation that removes the
-// one-GetAttributes-per-dependent N+1 from Q.2. Chunks run concurrently
-// under the queryConcurrency bound; results merge in chunk order,
-// deduplicated, so the output is identical to the sequential scan's.
-func (l *Layer) dependentsOf(ctx context.Context, refs []prov.Ref, attrNames []string) ([]refAttrs, error) {
-	// queryConcurrency bounds the in-flight chunk queries per BFS level.
-	const queryConcurrency = 4
-	chunk := l.cfg.QueryChunk
-	nchunks := (len(refs) + chunk - 1) / chunk
-	if nchunks == 0 {
-		return nil, nil
-	}
-
-	runChunk := func(part []prov.Ref) ([]refAttrs, error) {
-		expr := inputChunkExpr(part)
-		if len(attrNames) > 0 {
-			return l.queryRefAttrs(ctx, expr, attrNames)
-		}
-		found, err := l.queryRefs(ctx, expr)
-		if err != nil {
-			return nil, err
-		}
-		out := make([]refAttrs, len(found))
-		for i, f := range found {
-			out[i] = refAttrs{ref: f}
-		}
-		return out, nil
-	}
-
-	results := make([][]refAttrs, nchunks)
-	err := core.RunLimited(ctx, nchunks, queryConcurrency, func(ci int) error {
-		start := ci * chunk
-		end := min(start+chunk, len(refs))
-		found, err := runChunk(refs[start:end])
-		if err != nil {
-			return err
-		}
-		results[ci] = found
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	seen := make(map[prov.Ref]bool)
-	var out []refAttrs
-	for _, part := range results {
-		for _, ra := range part {
-			if !seen[ra.ref] {
-				seen[ra.ref] = true
-				out = append(out, ra)
-			}
-		}
-	}
-	return out, nil
 }
 
 // escapeQuery escapes single quotes inside a bracket-language attribute

@@ -245,9 +245,6 @@ func (l *Layer) Bucket() string { return l.cfg.Bucket }
 // Domain returns the SimpleDB domain name.
 func (l *Layer) Domain() string { return l.cfg.Domain }
 
-// Cloud returns the underlying cloud.
-func (l *Layer) Cloud() *cloud.Cloud { return l.cfg.Cloud }
-
 // DataKey returns the S3 key holding an object's data.
 func DataKey(object prov.ObjectID) string { return DataPrefix + string(object) }
 
@@ -271,7 +268,7 @@ func ConsistencyMD5(data []byte, nonce string) string {
 // written to their own S3 objects (their PUTs count toward the paper's op
 // totals) and replaced by pointers; smaller literals are escaped. The
 // returned records carry the stored form and can travel through the WAL or
-// go straight to WriteEncoded.
+// go straight to WriteEncodedBatch.
 func (l *Layer) EncodeValues(ctx context.Context, subject prov.Ref, records []prov.Record, faultPrefix string) ([]prov.Record, error) {
 	out := make([]prov.Record, len(records))
 	overflowN := 0
@@ -363,28 +360,9 @@ func (l *Layer) buildAttrs(ctx context.Context, subject prov.Ref, encoded []prov
 	return attrs, observe, nil
 }
 
-// WriteEncoded stores pre-encoded records (from EncodeValues) as one
-// SimpleDB item via chunked PutAttributes calls ("Since SimpleDB allows us
-// to store only 100 attributes per call, we might have to issue multiple
-// PutAttributes calls"). md5hex, when non-empty, adds the consistency
-// record. faultPrefix scopes the crash points so each caller's protocol is
-// independently testable.
-func (l *Layer) WriteEncoded(ctx context.Context, subject prov.Ref, encoded []prov.Record, md5hex, faultPrefix string) error {
-	// Invalidate cached query state even on failure: a partial chunked
-	// write is already visible to queries.
-	defer l.gen.Bump()
-	attrs, observe, err := l.buildAttrs(ctx, subject, encoded, md5hex, "", faultPrefix)
-	if err != nil {
-		return err
-	}
-	if err := l.putChunked(ctx, subject, attrs, faultPrefix); err != nil {
-		return err
-	}
-	observe()
-	return nil
-}
-
-// putChunked issues the chunked PutAttributes loop for one item.
+// putChunked stores one oversized item via chunked PutAttributes calls
+// ("Since SimpleDB allows us to store only 100 attributes per call, we
+// might have to issue multiple PutAttributes calls").
 func (l *Layer) putChunked(ctx context.Context, subject prov.Ref, attrs []sdb.ReplaceableAttr, faultPrefix string) error {
 	item := prov.EncodeItemName(subject)
 	for start := 0; start < len(attrs); start += sdb.MaxAttrsPerCall {
@@ -406,19 +384,6 @@ func (l *Layer) putChunked(ctx context.Context, subject prov.Ref, attrs []sdb.Re
 		}
 	}
 	return nil
-}
-
-// WriteItem encodes and stores a subject's provenance in one step — the
-// direct (architecture 2) single-item write path. As an outermost write
-// entry point it runs under the planner's write tracker.
-func (l *Layer) WriteItem(ctx context.Context, subject prov.Ref, records []prov.Record, md5hex, faultPrefix string) error {
-	return l.TrackWrites(func() error {
-		encoded, err := l.EncodeValues(ctx, subject, records, faultPrefix)
-		if err != nil {
-			return err
-		}
-		return l.WriteEncoded(ctx, subject, encoded, md5hex, faultPrefix)
-	})
 }
 
 // ItemWrite is one subject's worth of a batched provenance write. Records
@@ -706,36 +671,36 @@ func (l *Layer) VerifiedGet(ctx context.Context, object prov.ObjectID) (*core.Ob
 
 // --- query engine (Table 3, SimpleDB column) --------------------------------
 
-// scanSeq is the live repository scan: "there is no way for SimpleDB to
-// generalize the query and needs to issue one query per item" (§5, Q.1).
-// Pagination keeps one Select page plus one item resident at a time.
-func (l *Layer) scanSeq(ctx context.Context) iter.Seq2[core.Entry, error] {
-	return func(yield func(core.Entry, error) bool) {
-		token := ""
+// ItemNames is SelectItems' output list for a names-only enumeration.
+const ItemNames = "itemName()"
+
+// SelectItems is the one paged enumeration of the domain: it pages
+// `select <output> from <domain>` and yields every returned item's name —
+// subjects and bookkeeping items alike; callers parse. output is ItemNames,
+// or an attribute name to enumerate only the items carrying it. Each page
+// is fetched under the layer's retrier and ctx is honored before each
+// request, so scans, audits, recovery and migration share one
+// transient-error policy. The sequence ends after the first error.
+func (l *Layer) SelectItems(ctx context.Context, output string) iter.Seq2[string, error] {
+	return func(yield func(string, error) bool) {
+		expr, token := "select "+output+" from "+l.cfg.Domain, ""
 		for {
 			if err := ctx.Err(); err != nil {
-				yield(core.Entry{}, err)
+				yield("", err)
 				return
 			}
-			res, err := l.cfg.Cloud.SDB.Select("select itemName() from "+l.cfg.Domain, token)
+			var res *sdb.SelectResult
+			err := l.retrier.Do(ctx, "sdbprov/select-items", func() error {
+				var serr error
+				res, serr = l.cfg.Cloud.SDB.Select(expr, token)
+				return serr
+			})
 			if err != nil {
-				yield(core.Entry{}, err)
+				yield("", err)
 				return
 			}
 			for _, item := range res.Items {
-				ref, err := prov.ParseItemName(item.Name)
-				if err != nil {
-					continue // foreign item in a shared domain
-				}
-				records, _, ok, err := l.FetchItem(ctx, ref)
-				if err != nil {
-					yield(core.Entry{}, err)
-					return
-				}
-				if !ok {
-					continue
-				}
-				if !yield(core.Entry{Ref: ref, Records: records}, nil) {
+				if !yield(item.Name, nil) {
 					return
 				}
 			}
@@ -743,6 +708,32 @@ func (l *Layer) scanSeq(ctx context.Context) iter.Seq2[core.Entry, error] {
 				return
 			}
 			token = res.NextToken
+		}
+	}
+}
+
+// scanSeq is the live repository scan: "there is no way for SimpleDB to
+// generalize the query and needs to issue one query per item" (§5, Q.1).
+// Pagination keeps one Select page plus one item resident at a time.
+func (l *Layer) scanSeq(ctx context.Context) iter.Seq2[core.Entry, error] {
+	return func(yield func(core.Entry, error) bool) {
+		for name, err := range l.SelectItems(ctx, ItemNames) {
+			if err != nil {
+				yield(core.Entry{}, err)
+				return
+			}
+			ref, err := prov.ParseItemName(name)
+			if err != nil {
+				continue // foreign item in a shared domain
+			}
+			records, _, ok, err := l.FetchItem(ctx, ref)
+			if err != nil {
+				yield(core.Entry{}, err)
+				return
+			}
+			if ok && !yield(core.Entry{Ref: ref, Records: records}, nil) {
+				return
+			}
 		}
 	}
 }
@@ -821,58 +812,42 @@ func (l *Layer) Audit(ctx context.Context) (*integrity.Audit, error) {
 			a.Checkpoints = append(a.Checkpoints, cp)
 		}
 	}
-	token := ""
-	for {
-		if err := ctx.Err(); err != nil {
+	for name, err := range l.SelectItems(ctx, ItemNames) {
+		if err == nil {
+			err = ctx.Err()
+		}
+		if err != nil {
 			return nil, err
 		}
-		var res *sdb.SelectResult
-		err := l.retrier.Do(ctx, "sdbprov/audit-select", func() error {
-			var serr error
-			res, serr = l.cfg.Cloud.SDB.Select("select itemName() from "+l.cfg.Domain, token)
-			return serr
+		var attrs []sdb.Attr
+		var ok bool
+		err = l.retrier.Do(ctx, "sdbprov/audit-get", func() error {
+			var gerr error
+			attrs, ok, gerr = l.cfg.Cloud.SDB.GetAttributes(l.cfg.Domain, name)
+			return gerr
 		})
 		if err != nil {
 			return nil, err
 		}
-		for _, item := range res.Items {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			name := item.Name
-			var attrs []sdb.Attr
-			var ok bool
-			err := l.retrier.Do(ctx, "sdbprov/audit-get", func() error {
-				var gerr error
-				attrs, ok, gerr = l.cfg.Cloud.SDB.GetAttributes(l.cfg.Domain, name)
-				return gerr
-			})
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				continue
-			}
-			ref, perr := prov.ParseItemName(name)
-			if perr != nil {
-				// The ledger item (or a foreign item): harvest any rider.
-				for _, at := range attrs {
-					if at.Name == integrity.AttrRoot {
-						addCheckpoint(at.Value)
-					}
+		if !ok {
+			continue
+		}
+		ref, perr := prov.ParseItemName(name)
+		if perr != nil {
+			// The ledger item (or a foreign item): harvest any rider.
+			for _, at := range attrs {
+				if at.Name == integrity.AttrRoot {
+					addCheckpoint(at.Value)
 				}
-				continue
 			}
-			records, _, rider, err := l.decodeAttrs(ctx, ref, attrs)
-			if err != nil {
-				return nil, err
-			}
-			a.Entries[ref] = records
-			addCheckpoint(rider)
+			continue
 		}
-		if res.NextToken == "" {
-			return a, nil
+		records, _, rider, err := l.decodeAttrs(ctx, ref, attrs)
+		if err != nil {
+			return nil, err
 		}
-		token = res.NextToken
+		a.Entries[ref] = records
+		addCheckpoint(rider)
 	}
+	return a, nil
 }

@@ -27,6 +27,18 @@ func newTestLayer(t *testing.T, maxDelay time.Duration) (*Layer, *cloud.Cloud) {
 	return layer, cl
 }
 
+// writeItem encodes and stores one subject's provenance as a one-element
+// batch — the write path the stores use.
+func writeItem(ctx context.Context, l *Layer, subject prov.Ref, records []prov.Record, md5hex, faultPrefix string) error {
+	return l.TrackWrites(func() error {
+		encoded, err := l.EncodeValues(ctx, subject, records, faultPrefix)
+		if err != nil {
+			return err
+		}
+		return l.WriteEncodedBatch(ctx, []ItemWrite{{Subject: subject, Records: encoded, MD5: md5hex}}, faultPrefix)
+	})
+}
+
 func ref(obj string, v int) prov.Ref {
 	return prov.Ref{Object: prov.ObjectID(obj), Version: prov.Version(v)}
 }
@@ -39,7 +51,7 @@ func TestWriteFetchRoundTrip(t *testing.T) {
 		prov.NewInput(subject, ref("/dep", 0)),
 		prov.NewString(subject, prov.AttrEnv, ""), // empty value survives
 	}
-	if err := layer.WriteItem(context.Background(), subject, records, "cafebabe", "t"); err != nil {
+	if err := writeItem(context.Background(), layer, subject, records, "cafebabe", "t"); err != nil {
 		t.Fatal(err)
 	}
 	got, md5hex, ok, err := layer.FetchItem(context.Background(), subject)
@@ -79,7 +91,7 @@ func TestOverflowValueRoundTrip(t *testing.T) {
 	records := []prov.Record{prov.NewString(subject, prov.AttrEnv, big)}
 
 	putsBefore := cl.Usage().OpCount(billing.S3, "PUT")
-	if err := layer.WriteItem(context.Background(), subject, records, "", "t"); err != nil {
+	if err := writeItem(context.Background(), layer, subject, records, "", "t"); err != nil {
 		t.Fatal(err)
 	}
 	if got := cl.Usage().OpCount(billing.S3, "PUT") - putsBefore; got != 1 {
@@ -98,7 +110,7 @@ func TestItemSpillBeyond256Attrs(t *testing.T) {
 	for i := 0; i < 700; i++ {
 		records = append(records, prov.NewInput(subject, ref(fmt.Sprintf("/dep%04d", i), 0)))
 	}
-	if err := layer.WriteItem(context.Background(), subject, records, "beef", "t"); err != nil {
+	if err := writeItem(context.Background(), layer, subject, records, "beef", "t"); err != nil {
 		t.Fatal(err)
 	}
 	got, md5hex, ok, err := layer.FetchItem(context.Background(), subject)
@@ -130,7 +142,7 @@ func TestEscapedLiteralRoundTripQuick(t *testing.T) {
 		i++
 		subject := ref(fmt.Sprintf("/q%d", i), 0)
 		records := []prov.Record{prov.NewString(subject, prov.AttrEnv, value)}
-		if err := layer.WriteItem(context.Background(), subject, records, "", "t"); err != nil {
+		if err := writeItem(context.Background(), layer, subject, records, "", "t"); err != nil {
 			return false
 		}
 		got, _, ok, err := layer.FetchItem(context.Background(), subject)
@@ -158,7 +170,7 @@ func TestVerifiedGetHappyPath(t *testing.T) {
 	subject := ref("/v", 4)
 	data := []byte("content")
 	nonce := "4-abcd"
-	if err := layer.WriteItem(context.Background(), subject, []prov.Record{
+	if err := writeItem(context.Background(), layer, subject, []prov.Record{
 		prov.NewString(subject, prov.AttrType, prov.TypeFile),
 	}, ConsistencyMD5(data, nonce), "t"); err != nil {
 		t.Fatal(err)
@@ -180,7 +192,7 @@ func TestVerifiedGetDetectsTamperedData(t *testing.T) {
 	layer, cl := newTestLayer(t, 0)
 	subject := ref("/tampered", 0)
 	nonce := "0-xyzw"
-	if err := layer.WriteItem(context.Background(), subject, []prov.Record{
+	if err := writeItem(context.Background(), layer, subject, []prov.Record{
 		prov.NewString(subject, prov.AttrType, prov.TypeFile),
 	}, ConsistencyMD5([]byte("original"), nonce), "t"); err != nil {
 		t.Fatal(err)
@@ -215,7 +227,7 @@ func TestVerifiedGetRetriesAcrossPropagation(t *testing.T) {
 	if err := cl.S3.Put(layer.Bucket(), DataKey("/slow"), data, meta); err != nil {
 		t.Fatal(err)
 	}
-	if err := layer.WriteItem(context.Background(), subject, []prov.Record{
+	if err := writeItem(context.Background(), layer, subject, []prov.Record{
 		prov.NewString(subject, prov.AttrType, prov.TypeFile),
 	}, ConsistencyMD5(data, nonce), "t"); err != nil {
 		t.Fatal(err)
@@ -241,7 +253,7 @@ func TestQueryEngineAgainstGroundTruth(t *testing.T) {
 	child := ref("/child", 0)
 	write := func(subject prov.Ref, records ...prov.Record) {
 		t.Helper()
-		if err := layer.WriteItem(context.Background(), subject, records, "", "t"); err != nil {
+		if err := writeItem(context.Background(), layer, subject, records, "", "t"); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -290,14 +302,14 @@ func TestDependentsChunking(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		inst := ref(fmt.Sprintf("proc/%d/tool", i), 0)
 		instances = append(instances, inst)
-		if err := layer.WriteItem(context.Background(), inst, []prov.Record{
+		if err := writeItem(context.Background(), layer, inst, []prov.Record{
 			prov.NewString(inst, prov.AttrType, prov.TypeProcess),
 			prov.NewString(inst, prov.AttrName, "tool"),
 		}, "", "t"); err != nil {
 			t.Fatal(err)
 		}
 		out := ref(fmt.Sprintf("/out%d", i), 0)
-		if err := layer.WriteItem(context.Background(), out, []prov.Record{
+		if err := writeItem(context.Background(), layer, out, []prov.Record{
 			prov.NewString(out, prov.AttrType, prov.TypeFile),
 			prov.NewInput(out, inst),
 		}, "", "t"); err != nil {
@@ -338,13 +350,13 @@ func TestExplainPredictsRidingAttrPointerGets(t *testing.T) {
 	}
 	proc, out := ref("proc/1/blast", 0), ref("/out", 0)
 	big := strings.Repeat("x", core.OverflowThreshold+1)
-	if err := layer.WriteItem(context.Background(), proc, []prov.Record{
+	if err := writeItem(context.Background(), layer, proc, []prov.Record{
 		prov.NewString(proc, prov.AttrType, prov.TypeProcess),
 		prov.NewString(proc, prov.AttrName, "blast"),
 	}, "", "t"); err != nil {
 		t.Fatal(err)
 	}
-	if err := layer.WriteItem(context.Background(), out, []prov.Record{
+	if err := writeItem(context.Background(), layer, out, []prov.Record{
 		prov.NewString(out, prov.AttrType, prov.TypeFile),
 		prov.NewInput(out, proc),
 		prov.NewString(out, "notes", big), // stored as an S3 pointer
@@ -391,7 +403,7 @@ func TestFailedWriteLeavesNoPhantomCatalogItem(t *testing.T) {
 	for i := 0; i < sdb.MaxAttrsPerItem+10; i++ {
 		records = append(records, prov.NewString(subject, fmt.Sprintf("k%03d", i), "v"))
 	}
-	if err := layer.WriteItem(context.Background(), subject, records, "", "t"); err == nil {
+	if err := writeItem(context.Background(), layer, subject, records, "", "t"); err == nil {
 		t.Fatal("armed spill fault did not fire")
 	}
 	if n := layer.catalog.Items(); n != 0 {
@@ -400,12 +412,9 @@ func TestFailedWriteLeavesNoPhantomCatalogItem(t *testing.T) {
 }
 
 func TestDefaultsAndAccessors(t *testing.T) {
-	layer, cl := newTestLayer(t, 0)
+	layer, _ := newTestLayer(t, 0)
 	if layer.Bucket() != "pass" || layer.Domain() != "provenance" {
 		t.Fatalf("defaults: %q %q", layer.Bucket(), layer.Domain())
-	}
-	if layer.Cloud() != cl {
-		t.Fatal("Cloud accessor broken")
 	}
 	if _, err := New(Config{}); err == nil {
 		t.Fatal("nil cloud accepted")
@@ -508,7 +517,7 @@ func TestEscapeQueryNeutralizesQuotes(t *testing.T) {
 	layer, cl := newTestLayer(t, 0)
 	hostile := "attr'] or ['type' = 'file"
 	subject := ref("/esc", 0)
-	if err := layer.WriteItem(context.Background(), subject, []prov.Record{
+	if err := writeItem(context.Background(), layer, subject, []prov.Record{
 		prov.NewString(subject, prov.AttrType, prov.TypeFile),
 	}, "", "t"); err != nil {
 		t.Fatal(err)
@@ -536,7 +545,7 @@ func TestOutputsOfNoNPlusOne(t *testing.T) {
 	// One tool, many dependents: the old path issued one GetAttributes per
 	// dependent to read its type.
 	tool := ref("proc/1/tool", 0)
-	if err := layer.WriteItem(context.Background(), tool, []prov.Record{
+	if err := writeItem(context.Background(), layer, tool, []prov.Record{
 		prov.NewString(tool, prov.AttrType, prov.TypeProcess),
 		prov.NewString(tool, prov.AttrName, "tool"),
 	}, "", "t"); err != nil {
@@ -545,7 +554,7 @@ func TestOutputsOfNoNPlusOne(t *testing.T) {
 	const deps = 40
 	for i := 0; i < deps; i++ {
 		out := ref(fmt.Sprintf("/out/%02d", i), 0)
-		if err := layer.WriteItem(context.Background(), out, []prov.Record{
+		if err := writeItem(context.Background(), layer, out, []prov.Record{
 			prov.NewString(out, prov.AttrType, prov.TypeFile),
 			prov.NewInput(out, tool),
 		}, "", "t"); err != nil {
@@ -576,14 +585,14 @@ func TestLayerCacheRepeatQueriesFree(t *testing.T) {
 	layer, cl := newTestLayer(t, 0)
 	ctx := context.Background()
 	tool := ref("proc/1/tool", 0)
-	if err := layer.WriteItem(context.Background(), tool, []prov.Record{
+	if err := writeItem(context.Background(), layer, tool, []prov.Record{
 		prov.NewString(tool, prov.AttrType, prov.TypeProcess),
 		prov.NewString(tool, prov.AttrName, "tool"),
 	}, "", "t"); err != nil {
 		t.Fatal(err)
 	}
 	out := ref("/out", 0)
-	if err := layer.WriteItem(context.Background(), out, []prov.Record{
+	if err := writeItem(context.Background(), layer, out, []prov.Record{
 		prov.NewString(out, prov.AttrType, prov.TypeFile),
 		prov.NewInput(out, tool),
 	}, "", "t"); err != nil {
@@ -617,7 +626,7 @@ func TestLayerCacheRepeatQueriesFree(t *testing.T) {
 	// A write invalidates: the next query pays cloud ops again and sees
 	// the new item.
 	out2 := ref("/out2", 0)
-	if err := layer.WriteItem(context.Background(), out2, []prov.Record{
+	if err := writeItem(context.Background(), layer, out2, []prov.Record{
 		prov.NewString(out2, prov.AttrType, prov.TypeFile),
 		prov.NewInput(out2, tool),
 	}, "", "t"); err != nil {
@@ -637,7 +646,7 @@ func TestUncachedLayerKeepsPaperCosts(t *testing.T) {
 	}
 	ctx := context.Background()
 	tool := ref("proc/1/tool", 0)
-	if err := layer.WriteItem(context.Background(), tool, []prov.Record{
+	if err := writeItem(context.Background(), layer, tool, []prov.Record{
 		prov.NewString(tool, prov.AttrType, prov.TypeProcess),
 		prov.NewString(tool, prov.AttrName, "tool"),
 	}, "", "t"); err != nil {

@@ -1,7 +1,7 @@
 package shard
 
 // Allocation benchmarks for the router's hot merge paths: the cross-shard
-// entry fan-in (entryMerger) and the multi-hop frontier dedupe. Run with
+// entry fan-in (core.EntryMerger) and the multi-hop frontier dedupe. Run with
 //
 //	go test -bench BenchmarkMerge -benchmem ./internal/core/shard/
 //
@@ -49,18 +49,16 @@ func benchMergeFanIn(b *testing.B, nShards, n int, sized bool) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for b.Loop() {
-		var merged *entryMerger
+		merged := core.NewEntryMerger(0)
 		if sized {
-			merged = newEntryMergerCap(total)
-		} else {
-			merged = newEntryMerger()
+			merged = core.NewEntryMerger(total)
 		}
 		for _, entries := range perShard {
 			for _, e := range entries {
-				merged.add(e)
+				merged.Add(e)
 			}
 		}
-		if len(merged.entries) == 0 {
+		if len(merged.Entries) == 0 {
 			b.Fatal("empty merge")
 		}
 	}
@@ -95,7 +93,7 @@ func BenchmarkMergeFrontierDedupe(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for b.Loop() {
-		out := dedupeRefs(refs)
+		out := core.DedupeRefs(refs)
 		prov.SortRefs(out)
 		if len(out) == 0 {
 			b.Fatal("empty dedupe")

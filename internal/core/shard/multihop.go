@@ -23,11 +23,6 @@ import (
 	"passcloud/internal/prov"
 )
 
-// pushableValue mirrors the members' predicate-pushdown bound: values
-// longer than the overflow threshold are pointer-encoded in the backend
-// and cannot be matched inside a query expression.
-func pushableValue(v string) bool { return len(v) <= core.OverflowThreshold }
-
 // multihopEligible reports whether every round of q's traversal has a
 // native indexed plan on the members, i.e. whether the distributed
 // multi-hop path answers q without any shard falling back to a scan. The
@@ -42,11 +37,11 @@ func multihopEligible(q prov.Query) bool {
 		// dependents); the member layers themselves would fall back to a
 		// graph walk for a pinned or unpushable tool section, and so does
 		// the router.
-		if len(q.Refs) > 0 || !pushableValue(q.Tool) {
+		if len(q.Refs) > 0 || !core.Pushable(q.Tool) {
 			return false
 		}
 		for _, f := range filters {
-			if !pushableValue(f.Value) {
+			if !core.Pushable(f.Value) {
 				return false
 			}
 		}
@@ -61,7 +56,7 @@ func multihopEligible(q prov.Query) bool {
 		}
 		if len(filters) > 0 {
 			for _, f := range filters {
-				if !pushableValue(f.Value) {
+				if !core.Pushable(f.Value) {
 					return false
 				}
 			}
@@ -144,7 +139,7 @@ func (r *Router) multihop(x mhRunner, q prov.Query) ([]prov.Ref, error) {
 				return nil, err
 			}
 		}
-		cands = filterRefPrefix(cands, q.RefPrefix)
+		cands = core.FilterRefPrefix(cands, q.RefPrefix)
 		// Round 3 (only under attribute filters): fetch the candidates on
 		// their home shards and keep the ones whose records match.
 		if len(filters) > 0 && len(cands) > 0 {
@@ -160,8 +155,8 @@ func (r *Router) multihop(x mhRunner, q prov.Query) ([]prov.Ref, error) {
 		seeds = cands
 
 	case len(q.Refs) > 0:
-		seeds = dedupeRefs(q.Refs)
-		seeds = filterRefPrefix(seeds, q.RefPrefix)
+		seeds = core.DedupeRefs(q.Refs)
+		seeds = core.FilterRefPrefix(seeds, q.RefPrefix)
 		if len(filters) > 0 && len(seeds) > 0 {
 			var err error
 			seeds, err = x.fanRefs(prov.Query{
@@ -279,33 +274,6 @@ func (r *Router) multihopWalk(x mhRunner, q prov.Query, frontier []prov.Ref,
 	return out, nil
 }
 
-// dedupeRefs returns refs with duplicates removed, order preserved.
-func dedupeRefs(refs []prov.Ref) []prov.Ref {
-	seen := make(map[prov.Ref]bool, len(refs))
-	out := make([]prov.Ref, 0, len(refs))
-	for _, r := range refs {
-		if !seen[r] {
-			seen[r] = true
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-// filterRefPrefix keeps the refs whose string form starts with prefix.
-func filterRefPrefix(refs []prov.Ref, prefix string) []prov.Ref {
-	if prefix == "" {
-		return refs
-	}
-	out := refs[:0]
-	for _, r := range refs {
-		if strings.HasPrefix(r.String(), prefix) {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
 // --- live executor -----------------------------------------------------------
 
 // mhRun fans rounds out to the shards. Records fetched by full-projection
@@ -337,7 +305,7 @@ func (x *mhRun) fanRefs(q prov.Query, _ string) ([]prov.Ref, error) {
 	r := x.r
 	perShard := make([][]core.Entry, len(r.shards))
 	err := core.RunLimited(x.ctx, len(r.shards), len(r.shards), func(i int) error {
-		entries, err := collectMerged(r.shards[i].Query(x.ctx, q))
+		entries, err := core.CollectMerged(r.shards[i].Query(x.ctx, q))
 		if err != nil {
 			return fmt.Errorf("shard %d: %w", i, err)
 		}

@@ -424,24 +424,19 @@ func distributable(q prov.Query) bool {
 // merge order); paginated descriptors pin their evaluation under the
 // composite stamp exactly like a single store does.
 func (r *Router) Query(ctx context.Context, q prov.Query) iter.Seq2[core.Entry, error] {
-	return func(yield func(core.Entry, error) bool) {
-		if err := q.Validate(); err != nil {
-			yield(core.Entry{}, err)
+	return core.Query(ctx, q, r, &r.pins, r.runQuery)
+}
+
+// runQuery streams one non-paginated evaluation.
+func (r *Router) runQuery(ctx context.Context, q prov.Query, yield func(core.Entry, error) bool) {
+	entries, err := r.evalAll(ctx, q)
+	if err != nil {
+		yield(core.Entry{}, err)
+		return
+	}
+	for _, e := range entries {
+		if !yield(e, nil) {
 			return
-		}
-		if q.Limit > 0 || q.Cursor != "" {
-			core.RunPaged(ctx, q, r.StampToken(), &r.pins, r.evalAll, yield)
-			return
-		}
-		entries, err := r.evalAll(ctx, q)
-		if err != nil {
-			yield(core.Entry{}, err)
-			return
-		}
-		for _, e := range entries {
-			if !yield(e, nil) {
-				return
-			}
 		}
 	}
 }
@@ -494,7 +489,7 @@ func (r *Router) fanIn(ctx context.Context, q prov.Query) ([]core.Entry, error) 
 	mig := r.migSnapshot()
 	perShard := make([][]core.Entry, len(r.shards))
 	err := core.RunLimited(ctx, len(r.shards), len(r.shards), func(i int) error {
-		entries, err := collectMerged(r.shards[i].Query(ctx, q))
+		entries, err := core.CollectMerged(r.shards[i].Query(ctx, q))
 		if err != nil {
 			return fmt.Errorf("shard %d: %w", i, err)
 		}
@@ -508,54 +503,14 @@ func (r *Router) fanIn(ctx context.Context, q prov.Query) ([]core.Entry, error) 
 	for _, entries := range perShard {
 		total += len(entries)
 	}
-	merged := newEntryMergerCap(total)
+	merged := core.NewEntryMerger(total)
 	for _, entries := range perShard {
 		for _, e := range entries {
-			merged.add(e)
+			merged.Add(e)
 		}
 	}
-	out := merged.entries
-	core.SortEntries(out)
-	return out, nil
-}
-
-// collectMerged drains one shard's stream into one entry per ref.
-func collectMerged(seq iter.Seq2[core.Entry, error]) ([]core.Entry, error) {
-	merged := newEntryMerger()
-	for e, err := range seq {
-		if err != nil {
-			return nil, err
-		}
-		merged.add(e)
-	}
-	return merged.entries, nil
-}
-
-// entryMerger folds a stream of entries into one entry per ref,
-// concatenating records of duplicate refs in arrival order — the one
-// merge rule both per-shard piece merging and cross-shard fan-in use.
-type entryMerger struct {
-	entries []core.Entry
-	idx     map[prov.Ref]int
-}
-
-func newEntryMerger() *entryMerger {
-	return &entryMerger{idx: make(map[prov.Ref]int)}
-}
-
-// newEntryMergerCap pre-sizes the merger for a known upper bound of
-// distinct refs, so wide fan-ins fold without rehash/regrow churn.
-func newEntryMergerCap(n int) *entryMerger {
-	return &entryMerger{idx: make(map[prov.Ref]int, n), entries: make([]core.Entry, 0, n)}
-}
-
-func (m *entryMerger) add(e core.Entry) {
-	if j, ok := m.idx[e.Ref]; ok {
-		m.entries[j].Records = append(m.entries[j].Records, e.Records...)
-		return
-	}
-	m.idx[e.Ref] = len(m.entries)
-	m.entries = append(m.entries, e)
+	core.SortEntries(merged.Entries)
+	return merged.Entries, nil
 }
 
 // graphCache retains the union graph between whole-graph evaluations.
@@ -682,55 +637,39 @@ func (r *Router) ProvenanceGraph(ctx context.Context) (*prov.Graph, error) {
 // distinguishable from a fresh query's plan.
 func (r *Router) Explain(q prov.Query) core.QueryPlan {
 	p := core.QueryPlan{Arch: r.Name(), Exact: true}
-	if err := q.Validate(); err != nil {
-		p.Strategy = "invalid"
-		return p
-	}
-	reeval := false
-	if q.Cursor != "" {
-		if core.ExplainCursor(&p, q, &r.pins, r.StampToken()) {
-			return p
+	return core.Explain(p, q, r, &r.pins, func(p *core.QueryPlan, stripped prov.Query) {
+		strategy := r.strategyFor(stripped)
+		p.Strategy = strategy
+		if q.Cursor != "" {
+			// Evicted pin at an unchanged composite stamp: the plan costs
+			// the re-evaluation, and says so.
+			p.Strategy = "pinned-reeval/" + strategy
 		}
-		// Evicted pin at an unchanged composite stamp: fall through and
-		// cost the re-evaluation.
-		reeval = true
-	}
-	stripped := q
-	stripped.Limit, stripped.Cursor = 0, ""
-
-	strategy := r.strategyFor(stripped)
-	p.Strategy = strategy
-	switch strategy {
-	case planFanIn:
-		p.AddStep("-", strategy, 0, fmt.Sprintf("%d shards: per-shard native plans, ref-sorted fan-in merge", len(r.shards)))
-		plans := make([]core.QueryPlan, len(r.shards))
-		for i, s := range r.shards {
-			plans[i] = s.Explain(stripped)
-		}
-		mergePlans(&p, plans)
-	case planMultihop:
-		p.AddStep("-", strategy, 0, fmt.Sprintf("%d shards: seeds via native plans, then one indexed fan-out round per BFS level", len(r.shards)))
-		r.explainMultihop(&p, stripped)
-	default:
-		p.AddStep("-", strategy, 0, fmt.Sprintf("%d shards: materialize every shard's provenance (Q.1 per shard, cached contributions free), evaluate on the union graph", len(r.shards)))
-		plans := make([]core.QueryPlan, len(r.shards))
-		for i, s := range r.shards {
-			if r.gcache.validFor(i, s.StampToken()) {
-				plans[i] = core.QueryPlan{Cached: true, Exact: true}
-				plans[i].AddStep("-", "router-snapshot", 0, "shard contribution cached at its current stamp: zero cloud ops")
-				continue
+		switch strategy {
+		case planFanIn:
+			p.AddStep("-", strategy, 0, fmt.Sprintf("%d shards: per-shard native plans, ref-sorted fan-in merge", len(r.shards)))
+			plans := make([]core.QueryPlan, len(r.shards))
+			for i, s := range r.shards {
+				plans[i] = s.Explain(stripped)
 			}
-			plans[i] = s.Explain(prov.Q1())
+			mergePlans(p, plans)
+		case planMultihop:
+			p.AddStep("-", strategy, 0, fmt.Sprintf("%d shards: seeds via native plans, then one indexed fan-out round per BFS level", len(r.shards)))
+			r.explainMultihop(p, stripped)
+		default:
+			p.AddStep("-", strategy, 0, fmt.Sprintf("%d shards: materialize every shard's provenance (Q.1 per shard, cached contributions free), evaluate on the union graph", len(r.shards)))
+			plans := make([]core.QueryPlan, len(r.shards))
+			for i, s := range r.shards {
+				if r.gcache.validFor(i, s.StampToken()) {
+					plans[i] = core.QueryPlan{Cached: true, Exact: true}
+					plans[i].AddStep("-", "router-snapshot", 0, "shard contribution cached at its current stamp: zero cloud ops")
+					continue
+				}
+				plans[i] = s.Explain(prov.Q1())
+			}
+			mergePlans(p, plans)
 		}
-		mergePlans(&p, plans)
-	}
-	if reeval {
-		p.Strategy = "pinned-reeval/" + p.Strategy
-	}
-	if q.Limit > 0 {
-		p.AddStep("-", "paginate", 0, "first page evaluates fully, sorts and pins; later pages are free")
-	}
-	return p
+	})
 }
 
 // mergePlans folds per-shard plans into the composite: steps with the

@@ -136,30 +136,22 @@ type sdbItem struct {
 
 // sdbItems enumerates one shard's provenance items (bookkeeping items,
 // like the ledger, are excluded) in canonical name order.
-func (e *env) sdbItems(se *shardEnv, violations *[]string) []sdbItem {
+func (e *env) sdbItems(ctx context.Context, se *shardEnv, violations *[]string) []sdbItem {
 	var items []sdbItem
-	token := ""
-	for {
-		res, err := se.cloud.SDB.Select("select itemName() from "+se.layer.Domain(), token)
+	for name, err := range se.layer.SelectItems(ctx, sdbprov.ItemNames) {
 		if err != nil {
 			*violations = append(*violations, fmt.Sprintf("corruption enumerate select failed: %v", err))
 			return nil
 		}
-		for _, it := range res.Items {
-			ref, err := prov.ParseItemName(it.Name)
-			if err != nil {
-				continue
-			}
-			attrs, ok, err := se.cloud.SDB.GetAttributes(se.layer.Domain(), it.Name)
-			if err != nil || !ok {
-				continue
-			}
-			items = append(items, sdbItem{ref: ref, name: it.Name, attrs: attrs})
+		ref, err := prov.ParseItemName(name)
+		if err != nil {
+			continue
 		}
-		if res.NextToken == "" {
-			break
+		attrs, ok, err := se.cloud.SDB.GetAttributes(se.layer.Domain(), name)
+		if err != nil || !ok {
+			continue
 		}
-		token = res.NextToken
+		items = append(items, sdbItem{ref: ref, name: name, attrs: attrs})
 	}
 	sort.Slice(items, func(i, j int) bool { return items[i].name < items[j].name })
 	return items
@@ -215,7 +207,7 @@ func (e *env) corruptFlipByte(ctx context.Context, rng *sim.RNG, violations *[]s
 		}
 		var victims []victim
 		for si, se := range e.shards {
-			for _, it := range e.sdbItems(se, violations) {
+			for _, it := range e.sdbItems(ctx, se, violations) {
 				for _, a := range it.attrs {
 					if a.Name == integrity.AttrChain {
 						victims = append(victims, victim{shard: si, item: it.name, value: a.Value})
@@ -291,7 +283,7 @@ func (e *env) corruptSwapVersion(ctx context.Context, rng *sim.RNG, violations *
 		}
 		var victims []victim
 		for si, se := range e.shards {
-			items := e.sdbItems(se, violations)
+			items := e.sdbItems(ctx, se, violations)
 			chain := make(map[prov.Ref]sdbItem)
 			for _, it := range items {
 				for _, a := range it.attrs {
@@ -396,7 +388,7 @@ func (e *env) corruptDropRecord(ctx context.Context, rng *sim.RNG, violations *[
 		}
 		var victims []victim
 		for si, se := range e.shards {
-			for _, it := range e.sdbItems(se, violations) {
+			for _, it := range e.sdbItems(ctx, se, violations) {
 				for _, a := range it.attrs {
 					// Bookkeeping attrs are not provenance records; dropping
 					// them is out of the integrity layer's contract.

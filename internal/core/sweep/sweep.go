@@ -705,7 +705,7 @@ func (e *env) runMigration(ctx context.Context, cfg Config, rng *sim.RNG, faults
 			match := plan.Moved(ctrl)
 			src, dst := e.shards[plan.Src], e.shards[plan.Dst]
 			if src.layer != nil {
-				for _, it := range e.sdbItems(src, &res.Violations) {
+				for _, it := range e.sdbItems(ctx, src, &res.Violations) {
 					if !match(it.ref.Object) {
 						continue
 					}
@@ -966,40 +966,33 @@ func (e *env) checkInvariants(ctx context.Context, cfg Config, sys *pass.System,
 // missing or older than the item claims.
 func (e *env) orphanItems(ctx context.Context, se *shardEnv, si int, v *[]string) []prov.Ref {
 	var orphans []prov.Ref
-	token := ""
-	for {
-		res, err := se.cloud.SDB.Select("select itemName() from "+se.layer.Domain(), token)
+	for name, err := range se.layer.SelectItems(ctx, sdbprov.ItemNames) {
 		if err != nil {
 			*v = append(*v, fmt.Sprintf("shard %d: orphan scan select failed: %v", si, err))
 			return orphans
 		}
-		for _, item := range res.Items {
-			ref, err := prov.ParseItemName(item.Name)
-			if err != nil {
-				continue
-			}
-			_, md5hex, ok, err := se.layer.FetchItem(ctx, ref)
-			if err != nil || !ok || md5hex == "" {
-				continue
-			}
-			info, err := se.cloud.S3.Head(se.layer.Bucket(), sdbprov.DataKey(ref.Object))
-			if err != nil {
-				if errors.Is(err, s3.ErrNoSuchKey) {
-					orphans = append(orphans, ref)
-				}
-				continue
-			}
-			var ver int
-			fmt.Sscanf(info.Metadata[sdbprov.MetaVersion], "%d", &ver)
-			if prov.Version(ver) < ref.Version {
+		ref, err := prov.ParseItemName(name)
+		if err != nil {
+			continue
+		}
+		_, md5hex, ok, err := se.layer.FetchItem(ctx, ref)
+		if err != nil || !ok || md5hex == "" {
+			continue
+		}
+		info, err := se.cloud.S3.Head(se.layer.Bucket(), sdbprov.DataKey(ref.Object))
+		if err != nil {
+			if errors.Is(err, s3.ErrNoSuchKey) {
 				orphans = append(orphans, ref)
 			}
+			continue
 		}
-		if res.NextToken == "" {
-			return orphans
+		var ver int
+		fmt.Sscanf(info.Metadata[sdbprov.MetaVersion], "%d", &ver)
+		if prov.Version(ver) < ref.Version {
+			orphans = append(orphans, ref)
 		}
-		token = res.NextToken
 	}
+	return orphans
 }
 
 // diffProvenance compares two repository maps; empty string means equal.
@@ -1038,28 +1031,20 @@ func (e *env) digest(ctx context.Context) string {
 
 	for si, se := range e.shards {
 		if se.layer != nil {
-			token := ""
-			for {
-				res, err := se.cloud.SDB.Select("select itemName() from "+se.layer.Domain(), token)
+			for name, err := range se.layer.SelectItems(ctx, sdbprov.ItemNames) {
 				if err != nil {
 					fmt.Fprintf(h, "shard%d select-err %v\n", si, err)
 					break
 				}
-				for _, item := range res.Items {
-					ref, err := prov.ParseItemName(item.Name)
-					if err != nil {
-						continue
-					}
-					records, md5hex, ok, err := se.layer.FetchItem(ctx, ref)
-					if err != nil || !ok {
-						continue
-					}
-					entries = append(entries, fmt.Sprintf("shard%d item %s md5=%s\n%s", si, item.Name, md5hex, canonRecords(records)))
+				ref, err := prov.ParseItemName(name)
+				if err != nil {
+					continue
 				}
-				if res.NextToken == "" {
-					break
+				records, md5hex, ok, err := se.layer.FetchItem(ctx, ref)
+				if err != nil || !ok {
+					continue
 				}
-				token = res.NextToken
+				entries = append(entries, fmt.Sprintf("shard%d item %s md5=%s\n%s", si, name, md5hex, canonRecords(records)))
 			}
 		} else if q, ok := se.store.(core.Querier); ok {
 			all, err := core.CollectBySubject(q.Query(ctx, prov.Q1()))

@@ -23,6 +23,7 @@ import (
 
 	"passcloud/internal/cloud"
 	"passcloud/internal/cloud/s3"
+	"passcloud/internal/core"
 	"passcloud/internal/core/sdbprov"
 	"passcloud/internal/prov"
 )
@@ -187,10 +188,10 @@ func TestAblationEventualConsistencyWithoutVerificationTearsReads(t *testing.T) 
 		}}, "ablate"); err != nil {
 			t.Fatal(err)
 		}
-		meta := map[string]string{sdbprov.MetaNonce: nonce, sdbprov.MetaVersion: "0"}
+		meta := map[string]string{core.MetaNonce: nonce, core.MetaVersion: "0"}
 		// Note: version metadata deliberately pinned to 0 so the naive
 		// reader always pairs the data with version 0's provenance.
-		if err := cl.S3.Put("pass", sdbprov.DataKey("/t"), marker, meta); err != nil {
+		if err := cl.S3.Put("pass", core.DataKey("/t"), marker, meta); err != nil {
 			t.Fatal(err)
 		}
 		cl.Clock.Advance(5 * time.Second)
@@ -199,7 +200,7 @@ func TestAblationEventualConsistencyWithoutVerificationTearsReads(t *testing.T) 
 	// The naive reader: GET data, GET item "t_0", no verification.
 	torn := false
 	for i := 0; i < 200 && !torn; i++ {
-		obj, err := cl.S3.Get("pass", sdbprov.DataKey("/t"))
+		obj, err := cl.S3.Get("pass", core.DataKey("/t"))
 		if err != nil {
 			continue
 		}

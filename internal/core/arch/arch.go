@@ -17,6 +17,7 @@ import (
 	"passcloud/internal/core/s3sdb"
 	"passcloud/internal/core/s3sdbsqs"
 	"passcloud/internal/core/shard"
+	"passcloud/internal/prov"
 	"passcloud/internal/sim"
 )
 
@@ -91,8 +92,8 @@ func Build(cfg Config) (shard.Store, *s3sdbsqs.CommitDaemon, error) {
 	}
 }
 
-// Sharded is n members of one architecture, each on its own namespace of
-// a multi-namespace region, composed behind one store.
+// Sharded is n members of one architecture, each on its own namespace,
+// composed behind one store. n is 1 for the paper's single-store layout.
 type Sharded struct {
 	// Store is the consistent-hash router when n > 1, else the one member.
 	Store shard.Store
@@ -105,14 +106,19 @@ type Sharded struct {
 	Daemons []*s3sdbsqs.CommitDaemon
 }
 
-// BuildSharded builds n members (n < 1 means one). member names shard i's
-// namespace key — also its billing key — and gives its Config; Cloud is
-// filled in here from that namespace.
-func BuildSharded(multi *cloud.Multi, n int, member func(i int) (key string, cfg Config)) (*Sharded, error) {
+// ShardFor returns the index of the member that homes object.
+func (s *Sharded) ShardFor(object prov.ObjectID) int {
+	if s.Router == nil {
+		return 0
+	}
+	return s.Router.ShardFor(object)
+}
+
+// Compose builds one member per Config, each on the Cloud its Config
+// names, behind a router when there are several.
+func Compose(cfgs ...Config) (*Sharded, error) {
 	s := &Sharded{}
-	for i := 0; i < max(n, 1); i++ {
-		key, cfg := member(i)
-		cfg.Cloud = multi.Namespace(key)
+	for _, cfg := range cfgs {
 		st, daemon, err := Build(cfg)
 		if err != nil {
 			return nil, err
@@ -132,4 +138,18 @@ func BuildSharded(multi *cloud.Multi, n int, member func(i int) (key string, cfg
 		s.Store, s.Router = r, r
 	}
 	return s, nil
+}
+
+// BuildSharded composes n members (n < 1 means one) on namespaces of a
+// multi-namespace region. member names shard i's namespace key — also its
+// billing key — and gives its Config; Cloud is filled in here from that
+// namespace.
+func BuildSharded(multi *cloud.Multi, n int, member func(i int) (key string, cfg Config)) (*Sharded, error) {
+	cfgs := make([]Config, max(n, 1))
+	for i := range cfgs {
+		var key string
+		key, cfgs[i] = member(i)
+		cfgs[i].Cloud = multi.Namespace(key)
+	}
+	return Compose(cfgs...)
 }

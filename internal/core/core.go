@@ -309,8 +309,13 @@ func ProvenanceGraph(ctx context.Context, q Querier) (*prov.Graph, error) {
 	if gq, ok := q.(GraphQuerier); ok {
 		return gq.ProvenanceGraph(ctx)
 	}
+	return CollectGraph(q.Query(ctx, prov.Q1()))
+}
+
+// CollectGraph drains a Q.1 stream into a provenance graph.
+func CollectGraph(seq iter.Seq2[Entry, error]) (*prov.Graph, error) {
 	g := prov.NewGraph()
-	for entry, err := range q.Query(ctx, prov.Q1()) {
+	for entry, err := range seq {
 		if err != nil {
 			return nil, err
 		}

@@ -185,6 +185,8 @@ type refCall struct {
 
 // Cache holds one store's cached query state. The zero value is not
 // usable; construct with New. All methods are safe for concurrent use.
+// A nil *Cache is the disabled cache: Graph and Refs run their callback on
+// every call, the peeks report nothing resident and Stats reads zero.
 //
 // The cached *prov.Graph is shared between callers and must be treated as
 // immutable; Graph's read methods are safe for concurrent readers.
@@ -214,25 +216,31 @@ func New(stamp StampFunc) *Cache {
 
 // Stats returns a snapshot of the cache counters.
 func (c *Cache) Stats() Stats {
+	if c == nil {
+		return Stats{}
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.stats
 }
 
+// Enabled reports whether anything is ever cached. The unfiltered Q.1 scan
+// asks: on a disabled cache it streams page by page instead of building a
+// graph nothing would keep.
+func (c *Cache) Enabled() bool { return c != nil }
+
 // Warm reports whether a graph snapshot for the current stamp is resident —
 // a pure peek (no counters move, nothing builds). Query planners use it to
 // predict that a scan-backed query will cost zero cloud ops.
-func (c *Cache) Warm() bool {
-	now := c.stamp()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.graph != nil && c.graphStamp == now
-}
+func (c *Cache) Warm() bool { return c.PeekGraph() != nil }
 
 // PeekGraph returns the resident snapshot when it is valid at the current
 // stamp, else nil — a pure peek that never builds. The returned graph is
 // shared: read-only.
 func (c *Cache) PeekGraph() *prov.Graph {
+	if c == nil {
+		return nil
+	}
 	now := c.stamp()
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -245,6 +253,9 @@ func (c *Cache) PeekGraph() *prov.Graph {
 // HasRefs reports whether a memoized result for key is resident at the
 // current stamp — a pure peek for query planners.
 func (c *Cache) HasRefs(key string) bool {
+	if c == nil {
+		return false
+	}
 	now := c.stamp()
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -261,6 +272,9 @@ func (c *Cache) HasRefs(key string) bool {
 // waiting detaches with its context's error. The returned graph is shared:
 // read-only.
 func (c *Cache) Graph(ctx context.Context, build func(context.Context) (*prov.Graph, error)) (*prov.Graph, error) {
+	if c == nil {
+		return build(ctx)
+	}
 	for {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -316,6 +330,9 @@ func (c *Cache) Graph(ctx context.Context, build func(context.Context) (*prov.Gr
 // same key and stamp share one computation. The returned slice is shared:
 // callers must not mutate it (CopyRefs defends the public API surface).
 func (c *Cache) Refs(ctx context.Context, key string, compute func(context.Context) ([]prov.Ref, error)) ([]prov.Ref, error) {
+	if c == nil {
+		return compute(ctx)
+	}
 	for {
 		if err := ctx.Err(); err != nil {
 			return nil, err

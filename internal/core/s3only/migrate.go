@@ -16,9 +16,9 @@ package s3only
 import (
 	"context"
 	"fmt"
+	"iter"
 	"strings"
 
-	"passcloud/internal/cloud/s3"
 	"passcloud/internal/core"
 	"passcloud/internal/core/integrity"
 	"passcloud/internal/prov"
@@ -41,25 +41,13 @@ type arcPayload struct {
 	carriers []arcCarrier
 }
 
-// listData pages the data prefix and calls fn for every object whose ID
-// matches the predicate, skipping the reshard marker (writer-local
-// bookkeeping that never migrates).
-func (s *Store) listData(ctx context.Context, match func(prov.ObjectID) bool, fn func(key string, object prov.ObjectID) error) error {
-	for infos, err := range core.S3Pages(ctx, s.retrier, s.cloud.S3, s.bucket, dataPrefix) {
-		if err != nil {
-			return err
-		}
-		for _, info := range infos {
-			object := prov.ObjectID(strings.TrimPrefix(info.Key, dataPrefix))
-			if object == reshardMarker || !match(object) {
-				continue
-			}
-			if err := fn(info.Key, object); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+// arcCarriers enumerates the carriers whose object ID matches the
+// predicate, skipping the reshard marker (writer-local bookkeeping that
+// never migrates).
+func (s *Store) arcCarriers(ctx context.Context, bodies bool, match func(prov.ObjectID) bool) iter.Seq2[carrier, error] {
+	return s.carriers(ctx, bodies, func(object prov.ObjectID) bool {
+		return object != reshardMarker && match(object)
+	})
 }
 
 // ExportArc implements core.Migrator.
@@ -67,26 +55,16 @@ func (s *Store) ExportArc(ctx context.Context, match func(prov.ObjectID) bool) (
 	exp := &core.ArcExport{}
 	payload := &arcPayload{}
 	seen := make(map[prov.Ref]bool)
-	err := s.listData(ctx, match, func(key string, object prov.ObjectID) error {
-		var obj *s3.Object
-		err := s.retrier.Do(ctx, "s3only/reshard-get", func() error {
-			var gerr error
-			obj, gerr = s.cloud.S3.Get(s.bucket, key)
-			return gerr
-		})
+	for c, err := range s.arcCarriers(ctx, true, match) {
 		if err != nil {
-			return err
+			return nil, err
 		}
-		ref, records, err := s.decodeAll(object, obj.Metadata)
-		if err != nil {
-			return err
-		}
-		c := arcCarrier{ref: ref, body: obj.Body}
-		for _, rec := range records {
-			if rec.Subject == ref {
-				c.own = append(c.own, rec)
+		ac := arcCarrier{ref: c.ref, body: c.body}
+		for _, rec := range c.records {
+			if rec.Subject == c.ref {
+				ac.own = append(ac.own, rec)
 			} else {
-				c.foreign = append(c.foreign, rec)
+				ac.foreign = append(ac.foreign, rec)
 			}
 			if rec.Value.Kind == prov.KindString {
 				exp.Bytes += int64(len(rec.Value.Str))
@@ -98,17 +76,13 @@ func (s *Store) ExportArc(ctx context.Context, match func(prov.ObjectID) bool) (
 		}
 		// The carrier subject itself is part of the arc even when all its
 		// records rode elsewhere (a marker carrying only riders).
-		if !seen[ref] {
-			seen[ref] = true
-			exp.Subjects = append(exp.Subjects, ref)
+		if !seen[c.ref] {
+			seen[c.ref] = true
+			exp.Subjects = append(exp.Subjects, c.ref)
 		}
-		payload.carriers = append(payload.carriers, c)
+		payload.carriers = append(payload.carriers, ac)
 		exp.Objects++
-		exp.Bytes += int64(len(obj.Body))
-		return nil
-	})
-	if err != nil {
-		return nil, err
+		exp.Bytes += int64(len(c.body))
 	}
 	exp.Payload = payload
 	return exp, nil
@@ -125,21 +99,13 @@ func (s *Store) ImportArc(ctx context.Context, exp *core.ArcExport) error {
 	defer s.gen.Bump()
 	return s.tracker.Track(func() error {
 		for _, c := range payload.carriers {
-			key := dataKey(c.ref.Object)
-			meta, gets, err := s.encodeMetadata(ctx, c.ref, c.own, c.foreign)
+			p, err := s.assemble(ctx, c.ref, c.body, c.own, c.foreign)
 			if err != nil {
 				return err
 			}
-			s.mintRider(key, c.ref, c.own, c.foreign, meta)
-			if err := s.putCarrier(ctx, "s3only/reshard-put", key, c.body, meta); err != nil {
+			if err := s.land(ctx, "s3only/reshard-put", p); err != nil {
 				return fmt.Errorf("s3only: reshard put: %w", err)
 			}
-			s.mu.Lock()
-			if c.ref.Version > s.latest[key] {
-				s.latest[key] = c.ref.Version
-			}
-			s.mu.Unlock()
-			s.catalog.Observe(key, gets)
 		}
 		return nil
 	})
@@ -154,19 +120,11 @@ func (s *Store) RemoveArc(ctx context.Context, match func(prov.ObjectID) bool) (
 			ref prov.Ref
 		}
 		var victims []victim
-		if err := s.listData(ctx, match, func(key string, object prov.ObjectID) error {
-			info, ok, err := s.head(ctx, key)
-			if err != nil || !ok {
-				return err // !ok: deleted between LIST and HEAD
-			}
-			ref, _, err := s.decodeAll(object, info.Metadata)
+		for c, err := range s.arcCarriers(ctx, false, match) {
 			if err != nil {
 				return err
 			}
-			victims = append(victims, victim{key: key, ref: ref})
-			return nil
-		}); err != nil {
-			return err
+			victims = append(victims, victim{key: c.key, ref: c.ref})
 		}
 		// Phantom slots: a ledger entry whose carrier is already gone (a
 		// tampered-away object the LIST can no longer surface).
@@ -175,18 +133,27 @@ func (s *Store) RemoveArc(ctx context.Context, match func(prov.ObjectID) bool) (
 			live[v.key] = true
 		}
 		phantoms := s.ledger.Phantoms(live, func(slot string) bool {
-			object := prov.ObjectID(strings.TrimPrefix(slot, dataPrefix))
-			return strings.HasPrefix(slot, dataPrefix) && object != reshardMarker && match(object)
+			object := core.ObjectOfKey(slot)
+			return strings.HasPrefix(slot, core.DataPrefix) && object != reshardMarker && match(object)
 		})
 		if len(victims) == 0 && len(phantoms) == 0 {
 			return nil
 		}
 		defer s.gen.Bump()
+		forget := func(key string) {
+			if s.ledger != nil {
+				s.ledger.Remove(key)
+			}
+			s.catalog.Forget(key)
+			s.mu.Lock()
+			delete(s.latest, key)
+			s.mu.Unlock()
+		}
 		for _, v := range victims {
 			// The carrier's overflow and bundle objects live under its
 			// subject's prov/ prefix (foreign riders' spills included —
 			// they encode under the carrier subject).
-			if err := core.DeleteS3Prefix(ctx, s.retrier, s.cloud.S3, s.bucket, fmt.Sprintf("%s/%s/", provPrefix, prov.EncodeItemName(v.ref))); err != nil {
+			if err := core.DeleteS3Prefix(ctx, s.retrier, s.cloud.S3, s.bucket, core.ProvKey(v.ref, "")); err != nil {
 				return err
 			}
 			err := s.retrier.Do(ctx, "s3only/reshard-delete", func() error {
@@ -195,31 +162,21 @@ func (s *Store) RemoveArc(ctx context.Context, match func(prov.ObjectID) bool) (
 			if err != nil {
 				return fmt.Errorf("s3only: reshard delete: %w", err)
 			}
-			if s.ledger != nil {
-				s.ledger.Remove(v.key)
-			}
-			s.catalog.Forget(v.key)
-			s.mu.Lock()
-			delete(s.latest, v.key)
-			s.mu.Unlock()
+			forget(v.key)
 			removed++
 		}
 		for _, slot := range phantoms {
-			s.ledger.Remove(slot)
-			s.catalog.Forget(slot)
-			s.mu.Lock()
-			delete(s.latest, slot)
-			s.mu.Unlock()
+			forget(slot)
 		}
 		if s.ledger != nil {
 			// Persist the post-removal commitment: without it, the highest
 			// surviving rider still commits to the departed leaves and the
 			// next audit would flag a root mismatch.
 			meta := map[string]string{
-				metaVersion:        "0",
+				core.MetaVersion:   "0",
 				integrity.AttrRoot: s.ledger.Commit(nil).Token(),
 			}
-			key := dataKey(reshardMarker)
+			key := core.DataKey(reshardMarker)
 			if err := s.putCarrier(ctx, "s3only/reshard-ledger-put", key, []byte{'.'}, meta); err != nil {
 				return fmt.Errorf("s3only: reshard ledger put: %w", err)
 			}

@@ -39,9 +39,7 @@ import (
 	"fmt"
 	"iter"
 	"maps"
-	"sort"
 	"strconv"
-	"strings"
 	"sync"
 
 	"passcloud/internal/cloud"
@@ -57,17 +55,10 @@ import (
 	"passcloud/internal/sim"
 )
 
-// Reserved metadata keys (outside the provenance encoding).
-const (
-	metaVersion  = "x-ver"  // version of the stored object
-	metaOverflow = "x-over" // pointer to the spill bundle object
-)
-
-// Key layout within the bucket.
-const (
-	dataPrefix = "data"
-	provPrefix = "prov"
-)
+// metaOverflow is this architecture's one reserved metadata key beyond the
+// shared layout's (core.MetaVersion, integrity.AttrRoot): the pointer to
+// the spill bundle object.
+const metaOverflow = "x-over"
 
 // budget is the metadata space left for provenance after reserved keys and
 // the integrity checkpoint rider. The rider's worst-case size is reserved
@@ -84,7 +75,7 @@ const riderReserve = 96
 type Config struct {
 	// Cloud supplies the S3 service. Required.
 	Cloud *cloud.Cloud
-	// Bucket is created if missing. Defaults to "pass".
+	// Bucket is created if missing. Defaults to core.DefaultBucket.
 	Bucket string
 	// Faults optionally injects client crashes at protocol points.
 	Faults *sim.FaultPlan
@@ -162,7 +153,7 @@ func New(cfg Config) (*Store, error) {
 		return nil, errors.New("s3only: Config.Cloud is required")
 	}
 	if cfg.Bucket == "" {
-		cfg.Bucket = "pass"
+		cfg.Bucket = core.DefaultBucket
 	}
 	if cfg.PutConcurrency <= 0 {
 		cfg.PutConcurrency = 4
@@ -208,16 +199,6 @@ func (s *Store) Properties() core.Properties {
 		CausalOrdering: true,
 		EfficientQuery: false,
 	}
-}
-
-func dataKey(object prov.ObjectID) string { return dataPrefix + string(object) }
-
-func overflowKey(subject prov.Ref, n int) string {
-	return fmt.Sprintf("%s/%s/%d", provPrefix, prov.EncodeItemName(subject), n)
-}
-
-func bundleKey(subject prov.Ref) string {
-	return fmt.Sprintf("%s/%s/bundle", provPrefix, prov.EncodeItemName(subject))
 }
 
 // dataPut is one assembled file PUT awaiting execution.
@@ -330,7 +311,7 @@ func (s *Store) putBatch(ctx context.Context, batch []pass.FlushEvent, savedPres
 		}
 
 		s.mu.Lock()
-		stale := s.latest[dataKey(ev.Ref.Object)] > ev.Ref.Version
+		stale := s.latest[core.DataKey(ev.Ref.Object)] > ev.Ref.Version
 		s.mu.Unlock()
 		if stale {
 			// A newer version of this object already landed (an earlier
@@ -349,14 +330,11 @@ func (s *Store) putBatch(ctx context.Context, batch []pass.FlushEvent, savedPres
 		s.foreign = nil
 		s.mu.Unlock()
 
-		meta, gets, err := s.encodeMetadata(ctx, ev.Ref, ev.Records, foreign)
+		p, err := s.assemble(ctx, ev.Ref, ev.Data, ev.Records, foreign)
 		if err != nil {
 			return err
 		}
-		s.mintRider(dataKey(ev.Ref.Object), ev.Ref, ev.Records, foreign, meta)
-		p := dataPut{key: dataKey(ev.Ref.Object), data: ev.Data, meta: meta, gets: gets, ref: ev.Ref}
 		if len(foreign) > 0 {
-			p.riders = riderSubjects(foreign)
 			p.carriesSaved = savedPresent
 			savedPresent = false // the drain emptied the buffer
 		}
@@ -396,47 +374,70 @@ func (s *Store) putCarrier(ctx context.Context, op, key string, body []byte, met
 	return err
 }
 
+// assemble renders one carrier PUT: its metadata (overflow and bundle PUTs
+// happen here, before the data PUT) and the checkpoint rider.
+func (s *Store) assemble(ctx context.Context, ref prov.Ref, data []byte, own, foreign []prov.Record) (dataPut, error) {
+	p := dataPut{key: core.DataKey(ref.Object), data: data, ref: ref}
+	var err error
+	if p.meta, p.gets, err = s.encodeMetadata(ctx, ref, own, foreign); err != nil {
+		return p, err
+	}
+	riders, riderRecords := bySubject(foreign)
+	p.riders = riders
+	s.mintRider(p, own, riderRecords)
+	return p, nil
+}
+
 // mintRider commits the carrier's leaf set to the ledger and stamps the
 // checkpoint token into the PUT's metadata, so the commitment rides the
 // write the batch was issuing anyway. The ledger slot is the data key:
 // re-PUTting a key replaces its object and metadata wholesale, so the
 // slot's previous leaves are replaced to match. A subject with no records
 // contributes no leaf — the scan would never yield it as an entry.
-func (s *Store) mintRider(key string, own prov.Ref, ownRecords, foreign []prov.Record, meta map[string]string) {
+func (s *Store) mintRider(p dataPut, own []prov.Record, riderRecords map[prov.Ref][]prov.Record) {
 	if s.ledger == nil {
 		return
 	}
 	var leaves []string
-	if len(ownRecords) > 0 {
-		leaves = append(leaves, integrity.SubjectHash(own, ownRecords))
+	if len(own) > 0 {
+		leaves = append(leaves, integrity.SubjectHash(p.ref, own))
 	}
 	// One leaf per rider subject, in first-appearance order.
-	bySubject := make(map[prov.Ref][]prov.Record)
-	var order []prov.Ref
-	for _, r := range foreign {
-		if _, seen := bySubject[r.Subject]; !seen {
-			order = append(order, r.Subject)
-		}
-		bySubject[r.Subject] = append(bySubject[r.Subject], r)
+	for _, ref := range p.riders {
+		leaves = append(leaves, integrity.SubjectHash(ref, riderRecords[ref]))
 	}
-	for _, ref := range order {
-		leaves = append(leaves, integrity.SubjectHash(ref, bySubject[ref]))
-	}
-	meta[integrity.AttrRoot] = s.ledger.Commit(map[string][]string{key: leaves}).Token()
+	p.meta[integrity.AttrRoot] = s.ledger.Commit(map[string][]string{p.key: leaves}).Token()
 }
 
-// riderSubjects returns the distinct subjects of the buffered records, in
-// first-appearance order.
-func riderSubjects(records []prov.Record) []prov.Ref {
-	seen := make(map[prov.Ref]bool, len(records))
-	var out []prov.Ref
-	for _, r := range records {
-		if !seen[r.Subject] {
-			seen[r.Subject] = true
-			out = append(out, r.Subject)
-		}
+// land executes an assembled PUT and, once it is durable, records its
+// version and mirrors the object into the planner catalog.
+func (s *Store) land(ctx context.Context, op string, p dataPut) error {
+	if err := s.putCarrier(ctx, op, p.key, p.data, p.meta); err != nil {
+		return err
 	}
-	return out
+	s.mu.Lock()
+	if p.ref.Version > s.latest[p.key] {
+		s.latest[p.key] = p.ref.Version
+	}
+	s.mu.Unlock()
+	s.catalog.Observe(p.key, p.gets)
+	return nil
+}
+
+// bySubject groups records by subject; subjects lists the distinct
+// subjects in first-appearance order.
+func bySubject(records []prov.Record) (subjects []prov.Ref, groups map[prov.Ref][]prov.Record) {
+	if len(records) == 0 {
+		return nil, nil
+	}
+	groups = make(map[prov.Ref][]prov.Record)
+	for _, r := range records {
+		if _, seen := groups[r.Subject]; !seen {
+			subjects = append(subjects, r.Subject)
+		}
+		groups[r.Subject] = append(groups[r.Subject], r)
+	}
+	return subjects, groups
 }
 
 // doPuts executes the batch's data PUTs with bounded concurrency. PUTs to
@@ -464,41 +465,29 @@ func (s *Store) doPuts(ctx context.Context, puts []dataPut, res *batchResult) er
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			if err := s.putCarrier(ctx, "s3only/data-put", p.key, p.data, p.meta); err != nil {
+			if err := s.land(ctx, "s3only/data-put", p); err != nil {
 				return fmt.Errorf("s3only: data put: %w", err)
 			}
-			s.mu.Lock()
-			if p.ref.Version > s.latest[p.key] {
-				s.latest[p.key] = p.ref.Version
-			}
-			s.mu.Unlock()
-			s.catalog.Observe(p.key, p.gets)
 			res.record(p)
 		}
 		return nil
 	})
 }
 
-// encodeMetadata renders own + foreign records into S3 metadata, diverting
-// >1 KB values to overflow objects and spilling past-2KB remainder into a
-// bundle object. The overflow and bundle PUTs happen before the data PUT.
+// encodeMetadata renders own + foreign records into S3 metadata
+// (prov.S3MetaEntry), diverting >1 KB values to overflow objects
+// (core.EncodeValue) and spilling what the 2 KB limit leaves no room for
+// into a bundle object. The overflow and bundle PUTs happen before the data
+// PUT.
 func (s *Store) encodeMetadata(ctx context.Context, subject prov.Ref, own, foreign []prov.Record) (map[string]string, int64, error) {
-	meta := map[string]string{
-		metaVersion: strconv.Itoa(int(subject.Version)),
-	}
-
+	ver := strconv.Itoa(int(subject.Version))
+	meta := map[string]string{core.MetaVersion: ver}
+	size := len(core.MetaVersion) + len(ver)
 	overflowN := 0
-	size := len(metaVersion) + len(meta[metaVersion])
 	var spill []prov.Record
 
-	// encodeValue diverts >1 KB values to their own S3 objects ("There are
-	// 24,952 such records that result in an equal number of additional PUT
-	// operations") and escapes literals. It returns the stored form.
-	encodeValue := func(v string) (string, error) {
-		if len(v) <= core.OverflowThreshold {
-			return core.EscapeLiteral(v), nil
-		}
-		okey := overflowKey(subject, overflowN)
+	putOverflow := func(v string) (string, error) {
+		okey := core.ProvKey(subject, strconv.Itoa(overflowN))
 		overflowN++
 		err := s.retrier.Do(ctx, "s3only/overflow-put", func() error {
 			return s.cloud.S3.Put(s.bucket, okey, []byte(v), nil)
@@ -506,33 +495,17 @@ func (s *Store) encodeMetadata(ctx context.Context, subject prov.Ref, own, forei
 		if err != nil {
 			return "", fmt.Errorf("s3only: overflow put: %w", err)
 		}
-		if err := s.faults.Check("s3only/after-overflow-put"); err != nil {
-			return "", err
-		}
-		return core.PointerValue(okey), nil
+		return okey, s.faults.Check("s3only/after-overflow-put")
 	}
-
-	add := func(key string, rec prov.Record, foreignSubject bool) error {
-		value := rec.Value.String()
-		if rec.Value.Kind == prov.KindString {
-			var err error
-			value, err = encodeValue(value)
-			if err != nil {
-				return err
-			}
+	add := func(i int, rec prov.Record, rider bool) error {
+		rec, err := core.EncodeValue(rec, putOverflow)
+		if err != nil {
+			return err
 		}
-		var entry string
-		if foreignSubject {
-			entry = rec.Subject.String() + fieldSep + rec.Attr + fieldSep + value
-		} else {
-			entry = rec.Attr + fieldSep + value
-		}
+		key, entry := prov.S3MetaEntry(i, rec, rider)
 		if size+len(key)+len(entry) > budget {
 			// No metadata room left: the record goes to the spill bundle,
 			// keeping its (possibly pointer-encoded) stored form.
-			if rec.Value.Kind == prov.KindString {
-				rec.Value = prov.StringValue(value)
-			}
 			spill = append(spill, rec)
 			return nil
 		}
@@ -542,19 +515,19 @@ func (s *Store) encodeMetadata(ctx context.Context, subject prov.Ref, own, forei
 	}
 
 	for i, rec := range own {
-		if err := add(fmt.Sprintf("p-%d", i), rec, false); err != nil {
+		if err := add(i, rec, false); err != nil {
 			return nil, 0, err
 		}
 	}
 	for i, rec := range foreign {
-		if err := add(fmt.Sprintf("q-%d", i), rec, true); err != nil {
+		if err := add(i, rec, true); err != nil {
 			return nil, 0, err
 		}
 	}
 
 	gets := int64(overflowN)
 	if len(spill) > 0 {
-		bkey := bundleKey(subject)
+		bkey := core.ProvKey(subject, "bundle")
 		blob, err := prov.MarshalJSONRecords(spill)
 		if err != nil {
 			return nil, 0, err
@@ -574,116 +547,121 @@ func (s *Store) encodeMetadata(ctx context.Context, subject prov.Ref, own, forei
 	return meta, gets, nil
 }
 
-// fieldSep separates fields inside a metadata value.
-const fieldSep = "\x1f"
-
-// decodeEntry parses one metadata value, resolving overflow pointers.
-func (s *Store) decodeEntry(subject prov.Ref, key, entry string, foreign bool) (prov.Record, error) {
-	parts := strings.SplitN(entry, fieldSep, 3)
-	var attr, raw string
-	subj := subject
-	if foreign {
-		if len(parts) != 3 {
-			return prov.Record{}, fmt.Errorf("%w: foreign entry %q", prov.ErrMalformed, key)
-		}
-		ref, err := prov.ParseRef(parts[0])
-		if err != nil {
-			return prov.Record{}, err
-		}
-		subj, attr, raw = ref, parts[1], parts[2]
-	} else {
-		if len(parts) != 2 {
-			return prov.Record{}, fmt.Errorf("%w: entry %q", prov.ErrMalformed, key)
-		}
-		attr, raw = parts[0], parts[1]
-	}
-
-	okey, literal, isPtr := core.DecodeValue(raw)
-	if isPtr {
-		obj, err := s.cloud.S3.Get(s.bucket, okey)
-		if err != nil {
-			return prov.Record{}, fmt.Errorf("s3only: overflow get: %w", err)
-		}
-		literal = string(obj.Body)
-	}
-
-	if prov.IsRefAttr(attr) {
-		ref, err := prov.ParseRef(literal)
-		if err != nil {
-			return prov.Record{}, err
-		}
-		return prov.Record{Subject: subj, Attr: attr, Value: prov.RefValue(ref)}, nil
-	}
-	return prov.Record{Subject: subj, Attr: attr, Value: prov.StringValue(literal)}, nil
+// carrier is one data object as read back: its key, the version its
+// metadata records, every record that metadata carries (its own and its
+// transient riders', overflow pointers and the spill bundle resolved), and
+// the body when it was fetched by GET.
+type carrier struct {
+	key     string
+	ref     prov.Ref
+	meta    map[string]string
+	body    []byte
+	records []prov.Record
 }
 
-// decodeAll extracts every record (own and foreign) from an object's
-// metadata, resolving overflow pointers and the spill bundle.
-func (s *Store) decodeAll(object prov.ObjectID, meta map[string]string) (ref prov.Ref, records []prov.Record, err error) {
-	ver, err := strconv.Atoi(meta[metaVersion])
-	if err != nil {
-		return prov.Ref{}, nil, fmt.Errorf("%w: missing version metadata", prov.ErrMalformed)
+// own returns the carrier subject's records, without the riders'.
+func (c carrier) own() []prov.Record {
+	var out []prov.Record
+	for _, r := range c.records {
+		if r.Subject == c.ref {
+			out = append(out, r)
+		}
 	}
-	ref = prov.Ref{Object: object, Version: prov.Version(ver)}
+	return out
+}
 
-	// Deterministic order: p-* then q-* by numeric suffix, then the
-	// bundle. Indexes may be sparse — records that spilled to the bundle
-	// leave gaps — so enumerate the keys rather than counting up.
-	decodePrefix := func(prefix string, foreign bool) error {
-		var idx []int
-		for k := range meta {
-			if strings.HasPrefix(k, prefix) {
-				n, err := strconv.Atoi(strings.TrimPrefix(k, prefix))
-				if err != nil {
-					return fmt.Errorf("%w: metadata key %q", prov.ErrMalformed, k)
-				}
-				idx = append(idx, n)
+// fetchCarrier reads and decodes one data object: a HEAD ("the only way to
+// read provenance is by issuing a HEAD call on an object"), or a GET when
+// the body is wanted, plus one GET per overflow and bundle object, every
+// call under the retrier. ok is false only when the object does not exist
+// (or was deleted since it was listed); any other failure is an error — a
+// throttled call must never shorten a scan or an audit.
+func (s *Store) fetchCarrier(ctx context.Context, key string, body bool) (c carrier, ok bool, err error) {
+	c.key = key
+	if body {
+		err = s.retrier.Do(ctx, "s3only/data-get", func() error {
+			obj, gerr := s.cloud.S3.Get(s.bucket, key)
+			if gerr == nil {
+				c.meta, c.body = obj.Metadata, obj.Body
 			}
+			return gerr
+		})
+	} else {
+		err = s.retrier.Do(ctx, "s3only/data-head", func() error {
+			info, herr := s.cloud.S3.Head(s.bucket, key)
+			if herr == nil {
+				c.meta = info.Metadata
+			}
+			return herr
+		})
+	}
+	if err != nil {
+		if errors.Is(err, s3.ErrNoSuchKey) {
+			err = nil
 		}
-		sort.Ints(idx)
-		for _, n := range idx {
-			key := prefix + strconv.Itoa(n)
-			rec, err := s.decodeEntry(ref, key, meta[key], foreign)
+		return c, false, err
+	}
+	ver, err := core.StoredVersion(c.meta)
+	if err != nil {
+		return c, false, err
+	}
+	c.ref = prov.Ref{Object: core.ObjectOfKey(key), Version: ver}
+	if c.records, err = prov.DecodeS3Metadata(c.ref, c.meta); err != nil {
+		return c, false, err
+	}
+	c.records, err = core.ResolveRecords(c.records, c.meta[metaOverflow], func(pkey string) ([]byte, error) {
+		var obj *s3.Object
+		err := s.retrier.Do(ctx, "s3only/prov-get", func() error {
+			var gerr error
+			obj, gerr = s.cloud.S3.Get(s.bucket, pkey)
+			return gerr
+		})
+		if err != nil {
+			return nil, fmt.Errorf("s3only: provenance object get: %w", err)
+		}
+		return obj.Body, nil
+	})
+	return c, err == nil, err
+}
+
+// carriers is the store's one enumeration of the data prefix: LIST pages,
+// and for every listed object whose ID passes match (nil: all) one
+// fetchCarrier, at most ScanConcurrency objects of a page in flight,
+// yielded in page order. An object deleted since the LIST is skipped; the
+// first error ends the sequence. Every worker checks ctx before its fetch,
+// so cancellation mid-page stops promptly instead of draining the page's
+// remaining objects.
+func (s *Store) carriers(ctx context.Context, bodies bool, match func(prov.ObjectID) bool) iter.Seq2[carrier, error] {
+	return func(yield func(carrier, error) bool) {
+		for infos, err := range core.S3Pages(ctx, s.retrier, s.cloud.S3, s.bucket, core.DataPrefix) {
 			if err != nil {
-				return err
+				yield(carrier{}, err)
+				return
 			}
-			records = append(records, rec)
-		}
-		return nil
-	}
-	if err := decodePrefix("p-", false); err != nil {
-		return prov.Ref{}, nil, err
-	}
-	if err := decodePrefix("q-", true); err != nil {
-		return prov.Ref{}, nil, err
-	}
-	if bkey, ok := meta[metaOverflow]; ok {
-		obj, err := s.cloud.S3.Get(s.bucket, bkey)
-		if err != nil {
-			return prov.Ref{}, nil, fmt.Errorf("s3only: bundle get: %w", err)
-		}
-		spilled, err := prov.UnmarshalJSONRecords(obj.Body)
-		if err != nil {
-			return prov.Ref{}, nil, err
-		}
-		// Bundle string values carry the stored form: unescape literals
-		// and resolve overflow pointers.
-		for _, rec := range spilled {
-			if rec.Value.Kind == prov.KindString {
-				okey, literal, isPtr := core.DecodeValue(rec.Value.Str)
-				if isPtr {
-					oobj, err := s.cloud.S3.Get(s.bucket, okey)
-					if err != nil {
-						return prov.Ref{}, nil, fmt.Errorf("s3only: overflow get: %w", err)
-					}
-					literal = string(oobj.Body)
+			page := make([]carrier, len(infos))
+			fetched := make([]bool, len(infos))
+			err := core.RunLimited(ctx, len(infos), s.scanConc, func(i int) error {
+				if err := ctx.Err(); err != nil {
+					return err
 				}
-				rec.Value = prov.StringValue(literal)
+				if match != nil && !match(core.ObjectOfKey(infos[i].Key)) {
+					return nil
+				}
+				var err error
+				page[i], fetched[i], err = s.fetchCarrier(ctx, infos[i].Key, bodies)
+				return err
+			})
+			if err != nil {
+				yield(carrier{}, err)
+				return
 			}
-			records = append(records, rec)
+			for i, c := range page {
+				if fetched[i] && !yield(c, nil) {
+					return
+				}
+			}
 		}
 	}
-	return ref, records, nil
 }
 
 // Get implements core.Store. One GET returns data and metadata together, so
@@ -692,56 +670,33 @@ func (s *Store) Get(ctx context.Context, object prov.ObjectID) (*core.Object, er
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	obj, err := s.cloud.S3.Get(s.bucket, dataKey(object))
-	if err != nil {
-		if errors.Is(err, s3.ErrNoSuchKey) {
-			return nil, fmt.Errorf("%w: %s", core.ErrNotFound, object)
-		}
-		return nil, err
-	}
-	ref, records, err := s.decodeAll(object, obj.Metadata)
+	c, ok, err := s.fetchCarrier(ctx, core.DataKey(object), true)
 	if err != nil {
 		return nil, err
 	}
-	// Keep only this subject's records for the result object.
-	var own []prov.Record
-	for _, r := range records {
-		if r.Subject == ref {
-			own = append(own, r)
-		}
+	if !ok {
+		return nil, fmt.Errorf("%w: %s", core.ErrNotFound, object)
 	}
-	return &core.Object{Ref: ref, Data: obj.Body, Records: own}, nil
+	return &core.Object{Ref: c.ref, Data: c.body, Records: c.own()}, nil
 }
 
 // Provenance implements core.Store. For the current version of an object a
-// HEAD suffices ("the only way to read provenance is by issuing a HEAD call
-// on an object"); any other ref requires the full scan.
+// HEAD suffices; any other ref requires the full scan.
 func (s *Store) Provenance(ctx context.Context, ref prov.Ref) ([]prov.Record, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	info, err := s.cloud.S3.Head(s.bucket, dataKey(ref.Object))
-	if err == nil {
-		cur, records, derr := s.decodeAll(ref.Object, info.Metadata)
-		if derr != nil {
-			return nil, derr
-		}
-		if cur == ref {
-			var own []prov.Record
-			for _, r := range records {
-				if r.Subject == ref {
-					own = append(own, r)
-				}
-			}
-			return own, nil
-		}
-	} else if !errors.Is(err, s3.ErrNoSuchKey) {
+	c, ok, err := s.fetchCarrier(ctx, core.DataKey(ref.Object), false)
+	if err != nil {
 		return nil, err
+	}
+	if ok && c.ref == ref {
+		return c.own(), nil
 	}
 
 	// Older version or transient subject: only the repository graph (the
 	// warm snapshot, else one scan) knows it.
-	g, err := s.scanGraph(ctx)
+	g, err := s.ProvenanceGraph(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -752,115 +707,35 @@ func (s *Store) Provenance(ctx context.Context, ref prov.Ref) ([]prov.Record, er
 	return append([]prov.Record(nil), g.Records(ref)...), nil
 }
 
-// head fetches one listed object's metadata under the retrier. ok is false
-// only when the object was deleted between LIST and HEAD; any other failure
-// is an error — a throttled HEAD must never shorten a scan or an audit.
-func (s *Store) head(ctx context.Context, key string) (info *s3.Info, ok bool, err error) {
-	err = s.retrier.Do(ctx, "s3only/scan-head", func() error {
-		var herr error
-		info, herr = s.cloud.S3.Head(s.bucket, key)
-		return herr
-	})
-	if errors.Is(err, s3.ErrNoSuchKey) {
-		return nil, false, nil
-	}
-	return info, err == nil, err
-}
-
-// scanPage HEADs and decodes one LIST page with bounded concurrency,
-// returning each object's records in page order (nil for an object deleted
-// since the LIST). Every worker checks ctx before each HEAD, so
-// cancellation mid-page stops promptly instead of draining the page's
-// remaining objects.
-func (s *Store) scanPage(ctx context.Context, infos []s3.Info) ([][]prov.Record, error) {
-	out := make([][]prov.Record, len(infos))
-	err := core.RunLimited(ctx, len(infos), s.scanConc, func(i int) error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		head, ok, err := s.head(ctx, infos[i].Key)
-		if err != nil || !ok {
-			return err
-		}
-		object := prov.ObjectID(strings.TrimPrefix(infos[i].Key, dataPrefix))
-		_, out[i], err = s.decodeAll(object, head.Metadata)
-		return err
-	})
-	return out, err
-}
-
-// scanSeq is the live repository scan: LIST pages, parallel HEADs within
-// each page, entries yielded in page order. Cancellation is honored per
-// object, not per page.
+// scanSeq is the live repository scan: every carrier's records, one entry
+// per subject the carrier holds, in page order.
 func (s *Store) scanSeq(ctx context.Context) iter.Seq2[core.Entry, error] {
 	return func(yield func(core.Entry, error) bool) {
-		for infos, err := range core.S3Pages(ctx, s.retrier, s.cloud.S3, s.bucket, dataPrefix) {
+		for c, err := range s.carriers(ctx, false, nil) {
 			if err != nil {
 				yield(core.Entry{}, err)
 				return
 			}
-			results, err := s.scanPage(ctx, infos)
-			if err != nil {
-				yield(core.Entry{}, err)
-				return
-			}
-			for _, records := range results {
-				var subjects []prov.Ref
-				bySubject := make(map[prov.Ref][]prov.Record)
-				for _, r := range records {
-					if _, ok := bySubject[r.Subject]; !ok {
-						subjects = append(subjects, r.Subject)
-					}
-					bySubject[r.Subject] = append(bySubject[r.Subject], r)
-				}
-				for _, subject := range subjects {
-					if !yield(core.Entry{Ref: subject, Records: bySubject[subject]}, nil) {
-						return
-					}
+			subjects, records := bySubject(c.records)
+			for _, subject := range subjects {
+				if !yield(core.Entry{Ref: subject, Records: records[subject]}, nil) {
+					return
 				}
 			}
 		}
 	}
-}
-
-// buildGraph materializes the scan into a provenance graph.
-func (s *Store) buildGraph(ctx context.Context) (*prov.Graph, error) {
-	g := prov.NewGraph()
-	for entry, err := range s.scanSeq(ctx) {
-		if err != nil {
-			return nil, err
-		}
-		g.AddAll(entry.Records)
-	}
-	return g, nil
-}
-
-// snapshot returns the cached graph, building it (singleflight) on a miss.
-func (s *Store) snapshot(ctx context.Context) (*prov.Graph, error) {
-	return s.cache.Graph(ctx, s.buildGraph)
 }
 
 // CacheStats exposes the snapshot cache counters (zero when disabled).
-func (s *Store) CacheStats() qcache.Stats {
-	if s.cache == nil {
-		return qcache.Stats{}
-	}
-	return s.cache.Stats()
-}
+func (s *Store) CacheStats() qcache.Stats { return s.cache.Stats() }
 
-// scanGraph builds the full provenance graph, from the snapshot cache when
-// enabled.
-func (s *Store) scanGraph(ctx context.Context) (*prov.Graph, error) {
-	if s.cache != nil {
-		return s.snapshot(ctx)
-	}
-	return s.buildGraph(ctx)
-}
-
-// ProvenanceGraph implements core.GraphQuerier: the repository graph,
-// shared from the snapshot cache when warm. Read-only.
+// ProvenanceGraph implements core.GraphQuerier: the repository graph, one
+// scan materialized, shared from the snapshot cache (singleflight on a
+// miss) when enabled. Read-only.
 func (s *Store) ProvenanceGraph(ctx context.Context) (*prov.Graph, error) {
-	return s.scanGraph(ctx)
+	return s.cache.Graph(ctx, func(ctx context.Context) (*prov.Graph, error) {
+		return core.CollectGraph(s.scanSeq(ctx))
+	})
 }
 
 // Query implements core.Querier. Every descriptor here costs at most one
@@ -882,37 +757,33 @@ func (s *Store) StampToken() string { return s.stamp().Token() }
 
 // runQuery executes one non-paginated descriptor.
 func (s *Store) runQuery(ctx context.Context, q prov.Query, yield func(core.Entry, error) bool) {
-	if !q.HasFilters() && q.Direction == prov.TraverseNone && q.Projection == prov.ProjectFull {
+	q1 := !q.HasFilters() && q.Direction == prov.TraverseNone && q.Projection == prov.ProjectFull
+	if q1 && !s.cache.Enabled() {
 		// Q.1 — "iterate over the provenance of every object in the
 		// repository": LIST pages, bounded-concurrency HEADs per page, one
 		// GET per overflow/bundle object, the cost Table 3 charges this
 		// architecture for every query class. Uncached it is the live paged
 		// scan, one LIST page resident at a time, and a subject whose records
-		// rode several carrier PUTs streams in pieces; cached it is the
-		// (built-if-needed) snapshot, one entry per subject, zero cloud ops
-		// when warm.
-		if s.cache == nil {
-			s.scanSeq(ctx)(yield)
-			return
-		}
-		g, err := s.snapshot(ctx)
-		if err != nil {
-			yield(core.Entry{}, err)
-			return
-		}
+		// rode several carrier PUTs streams in pieces.
+		s.scanSeq(ctx)(yield)
+		return
+	}
+	// Cached Q.1 reads the (built-if-needed) snapshot, one entry per
+	// subject, zero cloud ops when warm. Anything filtered or traversed
+	// needs whole subjects (records can split across carrier PUTs) and
+	// possibly reverse edges: materialize the graph from the same single
+	// scan and evaluate in memory.
+	g, err := s.ProvenanceGraph(ctx)
+	if err != nil {
+		yield(core.Entry{}, err)
+		return
+	}
+	if q1 {
 		for _, subject := range g.Subjects() {
 			if !yield(core.Entry{Ref: subject, Records: g.Records(subject)}, nil) {
 				return
 			}
 		}
-		return
-	}
-	// Anything filtered or traversed needs whole subjects (records can
-	// split across carrier PUTs) and possibly reverse edges: materialize
-	// the graph from the same single scan and evaluate in memory.
-	g, err := s.scanGraph(ctx)
-	if err != nil {
-		yield(core.Entry{}, err)
 		return
 	}
 	for _, e := range core.EvalQuery(g, q) {
@@ -930,7 +801,7 @@ func (s *Store) Explain(q prov.Query) core.QueryPlan {
 	// catalog never sees other writers' objects.
 	p := core.QueryPlan{Arch: s.Name(), Exact: s.tracker.Foreign() == 0}
 	return core.Explain(p, q, s, &s.pins, func(p *core.QueryPlan, _ prov.Query) {
-		if s.cache != nil && s.cache.Warm() {
+		if s.cache.Warm() {
 			p.Strategy = "snapshot"
 			p.Cached = true
 			p.AddStep("-", "snapshot", 0, "warm snapshot: zero cloud ops")
@@ -977,13 +848,12 @@ func (s *Store) sync(ctx context.Context) error {
 		s.foreign = append(foreign, s.foreign...)
 		s.mu.Unlock()
 	}
-	meta, gets, err := s.encodeMetadata(ctx, subject, nil, foreign)
+	p, err := s.assemble(ctx, subject, []byte{'.'}, nil, foreign)
 	if err != nil {
 		restore()
 		return err
 	}
-	s.mintRider(dataKey(subject.Object), subject, nil, foreign, meta)
-	if err := s.putCarrier(ctx, "s3only/pnode-put", dataKey(subject.Object), []byte{'.'}, meta); err != nil {
+	if err := s.land(ctx, "s3only/pnode-put", p); err != nil {
 		// The records did not persist: put them back so a later Sync
 		// retries them, and release the marker sequence number so that
 		// retry targets the same key (an overwrite, never a duplicate
@@ -996,7 +866,6 @@ func (s *Store) sync(ctx context.Context) error {
 		s.mu.Unlock()
 		return fmt.Errorf("s3only: pnode put: %w", err)
 	}
-	s.catalog.Observe(dataKey(subject.Object), gets)
 	return nil
 }
 
@@ -1008,31 +877,17 @@ func (s *Store) sync(ctx context.Context) error {
 // legitimately vanish and a missing predecessor is not a divergence.
 func (s *Store) Audit(ctx context.Context) (*integrity.Audit, error) {
 	a := &integrity.Audit{Entries: make(map[prov.Ref][]prov.Record)}
-	for infos, err := range core.S3Pages(ctx, s.retrier, s.cloud.S3, s.bucket, dataPrefix) {
+	for c, err := range s.carriers(ctx, false, nil) {
 		if err != nil {
 			return nil, err
 		}
-		for _, info := range infos {
-			head, ok, err := s.head(ctx, info.Key)
-			if err != nil {
-				return nil, err
+		if tok, ok := c.meta[integrity.AttrRoot]; ok {
+			if cp, err := integrity.ParseCheckpoint(tok); err == nil {
+				a.Checkpoints = append(a.Checkpoints, cp)
 			}
-			if !ok {
-				continue
-			}
-			if tok, ok := head.Metadata[integrity.AttrRoot]; ok {
-				if cp, err := integrity.ParseCheckpoint(tok); err == nil {
-					a.Checkpoints = append(a.Checkpoints, cp)
-				}
-			}
-			object := prov.ObjectID(strings.TrimPrefix(info.Key, dataPrefix))
-			_, records, err := s.decodeAll(object, head.Metadata)
-			if err != nil {
-				return nil, err
-			}
-			for _, r := range records {
-				a.Entries[r.Subject] = append(a.Entries[r.Subject], r)
-			}
+		}
+		for _, r := range c.records {
+			a.Entries[r.Subject] = append(a.Entries[r.Subject], r)
 		}
 	}
 	return a, nil

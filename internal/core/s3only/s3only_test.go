@@ -519,6 +519,65 @@ func TestThrottledHeadNeverShortensScanOrAudit(t *testing.T) {
 	}
 }
 
+// TestThrottledGetNeverFailsReads: the GETs behind a read — the overflow
+// and bundle objects of a scan or an audit, the data object of Get — and
+// Provenance's HEAD ride the retrier like every other call, so one
+// throttled request is absorbed; a permanent fault surfaces as an error,
+// never as a shorter result.
+func TestThrottledGetNeverFailsReads(t *testing.T) {
+	ctx := context.Background()
+	faults := sim.NewFaultPlan()
+	cl := cloud.New(cloud.Config{Seed: 1, Faults: faults})
+	st, err := New(Config{Cloud: cl})
+	if err != nil {
+		t.Fatal(err)
+	}
+	big := prov.Ref{Object: "/big"}
+	if err := core.Put(ctx, st, fileEvent("/big", 0, "x", prov.NewString(big, prov.AttrEnv, strings.Repeat("E", 1500)))); err != nil {
+		t.Fatal(err)
+	}
+	loadN(t, st, 2)
+
+	arm := func(op string, class sim.FaultClass) { faults.ArmOp(op, class, 0, 1) }
+	arm("s3/GET", sim.ClassTransient)
+	for _, phase := range []string{"cold", "warm"} {
+		all, err := core.CollectBySubject(st.Query(ctx, prov.Q1()))
+		if err != nil || len(all) != 3 || len(all[big]) != 3 {
+			t.Fatalf("%s Q.1 under a one-shot GET fault = %d subjects, %d records of %s, %v; want 3, 3", phase, len(all), len(all[big]), big, err)
+		}
+	}
+	arm("s3/GET", sim.ClassTransient)
+	if audit, err := st.Audit(ctx); err != nil || len(audit.Entries) != 3 {
+		t.Fatalf("Audit under a one-shot GET fault = %d subjects, %v; want 3", len(audit.Entries), err)
+	}
+	arm("s3/GET", sim.ClassTransient)
+	if obj, err := st.Get(ctx, "/big"); err != nil || len(obj.Records) != 3 {
+		t.Fatalf("Get under a one-shot GET fault = %v, %v; want 3 records", obj, err)
+	}
+	arm("s3/HEAD", sim.ClassTransient)
+	if records, err := st.Provenance(ctx, big); err != nil || len(records) != 3 {
+		t.Fatalf("Provenance under a one-shot HEAD fault = %d records, %v; want 3", len(records), err)
+	}
+
+	// A permanent fault is an error, never a shorter result.
+	loadN(t, st, 3) // one more object; invalidates the snapshot
+	arm("s3/GET", sim.ClassPermanent)
+	if all, err := core.CollectBySubject(st.Query(ctx, prov.Q1())); err == nil {
+		t.Fatalf("Q.1 under a permanent GET fault returned %d subjects and no error", len(all))
+	}
+	arm("s3/GET", sim.ClassPermanent)
+	if audit, err := st.Audit(ctx); err == nil {
+		t.Fatalf("Audit under a permanent GET fault returned %d subjects and no error", len(audit.Entries))
+	}
+	arm("s3/GET", sim.ClassPermanent)
+	if obj, err := st.Get(ctx, "/big"); err == nil {
+		t.Fatalf("Get under a permanent GET fault returned %v and no error", obj)
+	}
+	if all, err := core.CollectBySubject(st.Query(ctx, prov.Q1())); err != nil || len(all) != 4 {
+		t.Fatalf("Q.1 after the faults cleared = %d subjects, %v; want 4", len(all), err)
+	}
+}
+
 func TestParallelScanMatchesSequential(t *testing.T) {
 	ctx := context.Background()
 	var want map[prov.Ref][]prov.Record

@@ -235,11 +235,11 @@ func (s *Store) putBatch(ctx context.Context, batch []pass.FlushEvent) error {
 			continue
 		}
 		meta := map[string]string{
-			sdbprov.MetaNonce:   d.nonce,
-			sdbprov.MetaVersion: strconv.Itoa(int(d.ev.Ref.Version)),
+			core.MetaNonce:   d.nonce,
+			core.MetaVersion: strconv.Itoa(int(d.ev.Ref.Version)),
 		}
 		err := s.Layer().Retrier().Do(ctx, "s3sdb/data-put", func() error {
-			return s.cloud.S3.Put(s.Layer().Bucket(), sdbprov.DataKey(d.ev.Ref.Object), d.ev.Data, meta)
+			return s.cloud.S3.Put(s.Layer().Bucket(), core.DataKey(d.ev.Ref.Object), d.ev.Data, meta)
 		})
 		if err != nil {
 			return core.PartialWrite(landed, fmt.Errorf("s3sdb: data put: %w", err))
@@ -283,13 +283,9 @@ func (s *Store) orphanScan(ctx context.Context) ([]prov.Ref, error) {
 
 	// Pass 1: collect candidates without deleting anything.
 	var candidates []prov.Ref
-	for name, err := range s.Layer().SelectItems(ctx, sdbprov.AttrMD5) {
+	for ref, err := range s.Layer().Subjects(ctx, sdbprov.AttrMD5) {
 		if err != nil {
 			return nil, err
-		}
-		ref, err := prov.ParseItemName(name)
-		if err != nil {
-			continue
 		}
 		orphan, err := s.isOrphan(ref)
 		if err != nil {
@@ -344,18 +340,18 @@ func (s *Store) orphanScan(ctx context.Context) ([]prov.Ref, error) {
 // isOrphan checks whether a persistent item's data is missing or older than
 // the provenance claims.
 func (s *Store) isOrphan(ref prov.Ref) (bool, error) {
-	info, err := s.cloud.S3.Head(s.Layer().Bucket(), sdbprov.DataKey(ref.Object))
+	info, err := s.cloud.S3.Head(s.Layer().Bucket(), core.DataKey(ref.Object))
 	if err != nil {
 		if errors.Is(err, s3.ErrNoSuchKey) {
 			return true, nil
 		}
 		return false, err
 	}
-	ver, err := strconv.Atoi(info.Metadata[sdbprov.MetaVersion])
+	ver, err := core.StoredVersion(info.Metadata)
 	if err != nil {
 		return true, nil // data without version metadata cannot back an item
 	}
-	return prov.Version(ver) < ref.Version, nil
+	return ver < ref.Version, nil
 }
 
 var (

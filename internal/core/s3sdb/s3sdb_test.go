@@ -13,8 +13,8 @@ import (
 
 	"passcloud/internal/cloud"
 	"passcloud/internal/cloud/billing"
+	"passcloud/internal/cloud/sdb"
 	"passcloud/internal/core"
-	"passcloud/internal/core/sdbprov"
 	"passcloud/internal/pass"
 	"passcloud/internal/prov"
 	"passcloud/internal/sim"
@@ -355,13 +355,58 @@ func TestVerifiedGetSurfacesNoProvenance(t *testing.T) {
 	// ErrNoProvenance, not as a silent success.
 	st, cl := newTestStore(t, nil, 0)
 	ctx := context.Background()
-	meta := map[string]string{sdbprov.MetaNonce: "0-abcd", sdbprov.MetaVersion: "0"}
-	if err := cl.S3.Put(st.Layer().Bucket(), sdbprov.DataKey("/bare"), []byte("x"), meta); err != nil {
+	meta := map[string]string{core.MetaNonce: "0-abcd", core.MetaVersion: "0"}
+	if err := cl.S3.Put(st.Layer().Bucket(), core.DataKey("/bare"), []byte("x"), meta); err != nil {
 		t.Fatal(err)
 	}
 	_, err := st.Get(ctx, "/bare")
 	if !errors.Is(err, core.ErrNoProvenance) {
 		t.Fatalf("err = %v, want ErrNoProvenance", err)
+	}
+}
+
+// TestForgedVersionSpellingIsForeign: an item named with a non-canonical
+// version spelling ("/f_00") is a foreign item, not an alias of /f:0 — the
+// scan must yield /f:0 once, with its own records, and the audit must file
+// the real records under it.
+func TestForgedVersionSpellingIsForeign(t *testing.T) {
+	ctx := context.Background()
+	cl := cloud.New(cloud.Config{Seed: 1})
+	st, err := New(Config{Cloud: cl, DisableQueryCache: true}) // the live scan, item by item
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := core.Put(ctx, st, fileEvent("/f", 0, "x")); err != nil {
+		t.Fatal(err)
+	}
+	forged := []sdb.ReplaceableAttr{{Name: prov.AttrName, Value: "forged"}}
+	for _, alias := range []string{"/f_00", "/f_+0", "/f_-0"} {
+		if err := cl.SDB.PutAttributes(st.Layer().Domain(), alias, forged); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f0 := prov.Ref{Object: "/f"}
+	yields := 0
+	for entry, err := range st.Query(ctx, prov.Query{}) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		if entry.Ref != f0 {
+			t.Fatalf("scan yielded %s; only %s is a subject", entry.Ref, f0)
+		}
+		yields++
+	}
+	if yields != 1 {
+		t.Fatalf("scan yielded %s %d times, want once", f0, yields)
+	}
+	audit, err := st.Audit(ctx)
+	if err != nil || len(audit.Entries) != 1 {
+		t.Fatalf("audit = %d subjects, %v; want 1", len(audit.Entries), err)
+	}
+	for _, r := range audit.Entries[f0] {
+		if r.Value.Str == "forged" {
+			t.Fatalf("audit filed the forged record under %s: %v", f0, audit.Entries[f0])
+		}
 	}
 }
 

@@ -5,12 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strconv"
 	"time"
 
 	"passcloud/internal/cloud"
 	"passcloud/internal/cloud/s3"
 	"passcloud/internal/cloud/sqs"
+	"passcloud/internal/core"
 	"passcloud/internal/core/sdbprov"
 	"passcloud/internal/prov"
 	"passcloud/internal/sim"
@@ -459,11 +459,11 @@ func (d *CommitDaemon) staleReplay(tx *txState, dm walMessage) (bool, error) {
 		}
 		return false, err
 	}
-	live, err := strconv.Atoi(info.Metadata[sdbprov.MetaVersion])
+	live, err := core.StoredVersion(info.Metadata)
 	if err != nil {
 		return false, nil // unversioned foreign object: let COPY decide
 	}
-	return live > dm.Version, nil
+	return int(live) > dm.Version, nil
 }
 
 // PendingTransactions reports how many transactions are partially

@@ -210,13 +210,13 @@ func (s *Store) putBatch(ctx context.Context, batch []pass.FlushEvent) error {
 				TxID:    txid,
 				Kind:    kindData,
 				TmpKey:  tmpKey,
-				RealKey: sdbprov.DataKey(ev.Ref.Object),
+				RealKey: core.DataKey(ev.Ref.Object),
 				Nonce:   nonce,
 				Version: int(ev.Ref.Version),
 			})
 			tmps = append(tmps, tmpPut{key: tmpKey, data: ev.Data, meta: map[string]string{
-				sdbprov.MetaNonce:   nonce,
-				sdbprov.MetaVersion: strconv.Itoa(int(ev.Ref.Version)),
+				core.MetaNonce:   nonce,
+				core.MetaVersion: strconv.Itoa(int(ev.Ref.Version)),
 			}})
 		}
 		for _, chunk := range chunks {

@@ -52,7 +52,7 @@ func (l *Layer) explainInto(p *core.QueryPlan, q prov.Query) {
 		}
 		refs, _ := l.nativeRefs(x, q) // the catalog executor never fails
 		if q.Projection == prov.ProjectFull {
-			if l.warmGraph() != nil {
+			if l.cache.Warm() {
 				p.AddStep("-", "snapshot", 0, "records from the warm snapshot")
 				return
 			}
@@ -68,7 +68,7 @@ func (l *Layer) explainInto(p *core.QueryPlan, q prov.Query) {
 // explainScan predicts the full-repository pass (or reports the warm
 // snapshot).
 func (l *Layer) explainScan(p *core.QueryPlan, note string) {
-	if l.cache != nil && l.cache.Warm() {
+	if l.cache.Warm() {
 		p.Cached = true
 		p.AddStep("-", "snapshot", 0, "warm snapshot: zero cloud ops")
 		return
@@ -83,9 +83,7 @@ func (l *Layer) explainScan(p *core.QueryPlan, note string) {
 
 // memoizedRefs reports whether q's reference set is memoized at the
 // current generation.
-func (l *Layer) memoizedRefs(q prov.Query) bool {
-	return l.cache != nil && l.cache.HasRefs(refsMemoKey(q))
-}
+func (l *Layer) memoizedRefs(q prov.Query) bool { return l.cache.HasRefs(refsMemoKey(q)) }
 
 // catalogExec runs the native refs pipeline against the planner catalog,
 // accumulating predicted steps into p. mute suppresses the accounting

@@ -43,52 +43,26 @@ type arcPayload struct {
 	datas []arcData
 }
 
-// scanItemNames calls fn for every item of the domain that parses as a
-// subject and whose object matches the predicate.
-func (l *Layer) scanItemNames(ctx context.Context, match func(prov.ObjectID) bool, fn func(item string, ref prov.Ref) error) error {
-	for name, err := range l.SelectItems(ctx, ItemNames) {
-		if err != nil {
-			return err
-		}
-		ref, perr := prov.ParseItemName(name)
-		if perr != nil || !match(ref.Object) {
-			continue // the ledger item never parses: never a subject
-		}
-		if err := fn(name, ref); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // ExportArc implements core.Migrator.
 func (l *Layer) ExportArc(ctx context.Context, match func(prov.ObjectID) bool) (*core.ArcExport, error) {
 	exp := &core.ArcExport{}
 	payload := &arcPayload{}
 	dataObjects := make(map[prov.ObjectID]bool)
-	err := l.scanItemNames(ctx, match, func(item string, ref prov.Ref) error {
-		records, md5hex, ok, err := l.FetchItem(ctx, ref)
+	for it, err := range l.items(ctx, false, match) {
 		if err != nil {
-			return err
+			return nil, err
 		}
-		if !ok {
-			return nil // deleted between Select and GetAttributes
-		}
-		payload.items = append(payload.items, arcItem{subject: ref, records: records, md5: md5hex})
-		exp.Subjects = append(exp.Subjects, ref)
+		payload.items = append(payload.items, arcItem{subject: it.ref, records: it.records, md5: it.md5})
+		exp.Subjects = append(exp.Subjects, it.ref)
 		exp.Objects++
-		for _, rec := range records {
+		for _, rec := range it.records {
 			if rec.Value.Kind == prov.KindString {
 				exp.Bytes += int64(len(rec.Value.Str))
 			}
 		}
-		if md5hex != "" {
-			dataObjects[ref.Object] = true
+		if it.md5 != "" {
+			dataObjects[it.ref.Object] = true
 		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
 	// Data bodies travel verbatim: the nonce in the metadata is what the
 	// copied consistency records hash over.
@@ -97,7 +71,7 @@ func (l *Layer) ExportArc(ctx context.Context, match func(prov.ObjectID) bool) (
 			continue
 		}
 		delete(dataObjects, it.subject.Object) // one object, one data key
-		key := DataKey(it.subject.Object)
+		key := core.DataKey(it.subject.Object)
 		var obj *s3.Object
 		err := l.retrier.Do(ctx, "sdbprov/reshard-data-get", func() error {
 			var gerr error
@@ -155,14 +129,17 @@ func (l *Layer) ImportArc(ctx context.Context, exp *core.ArcExport) error {
 func (l *Layer) RemoveArc(ctx context.Context, match func(prov.ObjectID) bool) (int, error) {
 	removed := 0
 	err := l.TrackWrites(func() error {
+		// Names only: removal fetches no attributes.
 		var items []string
 		var refs []prov.Ref
-		if err := l.scanItemNames(ctx, match, func(item string, ref prov.Ref) error {
-			items = append(items, item)
-			refs = append(refs, ref)
-			return nil
-		}); err != nil {
-			return err
+		for ref, err := range l.Subjects(ctx, ItemNames) {
+			if err != nil {
+				return err
+			}
+			if match(ref.Object) {
+				items = append(items, prov.EncodeItemName(ref))
+				refs = append(refs, ref)
+			}
 		}
 		// Phantom slots: a ledger entry whose item is already gone (a
 		// tampered-away item the Select can no longer surface).
@@ -186,7 +163,7 @@ func (l *Layer) RemoveArc(ctx context.Context, match func(prov.ObjectID) bool) (
 		seenObject := make(map[prov.ObjectID]bool)
 		for i, item := range items {
 			// Overflow and spill objects all live under the item's prefix.
-			if err := core.DeleteS3Prefix(ctx, l.retrier, l.cfg.Cloud.S3, l.cfg.Bucket, OverflowPrefix+"/"+item+"/"); err != nil {
+			if err := core.DeleteS3Prefix(ctx, l.retrier, l.cfg.Cloud.S3, l.cfg.Bucket, core.ProvKey(refs[i], "")); err != nil {
 				return err
 			}
 			err := l.retrier.Do(ctx, "sdbprov/reshard-delete-item", func() error {
@@ -200,7 +177,7 @@ func (l *Layer) RemoveArc(ctx context.Context, match func(prov.ObjectID) bool) (
 			if object := refs[i].Object; !seenObject[object] {
 				seenObject[object] = true
 				err := l.retrier.Do(ctx, "sdbprov/reshard-delete-data", func() error {
-					return l.cfg.Cloud.S3.Delete(l.cfg.Bucket, DataKey(object))
+					return l.cfg.Cloud.S3.Delete(l.cfg.Bucket, core.DataKey(object))
 				})
 				if err != nil {
 					return fmt.Errorf("sdbprov: reshard delete data: %w", err)

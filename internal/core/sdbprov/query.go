@@ -3,7 +3,6 @@ package sdbprov
 import (
 	"context"
 	"iter"
-	"slices"
 	"strings"
 
 	"passcloud/internal/cloud/sdb"
@@ -132,11 +131,11 @@ func (l *Layer) runQuery(ctx context.Context, q prov.Query, yield func(core.Entr
 	case l.seedPlanOf(q) == seedAll && q.Direction == prov.TraverseNone && q.Projection == prov.ProjectFull:
 		// Q.1: the live one-query-per-item scan when uncached, else the
 		// (built-if-needed) snapshot — zero cloud ops when warm.
-		if l.cache == nil {
+		if !l.cache.Enabled() {
 			l.scanSeq(ctx)(yield)
 			return
 		}
-		g, err := l.snapshot(ctx)
+		g, err := l.ProvenanceGraph(ctx)
 		if err != nil {
 			yield(core.Entry{}, err)
 			return
@@ -162,7 +161,7 @@ func (l *Layer) runQuery(ctx context.Context, q prov.Query, yield func(core.Entr
 		}
 		// Full projection: fetch the matched items only — never the rest
 		// of the repository (the pushdown dividend).
-		g := l.warmGraph()
+		g := l.cache.PeekGraph()
 		for _, r := range refs {
 			var records []prov.Record
 			if g != nil {
@@ -187,27 +186,15 @@ func (l *Layer) runQuery(ctx context.Context, q prov.Query, yield func(core.Entr
 	}
 }
 
-// warmGraph returns the resident snapshot when valid, else nil.
-func (l *Layer) warmGraph() *prov.Graph {
-	if l.cache == nil {
-		return nil
-	}
-	return l.cache.PeekGraph()
-}
-
 // refsFor computes q's matched references on the live domain, memoized
 // under the descriptor's canonical key for the current write generation.
 func (l *Layer) refsFor(ctx context.Context, q prov.Query) ([]prov.Ref, error) {
-	compute := func(ctx context.Context) ([]prov.Ref, error) {
+	refs, err := l.cache.Refs(ctx, refsMemoKey(q), func(ctx context.Context) ([]prov.Ref, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		return l.nativeRefs(liveExec{l: l, ctx: ctx}, q)
-	}
-	if l.cache == nil {
-		return compute(ctx)
-	}
-	refs, err := l.cache.Refs(ctx, refsMemoKey(q), compute)
+	})
 	return qcache.CopyRefs(refs), err
 }
 
@@ -400,13 +387,11 @@ func (x liveExec) dependentsOfPrefix(prefix string) ([]prov.Ref, error) {
 // listRefs reads Select itemName() — names only, no attribute fetch.
 func (x liveExec) listRefs() ([]prov.Ref, error) {
 	var out []prov.Ref
-	for name, err := range x.l.SelectItems(x.ctx, ItemNames) {
+	for ref, err := range x.l.Subjects(x.ctx, ItemNames) {
 		if err != nil {
 			return nil, err
 		}
-		if ref, err := prov.ParseItemName(name); err == nil { // else a foreign item in a shared domain
-			out = append(out, ref)
-		}
+		out = append(out, ref)
 	}
 	return out, nil
 }
@@ -533,16 +518,10 @@ func (l *Layer) queryRefsMatching(ctx context.Context, expr string, filters []pr
 			if err != nil {
 				continue
 			}
-			var riding []prov.Record
-			for _, a := range item.Attrs {
-				if !slices.Contains(attrNames, a.Name) {
-					continue
-				}
-				rec, err := l.decodeStored(ctx, ref, a.Name, a.Value)
-				if err != nil {
-					return nil, err
-				}
-				riding = append(riding, rec)
+			// The response carries the riding attributes only.
+			riding, err := l.decodeRecords(ctx, ref, item.Attrs, "")
+			if err != nil {
+				return nil, err
 			}
 			if matchesAll(riding, filters) {
 				out = append(out, ref)

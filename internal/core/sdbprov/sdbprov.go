@@ -67,32 +67,16 @@ const (
 // skips it like any other foreign item.
 const LedgerItem = "x-ledger"
 
-// Reserved S3 metadata keys on data objects.
-const (
-	// MetaNonce is the nonce used in the consistency record. "The nonce is
-	// typically the file version" plus entropy against reuse.
-	MetaNonce = "x-nonce"
-	// MetaVersion is the version of the stored data.
-	MetaVersion = "x-ver"
-)
-
-// Key layout within the bucket.
-const (
-	// DataPrefix prefixes data object keys.
-	DataPrefix = "data"
-	// OverflowPrefix prefixes >1 KB record-value objects.
-	OverflowPrefix = "prov"
-)
-
-// ignoreAttrs are bookkeeping attributes skipped when decoding provenance.
-var ignoreAttrs = map[string]bool{AttrMD5: true, AttrMore: true, integrity.AttrRoot: true}
+// reservedAttrs are the bookkeeping attributes of an item: everything else
+// on it is a provenance record.
+var reservedAttrs = map[string]bool{AttrMD5: true, AttrMore: true, integrity.AttrRoot: true}
 
 // Config parameterizes a Layer.
 type Config struct {
 	// Cloud supplies S3 and SimpleDB. Required.
 	Cloud *cloud.Cloud
 	// Bucket and Domain name the S3 bucket and SimpleDB domain; both are
-	// created if missing. Defaults: "pass" / "provenance".
+	// created if missing. Defaults: core.DefaultBucket / core.DefaultDomain.
 	Bucket string
 	Domain string
 	// Faults optionally injects crashes inside multi-step writes.
@@ -154,10 +138,10 @@ func New(cfg Config) (*Layer, error) {
 		return nil, errors.New("sdbprov: Config.Cloud is required")
 	}
 	if cfg.Bucket == "" {
-		cfg.Bucket = "pass"
+		cfg.Bucket = core.DefaultBucket
 	}
 	if cfg.Domain == "" {
-		cfg.Domain = "provenance"
+		cfg.Domain = core.DefaultDomain
 	}
 	if cfg.QueryChunk <= 0 {
 		cfg.QueryChunk = 32
@@ -214,12 +198,7 @@ func (l *Layer) ForeignWrites() uint64 { return l.tracker.Foreign() }
 func (l *Layer) InvalidateQueries() { l.gen.Bump() }
 
 // CacheStats exposes the query-cache counters (zero when disabled).
-func (l *Layer) CacheStats() qcache.Stats {
-	if l.cache == nil {
-		return qcache.Stats{}
-	}
-	return l.cache.Stats()
-}
+func (l *Layer) CacheStats() qcache.Stats { return l.cache.Stats() }
 
 // ConsistencyWait blocks (in simulated time) for one full propagation
 // horizon, the wait a client performs before trusting that a negative read
@@ -245,14 +224,6 @@ func (l *Layer) Bucket() string { return l.cfg.Bucket }
 // Domain returns the SimpleDB domain name.
 func (l *Layer) Domain() string { return l.cfg.Domain }
 
-// DataKey returns the S3 key holding an object's data.
-func DataKey(object prov.ObjectID) string { return DataPrefix + string(object) }
-
-// overflowKey names the S3 object holding one >1 KB record value.
-func (l *Layer) overflowKey(subject prov.Ref, n int) string {
-	return fmt.Sprintf("%s/%s/%d", OverflowPrefix, prov.EncodeItemName(subject), n)
-}
-
 // ConsistencyMD5 computes the §4.2 consistency record: MD5 of the data
 // concatenated with the nonce. "The MD5sum of the data itself (without the
 // nonce) is sufficient ... except when a file is overwritten with the same
@@ -264,40 +235,32 @@ func ConsistencyMD5(data []byte, nonce string) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// EncodeValues prepares records for storage: string values over 1 KB are
-// written to their own S3 objects (their PUTs count toward the paper's op
-// totals) and replaced by pointers; smaller literals are escaped. The
-// returned records carry the stored form and can travel through the WAL or
-// go straight to WriteEncodedBatch.
+// EncodeValues prepares records for storage (core.EncodeValue): string
+// values over 1 KB are written to their own S3 objects (their PUTs count
+// toward the paper's op totals) and replaced by pointers; smaller literals
+// are escaped. The returned records carry the stored form and can travel
+// through the WAL or go straight to WriteEncodedBatch.
 func (l *Layer) EncodeValues(ctx context.Context, subject prov.Ref, records []prov.Record, faultPrefix string) ([]prov.Record, error) {
 	out := make([]prov.Record, len(records))
 	overflowN := 0
+	putOverflow := func(v string) (string, error) {
+		okey := core.ProvKey(subject, strconv.Itoa(overflowN))
+		overflowN++
+		// Re-PUT of the same key/content is idempotent, so a retry
+		// after a lost response cannot double-apply.
+		err := l.retrier.Do(ctx, "sdbprov/overflow-put", func() error {
+			return l.cfg.Cloud.S3.Put(l.cfg.Bucket, okey, []byte(v), nil)
+		})
+		if err != nil {
+			return "", fmt.Errorf("sdbprov: overflow put: %w", err)
+		}
+		return okey, l.cfg.Faults.Check(faultPrefix + "/after-overflow-put")
+	}
 	for i, rec := range records {
-		if rec.Value.Kind != prov.KindString {
-			out[i] = rec
-			continue
+		var err error
+		if out[i], err = core.EncodeValue(rec, putOverflow); err != nil {
+			return nil, err
 		}
-		value := rec.Value.Str
-		if len(value) > core.OverflowThreshold {
-			okey := l.overflowKey(subject, overflowN)
-			overflowN++
-			// Re-PUT of the same key/content is idempotent, so a retry
-			// after a lost response cannot double-apply.
-			err := l.retrier.Do(ctx, "sdbprov/overflow-put", func() error {
-				return l.cfg.Cloud.S3.Put(l.cfg.Bucket, okey, []byte(value), nil)
-			})
-			if err != nil {
-				return nil, fmt.Errorf("sdbprov: overflow put: %w", err)
-			}
-			if err := l.cfg.Faults.Check(faultPrefix + "/after-overflow-put"); err != nil {
-				return nil, err
-			}
-			value = core.PointerValue(okey)
-		} else {
-			value = core.EscapeLiteral(value)
-		}
-		rec.Value = prov.StringValue(value)
-		out[i] = rec
 	}
 	return out, nil
 }
@@ -311,8 +274,6 @@ func (l *Layer) EncodeValues(ctx context.Context, subject prov.Ref, records []pr
 // only once the SimpleDB write succeeds, so a failed write cannot leave a
 // phantom item skewing Explain.
 func (l *Layer) buildAttrs(ctx context.Context, subject prov.Ref, encoded []prov.Record, md5hex, rootToken, faultPrefix string) (attrs []sdb.ReplaceableAttr, observe func(), err error) {
-	item := prov.EncodeItemName(subject)
-
 	// Reserve room for the bookkeeping attributes.
 	reserved := 1 // AttrMore slot
 	if md5hex != "" {
@@ -331,7 +292,8 @@ func (l *Layer) buildAttrs(ctx context.Context, subject prov.Ref, encoded []prov
 
 	attrs = make([]sdb.ReplaceableAttr, 0, len(inline)+reserved)
 	for _, rec := range inline {
-		attrs = append(attrs, sdb.ReplaceableAttr{Name: rec.Attr, Value: rec.Value.String()})
+		a := prov.SDBAttrOf(rec)
+		attrs = append(attrs, sdb.ReplaceableAttr{Name: a.Name, Value: a.Value})
 	}
 	if md5hex != "" {
 		attrs = append(attrs, sdb.ReplaceableAttr{Name: AttrMD5, Value: md5hex, Replace: true})
@@ -345,7 +307,7 @@ func (l *Layer) buildAttrs(ctx context.Context, subject prov.Ref, encoded []prov
 		if err != nil {
 			return nil, nil, err
 		}
-		mkey := fmt.Sprintf("%s/%s/more", OverflowPrefix, item)
+		mkey := core.ProvKey(subject, "more")
 		err = l.retrier.Do(ctx, "sdbprov/spill-put", func() error {
 			return l.cfg.Cloud.S3.Put(l.cfg.Bucket, mkey, blob, nil)
 		})
@@ -513,103 +475,78 @@ func (l *Layer) WriteEncodedBatch(ctx context.Context, writes []ItemWrite, fault
 	return partial(flushGroup())
 }
 
-// FetchItem retrieves and decodes a subject's provenance. ok is false when
-// the item is not (yet) visible.
-func (l *Layer) FetchItem(ctx context.Context, subject prov.Ref) (records []prov.Record, md5hex string, ok bool, err error) {
-	item := prov.EncodeItemName(subject)
+// storedItem is one item of the domain as read back. Bookkeeping items
+// (the ledger item, foreign items in a shared domain) carry a rider at most.
+type storedItem struct {
+	name string
+	// ref is the subject the item name parses to; subject is false for a
+	// bookkeeping item.
+	ref     prov.Ref
+	subject bool
+	// records are the subject's provenance, value pointers and the spill
+	// object resolved; md5 is its consistency record (empty on transient
+	// subjects), rider its integrity checkpoint token, if any.
+	records    []prov.Record
+	md5, rider string
+}
+
+// fetchItem reads one item — a GetAttributes under the retrier — and, for a
+// subject, decodes its attributes (prov.DecodeSDBAttrs) and resolves value
+// pointers and the spill object (one GET each). ok is false when the item
+// is not (yet) visible.
+func (l *Layer) fetchItem(ctx context.Context, it storedItem) (_ storedItem, ok bool, err error) {
 	var attrs []sdb.Attr
 	err = l.retrier.Do(ctx, "sdbprov/get-attributes", func() error {
 		var gerr error
-		attrs, ok, gerr = l.cfg.Cloud.SDB.GetAttributes(l.cfg.Domain, item)
+		attrs, ok, gerr = l.cfg.Cloud.SDB.GetAttributes(l.cfg.Domain, it.name)
 		return gerr
 	})
 	if err != nil || !ok {
-		return nil, "", ok, err
+		return it, false, err
 	}
-	records, md5hex, _, err = l.decodeAttrs(ctx, subject, attrs)
-	if err != nil {
-		return nil, "", false, err
-	}
-	return records, md5hex, true, nil
-}
-
-// decodeAttrs converts stored attributes back into records, resolving value
-// pointers (one GET each) and the item-spill object if present. rootToken
-// is the item's integrity checkpoint rider, if any.
-func (l *Layer) decodeAttrs(ctx context.Context, subject prov.Ref, attrs []sdb.Attr) ([]prov.Record, string, string, error) {
-	var md5hex, moreKey, rootToken string
-	out := make([]prov.Record, 0, len(attrs))
+	var moreKey string
 	for _, a := range attrs {
 		switch a.Name {
 		case AttrMD5:
-			md5hex = a.Value
-			continue
+			it.md5 = a.Value
 		case AttrMore:
 			moreKey = a.Value
-			continue
 		case integrity.AttrRoot:
-			rootToken = a.Value
-			continue
+			it.rider = a.Value
 		}
-		rec, err := l.decodeStored(ctx, subject, a.Name, a.Value)
-		if err != nil {
-			return nil, "", "", err
-		}
-		out = append(out, rec)
 	}
-	if moreKey != "" {
+	if !it.subject {
+		return it, true, nil
+	}
+	it.records, err = l.decodeRecords(ctx, it.ref, attrs, moreKey)
+	return it, err == nil, err
+}
+
+// decodeRecords converts a subject's stored attributes back into records.
+func (l *Layer) decodeRecords(ctx context.Context, subject prov.Ref, attrs []sdb.Attr, moreKey string) ([]prov.Record, error) {
+	records, err := prov.DecodeSDBAttrs(subject, attrs, reservedAttrs)
+	if err != nil {
+		return nil, fmt.Errorf("sdbprov: %w", err)
+	}
+	return core.ResolveRecords(records, moreKey, func(key string) ([]byte, error) {
 		var obj *s3.Object
-		err := l.retrier.Do(ctx, "sdbprov/spill-get", func() error {
+		err := l.retrier.Do(ctx, "sdbprov/prov-get", func() error {
 			var gerr error
-			obj, gerr = l.cfg.Cloud.S3.Get(l.cfg.Bucket, moreKey)
+			obj, gerr = l.cfg.Cloud.S3.Get(l.cfg.Bucket, key)
 			return gerr
 		})
 		if err != nil {
-			return nil, "", "", fmt.Errorf("sdbprov: spill get: %w", err)
+			return nil, fmt.Errorf("sdbprov: provenance object get: %w", err)
 		}
-		spilled, err := prov.UnmarshalJSONRecords(obj.Body)
-		if err != nil {
-			return nil, "", "", err
-		}
-		for _, rec := range spilled {
-			if rec.Value.Kind == prov.KindString {
-				// Spilled string values carry the stored form.
-				resolved, err := l.decodeStored(ctx, subject, rec.Attr, rec.Value.Str)
-				if err != nil {
-					return nil, "", "", err
-				}
-				rec = resolved
-			}
-			out = append(out, rec)
-		}
-	}
-	return out, md5hex, rootToken, nil
+		return obj.Body, nil
+	})
 }
 
-// decodeStored turns one stored attribute value back into a record,
-// resolving pointers and unescaping literals.
-func (l *Layer) decodeStored(ctx context.Context, subject prov.Ref, attr, raw string) (prov.Record, error) {
-	if !prov.IsRefAttr(attr) {
-		okey, literal, isPtr := core.DecodeValue(raw)
-		if isPtr {
-			var obj *s3.Object
-			err := l.retrier.Do(ctx, "sdbprov/overflow-get", func() error {
-				var gerr error
-				obj, gerr = l.cfg.Cloud.S3.Get(l.cfg.Bucket, okey)
-				return gerr
-			})
-			if err != nil {
-				return prov.Record{}, fmt.Errorf("sdbprov: overflow get: %w", err)
-			}
-			literal = string(obj.Body)
-		}
-		return prov.Record{Subject: subject, Attr: attr, Value: prov.StringValue(literal)}, nil
-	}
-	ref, err := prov.ParseRef(raw)
-	if err != nil {
-		return prov.Record{}, fmt.Errorf("sdbprov: %w", err)
-	}
-	return prov.Record{Subject: subject, Attr: attr, Value: prov.RefValue(ref)}, nil
+// FetchItem retrieves and decodes a subject's provenance. ok is false when
+// the item is not (yet) visible.
+func (l *Layer) FetchItem(ctx context.Context, subject prov.Ref) (records []prov.Record, md5hex string, ok bool, err error) {
+	it, ok, err := l.fetchItem(ctx, storedItem{name: prov.EncodeItemName(subject), ref: subject, subject: true})
+	return it.records, it.md5, ok, err
 }
 
 // VerifiedGet implements the §4.2 read protocol: retrieve the data and its
@@ -633,7 +570,7 @@ func (l *Layer) VerifiedGet(ctx context.Context, object prov.ObjectID) (*core.Ob
 		var obj *s3.Object
 		err := l.retrier.Do(ctx, "sdbprov/data-get", func() error {
 			var gerr error
-			obj, gerr = l.cfg.Cloud.S3.Get(l.cfg.Bucket, DataKey(object))
+			obj, gerr = l.cfg.Cloud.S3.Get(l.cfg.Bucket, core.DataKey(object))
 			return gerr
 		})
 		if err != nil {
@@ -643,13 +580,13 @@ func (l *Layer) VerifiedGet(ctx context.Context, object prov.ObjectID) (*core.Ob
 			}
 			return nil, err
 		}
-		nonce := obj.Metadata[MetaNonce]
-		ver, verr := strconv.Atoi(obj.Metadata[MetaVersion])
+		nonce := obj.Metadata[core.MetaNonce]
+		ver, verr := core.StoredVersion(obj.Metadata)
 		if verr != nil {
 			lastErr = fmt.Errorf("%w: data missing version metadata", core.ErrNoProvenance)
 			continue
 		}
-		ref := prov.Ref{Object: object, Version: prov.Version(ver)}
+		ref := prov.Ref{Object: object, Version: ver}
 
 		records, md5hex, ok, err := l.FetchItem(ctx, ref)
 		if err != nil {
@@ -712,56 +649,77 @@ func (l *Layer) SelectItems(ctx context.Context, output string) iter.Seq2[string
 	}
 }
 
-// scanSeq is the live repository scan: "there is no way for SimpleDB to
-// generalize the query and needs to issue one query per item" (§5, Q.1).
-// Pagination keeps one Select page plus one item resident at a time.
+// Subjects enumerates the subjects among SelectItems' names: the ledger
+// item and foreign items of a shared domain do not parse and are skipped.
+func (l *Layer) Subjects(ctx context.Context, output string) iter.Seq2[prov.Ref, error] {
+	return func(yield func(prov.Ref, error) bool) {
+		for name, err := range l.SelectItems(ctx, output) {
+			ref, perr := prov.ParseItemName(name)
+			if err == nil && perr != nil {
+				continue
+			}
+			if !yield(ref, err) || err != nil {
+				return
+			}
+		}
+	}
+}
+
+// items is the layer's one enumeration of stored items: SelectItems, then
+// one fetchItem per subject whose object passes match (nil: all) — and, with
+// bookkeeping set, per item that is no subject too, for the rider it may
+// carry. "There is no way for SimpleDB to generalize the query and needs to
+// issue one query per item" (§5, Q.1). Pagination keeps one Select page plus
+// one item resident at a time; an item deleted since the Select is skipped,
+// and ctx is honored before each fetch.
+func (l *Layer) items(ctx context.Context, bookkeeping bool, match func(prov.ObjectID) bool) iter.Seq2[storedItem, error] {
+	return func(yield func(storedItem, error) bool) {
+		for name, err := range l.SelectItems(ctx, ItemNames) {
+			if err == nil {
+				err = ctx.Err()
+			}
+			if err != nil {
+				yield(storedItem{}, err)
+				return
+			}
+			ref, perr := prov.ParseItemName(name)
+			wanted := bookkeeping
+			if perr == nil {
+				wanted = match == nil || match(ref.Object)
+			}
+			if !wanted {
+				continue
+			}
+			it, ok, err := l.fetchItem(ctx, storedItem{name: name, ref: ref, subject: perr == nil})
+			if err != nil {
+				yield(storedItem{}, err)
+				return
+			}
+			if ok && !yield(it, nil) {
+				return
+			}
+		}
+	}
+}
+
+// scanSeq is the live repository scan.
 func (l *Layer) scanSeq(ctx context.Context) iter.Seq2[core.Entry, error] {
 	return func(yield func(core.Entry, error) bool) {
-		for name, err := range l.SelectItems(ctx, ItemNames) {
-			if err != nil {
-				yield(core.Entry{}, err)
-				return
-			}
-			ref, err := prov.ParseItemName(name)
-			if err != nil {
-				continue // foreign item in a shared domain
-			}
-			records, _, ok, err := l.FetchItem(ctx, ref)
-			if err != nil {
-				yield(core.Entry{}, err)
-				return
-			}
-			if ok && !yield(core.Entry{Ref: ref, Records: records}, nil) {
+		for it, err := range l.items(ctx, false, nil) {
+			if !yield(core.Entry{Ref: it.ref, Records: it.records}, err) || err != nil {
 				return
 			}
 		}
 	}
 }
 
-// buildGraph materializes the scan into a provenance graph.
-func (l *Layer) buildGraph(ctx context.Context) (*prov.Graph, error) {
-	g := prov.NewGraph()
-	for entry, err := range l.scanSeq(ctx) {
-		if err != nil {
-			return nil, err
-		}
-		g.AddAll(entry.Records)
-	}
-	return g, nil
-}
-
-// snapshot returns the cached graph, building it (singleflight) on a miss.
-func (l *Layer) snapshot(ctx context.Context) (*prov.Graph, error) {
-	return l.cache.Graph(ctx, l.buildGraph)
-}
-
-// ProvenanceGraph returns the repository graph, shared from the snapshot
-// cache when warm. Read-only.
+// ProvenanceGraph returns the repository graph, one scan materialized,
+// shared from the snapshot cache (singleflight on a miss) when enabled.
+// Read-only.
 func (l *Layer) ProvenanceGraph(ctx context.Context) (*prov.Graph, error) {
-	if l.cache != nil {
-		return l.snapshot(ctx)
-	}
-	return l.buildGraph(ctx)
+	return l.cache.Graph(ctx, func(ctx context.Context) (*prov.Graph, error) {
+		return core.CollectGraph(l.scanSeq(ctx))
+	})
 }
 
 // --- integrity (chain/ledger/audit) -----------------------------------------
@@ -802,52 +760,19 @@ func (l *Layer) Audit(ctx context.Context) (*integrity.Audit, error) {
 		Entries:        make(map[prov.Ref][]prov.Record),
 		RetainsHistory: true, // items are per-version and never reclaimed
 	}
-	addCheckpoint := func(token string) {
-		if token == "" {
-			return
+	for it, err := range l.items(ctx, true, nil) {
+		if err != nil {
+			return nil, err
 		}
-		// A rider that no longer parses was tampered with; dropping it
-		// surfaces as a stale or missing checkpoint downstream.
-		if cp, err := integrity.ParseCheckpoint(token); err == nil {
+		if it.subject {
+			a.Entries[it.ref] = it.records
+		}
+		// A rider that no longer parses was tampered with; dropping it (like
+		// an item that carries none) surfaces as a stale or missing
+		// checkpoint downstream.
+		if cp, err := integrity.ParseCheckpoint(it.rider); err == nil {
 			a.Checkpoints = append(a.Checkpoints, cp)
 		}
-	}
-	for name, err := range l.SelectItems(ctx, ItemNames) {
-		if err == nil {
-			err = ctx.Err()
-		}
-		if err != nil {
-			return nil, err
-		}
-		var attrs []sdb.Attr
-		var ok bool
-		err = l.retrier.Do(ctx, "sdbprov/audit-get", func() error {
-			var gerr error
-			attrs, ok, gerr = l.cfg.Cloud.SDB.GetAttributes(l.cfg.Domain, name)
-			return gerr
-		})
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			continue
-		}
-		ref, perr := prov.ParseItemName(name)
-		if perr != nil {
-			// The ledger item (or a foreign item): harvest any rider.
-			for _, at := range attrs {
-				if at.Name == integrity.AttrRoot {
-					addCheckpoint(at.Value)
-				}
-			}
-			continue
-		}
-		records, _, rider, err := l.decodeAttrs(ctx, ref, attrs)
-		if err != nil {
-			return nil, err
-		}
-		a.Entries[ref] = records
-		addCheckpoint(rider)
 	}
 	return a, nil
 }

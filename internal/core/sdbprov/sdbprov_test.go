@@ -175,8 +175,8 @@ func TestVerifiedGetHappyPath(t *testing.T) {
 	}, ConsistencyMD5(data, nonce), "t"); err != nil {
 		t.Fatal(err)
 	}
-	meta := map[string]string{MetaNonce: nonce, MetaVersion: "4"}
-	if err := cl.S3.Put(layer.Bucket(), DataKey("/v"), data, meta); err != nil {
+	meta := map[string]string{core.MetaNonce: nonce, core.MetaVersion: "4"}
+	if err := cl.S3.Put(layer.Bucket(), core.DataKey("/v"), data, meta); err != nil {
 		t.Fatal(err)
 	}
 	obj, err := layer.VerifiedGet(context.Background(), "/v")
@@ -198,8 +198,8 @@ func TestVerifiedGetDetectsTamperedData(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The data stored does not match the consistency record.
-	meta := map[string]string{MetaNonce: nonce, MetaVersion: "0"}
-	if err := cl.S3.Put(layer.Bucket(), DataKey("/tampered"), []byte("doctored"), meta); err != nil {
+	meta := map[string]string{core.MetaNonce: nonce, core.MetaVersion: "0"}
+	if err := cl.S3.Put(layer.Bucket(), core.DataKey("/tampered"), []byte("doctored"), meta); err != nil {
 		t.Fatal(err)
 	}
 	_, err := layer.VerifiedGet(context.Background(), "/tampered")
@@ -223,8 +223,8 @@ func TestVerifiedGetRetriesAcrossPropagation(t *testing.T) {
 	subject := ref("/slow", 0)
 	data := []byte("slow data")
 	nonce := "0-slow"
-	meta := map[string]string{MetaNonce: nonce, MetaVersion: "0"}
-	if err := cl.S3.Put(layer.Bucket(), DataKey("/slow"), data, meta); err != nil {
+	meta := map[string]string{core.MetaNonce: nonce, core.MetaVersion: "0"}
+	if err := cl.S3.Put(layer.Bucket(), core.DataKey("/slow"), data, meta); err != nil {
 		t.Fatal(err)
 	}
 	if err := writeItem(context.Background(), layer, subject, []prov.Record{

@@ -32,18 +32,12 @@ import (
 	"strings"
 
 	"passcloud/internal/cloud/sdb"
+	"passcloud/internal/core"
 	"passcloud/internal/core/integrity"
 	"passcloud/internal/core/sdbprov"
 	"passcloud/internal/prov"
 	"passcloud/internal/sim"
 )
-
-// s3FieldSep mirrors the attr/value separator of the S3-only metadata
-// encoding (s3only.fieldSep).
-const s3FieldSep = "\x1f"
-
-// s3Bucket is the S3-only architecture's default bucket.
-const s3Bucket = "pass"
 
 // appliedCorruption records one applied (or skipped) corruption. shard is
 // -1 when no victim existed for the drawn kind.
@@ -138,15 +132,12 @@ type sdbItem struct {
 // like the ledger, are excluded) in canonical name order.
 func (e *env) sdbItems(ctx context.Context, se *shardEnv, violations *[]string) []sdbItem {
 	var items []sdbItem
-	for name, err := range se.layer.SelectItems(ctx, sdbprov.ItemNames) {
+	for ref, err := range se.layer.Subjects(ctx, sdbprov.ItemNames) {
 		if err != nil {
 			*violations = append(*violations, fmt.Sprintf("corruption enumerate select failed: %v", err))
 			return nil
 		}
-		ref, err := prov.ParseItemName(name)
-		if err != nil {
-			continue
-		}
+		name := prov.EncodeItemName(ref)
 		attrs, ok, err := se.cloud.SDB.GetAttributes(se.layer.Domain(), name)
 		if err != nil || !ok {
 			continue
@@ -170,20 +161,20 @@ type s3Object struct {
 
 // s3Objects enumerates one shard's data objects in canonical key order.
 func (e *env) s3Objects(se *shardEnv, violations *[]string) []s3Object {
-	infos, err := se.cloud.S3.ListAll(s3Bucket, dataPrefixS3)
+	infos, err := se.cloud.S3.ListAll(core.DefaultBucket, core.DataPrefix)
 	if err != nil {
 		*violations = append(*violations, fmt.Sprintf("corruption enumerate list failed: %v", err))
 		return nil
 	}
 	var objs []s3Object
 	for _, info := range infos {
-		obj, err := se.cloud.S3.Get(s3Bucket, info.Key)
+		obj, err := se.cloud.S3.Get(core.DefaultBucket, info.Key)
 		if err != nil {
 			continue // deleted between LIST and GET
 		}
 		o := s3Object{key: info.Key, body: obj.Body, meta: obj.Metadata}
 		for k := range o.meta {
-			if strings.HasPrefix(k, "p-") {
+			if strings.HasPrefix(k, prov.S3OwnPrefix) {
 				o.pKeys = append(o.pKeys, k)
 			}
 		}
@@ -193,9 +184,6 @@ func (e *env) s3Objects(se *shardEnv, violations *[]string) []s3Object {
 	sort.Slice(objs, func(i, j int) bool { return objs[i].key < objs[j].key })
 	return objs
 }
-
-// dataPrefixS3 mirrors the S3-only data key prefix.
-const dataPrefixS3 = "data"
 
 // corruptFlipByte mutates one stored chain token.
 func (e *env) corruptFlipByte(ctx context.Context, rng *sim.RNG, violations *[]string) appliedCorruption {
@@ -244,7 +232,7 @@ func (e *env) corruptFlipByte(ctx context.Context, rng *sim.RNG, violations *[]s
 	for si, se := range e.shards {
 		for _, o := range e.s3Objects(se, violations) {
 			for _, k := range o.pKeys {
-				if strings.HasPrefix(o.meta[k], integrity.AttrChain+s3FieldSep) {
+				if strings.HasPrefix(o.meta[k], integrity.AttrChain+prov.S3FieldSep) {
 					victims = append(victims, victim{shard: si, key: o.key, metaKey: k})
 				}
 			}
@@ -262,12 +250,12 @@ func (e *env) corruptFlipByte(ctx context.Context, rng *sim.RNG, violations *[]s
 	se := e.shards[v.shard]
 	desc := fmt.Sprintf("flip-byte shard %d object %s entry %s", v.shard, v.key, v.metaKey)
 	e.rawWrite(desc, violations, func() error {
-		obj, err := se.cloud.S3.Get(s3Bucket, v.key)
+		obj, err := se.cloud.S3.Get(core.DefaultBucket, v.key)
 		if err != nil {
 			return err
 		}
 		obj.Metadata[v.metaKey] = mutateTail(obj.Metadata[v.metaKey])
-		return se.cloud.S3.Put(s3Bucket, v.key, obj.Body, obj.Metadata)
+		return se.cloud.S3.Put(core.DefaultBucket, v.key, obj.Body, obj.Metadata)
 	})
 	return appliedCorruption{shard: v.shard, desc: desc}
 }
@@ -367,13 +355,13 @@ func (e *env) corruptSwapVersion(ctx context.Context, rng *sim.RNG, violations *
 	se := e.shards[v.shard]
 	desc := fmt.Sprintf("swap-version shard %d object %s (forged version stamp)", v.shard, v.key)
 	e.rawWrite(desc, violations, func() error {
-		obj, err := se.cloud.S3.Get(s3Bucket, v.key)
+		obj, err := se.cloud.S3.Get(core.DefaultBucket, v.key)
 		if err != nil {
 			return err
 		}
-		ver, _ := strconv.Atoi(obj.Metadata["x-ver"])
-		obj.Metadata["x-ver"] = strconv.Itoa(ver + 1)
-		return se.cloud.S3.Put(s3Bucket, v.key, obj.Body, obj.Metadata)
+		ver, _ := core.StoredVersion(obj.Metadata)
+		obj.Metadata[core.MetaVersion] = strconv.Itoa(int(ver) + 1)
+		return se.cloud.S3.Put(core.DefaultBucket, v.key, obj.Body, obj.Metadata)
 	})
 	return appliedCorruption{shard: v.shard, desc: desc}
 }
@@ -441,12 +429,12 @@ func (e *env) corruptDropRecord(ctx context.Context, rng *sim.RNG, violations *[
 	se := e.shards[v.shard]
 	desc := fmt.Sprintf("drop-record shard %d object %s entry %s", v.shard, v.key, v.metaKey)
 	e.rawWrite(desc, violations, func() error {
-		obj, err := se.cloud.S3.Get(s3Bucket, v.key)
+		obj, err := se.cloud.S3.Get(core.DefaultBucket, v.key)
 		if err != nil {
 			return err
 		}
 		delete(obj.Metadata, v.metaKey)
-		return se.cloud.S3.Put(s3Bucket, v.key, obj.Body, obj.Metadata)
+		return se.cloud.S3.Put(core.DefaultBucket, v.key, obj.Body, obj.Metadata)
 	})
 	return appliedCorruption{shard: v.shard, desc: desc}
 }

@@ -256,23 +256,11 @@ type env struct {
 }
 
 // settle advances simulated time past the replication horizon on every
-// namespace.
-func (e *env) settle() {
-	if e.multi != nil {
-		e.multi.Settle()
-		return
-	}
-	e.single.Settle()
-}
+// namespace: they share one clock and one horizon.
+func (e *env) settle() { e.shards[0].cloud.Settle() }
 
 // advance moves the (shared) virtual clock forward.
-func (e *env) advance(d time.Duration) {
-	if e.multi != nil {
-		e.multi.Clock().Advance(d)
-		return
-	}
-	e.single.Clock.Advance(d)
-}
+func (e *env) advance(d time.Duration) { e.shards[0].cloud.Clock.Advance(d) }
 
 const daemonVisibility = 10 * time.Second
 
@@ -321,8 +309,7 @@ func buildEnv(cfg Config, faults *sim.FaultPlan) (*env, error) {
 func (e *env) compose(n int, cfg arch.Config) (*arch.Sharded, error) {
 	if e.multi == nil {
 		cfg.Cloud = e.single
-		st, _, err := arch.Build(cfg)
-		return &arch.Sharded{Store: st, Members: []shard.Store{st}, Clouds: []*cloud.Cloud{e.single}}, err
+		return arch.Compose(cfg)
 	}
 	return arch.BuildSharded(e.multi, n, func(i int) (string, arch.Config) {
 		return fmt.Sprintf("shard%d", i), cfg
@@ -713,10 +700,10 @@ func (e *env) runMigration(ctx context.Context, cfg Config, rng *sim.RNG, faults
 				}
 			} else {
 				for _, o := range e.s3Objects(src, &res.Violations) {
-					if !match(prov.ObjectID(strings.TrimPrefix(o.key, dataPrefixS3))) {
+					if !match(core.ObjectOfKey(o.key)) {
 						continue
 					}
-					return dst.cloud.S3.Delete(s3Bucket, o.key)
+					return dst.cloud.S3.Delete(core.DefaultBucket, o.key)
 				}
 			}
 			return fmt.Errorf("sweep: no moved record set to tamper with")
@@ -877,21 +864,18 @@ func (e *env) checkInvariants(ctx context.Context, cfg Config, sys *pass.System,
 			continue
 		}
 		// (2) no data object without a provenance item for its version.
-		infos, err := se.cloud.S3.ListAll(se.layer.Bucket(), sdbprov.DataPrefix)
+		infos, err := se.cloud.S3.ListAll(se.layer.Bucket(), core.DataPrefix)
 		if err != nil {
 			v = append(v, fmt.Sprintf("shard %d: data listing failed: %v", si, err))
 		}
 		for _, info := range infos {
-			object := prov.ObjectID(strings.TrimPrefix(info.Key, sdbprov.DataPrefix))
 			full, err := se.cloud.S3.Head(se.layer.Bucket(), info.Key)
 			if err != nil {
 				v = append(v, fmt.Sprintf("shard %d: %s: head failed: %v", si, info.Key, err))
 				continue
 			}
-			verStr := full.Metadata[sdbprov.MetaVersion]
-			var ver int
-			fmt.Sscanf(verStr, "%d", &ver)
-			ref := prov.Ref{Object: object, Version: prov.Version(ver)}
+			ver, _ := core.StoredVersion(full.Metadata)
+			ref := prov.Ref{Object: core.ObjectOfKey(info.Key), Version: ver}
 			_, _, ok, err := se.layer.FetchItem(ctx, ref)
 			if err != nil {
 				v = append(v, fmt.Sprintf("shard %d: %s: provenance fetch failed: %v", si, ref, err))
@@ -966,29 +950,23 @@ func (e *env) checkInvariants(ctx context.Context, cfg Config, sys *pass.System,
 // missing or older than the item claims.
 func (e *env) orphanItems(ctx context.Context, se *shardEnv, si int, v *[]string) []prov.Ref {
 	var orphans []prov.Ref
-	for name, err := range se.layer.SelectItems(ctx, sdbprov.ItemNames) {
+	for ref, err := range se.layer.Subjects(ctx, sdbprov.ItemNames) {
 		if err != nil {
 			*v = append(*v, fmt.Sprintf("shard %d: orphan scan select failed: %v", si, err))
 			return orphans
-		}
-		ref, err := prov.ParseItemName(name)
-		if err != nil {
-			continue
 		}
 		_, md5hex, ok, err := se.layer.FetchItem(ctx, ref)
 		if err != nil || !ok || md5hex == "" {
 			continue
 		}
-		info, err := se.cloud.S3.Head(se.layer.Bucket(), sdbprov.DataKey(ref.Object))
+		info, err := se.cloud.S3.Head(se.layer.Bucket(), core.DataKey(ref.Object))
 		if err != nil {
 			if errors.Is(err, s3.ErrNoSuchKey) {
 				orphans = append(orphans, ref)
 			}
 			continue
 		}
-		var ver int
-		fmt.Sscanf(info.Metadata[sdbprov.MetaVersion], "%d", &ver)
-		if prov.Version(ver) < ref.Version {
+		if ver, _ := core.StoredVersion(info.Metadata); ver < ref.Version {
 			orphans = append(orphans, ref)
 		}
 	}
@@ -1031,20 +1009,16 @@ func (e *env) digest(ctx context.Context) string {
 
 	for si, se := range e.shards {
 		if se.layer != nil {
-			for name, err := range se.layer.SelectItems(ctx, sdbprov.ItemNames) {
+			for ref, err := range se.layer.Subjects(ctx, sdbprov.ItemNames) {
 				if err != nil {
 					fmt.Fprintf(h, "shard%d select-err %v\n", si, err)
 					break
-				}
-				ref, err := prov.ParseItemName(name)
-				if err != nil {
-					continue
 				}
 				records, md5hex, ok, err := se.layer.FetchItem(ctx, ref)
 				if err != nil || !ok {
 					continue
 				}
-				entries = append(entries, fmt.Sprintf("shard%d item %s md5=%s\n%s", si, name, md5hex, canonRecords(records)))
+				entries = append(entries, fmt.Sprintf("shard%d item %s md5=%s\n%s", si, prov.EncodeItemName(ref), md5hex, canonRecords(records)))
 			}
 		} else if q, ok := se.store.(core.Querier); ok {
 			all, err := core.CollectBySubject(q.Query(ctx, prov.Q1()))
@@ -1055,18 +1029,18 @@ func (e *env) digest(ctx context.Context) string {
 			}
 		}
 
-		bucket := "pass"
+		bucket := core.DefaultBucket
 		if se.layer != nil {
 			bucket = se.layer.Bucket()
 		}
-		if infos, err := se.cloud.S3.ListAll(bucket, "data"); err == nil {
+		if infos, err := se.cloud.S3.ListAll(bucket, core.DataPrefix); err == nil {
 			for _, info := range infos {
 				obj, err := se.cloud.S3.Get(bucket, info.Key)
 				if err != nil {
 					continue
 				}
 				sum := sha256.Sum256(obj.Body)
-				entries = append(entries, fmt.Sprintf("shard%d data %s ver=%s sha=%s", si, info.Key, obj.Metadata["x-ver"], hex.EncodeToString(sum[:8])))
+				entries = append(entries, fmt.Sprintf("shard%d data %s ver=%s sha=%s", si, info.Key, obj.Metadata[core.MetaVersion], hex.EncodeToString(sum[:8])))
 			}
 		}
 	}

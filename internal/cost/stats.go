@@ -17,6 +17,7 @@ package cost
 import (
 	"context"
 
+	"passcloud/internal/core"
 	"passcloud/internal/pass"
 	"passcloud/internal/prov"
 )
@@ -79,7 +80,7 @@ func (c *Collector) flushOne(ev pass.FlushEvent) {
 		c.Stats.ProvS3Bytes += size + 5
 		// SimpleDB form: attribute name + value.
 		c.Stats.ProvSDBBytes += size
-		if r.Value.Size() > 1024 {
+		if r.Value.Size() > core.OverflowThreshold {
 			c.Stats.BigRecords++
 		}
 	}

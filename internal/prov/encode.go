@@ -3,7 +3,7 @@ package prov
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -19,71 +19,110 @@ import (
 //     valid Unicode within SQS's 8 KB message limit.
 //
 // Every encoding round-trips: Decode(Encode(records)) == records up to
-// record order within a subject.
+// record order within a subject. The S3 and SimpleDB forms carry string
+// values as the caller hands them over — the stores hand over the stored
+// form (core.EncodeValue) and resolve what decoding returns
+// (core.ResolveRecords); see ARCHITECTURE.md "Stored layout".
 
 // --- S3 metadata form -------------------------------------------------------
 
-// s3KeyPrefix namespaces provenance entries in S3 user metadata.
-const s3KeyPrefix = "p-"
+// The S3 metadata form's spelling. An object's own records sit under
+// S3OwnPrefix keys as "<attr>\x1f<value>"; records about other subjects —
+// the transient ancestors riding the object's PUT — sit under
+// S3ForeignPrefix keys as "<subject>\x1f<attr>\x1f<value>". Both prefixes
+// are followed by the record's index in canonical decimal.
+const (
+	S3OwnPrefix     = "p-"
+	S3ForeignPrefix = "q-"
+	// S3FieldSep separates the fields of one metadata value. The unit
+	// separator cannot appear in attribute names.
+	S3FieldSep = "\x1f"
+)
 
-// s3FieldSep separates attribute name from value inside one metadata value.
-// Unit separator cannot appear in attribute names.
-const s3FieldSep = "\x1f"
+// S3MetaEntry renders record i of a carrier as one metadata key and value.
+// The value is written as it stands: string values must already be in
+// stored form (escaped literal or overflow pointer). An own record's
+// subject is implied by the object the metadata is stored on, matching the
+// paper's design where provenance rides on the object's own PUT.
+func S3MetaEntry(i int, r Record, foreign bool) (key, value string) {
+	if foreign {
+		return S3ForeignPrefix + strconv.Itoa(i), r.Subject.String() + S3FieldSep + r.Attr + S3FieldSep + r.Value.String()
+	}
+	return S3OwnPrefix + strconv.Itoa(i), r.Attr + S3FieldSep + r.Value.String()
+}
 
 // EncodeS3Metadata renders records about a single subject as S3 user
-// metadata: key "p-<n>", value "<attr>\x1f<value>". The subject itself is
-// implied by the object the metadata is stored on, matching the paper's
-// design where provenance rides on the object's own PUT.
+// metadata, one S3MetaEntry each.
 func EncodeS3Metadata(records []Record) map[string]string {
 	out := make(map[string]string, len(records))
 	for i, r := range records {
-		out[s3MetaKey(i)] = r.Attr + s3FieldSep + r.Value.String()
+		k, v := S3MetaEntry(i, r, false)
+		out[k] = v
 	}
 	return out
 }
 
-func s3MetaKey(i int) string { return s3KeyPrefix + strconv.Itoa(i) }
-
-// DecodeS3Metadata reverses EncodeS3Metadata for the given subject. Unknown
-// (non provenance-prefixed) keys are ignored so protocol metadata (nonces,
-// overflow pointers) can share the map.
+// DecodeS3Metadata extracts every record a carrier's metadata holds: own
+// entries (about subject) by index, then foreign entries by index. Indexes
+// may be sparse — records that spilled to a bundle leave gaps. Keys outside
+// the two prefixes are ignored, so protocol metadata (version, checkpoint,
+// bundle pointer) shares the map. String values come back in stored form.
 func DecodeS3Metadata(subject Ref, meta map[string]string) ([]Record, error) {
-	// Collect in key order for determinism.
-	keys := make([]string, 0, len(meta))
-	for k := range meta {
-		if strings.HasPrefix(k, s3KeyPrefix) {
-			keys = append(keys, k)
-		}
+	type slot struct {
+		foreign bool
+		n       int
+		key     string
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		// Numeric ordering of the suffix, so p-10 follows p-9.
-		a, _ := strconv.Atoi(strings.TrimPrefix(keys[i], s3KeyPrefix))
-		b, _ := strconv.Atoi(strings.TrimPrefix(keys[j], s3KeyPrefix))
-		return a < b
+	slots := make([]slot, 0, len(meta))
+	for k := range meta {
+		suffix, foreign := strings.CutPrefix(k, S3ForeignPrefix)
+		if !foreign {
+			var own bool
+			if suffix, own = strings.CutPrefix(k, S3OwnPrefix); !own {
+				continue
+			}
+		}
+		n, ok := parseVersion(suffix)
+		if !ok {
+			return nil, fmt.Errorf("%w: metadata key %q", ErrMalformed, k)
+		}
+		slots = append(slots, slot{foreign, int(n), k})
+	}
+	slices.SortFunc(slots, func(a, b slot) int {
+		if a.foreign != b.foreign {
+			if a.foreign {
+				return 1
+			}
+			return -1
+		}
+		return a.n - b.n
 	})
-	out := make([]Record, 0, len(keys))
-	for _, k := range keys {
-		rec, err := decodeS3Value(subject, meta[k])
+	out := make([]Record, 0, len(slots))
+	for _, sl := range slots {
+		rest, about := meta[sl.key], subject
+		if sl.foreign {
+			head, tail, ok := strings.Cut(rest, S3FieldSep)
+			ref, err := ParseRef(head)
+			if !ok || err != nil {
+				return nil, fmt.Errorf("%w: foreign entry %q", ErrMalformed, sl.key)
+			}
+			rest, about = tail, ref
+		}
+		attr, raw, ok := strings.Cut(rest, S3FieldSep)
+		if !ok || attr == "" {
+			return nil, fmt.Errorf("%w: entry %q", ErrMalformed, sl.key)
+		}
+		rec, err := decodeRaw(about, attr, raw)
 		if err != nil {
-			return nil, fmt.Errorf("%w: key %q: %w", ErrMalformed, k, err)
+			return nil, fmt.Errorf("entry %q: %w", sl.key, err)
 		}
 		out = append(out, rec)
 	}
 	return out, nil
 }
 
-func decodeS3Value(subject Ref, v string) (Record, error) {
-	i := strings.Index(v, s3FieldSep)
-	if i < 0 {
-		return Record{}, fmt.Errorf("missing field separator")
-	}
-	attr, raw := v[:i], v[i+len(s3FieldSep):]
-	if attr == "" {
-		return Record{}, fmt.Errorf("empty attribute")
-	}
-	return decodeRaw(subject, attr, raw)
-}
-
+// decodeRaw rebuilds one record from its stored attribute and value. Stored
+// forms do not tag value kinds: the attribute schema (IsRefAttr) does.
 func decodeRaw(subject Ref, attr, raw string) (Record, error) {
 	if IsRefAttr(attr) {
 		ref, err := ParseRef(raw)
@@ -119,17 +158,19 @@ func EncodeItemName(subject Ref) string {
 }
 
 // ParseItemName reverses EncodeItemName. The version is the digits after
-// the final underscore, so object names may contain underscores.
+// the final underscore, so object names may contain underscores. Only the
+// spelling EncodeItemName renders is accepted: "f_00" or "f_+0" would
+// otherwise alias the subject stored as "f_0".
 func ParseItemName(item string) (Ref, error) {
 	i := strings.LastIndex(item, itemNameSep)
-	if i <= 0 || i == len(item)-1 {
+	if i <= 0 {
 		return Ref{}, fmt.Errorf("%w: item name %q", ErrMalformed, item)
 	}
-	v, err := strconv.Atoi(item[i+1:])
-	if err != nil || v < 0 {
+	v, ok := parseVersion(item[i+1:])
+	if !ok {
 		return Ref{}, fmt.Errorf("%w: item name version %q", ErrMalformed, item)
 	}
-	return Ref{Object: ObjectID(item[:i]), Version: Version(v)}, nil
+	return Ref{Object: ObjectID(item[:i]), Version: v}, nil
 }
 
 // SDBAttr is an attribute-value pair destined for SimpleDB. It mirrors
@@ -139,28 +180,36 @@ type SDBAttr struct {
 	Value string
 }
 
+// SDBAttrOf renders one record as its SimpleDB pair. Repeated attributes
+// (several inputs) become multiple pairs with the same name, which
+// SimpleDB's data model supports directly. String values must already be
+// in stored form.
+func SDBAttrOf(r Record) SDBAttr { return SDBAttr{Name: r.Attr, Value: r.Value.String()} }
+
 // EncodeSDBAttrs renders a subject's records as SimpleDB attributes, one
-// pair per record. Repeated attributes (several inputs) become multiple
-// pairs with the same name, which SimpleDB's data model supports directly.
+// SDBAttrOf pair per record.
 func EncodeSDBAttrs(records []Record) []SDBAttr {
 	out := make([]SDBAttr, 0, len(records))
 	for _, r := range records {
-		out = append(out, SDBAttr{Name: r.Attr, Value: r.Value.String()})
+		out = append(out, SDBAttrOf(r))
 	}
 	return out
 }
 
 // DecodeSDBAttrs reverses EncodeSDBAttrs for a subject, skipping attribute
-// names in ignore (protocol bookkeeping such as md5/nonce records).
-func DecodeSDBAttrs(subject Ref, attrs []SDBAttr, ignore map[string]bool) ([]Record, error) {
+// names in ignore (protocol bookkeeping such as md5/nonce records). It
+// takes the service's own pair type as well as SDBAttr. String values come
+// back in stored form.
+func DecodeSDBAttrs[A ~struct{ Name, Value string }](subject Ref, attrs []A, ignore map[string]bool) ([]Record, error) {
 	out := make([]Record, 0, len(attrs))
-	for _, a := range attrs {
+	for _, at := range attrs {
+		a := SDBAttr(at)
 		if ignore[a.Name] {
 			continue
 		}
 		rec, err := decodeRaw(subject, a.Name, a.Value)
 		if err != nil {
-			return nil, fmt.Errorf("%w: attr %q: %w", ErrMalformed, a.Name, err)
+			return nil, fmt.Errorf("attr %q: %w", a.Name, err)
 		}
 		out = append(out, rec)
 	}

@@ -38,20 +38,27 @@ func (r Ref) String() string {
 }
 
 // ParseRef parses the canonical object:version form. The version is the
-// digits after the last colon, so object names may themselves contain colons.
+// digits after the last colon, so object names may themselves contain
+// colons. Only the spelling String renders is accepted: "f:00" or "f:+0"
+// would otherwise alias the subject stored as "f:0".
 func ParseRef(s string) (Ref, error) {
 	i := strings.LastIndexByte(s, ':')
-	if i < 0 || i == len(s)-1 {
-		return Ref{}, fmt.Errorf("prov: malformed ref %q", s)
+	if i <= 0 {
+		return Ref{}, fmt.Errorf("%w: ref %q", ErrMalformed, s)
 	}
-	v, err := strconv.Atoi(s[i+1:])
-	if err != nil || v < 0 {
-		return Ref{}, fmt.Errorf("prov: malformed ref version in %q", s)
+	v, ok := parseVersion(s[i+1:])
+	if !ok {
+		return Ref{}, fmt.Errorf("%w: ref version in %q", ErrMalformed, s)
 	}
-	if i == 0 {
-		return Ref{}, fmt.Errorf("prov: empty object in ref %q", s)
-	}
-	return Ref{Object: ObjectID(s[:i]), Version: Version(v)}, nil
+	return Ref{Object: ObjectID(s[:i]), Version: v}, nil
+}
+
+// parseVersion accepts only the canonical decimal spelling of a
+// non-negative number — the one strconv.Itoa renders — so every stored
+// name, ref and metadata index has exactly one parse.
+func parseVersion(s string) (Version, bool) {
+	v, err := strconv.Atoi(s)
+	return Version(v), err == nil && v >= 0 && strconv.Itoa(v) == s
 }
 
 // Object types recorded under AttrType.

@@ -279,6 +279,19 @@ func TestParseItemNameErrors(t *testing.T) {
 	}
 }
 
+// TestVersionSpellingsDoNotAlias: only the spelling the encoders render
+// parses; "00", "+0" and "-0" would otherwise all name version 0.
+func TestVersionSpellingsDoNotAlias(t *testing.T) {
+	for _, v := range []string{"00", "+0", "-0", "01", " 1", "1 "} {
+		if r, err := ParseItemName("/f_" + v); !errors.Is(err, ErrMalformed) {
+			t.Errorf("ParseItemName(%q) = %v, %v; want ErrMalformed", "/f_"+v, r, err)
+		}
+		if r, err := ParseRef("/f:" + v); !errors.Is(err, ErrMalformed) {
+			t.Errorf("ParseRef(%q) = %v, %v; want ErrMalformed", "/f:"+v, r, err)
+		}
+	}
+}
+
 func TestSDBAttrsRoundTrip(t *testing.T) {
 	subject := ref("foo", 2)
 	records := []Record{

@@ -39,8 +39,8 @@ import (
 	"passcloud/internal/cloud"
 	"passcloud/internal/cloud/billing"
 	"passcloud/internal/core"
+	"passcloud/internal/core/arch"
 	"passcloud/internal/core/s3sdbsqs"
-	"passcloud/internal/core/shard"
 	"passcloud/internal/pass"
 	"passcloud/internal/prov"
 )
@@ -202,22 +202,16 @@ var (
 // context.Context: every method that performs cloud I/O takes one
 // explicitly, so each request is individually scoped and cancellable.
 type Client struct {
-	opts  Options
-	cloud *cloud.Cloud // unsharded region; nil when sharded
-	multi *cloud.Multi // multi-namespace region; nil when unsharded
-	store shard.Store
-	sys   *pass.System
-	// daemons holds the WAL commit daemons (one per shard; at most one
-	// when unsharded).
-	daemons []*s3sdbsqs.CommitDaemon
-	// router and shardClouds bind shard indexes to namespaces when
-	// sharded, for direct data operations (SafeDelete) and per-tenant
-	// billing reads.
-	router      *shard.Router
-	shardClouds []*cloud.Cloud
-	// shardStores lists the per-shard stores in shard order (one entry
-	// when unsharded) for verification audits.
-	shardStores []shard.Store
+	opts Options
+	// multi is the multi-namespace region, read for the whole-region
+	// Usage; nil when unsharded.
+	multi *cloud.Multi
+	// b is what the client was built from: its store (the router, or the
+	// one member when unsharded) and, in shard order, the member stores
+	// (verification audits), their namespaces (direct data operations,
+	// per-tenant billing reads) and the WAL commit daemons.
+	b   *arch.Sharded
+	sys *pass.System
 	// resharder is the lazily built migration controller (its crash
 	// journal must survive across Resharder calls).
 	resharder *Resharder
@@ -252,7 +246,7 @@ func (c *Client) Architecture() Architecture { return c.opts.Architecture }
 
 // Properties returns the architecture's Table 1 row.
 func (c *Client) Properties() Properties {
-	p := c.store.Properties()
+	p := c.b.Store.Properties()
 	return Properties{
 		Atomicity:      p.Atomicity,
 		Consistency:    p.Consistency,
@@ -329,7 +323,7 @@ func (c *Client) Ingest(ctx context.Context, path string, data []byte) error {
 // compute grid"). Local reads then bind to exactly the fetched version, so
 // derivations made here connect to the ancestry other clients stored.
 func (c *Client) Fetch(ctx context.Context, path string) (*Object, error) {
-	obj, err := c.store.Get(ctx, prov.ObjectID(path))
+	obj, err := c.b.Store.Get(ctx, prov.ObjectID(path))
 	if err != nil {
 		return nil, err
 	}
@@ -353,28 +347,25 @@ func (c *Client) Sync(ctx context.Context) error {
 	if err := c.sys.Sync(ctx); err != nil {
 		return err
 	}
-	if err := core.SyncStore(ctx, c.store); err != nil {
+	if err := core.SyncStore(ctx, c.b.Store); err != nil {
 		return err
 	}
-	return s3sdbsqs.Drain(ctx, c.Settle, c.daemons...)
+	return s3sdbsqs.Drain(ctx, c.Settle, c.b.Daemons...)
 }
 
 // Settle advances simulated time past the region's replication horizon so
 // all replicas converge — every shard namespace at once when sharded.
 // With ConsistencyDelay zero it is a no-op.
 func (c *Client) Settle() {
-	if c.multi != nil {
-		c.multi.Settle()
-		return
-	}
-	c.cloud.Settle()
+	// Every namespace shares one clock and one replication horizon.
+	c.b.Clouds[0].Settle()
 }
 
 // --- retrieval and queries ---------------------------------------------------
 
 // Get retrieves the current version of path with verified provenance.
 func (c *Client) Get(ctx context.Context, path string) (*Object, error) {
-	obj, err := c.store.Get(ctx, prov.ObjectID(path))
+	obj, err := c.b.Store.Get(ctx, prov.ObjectID(path))
 	if err != nil {
 		return nil, err
 	}
@@ -388,7 +379,7 @@ func (c *Client) Get(ctx context.Context, path string) (*Object, error) {
 // Provenance returns the provenance of one object version (the paper's
 // Q.1 unit).
 func (c *Client) Provenance(ctx context.Context, ref Ref) ([]Record, error) {
-	records, err := c.store.Provenance(ctx, toInternalRef(ref))
+	records, err := c.b.Store.Provenance(ctx, toInternalRef(ref))
 	if err != nil {
 		return nil, err
 	}
@@ -399,7 +390,7 @@ func (c *Client) Provenance(ctx context.Context, ref Ref) ([]Record, error) {
 // at a time. A non-nil error ends the sequence; breaking early is allowed.
 func (c *Client) ProvenanceSeq(ctx context.Context, ref Ref) iter.Seq2[Record, error] {
 	return func(yield func(Record, error) bool) {
-		records, err := c.store.Provenance(ctx, toInternalRef(ref))
+		records, err := c.b.Store.Provenance(ctx, toInternalRef(ref))
 		if err != nil {
 			yield(Record{}, err)
 			return
@@ -511,7 +502,7 @@ func (c *Client) Usage() UsageSummary {
 	if c.multi != nil {
 		return usageFrom(c.multi.Combined())
 	}
-	return usageFrom(c.cloud.Usage())
+	return c.TenantUsage()
 }
 
 // TenantUsage summarizes only this client's tenant: the sum of its shard
@@ -519,11 +510,8 @@ func (c *Client) Usage() UsageSummary {
 // deployment accounts with. On an unsharded single-tenant client it
 // equals Usage.
 func (c *Client) TenantUsage() UsageSummary {
-	if len(c.shardClouds) == 0 {
-		return c.Usage()
-	}
 	var sum billing.Usage
-	for _, cl := range c.shardClouds {
+	for _, cl := range c.b.Clouds {
 		sum = sum.Add(cl.Usage())
 	}
 	return usageFrom(sum)

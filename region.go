@@ -8,7 +8,6 @@ import (
 	"passcloud/internal/cloud"
 	"passcloud/internal/core"
 	"passcloud/internal/core/arch"
-	"passcloud/internal/core/shard"
 	"passcloud/internal/pass"
 	"passcloud/internal/prov"
 )
@@ -96,7 +95,7 @@ func (r *Region) Usage() UsageSummary {
 	if r.multi != nil {
 		return usageFrom(r.multi.Combined())
 	}
-	return usageSummary(r.cloud)
+	return usageFrom(r.cloud.Usage())
 }
 
 // newClientOn builds a client against an existing single-namespace
@@ -104,14 +103,11 @@ func (r *Region) Usage() UsageSummary {
 func newClientOn(cl *cloud.Cloud, opts Options) (*Client, error) {
 	cfg := archConfig(opts, opts.ClientID)
 	cfg.Cloud = cl
-	st, daemon, err := arch.Build(cfg)
+	b, err := arch.Compose(cfg)
 	if err != nil {
 		return nil, err
 	}
-	c := &Client{opts: opts, cloud: cl, store: st, shardStores: []shard.Store{st}}
-	if daemon != nil {
-		c.daemons = append(c.daemons, daemon)
-	}
+	c := &Client{opts: opts, b: b}
 	c.sys = c.newSystem()
 	return c, nil
 }
@@ -142,7 +138,7 @@ func (c *Client) newSystem() *pass.System {
 	return pass.NewSystem(pass.Config{
 		Kernel:       c.opts.Kernel,
 		Namespace:    c.opts.ClientID,
-		Flush:        core.Flusher(c.store),
+		Flush:        core.Flusher(c.b.Store),
 		DisableChain: c.opts.DisableIntegrity,
 	})
 }
@@ -168,8 +164,7 @@ func newShardedClient(m *cloud.Multi, opts Options) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &Client{opts: opts, multi: m, store: b.Store, router: b.Router,
-		shardClouds: b.Clouds, shardStores: b.Members, daemons: b.Daemons}
+	c := &Client{opts: opts, multi: m, b: b}
 	c.sys = c.newSystem()
 	return c, nil
 }
@@ -229,15 +224,8 @@ func (c *Client) SafeDelete(ctx context.Context, path string) error {
 // all three keep data under the same key scheme). On a sharded client the
 // delete routes to the object's home namespace.
 func (c *Client) deleteData(path string) error {
-	cl := c.cloud
-	if len(c.shardClouds) > 0 {
-		i := 0
-		if c.router != nil {
-			i = c.router.ShardFor(prov.ObjectID(path))
-		}
-		cl = c.shardClouds[i]
-	}
-	return cl.S3.Delete(c.bucketName(), "data"+path)
+	object := prov.ObjectID(path)
+	return c.b.Clouds[c.b.ShardFor(object)].S3.Delete(c.bucketName(), core.DataKey(object))
 }
 
 // bucketName resolves the configured or default bucket.
@@ -245,10 +233,5 @@ func (c *Client) bucketName() string {
 	if c.opts.Bucket != "" {
 		return c.opts.Bucket
 	}
-	return "pass"
-}
-
-// usageSummary converts a cloud's meters into the public summary.
-func usageSummary(cl *cloud.Cloud) UsageSummary {
-	return usageFrom(cl.Usage())
+	return core.DefaultBucket
 }

@@ -72,7 +72,7 @@ func (r *ReplayReport) Clean() bool { return len(r.Divergences) == 0 }
 // this client's region; re-execution cloud ops appear in the report's
 // Usage, not in this client's bill.
 func (c *Client) Replay(ctx context.Context, path string) (*ReplayReport, error) {
-	obj, err := c.store.Get(ctx, prov.ObjectID(path))
+	obj, err := c.b.Store.Get(ctx, prov.ObjectID(path))
 	if err != nil {
 		return nil, err
 	}
@@ -85,7 +85,7 @@ func (c *Client) Replay(ctx context.Context, path string) (*ReplayReport, error)
 func (c *Client) ReplayAll(ctx context.Context) (*ReplayReport, error) {
 	current := make(map[prov.ObjectID]prov.Version)
 	spec := prov.Query{Type: prov.TypeFile, Projection: prov.ProjectRefs}
-	for entry, qerr := range c.store.Query(ctx, spec) {
+	for entry, qerr := range c.b.Store.Query(ctx, spec) {
 		if qerr != nil {
 			return nil, qerr
 		}
@@ -117,9 +117,9 @@ func (c *Client) replay(ctx context.Context, targets ...prov.Ref) (*ReplayReport
 		return nil, fmt.Errorf("passcloud: replay sandbox: %w", err)
 	}
 	rep, err := replay.Replay(ctx, replay.Config{
-		Source: c.store,
-		Fetch:  c.store.Get,
-		Target: sandbox.store,
+		Source: c.b.Store,
+		Fetch:  c.b.Store.Get,
+		Target: sandbox.b.Store,
 		Runner: workload.Tools{},
 		Kernel: effectiveKernel(c.opts.Kernel),
 	}, targets...)

@@ -172,7 +172,7 @@ type multiInputFile struct {
 }
 
 func loadLineageStructure(t *testing.T, c *Client) *lineageStructure {
-	q := c.store
+	q := c.b.Store
 	type subjectInfo struct {
 		typ, name, argv string
 		inputs          []prov.Ref
@@ -259,15 +259,12 @@ type injector interface {
 }
 
 func newInjector(t *testing.T, c *Client) injector {
-	clouds := c.shardClouds
-	if len(clouds) == 0 {
-		clouds = []*cloud.Cloud{c.cloud}
-	}
+	clouds := c.b.Clouds
 	if c.opts.Architecture == S3Only {
 		return &s3RawInjector{t: t, clouds: clouds, bucket: c.bucketName()}
 	}
 	inj := &sdbRawInjector{t: t, clouds: clouds}
-	for _, st := range c.shardStores {
+	for _, st := range c.b.Members {
 		layered, ok := st.(interface{ Layer() *sdbprov.Layer })
 		if !ok {
 			t.Fatalf("store %T exposes no SimpleDB layer", st)

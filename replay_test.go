@@ -118,14 +118,14 @@ func TestReplayEnvDrift(t *testing.T) {
 	if err := c.Sync(ctx); err != nil {
 		t.Fatal(err)
 	}
-	q := c.store
-	obj, err := c.store.Get(ctx, "/fmri/run0000/atlas.img")
+	q := c.b.Store
+	obj, err := c.b.Store.Get(ctx, "/fmri/run0000/atlas.img")
 	if err != nil {
 		t.Fatal(err)
 	}
 	rep, err := replay.Replay(ctx, replay.Config{
 		Source: q,
-		Fetch:  c.store.Get,
+		Fetch:  c.b.Store.Get,
 		Runner: workload.Tools{},
 		Kernel: "6.1.0-generic",
 	}, obj.Ref)

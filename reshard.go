@@ -71,12 +71,12 @@ func (c *Client) Resharder() (*Resharder, error) {
 	if c.resharder != nil {
 		return c.resharder, nil
 	}
-	if c.router == nil || len(c.shardClouds) < 2 {
+	if c.b.Router == nil {
 		return nil, ErrNotSharded
 	}
 	ctrl, err := reshard.New(reshard.Config{
-		Router: c.router,
-		Clouds: c.shardClouds,
+		Router: c.b.Router,
+		Clouds: c.b.Clouds,
 		Drain:  func(ctx context.Context) error { return c.Sync(ctx) },
 		Settle: c.Settle,
 	})

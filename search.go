@@ -123,7 +123,7 @@ var (
 // of it when Limit is set).
 func (c *Client) Search(ctx context.Context, spec QuerySpec) (*SearchResult, error) {
 	res := &SearchResult{}
-	for entry, err := range c.store.Query(ctx, spec.compile()) {
+	for entry, err := range c.b.Store.Query(ctx, spec.compile()) {
 		if err != nil {
 			return nil, err
 		}
@@ -144,7 +144,7 @@ func (c *Client) Search(ctx context.Context, spec QuerySpec) (*SearchResult, err
 // is surfaced on SearchResult.
 func (c *Client) SearchSeq(ctx context.Context, spec QuerySpec) iter.Seq2[ProvenanceEntry, error] {
 	return func(yield func(ProvenanceEntry, error) bool) {
-		for entry, err := range c.store.Query(ctx, spec.compile()) {
+		for entry, err := range c.b.Store.Query(ctx, spec.compile()) {
 			if err != nil {
 				yield(ProvenanceEntry{}, err)
 				return
@@ -215,7 +215,7 @@ func (c *Client) Explain(spec QuerySpec) (QueryPlan, error) {
 	if err := desc.Validate(); err != nil {
 		return QueryPlan{}, fmt.Errorf("passcloud: %w", err)
 	}
-	p := c.store.Explain(desc)
+	p := c.b.Store.Explain(desc)
 	pub := QueryPlan{
 		Arch:     p.Arch,
 		Strategy: p.Strategy,

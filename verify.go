@@ -113,8 +113,8 @@ func (r *LineageReport) Clean() bool { return len(r.Divergences) == 0 }
 // auditors returns each shard's store as an integrity.Auditor, in shard
 // order.
 func (c *Client) auditors() ([]integrity.Auditor, error) {
-	out := make([]integrity.Auditor, 0, len(c.shardStores))
-	for _, st := range c.shardStores {
+	out := make([]integrity.Auditor, 0, len(c.b.Members))
+	for _, st := range c.b.Members {
 		a, ok := st.(integrity.Auditor)
 		if !ok {
 			return nil, fmt.Errorf("passcloud: %s does not support verification", st.Name())
@@ -137,10 +137,7 @@ func (c *Client) VerifyLineage(ctx context.Context, path string) (*LineageReport
 		return nil, err
 	}
 	object := prov.ObjectID(path)
-	idx := 0
-	if c.router != nil {
-		idx = c.router.ShardFor(object)
-	}
+	idx := c.b.ShardFor(object)
 	a, err := auds[idx].Audit(ctx)
 	if err != nil {
 		return nil, err

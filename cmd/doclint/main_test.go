@@ -21,6 +21,7 @@ var lintedPackages = []string{
 	"internal/cloud/retry",
 	"internal/cloud/billing",
 	"internal/workload",
+	"internal/cost",
 	"internal/replay",
 	"internal/analysis",
 	"internal/analysis/analysistest",

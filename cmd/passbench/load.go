@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"passcloud/internal/cloud"
+	"passcloud/internal/core/arch"
 	"passcloud/internal/workload"
 )
 
@@ -18,9 +19,9 @@ import (
 // the trajectory artifact carries throughput/scaling numbers benchdiff
 // can gate exactly like it gates cloud-op counts.
 
-// loadRunJSON is one (architecture, shard count) cell of the load matrix.
-// Deterministic fields (events, ops, modeled throughput) are what
-// benchdiff gates; wall-clock and latency percentiles are informative.
+// loadRunJSON is one (architecture, shard count) cell of the load matrix:
+// deterministic fields only (events, ops, modeled throughput), which
+// benchdiff gates.
 type loadRunJSON struct {
 	Arch         string  `json:"arch"`
 	Shards       int     `json:"shards"`
@@ -37,10 +38,6 @@ type loadRunJSON struct {
 	// Amplification is WriteOps relative to the 1-shard run (1.0 = the
 	// per-shard op counts sum exactly to the unsharded baseline).
 	Amplification float64 `json:"amplification,omitempty"`
-	WallMS        float64 `json:"wall_ms"`
-	FlushP50MS    float64 `json:"flush_p50_ms"`
-	FlushP90MS    float64 `json:"flush_p90_ms"`
-	FlushP99MS    float64 `json:"flush_p99_ms"`
 	Queries       int64   `json:"queries"`
 	QueryResults  int64   `json:"query_results"`
 }
@@ -78,33 +75,29 @@ func runLoadMatrix(ctx context.Context, cfg workload.LoadConfig, shardCounts []i
 		Batches: cfg.Batches, Seed: cfg.Seed, ShardCounts: shardCounts,
 	}
 	base := make(map[string]*loadRunJSON)
-	for _, arch := range workload.LoadArchs {
+	for _, name := range arch.Names {
 		for _, shards := range shardCounts {
 			fmt.Fprintf(os.Stderr, "passbench: load %s x%d shards (%d tenants x %d writers x %d batches)...\n",
-				arch, shards, cfg.Tenants, cfg.Writers, cfg.Batches)
+				name, shards, cfg.Tenants, cfg.Writers, cfg.Batches)
 			multi := cloud.NewMulti(cloud.Config{Seed: cfg.Seed})
-			res, err := workload.RunLoad(ctx, cfg, func(tenant int) (workload.LoadTarget, error) {
-				return workload.BuildLoadTarget(multi, arch, tenant, shards)
+			res, err := workload.RunLoad(ctx, cfg, func(tenant int) (*arch.Sharded, error) {
+				return workload.BuildCell(multi, fmt.Sprintf("t%d/", tenant), shards, arch.Config{Name: name})
 			})
 			if err != nil {
-				return nil, fmt.Errorf("load %s x%d: %w", arch, shards, err)
+				return nil, fmt.Errorf("load %s x%d: %w", name, shards, err)
 			}
 			run := loadRunJSON{
-				Arch: arch, Shards: shards,
+				Arch: name, Shards: shards,
 				Events: res.Events, FlushBatches: res.FlushBatches,
 				WriteOps: res.WriteOps, PerShardOps: res.PerShardOps, BytesIn: res.BytesIn,
 				ModeledMS:  float64(res.ModeledWrite) / float64(time.Millisecond),
 				Throughput: res.ThroughputEPS,
-				WallMS:     float64(res.Wall) / float64(time.Millisecond),
-				FlushP50MS: float64(res.FlushLatency.P50) / float64(time.Millisecond),
-				FlushP90MS: float64(res.FlushLatency.P90) / float64(time.Millisecond),
-				FlushP99MS: float64(res.FlushLatency.P99) / float64(time.Millisecond),
 				Queries:    res.Queries, QueryResults: res.QueryResults,
 			}
 			if shards == 1 {
-				base[arch] = &run
+				base[name] = &run
 			}
-			if b := base[arch]; b != nil && shards > 1 && b.Throughput > 0 && b.WriteOps > 0 {
+			if b := base[name]; b != nil && shards > 1 && b.Throughput > 0 && b.WriteOps > 0 {
 				run.Speedup = run.Throughput / b.Throughput
 				run.Amplification = float64(run.WriteOps) / float64(b.WriteOps)
 			}
@@ -120,16 +113,16 @@ func (rep *loadReportJSON) text() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Sustained load: %d tenants x %d writers x %d batches, %d queriers/tenant, seed %d (latency model WAN2009)\n",
 		rep.Tenants, rep.Writers, rep.Batches, rep.Queriers, rep.Seed)
-	fmt.Fprintf(&b, "%-12s %7s %8s %10s %12s %10s %9s %7s %10s %10s\n",
-		"arch", "shards", "events", "write-ops", "modeled", "ev/s", "speedup", "amp", "p50-flush", "p99-flush")
+	fmt.Fprintf(&b, "%-12s %7s %8s %10s %12s %10s %9s %7s\n",
+		"arch", "shards", "events", "write-ops", "modeled", "ev/s", "speedup", "amp")
 	for _, r := range rep.Runs {
 		speedup, amp := "-", "-"
 		if r.Speedup > 0 {
 			speedup = fmt.Sprintf("%.2fx", r.Speedup)
 			amp = fmt.Sprintf("%.3f", r.Amplification)
 		}
-		fmt.Fprintf(&b, "%-12s %7d %8d %10d %11.0fms %10.0f %9s %7s %9.2fms %9.2fms\n",
-			r.Arch, r.Shards, r.Events, r.WriteOps, r.ModeledMS, r.Throughput, speedup, amp, r.FlushP50MS, r.FlushP99MS)
+		fmt.Fprintf(&b, "%-12s %7d %8d %10d %11.0fms %10.0f %9s %7s\n",
+			r.Arch, r.Shards, r.Events, r.WriteOps, r.ModeledMS, r.Throughput, speedup, amp)
 	}
 	return b.String()
 }

@@ -19,7 +19,7 @@
 // The -load mode runs the sustained-load harness (internal/workload): an
 // open-loop multi-tenant generator against each architecture sharded
 // across isolated namespaces, reporting deterministic write throughput
-// under the WAN2009 latency model plus wall-clock latency histograms.
+// under the WAN2009 latency model. Host time is benchmark/'s to measure.
 // With -json the numbers ride the report's "load" section, which
 // benchdiff gates the same way it gates the cost tables.
 //
@@ -39,6 +39,7 @@ import (
 	"time"
 
 	"passcloud/internal/cloud/billing"
+	"passcloud/internal/core/arch"
 	"passcloud/internal/core/props"
 	"passcloud/internal/cost"
 	"passcloud/internal/workload"
@@ -206,12 +207,12 @@ func main() {
 		// Retry overhead counters ride every report that loaded the
 		// workload, so the trajectory gate sees retries appearing.
 		rep.Retry = make(map[string]retryTotals)
-		for _, arch := range []string{"s3", "s3+sdb", "s3+sdb+sqs"} {
-			snap, ok := h.RetrySnapshot(arch)
+		for _, name := range arch.Names {
+			snap, ok := h.RetrySnapshot(name)
 			if !ok {
 				continue
 			}
-			rep.Retry[arch] = retryTotals{
+			rep.Retry[name] = retryTotals{
 				Attempts:  snap.Total.Attempts,
 				Retries:   snap.Total.Retries,
 				Recovered: snap.Total.Recovered,
@@ -228,14 +229,14 @@ func main() {
 			if !*jsonOut {
 				fmt.Println("January-2009 USD bill per architecture (load phase):")
 			}
-			for _, arch := range []string{"s3", "s3+sdb", "s3+sdb+sqs"} {
-				u, ok := h.Usage(arch)
+			for _, name := range arch.Names {
+				u, ok := h.Usage(name)
 				if !ok {
 					continue
 				}
-				rep.USD[arch] = billing.Jan2009.Price(u).Total()
+				rep.USD[name] = billing.Jan2009.Price(u).Total()
 				if !*jsonOut {
-					fmt.Println(cost.USDReport(arch, u))
+					fmt.Println(cost.USDReport(name, u))
 				}
 			}
 			if !*jsonOut {

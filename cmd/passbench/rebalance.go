@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"passcloud/internal/cloud"
+	"passcloud/internal/core/arch"
 	"passcloud/internal/core/shard"
 	"passcloud/internal/core/shard/reshard"
 	"passcloud/internal/prov"
@@ -95,34 +96,30 @@ func runRebalanceMatrix(ctx context.Context, cfg workload.LoadConfig) (*rebalanc
 		Writers: cfg.Writers, Batches: cfg.Batches, Seed: cfg.Seed,
 		Shards: rebalanceShards, HotFraction: rebalanceHotFraction,
 	}
-	for _, arch := range workload.LoadArchs {
+	for _, name := range arch.Names {
 		fmt.Fprintf(os.Stderr, "passbench: rebalance %s x%d shards (hot shard %d at %.0f%%)...\n",
-			arch, rebalanceShards, rebalanceHotShard, 100*rebalanceHotFraction)
-		multi := cloud.NewMulti(cloud.Config{Seed: cfg.Seed})
-		tg, err := workload.BuildLoadTarget(multi, arch, 0, rebalanceShards)
+			name, rebalanceShards, rebalanceHotShard, 100*rebalanceHotFraction)
+		tg, err := workload.BuildCell(cloud.NewMulti(cloud.Config{Seed: cfg.Seed}), "t0/", rebalanceShards, arch.Config{Name: name})
 		if err != nil {
-			return nil, fmt.Errorf("rebalance %s: %w", arch, err)
+			return nil, fmt.Errorf("rebalance %s: %w", name, err)
 		}
-		router, ok := tg.Store.(*shard.Router)
-		if !ok {
-			return nil, fmt.Errorf("rebalance %s: store is not a shard router", arch)
-		}
-		ctrl, err := reshard.New(reshard.Config{Router: router, Clouds: tg.Clouds, Drain: tg.Drain})
+		ctrl, err := reshard.New(reshard.Config{Router: tg.Router, Clouds: tg.Clouds,
+			Drain: func(ctx context.Context) error { return workload.Drain(ctx, tg) }})
 		if err != nil {
-			return nil, fmt.Errorf("rebalance %s: %w", arch, err)
+			return nil, fmt.Errorf("rebalance %s: %w", name, err)
 		}
 		ctrl.SampleBaseline()
-		frozen := frozenPlacer{router: router, assign: router.Assignment()}
+		frozen := frozenPlacer{router: tg.Router, assign: tg.Router.Assignment()}
 
-		build := func(int) (workload.LoadTarget, error) { return tg, nil }
+		build := func(int) (*arch.Sharded, error) { return tg, nil }
 		pre, err := workload.RunLoad(ctx, cfg, build)
 		if err != nil {
-			return nil, fmt.Errorf("rebalance %s phase 1: %w", arch, err)
+			return nil, fmt.Errorf("rebalance %s phase 1: %w", name, err)
 		}
 
 		mig, err := ctrl.RunOnce(ctx)
 		if err != nil {
-			return nil, fmt.Errorf("rebalance %s migration: %w", arch, err)
+			return nil, fmt.Errorf("rebalance %s migration: %w", name, err)
 		}
 
 		// Phase 2: a fresh seed (fresh names) skewed against the FROZEN
@@ -132,11 +129,11 @@ func runRebalanceMatrix(ctx context.Context, cfg workload.LoadConfig) (*rebalanc
 		replay.Placer = frozen
 		post, err := workload.RunLoad(ctx, replay, build)
 		if err != nil {
-			return nil, fmt.Errorf("rebalance %s phase 2: %w", arch, err)
+			return nil, fmt.Errorf("rebalance %s phase 2: %w", name, err)
 		}
 
 		rep.Runs = append(rep.Runs, rebalanceRunJSON{
-			Arch: arch, Shards: rebalanceShards, HotShard: rebalanceHotShard,
+			Arch: name, Shards: rebalanceShards, HotShard: rebalanceHotShard,
 			Action:        mig.Action,
 			PreHotShare:   hotShare(pre.PerShardOps, rebalanceHotShard),
 			PostHotShare:  hotShare(post.PerShardOps, rebalanceHotShard),

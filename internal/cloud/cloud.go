@@ -18,13 +18,9 @@ import (
 type Config struct {
 	// Seed drives all randomness (replica choice, delays, sampling).
 	Seed int64
-	// Replicas per service (default 3).
-	Replicas int
-	// MinDelay/MaxDelay bound eventual-consistency propagation. Both zero
-	// gives strong consistency — useful when a test targets something else.
-	MinDelay, MaxDelay time.Duration
-	// VisibilityTimeout for SQS receives (default 30s).
-	VisibilityTimeout time.Duration
+	// MaxDelay bounds eventual-consistency propagation. Zero gives strong
+	// consistency — useful when a test targets something else.
+	MaxDelay time.Duration
 	// Faults optionally injects service-side failures — throttles,
 	// permanent denials, applied-but-response-lost ops — into every service
 	// of the region. Nil injects nothing. Client-side crash points use the
@@ -62,8 +58,6 @@ func newOnClock(cfg Config, clock *sim.VirtualClock) *Cloud {
 	}
 	c.S3 = s3.New(s3.Config{
 		Replication: replica.Config{
-			Replicas: cfg.Replicas,
-			MinDelay: cfg.MinDelay,
 			MaxDelay: cfg.MaxDelay,
 			Clock:    clock,
 			RNG:      rng,
@@ -72,8 +66,6 @@ func newOnClock(cfg Config, clock *sim.VirtualClock) *Cloud {
 		Faults: cfg.Faults,
 	})
 	c.SDB = sdb.New(sdb.Config{
-		Replicas: cfg.Replicas,
-		MinDelay: cfg.MinDelay,
 		MaxDelay: cfg.MaxDelay,
 		Clock:    clock,
 		RNG:      rng,
@@ -81,11 +73,10 @@ func newOnClock(cfg Config, clock *sim.VirtualClock) *Cloud {
 		Faults:   cfg.Faults,
 	})
 	c.SQS = sqs.New(sqs.Config{
-		VisibilityTimeout: cfg.VisibilityTimeout,
-		Clock:             clock,
-		RNG:               rng,
-		Meter:             meter,
-		Faults:            cfg.Faults,
+		Clock:  clock,
+		RNG:    rng,
+		Meter:  meter,
+		Faults: cfg.Faults,
 	})
 	return c
 }

@@ -91,6 +91,21 @@ type Snapshot struct {
 	Total OpStats
 }
 
+// Add returns the site-wise sum of two snapshots — how a sharded store's
+// members fold into one report.
+func (s Snapshot) Add(o Snapshot) Snapshot {
+	sum := Snapshot{Ops: make(map[string]OpStats, len(s.Ops)+len(o.Ops)), Total: s.Total}
+	sum.Total.add(o.Total)
+	for _, ops := range []map[string]OpStats{s.Ops, o.Ops} {
+		for name, st := range ops {
+			have := sum.Ops[name]
+			have.add(st)
+			sum.Ops[name] = have
+		}
+	}
+	return sum
+}
+
 // String renders the snapshot one site per line, sorted, for reports.
 func (s Snapshot) String() string {
 	var b strings.Builder

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -148,5 +149,25 @@ func TestBackoffIsBoundedAndGrowing(t *testing.T) {
 	}
 	if prevMax != 80*time.Millisecond {
 		t.Fatalf("backoff never reached the cap: %v", prevMax)
+	}
+}
+
+// TestSnapshotAdd: summing snapshots merges shared sites, keeps disjoint
+// ones, and leaves both operands untouched.
+func TestSnapshotAdd(t *testing.T) {
+	a := Snapshot{Ops: map[string]OpStats{"put": {Attempts: 3, Retries: 1, Wait: time.Second}},
+		Total: OpStats{Attempts: 3, Retries: 1, Wait: time.Second}}
+	b := Snapshot{Ops: map[string]OpStats{"put": {Attempts: 2, Recovered: 1}, "get": {Attempts: 5, Exhausted: 1}},
+		Total: OpStats{Attempts: 7, Recovered: 1, Exhausted: 1}}
+	sum := Snapshot{}.Add(a).Add(b)
+	want := Snapshot{Ops: map[string]OpStats{
+		"put": {Attempts: 5, Retries: 1, Recovered: 1, Wait: time.Second},
+		"get": {Attempts: 5, Exhausted: 1},
+	}, Total: OpStats{Attempts: 10, Retries: 1, Recovered: 1, Exhausted: 1, Wait: time.Second}}
+	if !reflect.DeepEqual(sum, want) {
+		t.Fatalf("sum = %+v, want %+v", sum, want)
+	}
+	if a.Ops["put"].Attempts != 3 || len(b.Ops) != 2 {
+		t.Fatalf("Add mutated an operand: %+v %+v", a, b)
 	}
 }

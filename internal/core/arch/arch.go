@@ -12,6 +12,7 @@ import (
 	"fmt"
 
 	"passcloud/internal/cloud"
+	"passcloud/internal/cloud/billing"
 	"passcloud/internal/cloud/retry"
 	"passcloud/internal/core/s3only"
 	"passcloud/internal/core/s3sdb"
@@ -112,6 +113,25 @@ func (s *Sharded) ShardFor(object prov.ObjectID) int {
 		return 0
 	}
 	return s.Router.ShardFor(object)
+}
+
+// Usage sums the member namespaces' meters: the store's whole bill.
+func (s *Sharded) Usage() billing.Usage {
+	var sum billing.Usage
+	for _, cl := range s.Clouds {
+		sum = sum.Add(cl.Usage())
+	}
+	return sum
+}
+
+// RetryStats sums the members' retry counters. Every architecture's store
+// meters its retrier.
+func (s *Sharded) RetryStats() retry.Snapshot {
+	var sum retry.Snapshot
+	for _, m := range s.Members {
+		sum = sum.Add(m.(interface{ RetryStats() retry.Snapshot }).RetryStats())
+	}
+	return sum
 }
 
 // Compose builds one member per Config, each on the Cloud its Config

@@ -135,7 +135,7 @@ func (c *Controller) Execute(ctx context.Context, plan *Plan) (*Report, error) {
 			break
 		}
 		retried++
-		if retried >= c.cfg.Retries {
+		if retried >= exportRetries {
 			return nil, ErrSourceUnstable
 		}
 		if err := c.drain(ctx); err != nil {

@@ -84,6 +84,10 @@ func (p Phase) String() string {
 	}
 }
 
+// exportRetries bounds export re-reads when the source stamp moves
+// mid-export.
+const exportRetries = 3
+
 // Config wires a controller to one namespace's router and clouds.
 type Config struct {
 	// Router is the namespace's shard router.
@@ -97,9 +101,6 @@ type Config struct {
 	// HotCeiling is the op-share above which a shard counts as hot (and
 	// the convergence target a split must land under). Default 0.5.
 	HotCeiling float64
-	// Retries bounds export re-reads when the source stamp moves
-	// mid-export. Default 3.
-	Retries int
 	// Drain, when non-nil, quiesces buffered writers (client WAL, commit
 	// daemons) before an arc is exported. The router's own Sync always
 	// runs as well.
@@ -147,9 +148,6 @@ func New(cfg Config) (*Controller, error) {
 	}
 	if cfg.HotCeiling <= 0 || cfg.HotCeiling >= 1 {
 		cfg.HotCeiling = 0.5
-	}
-	if cfg.Retries <= 0 {
-		cfg.Retries = 3
 	}
 	migs := make([]core.Migrator, n)
 	for i := 0; i < n; i++ {

@@ -235,7 +235,6 @@ type shardEnv struct {
 	s3sdb  *s3sdb.Store   // non-nil for the orphan-scan arch
 	sqs    *s3sdbsqs.Store
 	daemon func() *s3sdbsqs.CommitDaemon // fresh daemon per pump (restart semantics)
-	stats  func() retry.Snapshot
 }
 
 // env is the architecture wired for the sweep, one shardEnv per shard.
@@ -244,7 +243,9 @@ type env struct {
 	multi  *cloud.Multi // nil when unsharded
 	shards []*shardEnv
 	store  core.Store // the router, or the sole shard's store
-	faults *sim.FaultPlan
+	// retryStats sums the members' retry counters.
+	retryStats func() retry.Snapshot
+	faults     *sim.FaultPlan
 	// mirrorCfg builds the uncached, integrity-free twin of a member for
 	// freshness cross-checks (the WAL architecture's twin reads its domain
 	// as a plain "s3+sdb" store: it must not grow a queue of its own).
@@ -283,10 +284,9 @@ func buildEnv(cfg Config, faults *sim.FaultPlan) (*env, error) {
 	if err != nil {
 		return nil, err
 	}
-	e.store = b.Store
+	e.store, e.retryStats = b.Store, b.RetryStats
 	for i, st := range b.Members {
 		se := &shardEnv{cloud: b.Clouds[i], store: st}
-		se.stats = st.(interface{ RetryStats() retry.Snapshot }).RetryStats
 		switch st := st.(type) {
 		case *s3sdb.Store:
 			se.layer, se.s3sdb = st.Layer(), st
@@ -575,9 +575,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		e.runMigration(ctx, cfg, srng, faults, res)
 	}
 
-	for _, se := range e.shards {
-		mergeSnapshot(&res.Retry, se.stats())
-	}
+	res.Retry = e.retryStats()
 	res.Violations = append(res.Violations, e.checkInvariants(ctx, cfg, sys, sc)...)
 
 	// Verification phase: a healthy converged run must verify completely
@@ -811,27 +809,6 @@ func (e *env) verify(ctx context.Context) (*integrity.Result, error) {
 		auditors[i] = a
 	}
 	return integrity.VerifyStores(ctx, auditors)
-}
-
-// mergeSnapshot folds one shard's retry counters into the sum.
-func mergeSnapshot(sum *retry.Snapshot, s retry.Snapshot) {
-	if sum.Ops == nil {
-		sum.Ops = make(map[string]retry.OpStats)
-	}
-	for name, o := range s.Ops {
-		have := sum.Ops[name]
-		have.Attempts += o.Attempts
-		have.Retries += o.Retries
-		have.Recovered += o.Recovered
-		have.Exhausted += o.Exhausted
-		have.Wait += o.Wait
-		sum.Ops[name] = have
-	}
-	sum.Total.Attempts += s.Total.Attempts
-	sum.Total.Retries += s.Total.Retries
-	sum.Total.Recovered += s.Total.Recovered
-	sum.Total.Exhausted += s.Total.Exhausted
-	sum.Total.Wait += s.Total.Wait
 }
 
 // checkInvariants verifies the converged state.

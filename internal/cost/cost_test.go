@@ -175,7 +175,7 @@ func TestHarnessEndToEndSmall(t *testing.T) {
 	// Storage: the third architecture must dominate; the first two land
 	// close together in the measured implementation (our S3 encoding pays
 	// subject prefixes for piggybacked transient provenance, which the
-	// paper's idealized accounting does not — see EXPERIMENTS.md).
+	// paper's idealized accounting does not).
 	if rows["s3+sdb+sqs"].ProvBytes <= rows["s3+sdb"].ProvBytes {
 		t.Errorf("s3+sdb+sqs storage must dominate: %+v", rows)
 	}

@@ -36,14 +36,11 @@ func TestExplainMatchesMeteredOps(t *testing.T) {
 	}
 
 	for _, arch := range []string{"s3", "s3+sdb"} {
-		run := h.findRun(arch)
+		run := h.cells[arch]
 		if run == nil {
 			t.Fatalf("backend %s not loaded", arch)
 		}
-		q, ok := run.store.(core.Querier)
-		if !ok {
-			t.Fatalf("%s is not a Querier", arch)
-		}
+		q := run.Store
 		for _, tc := range queries {
 			plan := q.Explain(tc.q)
 			if !plan.Exact {
@@ -52,11 +49,11 @@ func TestExplainMatchesMeteredOps(t *testing.T) {
 			if plan.Cached {
 				t.Errorf("%s/%s: plan claims cached on the uncached path", arch, tc.name)
 			}
-			before := run.cloud.Usage().TotalOps()
+			before := run.Usage().TotalOps()
 			if _, err := core.CollectEntries(q.Query(ctx, tc.q)); err != nil {
 				t.Fatalf("%s/%s: %v", arch, tc.name, err)
 			}
-			metered := run.cloud.Usage().TotalOps() - before
+			metered := run.Usage().TotalOps() - before
 			if plan.EstOps != metered {
 				t.Errorf("%s/%s: Explain predicted %d ops, meters recorded %d\nplan:\n%s",
 					arch, tc.name, plan.EstOps, metered, plan)
@@ -77,8 +74,8 @@ func TestExplainCachedPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, arch := range []string{"s3", "s3+sdb"} {
-		run := h.findRun(arch)
-		q := run.store.(core.Querier)
+		run := h.cells[arch]
+		q := run.Store
 		// Warm the snapshot and the Q.2 memo.
 		if _, err := core.CollectBySubject(q.Query(ctx, prov.Q1())); err != nil {
 			t.Fatal(err)
@@ -91,11 +88,11 @@ func TestExplainCachedPath(t *testing.T) {
 			if !plan.Cached || plan.EstOps != 0 {
 				t.Errorf("%s: warm plan not cached/zero: cached=%v est=%d\n%s", arch, plan.Cached, plan.EstOps, plan)
 			}
-			before := run.cloud.Usage().TotalOps()
+			before := run.Usage().TotalOps()
 			if _, err := core.CollectEntries(q.Query(ctx, desc)); err != nil {
 				t.Fatal(err)
 			}
-			if d := run.cloud.Usage().TotalOps() - before; d != 0 {
+			if d := run.Usage().TotalOps() - before; d != 0 {
 				t.Errorf("%s: warm query cost %d ops", arch, d)
 			}
 		}

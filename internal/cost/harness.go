@@ -10,7 +10,6 @@ import (
 	"passcloud/internal/core"
 	"passcloud/internal/core/arch"
 	"passcloud/internal/core/s3sdbsqs"
-	"passcloud/internal/core/shard"
 	"passcloud/internal/pass"
 	"passcloud/internal/prov"
 	"passcloud/internal/sim"
@@ -18,8 +17,10 @@ import (
 )
 
 // Harness runs the paper's evaluation: it loads the combined workload into
-// each architecture against a fresh simulated AWS region and reads the
-// billing meters to produce the measured Tables 2 and 3.
+// cells — one architecture at one shard count on a fresh simulated region
+// — and reads their billing meters. Tables 2 and 3 and the USD bill read
+// the three unsharded cells Load builds; the sharded and replay matrices
+// read cells of their own.
 type Harness struct {
 	// Scale is the workload scale (1.0 = paper scale). Default 0.1.
 	Scale float64
@@ -28,7 +29,7 @@ type Harness struct {
 	// Tool is the Q.2/Q.3 target. The paper queried blast; at our scaled
 	// job counts blast has thousands of instances, so the default target
 	// is softmean (the Provenance Challenge's bottleneck stage), which has
-	// the selectivity the paper's blast queries had. See EXPERIMENTS.md.
+	// the selectivity the paper's blast queries had.
 	Tool string
 	// CachedQueries enables the qcache snapshot cache on the loaded
 	// stores. Off by default so Table 3 measures the paper's uncached
@@ -39,20 +40,21 @@ type Harness struct {
 	// read ~0. Authoritative cold costs come from the uncached default.
 	CachedQueries bool
 
-	loaded bool
-	stats  DatasetStats
-	runs   []*archRun
+	// stats is the dataset every load's flush stream carries: the workload
+	// is a pure function of Scale and Seed.
+	stats DatasetStats
+	// cells are the three unsharded cells behind the Tables, by
+	// architecture name.
+	cells map[string]*cell
 }
 
-// archRun is one loaded architecture.
-type archRun struct {
+// cell is one loaded architecture: the store and its namespaces' meters,
+// bracketed by the usage readings before and after the load.
+type cell struct {
+	*arch.Sharded
 	name    string
-	cloud   *cloud.Cloud
-	store   shard.Store
 	setup   billing.Usage // after construction, before load
-	loadEnd billing.Usage // after load + settle
-	// retryStats reports the store's cumulative retry overhead.
-	retryStats func() retry.Snapshot
+	loadEnd billing.Usage // after load + drain
 }
 
 // walThreshold is the queue depth at which the harness's commit daemons
@@ -125,61 +127,107 @@ func (h *Harness) defaults() {
 	}
 }
 
-// Stats returns the dataset statistics collected during Load.
+// Stats returns the dataset statistics collected while loading.
 func (h *Harness) Stats() DatasetStats { return h.stats }
 
-// Load pushes the combined workload through all three architectures. It is
-// idempotent; later table calls trigger it automatically.
+// load pushes the combined workload through b the way every section does
+// — the WAL daemons poll their queue depth every few flushed events, then
+// the store syncs and the cell drains — and brackets it with meter
+// readings.
+func (h *Harness) load(ctx context.Context, name string, b *arch.Sharded) (*cell, error) {
+	for _, d := range b.Daemons {
+		d.Threshold = walThreshold
+	}
+	c := &cell{Sharded: b, name: name, setup: b.Usage()}
+	collector := &Collector{}
+	sys := pass.NewSystem(pass.Config{Flush: collector.Tee(pollingFlush(core.Flusher(b.Store), b.Daemons))})
+	if err := workload.Run(ctx, sys, sim.NewRNG(h.Seed), workload.NewCombined(h.Scale)); err != nil {
+		return nil, fmt.Errorf("load: %w", err)
+	}
+	if err := core.SyncStore(ctx, b.Store); err != nil {
+		return nil, fmt.Errorf("sync: %w", err)
+	}
+	if err := workload.Drain(ctx, b); err != nil {
+		return nil, fmt.Errorf("drain: %w", err)
+	}
+	h.stats = collector.Stats
+	c.loadEnd = b.Usage()
+	return c, nil
+}
+
+// build constructs an empty matrix cell: one architecture at n shards on
+// its own fresh region, uncached like the Tables' cells.
+func (h *Harness) build(name string, n int) (*arch.Sharded, error) {
+	return workload.BuildCell(cloud.NewMulti(cloud.Config{Seed: h.Seed}), "", n,
+		arch.Config{Name: name, DisableQueryCache: true})
+}
+
+// loadedCell builds a matrix cell and loads it.
+func (h *Harness) loadedCell(ctx context.Context, name string, n int) (*cell, error) {
+	b, err := h.build(name, n)
+	if err != nil {
+		return nil, err
+	}
+	return h.load(ctx, name, b)
+}
+
+// Load pushes the combined workload through all three architectures,
+// unsharded. It is idempotent; the table calls trigger it automatically.
 func (h *Harness) Load(ctx context.Context) error {
-	if h.loaded {
+	if h.cells != nil {
 		return nil
 	}
 	h.defaults()
-
-	collected := false
+	cells := make(map[string]*cell)
 	for _, name := range arch.Names {
-		cl := cloud.New(cloud.Config{Seed: h.Seed})
-		st, daemon, err := arch.Build(arch.Config{Name: name, Cloud: cl, DisableQueryCache: !h.CachedQueries})
+		b, err := arch.Compose(arch.Config{
+			Name: name, Cloud: cloud.New(cloud.Config{Seed: h.Seed}), DisableQueryCache: !h.CachedQueries,
+		})
 		if err != nil {
 			return fmt.Errorf("cost: build %s: %w", name, err)
 		}
-		var daemons []*s3sdbsqs.CommitDaemon
-		if daemon != nil {
-			daemon.Threshold = walThreshold
-			daemons = append(daemons, daemon)
+		if cells[name], err = h.load(ctx, name, b); err != nil {
+			return fmt.Errorf("cost: %s: %w", name, err)
 		}
-		flush := pollingFlush(core.Flusher(st), daemons)
-		run := &archRun{name: name, cloud: cl, store: st, setup: cl.Usage()}
-		if rs, ok := st.(interface{ RetryStats() retry.Snapshot }); ok {
-			run.retryStats = rs.RetryStats
-		}
-
-		// Collect dataset stats exactly once: all three runs see the same
-		// deterministic flush stream.
-		if !collected {
-			collector := &Collector{}
-			flush = collector.Tee(flush)
-			defer func() { h.stats = collector.Stats }()
-			collected = true
-		}
-
-		sys := pass.NewSystem(pass.Config{Flush: flush})
-		w := workload.NewCombined(h.Scale)
-		if err := workload.Run(ctx, sys, sim.NewRNG(h.Seed), w); err != nil {
-			return fmt.Errorf("cost: load %s: %w", name, err)
-		}
-		if err := core.SyncStore(ctx, st); err != nil {
-			return fmt.Errorf("cost: sync %s: %w", name, err)
-		}
-		if err := s3sdbsqs.Drain(ctx, cl.Settle, daemons...); err != nil {
-			return fmt.Errorf("cost: drain %s: %w", name, err)
-		}
-		cl.Settle()
-		run.loadEnd = cl.Usage()
-		h.runs = append(h.runs, run)
 	}
-	h.loaded = true
+	h.cells = cells
 	return nil
+}
+
+// overhead is Table 2's reading of a loaded cell: the bytes and operations
+// the architecture added over storing stats' raw data alone.
+func (c *cell) overhead(stats DatasetStats) (provBytes, provOps int64) {
+	u := c.loadEnd
+	provOps = u.TotalOps() - c.setup.TotalOps() - stats.Objects
+	provBytes = u.Storage(billing.S3) - stats.DataBytes // metadata + overflow/spill objects
+	switch c.name {
+	case "s3+sdb":
+		provBytes += u.Storage(billing.SimpleDB)
+	case "s3+sdb+sqs":
+		// The paper's 2·S_SQS + S_SimpleDB: each provenance byte is
+		// stored into and read back out of SQS once.
+		provBytes += u.BytesIn(billing.SQS) + u.BytesOut(billing.SQS) + u.Storage(billing.SimpleDB)
+	}
+	return provBytes, provOps
+}
+
+// query is Table 3's reading of a loaded cell: one query class priced off
+// the meter delta it caused (requests plus transfer; storage does not move
+// under a read).
+func (c *cell) query(q table3Query) (ShardedQueryCost, error) {
+	before := c.Usage()
+	results, err := q.run(c.Store)
+	if err != nil {
+		return ShardedQueryCost{}, fmt.Errorf("%s on %s: %w", q.name, c.name, err)
+	}
+	delta := c.Usage().Sub(before)
+	return ShardedQueryCost{
+		Query:   q.name,
+		Ops:     delta.TotalOps(),
+		DataOut: delta.BytesOut(billing.S3) + delta.BytesOut(billing.SimpleDB) + delta.BytesOut(billing.SQS),
+		Results: results,
+		USD:     billing.Jan2009.Price(delta).Total(),
+	}, nil
 }
 
 // Table2Measured reads the storage comparison off the billing meters.
@@ -193,29 +241,11 @@ func (h *Harness) Table2Measured(ctx context.Context) (*Table2, error) {
 		Method:   "measured",
 		Scale:    h.Scale,
 	}
-	for _, run := range h.runs {
-		u := run.loadEnd
-		provOps := u.TotalOps() - run.setup.TotalOps() - t.RawOps
-
-		var provBytes int64
-		s3Extra := u.Storage(billing.S3) - t.RawBytes // metadata + overflow/spill objects
-		switch run.name {
-		case "s3":
-			provBytes = s3Extra
-		case "s3+sdb":
-			provBytes = u.Storage(billing.SimpleDB) + s3Extra
-		case "s3+sdb+sqs":
-			// The paper's 2·S_SQS + S_SimpleDB: each provenance byte is
-			// stored into and read back out of SQS once.
-			provBytes = u.BytesIn(billing.SQS) + u.BytesOut(billing.SQS) +
-				u.Storage(billing.SimpleDB) + s3Extra
-		}
-		t.Rows = append(t.Rows, Table2Row{
-			Arch:      run.name,
-			ProvBytes: provBytes,
-			ProvOps:   provOps,
-			Elapsed:   billing.WAN2009.Estimate(u),
-		})
+	for _, name := range arch.Names {
+		c := h.cells[name]
+		row := Table2Row{Arch: name, Elapsed: billing.WAN2009.Estimate(c.loadEnd)}
+		row.ProvBytes, row.ProvOps = c.overhead(h.stats)
+		t.Rows = append(t.Rows, row)
 	}
 	return t, nil
 }
@@ -241,48 +271,22 @@ func (h *Harness) Table3Measured(ctx context.Context) (*Table3, error) {
 		return nil, err
 	}
 	t := &Table3{Tool: h.Tool, Scale: h.Scale}
-
-	backends := []struct {
-		label string
-		run   *archRun
-	}{
-		{"S3", h.findRun("s3")},
-		{"SimpleDB", h.findRun("s3+sdb")},
+	// With the cache on, each class runs again on the unchanged repository
+	// as "<name>+": the snapshot cache answers without touching the cloud.
+	runs := []string{""}
+	if h.CachedQueries {
+		runs = append(runs, "+")
 	}
-	queries := table3Queries(ctx, h.Tool)
-
-	for _, query := range queries {
+	backends := []struct{ label, arch string }{{"S3", "s3"}, {"SimpleDB", "s3+sdb"}}
+	for _, q := range table3Queries(ctx, h.Tool) {
 		for _, backend := range backends {
-			if backend.run == nil {
-				return nil, fmt.Errorf("cost: backend %s not loaded", backend.label)
-			}
-			before := backend.run.cloud.Usage()
-			n, err := query.run(backend.run.store)
-			if err != nil {
-				return nil, fmt.Errorf("cost: %s on %s: %w", query.name, backend.label, err)
-			}
-			after := backend.run.cloud.Usage()
-			t.Rows = append(t.Rows, Table3Row{
-				Query:   query.name,
-				Arch:    backend.label,
-				DataOut: totalOut(after) - totalOut(before),
-				Ops:     after.TotalOps() - before.TotalOps(),
-				Results: n,
-			})
-			if h.CachedQueries {
-				// The repeat run: the repository has not changed, so the
-				// snapshot cache answers without touching the cloud.
-				n2, err := query.run(backend.run.store)
+			for _, suffix := range runs {
+				qc, err := h.cells[backend.arch].query(q)
 				if err != nil {
-					return nil, fmt.Errorf("cost: %s repeat on %s: %w", query.name, backend.label, err)
+					return nil, fmt.Errorf("cost: %w", err)
 				}
-				again := backend.run.cloud.Usage()
 				t.Rows = append(t.Rows, Table3Row{
-					Query:   query.name + "+",
-					Arch:    backend.label,
-					DataOut: totalOut(again) - totalOut(after),
-					Ops:     again.TotalOps() - after.TotalOps(),
-					Results: n2,
+					Query: q.name + suffix, Arch: backend.label, DataOut: qc.DataOut, Ops: qc.Ops, Results: qc.Results,
 				})
 			}
 		}
@@ -292,39 +296,20 @@ func (h *Harness) Table3Measured(ctx context.Context) (*Table3, error) {
 
 // Usage returns the load-phase usage snapshot of one architecture.
 func (h *Harness) Usage(arch string) (billing.Usage, bool) {
-	if run := h.findRun(arch); run != nil {
-		return run.loadEnd, true
+	c, ok := h.cells[arch]
+	if !ok {
+		return billing.Usage{}, false
 	}
-	return billing.Usage{}, false
-}
-
-// Store returns a loaded store by architecture name.
-func (h *Harness) Store(arch string) (core.Store, bool) {
-	if run := h.findRun(arch); run != nil {
-		return run.store, true
-	}
-	return nil, false
+	return c.loadEnd, true
 }
 
 // RetrySnapshot returns one architecture's cumulative retry counters —
 // zero across the board on a healthy region, so trajectory tooling can
 // gate on retry overhead appearing.
 func (h *Harness) RetrySnapshot(arch string) (retry.Snapshot, bool) {
-	if run := h.findRun(arch); run != nil && run.retryStats != nil {
-		return run.retryStats(), true
+	c, ok := h.cells[arch]
+	if !ok {
+		return retry.Snapshot{}, false
 	}
-	return retry.Snapshot{}, false
-}
-
-func (h *Harness) findRun(name string) *archRun {
-	for _, run := range h.runs {
-		if run.name == name {
-			return run
-		}
-	}
-	return nil
-}
-
-func totalOut(u billing.Usage) int64 {
-	return u.BytesOut(billing.S3) + u.BytesOut(billing.SimpleDB) + u.BytesOut(billing.SQS)
+	return c.RetryStats(), true
 }

@@ -12,7 +12,6 @@ import (
 	"passcloud/internal/pass"
 	"passcloud/internal/prov"
 	"passcloud/internal/replay"
-	"passcloud/internal/sim"
 	"passcloud/internal/workload"
 )
 
@@ -76,23 +75,11 @@ func (h *Harness) Replay(ctx context.Context, shardCounts []int) (*ReplayCosts, 
 }
 
 func (h *Harness) replayRun(ctx context.Context, name string, n int) (*ReplayRow, error) {
-	b, err := newMatrixCell(name, h.Seed, n)
+	c, err := h.loadedCell(ctx, name, n)
 	if err != nil {
 		return nil, err
 	}
-	store := b.Store
-	sys := pass.NewSystem(pass.Config{Flush: core.Flusher(store)})
-	if err := workload.Run(ctx, sys, sim.NewRNG(h.Seed), workload.NewCombined(h.Scale)); err != nil {
-		return nil, err
-	}
-	if err := core.SyncStore(ctx, store); err != nil {
-		return nil, err
-	}
-	if err := b.drain(ctx); err != nil {
-		return nil, err
-	}
-
-	targets, err := currentFileVersions(ctx, store)
+	targets, err := currentFileVersions(ctx, c.Store)
 	if err != nil {
 		return nil, err
 	}
@@ -100,15 +87,14 @@ func (h *Harness) replayRun(ctx context.Context, name string, n int) (*ReplayRow
 		return nil, fmt.Errorf("workload left no file versions to replay")
 	}
 
-	sb, err := newMatrixCell(name, h.Seed, n)
+	sb, err := h.build(name, n)
 	if err != nil {
 		return nil, err
 	}
-	setup := sb.usage()
-	before := b.usage()
+	setup, before := sb.Usage(), c.Usage()
 	rep, err := replay.Replay(ctx, replay.Config{
-		Source: store,
-		Fetch:  store.Get,
+		Source: c.Store,
+		Fetch:  c.Store.Get,
 		Target: sb.Store,
 		Runner: workload.Tools{},
 		Kernel: pass.DefaultKernel,
@@ -116,11 +102,11 @@ func (h *Harness) replayRun(ctx context.Context, name string, n int) (*ReplayRow
 	if err != nil {
 		return nil, err
 	}
-	if err := sb.drain(ctx); err != nil {
+	if err := workload.Drain(ctx, sb); err != nil {
 		return nil, err
 	}
-	after := b.usage()
-	spent := sb.usage().Sub(setup)
+	extract := c.Usage().Sub(before)
+	spent := sb.Usage().Sub(setup)
 
 	return &ReplayRow{
 		Arch:        name,
@@ -130,7 +116,7 @@ func (h *Harness) replayRun(ctx context.Context, name string, n int) (*ReplayRow
 		Processes:   rep.Processes,
 		Compared:    rep.Compared,
 		Divergences: len(rep.Divergences),
-		ExtractOps:  after.Sub(before).TotalOps(),
+		ExtractOps:  extract.TotalOps(),
 		ReplayOps:   spent.TotalOps(),
 		ReplayUSD:   billing.Jan2009.Price(spent).Total(),
 	}, nil

@@ -6,15 +6,9 @@ import (
 	"sort"
 	"strings"
 
-	"passcloud/internal/cloud"
 	"passcloud/internal/cloud/billing"
-	"passcloud/internal/core"
 	"passcloud/internal/core/arch"
 	"passcloud/internal/core/integrity"
-	"passcloud/internal/core/s3sdbsqs"
-	"passcloud/internal/pass"
-	"passcloud/internal/sim"
-	"passcloud/internal/workload"
 )
 
 // ShardedQueryCost is one query class metered through the shard router.
@@ -69,52 +63,6 @@ type ShardedCosts struct {
 	Rows        []ShardedRow `json:"rows"`
 }
 
-// matrixCell is one architecture at one shard count on its own fresh
-// region, built like the unsharded harness builds (uncached queries, the
-// WAL architecture's polling commit daemons): members on namespaces
-// "s<i>", behind the shard router when n > 1.
-type matrixCell struct {
-	*arch.Sharded
-	multi *cloud.Multi
-}
-
-func newMatrixCell(name string, seed int64, n int) (*matrixCell, error) {
-	multi := cloud.NewMulti(cloud.Config{Seed: seed})
-	b, err := arch.BuildSharded(multi, n, func(s int) (string, arch.Config) {
-		key := fmt.Sprintf("s%d", s)
-		return key, arch.Config{Name: name, ClientID: key, DisableQueryCache: true}
-	})
-	if err != nil {
-		return nil, err
-	}
-	for _, d := range b.Daemons {
-		d.Threshold = walThreshold
-	}
-	return &matrixCell{Sharded: b, multi: multi}, nil
-}
-
-// drain runs every commit daemon to quiescence (no-op off the WAL
-// architecture) — one daemon at a time, so an already idle daemon's queue
-// is not polled again while a neighbour finishes — then settles the region.
-func (b *matrixCell) drain(ctx context.Context) error {
-	for _, d := range b.Daemons {
-		if err := s3sdbsqs.Drain(ctx, b.multi.Settle, d); err != nil {
-			return err
-		}
-	}
-	b.multi.Settle()
-	return nil
-}
-
-// usage sums the member namespaces' meters.
-func (b *matrixCell) usage() billing.Usage {
-	var u billing.Usage
-	for _, cl := range b.Clouds {
-		u = u.Add(cl.Usage())
-	}
-	return u
-}
-
 // Sharded drives the combined workload through the shard router at each
 // requested shard count and reads the billing meters: the Tables 2/3
 // costs of scale-out, plus the ops and dollars a full tamper-evidence
@@ -132,7 +80,11 @@ func (h *Harness) Sharded(ctx context.Context, shardCounts []int) (*ShardedCosts
 
 	for _, name := range arch.Names {
 		for _, n := range counts {
-			row, err := h.shardedRun(ctx, name, n)
+			c, err := h.loadedCell(ctx, name, n)
+			if err != nil {
+				return nil, fmt.Errorf("cost: sharded %s x%d: %w", name, n, err)
+			}
+			row, err := h.shardedRow(ctx, c)
 			if err != nil {
 				return nil, fmt.Errorf("cost: sharded %s x%d: %w", name, n, err)
 			}
@@ -142,91 +94,40 @@ func (h *Harness) Sharded(ctx context.Context, shardCounts []int) (*ShardedCosts
 	return out, nil
 }
 
-func (h *Harness) shardedRun(ctx context.Context, name string, n int) (*ShardedRow, error) {
-	b, err := newMatrixCell(name, h.Seed, n)
-	if err != nil {
-		return nil, err
-	}
-	store := b.Store
-	setup := b.usage()
-
-	// Load: same flush shape as the unsharded harness — the WAL daemons
-	// poll every few flushed events, then drain fully.
-	flush := pollingFlush(core.Flusher(store), b.Daemons)
-	// Collect dataset stats if the unsharded harness has not run: the
-	// sharded matrix sees the identical deterministic flush stream.
-	var collector *Collector
-	if h.stats.Objects == 0 {
-		collector = &Collector{}
-		flush = collector.Tee(flush)
-	}
-	sys := pass.NewSystem(pass.Config{Flush: flush})
-	w := workload.NewCombined(h.Scale)
-	if err := workload.Run(ctx, sys, sim.NewRNG(h.Seed), w); err != nil {
-		return nil, err
-	}
-	if collector != nil {
-		h.stats = collector.Stats
-	}
-	if err := core.SyncStore(ctx, store); err != nil {
-		return nil, err
-	}
-	if err := b.drain(ctx); err != nil {
-		return nil, err
-	}
-	loadEnd := b.usage()
-
-	rawBytes, rawOps := h.stats.DataBytes, h.stats.Objects
-	row := &ShardedRow{Arch: name, Shards: n}
-	row.ProvOps = loadEnd.TotalOps() - setup.TotalOps() - rawOps
-	s3Extra := loadEnd.Storage(billing.S3) - rawBytes
-	switch name {
-	case "s3":
-		row.ProvBytes = s3Extra
-	case "s3+sdb":
-		row.ProvBytes = loadEnd.Storage(billing.SimpleDB) + s3Extra
-	case "s3+sdb+sqs":
-		row.ProvBytes = loadEnd.BytesIn(billing.SQS) + loadEnd.BytesOut(billing.SQS) +
-			loadEnd.Storage(billing.SimpleDB) + s3Extra
-	}
+// shardedRow reads one loaded cell: its Table 2 overhead, the Table 3
+// classes and a full audit.
+func (h *Harness) shardedRow(ctx context.Context, c *cell) (*ShardedRow, error) {
+	row := &ShardedRow{Arch: c.name, Shards: len(c.Members)}
+	row.ProvBytes, row.ProvOps = c.overhead(h.stats)
 
 	// Table 3 classes through the router, cold, for the two backends the
 	// paper reports.
-	if name != "s3+sdb+sqs" {
+	if c.name != "s3+sdb+sqs" {
 		for _, q := range table3Queries(ctx, h.Tool) {
-			before := b.usage()
-			results, err := q.run(store)
+			qc, err := c.query(q)
 			if err != nil {
-				return nil, fmt.Errorf("%s: %w", q.name, err)
+				return nil, err
 			}
-			after := b.usage()
-			row.Queries = append(row.Queries, ShardedQueryCost{
-				Query:   q.name,
-				Ops:     after.TotalOps() - before.TotalOps(),
-				DataOut: totalOut(after) - totalOut(before),
-				Results: results,
-				USD:     billing.Jan2009.Price(after.Sub(before)).Total(),
-			})
+			row.Queries = append(row.Queries, qc)
 		}
 	}
 
 	// Verification cost: a full audit of every shard, composed into the
 	// namespace root, priced off the meter delta.
-	auditors := make([]integrity.Auditor, len(b.Members))
-	for i, st := range b.Members {
+	auditors := make([]integrity.Auditor, len(c.Members))
+	for i, st := range c.Members {
 		a, ok := st.(integrity.Auditor)
 		if !ok {
 			return nil, fmt.Errorf("shard %d is not auditable", i)
 		}
 		auditors[i] = a
 	}
-	before := b.usage()
+	before := c.Usage()
 	res, err := integrity.VerifyStores(ctx, auditors)
 	if err != nil {
 		return nil, fmt.Errorf("verify: %w", err)
 	}
-	after := b.usage()
-	delta := after.Sub(before)
+	delta := c.Usage().Sub(before)
 	row.VerifyOps = delta.TotalOps()
 	row.VerifyUSD = billing.Jan2009.Price(delta).Total()
 	row.VerifyClean = res.Clean()

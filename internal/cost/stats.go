@@ -11,7 +11,8 @@
 //     each architecture against the simulated AWS and reads the billing
 //     meters.
 //
-// EXPERIMENTS.md compares the two against the paper's published numbers.
+// passbench prints both (-table 2 -estimate); the README's "Query
+// performance" section carries the measured Table 3.
 package cost
 
 import (

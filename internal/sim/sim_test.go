@@ -67,15 +67,6 @@ func TestVirtualClockConcurrentAdvance(t *testing.T) {
 	}
 }
 
-func TestWallClock(t *testing.T) {
-	before := time.Now()
-	got := WallClock{}.Now()
-	after := time.Now()
-	if got.Before(before) || got.After(after) {
-		t.Fatalf("WallClock.Now() = %v not in [%v, %v]", got, before, after)
-	}
-}
-
 func TestRNGDeterminism(t *testing.T) {
 	a, b := NewRNG(42), NewRNG(42)
 	for i := 0; i < 100; i++ {

@@ -3,15 +3,14 @@ package workload
 import (
 	"context"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"passcloud/internal/cloud"
 	"passcloud/internal/cloud/billing"
 	"passcloud/internal/content"
 	"passcloud/internal/core"
+	"passcloud/internal/core/arch"
 	"passcloud/internal/pass"
 	"passcloud/internal/prov"
 )
@@ -19,13 +18,10 @@ import (
 // This file is the sustained-load harness: an open-loop multi-tenant
 // generator that drives a (possibly sharded) provenance store with
 // tenants × writers concurrent PASS clients and then tenants × queriers
-// concurrent readers, and reports throughput two ways:
-//
-//   - wall-clock (real goroutine concurrency against the in-process sim —
-//     informative, machine-dependent);
-//   - modeled (the WAN2009 latency model applied per namespace, makespan =
-//     the slowest namespace — deterministic, which is what the CI scale
-//     gate compares across commits).
+// concurrent readers, and reports modeled throughput: the WAN2009 latency
+// model applied per namespace, makespan = the slowest namespace —
+// deterministic, which is what the CI scale gate compares across commits.
+// Host time is not measured here; that is benchmark/'s job.
 //
 // "Open loop" here means the offered workload is fixed by the seed — which
 // objects, which bytes, which order per writer — independent of how the
@@ -116,48 +112,6 @@ type ShardPlacer interface {
 	NumShards() int
 }
 
-// LoadTarget is one tenant's store under test, with the metering handles
-// the harness reads. Build one per tenant.
-type LoadTarget struct {
-	// Store receives the tenant's traffic. Required.
-	Store core.Store
-	// Clouds are the namespaces backing the store, indexed by shard (one
-	// entry for an unsharded store). Required: they are the billing keys
-	// per-shard op counts and the modeled makespan read from.
-	Clouds []*cloud.Cloud
-	// Drain, when non-nil, brings the store to quiescence after the write
-	// phase (the WAL architecture's commit daemon).
-	Drain func(context.Context) error
-}
-
-// Histogram summarizes an observed latency distribution.
-type Histogram struct {
-	Count              int
-	P50, P90, P99, Max time.Duration
-}
-
-// histogramOf computes percentile summaries (nearest-rank).
-func histogramOf(samples []time.Duration) Histogram {
-	h := Histogram{Count: len(samples)}
-	if len(samples) == 0 {
-		return h
-	}
-	sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
-	rank := func(p float64) time.Duration {
-		i := int(p*float64(len(samples))+0.5) - 1
-		if i < 0 {
-			i = 0
-		}
-		if i >= len(samples) {
-			i = len(samples) - 1
-		}
-		return samples[i]
-	}
-	h.P50, h.P90, h.P99 = rank(0.50), rank(0.90), rank(0.99)
-	h.Max = samples[len(samples)-1]
-	return h
-}
-
 // LoadResult is one run's measurements.
 type LoadResult struct {
 	// Configuration echo (post-default).
@@ -183,28 +137,22 @@ type LoadResult struct {
 	ModeledWrite time.Duration
 	// ThroughputEPS is Events per modeled second — the scale gate metric.
 	ThroughputEPS float64
-	// Wall is the real elapsed time of the write phase (informative only).
-	Wall time.Duration
-	// FlushLatency is the wall-clock per-flush distribution (informative).
-	FlushLatency Histogram
 
 	// Queries and QueryResults count the query phase's work.
 	Queries, QueryResults int64
 }
 
-// RunLoad executes one sustained-load run: build one target per tenant,
-// drive the write phase to quiescence, snapshot the (deterministic) write
-// metrics, then run the query phase.
-func RunLoad(ctx context.Context, cfg LoadConfig, build func(tenant int) (LoadTarget, error)) (*LoadResult, error) {
+// RunLoad executes one sustained-load run: build one cell per tenant (its
+// Clouds, in shard order, are the billing keys per-shard op counts and the
+// modeled makespan read from), drive the write phase to quiescence,
+// snapshot the (deterministic) write metrics, then run the query phase.
+func RunLoad(ctx context.Context, cfg LoadConfig, build func(tenant int) (*arch.Sharded, error)) (*LoadResult, error) {
 	cfg = cfg.withDefaults()
-	targets := make([]LoadTarget, cfg.Tenants)
+	targets := make([]*arch.Sharded, cfg.Tenants)
 	for t := 0; t < cfg.Tenants; t++ {
 		tg, err := build(t)
 		if err != nil {
 			return nil, fmt.Errorf("workload: build tenant %d: %w", t, err)
-		}
-		if tg.Store == nil || len(tg.Clouds) == 0 {
-			return nil, fmt.Errorf("workload: tenant %d target missing store or clouds", t)
 		}
 		targets[t] = tg
 	}
@@ -223,8 +171,6 @@ func RunLoad(ctx context.Context, cfg LoadConfig, build func(tenant int) (LoadTa
 	}
 
 	var events, batches atomic.Int64
-	var latMu sync.Mutex
-	var latencies []time.Duration
 
 	// Each writer is one PASS client: its own observed process tree, its
 	// own namespace, flushing into the shared tenant store.
@@ -238,15 +184,7 @@ func RunLoad(ctx context.Context, cfg LoadConfig, build func(tenant int) (LoadTa
 		tg := targets[t]
 		store := tg.Store
 		flush := func(ctx context.Context, batch []pass.FlushEvent) error {
-			//passvet:allow simclock -- wall-latency histogram: these measure the host's real flush latency by design; every simulated behaviour still rides sim.Clock
-			start := time.Now()
-			err := store.PutBatch(ctx, batch)
-			//passvet:allow simclock -- wall-latency histogram: real elapsed time is the measurement
-			d := time.Since(start)
-			latMu.Lock()
-			latencies = append(latencies, d)
-			latMu.Unlock()
-			if err != nil {
+			if err := store.PutBatch(ctx, batch); err != nil {
 				return err
 			}
 			events.Add(int64(len(batch)))
@@ -268,8 +206,6 @@ func RunLoad(ctx context.Context, cfg LoadConfig, build func(tenant int) (LoadTa
 	}
 
 	// --- write phase ---------------------------------------------------------
-	//passvet:allow simclock -- Result.Wall reports the harness's real wall time alongside the modeled makespan; the modeled numbers themselves come from the meters
-	start := time.Now()
 	var wg sync.WaitGroup
 	errc := make(chan error, len(writers))
 	for _, w := range writers {
@@ -297,17 +233,12 @@ func RunLoad(ctx context.Context, cfg LoadConfig, build func(tenant int) (LoadTa
 		if err := core.SyncStore(ctx, targets[t].Store); err != nil {
 			return nil, fmt.Errorf("workload: store sync: %w", err)
 		}
-		if targets[t].Drain != nil {
-			if err := targets[t].Drain(ctx); err != nil {
-				return nil, fmt.Errorf("workload: drain tenant %d: %w", t, err)
-			}
+		if err := Drain(ctx, targets[t]); err != nil {
+			return nil, fmt.Errorf("workload: drain tenant %d: %w", t, err)
 		}
 	}
-	//passvet:allow simclock -- Result.Wall reports the harness's real wall time alongside the modeled makespan
-	res.Wall = time.Since(start)
 	res.Events = events.Load()
 	res.FlushBatches = batches.Load()
-	res.FlushLatency = histogramOf(latencies)
 
 	// Deterministic write metrics from the per-namespace meters: the
 	// write phase's delta over the build-time baseline.
@@ -337,10 +268,7 @@ func RunLoad(ctx context.Context, cfg LoadConfig, build func(tenant int) (LoadTa
 	var qwg sync.WaitGroup
 	qerrc := make(chan error, cfg.Tenants*cfg.Queriers)
 	for t := 0; t < cfg.Tenants; t++ {
-		q, ok := targets[t].Store.(core.Querier)
-		if !ok {
-			continue
-		}
+		q := targets[t].Store
 		for k := 0; k < cfg.Queriers; k++ {
 			t := t
 			qwg.Add(1)
@@ -445,7 +373,7 @@ func runWriter(ctx context.Context, cfg LoadConfig, sys *pass.System, names []st
 
 // querySet is the fixed per-querier descriptor sequence: a repository
 // listing, a tenant-prefix filter, and a dependents lookup — repeated so
-// warm-cache behaviour shows in the phase's wall time.
+// the warm-cache path is exercised too.
 func querySet(tenant int) []prov.Query {
 	prefix := fmt.Sprintf("/t%d/", tenant)
 	return []prov.Query{

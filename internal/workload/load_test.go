@@ -2,20 +2,22 @@ package workload
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"passcloud/internal/cloud"
+	"passcloud/internal/core/arch"
 )
 
 // runLoadAt runs the standard load config for one (arch, shards) cell.
-func runLoadAt(t *testing.T, arch string, shards int, cfg LoadConfig) *LoadResult {
+func runLoadAt(t *testing.T, name string, shards int, cfg LoadConfig) *LoadResult {
 	t.Helper()
 	multi := cloud.NewMulti(cloud.Config{Seed: cfg.Seed})
-	res, err := RunLoad(context.Background(), cfg, func(tenant int) (LoadTarget, error) {
-		return BuildLoadTarget(multi, arch, tenant, shards)
+	res, err := RunLoad(context.Background(), cfg, func(tenant int) (*arch.Sharded, error) {
+		return BuildCell(multi, fmt.Sprintf("t%d/", tenant), shards, arch.Config{Name: name})
 	})
 	if err != nil {
-		t.Fatalf("%s x%d: %v", arch, shards, err)
+		t.Fatalf("%s x%d: %v", name, shards, err)
 	}
 	return res
 }
@@ -28,12 +30,12 @@ var loadTestCfg = LoadConfig{Tenants: 2, Writers: 2, Queriers: 1, Batches: 40, S
 // first two architectures, within 0.2% for the WAL architecture (the
 // commit daemon's receive count depends on queue interleaving).
 func TestLoadDeterministicWriteMetrics(t *testing.T) {
-	for _, arch := range LoadArchs {
-		t.Run(arch, func(t *testing.T) {
-			a := runLoadAt(t, arch, 4, loadTestCfg)
-			b := runLoadAt(t, arch, 4, loadTestCfg)
+	for _, name := range arch.Names {
+		t.Run(name, func(t *testing.T) {
+			a := runLoadAt(t, name, 4, loadTestCfg)
+			b := runLoadAt(t, name, 4, loadTestCfg)
 			close := func(x, y int64) bool {
-				if arch == "s3+sdb+sqs" {
+				if name == "s3+sdb+sqs" {
 					// The WAL drain's receive count shifts by a few ops
 					// with queue interleaving (tx assembly across receive
 					// pages); everything else is exact.
@@ -67,10 +69,10 @@ func TestLoadDeterministicWriteMetrics(t *testing.T) {
 // baseline — no hidden amplification. All three architectures are
 // measured; the paper's first two must clear the bar.
 func TestLoadShardScaling(t *testing.T) {
-	for _, arch := range LoadArchs {
-		t.Run(arch, func(t *testing.T) {
-			flat := runLoadAt(t, arch, 1, loadTestCfg)
-			sharded := runLoadAt(t, arch, 4, loadTestCfg)
+	for _, name := range arch.Names {
+		t.Run(name, func(t *testing.T) {
+			flat := runLoadAt(t, name, 1, loadTestCfg)
+			sharded := runLoadAt(t, name, 4, loadTestCfg)
 
 			if flat.Events != sharded.Events {
 				t.Fatalf("event counts diverge: %d unsharded vs %d sharded", flat.Events, sharded.Events)
@@ -89,13 +91,13 @@ func TestLoadShardScaling(t *testing.T) {
 			}
 			speedup := sharded.ThroughputEPS / flat.ThroughputEPS
 			t.Logf("%s: 1-shard %.0f ev/s, 4-shard %.0f ev/s (%.2fx, amplification %.3f)",
-				arch, flat.ThroughputEPS, sharded.ThroughputEPS, speedup, amplification)
+				name, flat.ThroughputEPS, sharded.ThroughputEPS, speedup, amplification)
 			// The acceptance bar is >= 3x for at least the first two
 			// architectures; the WAL design carries per-sub-batch
 			// begin/commit overhead, so it gets headroom (today it clears
 			// 3.4x anyway).
 			bar := 3.0
-			if arch == "s3+sdb+sqs" {
+			if name == "s3+sdb+sqs" {
 				bar = 2.5
 			}
 			if speedup < bar {
@@ -157,17 +159,5 @@ func TestLoadHotShardTargetAndShift(t *testing.T) {
 	}
 	if s1+s3 < 0.6 {
 		t.Fatalf("shifted hotspot leaked off the targeted shards: shares %v", res.PerShardOps)
-	}
-}
-
-// TestLoadHistogram sanity-checks the percentile summary.
-func TestLoadHistogram(t *testing.T) {
-	h := histogramOf(nil)
-	if h.Count != 0 {
-		t.Fatal("empty histogram")
-	}
-	res := runLoadAt(t, "s3", 1, LoadConfig{Tenants: 1, Writers: 1, Batches: 6, Seed: 1})
-	if res.FlushLatency.Count == 0 || res.FlushLatency.Max < res.FlushLatency.P50 {
-		t.Fatalf("implausible latency histogram: %+v", res.FlushLatency)
 	}
 }

@@ -510,11 +510,7 @@ func (c *Client) Usage() UsageSummary {
 // deployment accounts with. On an unsharded single-tenant client it
 // equals Usage.
 func (c *Client) TenantUsage() UsageSummary {
-	var sum billing.Usage
-	for _, cl := range c.b.Clouds {
-		sum = sum.Add(cl.Usage())
-	}
-	return usageFrom(sum)
+	return usageFrom(c.b.Usage())
 }
 
 // usageFrom converts a meter snapshot into the public summary.

@@ -12,6 +12,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"passcloud/internal/cloud/billing"
 	"passcloud/internal/sim"
@@ -33,181 +34,376 @@ func refComparison(op, operand, value string) bool {
 		return operand != value
 	case "<":
 		return operand < value
+	case "<=":
+		return operand <= value
 	case ">":
 		return operand > value
+	case ">=":
+		return operand >= value
 	case "starts-with":
 		return strings.HasPrefix(operand, value)
+	case "does-not-start-with":
+		return !strings.HasPrefix(operand, value)
 	default:
 		return false
 	}
 }
 
-// refPredicate: does any single value of attr satisfy all/any comparisons?
-// Mirrors the single-attribute predicate semantics: the comparisons combine
-// with one connective (the generator only emits homogeneous connectives to
-// keep the reference evaluation obviously correct).
-func refPredicate(item modelItem, attr string, comps []refComp, conj bool) bool {
-	for _, a := range item.attrs {
-		if a.Name != attr {
+// refTerm is one comparison of a reference predicate; and says how it joins
+// the comparisons to its left (ignored on the first term).
+type refTerm struct {
+	and       bool
+	op, value string
+}
+
+// refPred is the reference form of one bracketed predicate. The grammar has
+// no precedence: comparisons fold left to right.
+type refPred struct {
+	attr  string
+	terms []refTerm
+}
+
+// matches: does some single value of attr satisfy the folded comparisons?
+func (p refPred) matches(attrs []Attr) bool {
+	for _, a := range attrs {
+		if a.Name != p.attr {
 			continue
 		}
-		matched := conj
-		for _, c := range comps {
-			ok := refComparison(c.op, a.Value, c.value)
-			if conj {
-				matched = matched && ok
-			} else {
-				matched = matched || ok
+		ok := false
+		for i, c := range p.terms {
+			m := refComparison(c.op, a.Value, c.value)
+			switch {
+			case i == 0:
+				ok = m
+			case c.and:
+				ok = ok && m
+			default:
+				ok = ok || m
 			}
 		}
-		if matched {
+		if ok {
 			return true
 		}
 	}
 	return false
 }
 
-type refComp struct{ op, value string }
+// lookupShape reports whether the predicate is a disjunction of equalities —
+// the one shape the engine may answer from the index without walking values.
+func (p refPred) lookupShape() bool {
+	for i, c := range p.terms {
+		if c.op != "=" || (i > 0 && c.and) {
+			return false
+		}
+	}
+	return true
+}
 
-// genDomain builds a random set of items over small alphabets so that
-// collisions (shared values, multi-valued attributes) actually happen.
+func (p refPred) String() string {
+	var b strings.Builder
+	b.WriteString("[")
+	for i, c := range p.terms {
+		if i > 0 {
+			if c.and {
+				b.WriteString(" and ")
+			} else {
+				b.WriteString(" or ")
+			}
+		}
+		fmt.Fprintf(&b, "'%s' %s %s", p.attr, c.op, QuoteString(c.value))
+	}
+	b.WriteString("]")
+	return b.String()
+}
+
+// refQuery is a chain of predicates folded left to right by set operators;
+// ops[i] joins preds[i+1] to everything before it.
+type refQuery struct {
+	preds []refPred
+	ops   []string
+}
+
+func (q refQuery) matches(attrs []Attr) bool {
+	ok := q.preds[0].matches(attrs)
+	for i, op := range q.ops {
+		m := q.preds[i+1].matches(attrs)
+		switch op {
+		case "intersection":
+			ok = ok && m
+		case "union":
+			ok = ok || m
+		case "not":
+			ok = ok && !m
+		}
+	}
+	return ok
+}
+
+func (q refQuery) String() string {
+	var b strings.Builder
+	b.WriteString(q.preds[0].String())
+	for i, op := range q.ops {
+		b.WriteString(" " + op + " " + q.preds[i+1].String())
+	}
+	return b.String()
+}
+
+// Small alphabets, so collisions (shared values, multi-valued attributes)
+// actually happen; "input" has a wide pool like the attribute production
+// sends its long equality chains over.
+var (
+	modelAttrs  = []string{"color", "size", "year", "input"}
+	modelValues = []string{"red", "blue", "green", "small", "large", "1999", "2005", "2009"}
+	modelOps    = []string{"=", "!=", "<", "<=", ">", ">=", "starts-with", "does-not-start-with"}
+)
+
+// genValue draws a value for attr. With absent set it may return a literal
+// no item ever carries.
+func genValue(rng *sim.RNG, attr string, absent bool) string {
+	if absent && rng.Intn(5) == 0 {
+		return fmt.Sprintf("absent%d", rng.Intn(4))
+	}
+	if attr == "input" {
+		return fmt.Sprintf("in%02d", rng.Intn(60))
+	}
+	return modelValues[rng.Intn(len(modelValues))]
+}
+
+func genAttr(rng *sim.RNG) Attr {
+	name := modelAttrs[rng.Intn(len(modelAttrs))]
+	return Attr{Name: name, Value: genValue(rng, name, false)}
+}
+
+// genDomain builds a random set of items.
 func genDomain(rng *sim.RNG, n int) []modelItem {
-	attrs := []string{"color", "size", "year"}
-	values := []string{"red", "blue", "green", "small", "large", "1999", "2005", "2009"}
 	items := make([]modelItem, 0, n)
 	for i := 0; i < n; i++ {
 		item := modelItem{name: fmt.Sprintf("item%03d", i)}
-		nAttrs := 1 + rng.Intn(4)
-		for a := 0; a < nAttrs; a++ {
-			item.attrs = append(item.attrs, Attr{
-				Name:  attrs[rng.Intn(len(attrs))],
-				Value: values[rng.Intn(len(values))],
-			})
-		}
 		// Deduplicate (name,value) pairs as the service does.
-		seen := map[Attr]bool{}
-		var uniq []Attr
-		for _, a := range item.attrs {
-			if !seen[a] {
-				seen[a] = true
-				uniq = append(uniq, a)
+		for a := 1 + rng.Intn(5); a > 0; a-- {
+			if pair := genAttr(rng); !containsAttr(item.attrs, pair) {
+				item.attrs = append(item.attrs, pair)
 			}
 		}
-		item.attrs = uniq
 		items = append(items, item)
 	}
 	return items
 }
 
-// genPredicate builds a random single-attribute predicate and its reference
-// closure.
-func genPredicate(rng *sim.RNG) (expr string, attr string, comps []refComp, conj bool) {
-	attrs := []string{"color", "size", "year"}
-	values := []string{"red", "blue", "green", "small", "large", "1999", "2005", "2009"}
-	ops := []string{"=", "!=", "<", ">", "starts-with"}
-
-	attr = attrs[rng.Intn(len(attrs))]
-	n := 1 + rng.Intn(2)
-	conj = rng.Intn(2) == 0
-	connective := " and "
-	if !conj {
-		connective = " or "
+// genPredicate builds a random single-attribute predicate in one of the
+// shapes the engine distinguishes: an equality chain of 1–40 terms with
+// duplicate and absent literals (what sdbprov's chunked dependency queries
+// send), an `or` chain that mixes `=` with other operators, a chain with an
+// `and` somewhere in it, and a short free mix.
+func genPredicate(rng *sim.RNG) refPred {
+	p := refPred{attr: modelAttrs[rng.Intn(len(modelAttrs))]}
+	shape := rng.Intn(4)
+	n := 1 + rng.Intn(4)
+	if shape == 0 {
+		n = 1 + rng.Intn(40)
 	}
-	var parts []string
 	for i := 0; i < n; i++ {
-		op := ops[rng.Intn(len(ops))]
-		value := values[rng.Intn(len(values))]
-		comps = append(comps, refComp{op: op, value: value})
-		parts = append(parts, fmt.Sprintf("'%s' %s %s", attr, op, QuoteString(value)))
+		c := refTerm{op: "=", value: genValue(rng, p.attr, true)}
+		switch shape {
+		case 1: // equalities with other operators among them, all or-joined
+			if rng.Intn(2) == 0 {
+				c.op = modelOps[rng.Intn(len(modelOps))]
+			}
+		case 2: // equalities, some and-joined
+			c.and = rng.Intn(2) == 0
+		case 3:
+			c.op = modelOps[rng.Intn(len(modelOps))]
+			c.and = rng.Intn(2) == 0
+		}
+		p.terms = append(p.terms, c)
 	}
-	return "[" + strings.Join(parts, connective) + "]", attr, comps, conj
+	return p
 }
 
-func TestQueryMatchesReferenceModelQuick(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := sim.NewRNG(seed)
-		items := genDomain(rng, 30+rng.Intn(40))
+// genQuery chains one to four predicates over random set operators.
+func genQuery(rng *sim.RNG) refQuery {
+	setOps := []string{"intersection", "union", "not"}
+	q := refQuery{preds: []refPred{genPredicate(rng)}}
+	for n := rng.Intn(4); n > 0; n-- {
+		q.preds = append(q.preds, genPredicate(rng))
+		q.ops = append(q.ops, setOps[rng.Intn(len(setOps))])
+	}
+	return q
+}
 
-		svc := New(Config{
-			Replicas: 1, // strong consistency: the model has no replicas
-			Clock:    sim.NewVirtualClock(),
-			RNG:      sim.NewRNG(seed + 1),
-			Meter:    &billing.Meter{},
-		})
-		if err := svc.CreateDomain("d"); err != nil {
-			return false
+// refNames is the brute-force oracle: every item checked on its own.
+func refNames(items map[string][]Attr, q refQuery) []string {
+	want := []string{}
+	for name, attrs := range items {
+		if q.matches(attrs) {
+			want = append(want, name)
 		}
-		for _, item := range items {
-			ras := make([]ReplaceableAttr, len(item.attrs))
-			for i, a := range item.attrs {
-				ras[i] = ReplaceableAttr{Name: a.Name, Value: a.Value}
+	}
+	sort.Strings(want)
+	return want
+}
+
+// mutate applies one random write — a put (with and without Replace), an
+// attribute delete (by pair and by name), or a whole-item delete — to the
+// service and to the model, which restates the documented semantics.
+func mutate(rng *sim.RNG, svc *Service, model map[string][]Attr) error {
+	item := fmt.Sprintf("item%03d", rng.Intn(80))
+	switch rng.Intn(4) {
+	case 0: // whole item
+		delete(model, item)
+		return svc.DeleteAttributes("d", item, nil)
+	case 1: // some attributes, by (name, value) or by name alone
+		var specs []Attr
+		for n := 1 + rng.Intn(2); n > 0; n-- {
+			spec := genAttr(rng)
+			if rng.Intn(2) == 0 {
+				spec.Value = ""
 			}
-			if err := svc.PutAttributes("d", item.name, ras); err != nil {
+			specs = append(specs, spec)
+		}
+		var kept []Attr
+		for _, a := range model[item] {
+			if !matchesDelete(a, specs) {
+				kept = append(kept, a)
+			}
+		}
+		if model[item] = kept; len(kept) == 0 {
+			delete(model, item)
+		}
+		return svc.DeleteAttributes("d", item, specs)
+	default:
+		var put []ReplaceableAttr
+		for n := 1 + rng.Intn(3); n > 0; n-- {
+			a := genAttr(rng)
+			put = append(put, ReplaceableAttr{Name: a.Name, Value: a.Value, Replace: rng.Intn(2) == 0})
+		}
+		// Replace drops the stored values of that name, not the call's own.
+		var next []Attr
+		for _, a := range model[item] {
+			replaced := false
+			for _, ra := range put {
+				replaced = replaced || (ra.Replace && ra.Name == a.Name)
+			}
+			if !replaced {
+				next = append(next, a)
+			}
+		}
+		for _, ra := range put {
+			if pair := (Attr{Name: ra.Name, Value: ra.Value}); !containsAttr(next, pair) {
+				next = append(next, pair)
+			}
+		}
+		model[item] = next
+		return svc.PutAttributes("d", item, put)
+	}
+}
+
+// TestQueryMatchesReferenceModelQuick interleaves random writes with random
+// queries on one and on three replicas under a propagation delay, and holds
+// the engine to the brute-force oracle at two points: mid-propagation, each
+// replica's answer must equal the oracle over that replica's own items (the
+// index never disagrees with the items it indexes, however stale both are);
+// after the propagation horizon, the paged public Query must equal the
+// oracle over the model.
+func TestQueryMatchesReferenceModelQuick(t *testing.T) {
+	const maxDelay = 2 * time.Second
+	for _, replicas := range []int{1, 3} {
+		f := func(seed int64) bool {
+			rng := sim.NewRNG(seed)
+			clock := sim.NewVirtualClock()
+			svc := New(Config{
+				Replicas: replicas,
+				MinDelay: maxDelay / 10,
+				MaxDelay: maxDelay,
+				Clock:    clock,
+				RNG:      sim.NewRNG(seed + 1),
+				Meter:    &billing.Meter{},
+			})
+			if err := svc.CreateDomain("d"); err != nil {
 				return false
 			}
-		}
-
-		// A few random queries: single predicate, and two predicates
-		// joined by each set operator.
-		for trial := 0; trial < 6; trial++ {
-			e1, a1, c1, j1 := genPredicate(rng)
-			e2, a2, c2, j2 := genPredicate(rng)
-			setOps := []string{"", "intersection", "union", "not"}
-			setOp := setOps[rng.Intn(len(setOps))]
-
-			expr := e1
-			if setOp != "" {
-				expr = e1 + " " + setOp + " " + e2
-			}
-
-			// Reference evaluation.
-			var want []string
-			for _, item := range items {
-				in1 := refPredicate(item, a1, c1, j1)
-				ok := in1
-				if setOp != "" {
-					in2 := refPredicate(item, a2, c2, j2)
-					switch setOp {
-					case "intersection":
-						ok = in1 && in2
-					case "union":
-						ok = in1 || in2
-					case "not":
-						ok = in1 && !in2
-					}
+			model := make(map[string][]Attr)
+			for _, item := range genDomain(rng, 30+rng.Intn(40)) {
+				ras := make([]ReplaceableAttr, len(item.attrs))
+				for i, a := range item.attrs {
+					ras[i] = ReplaceableAttr{Name: a.Name, Value: a.Value}
 				}
-				if ok {
-					want = append(want, item.name)
-				}
-			}
-			sort.Strings(want)
-
-			// Engine evaluation, across pagination.
-			var got []string
-			token := ""
-			for {
-				res, err := svc.Query("d", expr, 7, token)
-				if err != nil {
-					t.Logf("query %q failed: %v", expr, err)
+				if err := svc.PutAttributes("d", item.name, ras); err != nil {
 					return false
 				}
-				got = append(got, res.ItemNames...)
-				if res.NextToken == "" {
-					break
+				model[item.name] = item.attrs
+			}
+
+			for round := 0; round < 8; round++ {
+				for n := rng.Intn(6); n > 0; n-- {
+					if err := mutate(rng, svc, model); err != nil {
+						t.Logf("mutate: %v", err)
+						return false
+					}
 				}
-				token = res.NextToken
+				q := genQuery(rng)
+				expr := q.String()
+				parsed, err := parseQuery(expr)
+				if err != nil {
+					t.Logf("parse %q: %v", expr, err)
+					return false
+				}
+				for i, p := range append([]*predicate{parsed.first}, predsOf(parsed.rest)...) {
+					if lookup := p.equals != nil; lookup != q.preds[i].lookupShape() || (lookup && len(p.equals) != len(q.preds[i].terms)) {
+						t.Logf("expr %q: predicate %d lookup=%v over %d literals, want lookup=%v over %d",
+							expr, i, lookup, len(p.equals), q.preds[i].lookupShape(), len(q.preds[i].terms))
+						return false
+					}
+				}
+
+				// Mid-propagation: replicas disagree with each other, never
+				// with themselves.
+				clock.Advance(time.Duration(rng.Int63() % int64(maxDelay)))
+				svc.mu.Lock()
+				for i, v := range svc.domains["d"].views {
+					svc.drain(v)
+					got, err := evalQuery(v, parsed)
+					if want := refNames(v.items, q); err != nil || !reflect.DeepEqual(got, want) {
+						t.Logf("expr %q on replica %d: %v\n got  %v\n want %v", expr, i, err, got, want)
+						svc.mu.Unlock()
+						return false
+					}
+				}
+				svc.mu.Unlock()
+
+				// Converged: the public call, across pagination.
+				clock.Advance(maxDelay)
+				got := []string{}
+				for token := ""; ; {
+					res, err := svc.Query("d", expr, 7, token)
+					if err != nil {
+						t.Logf("query %q failed: %v", expr, err)
+						return false
+					}
+					got = append(got, res.ItemNames...)
+					if token = res.NextToken; token == "" {
+						break
+					}
+				}
+				if want := refNames(model, q); !reflect.DeepEqual(got, want) {
+					t.Logf("expr %q:\n got  %v\n want %v", expr, got, want)
+					return false
+				}
 			}
-			sort.Strings(got)
-			if !reflect.DeepEqual(got, want) {
-				t.Logf("expr %q:\n got  %v\n want %v", expr, got, want)
-				return false
-			}
+			return true
 		}
-		return true
+		if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+			t.Fatalf("replicas=%d: %v", replicas, err)
+		}
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
+}
+
+func predsOf(terms []setTerm) []*predicate {
+	out := make([]*predicate, len(terms))
+	for i, term := range terms {
+		out[i] = term.pred
 	}
+	return out
 }
 
 func TestSelectMatchesReferenceModelQuick(t *testing.T) {

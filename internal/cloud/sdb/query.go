@@ -41,6 +41,11 @@ type predicate struct {
 	attr string
 	// tree of comparisons combined with and/or, all over attr.
 	cond boolExpr
+	// equals holds the literals when cond is a disjunction of `=`
+	// comparisons (one comparison, or several joined by `or` only), in
+	// source order with duplicates kept; nil for every other shape. Such a
+	// predicate matches exactly the items indexed under one of the literals.
+	equals []string
 }
 
 // boolExpr evaluates a predicate's condition against one attribute value.
@@ -169,28 +174,40 @@ func (p *queryParser) parsePredicate() (*predicate, error) {
 		return nil, err
 	}
 	pred := &predicate{}
-	cond, err := p.parseComparison(pred)
+	first, err := p.parseComparison(pred)
 	if err != nil {
 		return nil, err
+	}
+	var cond boolExpr = first
+	// equals collects the literals while the condition is still a pure
+	// disjunction of equalities; any other operator or an `and` drops it.
+	var equals []string
+	if first.op == "=" {
+		equals = []string{first.value}
 	}
 	for {
 		t := p.advance()
 		switch {
 		case t.kind == tokRBracket:
-			pred.cond = cond
+			pred.cond, pred.equals = cond, equals
 			return pred, nil
 		case t.kind == tokWord && strings.EqualFold(t.text, "and"):
 			next, err := p.parseComparison(pred)
 			if err != nil {
 				return nil, err
 			}
-			cond = andExpr{l: cond, r: next}
+			cond, equals = andExpr{l: cond, r: next}, nil
 		case t.kind == tokWord && strings.EqualFold(t.text, "or"):
 			next, err := p.parseComparison(pred)
 			if err != nil {
 				return nil, err
 			}
 			cond = orExpr{l: cond, r: next}
+			if equals != nil && next.op == "=" {
+				equals = append(equals, next.value)
+			} else {
+				equals = nil
+			}
 		default:
 			return nil, fmt.Errorf("expected ']', 'and' or 'or', got %q at %d", t.text, t.pos)
 		}
@@ -199,35 +216,50 @@ func (p *queryParser) parsePredicate() (*predicate, error) {
 
 // parseComparison parses 'attr' op 'value', recording or checking the
 // predicate's single attribute.
-func (p *queryParser) parseComparison(pred *predicate) (boolExpr, error) {
+func (p *queryParser) parseComparison(pred *predicate) (cmpExpr, error) {
 	attrTok, err := p.expect(tokString)
 	if err != nil {
-		return nil, err
+		return cmpExpr{}, err
 	}
 	if pred.attr == "" {
 		pred.attr = attrTok.text
 	} else if pred.attr != attrTok.text {
-		return nil, fmt.Errorf("predicate mixes attributes %q and %q at %d; use intersection between predicates",
+		return cmpExpr{}, fmt.Errorf("predicate mixes attributes %q and %q at %d; use intersection between predicates",
 			pred.attr, attrTok.text, attrTok.pos)
 	}
 	opTok, err := p.expect(tokOp)
 	if err != nil {
-		return nil, err
+		return cmpExpr{}, err
 	}
 	valTok, err := p.expect(tokString)
 	if err != nil {
-		return nil, err
+		return cmpExpr{}, err
 	}
 	return cmpExpr{op: opTok.text, value: valTok.text}, nil
 }
 
 // evalPredicate returns the set of item names matching pred in view v.
-// Equality-only predicates are answered from the automatic index; other
-// operators iterate the per-attribute value index, which is still far
-// cheaper than scanning all items when attributes are selective.
+//
+// A predicate whose condition is a disjunction of `=` comparisons
+// (pred.equals: one equality, or several joined by `or` only) is answered
+// from the automatic index with one index[attr][literal] lookup per literal,
+// so it costs what it matches: duplicate literals re-add the same items and
+// absent ones find an empty set. Every other shape — starts-with, ranges,
+// `!=`, anything under `and`, an `or` that mixes `=` with another operator —
+// walks each distinct value the attribute takes in the view and runs the
+// condition tree on it: cheaper than scanning items when values repeat,
+// linear in the attribute's distinct values when they do not.
 func evalPredicate(v *view, pred *predicate) map[string]struct{} {
 	out := make(map[string]struct{})
 	byValue := v.index[pred.attr]
+	if pred.equals != nil {
+		for _, literal := range pred.equals {
+			for item := range byValue[literal] {
+				out[item] = struct{}{}
+			}
+		}
+		return out
+	}
 	for value, items := range byValue {
 		if pred.cond.eval(value) {
 			for item := range items {
@@ -238,12 +270,43 @@ func evalPredicate(v *view, pred *predicate) map[string]struct{} {
 	return out
 }
 
+// indexedUnder reports whether one attribute's index (value -> item-name
+// set) lists item under one of the given values — membership in an equality
+// predicate's match set, without building the set.
+func indexedUnder(byValue map[string]map[string]struct{}, values []string, item string) bool {
+	for _, value := range values {
+		if _, ok := byValue[value][item]; ok {
+			return true
+		}
+	}
+	return false
+}
+
 // evalQuery evaluates a parsed query against view v, returning matching item
 // names in result order (sorted by the sort attribute if present, item name
 // otherwise).
+//
+// Set operators apply strictly left to right with no precedence: the first
+// predicate's match set is the accumulator and each following term
+// intersects it with, unions it with, or subtracts from it that term's match
+// set. An intersection with an equality predicate probes the index once per
+// accumulated item and literal instead of materializing the operand — the
+// right-hand side of `['name' = …] intersection ['type' = 'file']` matches
+// most of a domain. Sets carry no order, and the result is sorted at the
+// end, so neither map iteration order nor which of the two paths answered a
+// predicate can show in the output, the page boundaries or the NextTokens.
 func evalQuery(v *view, q *queryExpr) ([]string, error) {
 	acc := evalPredicate(v, q.first)
 	for _, term := range q.rest {
+		if term.op == "intersection" && term.pred.equals != nil {
+			byValue := v.index[term.pred.attr]
+			for item := range acc {
+				if !indexedUnder(byValue, term.pred.equals, item) {
+					delete(acc, item)
+				}
+			}
+			continue
+		}
 		next := evalPredicate(v, term.pred)
 		switch term.op {
 		case "intersection":

@@ -13,7 +13,7 @@ import (
 )
 
 // loadMovies fills the classic SimpleDB documentation example dataset.
-func loadMovies(t *testing.T, svc *Service) {
+func loadMovies(t testing.TB, svc *Service) {
 	t.Helper()
 	put := func(item string, attrs ...Attr) {
 		t.Helper()
@@ -167,19 +167,23 @@ func TestQueryMixedAttributePredicateRejected(t *testing.T) {
 	}
 }
 
+// querySyntaxErrors must each fail to parse; FuzzParseQuery starts from them
+// too.
+var querySyntaxErrors = []string{
+	"",
+	"[",
+	"['a']",
+	"['a' =]",
+	"['a' = 'b'",
+	"'a' = 'b'",
+	"['a' = 'b'] bogus ['c' = 'd']",
+	"['a' ! 'b']",
+	"['a' = 'unterminated]",
+}
+
 func TestQuerySyntaxErrors(t *testing.T) {
 	svc, _, _ := newTestService(t)
-	for _, expr := range []string{
-		"",
-		"[",
-		"['a']",
-		"['a' =]",
-		"['a' = 'b'",
-		"'a' = 'b'",
-		"['a' = 'b'] bogus ['c' = 'd']",
-		"['a' ! 'b']",
-		"['a' = 'unterminated]",
-	} {
+	for _, expr := range querySyntaxErrors {
 		if _, err := svc.Query("prov", expr, 0, ""); !errors.Is(err, ErrInvalidQuery) {
 			t.Fatalf("expr %q: err = %v, want ErrInvalidQuery", expr, err)
 		}
@@ -332,4 +336,76 @@ func newQuickService(seed int64) (*Service, *sim.VirtualClock, *billing.Meter) {
 	})
 	_ = svc.CreateDomain("d")
 	return svc, clock, meter
+}
+
+// chunkFixture loads a single-replica domain in which n items each list one
+// distinct input, and returns the 32-term equality chain sdbprov's
+// dependentsOf sends per chunk; it matches 32 items whatever n is.
+func chunkFixture(tb testing.TB, n int) (*Service, string) {
+	tb.Helper()
+	svc := New(Config{Replicas: 1, Clock: sim.NewVirtualClock(), RNG: sim.NewRNG(1), Meter: &billing.Meter{}})
+	if err := svc.CreateDomain("d"); err != nil {
+		tb.Fatal(err)
+	}
+	input := func(i int) string { return fmt.Sprintf("/data/obj%07d:0", i) }
+	batch := make([]BatchItem, 0, MaxItemsPerBatch)
+	for i := 0; i < n; i++ {
+		batch = append(batch, BatchItem{
+			Name:  fmt.Sprintf("/data/out%07d_0", i),
+			Attrs: []ReplaceableAttr{{Name: "input", Value: input(i)}, {Name: "type", Value: "file"}},
+		})
+		if len(batch) == MaxItemsPerBatch || i == n-1 {
+			if err := svc.BatchPutAttributes("d", batch); err != nil {
+				tb.Fatal(err)
+			}
+			batch = batch[:0]
+		}
+	}
+	terms := make([]string, 32)
+	for i := range terms {
+		terms[i] = "'input' = " + QuoteString(input(i*(n/len(terms))))
+	}
+	return svc, "[" + strings.Join(terms, " or ") + "]"
+}
+
+func queryChunk(tb testing.TB, svc *Service, expr string) {
+	res, err := svc.Query("d", expr, 0, "")
+	if err != nil || len(res.ItemNames) != 32 {
+		tb.Fatalf("chunk query: %d names, err %v", len(res.ItemNames), err)
+	}
+}
+
+// TestEqualityChainCostFlat guards against an equality chain that walks the
+// attribute's values again: the walk is CPU, not allocation, so the guard
+// times one 32-term chunk query with a 32-item answer on 1 k and on 64 k
+// distinct input values. A walk reads ~64× between the two; index lookups
+// read the same but for cache misses.
+func TestEqualityChainCostFlat(t *testing.T) {
+	if testing.Short() {
+		t.Skip("times two benchmarks")
+	}
+	perQuery := func(n int) float64 {
+		svc, expr := chunkFixture(t, n)
+		r := testing.Benchmark(func(b *testing.B) {
+			for b.Loop() {
+				queryChunk(b, svc, expr)
+			}
+		})
+		return float64(r.T.Nanoseconds()) / float64(r.N)
+	}
+	small, large := perQuery(1<<10), perQuery(64<<10)
+	if large > 4*small {
+		t.Fatalf("32-term chunk query takes %.0f ns on 1k input values but %.0f ns on 64k (%.1f×)", small, large, large/small)
+	}
+}
+
+func BenchmarkQueryInChunk(b *testing.B) {
+	for _, n := range []int{1 << 10, 16 << 10, 128 << 10} {
+		b.Run(fmt.Sprintf("n=%dk", n>>10), func(b *testing.B) {
+			svc, expr := chunkFixture(b, n)
+			for b.Loop() {
+				queryChunk(b, svc, expr)
+			}
+		})
+	}
 }

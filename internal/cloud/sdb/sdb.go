@@ -136,12 +136,22 @@ type domain struct {
 	views []*view
 }
 
-// view is one replica's materialized state: items plus the automatic
-// equality index ("SimpleDB automatically indexes data as it is inserted").
+// view is one replica's materialized state: items plus the automatic index
+// ("SimpleDB automatically indexes data as it is inserted"), kept current by
+// indexAdd/indexRemove as applyToView applies each write.
+//
+// The index is a hash on (attribute, value): the bracket-query engine
+// answers a disjunction of `=` comparisons with one lookup per literal, and
+// answers every other operator by walking the attribute's distinct values
+// (see evalPredicate) — there is no ordered structure, so a range or a
+// prefix costs the attribute's value count, not its match count. Select
+// does not consult the index at all; it evaluates its where clause item by
+// item.
 type view struct {
 	pending []pendingOp // FIFO in write order; drained as clock passes dueAt
 	items   map[string][]Attr
-	// index: attribute name -> value -> item-name set.
+	// index: attribute name -> value -> item-name set. Empty sets are
+	// deleted, so a value is present exactly while some item carries it.
 	index map[string]map[string]map[string]struct{}
 }
 

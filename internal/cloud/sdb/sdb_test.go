@@ -13,12 +13,12 @@ import (
 	"passcloud/internal/sim"
 )
 
-func newTestService(t *testing.T) (*Service, *sim.VirtualClock, *billing.Meter) {
+func newTestService(t testing.TB) (*Service, *sim.VirtualClock, *billing.Meter) {
 	t.Helper()
 	return newDelayedService(t, 0)
 }
 
-func newDelayedService(t *testing.T, maxDelay time.Duration) (*Service, *sim.VirtualClock, *billing.Meter) {
+func newDelayedService(t testing.TB, maxDelay time.Duration) (*Service, *sim.VirtualClock, *billing.Meter) {
 	t.Helper()
 	clock := sim.NewVirtualClock()
 	meter := &billing.Meter{}
@@ -35,7 +35,7 @@ func newDelayedService(t *testing.T, maxDelay time.Duration) (*Service, *sim.Vir
 	return svc, clock, meter
 }
 
-func putOne(t *testing.T, svc *Service, item string, attrs ...Attr) {
+func putOne(t testing.TB, svc *Service, item string, attrs ...Attr) {
 	t.Helper()
 	ras := make([]ReplaceableAttr, len(attrs))
 	for i, a := range attrs {

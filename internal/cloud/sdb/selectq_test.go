@@ -220,21 +220,25 @@ func TestSelectPagination(t *testing.T) {
 	}
 }
 
+// selectSyntaxErrors must each fail to parse; FuzzParseSelect starts from
+// them too.
+var selectSyntaxErrors = []string{
+	"",
+	"select",
+	"select * from",
+	"select * from nope2 where",
+	"select * frm prov",
+	"select * from prov where k",
+	"select * from prov where k = ",
+	"select * from prov limit '0'",
+	"select * from prov limit zero",
+	"select * from prov bogus",
+	"select count(x) from prov",
+}
+
 func TestSelectErrors(t *testing.T) {
 	svc, _, _ := newTestService(t)
-	for _, expr := range []string{
-		"",
-		"select",
-		"select * from",
-		"select * from nope2 where",
-		"select * frm prov",
-		"select * from prov where k",
-		"select * from prov where k = ",
-		"select * from prov limit '0'",
-		"select * from prov limit zero",
-		"select * from prov bogus",
-		"select count(x) from prov",
-	} {
+	for _, expr := range selectSyntaxErrors {
 		if _, err := svc.Select(expr, ""); !errors.Is(err, ErrInvalidQuery) {
 			t.Fatalf("expr %q: err = %v, want ErrInvalidQuery", expr, err)
 		}

@@ -85,26 +85,36 @@ func EvalQueryRefs(g *prov.Graph, q prov.Query) []prov.Ref {
 	return out
 }
 
-// evalSeeds returns the seed set selected by q's filters, unordered.
+// evalSeeds returns the seed set selected by q's filters, unordered: it
+// ranges the graph's subjects (and edge sources) in map order, because every
+// caller either sorts what it gets or uses it as a set — EvalQueryRefs
+// ref-sorts seed-only results, and its level-bounded BFS reaches the same
+// nodes at the same levels whatever order the frontier is listed in — so the
+// iteration order cannot show in any result.
 func evalSeeds(g *prov.Graph, q prov.Query) []prov.Ref {
+	attrs := q.AttrFilters()
+	var out []prov.Ref
 	if len(q.Refs) > 0 {
 		// Pinned seeds: exactly these versions, intersected with any other
 		// filters. Pinned refs need not exist in the graph (an ancestry
 		// walk may start at a version whose own records are elsewhere).
-		var out []prov.Ref
 		seen := make(map[prov.Ref]bool, len(q.Refs))
 		for _, r := range q.Refs {
 			if seen[r] {
 				continue
 			}
 			seen[r] = true
-			if matchesFilters(g, r, q, true) {
+			if matchesFilters(g, r, q, attrs, true) {
 				out = append(out, r)
 			}
 		}
 		return out
 	}
-	pool := g.Subjects()
+	for subject := range g.SubjectSeq() {
+		if matchesFilters(g, subject, q, attrs, false) {
+			out = append(out, subject)
+		}
+	}
 	if q.Direction == prov.TraverseDescendants {
 		// A descendants traversal must also seed refs that exist only as
 		// input edges: an S3-only overwrite erases the superseded version's
@@ -114,28 +124,22 @@ func evalSeeds(g *prov.Graph, q prov.Query) []prov.Ref {
 		// can pass only record-free filters (RefPrefix, or none); they are
 		// never reached by the traversal (children are always subjects), so
 		// this only adds results.
-		for _, src := range g.EdgeSources() {
-			if !g.Has(src) {
-				pool = append(pool, src)
+		for src := range g.EdgeSourceSeq() {
+			if !g.Has(src) && matchesFilters(g, src, q, attrs, false) {
+				out = append(out, src)
 			}
-		}
-	}
-	var out []prov.Ref
-	for _, subject := range pool {
-		if matchesFilters(g, subject, q, false) {
-			out = append(out, subject)
 		}
 	}
 	return out
 }
 
-// matchesFilters reports whether ref passes every non-Refs filter of q.
-// pinned relaxes record-existence for descriptors that only pin refs.
-func matchesFilters(g *prov.Graph, ref prov.Ref, q prov.Query, pinned bool) bool {
+// matchesFilters reports whether ref passes every non-Refs filter of q;
+// attrs is q.AttrFilters(), computed once per query by the caller. pinned
+// relaxes record-existence for descriptors that only pin refs.
+func matchesFilters(g *prov.Graph, ref prov.Ref, q prov.Query, attrs []prov.AttrFilter, pinned bool) bool {
 	if q.RefPrefix != "" && !strings.HasPrefix(ref.String(), q.RefPrefix) {
 		return false
 	}
-	attrs := q.AttrFilters()
 	if q.Tool == "" && len(attrs) == 0 {
 		return true
 	}

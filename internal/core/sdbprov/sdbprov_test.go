@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -284,6 +285,56 @@ func TestQueryEngineAgainstGroundTruth(t *testing.T) {
 	all, err := core.CollectBySubject(layer.Query(ctx, prov.Q1()))
 	if err != nil || len(all) != 5 {
 		t.Fatalf("AllProvenance = %d, %v", len(all), err)
+	}
+}
+
+// TestInputChunkExprRoundTrip: the expression inputChunkExpr renders parses
+// back to exactly the refs' string forms, whatever bytes the object names
+// carry — each literal selects the item stored under that value and none of
+// the near misses an escaping slip would produce.
+func TestInputChunkExprRoundTrip(t *testing.T) {
+	_, cl := newTestLayer(t, 0)
+	const domain = "roundtrip"
+	if err := cl.SDB.CreateDomain(domain); err != nil {
+		t.Fatal(err)
+	}
+	refs := []prov.Ref{
+		ref("/it's", 0),
+		ref("/a:b:c", 12),
+		ref("/rec\x1esep", 3),
+		ref("/q'' or 'input' = '/plain:0", 1),
+		ref("'", 0),
+		ref("/plain", 0),
+	}
+	put := func(item, value string) {
+		t.Helper()
+		if err := cl.SDB.PutAttributes(domain, item, []sdb.ReplaceableAttr{{Name: prov.AttrInput, Value: value}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, r := range refs {
+		put(fmt.Sprintf("want%d", i), r.String())
+		// What a literal would match if a quote were dropped, doubled or
+		// allowed to end it early.
+		put(fmt.Sprintf("decoy%d-doubled", i), strings.ReplaceAll(r.String(), "'", "''")+"~")
+		put(fmt.Sprintf("decoy%d-dropped", i), strings.ReplaceAll(r.String(), "'", "")+"~")
+		put(fmt.Sprintf("decoy%d-cut", i), strings.SplitN(r.String(), "'", 2)[0]+"~")
+	}
+	query := func(refs []prov.Ref) []string {
+		t.Helper()
+		res, err := cl.SDB.Query(domain, inputChunkExpr(refs), 0, "")
+		if err != nil {
+			t.Fatalf("%s: %v", inputChunkExpr(refs), err)
+		}
+		return res.ItemNames
+	}
+	for i, r := range refs {
+		if got, want := query(refs[i:i+1]), []string{fmt.Sprintf("want%d", i)}; !reflect.DeepEqual(got, want) {
+			t.Errorf("chunk of %q matched %v, want %v", r, got, want)
+		}
+	}
+	if got := query(refs); len(got) != len(refs) {
+		t.Errorf("whole chunk matched %v, want the %d wanted items", got, len(refs))
 	}
 }
 

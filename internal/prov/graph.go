@@ -3,6 +3,8 @@ package prov
 import (
 	"fmt"
 	"io"
+	"iter"
+	"maps"
 	"sort"
 )
 
@@ -74,19 +76,17 @@ func (g *Graph) Subjects() []Ref {
 	return out
 }
 
-// EdgeSources returns every ref that some subject lists as an input,
-// sorted — including refs with no records of their own. Such edge-only
-// refs are real: on the S3-only architecture an overwrite replaces the
-// object's per-version metadata, so a superseded version survives in a
+// SubjectSeq yields every subject ref once, in no particular order and
+// without Subjects' copy and sort — for callers that filter the subjects and
+// order the survivors themselves. The graph must not change while ranging.
+func (g *Graph) SubjectSeq() iter.Seq[Ref] { return maps.Keys(g.records) }
+
+// EdgeSourceSeq yields every ref that some subject lists as an input, once,
+// in no particular order — including refs with no records of their own. Such
+// edge-only refs are real: on the S3-only architecture an overwrite replaces
+// the object's per-version metadata, so a superseded version survives in a
 // scan-built graph only as other subjects' input edges.
-func (g *Graph) EdgeSources() []Ref {
-	out := make([]Ref, 0, len(g.children))
-	for r := range g.children {
-		out = append(out, r)
-	}
-	sortRefs(out)
-	return out
-}
+func (g *Graph) EdgeSourceSeq() iter.Seq[Ref] { return maps.Keys(g.children) }
 
 // Inputs returns ref's direct dependencies.
 func (g *Graph) Inputs(ref Ref) []Ref {

@@ -292,12 +292,9 @@ type GraphQuerier interface {
 // descriptor has no native indexed plan (shapes that fall back to a full
 // graph materialization), and true otherwise even if foreign writers have
 // made the client-side catalog stale — the accompanying QueryPlan's Exact
-// flag carries that caveat. Beyond the natively planned shapes,
-// implementations must support one virtual descriptor the router never
-// executes directly: {Refs, TraverseAncestors, Depth: 1, IncludeSeeds:
-// true, ProjectRefs, no other filters}, answering the raw union of the
-// pinned refs' direct inputs (the plan-space mirror of the router's
-// inputs-of-refs fan-out round).
+// flag carries that caveat. The router's inputs-of-refs round asks for
+// {Refs, TraverseAncestors, Depth: 1, IncludeSeeds: true, ProjectRefs}: the
+// union of the pinned refs' direct inputs, which implementations must plan.
 type RefPlanner interface {
 	PlanQueryRefs(q prov.Query) ([]prov.Ref, bool)
 }

@@ -48,15 +48,20 @@ type SDBCatalog struct {
 	stats   map[prov.Ref]ItemStats
 	byAttr  map[string]map[string]map[prov.Ref]bool // attr -> stored value -> subjects
 	byInput map[prov.Ref]map[prov.Ref]bool          // input ref -> subjects listing it
+	// spilledInputs are the input refs among each item's spilled records:
+	// outside the indexes (the backend cannot match them, and Dependents
+	// must keep predicting that), but a fetch of the item decodes them.
+	spilledInputs map[prov.Ref][]prov.Ref
 }
 
 // NewSDBCatalog returns an empty catalog.
 func NewSDBCatalog() *SDBCatalog {
 	return &SDBCatalog{
-		items:   make(map[prov.Ref][]prov.Record),
-		stats:   make(map[prov.Ref]ItemStats),
-		byAttr:  make(map[string]map[string]map[prov.Ref]bool),
-		byInput: make(map[prov.Ref]map[prov.Ref]bool),
+		items:         make(map[prov.Ref][]prov.Record),
+		stats:         make(map[prov.Ref]ItemStats),
+		byAttr:        make(map[string]map[string]map[prov.Ref]bool),
+		byInput:       make(map[prov.Ref]map[prov.Ref]bool),
+		spilledInputs: make(map[prov.Ref][]prov.Ref),
 	}
 }
 
@@ -64,8 +69,9 @@ func NewSDBCatalog() *SDBCatalog {
 // and its spilled remainder. Only inline records enter the value indexes —
 // SimpleDB cannot index what lives in the S3 spill object, and the planner
 // must predict what the backend's index will actually match. Decode costs
-// count both. Rewrites of the same subject replace the previous observation
-// (provenance item replays are idempotent).
+// count both, and so does Inputs: a fetched item decodes whole. Rewrites of
+// the same subject replace the previous observation (provenance item replays
+// are idempotent).
 func (c *SDBCatalog) Observe(subject prov.Ref, inline, spill []prov.Record) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -86,8 +92,12 @@ func (c *SDBCatalog) Observe(subject prov.Ref, inline, spill []prov.Record) {
 		c.index(subject, r)
 		countPtr(r)
 	}
+	delete(c.spilledInputs, subject)
 	for _, r := range spill {
 		countPtr(r)
+		if r.Attr == prov.AttrInput && r.Value.Kind == prov.KindRef {
+			c.spilledInputs[subject] = append(c.spilledInputs[subject], r.Value.Ref)
+		}
 	}
 	c.stats[subject] = st
 }
@@ -137,6 +147,7 @@ func (c *SDBCatalog) Forget(subject prov.Ref) {
 	}
 	delete(c.items, subject)
 	delete(c.stats, subject)
+	delete(c.spilledInputs, subject)
 }
 
 // Items is the number of mirrored items — the scan's GetAttributes count.
@@ -290,6 +301,20 @@ func sortByItemName(refs []prov.Ref) {
 	sort.Slice(refs, func(i, j int) bool {
 		return prov.EncodeItemName(refs[i]) < prov.EncodeItemName(refs[j])
 	})
+}
+
+// Inputs returns the input refs a fetch of the item decodes — inline records
+// first, then the spilled ones — duplicates included.
+func (c *SDBCatalog) Inputs(ref prov.Ref) []prov.Ref {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var out []prov.Ref
+	for _, r := range c.items[ref] {
+		if r.Attr == prov.AttrInput && r.Value.Kind == prov.KindRef {
+			out = append(out, r.Value.Ref)
+		}
+	}
+	return append(out, c.spilledInputs[ref]...)
 }
 
 // Records returns the subject's inline stored-form records (read-only).

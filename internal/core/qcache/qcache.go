@@ -1,8 +1,21 @@
 // Package qcache is the query-performance subsystem shared by the three
-// architectures: a generation-stamped snapshot cache for the provenance
-// graph, a generation-stamped memo for indexed query results, and
-// singleflight coalescing so concurrent identical scans share one cloud
-// pass.
+// architectures. It caches three things, all under one Stamp and all dropped
+// wholesale when it moves:
+//
+//   - the snapshot: the whole provenance graph, as one repository scan read
+//     it (Graph), with singleflight coalescing so concurrent identical scans
+//     share one cloud pass;
+//   - the refs memo: indexed query results by descriptor key (Refs);
+//   - the item memo: the stored items the query path fetched one by one — an
+//     ancestor walk's frontiers, pinned refs, full-projection output — read
+//     through a per-query view (Items) that samples the stamp at its first
+//     read and when the query shares its fetches, not per item, and never
+//     for a query that reads no item. It and the refs memo are two instances
+//     of one per-stamp table.
+//
+// The third has a reader rule: queries only. Whatever verifies — a verified
+// read, a Provenance lookup, an audit, a recovery or migration scan — reads
+// what is stored, never what a query remembered.
 //
 // The paper concedes that querying is where the cloud architectures pay
 // their price — S3-only "has to scan the whole repository" per query and
@@ -35,6 +48,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"sync"
 	"sync/atomic"
 
@@ -64,6 +78,10 @@ type Stamp struct {
 	Gen   uint64
 	Epoch int64
 }
+
+// after reports whether s was sampled later than o on a moved repository:
+// both components only ever grow.
+func (s Stamp) after(o Stamp) bool { return s.Gen > o.Gen || s.Epoch > o.Epoch }
 
 // Token renders the stamp as the opaque generation token pagination
 // cursors bind to (core.Stamped).
@@ -183,10 +201,41 @@ type refCall struct {
 	err  error
 }
 
+// memo is one per-stamp table: every value in it was recorded under one
+// stamp, and the whole table is dropped the moment a caller moves it to
+// another — a write or an epoch advance invalidates wholesale, never key by
+// key. The cache keeps two: query results by descriptor key, and stored items
+// by ref. Guarded by the Cache's mutex.
+type memo[K comparable, V any] struct {
+	stamp Stamp
+	vals  map[K]V
+}
+
+// at moves the table to stamp now, dropping everything recorded under any
+// other, and reports whether it had to.
+func (m *memo[K, V]) at(now Stamp) (moved bool) {
+	if m.vals != nil && m.stamp == now {
+		return false
+	}
+	m.stamp, m.vals = now, make(map[K]V)
+	return true
+}
+
+// peek returns key's value if it was recorded under stamp now.
+func (m *memo[K, V]) peek(now Stamp, key K) (V, bool) {
+	if m.stamp != now {
+		var zero V
+		return zero, false
+	}
+	v, ok := m.vals[key]
+	return v, ok
+}
+
 // Cache holds one store's cached query state. The zero value is not
 // usable; construct with New. All methods are safe for concurrent use.
 // A nil *Cache is the disabled cache: Graph and Refs run their callback on
-// every call, the peeks report nothing resident and Stats reads zero.
+// every call, an Items view knows one query's own fetches only, the peeks
+// report nothing resident and Stats reads zero.
 //
 // The cached *prov.Graph is shared between callers and must be treated as
 // immutable; Graph's read methods are safe for concurrent readers.
@@ -198,21 +247,15 @@ type Cache struct {
 	graphStamp Stamp
 	graphBuild *graphCall // non-nil: a build is in flight
 
-	refStamp Stamp
-	refs     map[string][]prov.Ref
-	refBuild map[string]*refCall
+	refs     memo[string, []prov.Ref]
+	refBuild map[string]*refCall // refs computations in flight, shared by their waiters
+	items    memo[prov.Ref, []prov.Record]
 
 	stats Stats
 }
 
 // New builds a cache over the given stamp source.
-func New(stamp StampFunc) *Cache {
-	return &Cache{
-		stamp:    stamp,
-		refs:     make(map[string][]prov.Ref),
-		refBuild: make(map[string]*refCall),
-	}
-}
+func New(stamp StampFunc) *Cache { return &Cache{stamp: stamp} }
 
 // Stats returns a snapshot of the cache counters.
 func (c *Cache) Stats() Stats {
@@ -232,22 +275,14 @@ func (c *Cache) Enabled() bool { return c != nil }
 // Warm reports whether a graph snapshot for the current stamp is resident —
 // a pure peek (no counters move, nothing builds). Query planners use it to
 // predict that a scan-backed query will cost zero cloud ops.
-func (c *Cache) Warm() bool { return c.PeekGraph() != nil }
-
-// PeekGraph returns the resident snapshot when it is valid at the current
-// stamp, else nil — a pure peek that never builds. The returned graph is
-// shared: read-only.
-func (c *Cache) PeekGraph() *prov.Graph {
+func (c *Cache) Warm() bool {
 	if c == nil {
-		return nil
+		return false
 	}
 	now := c.stamp()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.graph != nil && c.graphStamp == now {
-		return c.graph
-	}
-	return nil
+	return c.graph != nil && c.graphStamp == now
 }
 
 // HasRefs reports whether a memoized result for key is resident at the
@@ -259,10 +294,7 @@ func (c *Cache) HasRefs(key string) bool {
 	now := c.stamp()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.refStamp != now {
-		return false
-	}
-	_, ok := c.refs[key]
+	_, ok := c.refs.peek(now, key)
 	return ok
 }
 
@@ -339,15 +371,13 @@ func (c *Cache) Refs(ctx context.Context, key string, compute func(context.Conte
 		}
 		now := c.stamp()
 		c.mu.Lock()
-		if c.refStamp != now {
-			// A write (or epoch advance) landed: drop the whole memo. The
+		if c.refs.at(now) {
+			// A write (or epoch advance) landed: the whole memo went. The
 			// in-flight builds keyed under the old stamp finish but are not
 			// recorded.
-			c.refStamp = now
-			c.refs = make(map[string][]prov.Ref)
 			c.refBuild = make(map[string]*refCall)
 		}
-		if refs, ok := c.refs[key]; ok {
+		if refs, ok := c.refs.vals[key]; ok {
 			c.stats.RefHits++
 			c.mu.Unlock()
 			return refs, nil
@@ -371,18 +401,98 @@ func (c *Cache) Refs(ctx context.Context, key string, compute func(context.Conte
 		c.mu.Lock()
 		fc.refs, fc.err = refs, err
 		// Record only if the memo generation this build was registered
-		// under is still current (the map is swapped wholesale on
+		// under is still current (the maps are swapped wholesale on
 		// invalidation, so a stale build simply finds itself evicted).
 		if c.refBuild[key] == fc {
 			delete(c.refBuild, key)
 			if err == nil {
-				c.refs[key] = refs
+				c.refs.vals[key] = refs
 			}
 		}
 		c.mu.Unlock()
 		close(fc.done)
 		return refs, err
 	}
+}
+
+// Items is one query's view of the stored items the query path has already
+// read: the resident snapshot when one is warm, else the query's own fetches
+// (Put) and the per-stamp item memo earlier queries shared theirs into. The
+// view opens at its first Get — one stamp sample and one look for the
+// snapshot per query that reads items at all, none per item and none for a
+// query that reads no item — so serving an item is a map lookup, and
+// everything a view serves was observed under that one stamp or fetched by
+// the query itself after it. A view of the nil (disabled) cache knows its own
+// query's fetches only. One query owns a view: its methods must not run
+// concurrently.
+type Items struct {
+	c       *Cache
+	opened  bool
+	stamp   Stamp
+	graph   *prov.Graph // the snapshot resident at stamp, if any
+	fetched map[prov.Ref][]prov.Record
+}
+
+// Items returns a view for one query.
+func (c *Cache) Items() *Items { return &Items{c: c} }
+
+// open samples the stamp and looks for the resident snapshot. It runs at the
+// view's first Get, which precedes the query's first fetch: a write landing
+// between the two moves the stamp, and the fetch is then not shared.
+func (v *Items) open() {
+	v.opened, v.stamp = true, v.c.stamp()
+	v.c.mu.Lock()
+	defer v.c.mu.Unlock()
+	if v.c.graph != nil && v.c.graphStamp == v.stamp {
+		v.graph = v.c.graph
+	}
+}
+
+// Get returns ref's records as the view knows them — nil for an item that
+// was not visible when read — and whether it knows the item at all. The
+// snapshot knows every item. The slice is shared: read-only.
+func (v *Items) Get(ref prov.Ref) ([]prov.Record, bool) {
+	if v.c != nil && !v.opened {
+		v.open()
+	}
+	if v.graph != nil {
+		return v.graph.Records(ref), true
+	}
+	if records, ok := v.fetched[ref]; ok || v.c == nil {
+		return records, ok
+	}
+	v.c.mu.Lock()
+	defer v.c.mu.Unlock()
+	return v.c.items.peek(v.stamp, ref)
+}
+
+// Put records what a fetch issued by the view's query read for ref (nil: not
+// visible), after the Get that missed it. The reading stays the query's own
+// until Share.
+func (v *Items) Put(ref prov.Ref, records []prov.Record) {
+	if v.fetched == nil {
+		v.fetched = make(map[prov.Ref][]prov.Record)
+	}
+	v.fetched[ref] = records
+}
+
+// Share publishes the query's fetches to the cache's item memo, once, when
+// the query is done. Like a snapshot build, the readings are kept only if the
+// stamp they were taken under is still current: a write that landed since may
+// or may not be in them. And the memo only ever moves forward: a view that
+// lost the race to a query on a newer stamp leaves that query's items alone.
+func (v *Items) Share() {
+	if !v.opened || len(v.fetched) == 0 || v.c.stamp() != v.stamp {
+		return
+	}
+	v.c.mu.Lock()
+	defer v.c.mu.Unlock()
+	m := &v.c.items
+	if m.vals != nil && m.stamp.after(v.stamp) {
+		return
+	}
+	m.at(v.stamp)
+	maps.Copy(m.vals, v.fetched)
 }
 
 // waitShared waits for a shared in-flight call, honoring the waiter's own

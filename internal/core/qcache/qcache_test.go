@@ -417,3 +417,230 @@ func TestConcurrentQueriesDuringWrites(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// itemRecords is one item's worth of records for the item-memo tests.
+func itemRecords(ref prov.Ref) []prov.Record {
+	return []prov.Record{prov.NewString(ref, prov.AttrType, prov.TypeFile)}
+}
+
+// fetchInto is what the query path does on a miss: look, fetch, record.
+func fetchInto(t *testing.T, v *Items, ref prov.Ref, records []prov.Record) {
+	t.Helper()
+	if _, ok := v.Get(ref); ok {
+		t.Fatalf("the view already knew %s", ref)
+	}
+	v.Put(ref, records)
+}
+
+// TestItemsServeOnlyUnderTheirStamp: the items a query shared are served to
+// every view opened at the same stamp and to none opened after an own write,
+// a foreign writer's metered mutation, or an epoch advance — and a reading of
+// "not visible" (nil records) is a reading like any other.
+func TestItemsServeOnlyUnderTheirStamp(t *testing.T) {
+	cl := cloud.New(cloud.Config{Seed: 1, MaxDelay: 10 * time.Second})
+	if err := cl.S3.CreateBucket("pass"); err != nil {
+		t.Fatal(err)
+	}
+	var gen Generation
+	c := New(CloudStamp(&gen, cl))
+	seen, unseen, later := prov.Ref{Object: "/seen"}, prov.Ref{Object: "/unseen"}, prov.Ref{Object: "/later"}
+	record := func() {
+		t.Helper()
+		v := c.Items()
+		if _, ok := v.Get(seen); ok {
+			t.Fatal("a fresh stamp served an item recorded under an older one")
+		}
+		if _, ok := v.Get(unseen); ok {
+			t.Fatal("a fresh stamp served a not-visible reading taken under an older one")
+		}
+		v.Put(seen, itemRecords(seen))
+		v.Put(unseen, nil)
+		if _, ok := c.Items().Get(seen); ok {
+			t.Fatal("a query's fetches were visible to another before it shared them")
+		}
+		v.Share()
+		second := c.Items() // shares into a memo that is no longer empty
+		fetchInto(t, second, later, itemRecords(later))
+		second.Share()
+		for _, view := range []*Items{v, second, c.Items()} {
+			for _, ref := range []prov.Ref{seen, later} {
+				if got, ok := view.Get(ref); !ok || len(got) != 1 || got[0].Subject != ref {
+					t.Fatalf("%s not served at its stamp: %v %v", ref, got, ok)
+				}
+			}
+			if got, ok := view.Get(unseen); !ok || got != nil {
+				t.Fatalf("not-visible reading not served at its stamp: %v %v", got, ok)
+			}
+		}
+	}
+	record()
+	gen.Bump() // own write
+	record()
+	if err := cl.S3.Put("pass", "data/foreign", []byte("x"), nil); err != nil { // foreign writer
+		t.Fatal(err)
+	}
+	record()
+	cl.Settle() // the epoch advances past the propagation horizon
+	record()
+}
+
+// TestItemsOvertakenByWriteAreNotShared: readings a write overtook are not
+// published — they may or may not contain the write — while the query that
+// took them keeps what it read.
+func TestItemsOvertakenByWriteAreNotShared(t *testing.T) {
+	var gen Generation
+	c := New(genStamp(&gen))
+	a, b := prov.Ref{Object: "/a"}, prov.Ref{Object: "/b"}
+	early := c.Items()
+	fetchInto(t, early, a, itemRecords(a))
+	early.Share()
+	v := c.Items()
+	fetchInto(t, v, b, itemRecords(b))
+	gen.Bump()
+	v.Share()
+	for _, ref := range []prov.Ref{a, b} {
+		if _, ok := v.Get(ref); !ok {
+			t.Errorf("the query lost %s, which it read at its own stamp", ref)
+		}
+		if _, ok := c.Items().Get(ref); ok {
+			t.Errorf("a view opened after the write was served the older reading of %s", ref)
+		}
+	}
+}
+
+// TestItemsViewOpensAtFirstRead: a query that reads no item pays for no view —
+// no stamp sample when it starts or ends — and a reading recorded without the
+// look that dates it is never published.
+func TestItemsViewOpensAtFirstRead(t *testing.T) {
+	var samples atomic.Int64
+	c := New(func() Stamp { samples.Add(1); return Stamp{} })
+	a := prov.Ref{Object: "/a"}
+	idle := c.Items()
+	idle.Share()
+	undated := c.Items()
+	undated.Put(a, itemRecords(a))
+	undated.Share()
+	if n := samples.Load(); n != 0 {
+		t.Errorf("views that read nothing sampled the stamp %d times", n)
+	}
+	if _, ok := c.Items().Get(a); ok {
+		t.Error("a reading with no stamp was shared")
+	}
+	v := c.Items()
+	before := samples.Load()
+	fetchInto(t, v, a, itemRecords(a))
+	v.Get(a)
+	v.Share()
+	if n := samples.Load() - before; n != 2 {
+		t.Errorf("a reading query sampled the stamp %d times, want 2: at its first read and when it shares", n)
+	}
+}
+
+// TestItemsShareNeverRewindsTheMemo: a view that samples "still current"
+// and then loses the lock to a query on a newer stamp must not move the memo
+// back to its own and drop that query's items. The stamp source steps back for
+// one sample to stand in for that window.
+func TestItemsShareNeverRewindsTheMemo(t *testing.T) {
+	var now atomic.Uint64
+	c := New(func() Stamp { return Stamp{Gen: now.Load()} })
+	a, b := prov.Ref{Object: "/a"}, prov.Ref{Object: "/b"}
+	slow := c.Items()
+	fetchInto(t, slow, a, itemRecords(a))
+	now.Store(1)
+	fast := c.Items()
+	fetchInto(t, fast, b, itemRecords(b))
+	fast.Share()
+	now.Store(0) // slow's check, sampled before fast's write landed
+	slow.Share()
+	now.Store(1)
+	v := c.Items()
+	if _, ok := v.Get(b); !ok {
+		t.Error("a late Share under an older stamp emptied the memo")
+	}
+	if _, ok := v.Get(a); ok {
+		t.Error("a reading taken under an older stamp was served at a newer one")
+	}
+}
+
+// TestItemsPreferResidentSnapshot: with a snapshot warm the view answers
+// every item from it — absent ones as known-empty.
+func TestItemsPreferResidentSnapshot(t *testing.T) {
+	var gen Generation
+	c := New(genStamp(&gen))
+	if _, err := c.Graph(context.Background(), func(context.Context) (*prov.Graph, error) { return testGraph(2), nil }); err != nil {
+		t.Fatal(err)
+	}
+	v := c.Items()
+	if got, ok := v.Get(prov.Ref{Object: "/o1"}); !ok || len(got) != 1 {
+		t.Fatalf("snapshot item: %v %v", got, ok)
+	}
+	if got, ok := v.Get(prov.Ref{Object: "/nosuch"}); !ok || got != nil {
+		t.Fatalf("the snapshot knows every item; absent read as %v %v", got, ok)
+	}
+	gen.Bump()
+	if _, ok := c.Items().Get(prov.Ref{Object: "/o1"}); ok {
+		t.Error("an expired snapshot still served its items")
+	}
+}
+
+// TestItemsOfDisabledCacheAreQueryScoped: the nil cache's view remembers its
+// own query's fetches and nothing outlives it.
+func TestItemsOfDisabledCacheAreQueryScoped(t *testing.T) {
+	var c *Cache
+	a := prov.Ref{Object: "/a"}
+	v := c.Items()
+	if _, ok := v.Get(a); ok {
+		t.Fatal("an empty view knew an item")
+	}
+	v.Put(a, itemRecords(a))
+	v.Share()
+	if got, ok := v.Get(a); !ok || len(got) != 1 {
+		t.Fatalf("the view forgot its own fetch: %v %v", got, ok)
+	}
+	if _, ok := c.Items().Get(a); ok {
+		t.Error("a disabled cache carried an item across queries")
+	}
+}
+
+// TestItemsConcurrentViewsDuringWrites: under -race, queries recording,
+// sharing and reading items beside a writer never see another ref's records.
+func TestItemsConcurrentViewsDuringWrites(t *testing.T) {
+	var gen Generation
+	c := New(genStamp(&gen))
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 200; i++ {
+			gen.Bump()
+		}
+		close(stop)
+	}()
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				v := c.Items()
+				for i := 0; i < 8; i++ {
+					ref := prov.Ref{Object: prov.ObjectID(fmt.Sprintf("/o%d", i))}
+					got, ok := v.Get(ref)
+					if !ok {
+						v.Put(ref, itemRecords(ref))
+					} else if len(got) != 1 || got[0].Subject != ref {
+						t.Errorf("%s served %v", ref, got)
+						return
+					}
+				}
+				v.Share()
+				select {
+				case <-stop:
+					return
+				default:
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}

@@ -44,7 +44,10 @@ type QueryPlan struct {
 	// warm cache), "scan" (full repository scan), "indexed-two-phase"
 	// (instances then dependents), "indexed-pushdown" (predicates in the
 	// backend expression), "indexed-prefix" (starts-with traversal),
-	// "item-listing", "graph-walk", "pinned-page", "memo".
+	// "indexed-bfs" / "indexed-walk" (descendants by chunked dependency
+	// queries / ancestors by per-level item fetches, from seeds that cost
+	// nothing), "item-listing", "pinned-refs", "graph-walk", "pinned-page",
+	// "memo".
 	Strategy string
 	// Pushdown lists the predicate expressions evaluated inside the
 	// backend rather than client-side.

@@ -3,6 +3,7 @@ package sdbprov
 import (
 	"passcloud/internal/cloud/sdb"
 	"passcloud/internal/core"
+	"passcloud/internal/core/qcache"
 	"passcloud/internal/prov"
 )
 
@@ -43,7 +44,7 @@ func (l *Layer) explainInto(p *core.QueryPlan, q prov.Query) {
 		}
 		p.AddStep("SimpleDB", "Select", core.PlanPages(l.catalog.Items(), sdb.SelectPageLimit), "item names only")
 	default:
-		x := &catalogExec{l: l, p: p}
+		x := l.newCatalogExec(p, false)
 		if l.memoizedRefs(q) {
 			p.Strategy = "memo"
 			p.Cached = true
@@ -51,17 +52,20 @@ func (l *Layer) explainInto(p *core.QueryPlan, q prov.Query) {
 			x.mute = true
 		}
 		refs, _ := l.nativeRefs(x, q) // the catalog executor never fails
+		if p.Strategy == "" {
+			// No primitive ran: pinned refs under no filter, which cost
+			// nothing to match (their items are fetched below, if asked for).
+			p.Strategy = "pinned-refs"
+		}
 		if q.Projection == prov.ProjectFull {
-			if l.cache.Warm() {
-				p.AddStep("-", "snapshot", 0, "records from the warm snapshot")
-				return
-			}
-			p.Cached = false
-			p.AddStep("SimpleDB", "GetAttributes", int64(len(refs)), "fetch matched items only")
-			if gets := l.catalog.ItemGets(refs); gets > 0 {
-				p.AddStep("S3", "GET", gets, "resolve overflow/spill values of matched items")
+			x.mute = false
+			if !x.fetch(refs, "fetch matched items only") {
+				p.AddStep("-", "snapshot", 0, "records already read: warm snapshot, item memo or an earlier step")
 			}
 		}
+		// Cached or not is decided by the whole plan: memoized refs whose
+		// items must be fetched are not, a walk over resident items is.
+		p.Cached = p.EstOps == 0 && (p.Cached || x.warm)
 	}
 }
 
@@ -88,16 +92,52 @@ func (l *Layer) memoizedRefs(q prov.Query) bool { return l.cache.HasRefs(refsMem
 // catalogExec runs the native refs pipeline against the planner catalog,
 // accumulating predicted steps into p. mute suppresses the accounting
 // (a memoized result makes a phase free; PlanQueryRefs wants refs only).
+// items is the view the live run would open now, and like the live run the
+// plan puts into it (never shared) the items a step pays to fetch, so a
+// later step finds them there. warm records that the view answered for some
+// item.
 type catalogExec struct {
-	l    *Layer
-	p    *core.QueryPlan
-	mute bool
+	l     *Layer
+	p     *core.QueryPlan
+	mute  bool
+	items *qcache.Items
+	warm  bool
+}
+
+func (l *Layer) newCatalogExec(p *core.QueryPlan, mute bool) *catalogExec {
+	return &catalogExec{l: l, p: p, mute: mute, items: l.cache.Items()}
 }
 
 func (x *catalogExec) step(service, op string, count int64, note string) {
 	if !x.mute {
 		x.p.AddStep(service, op, count, note)
 	}
+}
+
+// fetch accounts reading refs' items the way the live run does (queryItem):
+// one GetAttributes, plus the S3 GETs its decode issues, per item the query's
+// view does not already hold. It reports whether anything is fetched at all.
+func (x *catalogExec) fetch(refs []prov.Ref, note string) bool {
+	if x.mute {
+		return false
+	}
+	var missing []prov.Ref
+	for _, r := range refs {
+		if _, ok := x.items.Get(r); ok {
+			x.warm = true
+		} else {
+			x.items.Put(r, nil)
+			missing = append(missing, r)
+		}
+	}
+	if len(missing) == 0 {
+		return false
+	}
+	x.step("SimpleDB", "GetAttributes", int64(len(missing)), note)
+	if gets := x.l.catalog.ItemGets(missing); gets > 0 {
+		x.step("S3", "GET", gets, "resolve overflow/spill values of the fetched items")
+	}
+	return true
 }
 
 // shape names the plan after the first primitive it runs and records the
@@ -142,21 +182,31 @@ func (x *catalogExec) listRefs() ([]prov.Ref, error) {
 }
 
 func (x *catalogExec) fetchAndMatch(refs []prov.Ref, filters []prov.AttrFilter) ([]prov.Ref, error) {
-	x.shape("pinned-refs", "")
 	if len(filters) == 0 {
 		return refs, nil
 	}
-	x.step("SimpleDB", "GetAttributes", int64(len(refs)), "fetch pinned items to apply filters")
-	if gets := x.l.catalog.ItemGets(refs); gets > 0 {
-		x.step("S3", "GET", gets, "resolve overflow/spill values of pinned items")
-	}
+	x.shape("pinned-refs", "")
+	x.fetch(refs, "fetch pinned items to apply filters")
 	return x.matchingStored(refs, filters), nil
+}
+
+// inputsOf predicts one level of the ancestor walk: the frontier's items
+// fetched, their inputs — spilled ones included, the fetch decodes them —
+// deduplicated in order.
+func (x *catalogExec) inputsOf(refs []prov.Ref) ([]prov.Ref, error) {
+	x.fetch(refs, "walk level: fetch the frontier's items")
+	var inputs []prov.Ref
+	for _, r := range refs {
+		inputs = append(inputs, x.l.catalog.Inputs(r)...)
+	}
+	return core.DedupeRefs(inputs), nil
 }
 
 // seedsOf costs the seed sub-query unless the live run would find it
 // memoized, and only then names the traversal: a seed phase that ran keeps
 // its own strategy.
-func (x *catalogExec) seedsOf(seedsQ prov.Query) ([]prov.Ref, error) {
+func (x *catalogExec) seedsOf(q prov.Query) ([]prov.Ref, error) {
+	seedsQ := stripTraversal(q)
 	prev := x.mute
 	if !x.mute && x.l.memoizedRefs(seedsQ) {
 		x.step("-", "memo", 0, "seed query memoized for this generation")
@@ -164,7 +214,11 @@ func (x *catalogExec) seedsOf(seedsQ prov.Query) ([]prov.Ref, error) {
 	}
 	seeds, err := x.l.nativeRefs(x, seedsQ)
 	x.mute = prev
-	x.shape("indexed-bfs", "")
+	if q.Direction == prov.TraverseAncestors {
+		x.shape("indexed-walk", "")
+	} else {
+		x.shape("indexed-bfs", "")
+	}
 	return seeds, err
 }
 
@@ -241,32 +295,9 @@ func (l *Layer) PlanQueryRefs(q prov.Query) ([]prov.Ref, bool) {
 		return nil, false
 	}
 	q.Limit, q.Cursor = 0, ""
-	if q.Direction == prov.TraverseAncestors {
-		// The one supported ancestor shape is the router's virtual
-		// inputs-of-refs round: the raw union of the pinned refs' direct
-		// inputs, read straight off the catalog's inline records. The
-		// layer itself answers ancestor queries from the materialized
-		// graph, so this descriptor is never executed here.
-		if len(q.Refs) == 0 || q.Depth != 1 || !q.IncludeSeeds || q.Tool != "" ||
-			q.RefPrefix != "" || len(q.AttrFilters()) > 0 || q.Projection != prov.ProjectRefs {
-			return nil, false
-		}
-		seen := make(map[prov.Ref]bool)
-		var out []prov.Ref
-		for _, r := range q.Refs {
-			for _, rec := range l.catalog.Records(r) {
-				if rec.Attr == prov.AttrInput && rec.Value.Kind == prov.KindRef && !seen[rec.Value.Ref] {
-					seen[rec.Value.Ref] = true
-					out = append(out, rec.Value.Ref)
-				}
-			}
-		}
-		prov.SortRefs(out)
-		return out, true
-	}
 	if l.graphFallback(q) {
 		return nil, false
 	}
-	refs, _ := l.nativeRefs(&catalogExec{l: l, p: &core.QueryPlan{}, mute: true}, q)
+	refs, _ := l.nativeRefs(l.newCatalogExec(&core.QueryPlan{}, true), q)
 	return refs, true
 }

@@ -23,10 +23,23 @@ import (
 //     SimpleDB — non-matching items' provenance is never fetched;
 //   - indexed-prefix: descendants of "every version with this ref prefix"
 //     as a single starts-with query (the Dependents idiom);
+//   - indexed-walk: ancestors by frontier — "it has to retrieve each item
+//     ... then lookup further ancestors" (§5): one GetAttributes per item of
+//     each BFS level, inputs read from the decoded records, so the walk costs
+//     the lineage it visits and not the domain it lives in;
 //   - item-listing: refs-only enumeration from Select itemName();
 //   - scan / graph-walk: the Q.1 repository pass (or the warm snapshot),
 //     with the shared in-memory evaluator (core.EvalQuery) as the fallback
-//     for descriptors SimpleDB cannot push down.
+//     for descriptors SimpleDB cannot push down (unpushable filter values)
+//     and for traversals seeded on everything.
+//
+// Items the query path fetches — the walk's frontiers, pinned refs under
+// filters, full-projection output — go through one per-query view
+// (qcache.Items): the resident snapshot when warm, else the query's own
+// fetches and the per-generation item memo every query shares its fetches
+// into, so no query fetches an item twice and a repeated query on an
+// unchanged domain fetches none. Only queries read it:
+// verified reads, Provenance lookups, audits and scans fetch what is stored.
 //
 // Pushdown honesty: predicates compare against the *stored* encoding
 // (core.EscapeLiteral), because that is what SimpleDB indexed; the shared
@@ -35,7 +48,8 @@ import (
 // large to live inline (pointer-encoded, > 1 KB) cannot be matched by the
 // index at all, so such filters fall back to the graph plan. Records
 // spilled past the 256-attribute item limit are invisible to the index —
-// the architecture's documented blind spot; scan-backed plans see them.
+// the architecture's documented blind spot; scan-backed plans and the
+// ancestor walk, which decode whole items, see them.
 //
 // Results are memoized by the descriptor's canonical key (prov.Query.Key)
 // in the layer's generation-stamped cache, and paginated descriptors pin
@@ -92,14 +106,11 @@ func (l *Layer) seedPlanOf(q prov.Query) seedPlan {
 }
 
 // graphFallback reports whether q is answered from the materialized graph:
-// ancestor walks (the snapshot is the cheapest recursive-query substrate),
-// unpushable filters, and descendants-of-everything (one scan beats
-// chunk-querying the whole repository).
+// unpushable filters, and traversals from everything (one scan beats
+// chunk-querying, or fetching item by item, the whole repository).
 func (l *Layer) graphFallback(q prov.Query) bool {
 	sp := l.seedPlanOf(q)
-	return q.Direction == prov.TraverseAncestors ||
-		sp == seedGraph ||
-		(q.Direction == prov.TraverseDescendants && sp == seedAll)
+	return sp == seedGraph || (q.Direction != prov.TraverseNone && sp == seedAll)
 }
 
 // Query implements core.Querier. Entries stream in backend order; a
@@ -146,7 +157,9 @@ func (l *Layer) runQuery(ctx context.Context, q prov.Query, yield func(core.Entr
 			}
 		}
 	default:
-		refs, err := l.refsFor(ctx, q)
+		items := l.cache.Items()
+		defer items.Share()
+		refs, err := l.refsFor(ctx, q, items)
 		if err != nil {
 			yield(core.Entry{}, err)
 			return
@@ -160,24 +173,13 @@ func (l *Layer) runQuery(ctx context.Context, q prov.Query, yield func(core.Entr
 			return
 		}
 		// Full projection: fetch the matched items only — never the rest
-		// of the repository (the pushdown dividend).
-		g := l.cache.PeekGraph()
+		// of the repository (the pushdown dividend) — and none the query
+		// already read. A vanished item yields its ref with no records.
 		for _, r := range refs {
-			var records []prov.Record
-			if g != nil {
-				records = g.Records(r)
-			} else {
-				if err := ctx.Err(); err != nil {
-					yield(core.Entry{}, err)
-					return
-				}
-				var ok bool
-				records, _, ok, err = l.FetchItem(ctx, r)
-				if err != nil {
-					yield(core.Entry{}, err)
-					return
-				}
-				_ = ok // a vanished item yields its ref with no records
+			records, err := l.queryItem(ctx, items, r)
+			if err != nil {
+				yield(core.Entry{}, err)
+				return
 			}
 			if !yield(core.Entry{Ref: r, Records: records}, nil) {
 				return
@@ -188,14 +190,33 @@ func (l *Layer) runQuery(ctx context.Context, q prov.Query, yield func(core.Entr
 
 // refsFor computes q's matched references on the live domain, memoized
 // under the descriptor's canonical key for the current write generation.
-func (l *Layer) refsFor(ctx context.Context, q prov.Query) ([]prov.Ref, error) {
+// items is the running query's item view, shared by every phase.
+func (l *Layer) refsFor(ctx context.Context, q prov.Query, items *qcache.Items) ([]prov.Ref, error) {
 	refs, err := l.cache.Refs(ctx, refsMemoKey(q), func(ctx context.Context) ([]prov.Ref, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		return l.nativeRefs(liveExec{l: l, ctx: ctx}, q)
+		return l.nativeRefs(liveExec{l: l, ctx: ctx, items: items}, q)
 	})
 	return qcache.CopyRefs(refs), err
+}
+
+// queryItem returns ref's records for the query path: from the view when it
+// knows the item, else by one fetch, which the view keeps. An item that is
+// not visible reads as no records.
+func (l *Layer) queryItem(ctx context.Context, items *qcache.Items, ref prov.Ref) ([]prov.Record, error) {
+	if records, ok := items.Get(ref); ok {
+		return records, nil
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	records, _, _, err := l.FetchItem(ctx, ref)
+	if err != nil {
+		return nil, err
+	}
+	items.Put(ref, records)
+	return records, nil
 }
 
 // refsMemoKey is the cache key of a descriptor's reference set.
@@ -228,16 +249,20 @@ type refsExec interface {
 	// fetchAndMatch keeps the refs whose fetched records satisfy filters:
 	// one GetAttributes per ref, free when there are no filters.
 	fetchAndMatch(refs []prov.Ref, filters []prov.AttrFilter) ([]prov.Ref, error)
-	// seedsOf answers a traversal's seed descriptor through the pipeline
+	// inputsOf fetches refs' items — one GetAttributes each, value pointers
+	// and the spill object resolved, so no input is invisible to it — and
+	// returns the union of their direct inputs, deduplicated in order.
+	inputsOf(refs []prov.Ref) ([]prov.Ref, error)
+	// seedsOf answers traversal q's seed descriptor through the pipeline
 	// again, memoized per generation (Q.2 inside Q.3).
-	seedsOf(seedsQ prov.Query) ([]prov.Ref, error)
+	seedsOf(q prov.Query) ([]prov.Ref, error)
 }
 
 // nativeRefs is the native refs pipeline: the seed strategy seedPlanOf
-// picks, then — for descendants — the traversal.
+// picks, then — under a direction — the traversal.
 func (l *Layer) nativeRefs(x refsExec, q prov.Query) ([]prov.Ref, error) {
-	if q.Direction == prov.TraverseDescendants {
-		return l.descendants(x, q)
+	if q.Direction != prov.TraverseNone {
+		return l.traverse(x, q)
 	}
 	filters := q.AttrFilters()
 	switch l.seedPlanOf(q) {
@@ -266,13 +291,20 @@ func (l *Layer) nativeRefs(x refsExec, q prov.Query) ([]prov.Ref, error) {
 	}
 }
 
-// descendants runs the traversal: seeds from the filter section, then
-// chunked dependency queries per BFS level ("it has to retrieve each item
-// ... then lookup further ancestors"). Prefix-only seeds skip seed
-// materialization entirely — the whole first level is one starts-with
-// query over every version at once.
-func (l *Layer) descendants(x refsExec, q prov.Query) ([]prov.Ref, error) {
-	seedsQ := stripTraversal(q)
+// traverse runs the traversal: seeds from the filter section, then one
+// round per BFS level — chunked dependency queries for descendants, a fetch
+// of the frontier's items for ancestors ("it has to retrieve each item ...
+// then lookup further ancestors") — under core.EvalQuery's rules: a node is
+// emitted when first reached (a seed only with IncludeSeeds) and expanded at
+// most once. Prefix-only descendants skip seed materialization entirely —
+// the whole first level is one starts-with query over every version at once.
+func (l *Layer) traverse(x refsExec, q prov.Query) ([]prov.Ref, error) {
+	step := x.inputsOf
+	if q.Direction == prov.TraverseDescendants {
+		step = func(frontier []prov.Ref) ([]prov.Ref, error) {
+			return x.dependentsOf(frontier, nil, "BFS level: chunked dependency queries")
+		}
+	}
 
 	found := make(map[prov.Ref]bool)
 	expanded := make(map[prov.Ref]bool)
@@ -295,7 +327,7 @@ func (l *Layer) descendants(x refsExec, q prov.Query) ([]prov.Ref, error) {
 	}
 
 	level := 0
-	if l.seedPlanOf(seedsQ) == seedListing {
+	if q.Direction == prov.TraverseDescendants && l.seedPlanOf(stripTraversal(q)) == seedListing {
 		level1, err := x.dependentsOfPrefix(q.RefPrefix)
 		if err != nil {
 			return nil, err
@@ -304,7 +336,7 @@ func (l *Layer) descendants(x refsExec, q prov.Query) ([]prov.Ref, error) {
 		advance(level1)
 		level = 1
 	} else {
-		seeds, err := x.seedsOf(seedsQ)
+		seeds, err := x.seedsOf(q)
 		if err != nil {
 			return nil, err
 		}
@@ -318,7 +350,7 @@ func (l *Layer) descendants(x refsExec, q prov.Query) ([]prov.Ref, error) {
 	}
 
 	for ; len(frontier) > 0 && (q.Depth == 0 || level < q.Depth); level++ {
-		next, err := x.dependentsOf(frontier, nil, "BFS level: chunked dependency queries")
+		next, err := step(frontier)
 		if err != nil {
 			return nil, err
 		}
@@ -366,11 +398,17 @@ func startsWithExpr(prefix string) string {
 
 // --- live executor -----------------------------------------------------------
 
-// liveExec runs the refs pipeline against the SimpleDB domain.
+// liveExec runs the refs pipeline against the SimpleDB domain; items is the
+// running query's item view.
 type liveExec struct {
-	l   *Layer
-	ctx context.Context
+	l     *Layer
+	ctx   context.Context
+	items *qcache.Items
 }
+
+// queryConcurrency bounds the in-flight calls per BFS level: chunk queries
+// for descendants, item fetches for ancestors.
+const queryConcurrency = 4
 
 func (x liveExec) instancesOf(tool string) ([]prov.Ref, error) {
 	return x.l.queryRefs(x.ctx, instancesExpr(tool))
@@ -396,8 +434,8 @@ func (x liveExec) listRefs() ([]prov.Ref, error) {
 	return out, nil
 }
 
-func (x liveExec) seedsOf(seedsQ prov.Query) ([]prov.Ref, error) {
-	return x.l.refsFor(x.ctx, seedsQ)
+func (x liveExec) seedsOf(q prov.Query) ([]prov.Ref, error) {
+	return x.l.refsFor(x.ctx, stripTraversal(q), x.items)
 }
 
 func (x liveExec) fetchAndMatch(refs []prov.Ref, filters []prov.AttrFilter) ([]prov.Ref, error) {
@@ -406,18 +444,49 @@ func (x liveExec) fetchAndMatch(refs []prov.Ref, filters []prov.AttrFilter) ([]p
 	}
 	var out []prov.Ref
 	for _, r := range refs {
-		if err := x.ctx.Err(); err != nil {
-			return nil, err
-		}
-		records, _, ok, err := x.l.FetchItem(x.ctx, r)
+		records, err := x.l.queryItem(x.ctx, x.items, r)
 		if err != nil {
 			return nil, err
 		}
-		if ok && matchesAll(records, filters) {
+		if matchesAll(records, filters) {
 			out = append(out, r)
 		}
 	}
 	return out, nil
+}
+
+// inputsOf reads the frontier's items through the query's view and fetches
+// the ones it does not know concurrently, under the queryConcurrency bound.
+func (x liveExec) inputsOf(refs []prov.Ref) ([]prov.Ref, error) {
+	records := make([][]prov.Record, len(refs))
+	var missing []int
+	for i, r := range refs {
+		var ok bool
+		if records[i], ok = x.items.Get(r); !ok {
+			missing = append(missing, i)
+		}
+	}
+	err := core.RunLimited(x.ctx, len(missing), queryConcurrency, func(k int) error {
+		i := missing[k]
+		var err error
+		records[i], _, _, err = x.l.FetchItem(x.ctx, refs[i])
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	for _, i := range missing {
+		x.items.Put(refs[i], records[i])
+	}
+	var inputs []prov.Ref
+	for _, rs := range records {
+		for _, rec := range rs {
+			if rec.Attr == prov.AttrInput && rec.Value.Kind == prov.KindRef {
+				inputs = append(inputs, rec.Value.Ref)
+			}
+		}
+	}
+	return core.DedupeRefs(inputs), nil
 }
 
 // matchesAll reports whether records satisfy every filter (the
@@ -439,8 +508,6 @@ func matchesAll(records []prov.Record, filters []prov.AttrFilter) bool {
 // under the queryConcurrency bound; results merge in chunk order,
 // deduplicated, so the output is identical to the sequential scan's.
 func (x liveExec) dependentsOf(refs []prov.Ref, riding []prov.AttrFilter, _ string) ([]prov.Ref, error) {
-	// queryConcurrency bounds the in-flight chunk queries per BFS level.
-	const queryConcurrency = 4
 	chunk := x.l.cfg.QueryChunk
 	nchunks := (len(refs) + chunk - 1) / chunk
 

@@ -319,3 +319,39 @@ func TestMultihopRandomizedOracle(t *testing.T) {
 		}
 	}
 }
+
+// TestAncestorPlanSeesSpilledInputs is the router half of the layer's test
+// of the same name: a subject with 300 inputs spills 46 of them past the
+// 256-attribute item limit, where neither the backend's index nor the
+// members' catalog indexes see them — but the inputs-of-refs round fetches
+// and decodes the whole item, so the live frontier has all 300 and the plan
+// (core.RefPlanner) must predict all 300, or its next round probes too few.
+func TestAncestorPlanSeesSpilledInputs(t *testing.T) {
+	ctx := context.Background()
+	tg := buildTarget(t, "s3+sdb", 2, 7, true)
+	subject := prov.Ref{Object: "/wide", Version: 1}
+	wide := writeEvent(subject.Object)
+	var batch []pass.FlushEvent
+	for i := 0; i < 300; i++ {
+		in := writeEvent(prov.ObjectID(fmt.Sprintf("/in/%03d", i)))
+		batch = append(batch, in)
+		wide.Records = append(wide.Records, prov.NewInput(subject, in.Ref))
+	}
+	if err := tg.store.PutBatch(ctx, append(batch, wide)); err != nil {
+		t.Fatal(err)
+	}
+	q := prov.QAncestors(subject)
+	plan := tg.router.Explain(q)
+	before := tg.totalOps()
+	refs, err := core.CollectRefs(tg.router.Query(ctx, q))
+	if err != nil {
+		t.Fatal(err)
+	}
+	metered := tg.totalOps() - before
+	if len(refs) != 300 {
+		t.Fatalf("walk reached %d of 300 inputs", len(refs))
+	}
+	if plan.Strategy != "multihop" || !plan.Exact || plan.EstOps != metered {
+		t.Errorf("router predicted %d ops (exact=%v), metered %d\n%s", plan.EstOps, plan.Exact, metered, plan)
+	}
+}

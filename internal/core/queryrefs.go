@@ -1,0 +1,216 @@
+package core
+
+import (
+	"strings"
+
+	"passcloud/internal/prov"
+)
+
+// This file is the native refs pipeline: the paper's recursive-query plan
+// (§5) — "which refs does this descriptor match", answered from indexes
+// instead of a repository scan — written once against the RefsExec
+// primitives and driven by four executors. The SimpleDB layer (sdbprov)
+// runs it on the live domain and, for Explain, on its planner catalog; the
+// shard router runs it by fanning each primitive out to its members as one
+// round descriptor, live and in plan space. EvalQuery (queryeval.go) stays
+// separate on purpose: it is the reference the oracles compare this against.
+
+// RefsExec is the substrate the pipeline runs on. Primitives return refs
+// deduplicated; only SeedsOf re-enters the pipeline.
+type RefsExec interface {
+	// InstancesOf finds the versions whose name attribute is tool (phase
+	// one of Q.2: "retrieve all objects that correspond to instances of
+	// blast").
+	InstancesOf(tool string) ([]prov.Ref, error)
+	// MatchAttrs finds the items satisfying every filter inside the
+	// backend: one pushdown expression.
+	MatchAttrs(filters []prov.AttrFilter) ([]prov.Ref, error)
+	// DependentsOf finds the items listing any of refs as an input ("execute
+	// a second QueryWithAttributes to retrieve all objects that have as
+	// ancestor, objects in the result of the first query"), keeping those
+	// under prefix whose records satisfy the riding filters.
+	DependentsOf(refs []prov.Ref, prefix string, riding []prov.AttrFilter) ([]prov.Ref, error)
+	// DependentsOfPrefix finds the items with an input whose ref string
+	// starts with prefix — every version of an object at once.
+	DependentsOfPrefix(prefix string) ([]prov.Ref, error)
+	// ListRefs enumerates every item's ref, names only.
+	ListRefs() ([]prov.Ref, error)
+	// FetchAndMatch keeps the refs whose fetched records satisfy filters;
+	// free when there are no filters.
+	FetchAndMatch(refs []prov.Ref, filters []prov.AttrFilter) ([]prov.Ref, error)
+	// InputsOf fetches refs' items whole — value pointers and spilled
+	// records resolved, so no input is invisible to it — and returns the
+	// union of their direct inputs.
+	InputsOf(refs []prov.Ref) ([]prov.Ref, error)
+	// SeedsOf answers traversal q's seed descriptor (StripTraversal)
+	// through the pipeline again (Q.2 inside Q.3), memoized where the
+	// substrate has a memo.
+	SeedsOf(q prov.Query) ([]prov.Ref, error)
+}
+
+// seedPlan classifies how a descriptor's seed set is computed natively.
+type seedPlan int
+
+const (
+	// seedAll: no filters — every item.
+	seedAll seedPlan = iota
+	// seedTwoPhase: Tool filter — instances, then dependents.
+	seedTwoPhase
+	// seedPushdown: attribute predicates in one backend expression.
+	seedPushdown
+	// seedListing: RefPrefix only — enumerate item names, filter client-side.
+	seedListing
+	// seedPinned: explicit Refs.
+	seedPinned
+	// seedGraph: no native plan; materialize the graph and evaluate there.
+	seedGraph
+)
+
+// seedPlanOf picks the native seed strategy for q's filter section.
+func seedPlanOf(q prov.Query) seedPlan {
+	filters := q.AttrFilters()
+	pushable := func() bool {
+		for _, f := range filters {
+			if !Pushable(f.Value) {
+				return false
+			}
+		}
+		return true
+	}
+	switch {
+	case q.Tool != "":
+		if len(q.Refs) > 0 || !Pushable(q.Tool) || !pushable() {
+			return seedGraph
+		}
+		return seedTwoPhase
+	case len(q.Refs) > 0:
+		return seedPinned
+	case len(filters) > 0:
+		if !pushable() {
+			return seedGraph
+		}
+		return seedPushdown
+	case q.RefPrefix != "":
+		return seedListing
+	default:
+		return seedAll
+	}
+}
+
+// HasNativeRefs reports whether NativeRefs answers q. The rest is answered
+// from the materialized graph (EvalQuery): unpushable filter values, a tool
+// section under pinned refs, and traversals from everything (one scan beats
+// chunk-querying, or fetching item by item, the whole repository).
+func HasNativeRefs(q prov.Query) bool {
+	sp := seedPlanOf(q)
+	return sp != seedGraph && (q.Direction == prov.TraverseNone || sp != seedAll)
+}
+
+// NativeRefs runs the pipeline for a descriptor HasNativeRefs accepts: the
+// seed strategy its filter section selects, then — under a direction — the
+// traversal. Refs come back in the substrate's order.
+func NativeRefs(x RefsExec, q prov.Query) ([]prov.Ref, error) {
+	if q.Direction != prov.TraverseNone {
+		return traverse(x, q)
+	}
+	filters := q.AttrFilters()
+	switch seedPlanOf(q) {
+	case seedTwoPhase:
+		// The paper's Q.2 plan generalized: the tool's instances by indexed
+		// name lookup, then their dependents with every requested filter
+		// attribute riding the same responses where the substrate can.
+		instances, err := x.InstancesOf(q.Tool)
+		if err != nil {
+			return nil, err
+		}
+		return x.DependentsOf(instances, q.RefPrefix, filters)
+	case seedPushdown:
+		refs, err := x.MatchAttrs(filters)
+		return FilterRefPrefix(refs, q.RefPrefix), err
+	case seedPinned:
+		pinned := FilterRefPrefix(DedupeRefs(q.Refs), q.RefPrefix)
+		out, err := x.FetchAndMatch(pinned, filters)
+		prov.SortRefs(out)
+		return out, err
+	default: // seedListing, seedAll
+		refs, err := x.ListRefs()
+		return FilterRefPrefix(refs, q.RefPrefix), err
+	}
+}
+
+// traverse runs the traversal: seeds from the filter section, then one
+// round per BFS level — dependency queries for descendants, a fetch of the
+// frontier's items for ancestors ("it has to retrieve each item ... then
+// lookup further ancestors") — under EvalQuery's rules: a node is emitted
+// when first reached (a seed only with IncludeSeeds) and expanded at most
+// once. Prefix-only descendants skip seed materialization entirely: the
+// whole first level is one starts-with query over every version at once,
+// which is also why a seed is never expanded when reached again — level one
+// already covered it.
+func traverse(x RefsExec, q prov.Query) ([]prov.Ref, error) {
+	step := x.InputsOf
+	if q.Direction == prov.TraverseDescendants {
+		step = func(frontier []prov.Ref) ([]prov.Ref, error) { return x.DependentsOf(frontier, "", nil) }
+	}
+
+	seen := make(map[prov.Ref]bool)
+	var out, frontier []prov.Ref
+	var isSeed func(prov.Ref) bool
+	// advance emits one level's newly reached refs and makes the ones that
+	// are not seeds the next frontier.
+	advance := func(reached []prov.Ref) {
+		frontier = frontier[:0]
+		for _, n := range reached {
+			if seen[n] {
+				continue
+			}
+			seen[n] = true
+			seed := isSeed(n)
+			if q.IncludeSeeds || !seed {
+				out = append(out, n)
+			}
+			if !seed {
+				frontier = append(frontier, n)
+			}
+		}
+	}
+
+	level := 0
+	if q.Direction == prov.TraverseDescendants && seedPlanOf(q) == seedListing {
+		level1, err := x.DependentsOfPrefix(q.RefPrefix)
+		if err != nil {
+			return nil, err
+		}
+		isSeed = func(r prov.Ref) bool { return strings.HasPrefix(r.String(), q.RefPrefix) }
+		advance(level1)
+		level = 1
+	} else {
+		seeds, err := x.SeedsOf(q)
+		if err != nil {
+			return nil, err
+		}
+		seedSet := make(map[prov.Ref]bool, len(seeds))
+		for _, s := range seeds {
+			seedSet[s] = true
+		}
+		isSeed = func(r prov.Ref) bool { return seedSet[r] }
+		frontier = seeds
+	}
+
+	for ; len(frontier) > 0 && (q.Depth == 0 || level < q.Depth); level++ {
+		next, err := step(frontier)
+		if err != nil {
+			return nil, err
+		}
+		advance(next)
+	}
+	return out, nil
+}
+
+// StripTraversal reduces q to its seed descriptor.
+func StripTraversal(q prov.Query) prov.Query {
+	q.Direction, q.Depth, q.IncludeSeeds = prov.TraverseNone, 0, false
+	q.Projection = prov.ProjectRefs
+	q.Limit, q.Cursor = 0, ""
+	return q
+}

@@ -9,8 +9,8 @@ import (
 
 // This file implements Explain: the Table 3 cost model extended to
 // arbitrary descriptors. Instead of closed-form formulas, the planner runs
-// the native refs pipeline itself (nativeRefs in query.go: plan selection,
-// phase order, chunk boundaries) on catalogExec, an executor that answers
+// the native refs pipeline itself (core.NativeRefs: plan selection, phase
+// order, chunk boundaries) on catalogExec, an executor that answers
 // each primitive from the client-side catalog of observed writes and
 // accounts the calls and pages the live executor would meter — so on a
 // single-writer repository the predicted operation counts equal the
@@ -27,10 +27,10 @@ func (l *Layer) Explain(q prov.Query) core.QueryPlan {
 // explainInto fills the plan for a non-paginated descriptor.
 func (l *Layer) explainInto(p *core.QueryPlan, q prov.Query) {
 	switch {
-	case l.graphFallback(q):
+	case !core.HasNativeRefs(q):
 		p.Strategy = "graph-walk"
 		l.explainScan(p, "one query per item, evaluated on the materialized graph")
-	case l.seedPlanOf(q) == seedAll && q.Direction == prov.TraverseNone:
+	case !q.HasFilters() && q.Direction == prov.TraverseNone:
 		if q.Projection == prov.ProjectFull {
 			p.Strategy = "scan"
 			l.explainScan(p, "Q.1 shape: one query per item")
@@ -51,7 +51,7 @@ func (l *Layer) explainInto(p *core.QueryPlan, q prov.Query) {
 			p.AddStep("-", "memo", 0, "refs memoized for this generation")
 			x.mute = true
 		}
-		refs, _ := l.nativeRefs(x, q) // the catalog executor never fails
+		refs, _ := core.NativeRefs(x, q) // the catalog executor never fails
 		if p.Strategy == "" {
 			// No primitive ran: pinned refs under no filter, which cost
 			// nothing to match (their items are fetched below, if asked for).
@@ -154,34 +154,34 @@ func (x *catalogExec) shape(strategy, pushdown string) {
 	}
 }
 
-func (x *catalogExec) instancesOf(tool string) ([]prov.Ref, error) {
+func (x *catalogExec) InstancesOf(tool string) ([]prov.Ref, error) {
 	x.shape("indexed-two-phase", instancesExpr(tool))
 	instances := x.l.catalog.MatchAttr(prov.AttrName, core.EscapeLiteral(tool))
 	x.step("SimpleDB", "Query", core.PlanPages(len(instances), sdb.QueryPageLimit), "phase 1: instances of the tool")
 	return instances, nil
 }
 
-func (x *catalogExec) matchAttrs(filters []prov.AttrFilter) ([]prov.Ref, error) {
+func (x *catalogExec) MatchAttrs(filters []prov.AttrFilter) ([]prov.Ref, error) {
 	x.shape("indexed-pushdown", pushdownExpr(filters))
 	matches := x.l.catalog.MatchAttrs(storedFilters(filters))
 	x.step("SimpleDB", "Query", core.PlanPages(len(matches), sdb.QueryPageLimit), "predicates evaluated inside the backend")
 	return matches, nil
 }
 
-func (x *catalogExec) dependentsOfPrefix(prefix string) ([]prov.Ref, error) {
+func (x *catalogExec) DependentsOfPrefix(prefix string) ([]prov.Ref, error) {
 	x.shape("indexed-prefix", startsWithExpr(prefix))
 	level1 := x.l.catalog.DependentsOfPrefix(prefix)
 	x.step("SimpleDB", "Query", core.PlanPages(len(level1), sdb.QueryPageLimit), "starts-with covers every matching version at once")
 	return level1, nil
 }
 
-func (x *catalogExec) listRefs() ([]prov.Ref, error) {
+func (x *catalogExec) ListRefs() ([]prov.Ref, error) {
 	x.shape("item-listing", "")
 	x.step("SimpleDB", "Select", core.PlanPages(x.l.catalog.Items(), sdb.SelectPageLimit), "enumerate item names")
 	return x.l.catalog.AllRefs(), nil
 }
 
-func (x *catalogExec) fetchAndMatch(refs []prov.Ref, filters []prov.AttrFilter) ([]prov.Ref, error) {
+func (x *catalogExec) FetchAndMatch(refs []prov.Ref, filters []prov.AttrFilter) ([]prov.Ref, error) {
 	if len(filters) == 0 {
 		return refs, nil
 	}
@@ -190,10 +190,10 @@ func (x *catalogExec) fetchAndMatch(refs []prov.Ref, filters []prov.AttrFilter) 
 	return x.matchingStored(refs, filters), nil
 }
 
-// inputsOf predicts one level of the ancestor walk: the frontier's items
+// InputsOf predicts one level of the ancestor walk: the frontier's items
 // fetched, their inputs — spilled ones included, the fetch decodes them —
 // deduplicated in order.
-func (x *catalogExec) inputsOf(refs []prov.Ref) ([]prov.Ref, error) {
+func (x *catalogExec) InputsOf(refs []prov.Ref) ([]prov.Ref, error) {
 	x.fetch(refs, "walk level: fetch the frontier's items")
 	var inputs []prov.Ref
 	for _, r := range refs {
@@ -202,17 +202,17 @@ func (x *catalogExec) inputsOf(refs []prov.Ref) ([]prov.Ref, error) {
 	return core.DedupeRefs(inputs), nil
 }
 
-// seedsOf costs the seed sub-query unless the live run would find it
+// SeedsOf costs the seed sub-query unless the live run would find it
 // memoized, and only then names the traversal: a seed phase that ran keeps
 // its own strategy.
-func (x *catalogExec) seedsOf(q prov.Query) ([]prov.Ref, error) {
-	seedsQ := stripTraversal(q)
+func (x *catalogExec) SeedsOf(q prov.Query) ([]prov.Ref, error) {
+	seedsQ := core.StripTraversal(q)
 	prev := x.mute
 	if !x.mute && x.l.memoizedRefs(seedsQ) {
 		x.step("-", "memo", 0, "seed query memoized for this generation")
 		x.mute = true
 	}
-	seeds, err := x.l.nativeRefs(x, seedsQ)
+	seeds, err := core.NativeRefs(x, seedsQ)
 	x.mute = prev
 	if q.Direction == prov.TraverseAncestors {
 		x.shape("indexed-walk", "")
@@ -222,32 +222,29 @@ func (x *catalogExec) seedsOf(q prov.Query) ([]prov.Ref, error) {
 	return seeds, err
 }
 
-// dependentsOf predicts ⌈n/chunk⌉ queries, each paging on its own match
+// DependentsOf predicts ⌈n/chunk⌉ queries, each paging on its own match
 // count, results deduplicated in chunk order. When attributes ride along
 // (QueryWithAttributes), decoding a pointer-encoded requested value costs
 // an S3 GET per chunk response it appears in — exactly as the live
 // per-chunk decode does, including re-decoding an item matched by several
 // chunks.
-func (x *catalogExec) dependentsOf(refs []prov.Ref, riding []prov.AttrFilter, note string) ([]prov.Ref, error) {
+func (x *catalogExec) DependentsOf(refs []prov.Ref, prefix string, riding []prov.AttrFilter) ([]prov.Ref, error) {
 	chunkSize := x.l.cfg.QueryChunk
-	op := "Query"
+	op, note := "Query", "dependents: chunked dependency queries"
+	if len(riding) > 0 {
+		op, note = "QueryWithAttributes", "phase 2: dependents, filter attributes riding along"
+	}
 	attrNames := make([]string, len(riding))
 	for i, f := range riding {
-		op, attrNames[i] = "QueryWithAttributes", f.Attr
+		attrNames[i] = f.Attr
 	}
 	var ops, gets int64
-	seen := make(map[prov.Ref]bool)
 	var out []prov.Ref
 	for start := 0; start < len(refs); start += chunkSize {
 		matches := x.l.catalog.Dependents(refs[start:min(start+chunkSize, len(refs))])
 		ops += core.PlanPages(len(matches), sdb.QueryPageLimit)
 		gets += x.l.catalog.AttrGets(matches, attrNames)
-		for _, m := range matches {
-			if !seen[m] {
-				seen[m] = true
-				out = append(out, m)
-			}
-		}
+		out = append(out, matches...)
 	}
 	if len(refs) > 0 {
 		x.step("SimpleDB", op, ops, note)
@@ -255,7 +252,7 @@ func (x *catalogExec) dependentsOf(refs []prov.Ref, riding []prov.AttrFilter, no
 			x.step("S3", "GET", gets, "resolve pointer-encoded riding attribute values")
 		}
 	}
-	return x.matchingStored(out, riding), nil
+	return x.matchingStored(core.FilterRefPrefix(core.DedupeRefs(out), prefix), riding), nil
 }
 
 // matchingStored keeps, in place, the refs whose stored-form catalog
@@ -295,9 +292,9 @@ func (l *Layer) PlanQueryRefs(q prov.Query) ([]prov.Ref, bool) {
 		return nil, false
 	}
 	q.Limit, q.Cursor = 0, ""
-	if l.graphFallback(q) {
+	if !core.HasNativeRefs(q) {
 		return nil, false
 	}
-	refs, _ := l.nativeRefs(l.newCatalogExec(&core.QueryPlan{}, true), q)
+	refs, _ := core.NativeRefs(l.newCatalogExec(&core.QueryPlan{}, true), q)
 	return refs, true
 }

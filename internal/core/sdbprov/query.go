@@ -11,27 +11,26 @@ import (
 	"passcloud/internal/prov"
 )
 
-// This file is the layer's composable query engine: one prov.Query
-// descriptor in, the cheapest 2009 SimpleDB plan out. The planner picks
-// between:
+// This file runs one prov.Query descriptor on the SimpleDB domain. Which
+// refs a descriptor matches — seed strategy, then the per-level traversal —
+// is core.NativeRefs's to decide; this file is the live executor of its
+// primitives, each the cheapest 2009 SimpleDB call for the job:
 //
-//   - indexed-two-phase: the paper's Q.2 shape — one Query for the tool's
-//     instances, then chunked QueryWithAttributes for their dependents,
-//     with every client-side attribute filter riding the same response;
-//   - indexed-pushdown: attribute predicates compiled into one bracket
-//     expression joined with `intersection`, evaluated entirely inside
-//     SimpleDB — non-matching items' provenance is never fetched;
-//   - indexed-prefix: descendants of "every version with this ref prefix"
-//     as a single starts-with query (the Dependents idiom);
-//   - indexed-walk: ancestors by frontier — "it has to retrieve each item
-//     ... then lookup further ancestors" (§5): one GetAttributes per item of
-//     each BFS level, inputs read from the decoded records, so the walk costs
-//     the lineage it visits and not the domain it lives in;
-//   - item-listing: refs-only enumeration from Select itemName();
-//   - scan / graph-walk: the Q.1 repository pass (or the warm snapshot),
-//     with the shared in-memory evaluator (core.EvalQuery) as the fallback
-//     for descriptors SimpleDB cannot push down (unpushable filter values)
-//     and for traversals seeded on everything.
+//   - InstancesOf + DependentsOf (indexed-two-phase): the paper's Q.2 shape —
+//     one Query for the tool's instances, then chunked QueryWithAttributes
+//     for their dependents, every attribute filter riding the same response;
+//   - MatchAttrs (indexed-pushdown): attribute predicates compiled into one
+//     bracket expression joined with `intersection`, evaluated entirely
+//     inside SimpleDB — non-matching items' provenance is never fetched;
+//   - DependentsOfPrefix (indexed-prefix): descendants of "every version
+//     with this ref prefix" as a single starts-with query;
+//   - InputsOf (indexed-walk): one GetAttributes per item of an ancestor
+//     level, inputs read from the decoded records, so the walk costs the
+//     lineage it visits and not the domain it lives in;
+//   - ListRefs (item-listing): refs-only enumeration from Select itemName().
+//
+// What has no native plan (core.HasNativeRefs) takes the Q.1 repository pass
+// (or the warm snapshot) and the shared in-memory evaluator, core.EvalQuery.
 //
 // Items the query path fetches — the walk's frontiers, pinned refs under
 // filters, full-projection output — go through one per-query view
@@ -57,62 +56,6 @@ import (
 // (core.RunPaged), so page sequences stay consistent across concurrent
 // writes.
 
-// seedPlan classifies how a descriptor's seed set is computed natively.
-type seedPlan int
-
-const (
-	// seedAll: no filters — every item.
-	seedAll seedPlan = iota
-	// seedTwoPhase: Tool filter — instances, then dependents.
-	seedTwoPhase
-	// seedPushdown: attribute predicates in one backend expression.
-	seedPushdown
-	// seedListing: RefPrefix only — enumerate item names, filter client-side.
-	seedListing
-	// seedPinned: explicit Refs.
-	seedPinned
-	// seedGraph: no native plan; materialize the graph and evaluate there.
-	seedGraph
-)
-
-// seedPlanOf picks the native seed strategy for q's filter section.
-func (l *Layer) seedPlanOf(q prov.Query) seedPlan {
-	filters := q.AttrFilters()
-	switch {
-	case q.Tool != "":
-		if len(q.Refs) > 0 || !core.Pushable(q.Tool) {
-			return seedGraph
-		}
-		for _, f := range filters {
-			if !core.Pushable(f.Value) {
-				return seedGraph
-			}
-		}
-		return seedTwoPhase
-	case len(q.Refs) > 0:
-		return seedPinned
-	case len(filters) > 0:
-		for _, f := range filters {
-			if !core.Pushable(f.Value) {
-				return seedGraph
-			}
-		}
-		return seedPushdown
-	case q.RefPrefix != "":
-		return seedListing
-	default:
-		return seedAll
-	}
-}
-
-// graphFallback reports whether q is answered from the materialized graph:
-// unpushable filters, and traversals from everything (one scan beats
-// chunk-querying, or fetching item by item, the whole repository).
-func (l *Layer) graphFallback(q prov.Query) bool {
-	sp := l.seedPlanOf(q)
-	return sp == seedGraph || (q.Direction != prov.TraverseNone && sp == seedAll)
-}
-
 // Query implements core.Querier. Entries stream in backend order; a
 // paginated descriptor (Limit/Cursor) returns one ref-sorted page whose
 // last entry carries the resume cursor.
@@ -128,7 +71,7 @@ func (l *Layer) StampToken() string { return l.stamp().Token() }
 // runQuery executes one non-paginated descriptor.
 func (l *Layer) runQuery(ctx context.Context, q prov.Query, yield func(core.Entry, error) bool) {
 	switch {
-	case l.graphFallback(q):
+	case !core.HasNativeRefs(q):
 		g, err := l.ProvenanceGraph(ctx)
 		if err != nil {
 			yield(core.Entry{}, err)
@@ -139,7 +82,7 @@ func (l *Layer) runQuery(ctx context.Context, q prov.Query, yield func(core.Entr
 				return
 			}
 		}
-	case l.seedPlanOf(q) == seedAll && q.Direction == prov.TraverseNone && q.Projection == prov.ProjectFull:
+	case !q.HasFilters() && q.Direction == prov.TraverseNone && q.Projection == prov.ProjectFull:
 		// Q.1: the live one-query-per-item scan when uncached, else the
 		// (built-if-needed) snapshot — zero cloud ops when warm.
 		if !l.cache.Enabled() {
@@ -196,7 +139,7 @@ func (l *Layer) refsFor(ctx context.Context, q prov.Query, items *qcache.Items) 
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		return l.nativeRefs(liveExec{l: l, ctx: ctx, items: items}, q)
+		return core.NativeRefs(liveExec{l: l, ctx: ctx, items: items}, q)
 	})
 	return qcache.CopyRefs(refs), err
 }
@@ -221,151 +164,6 @@ func (l *Layer) queryItem(ctx context.Context, items *qcache.Items, ref prov.Ref
 
 // refsMemoKey is the cache key of a descriptor's reference set.
 func refsMemoKey(q prov.Query) string { return "qv2\x00" + q.RefsKey() }
-
-// refsExec is the substrate the native refs pipeline runs on. The pipeline
-// (nativeRefs) is written once against these primitives and driven by two
-// executors: liveExec issues the SimpleDB calls, catalogExec (explain.go)
-// answers from the planner catalog and accounts the steps the live calls
-// would meter. Query runs the first, Explain and PlanQueryRefs the second,
-// so a plan cannot drift from the run it predicts.
-type refsExec interface {
-	// instancesOf finds the item versions whose name attribute is tool
-	// (phase one of Q.2: "retrieve all objects that correspond to
-	// instances of blast").
-	instancesOf(tool string) ([]prov.Ref, error)
-	// matchAttrs finds the items satisfying every filter inside the
-	// backend: one pushdown expression joined with `intersection`.
-	matchAttrs(filters []prov.AttrFilter) ([]prov.Ref, error)
-	// dependentsOf finds the items listing any of refs as an input, the
-	// OR expression chunked, results deduplicated in chunk order. Riding
-	// filters' attributes travel in the same responses and items failing
-	// them are dropped. note labels the step in a plan.
-	dependentsOf(refs []prov.Ref, riding []prov.AttrFilter, note string) ([]prov.Ref, error)
-	// dependentsOfPrefix finds the items with an input whose ref string
-	// starts with prefix — every version of an object at once.
-	dependentsOfPrefix(prefix string) ([]prov.Ref, error)
-	// listRefs enumerates every item's ref, names only.
-	listRefs() ([]prov.Ref, error)
-	// fetchAndMatch keeps the refs whose fetched records satisfy filters:
-	// one GetAttributes per ref, free when there are no filters.
-	fetchAndMatch(refs []prov.Ref, filters []prov.AttrFilter) ([]prov.Ref, error)
-	// inputsOf fetches refs' items — one GetAttributes each, value pointers
-	// and the spill object resolved, so no input is invisible to it — and
-	// returns the union of their direct inputs, deduplicated in order.
-	inputsOf(refs []prov.Ref) ([]prov.Ref, error)
-	// seedsOf answers traversal q's seed descriptor through the pipeline
-	// again, memoized per generation (Q.2 inside Q.3).
-	seedsOf(q prov.Query) ([]prov.Ref, error)
-}
-
-// nativeRefs is the native refs pipeline: the seed strategy seedPlanOf
-// picks, then — under a direction — the traversal.
-func (l *Layer) nativeRefs(x refsExec, q prov.Query) ([]prov.Ref, error) {
-	if q.Direction != prov.TraverseNone {
-		return l.traverse(x, q)
-	}
-	filters := q.AttrFilters()
-	switch l.seedPlanOf(q) {
-	case seedTwoPhase:
-		// The paper's Q.2 plan generalized: the tool's instances by indexed
-		// name lookup, then their dependents with every requested filter
-		// attribute riding the same chunked responses — no per-dependent
-		// follow-up calls.
-		instances, err := x.instancesOf(q.Tool)
-		if err != nil {
-			return nil, err
-		}
-		deps, err := x.dependentsOf(instances, filters, "phase 2: dependents, filter attributes riding along")
-		return core.FilterRefPrefix(deps, q.RefPrefix), err
-	case seedPushdown:
-		refs, err := x.matchAttrs(filters)
-		return core.FilterRefPrefix(refs, q.RefPrefix), err
-	case seedPinned:
-		pinned := core.FilterRefPrefix(core.DedupeRefs(q.Refs), q.RefPrefix)
-		out, err := x.fetchAndMatch(pinned, filters)
-		prov.SortRefs(out)
-		return out, err
-	default: // seedListing, seedAll
-		refs, err := x.listRefs()
-		return core.FilterRefPrefix(refs, q.RefPrefix), err
-	}
-}
-
-// traverse runs the traversal: seeds from the filter section, then one
-// round per BFS level — chunked dependency queries for descendants, a fetch
-// of the frontier's items for ancestors ("it has to retrieve each item ...
-// then lookup further ancestors") — under core.EvalQuery's rules: a node is
-// emitted when first reached (a seed only with IncludeSeeds) and expanded at
-// most once. Prefix-only descendants skip seed materialization entirely —
-// the whole first level is one starts-with query over every version at once.
-func (l *Layer) traverse(x refsExec, q prov.Query) ([]prov.Ref, error) {
-	step := x.inputsOf
-	if q.Direction == prov.TraverseDescendants {
-		step = func(frontier []prov.Ref) ([]prov.Ref, error) {
-			return x.dependentsOf(frontier, nil, "BFS level: chunked dependency queries")
-		}
-	}
-
-	found := make(map[prov.Ref]bool)
-	expanded := make(map[prov.Ref]bool)
-	var out, frontier []prov.Ref
-	var isSeed func(prov.Ref) bool
-	// advance emits one level's newly reached refs and makes the
-	// not-yet-expanded ones the next frontier.
-	advance := func(reached []prov.Ref) {
-		frontier = frontier[:0]
-		for _, n := range reached {
-			if !found[n] && (q.IncludeSeeds || !isSeed(n)) {
-				found[n] = true
-				out = append(out, n)
-			}
-			if !expanded[n] {
-				expanded[n] = true
-				frontier = append(frontier, n)
-			}
-		}
-	}
-
-	level := 0
-	if q.Direction == prov.TraverseDescendants && l.seedPlanOf(stripTraversal(q)) == seedListing {
-		level1, err := x.dependentsOfPrefix(q.RefPrefix)
-		if err != nil {
-			return nil, err
-		}
-		isSeed = func(r prov.Ref) bool { return strings.HasPrefix(r.String(), q.RefPrefix) }
-		advance(level1)
-		level = 1
-	} else {
-		seeds, err := x.seedsOf(q)
-		if err != nil {
-			return nil, err
-		}
-		seedSet := make(map[prov.Ref]bool, len(seeds))
-		for _, s := range seeds {
-			seedSet[s] = true
-			expanded[s] = true
-		}
-		isSeed = func(r prov.Ref) bool { return seedSet[r] }
-		frontier = seeds
-	}
-
-	for ; len(frontier) > 0 && (q.Depth == 0 || level < q.Depth); level++ {
-		next, err := step(frontier)
-		if err != nil {
-			return nil, err
-		}
-		advance(next)
-	}
-	return out, nil
-}
-
-// stripTraversal reduces q to its seed descriptor.
-func stripTraversal(q prov.Query) prov.Query {
-	q.Direction, q.Depth, q.IncludeSeeds = prov.TraverseNone, 0, false
-	q.Projection = prov.ProjectRefs
-	q.Limit, q.Cursor = 0, ""
-	return q
-}
 
 // --- expression builders -----------------------------------------------------
 
@@ -398,8 +196,11 @@ func startsWithExpr(prefix string) string {
 
 // --- live executor -----------------------------------------------------------
 
-// liveExec runs the refs pipeline against the SimpleDB domain; items is the
-// running query's item view.
+// liveExec runs the refs pipeline (core.NativeRefs) against the SimpleDB
+// domain; items is the running query's item view. catalogExec (explain.go)
+// answers the same primitives from the planner catalog and accounts what
+// these calls meter: Query runs this one, Explain and PlanQueryRefs that
+// one, so a plan cannot drift from the run it predicts.
 type liveExec struct {
 	l     *Layer
 	ctx   context.Context
@@ -410,20 +211,20 @@ type liveExec struct {
 // for descendants, item fetches for ancestors.
 const queryConcurrency = 4
 
-func (x liveExec) instancesOf(tool string) ([]prov.Ref, error) {
+func (x liveExec) InstancesOf(tool string) ([]prov.Ref, error) {
 	return x.l.queryRefs(x.ctx, instancesExpr(tool))
 }
 
-func (x liveExec) matchAttrs(filters []prov.AttrFilter) ([]prov.Ref, error) {
+func (x liveExec) MatchAttrs(filters []prov.AttrFilter) ([]prov.Ref, error) {
 	return x.l.queryRefs(x.ctx, pushdownExpr(filters))
 }
 
-func (x liveExec) dependentsOfPrefix(prefix string) ([]prov.Ref, error) {
+func (x liveExec) DependentsOfPrefix(prefix string) ([]prov.Ref, error) {
 	return x.l.queryRefs(x.ctx, startsWithExpr(prefix))
 }
 
-// listRefs reads Select itemName() — names only, no attribute fetch.
-func (x liveExec) listRefs() ([]prov.Ref, error) {
+// ListRefs reads Select itemName() — names only, no attribute fetch.
+func (x liveExec) ListRefs() ([]prov.Ref, error) {
 	var out []prov.Ref
 	for ref, err := range x.l.Subjects(x.ctx, ItemNames) {
 		if err != nil {
@@ -434,11 +235,11 @@ func (x liveExec) listRefs() ([]prov.Ref, error) {
 	return out, nil
 }
 
-func (x liveExec) seedsOf(q prov.Query) ([]prov.Ref, error) {
-	return x.l.refsFor(x.ctx, stripTraversal(q), x.items)
+func (x liveExec) SeedsOf(q prov.Query) ([]prov.Ref, error) {
+	return x.l.refsFor(x.ctx, core.StripTraversal(q), x.items)
 }
 
-func (x liveExec) fetchAndMatch(refs []prov.Ref, filters []prov.AttrFilter) ([]prov.Ref, error) {
+func (x liveExec) FetchAndMatch(refs []prov.Ref, filters []prov.AttrFilter) ([]prov.Ref, error) {
 	if len(filters) == 0 {
 		return refs, nil
 	}
@@ -455,9 +256,10 @@ func (x liveExec) fetchAndMatch(refs []prov.Ref, filters []prov.AttrFilter) ([]p
 	return out, nil
 }
 
-// inputsOf reads the frontier's items through the query's view and fetches
-// the ones it does not know concurrently, under the queryConcurrency bound.
-func (x liveExec) inputsOf(refs []prov.Ref) ([]prov.Ref, error) {
+// InputsOf reads the frontier's items through the query's view and fetches
+// the ones it does not know — one GetAttributes each — concurrently, under
+// the queryConcurrency bound.
+func (x liveExec) InputsOf(refs []prov.Ref) ([]prov.Ref, error) {
 	records := make([][]prov.Record, len(refs))
 	var missing []int
 	for i, r := range refs {
@@ -500,14 +302,12 @@ func matchesAll(records []prov.Record, filters []prov.AttrFilter) bool {
 	return true
 }
 
-// dependentsOf chunks the OR expression ("execute a second
-// QueryWithAttributes to retrieve all objects that have as ancestor,
-// objects in the result of the first query"). Riding attributes come back
-// in the same query response — the aggregation that removes the
+// DependentsOf chunks the OR expression. Riding attributes come back in the
+// same query response — the aggregation that removes the
 // one-GetAttributes-per-dependent N+1 from Q.2. Chunks run concurrently
 // under the queryConcurrency bound; results merge in chunk order,
 // deduplicated, so the output is identical to the sequential scan's.
-func (x liveExec) dependentsOf(refs []prov.Ref, riding []prov.AttrFilter, _ string) ([]prov.Ref, error) {
+func (x liveExec) DependentsOf(refs []prov.Ref, prefix string, riding []prov.AttrFilter) ([]prov.Ref, error) {
 	chunk := x.l.cfg.QueryChunk
 	nchunks := (len(refs) + chunk - 1) / chunk
 
@@ -526,16 +326,10 @@ func (x liveExec) dependentsOf(refs []prov.Ref, riding []prov.AttrFilter, _ stri
 		return nil, err
 	}
 	var out []prov.Ref
-	seen := make(map[prov.Ref]bool)
 	for _, part := range results {
-		for _, ref := range part {
-			if !seen[ref] {
-				seen[ref] = true
-				out = append(out, ref)
-			}
-		}
+		out = append(out, part...)
 	}
-	return out, nil
+	return core.FilterRefPrefix(core.DedupeRefs(out), prefix), nil
 }
 
 // queryRefs runs one Query expression to completion, parsing item names.

@@ -389,6 +389,65 @@ func TestDependentsChunking(t *testing.T) {
 	}
 }
 
+// TestPrefixSeededWalkNeverReexpandsSeeds: the starts-with level of a
+// prefix-seeded descendant walk covers every version of the object at once,
+// so a later version reached as its predecessor's dependent must not go
+// back into the frontier — its chunk query would find only what level one
+// already returned. Three chained versions with a child under each and one
+// grandchild, two refs to a chunk: the seeds' redundant chunk is absent from
+// the metered count, and from the plan.
+func TestPrefixSeededWalkNeverReexpandsSeeds(t *testing.T) {
+	cl := cloud.New(cloud.Config{Seed: 1})
+	layer, err := New(Config{Cloud: cl, QueryChunk: 2, DisableQueryCache: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	write := func(subject prov.Ref, inputs ...prov.Ref) {
+		t.Helper()
+		records := []prov.Record{prov.NewString(subject, prov.AttrType, prov.TypeFile)}
+		for _, in := range inputs {
+			records = append(records, prov.NewInput(subject, in))
+		}
+		if err := writeItem(ctx, layer, subject, records, "", "t"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write(ref("/obj", 0))
+	want := []prov.Ref{ref("/grand", 0)}
+	for v := 0; v < 3; v++ {
+		if v > 0 {
+			write(ref("/obj", v), ref("/obj", v-1))
+		}
+		child := ref(fmt.Sprintf("/child%d", v), 0)
+		write(child, ref("/obj", v))
+		want = append(want, child)
+	}
+	write(ref("/grand", 0), ref("/child0", 0))
+	prov.SortRefs(want)
+
+	// One starts-with query, then the three children in ⌈3/2⌉ chunks; the
+	// unbounded walk also expands the grandchild, one chunk more. The two
+	// later versions of /obj, back in the frontier, would make level two
+	// ⌈5/2⌉ chunks.
+	for depth, wantOps := range map[int]int64{0: 4, 2: 3} {
+		q := prov.Query{RefPrefix: "/obj:", Direction: prov.TraverseDescendants, Depth: depth, Projection: prov.ProjectRefs}
+		plan := layer.Explain(q)
+		before := cl.Usage().TotalOps()
+		got, err := core.CollectRefs(layer.Query(ctx, q))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ops := cl.Usage().TotalOps() - before
+		if !reflect.DeepEqual(sortedRefs(got), want) {
+			t.Errorf("depth %d: walk returned %v, want %v", depth, got, want)
+		}
+		if ops != wantOps || plan.EstOps != wantOps {
+			t.Errorf("depth %d: metered %d ops, Explain predicted %d, want %d\n%s", depth, ops, plan.EstOps, wantOps, plan)
+		}
+	}
+}
+
 // TestExplainPredictsRidingAttrPointerGets: a two-phase query whose filter
 // attribute rides the phase-2 QueryWithAttributes must predict the S3 GET
 // that decoding a pointer-encoded (overflow) value of that attribute

@@ -226,9 +226,17 @@ func TestMultihopRandomizedOracle(t *testing.T) {
 
 	tools := []string{"blast", "sort", "softmean", "missing"}
 	types := []string{prov.TypeFile, prov.TypeProcess, ""}
-	prefixes := []string{"", "/out/", "/data/", "/res/mean:", "/nope/"}
+	// "/out/blast0:", "/res/mean:" and "proc/1/blast:" seed on objects with
+	// two chained versions: the later one is reached again as a dependent.
+	prefixes := []string{"", "/out/", "/data/", "/res/mean:", "/out/blast0:", "proc/1/blast:", "/nope/"}
+	attrPool := []prov.AttrFilter{
+		{Attr: prov.AttrType, Value: prov.TypeFile},
+		{Attr: prov.AttrName, Value: "/out/blast0"},
+		{Attr: prov.AttrName, Value: "blast"},
+		{Attr: prov.AttrName, Value: "missing"},
+	}
 	refPool := []prov.Ref{
-		{Object: "/out/blast0", Version: 1}, {Object: "/out/blast0", Version: 2},
+		{Object: "/out/blast0", Version: 0}, {Object: "/out/blast0", Version: 1}, {Object: "/out/blast0", Version: 2},
 		{Object: "/res/mean", Version: 1}, {Object: "/res/mean", Version: 2},
 		{Object: "/data/in2", Version: 1}, {Object: "/ghost", Version: 7},
 	}
@@ -248,18 +256,26 @@ func TestMultihopRandomizedOracle(t *testing.T) {
 				rng := sim.NewRNG(int64(7001 + shards))
 				randomQuery := func() prov.Query {
 					q := prov.Query{}
-					if rng.Intn(3) == 0 {
+					// One descriptor in four is the tool section under a prefix
+					// and attribute filters: the router cuts the candidates to
+					// the prefix before its filter round, the store after.
+					corner := rng.Intn(4) == 0
+					if corner || rng.Intn(3) == 0 {
 						q.Tool = tools[rng.Intn(len(tools))]
 					}
 					q.Type = types[rng.Intn(len(types))]
-					if rng.Intn(3) == 0 {
-						q.Attrs = append(q.Attrs, prov.AttrFilter{Attr: prov.AttrName, Value: tools[rng.Intn(len(tools))]})
+					if corner || rng.Intn(3) == 0 {
+						q.Attrs = append(q.Attrs, attrPool[rng.Intn(len(attrPool))])
 					}
-					q.RefPrefix = prefixes[rng.Intn(len(prefixes))]
-					if rng.Intn(3) == 0 {
-						n := 1 + rng.Intn(2)
-						for i := 0; i < n; i++ {
-							q.Refs = append(q.Refs, refPool[rng.Intn(len(refPool))])
+					if corner {
+						q.RefPrefix = prefixes[1+rng.Intn(len(prefixes)-1)]
+					} else {
+						q.RefPrefix = prefixes[rng.Intn(len(prefixes))]
+						if rng.Intn(3) == 0 {
+							n := 1 + rng.Intn(2)
+							for i := 0; i < n; i++ {
+								q.Refs = append(q.Refs, refPool[rng.Intn(len(refPool))])
+							}
 						}
 					}
 					switch rng.Intn(3) {

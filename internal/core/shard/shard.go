@@ -21,12 +21,10 @@
 // single-hop descendant traversals seeded by record-free filters (the
 // Dependents idiom) — run each shard's native plan and merge the
 // streams. Descriptors that need edges from more than one shard (tool
-// queries, multi-hop lineage, pinned ancestor walks) run the distributed
-// multi-hop planner when every member can plan references client-side
-// (core.RefPlanner): seeds resolve on their home shards via native plans,
-// then each BFS level fans one dependents-of-refs (or inputs-of-refs)
-// descriptor to all shards and merges frontiers — per-level indexed
-// pricing instead of per-shard scans. The remaining whole-graph shapes
+// queries, multi-hop lineage, pinned ancestor walks) run the refs pipeline
+// the members run themselves (core.NativeRefs) when every member can plan
+// references client-side (core.RefPlanner), each primitive one indexed
+// round on every shard (multihop.go). The remaining whole-graph shapes
 // evaluate on the union graph, which the router caches under the member
 // stamps with per-shard invalidation: repeated sweeps on an unchanged
 // namespace cost zero cloud ops and no rebuild, and one write refetches
@@ -96,8 +94,8 @@ type Router struct {
 	mig *migration
 
 	// refPlanned records whether every member implements core.RefPlanner,
-	// the capability the distributed multi-hop planner needs to compose
-	// Explain round by round. Mixed or incapable member sets keep the
+	// the capability the multi-hop path needs to compose Explain round by
+	// round. Mixed or incapable member sets keep the
 	// union-graph path for non-distributable descriptors.
 	refPlanned bool
 
@@ -442,9 +440,9 @@ func (r *Router) runQuery(ctx context.Context, q prov.Query, yield func(core.Ent
 }
 
 // Router query strategies, in preference order: the single-round fan-in
-// for shard-local descriptors, the distributed multi-hop planner for
-// traversals every member can plan natively, the (cached) union graph
-// for whole-repository shapes.
+// for shard-local descriptors, the refs pipeline in rounds for what every
+// member can plan natively, the (cached) union graph for whole-repository
+// shapes.
 const (
 	planFanIn      = "fanout"
 	planMultihop   = "multihop"
@@ -453,12 +451,18 @@ const (
 
 // strategyFor picks the evaluation strategy for a non-paginated
 // descriptor. Query and Explain both route through it, so the plan always
-// describes the path the run takes.
+// describes the path the run takes. What is not shard-local runs the refs
+// pipeline when the members would run it themselves (core.HasNativeRefs:
+// every round then has a native indexed plan on every shard), with one
+// router-side exception: an ancestor walk without pinned or tool seeds
+// keeps the union graph, since its seed section enumerates the namespace
+// and every frontier after it probes every shard.
 func (r *Router) strategyFor(q prov.Query) string {
 	if distributable(q) {
 		return planFanIn
 	}
-	if r.refPlanned && multihopEligible(q) {
+	wideWalk := q.Direction == prov.TraverseAncestors && len(q.Refs) == 0 && q.Tool == ""
+	if r.refPlanned && core.HasNativeRefs(q) && !wideWalk {
 		return planMultihop
 	}
 	return planUnionGraph
@@ -486,16 +490,7 @@ func (r *Router) evalAll(ctx context.Context, q prov.Query) ([]core.Entry, error
 // concatenated; within one shard, a subject whose records streamed in
 // pieces is merged the same way.
 func (r *Router) fanIn(ctx context.Context, q prov.Query) ([]core.Entry, error) {
-	mig := r.migSnapshot()
-	perShard := make([][]core.Entry, len(r.shards))
-	err := core.RunLimited(ctx, len(r.shards), len(r.shards), func(i int) error {
-		entries, err := core.CollectMerged(r.shards[i].Query(ctx, q))
-		if err != nil {
-			return fmt.Errorf("shard %d: %w", i, err)
-		}
-		perShard[i] = mig.filterEntries(i, entries)
-		return nil
-	})
+	perShard, err := r.fanOut(ctx, r.migSnapshot(), q)
 	if err != nil {
 		return nil, err
 	}
@@ -511,6 +506,21 @@ func (r *Router) fanIn(ctx context.Context, q prov.Query) ([]core.Entry, error) 
 	}
 	core.SortEntries(merged.Entries)
 	return merged.Entries, nil
+}
+
+// fanOut runs q on every shard concurrently and returns each shard's
+// entries, one per ref, less the copies mig's double-read window excludes.
+func (r *Router) fanOut(ctx context.Context, mig *migration, q prov.Query) ([][]core.Entry, error) {
+	perShard := make([][]core.Entry, len(r.shards))
+	err := core.RunLimited(ctx, len(r.shards), len(r.shards), func(i int) error {
+		entries, err := core.CollectMerged(r.shards[i].Query(ctx, q))
+		if err != nil {
+			return fmt.Errorf("shard %d: %w", i, err)
+		}
+		perShard[i] = mig.filterEntries(i, entries)
+		return nil
+	})
+	return perShard, err
 }
 
 // graphCache retains the union graph between whole-graph evaluations.

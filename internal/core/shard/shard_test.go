@@ -335,7 +335,7 @@ func TestShardedMatchesUnshardedRandomized(t *testing.T) {
 func TestRouterExplainMatchesMeteredOps(t *testing.T) {
 	ctx := context.Background()
 	batches := captureBatches(t)
-	for _, arch := range []string{"s3", "s3+sdb"} {
+	for _, arch := range []string{"s3", "s3+sdb", "s3+sdb+sqs"} {
 		t.Run(arch, func(t *testing.T) {
 			tg := buildTarget(t, arch, 4, 7, true)
 			replay(t, ctx, tg, batches)

@@ -309,14 +309,15 @@ func ProvenanceGraph(ctx context.Context, q Querier) (*prov.Graph, error) {
 	return CollectGraph(q.Query(ctx, prov.Q1()))
 }
 
-// CollectGraph drains a Q.1 stream into a provenance graph.
+// CollectGraph drains a Q.1 stream into a provenance graph, which adopts each
+// entry's record slice: the stream's producer must not reuse them.
 func CollectGraph(seq iter.Seq2[Entry, error]) (*prov.Graph, error) {
 	g := prov.NewGraph()
 	for entry, err := range seq {
 		if err != nil {
 			return nil, err
 		}
-		g.AddAll(entry.Records)
+		g.AddSubject(entry.Ref, entry.Records)
 	}
 	return g, nil
 }

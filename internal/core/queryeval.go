@@ -45,9 +45,11 @@ func EvalQueryRefs(g *prov.Graph, q prov.Query) []prov.Ref {
 		return sorted
 	}
 
+	// Child lists are read unsorted: like the seeds, a level is the same set in
+	// whatever order it is listed, and the result is sorted once at the end.
 	next := g.Inputs
 	if q.Direction == prov.TraverseDescendants {
-		next = g.Children
+		next = g.ChildList
 	}
 
 	isSeed := make(map[prov.Ref]bool, len(seeds))

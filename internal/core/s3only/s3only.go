@@ -39,6 +39,7 @@ import (
 	"fmt"
 	"iter"
 	"maps"
+	"slices"
 	"strconv"
 	"sync"
 
@@ -382,9 +383,11 @@ func (s *Store) assemble(ctx context.Context, ref prov.Ref, data []byte, own, fo
 	if p.meta, p.gets, err = s.encodeMetadata(ctx, ref, own, foreign); err != nil {
 		return p, err
 	}
-	riders, riderRecords := bySubject(foreign)
-	p.riders = riders
-	s.mintRider(p, own, riderRecords)
+	riders := bySubject(foreign)
+	for _, rider := range riders {
+		p.riders = append(p.riders, rider.Ref)
+	}
+	s.mintRider(p, own, riders)
 	return p, nil
 }
 
@@ -394,7 +397,7 @@ func (s *Store) assemble(ctx context.Context, ref prov.Ref, data []byte, own, fo
 // re-PUTting a key replaces its object and metadata wholesale, so the
 // slot's previous leaves are replaced to match. A subject with no records
 // contributes no leaf — the scan would never yield it as an entry.
-func (s *Store) mintRider(p dataPut, own []prov.Record, riderRecords map[prov.Ref][]prov.Record) {
+func (s *Store) mintRider(p dataPut, own []prov.Record, riders []core.Entry) {
 	if s.ledger == nil {
 		return
 	}
@@ -403,8 +406,8 @@ func (s *Store) mintRider(p dataPut, own []prov.Record, riderRecords map[prov.Re
 		leaves = append(leaves, integrity.SubjectHash(p.ref, own))
 	}
 	// One leaf per rider subject, in first-appearance order.
-	for _, ref := range p.riders {
-		leaves = append(leaves, integrity.SubjectHash(ref, riderRecords[ref]))
+	for _, rider := range riders {
+		leaves = append(leaves, integrity.SubjectHash(rider.Ref, rider.Records))
 	}
 	p.meta[integrity.AttrRoot] = s.ledger.Commit(map[string][]string{p.key: leaves}).Token()
 }
@@ -424,20 +427,27 @@ func (s *Store) land(ctx context.Context, op string, p dataPut) error {
 	return nil
 }
 
-// bySubject groups records by subject; subjects lists the distinct
-// subjects in first-appearance order.
-func bySubject(records []prov.Record) (subjects []prov.Ref, groups map[prov.Ref][]prov.Record) {
+// bySubject groups records into one entry per subject, in first-appearance
+// order; records about one subject — most carriers of a scan — are it, uncopied.
+func bySubject(records []prov.Record) []core.Entry {
 	if len(records) == 0 {
-		return nil, nil
+		return nil
 	}
-	groups = make(map[prov.Ref][]prov.Record)
+	if !slices.ContainsFunc(records, func(r prov.Record) bool { return r.Subject != records[0].Subject }) {
+		return []core.Entry{{Ref: records[0].Subject, Records: records}}
+	}
+	var groups []core.Entry
+	at := make(map[prov.Ref]int)
 	for _, r := range records {
-		if _, seen := groups[r.Subject]; !seen {
-			subjects = append(subjects, r.Subject)
+		i, seen := at[r.Subject]
+		if !seen {
+			i = len(groups)
+			at[r.Subject] = i
+			groups = append(groups, core.Entry{Ref: r.Subject})
 		}
-		groups[r.Subject] = append(groups[r.Subject], r)
+		groups[i].Records = append(groups[i].Records, r)
 	}
-	return subjects, groups
+	return groups
 }
 
 // doPuts executes the batch's data PUTs with bounded concurrency. PUTs to
@@ -716,9 +726,8 @@ func (s *Store) scanSeq(ctx context.Context) iter.Seq2[core.Entry, error] {
 				yield(core.Entry{}, err)
 				return
 			}
-			subjects, records := bySubject(c.records)
-			for _, subject := range subjects {
-				if !yield(core.Entry{Ref: subject, Records: records[subject]}, nil) {
+			for _, e := range bySubject(c.records) {
+				if !yield(e, nil) {
 					return
 				}
 			}
@@ -757,7 +766,7 @@ func (s *Store) StampToken() string { return s.stamp().Token() }
 
 // runQuery executes one non-paginated descriptor.
 func (s *Store) runQuery(ctx context.Context, q prov.Query, yield func(core.Entry, error) bool) {
-	q1 := !q.HasFilters() && q.Direction == prov.TraverseNone && q.Projection == prov.ProjectFull
+	q1 := q.IsQ1()
 	if q1 && !s.cache.Enabled() {
 		// Q.1 — "iterate over the provenance of every object in the
 		// repository": LIST pages, bounded-concurrency HEADs per page, one

@@ -82,7 +82,7 @@ func (l *Layer) runQuery(ctx context.Context, q prov.Query, yield func(core.Entr
 				return
 			}
 		}
-	case !q.HasFilters() && q.Direction == prov.TraverseNone && q.Projection == prov.ProjectFull:
+	case q.IsQ1():
 		// Q.1: the live one-query-per-item scan when uncached, else the
 		// (built-if-needed) snapshot — zero cloud ops when warm.
 		if !l.cache.Enabled() {

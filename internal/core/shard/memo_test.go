@@ -1,0 +1,461 @@
+package shard_test
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"iter"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"passcloud/internal/core"
+	"passcloud/internal/core/shard"
+	"passcloud/internal/core/shard/reshard"
+	"passcloud/internal/pass"
+	"passcloud/internal/prov"
+)
+
+// probedMember wraps a member to count what the router asks of it and, while
+// held, to block whatever would scan its repository — a Query or a
+// ProvenanceGraph call — until released or the caller's context ends.
+type probedMember struct {
+	shard.Store
+	queries, graphs atomic.Int64
+
+	mu      sync.Mutex
+	gate    chan struct{}
+	entered chan struct{} // one signal per call that found the gate shut
+}
+
+// probed builds an n-shard router over probed members.
+func probed(t *testing.T, arch string, n int, seed int64, uncached bool) (*target, []*probedMember) {
+	members := make([]*probedMember, n)
+	tg := buildWrapped(t, arch, n, seed, uncached, func(i int, st shard.Store) shard.Store {
+		members[i] = &probedMember{Store: st, entered: make(chan struct{}, 16)}
+		return members[i]
+	})
+	return tg, members
+}
+
+// calls sums the members' Query and ProvenanceGraph counts.
+func calls(members []*probedMember) (n int64) {
+	for _, m := range members {
+		n += m.queries.Load() + m.graphs.Load()
+	}
+	return n
+}
+
+// hold shuts the gate; the returned func opens it, once.
+func (m *probedMember) hold() (release func()) {
+	gate := make(chan struct{})
+	m.mu.Lock()
+	m.gate = gate
+	m.mu.Unlock()
+	return sync.OnceFunc(func() {
+		m.mu.Lock()
+		m.gate = nil
+		m.mu.Unlock()
+		close(gate)
+	})
+}
+
+func (m *probedMember) wait(ctx context.Context) error {
+	m.mu.Lock()
+	gate := m.gate
+	m.mu.Unlock()
+	if gate == nil {
+		return nil
+	}
+	m.entered <- struct{}{}
+	select {
+	case <-gate:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+}
+
+func (m *probedMember) Query(ctx context.Context, q prov.Query) iter.Seq2[core.Entry, error] {
+	m.queries.Add(1)
+	return func(yield func(core.Entry, error) bool) {
+		if err := m.wait(ctx); err != nil {
+			yield(core.Entry{}, err)
+			return
+		}
+		m.Store.Query(ctx, q)(yield)
+	}
+}
+
+func (m *probedMember) ProvenanceGraph(ctx context.Context) (*prov.Graph, error) {
+	m.graphs.Add(1)
+	if err := m.wait(ctx); err != nil {
+		return nil, err
+	}
+	return core.ProvenanceGraph(ctx, m.Store)
+}
+
+// stuckAfter bounds how long a call that must not block is given before the
+// test calls it blocked. Only a failing run waits this long.
+const stuckAfter = 10 * time.Second
+
+// ancestorsOfMean is a union-graph query on every architecture's probed
+// members (a wrapped member plans no references).
+var ancestorsOfMean = prov.QAncestors(prov.Ref{Object: "/res/mean", Version: 2})
+
+// TestRouterExplainDoesNotWaitOnUnionScan: Explain is a prediction without
+// cloud traffic, so it must return while a union-graph build is waiting on a
+// member's scan.
+func TestRouterExplainDoesNotWaitOnUnionScan(t *testing.T) {
+	ctx := context.Background()
+	tg, members := probed(t, "s3", 4, 37, true)
+	replay(t, ctx, tg, captureBatches(t))
+
+	release := members[0].hold()
+	defer release()
+	queried := make(chan error, 1)
+	go func() {
+		_, err := core.CollectRefs(tg.router.Query(ctx, ancestorsOfMean))
+		queried <- err
+	}()
+	<-members[0].entered // the build is in flight, its scan of shard 0 held
+
+	explained := make(chan core.QueryPlan, 1)
+	go func() { explained <- tg.router.Explain(ancestorsOfMean) }()
+	select {
+	case plan := <-explained:
+		if plan.Strategy != "union-graph" || plan.Cached || plan.EstOps == 0 {
+			t.Errorf("plan beside a cold build in flight: %s", plan)
+		}
+		release()
+	case <-time.After(stuckAfter):
+		t.Error("Explain waited for a member scan in flight")
+		release()
+		<-explained
+	}
+	if err := <-queried; err != nil {
+		t.Fatal(err)
+	}
+}
+
+// askedContext reports when somebody asks for its Done channel: the moment
+// a caller starts to wait with this context in hand.
+type askedContext struct {
+	context.Context
+	asked chan struct{}
+}
+
+func (c askedContext) Done() <-chan struct{} {
+	select {
+	case c.asked <- struct{}{}:
+	default:
+	}
+	return c.Context.Done()
+}
+
+// TestUnionWaiterHonoursContext: a query that finds a union-graph build in
+// flight waits for it, and leaves the moment its own context ends.
+func TestUnionWaiterHonoursContext(t *testing.T) {
+	ctx := context.Background()
+	tg, members := probed(t, "s3", 4, 41, true)
+	replay(t, ctx, tg, captureBatches(t))
+
+	release := members[0].hold()
+	defer release()
+	leader := make(chan error, 1)
+	go func() {
+		_, err := core.CollectRefs(tg.router.Query(ctx, ancestorsOfMean))
+		leader <- err
+	}()
+	<-members[0].entered
+
+	cancellable, cancel := context.WithCancel(ctx)
+	defer cancel()
+	wctx := askedContext{cancellable, make(chan struct{}, 1)}
+	waiter := make(chan error, 1)
+	go func() {
+		_, err := core.CollectRefs(tg.router.Query(wctx, prov.QDescendantsOfOutputs("blast")))
+		waiter <- err
+	}()
+	// Cancel once the waiter is waiting on its context (or, where it blocks on
+	// something that ignores the context, once it has had its chance).
+	select {
+	case <-wctx.asked:
+	case <-time.After(stuckAfter / 10):
+	}
+	cancel()
+	select {
+	case err := <-waiter:
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("waiter returned %v, want context.Canceled", err)
+		}
+		release()
+	case <-time.After(stuckAfter):
+		t.Error("a waiter whose context ended kept waiting for the build")
+		release()
+		<-waiter
+	}
+	if err := <-leader; err != nil {
+		t.Fatal(err)
+	}
+	if n := members[0].queries.Load() + members[0].graphs.Load(); n != 1 {
+		t.Errorf("shard 0 was asked %d times; the waiter must not have scanned beside the leader", n)
+	}
+}
+
+// derivedFile is a flush event for a new file version listing inputs.
+func derivedFile(obj prov.ObjectID, inputs ...prov.Ref) pass.FlushEvent {
+	ev := writeEvent(obj)
+	for _, in := range inputs {
+		ev.Records = append(ev.Records, prov.NewInput(ev.Ref, in))
+	}
+	return ev
+}
+
+// memberOracle evaluates q on a graph read from the members one by one,
+// beside the router's caches.
+func memberOracle(t *testing.T, ctx context.Context, tg *target, q prov.Query) string {
+	t.Helper()
+	g := prov.NewGraph()
+	for i := 0; i < tg.router.NumShards(); i++ {
+		for e, err := range tg.router.Shard(i).Query(ctx, prov.Q1()) {
+			if err != nil {
+				t.Fatal(err)
+			}
+			g.AddAll(e.Records)
+		}
+	}
+	return canonicalEntries(core.EvalQuery(g, q))
+}
+
+// blastProcess finds an instance of blast to hang new outputs on.
+func blastProcess(t *testing.T, ctx context.Context, tg *target) prov.Ref {
+	t.Helper()
+	procs, err := core.CollectRefs(tg.router.Query(ctx, prov.Query{
+		Type: prov.TypeProcess, Attrs: []prov.AttrFilter{{Attr: prov.AttrName, Value: "blast"}}, Projection: prov.ProjectRefs}))
+	if err != nil || len(procs) == 0 {
+		t.Fatalf("no blast process: %v, %v", procs, err)
+	}
+	return procs[0]
+}
+
+// TestRouterMemoNeverServesAcrossWrite: with a writer beside them, repeated
+// Q.2, Q.3 and ancestor queries race the memo's record-if-unmoved rule; once
+// each write is done, every answer — evaluated, then remembered — must be
+// core.EvalQuery's on the graph read after it. Every write changes all three.
+func TestRouterMemoNeverServesAcrossWrite(t *testing.T) {
+	ctx := context.Background()
+	batches := captureBatches(t)
+	for _, arch := range []string{"s3", "s3+sdb", "s3+sdb+sqs"} {
+		t.Run(arch, func(t *testing.T) {
+			tg := buildTarget(t, arch, 4, 43, false)
+			replay(t, ctx, tg, batches)
+			blast := blastProcess(t, ctx, tg)
+			link := func(i int) prov.Ref { return prov.Ref{Object: prov.ObjectID(fmt.Sprintf("/memo/w%d", i)), Version: 1} }
+			// tip's lineage runs through links not written yet: each write
+			// lengthens it, and makes one more output of blast with tip
+			// among its descendants.
+			tip := derivedFile("/memo/tip", link(0))
+			if err := tg.store.PutBatch(ctx, []pass.FlushEvent{tip}); err != nil {
+				t.Fatal(err)
+			}
+			tg.drain(ctx, t)
+			queries := []prov.Query{prov.QOutputsOf("blast"), prov.QDescendantsOfOutputs("blast"), prov.QAncestors(tip.Ref)}
+
+			for i := 0; i < 6; i++ {
+				written := make(chan error, 1)
+				go func() {
+					err := tg.store.PutBatch(ctx, []pass.FlushEvent{derivedFile(link(i).Object, blast, link(i+1))})
+					for _, drain := range tg.drains {
+						err = errors.Join(err, drain(ctx))
+					}
+					written <- err
+				}()
+				for racing := true; racing; {
+					select {
+					case err := <-written:
+						if err != nil {
+							t.Fatal(err)
+						}
+						racing = false
+					default:
+						for _, q := range queries {
+							if _, err := core.CollectRefs(tg.router.Query(ctx, q)); err != nil {
+								t.Fatal(err)
+							}
+						}
+					}
+				}
+				for _, q := range queries {
+					for _, how := range []string{"evaluated or remembered", "remembered"} {
+						got := canonical(t, ctx, tg.querier(), q)
+						if want := memberOracle(t, ctx, tg, q); got != want {
+							t.Fatalf("after write %d, %s (%s):\ngot:\n%s\nwant:\n%s", i, q.Key(), how, got, want)
+						}
+					}
+					if plan := tg.router.Explain(q); plan.Strategy != "memo" {
+						t.Fatalf("after write %d, %s asked twice is not remembered: %s", i, q.Key(), plan)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestRouterMemoBypassedMidMigration: no answer evaluated before a migration
+// transition — begin, abort, flip, end — is served after it, and none is
+// remembered while the window is open, the copy included. Members are
+// uncached and every query is one whose evaluation costs cloud ops each time,
+// so an answer that metered nothing was remembered.
+func TestRouterMemoBypassedMidMigration(t *testing.T) {
+	ctx := context.Background()
+	tg := buildTarget(t, "s3+sdb", 4, 47, true)
+	replay(t, ctx, tg, captureBatches(t))
+	queries := []prov.Query{
+		prov.QOutputsOf("blast"),
+		prov.QDescendantsOfOutputs("blast"),
+		ancestorsOfMean,
+		{Type: prov.TypeFile, Projection: prov.ProjectRefs},
+	}
+	want := make([]string, len(queries))
+	for i, q := range queries {
+		want[i] = canonical(t, ctx, tg.querier(), q)
+	}
+	// ask runs every query and reports how many metered nothing; the
+	// namespace's contents never change, so neither may any answer.
+	ask := func(when string) (free int) {
+		t.Helper()
+		for i, q := range queries {
+			before := tg.totalOps()
+			if got := canonical(t, ctx, tg.querier(), q); got != want[i] {
+				t.Fatalf("%s: %s changed its answer:\ngot:\n%s\nwant:\n%s", when, q.Key(), got, want[i])
+			}
+			if tg.totalOps() == before {
+				free++
+				if plan := tg.router.Explain(q); plan.Strategy != "memo" {
+					t.Fatalf("%s: %s metered nothing yet is planned as %s", when, q.Key(), plan)
+				}
+			}
+		}
+		return free
+	}
+	evaluatedThenRemembered := func(when string) {
+		t.Helper()
+		if free := ask(when); free != 0 {
+			t.Fatalf("%s: %d of %d answers from before were still served", when, free, len(queries))
+		}
+		if free := ask(when + ", again"); free != len(queries) {
+			t.Fatalf("%s: only %d of %d repeats were remembered", when, free, len(queries))
+		}
+	}
+	neverRemembered := func(when string) {
+		t.Helper()
+		for _, pass := range []string{"", ", again"} {
+			if free := ask(when + pass); free != 0 {
+				t.Fatalf("%s%s: %d answers were served from memory inside the window", when, pass, free)
+			}
+		}
+	}
+	if free := ask("idle"); free != len(queries) {
+		t.Fatalf("idle: only %d of %d repeats were remembered", free, len(queries))
+	}
+
+	ctrl, err := reshard.New(reshard.Config{Router: tg.router, Clouds: tg.clouds})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Split the first shard whose shed arc holds anything, toward its
+	// neighbour.
+	var plan *reshard.Plan
+	var moved func(prov.ObjectID) bool
+	var src, dst core.Migrator
+	for from := 0; ; from++ {
+		if from == tg.router.NumShards() {
+			t.Fatal("no split of this workload moves a subject")
+		}
+		if plan, err = ctrl.PlanSplit(from, (from+1)%tg.router.NumShards()); err != nil {
+			t.Fatal(err)
+		}
+		moved = plan.Moved(ctrl)
+		src, dst = tg.router.Shard(plan.Src).(core.Migrator), tg.router.Shard(plan.Dst).(core.Migrator)
+		if exp, err := src.ExportArc(ctx, moved); err != nil {
+			t.Fatal(err)
+		} else if len(exp.Subjects) > 0 {
+			break
+		}
+	}
+	open := func() func(prov.ObjectID) bool {
+		t.Helper()
+		exp, err := src.ExportArc(ctx, moved)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tg.router.BeginMigration(plan.Src, plan.Dst, exp.Subjects); err != nil {
+			t.Fatal(err)
+		}
+		neverRemembered("window open")
+		if err := dst.ImportArc(ctx, exp); err != nil {
+			t.Fatal(err)
+		}
+		neverRemembered("arc copied")
+		copied := make(map[prov.ObjectID]bool)
+		for _, ref := range exp.Subjects {
+			copied[ref.Object] = true
+		}
+		return func(o prov.ObjectID) bool { return moved(o) && copied[o] }
+	}
+
+	copied := open()
+	if _, err := dst.RemoveArc(ctx, copied); err != nil {
+		t.Fatal(err)
+	}
+	tg.router.AbortMigration()
+	evaluatedThenRemembered("aborted")
+
+	open()
+	if err := tg.router.FlipRing(plan.Target); err != nil {
+		t.Fatal(err)
+	}
+	neverRemembered("flipped")
+	if _, err := src.RemoveArc(ctx, moved); err != nil {
+		t.Fatal(err)
+	}
+	tg.router.EndMigration()
+	evaluatedThenRemembered("ended")
+}
+
+// TestRouterMemoHitAllocations: serving a remembered Q.3 allocates for the
+// stamp and the key, never per entry of the answer.
+func TestRouterMemoHitAllocations(t *testing.T) {
+	ctx := context.Background()
+	tg := buildTarget(t, "s3", 4, 53, false)
+	replay(t, ctx, tg, captureBatches(t))
+	blast := blastProcess(t, ctx, tg)
+	var batch []pass.FlushEvent
+	for i := 0; i < 300; i++ {
+		out := derivedFile(prov.ObjectID(fmt.Sprintf("/wide/out%03d", i)), blast)
+		batch = append(batch, out, derivedFile(prov.ObjectID(fmt.Sprintf("/wide/use%03d", i)), out.Ref))
+	}
+	if err := tg.store.PutBatch(ctx, batch); err != nil {
+		t.Fatal(err)
+	}
+	q3 := prov.QDescendantsOfOutputs("blast")
+	n := 0
+	ask := func() {
+		n = 0
+		for _, err := range tg.router.Query(ctx, q3) {
+			if err != nil {
+				t.Fatal(err)
+			}
+			n++
+		}
+	}
+	ask()
+	if plan := tg.router.Explain(q3); plan.Strategy != "memo" || n < 300 {
+		t.Fatalf("%d descendants, planned as %s", n, plan)
+	}
+	if allocs := testing.AllocsPerRun(50, ask); allocs > 40 {
+		t.Errorf("a remembered answer of %d entries cost %.0f allocations", n, allocs)
+	}
+}

@@ -145,7 +145,7 @@ func (r *Router) BeginMigration(src, dst int, subjects []prov.Ref) error {
 	}
 	r.mig = &migration{src: src, dst: dst, moved: moved}
 	r.ringMu.Unlock()
-	r.dropMergedGraph()
+	r.dropDerived()
 	return nil
 }
 
@@ -169,7 +169,7 @@ func (r *Router) FlipRing(target []int) error {
 		r.mig = &flipped
 	}
 	r.ringMu.Unlock()
-	r.dropMergedGraph()
+	r.dropDerived()
 	return nil
 }
 
@@ -179,7 +179,7 @@ func (r *Router) EndMigration() {
 	r.ringMu.Lock()
 	r.mig = nil
 	r.ringMu.Unlock()
-	r.dropMergedGraph()
+	r.dropDerived()
 }
 
 // AbortMigration closes the window without a flip — the rollback path
@@ -189,15 +189,18 @@ func (r *Router) AbortMigration() {
 	r.ringMu.Lock()
 	r.mig = nil
 	r.ringMu.Unlock()
-	r.dropMergedGraph()
+	r.dropDerived()
 }
 
-// dropMergedGraph invalidates the union-graph cache's merged graph at a
-// migration state transition. Per-shard parts stay: they are raw and
+// dropDerived invalidates, at a migration state transition, what the
+// router derived under the state before it: the union-graph cache's merged
+// graph and every remembered answer. Per-shard parts stay: they are raw and
 // stamp-keyed, only the filtered merge is state-dependent.
-func (r *Router) dropMergedGraph() {
-	c := &r.gcache
-	c.mu.Lock()
-	c.graph = nil
-	c.mu.Unlock()
+func (r *Router) dropDerived() {
+	r.gcache.mu.Lock()
+	r.gcache.graph = nil
+	r.gcache.mu.Unlock()
+	r.memo.mu.Lock()
+	r.memo.vals = nil
+	r.memo.mu.Unlock()
 }

@@ -3,6 +3,7 @@ package shard_test
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -99,67 +100,76 @@ func TestMultihopIndexedPlans(t *testing.T) {
 	})
 }
 
-// TestRouterGraphCacheInvalidation: repeated whole-graph queries on an
-// unchanged namespace must cost zero cloud ops (the router's union-graph
-// cache), and one write must invalidate exactly the written shard's
-// contribution — the others keep serving from the cache.
+// TestRouterGraphCacheInvalidation: a question repeated on an unchanged
+// namespace is answered from the router's result memo — zero cloud ops and
+// not one call to a member — and a second question at the same stamp from
+// the cached union graph, likewise; one write empties the memo and
+// invalidates exactly the written shard's contribution to the union, the
+// others keep serving from the cache. Explain says which, and what it
+// predicts is what is metered, each time.
 func TestRouterGraphCacheInvalidation(t *testing.T) {
 	ctx := context.Background()
 	batches := captureBatches(t)
 	// Uncached members: any masking by per-shard snapshots is off, so the
-	// metered zeros below belong to the router cache alone.
-	tg := buildTarget(t, "s3", 4, 29, true)
+	// metered zeros below belong to the router alone.
+	tg, members := probed(t, "s3", 4, 29, true)
 	replay(t, ctx, tg, batches)
 
-	anc := prov.Query{
-		Refs:       []prov.Ref{{Object: "/res/mean", Version: 2}},
-		Direction:  prov.TraverseAncestors,
-		Projection: prov.ProjectRefs,
-	}
-	run := func() int64 {
-		before := tg.totalOps()
-		for _, err := range tg.router.Query(ctx, anc) {
-			if err != nil {
-				t.Fatal(err)
-			}
+	anc := ancestorsOfMean
+	q3 := prov.QDescendantsOfOutputs("blast")
+	// run answers q, checks Explain's prediction against the meters, and
+	// returns the plan, the answer, and the ops and member calls it cost.
+	run := func(q prov.Query) (core.QueryPlan, []prov.Ref, int64, int64) {
+		t.Helper()
+		plan := tg.router.Explain(q)
+		ops, asked := tg.totalOps(), calls(members)
+		refs, err := core.CollectRefs(tg.router.Query(ctx, q))
+		if err != nil {
+			t.Fatal(err)
 		}
-		return tg.totalOps() - before
+		ops, asked = tg.totalOps()-ops, calls(members)-asked
+		if plan.EstOps != ops || plan.Cached != (ops == 0) {
+			t.Fatalf("%s: predicted %d ops (cached=%v), metered %d\n%s", q.Key(), plan.EstOps, plan.Cached, ops, plan)
+		}
+		return plan, refs, ops, asked
 	}
 
-	if cold := run(); cold <= 0 {
-		t.Fatalf("cold union-graph query metered %d ops, want > 0", cold)
+	if plan, _, cold, _ := run(anc); cold <= 0 || plan.Strategy != "union-graph" {
+		t.Fatalf("cold union-graph query metered %d ops as %s, want > 0", cold, plan)
 	}
-	plan := tg.router.Explain(anc)
-	if !plan.Cached || plan.EstOps != 0 {
-		t.Fatalf("warm router cache not predicted: %s", plan)
+	if plan, _, warm, asked := run(anc); warm != 0 || asked != 0 || plan.Strategy != "memo" {
+		t.Fatalf("repeated query on an unchanged namespace: %d ops, %d member calls, planned as %s", warm, asked, plan)
 	}
-	if warm := run(); warm != 0 {
-		t.Fatalf("repeated query on an unchanged namespace metered %d ops, want 0", warm)
+	// Another question at the same stamp: a second key over the one union.
+	plan, before, ops, asked := run(q3)
+	if ops != 0 || asked != 0 || plan.Strategy != "union-graph" {
+		t.Fatalf("second question on the cached union: %d ops, %d member calls, planned as %s", ops, asked, plan)
 	}
 
-	// One write: exactly one shard's contribution refetches.
-	obj := prov.ObjectID("/post/gcache")
-	hot := tg.router.ShardFor(obj)
-	if err := tg.store.PutBatch(ctx, []pass.FlushEvent{writeEvent(obj)}); err != nil {
+	// One write — a new descendant of blast's outputs — and exactly one
+	// shard's contribution refetches; nothing remembered survives it.
+	outputs, err := core.CollectRefs(tg.router.Query(ctx, prov.QOutputsOf("blast")))
+	if err != nil || len(outputs) == 0 {
+		t.Fatalf("outputs of blast: %v, %v", outputs, err)
+	}
+	late := derivedFile("/post/gcache", outputs[0])
+	hot := tg.router.ShardFor(late.Ref.Object)
+	if err := tg.store.PutBatch(ctx, []pass.FlushEvent{late}); err != nil {
 		t.Fatal(err)
 	}
-	plan = tg.router.Explain(anc)
-	if plan.Cached {
-		t.Fatalf("plan still claims cached after a write: %s", plan)
+	if plan := tg.router.Explain(anc); plan.Cached || plan.Strategy != "union-graph" {
+		t.Fatalf("an answer from before the write is still on offer: %s", plan)
 	}
 	perShardBefore := make([]int64, len(tg.clouds))
 	for i, cl := range tg.clouds {
 		perShardBefore[i] = cl.Usage().TotalOps()
 	}
-	for _, err := range tg.router.Query(ctx, anc) {
-		if err != nil {
-			t.Fatal(err)
-		}
+	_, after, _, _ := run(q3)
+	if len(after) != len(before)+1 || !slices.Contains(after, late.Ref) {
+		t.Errorf("answer after the write is not fresh: %v, was %v", after, before)
 	}
-	var metered int64
 	for i, cl := range tg.clouds {
 		delta := cl.Usage().TotalOps() - perShardBefore[i]
-		metered += delta
 		if i == hot && delta == 0 {
 			t.Errorf("written shard %d served from the stale cached contribution", i)
 		}
@@ -167,11 +177,8 @@ func TestRouterGraphCacheInvalidation(t *testing.T) {
 			t.Errorf("unwritten shard %d refetched (%d ops) after a foreign-shard write", i, delta)
 		}
 	}
-	if plan.EstOps != metered {
-		t.Errorf("post-write plan predicted %d ops, metered %d\n%s", plan.EstOps, metered, plan)
-	}
-	if again := run(); again != 0 {
-		t.Fatalf("query after the refetch metered %d ops, want 0 (cache re-pinned)", again)
+	if plan, _, again, asked := run(anc); again != 0 || asked != 0 || plan.Strategy != "union-graph" {
+		t.Fatalf("query after the refetch: %d ops, %d member calls, planned as %s (cache re-pinned)", again, asked, plan)
 	}
 }
 

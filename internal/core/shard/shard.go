@@ -39,6 +39,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"iter"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -110,6 +111,10 @@ type Router struct {
 	// shard's contribution.
 	gcache graphCache
 
+	// memo retains evaluated answers under the composite stamp: a question
+	// repeated on an unchanged namespace calls no member and builds nothing.
+	memo resultMemo
+
 	// mu serializes Sync against itself (member Syncs are already safe;
 	// this just keeps marker sequences deterministic under concurrent
 	// drains).
@@ -127,7 +132,8 @@ func New(cfg Config) (*Router, error) {
 	if len(cfg.Shards) == 0 {
 		return nil, errors.New("shard: Config.Shards is required")
 	}
-	r := &Router{shards: cfg.Shards}
+	r := &Router{shards: cfg.Shards, gcache: graphCache{build: make(chan struct{}, 1),
+		stamps: make([]string, len(cfg.Shards)), parts: make([]*prov.Graph, len(cfg.Shards))}}
 	r.refPlanned = true
 	for _, s := range cfg.Shards {
 		if _, ok := s.(core.RefPlanner); !ok {
@@ -447,6 +453,7 @@ const (
 	planFanIn      = "fanout"
 	planMultihop   = "multihop"
 	planUnionGraph = "union-graph"
+	planMemo       = "memo" // Explain's name for an answer evalAll would not evaluate
 )
 
 // strategyFor picks the evaluation strategy for a non-paginated
@@ -468,20 +475,73 @@ func (r *Router) strategyFor(q prov.Query) string {
 	return planUnionGraph
 }
 
-// evalAll materializes one non-paginated evaluation under the strategy
-// strategyFor picks. Results are ref-sorted with one entry per ref.
-func (r *Router) evalAll(ctx context.Context, q prov.Query) ([]core.Entry, error) {
+// evalAll materializes one non-paginated evaluation, ref-sorted with one
+// entry per ref and shared (read-only): the answer remembered under the
+// current composite stamp, else — and remembered in turn — what the strategy
+// strategyFor picks computes. Only queries come here (the qcache reader rule).
+func (r *Router) evalAll(ctx context.Context, q prov.Query) (entries []core.Entry, err error) {
+	key, stamp := r.memoKey(q)
+	if entries, ok := r.memo.get(key, stamp); ok {
+		return entries, nil
+	}
 	switch r.strategyFor(q) {
 	case planFanIn:
-		return r.fanIn(ctx, q)
+		entries, err = r.fanIn(ctx, q)
 	case planMultihop:
-		return r.runMultihop(ctx, q)
+		entries, err = r.runMultihop(ctx, q)
+	default:
+		var g *prov.Graph
+		if g, err = r.ProvenanceGraph(ctx); err == nil {
+			entries = core.EvalQuery(g, q)
+		}
 	}
-	g, err := r.unionGraph(ctx)
-	if err != nil {
-		return nil, err
+	if err == nil {
+		r.memo.put(r, key, stamp, entries)
 	}
-	return core.EvalQuery(g, q), nil
+	return entries, err
+}
+
+// resultMemo is the router's per-stamp result table, the shape of qcache's
+// memo: every answer in it was evaluated under one composite stamp (the one
+// cursors pin under), and it goes wholesale, never key by key — at the first
+// answer recorded under another stamp, and at every migration transition.
+type resultMemo struct {
+	mu    sync.Mutex
+	stamp string
+	vals  map[string][]core.Entry
+}
+
+// memoKey samples, before an evaluation, the composite stamp and q's key
+// under it — empty for what is never remembered: the unfiltered Q.1 (that is
+// the namespace; the members hold it) and whatever is asked inside a
+// migration window, whose state the answer depends on as well.
+func (r *Router) memoKey(q prov.Query) (key, stamp string) {
+	if q.IsQ1() || r.migSnapshot() != nil {
+		return "", ""
+	}
+	return q.Key(), r.StampToken()
+}
+
+func (m *resultMemo) get(key, stamp string) ([]core.Entry, bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	entries, ok := m.vals[key] // never the empty key
+	return entries, ok && m.stamp == stamp
+}
+
+// put records an answer if nothing moved since stamp was sampled: a member
+// write may or may not be in it, and a transition empties the table — after
+// publishing its window, so the check under the table's lock leaves no gap.
+func (m *resultMemo) put(r *Router, key, stamp string, entries []core.Entry) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if key == "" || r.migSnapshot() != nil || r.StampToken() != stamp {
+		return
+	}
+	if m.vals == nil || m.stamp != stamp {
+		m.stamp, m.vals = stamp, make(map[string][]core.Entry)
+	}
+	m.vals[key] = entries
 }
 
 // fanIn runs q on every shard's native engine concurrently and merges the
@@ -523,18 +583,21 @@ func (r *Router) fanOut(ctx context.Context, mig *migration, q prov.Query) ([][]
 	return perShard, err
 }
 
-// graphCache retains the union graph between whole-graph evaluations.
-// Each shard's Q.1 contribution is pinned under the stamp the shard
-// reported when it was fetched; a member write moves that shard's stamp
-// and invalidates exactly its contribution. An unchanged namespace
-// therefore answers repeated union-graph queries at zero cloud ops
-// without re-merging records client-side.
+// graphCache retains the union graph between whole-graph evaluations and
+// what it was merged from: each member's own graph (core.ProvenanceGraph: its
+// snapshot when it caches, one scan when not) under the stamp the member
+// reported before the fetch. A member write moves that stamp and invalidates
+// exactly that part; the union shares the parts' records (prov.Union), so a
+// rebuild copies no shard. graph, when set, is the unfiltered union of parts.
 type graphCache struct {
-	mu      sync.Mutex
-	fetched []bool
-	stamps  []string
-	parts   [][]prov.Record
-	graph   *prov.Graph
+	// build is a one-slot semaphore: the lock ProvenanceGraph holds across its
+	// fetches, and stops waiting for when its context ends. mu guards the
+	// fields only while they are read or replaced: validFor waits for no scan.
+	build  chan struct{}
+	mu     sync.Mutex
+	stamps []string
+	parts  []*prov.Graph // nil: never fetched
+	graph  *prov.Graph
 }
 
 // validFor reports whether shard i's cached contribution is current at
@@ -543,96 +606,67 @@ type graphCache struct {
 func (c *graphCache) validFor(i int, stamp string) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.graph != nil && i < len(c.fetched) && c.fetched[i] && c.stamps[i] == stamp
+	return c.graph != nil && c.parts[i] != nil && c.stamps[i] == stamp
 }
 
-// unionGraph materializes every shard's provenance into one graph by
-// draining each shard's Q.1 stream — served from the router's own graph
-// cache when the shard's stamp is unchanged (zero cloud ops), from the
-// shard's warm snapshot when it has one, and by a full native pass
-// otherwise (exactly what the composite Explain predicts). The returned
-// graph is shared and must be treated as read-only.
-func (r *Router) unionGraph(ctx context.Context) (*prov.Graph, error) {
-	mig := r.migSnapshot()
+// ProvenanceGraph implements core.GraphQuerier with the union graph: every
+// shard's provenance graph merged into one — served whole from the router's
+// graph cache when no member stamp moved (zero cloud ops), else rebuilt from
+// the cached parts and a fetch of each stale one: the member's warm snapshot
+// when it has one, a full native pass when not (exactly what the composite
+// Explain predicts). The returned graph is shared: read-only.
+func (r *Router) ProvenanceGraph(ctx context.Context) (*prov.Graph, error) {
 	c := &r.gcache
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.fetched == nil {
-		c.fetched = make([]bool, len(r.shards))
-		c.stamps = make([]string, len(r.shards))
-		c.parts = make([][]prov.Record, len(r.shards))
+	select {
+	case c.build <- struct{}{}:
+		defer func() { <-c.build }()
+	case <-ctx.Done():
+		return nil, ctx.Err()
 	}
-	// Sample stamps before fetching: a write landing mid-fetch leaves the
-	// recorded stamp older than the data, so the next call conservatively
-	// refetches that shard.
+	mig := r.migSnapshot()
+	// Stamps are sampled before fetching: a write landing mid-fetch leaves the
+	// recorded stamp older than the data, and the next call refetches.
 	stale := make([]int, 0, len(r.shards))
 	cur := make([]string, len(r.shards))
+	c.mu.Lock()
 	for i, s := range r.shards {
 		cur[i] = s.StampToken()
-		if !c.fetched[i] || c.stamps[i] != cur[i] {
+		if c.parts[i] == nil || c.stamps[i] != cur[i] {
 			stale = append(stale, i)
 		}
 	}
-	if len(stale) == 0 && c.graph != nil && mig == nil {
-		return c.graph, nil
+	g, parts := c.graph, slices.Clone(c.parts)
+	c.mu.Unlock()
+	if len(stale) == 0 && g != nil && mig == nil {
+		return g, nil
 	}
-	err := core.RunLimited(ctx, len(stale), len(r.shards), func(k int) error {
-		i := stale[k]
-		var records []prov.Record
-		for e, err := range r.shards[i].Query(ctx, prov.Q1()) {
-			if err != nil {
-				return fmt.Errorf("shard %d: %w", i, err)
-			}
-			records = append(records, e.Records...)
+	err := core.RunLimited(ctx, len(stale), len(r.shards), func(k int) (err error) {
+		if parts[stale[k]], err = core.ProvenanceGraph(ctx, r.shards[stale[k]]); err != nil {
+			err = fmt.Errorf("shard %d: %w", stale[k], err)
 		}
-		c.parts[i] = records
-		return nil
+		return err
 	})
 	if err != nil {
-		// A partial refetch leaves unknown staleness behind; drop the
-		// merged graph so the next call starts from the per-shard marks.
-		c.graph = nil
-		for _, i := range stale {
-			c.fetched[i] = false
-		}
-		return nil, err
+		return nil, err // nothing is installed: what is cached keeps its stamps
 	}
+	// Mid-migration the moved arc exists on both sides of the copy: the parts
+	// stay raw (stamp-keyed, they outlive the window), the merge drops the
+	// non-authoritative side — and is never cached: its filter changes at a
+	// migration transition, not at a member stamp.
+	var keep func(int, prov.Ref) bool
+	if mig != nil {
+		keep = func(i int, subject prov.Ref) bool { return !mig.excluded(i, subject.Object) }
+	}
+	g = prov.Union(parts, keep)
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	for _, i := range stale {
-		c.fetched[i] = true
 		c.stamps[i] = cur[i]
 	}
-	g := prov.NewGraph()
-	for i, records := range c.parts {
-		if mig == nil {
-			g.AddAll(records)
-			continue
-		}
-		// Mid-migration: the moved arc exists on both sides of the copy.
-		// Cached parts stay raw (keyed by stamp, so they survive the
-		// window), but the merged graph drops the non-authoritative copy
-		// — and is never cached, since the filter changes at each
-		// migration state transition, not at a member stamp.
-		kept := make([]prov.Record, 0, len(records))
-		for _, rec := range records {
-			if !mig.excluded(i, rec.Subject.Object) {
-				kept = append(kept, rec)
-			}
-		}
-		g.AddAll(kept)
-	}
-	if mig == nil {
-		c.graph = g
-	} else {
-		c.graph = nil
+	if c.parts, c.graph = parts, nil; mig == nil && r.migSnapshot() == nil {
+		c.graph = g // unless a transition overtook it
 	}
 	return g, nil
-}
-
-// ProvenanceGraph implements core.GraphQuerier: the union of every
-// shard's graph, served from the router's graph cache when the member
-// stamps are unchanged. The result is shared: read-only.
-func (r *Router) ProvenanceGraph(ctx context.Context) (*prov.Graph, error) {
-	return r.unionGraph(ctx)
 }
 
 // Explain implements core.Querier: the plan is the sum of the per-shard
@@ -649,6 +683,9 @@ func (r *Router) Explain(q prov.Query) core.QueryPlan {
 	p := core.QueryPlan{Arch: r.Name(), Exact: true}
 	return core.Explain(p, q, r, &r.pins, func(p *core.QueryPlan, stripped prov.Query) {
 		strategy := r.strategyFor(stripped)
+		if _, ok := r.memo.get(r.memoKey(stripped)); ok {
+			strategy = planMemo
+		}
 		p.Strategy = strategy
 		if q.Cursor != "" {
 			// Evicted pin at an unchanged composite stamp: the plan costs
@@ -656,6 +693,9 @@ func (r *Router) Explain(q prov.Query) core.QueryPlan {
 			p.Strategy = "pinned-reeval/" + strategy
 		}
 		switch strategy {
+		case planMemo:
+			p.Cached = true
+			p.AddStep("-", strategy, 0, "answer remembered for the current composite stamp: no member is asked")
 		case planFanIn:
 			p.AddStep("-", strategy, 0, fmt.Sprintf("%d shards: per-shard native plans, ref-sorted fan-in merge", len(r.shards)))
 			plans := make([]core.QueryPlan, len(r.shards))

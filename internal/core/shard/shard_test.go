@@ -48,7 +48,7 @@ func (tg *target) totalOps() int64 {
 }
 
 // buildStore constructs one architecture store on cl.
-func buildStore(t *testing.T, arch string, cl *cloud.Cloud, clientID string, uncached bool) (shard.Store, func(context.Context) error) {
+func buildStore(t testing.TB, arch string, cl *cloud.Cloud, clientID string, uncached bool) (shard.Store, func(context.Context) error) {
 	t.Helper()
 	switch arch {
 	case "s3":
@@ -90,7 +90,14 @@ func buildStore(t *testing.T, arch string, cl *cloud.Cloud, clientID string, unc
 
 // buildTarget builds an n-shard router (or, for n = 1, the bare store)
 // over isolated namespaces of one simulated region.
-func buildTarget(t *testing.T, arch string, n int, seed int64, uncached bool) *target {
+func buildTarget(t testing.TB, arch string, n int, seed int64, uncached bool) *target {
+	t.Helper()
+	return buildWrapped(t, arch, n, seed, uncached, func(_ int, st shard.Store) shard.Store { return st })
+}
+
+// buildWrapped is buildTarget with every member passed through wrap before
+// the router sees it.
+func buildWrapped(t testing.TB, arch string, n int, seed int64, uncached bool, wrap func(int, shard.Store) shard.Store) *target {
 	t.Helper()
 	multi := cloud.NewMulti(cloud.Config{Seed: seed})
 	tg := &target{}
@@ -98,7 +105,7 @@ func buildTarget(t *testing.T, arch string, n int, seed int64, uncached bool) *t
 	for i := 0; i < n; i++ {
 		cl := multi.Namespace(fmt.Sprintf("shard%d", i))
 		st, drain := buildStore(t, arch, cl, fmt.Sprintf("c%d", i), uncached)
-		stores = append(stores, st)
+		stores = append(stores, wrap(i, st))
 		tg.clouds = append(tg.clouds, cl)
 		if drain != nil {
 			tg.drains = append(tg.drains, drain)
@@ -119,7 +126,7 @@ func buildTarget(t *testing.T, arch string, n int, seed int64, uncached bool) *t
 
 // captureBatches drives a scripted PASS workload and records the flush
 // batches, so the identical event stream can replay into any store.
-func captureBatches(t *testing.T) [][]pass.FlushEvent {
+func captureBatches(t testing.TB) [][]pass.FlushEvent {
 	t.Helper()
 	ctx := context.Background()
 	var batches [][]pass.FlushEvent

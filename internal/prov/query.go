@@ -131,6 +131,11 @@ func (q Query) HasFilters() bool {
 	return q.Tool != "" || q.Type != "" || len(q.Attrs) > 0 || q.RefPrefix != "" || len(q.Refs) > 0
 }
 
+// IsQ1 reports whether q is the paper's Q.1: no filter, no traversal, records.
+func (q Query) IsQ1() bool {
+	return !q.HasFilters() && q.Direction == TraverseNone && q.Projection == ProjectFull
+}
+
 // AttrFilters returns the effective attribute predicates: Attrs plus the
 // Type shorthand, deduplicated and sorted for deterministic plans.
 func (q Query) AttrFilters() []AttrFilter {

@@ -1,5 +1,7 @@
 // Package replica implements the eventually-consistent replicated key-value
-// core shared by the simulated S3 and SimpleDB services.
+// core under the simulated S3 service. (The simulated SimpleDB keeps its own
+// per-replica views in internal/cloud/sdb: its writes are attribute-level
+// edits applied in order, not whole-value last-writer-wins.)
 //
 // AWS services "sacrifice perfect consistency and provide eventual
 // consistency" (paper §1): a read issued right after a write may be served by

@@ -2,6 +2,7 @@ package sdb
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -332,31 +333,32 @@ func evalQuery(v *view, q *queryExpr) ([]string, error) {
 	}
 
 	if q.hasSort {
-		// Real SimpleDB drops items lacking the sort attribute.
-		filtered := names[:0]
-		keys := make(map[string]string, len(names))
-		for _, item := range names {
-			if val, ok := minAttrValue(v.items[item], q.sortAttr); ok {
-				keys[item] = val
-				filtered = append(filtered, item)
-			}
-		}
-		names = filtered
-		sort.Slice(names, func(i, j int) bool {
-			ki, kj := keys[names[i]], keys[names[j]]
-			if ki != kj {
-				if q.sortDesc {
-					return ki > kj
-				}
-				return ki < kj
-			}
-			return names[i] < names[j]
-		})
-		return names, nil
+		return sortByAttr(v, names, q.sortAttr, q.sortDesc), nil
 	}
-
 	sort.Strings(names)
 	return names, nil
+}
+
+// sortByAttr orders names by each item's smallest value of attr (ties by
+// name), in place, dropping the items that lack the attribute as real
+// SimpleDB does: the sort clause of both query languages.
+func sortByAttr(v *view, names []string, attr string, desc bool) []string {
+	keys := make(map[string]string, len(names))
+	kept := names[:0]
+	for _, item := range names {
+		if val, ok := minAttrValue(v.items[item], attr); ok {
+			keys[item] = val
+			kept = append(kept, item)
+		}
+	}
+	sort.Slice(kept, func(i, j int) bool {
+		ki, kj := keys[kept[i]], keys[kept[j]]
+		if ki != kj {
+			return (ki > kj) == desc
+		}
+		return kept[i] < kept[j]
+	})
+	return kept
 }
 
 // minAttrValue returns the lexicographically smallest value of attr on the
@@ -392,9 +394,7 @@ type QueryAttrResult struct {
 // the replica that served the first page so one logical query observes one
 // snapshot.
 func (s *Service) Query(domainName, expr string, maxResults int, nextToken string) (*QueryResult, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	names, _, token, err := s.queryLocked("Query", domainName, expr, maxResults, nextToken, false, nil)
+	names, _, token, err := s.query("Query", domainName, expr, maxResults, nextToken, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -404,91 +404,108 @@ func (s *Service) Query(domainName, expr string, maxResults int, nextToken strin
 // QueryWithAttributes is Query returning each matching item's attributes,
 // optionally restricted to attrNames (nil means all).
 func (s *Service) QueryWithAttributes(domainName, expr string, attrNames []string, maxResults int, nextToken string) (*QueryAttrResult, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	names, items, token, err := s.queryLocked("QueryWithAttributes", domainName, expr, maxResults, nextToken, true, attrNames)
+	want := func(string) bool { return true }
+	if len(attrNames) > 0 {
+		want = func(name string) bool { return slices.Contains(attrNames, name) }
+	}
+	_, items, token, err := s.query("QueryWithAttributes", domainName, expr, maxResults, nextToken, want)
 	if err != nil {
 		return nil, err
 	}
-	_ = names
 	return &QueryAttrResult{Items: items, NextToken: token}, nil
 }
 
-// queryLocked is the shared engine. Caller holds s.mu.
-func (s *Service) queryLocked(op, domainName, expr string, maxResults int, nextToken string, withAttrs bool, attrNames []string) ([]string, []Item, string, error) {
-	d, ok := s.domains[domainName]
-	if !ok {
-		return nil, nil, "", opErr(op, domainName, "", ErrNoSuchDomain)
-	}
-	failErr, ackLoss := s.checkFault(op, domainName, "")
-	if failErr != nil {
-		return nil, nil, "", failErr
-	}
-	s.cfg.Meter.Op(billing.SimpleDB, op, billing.TierBox)
-	if ackLoss {
-		return nil, nil, "", opErr(op, domainName, "", awserr.ErrRequestTimeout)
-	}
-
-	q, err := parseQuery(expr)
+// query is the bracket language's engine: one page of expr's matches, with
+// the attributes want keeps (nil: names only).
+func (s *Service) query(op, domainName, expr string, maxResults int, nextToken string, want func(string) bool) ([]string, []Item, string, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	q, invalid := parseQuery(expr)
+	r, err := s.begin(op, domainName, nextToken, invalid)
 	if err != nil {
-		return nil, nil, "", opErr(op, domainName, "", fmt.Errorf("%w: %w", ErrInvalidQuery, err))
+		return nil, nil, "", err
 	}
 	if maxResults <= 0 || maxResults > QueryPageLimit {
 		maxResults = QueryPageLimit
 	}
-
-	replicaIdx, offset, err := decodeToken(nextToken)
-	if err != nil {
-		return nil, nil, "", opErr(op, domainName, "", err)
-	}
-	if nextToken == "" {
-		replicaIdx = s.cfg.RNG.Intn(len(d.views))
-	}
-	v := d.views[replicaIdx%len(d.views)]
-	s.drain(v)
-
-	all, err := evalQuery(v, q)
+	all, err := evalQuery(r.v, q)
 	if err != nil {
 		return nil, nil, "", opErr(op, domainName, "", fmt.Errorf("%w: %w", ErrInvalidQuery, err))
 	}
-	if offset > len(all) {
-		offset = len(all)
-	}
-	page := all[offset:]
-	token := ""
-	if len(page) > maxResults {
-		page = page[:maxResults]
-		token = encodeToken(replicaIdx, offset+maxResults)
-	}
+	page, items, token := s.finish(r, all, maxResults, want, false)
+	return page, items, token, nil
+}
 
+// pagedRead is one admitted request of the frame Query, QueryWithAttributes
+// and Select share: the replica view serving it, and where in the match list
+// its page starts.
+type pagedRead struct {
+	v               *view
+	replica, offset int
+}
+
+// begin is the front half of that frame: fault check → meter → the replica
+// the token pins (a random one for a first page) → drain. A malformed
+// expression (invalid) is refused here: billed like any request, before the
+// token is looked at. Caller holds s.mu.
+func (s *Service) begin(op, domainName, nextToken string, invalid error) (pagedRead, error) {
+	d, ok := s.domains[domainName]
+	if !ok {
+		return pagedRead{}, opErr(op, domainName, "", ErrNoSuchDomain)
+	}
+	failErr, ackLoss := s.checkFault(op, domainName, "")
+	if failErr != nil {
+		return pagedRead{}, failErr
+	}
+	s.cfg.Meter.Op(billing.SimpleDB, op, billing.TierBox)
+	if ackLoss {
+		return pagedRead{}, opErr(op, domainName, "", awserr.ErrRequestTimeout)
+	}
+	if invalid != nil {
+		return pagedRead{}, opErr(op, domainName, "", fmt.Errorf("%w: %w", ErrInvalidQuery, invalid))
+	}
+	replica, offset, err := decodeToken(nextToken)
+	if err != nil {
+		return pagedRead{}, opErr(op, domainName, "", err)
+	}
+	if nextToken == "" {
+		replica = s.cfg.RNG.Intn(len(d.views))
+	}
+	r := pagedRead{d.views[replica%len(d.views)], replica, offset}
+	s.drain(r.v)
+	return r, nil
+}
+
+// finish is the back half: the match list cut to the page the token's offset
+// starts, each item projected to the attributes want keeps (nil: none are
+// read, the names are the page), the response's bytes metered out. omitBare
+// drops an item none of whose attributes was wanted, unbilled.
+func (s *Service) finish(r pagedRead, names []string, pageSize int, want func(attr string) bool, omitBare bool) (page []string, items []Item, token string) {
+	offset := min(r.offset, len(names))
+	page = names[offset:]
+	if len(page) > pageSize {
+		page = page[:pageSize]
+		token = encodeToken(r.replica, offset+pageSize)
+	}
 	var outBytes int64
-	var items []Item
-	if withAttrs {
-		var filter map[string]bool
-		if len(attrNames) > 0 {
-			filter = make(map[string]bool, len(attrNames))
-			for _, n := range attrNames {
-				filter[n] = true
-			}
-		}
-		for _, name := range page {
+	for _, name := range page {
+		if want != nil {
 			item := Item{Name: name}
-			for _, a := range v.items[name] {
-				if filter == nil || filter[a.Name] {
+			for _, a := range r.v.items[name] {
+				if want(a.Name) {
 					item.Attrs = append(item.Attrs, a)
 					outBytes += int64(len(a.Name) + len(a.Value))
 				}
 			}
-			outBytes += int64(len(name))
+			if omitBare && len(item.Attrs) == 0 {
+				continue
+			}
 			items = append(items, item)
 		}
-	} else {
-		for _, name := range page {
-			outBytes += int64(len(name))
-		}
+		outBytes += int64(len(name))
 	}
 	s.cfg.Meter.Out(billing.SimpleDB, outBytes)
-	return page, items, token, nil
+	return page, items, token
 }
 
 func encodeToken(replica, offset int) string {

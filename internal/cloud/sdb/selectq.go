@@ -2,11 +2,11 @@ package sdb
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 
-	"passcloud/internal/cloud/awserr"
 	"passcloud/internal/cloud/billing"
 )
 
@@ -501,119 +501,41 @@ func (s *Service) Select(expr string, nextToken string) (*SelectResult, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 
+	// The statement names the domain, so one that does not parse is refused
+	// before there is anything to bill.
 	st, err := parseSelect(expr)
 	if err != nil {
 		return nil, opErr("Select", "", "", fmt.Errorf("%w: %w", ErrInvalidQuery, err))
 	}
-	d, ok := s.domains[st.domain]
-	if !ok {
-		return nil, opErr("Select", st.domain, "", ErrNoSuchDomain)
-	}
-	failErr, ackLoss := s.checkFault("Select", st.domain, "")
-	if failErr != nil {
-		return nil, failErr
-	}
-	s.cfg.Meter.Op(billing.SimpleDB, "Select", billing.TierBox)
-	if ackLoss {
-		return nil, opErr("Select", st.domain, "", awserr.ErrRequestTimeout)
-	}
-
-	replicaIdx, offset, err := decodeToken(nextToken)
+	r, err := s.begin("Select", st.domain, nextToken, nil)
 	if err != nil {
-		return nil, opErr("Select", st.domain, "", err)
+		return nil, err
 	}
-	if nextToken == "" {
-		replicaIdx = s.cfg.RNG.Intn(len(d.views))
-	}
-	v := d.views[replicaIdx%len(d.views)]
-	s.drain(v)
-
-	// Gather matching item names.
 	var names []string
-	for name, attrs := range v.items {
+	for name, attrs := range r.v.items {
 		if st.where == nil || st.where.match(name, attrs) {
 			names = append(names, name)
 		}
 	}
-
 	if st.outputCount {
 		s.cfg.Meter.Out(billing.SimpleDB, 16)
 		return &SelectResult{Count: len(names), IsCount: true}, nil
 	}
-
-	// Order.
 	switch {
 	case st.orderBy != "":
-		keys := make(map[string]string, len(names))
-		filtered := names[:0]
-		for _, item := range names {
-			if val, ok := minAttrValue(v.items[item], st.orderBy); ok {
-				keys[item] = val
-				filtered = append(filtered, item)
-			}
-		}
-		names = filtered
-		sort.Slice(names, func(i, j int) bool {
-			ki, kj := keys[names[i]], keys[names[j]]
-			if ki != kj {
-				if st.orderDesc {
-					return ki > kj
-				}
-				return ki < kj
-			}
-			return names[i] < names[j]
-		})
+		names = sortByAttr(r.v, names, st.orderBy, st.orderDesc)
 	case st.orderByName && st.orderDesc:
 		sort.Sort(sort.Reverse(sort.StringSlice(names)))
 	default:
 		sort.Strings(names)
 	}
-
-	// Page.
 	pageSize := st.limit
 	if pageSize <= 0 || pageSize > SelectPageLimit {
 		pageSize = SelectPageLimit
 	}
-	if offset > len(names) {
-		offset = len(names)
-	}
-	page := names[offset:]
-	token := ""
-	if len(page) > pageSize {
-		page = page[:pageSize]
-		token = encodeToken(replicaIdx, offset+pageSize)
-	}
-
-	// Project.
-	res := &SelectResult{NextToken: token}
-	var outBytes int64
-	for _, name := range page {
-		item := Item{Name: name}
-		switch {
-		case st.outputStar:
-			item.Attrs = append(item.Attrs, v.items[name]...)
-		case st.outputName:
-			// name only
-		default:
-			want := make(map[string]bool, len(st.outputAttrs))
-			for _, a := range st.outputAttrs {
-				want[a] = true
-			}
-			for _, a := range v.items[name] {
-				if want[a.Name] {
-					item.Attrs = append(item.Attrs, a)
-				}
-			}
-			if len(item.Attrs) == 0 {
-				continue // no requested attribute present: omit item
-			}
-		}
-		for _, a := range item.Attrs {
-			outBytes += int64(len(a.Name) + len(a.Value))
-		}
-		outBytes += int64(len(name))
-		res.Items = append(res.Items, item)
-	}
-	s.cfg.Meter.Out(billing.SimpleDB, outBytes)
-	return res, nil
+	// Output: every attribute, none (itemName()), or the listed ones — and
+	// then only the items that have one of them.
+	want := func(attr string) bool { return st.outputStar || slices.Contains(st.outputAttrs, attr) }
+	_, items, token := s.finish(r, names, pageSize, want, !st.outputStar && !st.outputName)
+	return &SelectResult{Items: items, NextToken: token}, nil
 }

@@ -1,9 +1,13 @@
 package core
 
 import (
+	"context"
 	"encoding/base64"
 	"errors"
+	"strings"
 	"testing"
+
+	"passcloud/internal/prov"
 )
 
 // FuzzLiteralRoundTrip: the literal half of the pointer codec. Whatever a
@@ -23,26 +27,61 @@ func FuzzLiteralRoundTrip(f *testing.F) {
 
 // FuzzDecodeCursor: the opaque resume token is caller-supplied. Any string
 // either decodes to a state that re-encodes and decodes back to itself, or is
-// refused with an error wrapping ErrBadCursor — never a panic.
+// refused with an error wrapping ErrBadCursor — never a panic. And whatever it
+// decodes to, PlanCursor's disposition is what RunPaged then does — a resident
+// pin serves without evaluating, an evicted one at the current stamp evaluates
+// exactly once, a failing one fails with ErrBadCursor or ErrCursorExpired and
+// evaluates nothing — on a registry holding the pin, on one that lost it and
+// on one that never minted it. A registry's instance token is random, so the
+// text "INST" inside a cursor stands for the token of the registry it is
+// tried on (and stays foreign on the third).
 func FuzzDecodeCursor(f *testing.F) {
-	for _, st := range []cursorState{{}, {hash: 1<<64 - 1, stamp: "ab12@3.0", offset: 7}, {stamp: "a@1.2|3.4"}} {
+	q := prov.Query{Type: prov.TypeFile, Limit: 2}
+	hash := QueryHash(q)
+	for _, st := range []cursorState{{}, {hash: 1<<64 - 1, stamp: "ab12@3.0", offset: 7}, {stamp: "a@1.2|3.4"},
+		{hash: hash, stamp: "INST@g1", offset: 2}, {hash: hash, stamp: "INST@g0", offset: 1}, {hash: hash + 1, stamp: "INST@g1"},
+		{hash: hash, stamp: "INST@g1", offset: 1 << 40}} {
 		f.Add(encodeCursor(st))
 	}
 	for _, raw := range []string{"", "c1|0|s|0", "c1|zz|s|1", "c1|0|s|-1", "c2|0|s|0", "c1|0|s"} {
 		f.Add(base64.RawURLEncoding.EncodeToString([]byte(raw)))
 	}
 	f.Add("not base64!")
+	pinned := []Entry{{Ref: pageRef(0)}, {Ref: pageRef(1)}, {Ref: pageRef(2)}, {Ref: pageRef(3)}, {Ref: pageRef(4)}}
 	f.Fuzz(func(t *testing.T, s string) {
 		st, err := decodeCursor(s)
 		if err != nil {
 			if !errors.Is(err, ErrBadCursor) {
 				t.Fatalf("decodeCursor(%q): %v does not wrap ErrBadCursor", s, err)
 			}
-			return
-		}
-		again, err := decodeCursor(encodeCursor(st))
-		if err != nil || again != st {
+		} else if again, err := decodeCursor(encodeCursor(st)); err != nil || again != st {
 			t.Fatalf("decodeCursor(%q) = %+v, which re-encodes to %+v, %v", s, st, again, err)
+		}
+		for _, regime := range []string{"resident", "evicted", "foreign"} {
+			pins := &Pins{}
+			cursor := s
+			if raw, err := base64.RawURLEncoding.DecodeString(s); err == nil && regime != "foreign" {
+				cursor = base64.RawURLEncoding.EncodeToString([]byte(strings.ReplaceAll(string(raw), "INST", pins.instance())))
+			}
+			if regime == "resident" {
+				pins.put(hash, pins.token("g1"), pinned)
+			}
+			resumed := q
+			resumed.Cursor = cursor
+			if cursor == "" {
+				continue // a first page resumes nothing
+			}
+			d := PlanCursor(resumed, pins, "g1")
+			evals := 0
+			page, _, err := runPage(t, resumed, "g1", pins, func(context.Context, prov.Query) ([]Entry, error) {
+				evals++
+				return append([]Entry(nil), pinned...), nil
+			})
+			want := map[CursorDisposition]int{CursorPinned: 0, CursorReEval: 1, CursorFails: 0}[d]
+			failed := errors.Is(err, ErrBadCursor) || errors.Is(err, ErrCursorExpired)
+			if evals != want || failed != (d == CursorFails) || (err != nil) != failed || (failed && len(page) > 0) {
+				t.Fatalf("%s, cursor %q: planned as %v, ran %d evaluations, %d entries, %v", regime, cursor, d, evals, len(page), err)
+			}
 		}
 	})
 }

@@ -1,17 +1,19 @@
 // Package qcache is the query-performance subsystem shared by the three
-// architectures. It caches three things, all under one Stamp and all dropped
-// wholesale when it moves:
+// architectures. It caches three things, three instances of one per-stamp
+// table (memo): all under one Stamp, all dropped wholesale when it moves, and
+// each answering "is this still current?" in one place (memo.hit) for the
+// run and for the planner's peek alike:
 //
 //   - the snapshot: the whole provenance graph, as one repository scan read
 //     it (Graph), with singleflight coalescing so concurrent identical scans
 //     share one cloud pass;
-//   - the refs memo: indexed query results by descriptor key (Refs);
+//   - the refs memo: indexed query results by descriptor key (Refs), computed
+//     in the same flight;
 //   - the item memo: the stored items the query path fetched one by one — an
 //     ancestor walk's frontiers, pinned refs, full-projection output — read
 //     through a per-query view (Items) that samples the stamp at its first
 //     read and when the query shares its fetches, not per item, and never
-//     for a query that reads no item. It and the refs memo are two instances
-//     of one per-stamp table.
+//     for a query that reads no item.
 //
 // The third has a reader rule: queries only. Whatever verifies — a verified
 // read, a Provenance lookup, an audit, a recovery or migration scan — reads
@@ -186,49 +188,45 @@ type Stats struct {
 	Coalesced uint64
 }
 
-// graphCall is one in-flight snapshot build being shared.
-type graphCall struct {
-	stamp Stamp
-	done  chan struct{}
-	graph *prov.Graph
-	err   error
+// memo is one per-stamp table: every value in it was recorded under one
+// stamp, and the whole table — values and the computations in flight for
+// them — is dropped the moment a caller moves it to a later one: a write or
+// an epoch advance invalidates wholesale, never key by key. The cache keeps
+// three: the snapshot (one key), query results by descriptor key, and stored
+// items by ref. Guarded by the Cache's mutex.
+type memo[K comparable, V any] struct {
+	stamp  Stamp
+	vals   map[K]V
+	flying map[K]*flight[V]
 }
 
-// refCall is one in-flight result computation being shared.
-type refCall struct {
+// flight is one computation in flight, shared by the callers waiting on it.
+type flight[V any] struct {
 	done chan struct{}
-	refs []prov.Ref
+	val  V
 	err  error
 }
 
-// memo is one per-stamp table: every value in it was recorded under one
-// stamp, and the whole table is dropped the moment a caller moves it to
-// another — a write or an epoch advance invalidates wholesale, never key by
-// key. The cache keeps two: query results by descriptor key, and stored items
-// by ref. Guarded by the Cache's mutex.
-type memo[K comparable, V any] struct {
-	stamp Stamp
-	vals  map[K]V
-}
-
-// at moves the table to stamp now, dropping everything recorded under any
-// other, and reports whether it had to.
-func (m *memo[K, V]) at(now Stamp) (moved bool) {
-	if m.vals != nil && m.stamp == now {
-		return false
-	}
-	m.stamp, m.vals = now, make(map[K]V)
-	return true
-}
-
-// peek returns key's value if it was recorded under stamp now.
-func (m *memo[K, V]) peek(now Stamp, key K) (V, bool) {
+// hit returns key's value if it was recorded under stamp now: the one test
+// of "still current" behind every run accessor and every planner's peek.
+func (m *memo[K, V]) hit(now Stamp, key K) (V, bool) {
 	if m.stamp != now {
 		var zero V
 		return zero, false
 	}
 	v, ok := m.vals[key]
 	return v, ok
+}
+
+// at moves the table to stamp now, dropping everything recorded or registered
+// under an earlier one, and reports whether the table is then at now: it only
+// ever moves forward, so a caller that sampled its stamp and then lost the
+// lock to one on a newer stamp leaves that one's values alone.
+func (m *memo[K, V]) at(now Stamp) bool {
+	if m.vals == nil || now.after(m.stamp) {
+		m.stamp, m.vals, m.flying = now, make(map[K]V), make(map[K]*flight[V])
+	}
+	return m.stamp == now
 }
 
 // Cache holds one store's cached query state. The zero value is not
@@ -242,15 +240,10 @@ func (m *memo[K, V]) peek(now Stamp, key K) (V, bool) {
 type Cache struct {
 	stamp StampFunc
 
-	mu         sync.Mutex
-	graph      *prov.Graph // nil: no valid snapshot
-	graphStamp Stamp
-	graphBuild *graphCall // non-nil: a build is in flight
-
-	refs     memo[string, []prov.Ref]
-	refBuild map[string]*refCall // refs computations in flight, shared by their waiters
-	items    memo[prov.Ref, []prov.Record]
-
+	mu    sync.Mutex
+	snap  memo[struct{}, *prov.Graph]
+	refs  memo[string, []prov.Ref]
+	items memo[prov.Ref, []prov.Record] // filled by Items.Share, never in flight
 	stats Stats
 }
 
@@ -272,146 +265,102 @@ func (c *Cache) Stats() Stats {
 // graph nothing would keep.
 func (c *Cache) Enabled() bool { return c != nil }
 
-// Warm reports whether a graph snapshot for the current stamp is resident —
-// a pure peek (no counters move, nothing builds). Query planners use it to
-// predict that a scan-backed query will cost zero cloud ops.
-func (c *Cache) Warm() bool {
-	if c == nil {
-		return false
-	}
+// resident samples the stamp and reports whether m holds a value for key under
+// it — a pure peek (no counters move, nothing builds): true exactly when the
+// run accessor, called now, would count a hit.
+func resident[K comparable, V any](c *Cache, m *memo[K, V], key K) bool {
 	now := c.stamp()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.graph != nil && c.graphStamp == now
-}
-
-// HasRefs reports whether a memoized result for key is resident at the
-// current stamp — a pure peek for query planners.
-func (c *Cache) HasRefs(key string) bool {
-	if c == nil {
-		return false
-	}
-	now := c.stamp()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	_, ok := c.refs.peek(now, key)
+	_, ok := m.hit(now, key)
 	return ok
 }
 
+// Warm reports whether a graph snapshot for the current stamp is resident.
+// Query planners use it to predict that a scan-backed query will cost zero
+// cloud ops.
+func (c *Cache) Warm() bool { return c != nil && resident(c, &c.snap, struct{}{}) }
+
+// HasRefs reports whether a memoized result for key is resident at the
+// current stamp, for query planners.
+func (c *Cache) HasRefs(key string) bool { return c != nil && resident(c, &c.refs, key) }
+
 // Graph returns the provenance-graph snapshot for the current stamp,
-// building it via build on a miss. Concurrent callers at the same stamp
-// share one build (singleflight); a caller whose context ends while
-// waiting detaches with its context's error. The returned graph is shared:
-// read-only.
+// building it via build on a miss. The returned graph is shared: read-only.
 func (c *Cache) Graph(ctx context.Context, build func(context.Context) (*prov.Graph, error)) (*prov.Graph, error) {
 	if c == nil {
 		return build(ctx)
 	}
-	for {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		now := c.stamp()
-		c.mu.Lock()
-		if c.graph != nil && c.graphStamp == now {
-			c.stats.GraphHits++
-			g := c.graph
-			c.mu.Unlock()
-			return g, nil
-		}
-		if fc := c.graphBuild; fc != nil && fc.stamp == now {
-			c.stats.Coalesced++
-			c.mu.Unlock()
-			g, err, retry := waitShared(ctx, fc.done, func() (*prov.Graph, error) { return fc.graph, fc.err })
-			if !retry {
-				return g, err
-			}
-			continue // the leader was cancelled; try to become leader
-		}
-		// Become the leader for this stamp. The stamp was sampled before
-		// the scan starts, so a write landing mid-scan (which bumps the
-		// generation) makes this snapshot unreachable for later queries.
-		fc := &graphCall{stamp: now, done: make(chan struct{})}
-		c.graphBuild = fc
-		c.stats.GraphMisses++
-		c.mu.Unlock()
-
-		g, err := build(ctx)
-
-		// Install only while the built snapshot is still current: if a
-		// write (or a newer leader) landed during the build, caching under
-		// the old stamp would at best be dead weight and at worst clobber
-		// a fresher snapshot installed by a concurrent leader.
-		fresh := c.stamp()
-		c.mu.Lock()
-		fc.graph, fc.err = g, err
-		if c.graphBuild == fc {
-			c.graphBuild = nil
-		}
-		if err == nil && fresh == now {
-			c.graph, c.graphStamp = g, now
-		}
-		c.mu.Unlock()
-		close(fc.done)
-		return g, err
-	}
+	return fly(ctx, c, &c.snap, struct{}{}, &c.stats.GraphHits, &c.stats.GraphMisses, build)
 }
 
 // Refs memoizes one indexed query's result under key for the current
-// stamp, computing it via compute on a miss. Concurrent callers with the
-// same key and stamp share one computation. The returned slice is shared:
+// stamp, computing it via compute on a miss. The returned slice is shared:
 // callers must not mutate it (CopyRefs defends the public API surface).
 func (c *Cache) Refs(ctx context.Context, key string, compute func(context.Context) ([]prov.Ref, error)) ([]prov.Ref, error) {
 	if c == nil {
 		return compute(ctx)
 	}
+	return fly(ctx, c, &c.refs, key, &c.stats.RefHits, &c.stats.RefMisses, compute)
+}
+
+// fly is the run accessor of a table: key's value under the current stamp,
+// computed on a miss. Concurrent callers with the same key and stamp share
+// one computation (singleflight); a caller whose context ends while waiting
+// detaches with its context's error, and one whose leader's context ended
+// takes over. The stamp is sampled before the computation starts and again
+// after it: the value is recorded only if both samples are the stamp the
+// flight registered under, so a write landing mid-scan (which bumps the
+// generation) leaves it unreachable for later queries, and a stale leader
+// never clobbers what a newer one recorded.
+func fly[K comparable, V any](ctx context.Context, c *Cache, m *memo[K, V], key K, hits, misses *uint64, compute func(context.Context) (V, error)) (V, error) {
+	var zero V
 	for {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return zero, err
 		}
 		now := c.stamp()
 		c.mu.Lock()
-		if c.refs.at(now) {
-			// A write (or epoch advance) landed: the whole memo went. The
-			// in-flight builds keyed under the old stamp finish but are not
-			// recorded.
-			c.refBuild = make(map[string]*refCall)
-		}
-		if refs, ok := c.refs.vals[key]; ok {
-			c.stats.RefHits++
+		if v, ok := m.hit(now, key); ok {
+			*hits++
 			c.mu.Unlock()
-			return refs, nil
+			return v, nil
 		}
-		if fc, ok := c.refBuild[key]; ok {
+		if !m.at(now) {
+			c.mu.Unlock()
+			continue // sampled before a write another caller already saw
+		}
+		if f, ok := m.flying[key]; ok {
 			c.stats.Coalesced++
 			c.mu.Unlock()
-			refs, err, retry := waitShared(ctx, fc.done, func() ([]prov.Ref, error) { return fc.refs, fc.err })
-			if !retry {
-				return refs, err
+			select {
+			case <-f.done:
+			case <-ctx.Done():
+				return zero, ctx.Err()
 			}
-			continue
+			if errors.Is(f.err, context.Canceled) || errors.Is(f.err, context.DeadlineExceeded) {
+				continue // the leader's context died, not ours: take over
+			}
+			return f.val, f.err
 		}
-		fc := &refCall{done: make(chan struct{})}
-		c.refBuild[key] = fc
-		c.stats.RefMisses++
+		f := &flight[V]{done: make(chan struct{})}
+		m.flying[key] = f
+		*misses++
 		c.mu.Unlock()
 
-		refs, err := compute(ctx)
+		f.val, f.err = compute(ctx)
 
+		fresh := c.stamp()
 		c.mu.Lock()
-		fc.refs, fc.err = refs, err
-		// Record only if the memo generation this build was registered
-		// under is still current (the maps are swapped wholesale on
-		// invalidation, so a stale build simply finds itself evicted).
-		if c.refBuild[key] == fc {
-			delete(c.refBuild, key)
-			if err == nil {
-				c.refs.vals[key] = refs
+		if m.flying[key] == f { // else the table moved on, and the flight with it
+			delete(m.flying, key)
+			if f.err == nil && fresh == now {
+				m.vals[key] = f.val
 			}
 		}
 		c.mu.Unlock()
-		close(fc.done)
-		return refs, err
+		close(f.done)
+		return f.val, f.err
 	}
 }
 
@@ -443,9 +392,7 @@ func (v *Items) open() {
 	v.opened, v.stamp = true, v.c.stamp()
 	v.c.mu.Lock()
 	defer v.c.mu.Unlock()
-	if v.c.graph != nil && v.c.graphStamp == v.stamp {
-		v.graph = v.c.graph
-	}
+	v.graph, _ = v.c.snap.hit(v.stamp, struct{}{})
 }
 
 // Get returns ref's records as the view knows them — nil for an item that
@@ -463,7 +410,7 @@ func (v *Items) Get(ref prov.Ref) ([]prov.Record, bool) {
 	}
 	v.c.mu.Lock()
 	defer v.c.mu.Unlock()
-	return v.c.items.peek(v.stamp, ref)
+	return v.c.items.hit(v.stamp, ref)
 }
 
 // Put records what a fetch issued by the view's query read for ref (nil: not
@@ -487,33 +434,8 @@ func (v *Items) Share() {
 	}
 	v.c.mu.Lock()
 	defer v.c.mu.Unlock()
-	m := &v.c.items
-	if m.vals != nil && m.stamp.after(v.stamp) {
-		return
-	}
-	m.at(v.stamp)
-	maps.Copy(m.vals, v.fetched)
-}
-
-// waitShared waits for a shared in-flight call, honoring the waiter's own
-// context. retry is true when the leader failed with a cancellation that
-// does not apply to this caller, who should attempt the work itself.
-func waitShared[T any](ctx context.Context, done <-chan struct{}, result func() (T, error)) (v T, err error, retry bool) {
-	select {
-	case <-done:
-		v, err = result()
-		if err == nil {
-			return v, nil, false
-		}
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			// The leader's context died, not ours: take over.
-			var zero T
-			return zero, nil, true
-		}
-		return v, err, false
-	case <-ctx.Done():
-		var zero T
-		return zero, ctx.Err(), false
+	if v.c.items.at(v.stamp) {
+		maps.Copy(v.c.items.vals, v.fetched)
 	}
 }
 

@@ -283,35 +283,18 @@ func RunPaged(
 	offset := 0
 	at := token
 	if q.Cursor != "" {
-		st, err := decodeCursor(q.Cursor)
+		d, st, pinned, err := resolveCursor(q.Cursor, hash, pins, token)
+		if d == CursorReEval {
+			// The pin was evicted but the repository has not changed:
+			// re-evaluating reproduces the same result set (and the
+			// memoized refs usually make it free).
+			pinned, err = evalAndPin(st.stamp)
+		}
 		if err != nil {
 			yield(Entry{}, err)
 			return
 		}
-		if st.hash != hash {
-			yield(Entry{}, fmt.Errorf("%w: cursor belongs to a different query", ErrBadCursor))
-			return
-		}
-		if inst, _, ok := strings.Cut(st.stamp, "@"); !ok || inst != pins.instance() {
-			yield(Entry{}, fmt.Errorf("%w: cursor was minted by a different store instance", ErrBadCursor))
-			return
-		}
-		offset, at = st.offset, st.stamp
-		pinned, ok := pins.get(st.hash, st.stamp)
-		if !ok {
-			if st.stamp != token {
-				yield(Entry{}, ErrCursorExpired)
-				return
-			}
-			// The pin was evicted but the repository has not changed:
-			// re-evaluating reproduces the same result set (and the
-			// memoized refs usually make it free).
-			if pinned, err = evalAndPin(st.stamp); err != nil {
-				yield(Entry{}, err)
-				return
-			}
-		}
-		entries = pinned
+		entries, offset, at = pinned, st.offset, st.stamp
 	} else {
 		var err error
 		if entries, err = evalAndPin(token); err != nil {
@@ -335,9 +318,9 @@ func RunPaged(
 	}
 }
 
-// CursorDisposition classifies how a backend will serve a cursor-bearing
-// descriptor — the planning-time mirror of RunPaged's resume logic, for
-// Explain.
+// CursorDisposition classifies how a backend serves a cursor-bearing
+// descriptor: what resolveCursor decides, for RunPaged to act on and for
+// Explain to report.
 type CursorDisposition int
 
 const (
@@ -378,20 +361,33 @@ func ExplainCursor(p *QueryPlan, q prov.Query, pins *Pins, stamp string) bool {
 // PlanCursor predicts RunPaged's disposition of q.Cursor against the
 // current repository stamp.
 func PlanCursor(q prov.Query, pins *Pins, stamp string) CursorDisposition {
-	st, err := decodeCursor(q.Cursor)
-	if err != nil || st.hash != QueryHash(q) {
-		return CursorFails
+	d, _, _, _ := resolveCursor(q.Cursor, QueryHash(q), pins, pins.token(stamp))
+	return d
+}
+
+// resolveCursor decides what resuming cursor does for the query hashing to
+// hash, on a repository whose current cursor stamp is token — the one decision
+// RunPaged acts on and PlanCursor reports. It returns the decoded state, the
+// pinned evaluation when resident (CursorPinned), and the error a failing
+// cursor fails with (CursorFails).
+func resolveCursor(cursor string, hash uint64, pins *Pins, token string) (CursorDisposition, cursorState, []Entry, error) {
+	st, err := decodeCursor(cursor)
+	if err != nil {
+		return CursorFails, st, nil, err
+	}
+	if st.hash != hash {
+		return CursorFails, st, nil, fmt.Errorf("%w: cursor belongs to a different query", ErrBadCursor)
 	}
 	if inst, _, ok := strings.Cut(st.stamp, "@"); !ok || inst != pins.instance() {
-		return CursorFails
+		return CursorFails, st, nil, fmt.Errorf("%w: cursor was minted by a different store instance", ErrBadCursor)
 	}
-	if _, ok := pins.get(st.hash, st.stamp); ok {
-		return CursorPinned
+	if pinned, ok := pins.get(st.hash, st.stamp); ok {
+		return CursorPinned, st, pinned, nil
 	}
-	if st.stamp == pins.token(stamp) {
-		return CursorReEval
+	if st.stamp != token {
+		return CursorFails, st, nil, ErrCursorExpired
 	}
-	return CursorFails
+	return CursorReEval, st, nil, nil
 }
 
 // --- the Querier frame -------------------------------------------------------
@@ -419,6 +415,31 @@ func Query(ctx context.Context, q prov.Query, s Stamped, pins *Pins, run RunFunc
 			return CollectMerged(func(yield func(Entry, error) bool) { run(ctx, q, yield) })
 		}
 		RunPaged(ctx, q, s.StampToken(), pins, evalAll, yield)
+	}
+}
+
+// RunOnGraph is the run both scan-backed stores share for what no cheaper
+// plan answers: q on the repository's materialized graph (gq's snapshot when
+// warm, else one pass) — Q.1 as the graph's subjects, one entry each,
+// anything filtered or traversed through the shared evaluator, EvalQuery.
+func RunOnGraph(ctx context.Context, q prov.Query, gq GraphQuerier, yield func(Entry, error) bool) {
+	g, err := gq.ProvenanceGraph(ctx)
+	if err != nil {
+		yield(Entry{}, err)
+		return
+	}
+	if q.IsQ1() {
+		for _, subject := range g.Subjects() {
+			if !yield(Entry{Ref: subject, Records: g.Records(subject)}, nil) {
+				return
+			}
+		}
+		return
+	}
+	for _, e := range EvalQuery(g, q) {
+		if !yield(e, nil) {
+			return
+		}
 	}
 }
 

@@ -764,10 +764,11 @@ func (s *Store) Query(ctx context.Context, q prov.Query) iter.Seq2[core.Entry, e
 // router) that mint composite stamps.
 func (s *Store) StampToken() string { return s.stamp().Token() }
 
-// runQuery executes one non-paginated descriptor.
+// runQuery executes one non-paginated descriptor. The architecture has one
+// strategy, the repository pass, so there is nothing for the run and the plan
+// to switch on: the plan costs that pass unless the snapshot is warm.
 func (s *Store) runQuery(ctx context.Context, q prov.Query, yield func(core.Entry, error) bool) {
-	q1 := q.IsQ1()
-	if q1 && !s.cache.Enabled() {
+	if q.IsQ1() && !s.cache.Enabled() {
 		// Q.1 — "iterate over the provenance of every object in the
 		// repository": LIST pages, bounded-concurrency HEADs per page, one
 		// GET per overflow/bundle object, the cost Table 3 charges this
@@ -777,29 +778,10 @@ func (s *Store) runQuery(ctx context.Context, q prov.Query, yield func(core.Entr
 		s.scanSeq(ctx)(yield)
 		return
 	}
-	// Cached Q.1 reads the (built-if-needed) snapshot, one entry per
-	// subject, zero cloud ops when warm. Anything filtered or traversed
-	// needs whole subjects (records can split across carrier PUTs) and
-	// possibly reverse edges: materialize the graph from the same single
-	// scan and evaluate in memory.
-	g, err := s.ProvenanceGraph(ctx)
-	if err != nil {
-		yield(core.Entry{}, err)
-		return
-	}
-	if q1 {
-		for _, subject := range g.Subjects() {
-			if !yield(core.Entry{Ref: subject, Records: g.Records(subject)}, nil) {
-				return
-			}
-		}
-		return
-	}
-	for _, e := range core.EvalQuery(g, q) {
-		if !yield(e, nil) {
-			return
-		}
-	}
+	// Anything filtered or traversed needs whole subjects (records can split
+	// across carrier PUTs) and possibly reverse edges: the graph from the same
+	// single scan, zero cloud ops when warm.
+	core.RunOnGraph(ctx, q, s, yield)
 }
 
 // Explain implements core.Querier: on this architecture every cold plan is

@@ -26,23 +26,13 @@ func (l *Layer) Explain(q prov.Query) core.QueryPlan {
 
 // explainInto fills the plan for a non-paginated descriptor.
 func (l *Layer) explainInto(p *core.QueryPlan, q prov.Query) {
-	switch {
-	case !core.HasNativeRefs(q):
+	switch strategyOf(q) {
+	case onGraph:
 		p.Strategy = "graph-walk"
 		l.explainScan(p, "one query per item, evaluated on the materialized graph")
-	case !q.HasFilters() && q.Direction == prov.TraverseNone:
-		if q.Projection == prov.ProjectFull {
-			p.Strategy = "scan"
-			l.explainScan(p, "Q.1 shape: one query per item")
-			return
-		}
-		p.Strategy = "item-listing"
-		if l.memoizedRefs(q) {
-			p.Cached = true
-			p.AddStep("-", "memo", 0, "refs memoized for this generation")
-			return
-		}
-		p.AddStep("SimpleDB", "Select", core.PlanPages(l.catalog.Items(), sdb.SelectPageLimit), "item names only")
+	case byScan:
+		p.Strategy = "scan"
+		l.explainScan(p, "Q.1 shape: one query per item")
 	default:
 		x := l.newCatalogExec(p, false)
 		if l.memoizedRefs(q) {

@@ -68,65 +68,71 @@ func (l *Layer) Query(ctx context.Context, q prov.Query) iter.Seq2[core.Entry, e
 // router) that mint composite stamps.
 func (l *Layer) StampToken() string { return l.stamp().Token() }
 
-// runQuery executes one non-paginated descriptor.
-func (l *Layer) runQuery(ctx context.Context, q prov.Query, yield func(core.Entry, error) bool) {
+// strategy is how one non-paginated descriptor is answered. runQuery and
+// explainInto both switch on strategyOf, so the plan always describes the
+// path the run takes.
+type strategy int
+
+const (
+	// onGraph: no native plan (core.HasNativeRefs) — the repository graph, one
+	// Q.1 pass or the warm snapshot, under the shared evaluator.
+	onGraph strategy = iota
+	// byScan: Q.1 itself, that pass and nothing else.
+	byScan
+	// byRefs: the refs pipeline, then a fetch of the matched items if asked.
+	byRefs
+)
+
+func strategyOf(q prov.Query) strategy {
 	switch {
 	case !core.HasNativeRefs(q):
-		g, err := l.ProvenanceGraph(ctx)
-		if err != nil {
-			yield(core.Entry{}, err)
-			return
-		}
-		for _, e := range core.EvalQuery(g, q) {
-			if !yield(e, nil) {
-				return
-			}
-		}
+		return onGraph
 	case q.IsQ1():
-		// Q.1: the live one-query-per-item scan when uncached, else the
-		// (built-if-needed) snapshot — zero cloud ops when warm.
-		if !l.cache.Enabled() {
-			l.scanSeq(ctx)(yield)
-			return
-		}
-		g, err := l.ProvenanceGraph(ctx)
-		if err != nil {
-			yield(core.Entry{}, err)
-			return
-		}
-		for _, subject := range g.Subjects() {
-			if !yield(core.Entry{Ref: subject, Records: g.Records(subject)}, nil) {
-				return
-			}
-		}
+		return byScan
 	default:
-		items := l.cache.Items()
-		defer items.Share()
-		refs, err := l.refsFor(ctx, q, items)
+		return byRefs
+	}
+}
+
+// runQuery executes one non-paginated descriptor.
+func (l *Layer) runQuery(ctx context.Context, q prov.Query, yield func(core.Entry, error) bool) {
+	strategy := strategyOf(q)
+	if strategy == byScan && !l.cache.Enabled() {
+		// The live one-query-per-item scan, streamed: nothing would keep the
+		// graph.
+		l.scanSeq(ctx)(yield)
+		return
+	}
+	if strategy != byRefs {
+		core.RunOnGraph(ctx, q, l, yield)
+		return
+	}
+	items := l.cache.Items()
+	defer items.Share()
+	refs, err := l.refsFor(ctx, q, items)
+	if err != nil {
+		yield(core.Entry{}, err)
+		return
+	}
+	if q.Projection == prov.ProjectRefs {
+		for _, r := range refs {
+			if !yield(core.Entry{Ref: r}, nil) {
+				return
+			}
+		}
+		return
+	}
+	// Full projection: fetch the matched items only — never the rest of the
+	// repository (the pushdown dividend) — and none the query already read. A
+	// vanished item yields its ref with no records.
+	for _, r := range refs {
+		records, err := l.queryItem(ctx, items, r)
 		if err != nil {
 			yield(core.Entry{}, err)
 			return
 		}
-		if q.Projection == prov.ProjectRefs {
-			for _, r := range refs {
-				if !yield(core.Entry{Ref: r}, nil) {
-					return
-				}
-			}
+		if !yield(core.Entry{Ref: r, Records: records}, nil) {
 			return
-		}
-		// Full projection: fetch the matched items only — never the rest
-		// of the repository (the pushdown dividend) — and none the query
-		// already read. A vanished item yields its ref with no records.
-		for _, r := range refs {
-			records, err := l.queryItem(ctx, items, r)
-			if err != nil {
-				yield(core.Entry{}, err)
-				return
-			}
-			if !yield(core.Entry{Ref: r, Records: records}, nil) {
-				return
-			}
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/base64"
 	"errors"
+	"fmt"
 	"slices"
 	"strings"
 	"testing"
@@ -18,7 +19,12 @@ import (
 // never flipped and on one that did, the query either fails with
 // core.ErrBadCursor or core.ErrCursorExpired or resumes a page of the one
 // evaluation this router pinned for this query: never a panic, never entries
-// of another query or another instance.
+// of another query or another instance. And Explain's disposition of the
+// cursor is what the query then does: a resident pin serves without asking a
+// member, an evicted one at an unchanged stamp re-evaluates exactly once, a
+// cursor planned to fail fails without asking one. The third router's pins are
+// evicted before every try, inside an open (empty) migration window, so that
+// its re-evaluation cannot hide behind the router's remembered answer.
 func FuzzRouterCursor(f *testing.F) {
 	ctx := context.Background()
 	batches := captureBatches(f)
@@ -49,13 +55,28 @@ func FuzzRouterCursor(f *testing.F) {
 		return base64.RawURLEncoding.EncodeToString([]byte(strings.ReplaceAll(string(raw), from, to)))
 	}
 	type instance struct {
-		q     core.Querier
-		token string
-		want  []prov.Ref // the files, in the order every page slices
+		q       core.Querier
+		token   string
+		want    []prov.Ref // the files, in the order every page slices
+		members []*probedMember
+		evict   bool
+	}
+	// evict pushes every resident pin out with paged queries of its own.
+	evict := func(q core.Querier) {
+		for i := 0; i < 8; i++ {
+			other := prov.Query{RefPrefix: fmt.Sprintf("/none%d", i), Projection: prov.ProjectRefs, Limit: 1}
+			if _, err := core.CollectRefs(q.Query(ctx, other)); err != nil {
+				f.Fatal(err)
+			}
+		}
 	}
 	var routers []instance
-	for _, flips := range []int{0, 1} {
-		tg := buildTarget(f, "s3+sdb", 4, 59, false)
+	for _, c := range []struct {
+		flips int
+		evict bool
+	}{{0, false}, {1, false}, {0, true}} {
+		flips := c.flips
+		tg, members := probed(f, "s3+sdb", 4, 59, false)
 		for _, b := range batches {
 			if err := tg.store.PutBatch(ctx, b); err != nil {
 				f.Fatal(err)
@@ -84,7 +105,12 @@ func FuzzRouterCursor(f *testing.F) {
 			f.Fatalf("cursor %q decodes to %q, %v", own, raw, err)
 		}
 		token, _, _ := strings.Cut(fields[2], "@")
-		routers = append(routers, instance{tg.querier(), token, want})
+		if c.evict {
+			if err := tg.router.BeginMigration(0, 1, nil); err != nil {
+				f.Fatal(err)
+			}
+		}
+		routers = append(routers, instance{tg.querier(), token, want, members, c.evict})
 		for _, minted := range []string{own, firstCursor(tg.querier(), procs)} {
 			f.Add(minted)
 			f.Add(rebind(minted, token, "INST"))
@@ -101,6 +127,11 @@ func FuzzRouterCursor(f *testing.F) {
 			for _, cursor := range []string{fuzzed, rebind(fuzzed, "INST", r.token)} {
 				resumed := files
 				resumed.Cursor = cursor
+				if r.evict {
+					evict(r.q)
+				}
+				plan := r.q.Explain(resumed)
+				asked := calls(r.members)
 				var page []prov.Ref
 				var failed error
 				for e, err := range r.q.Query(ctx, resumed) {
@@ -109,6 +140,18 @@ func FuzzRouterCursor(f *testing.F) {
 						break
 					}
 					page = append(page, e.Ref)
+				}
+				asked = calls(r.members) - asked
+				// One evaluation of a shard-local query is one call per member.
+				// The empty cursor resumes nothing: a first page.
+				wantAsked, wantFail := int64(0), !plan.Cached
+				if strings.HasPrefix(plan.Strategy, "pinned-reeval/") {
+					wantAsked, wantFail = int64(len(r.members)), false
+				} else if plan.Strategy != "pinned-page" && cursor != "" {
+					t.Fatalf("router %d, cursor %q: planned as %q", i, cursor, plan.Strategy)
+				}
+				if cursor != "" && (asked != wantAsked || (failed != nil) != wantFail) {
+					t.Fatalf("router %d, cursor %q: asked members %d times and failed with %v, planned as\n%s", i, cursor, asked, failed, plan)
 				}
 				if failed != nil {
 					if !errors.Is(failed, core.ErrBadCursor) && !errors.Is(failed, core.ErrCursorExpired) {

@@ -30,7 +30,7 @@ type probedMember struct {
 }
 
 // probed builds an n-shard router over probed members.
-func probed(t *testing.T, arch string, n int, seed int64, uncached bool) (*target, []*probedMember) {
+func probed(t testing.TB, arch string, n int, seed int64, uncached bool) (*target, []*probedMember) {
 	members := make([]*probedMember, n)
 	tg := buildWrapped(t, arch, n, seed, uncached, func(i int, st shard.Store) shard.Store {
 		members[i] = &probedMember{Store: st, entered: make(chan struct{}, 16)}
@@ -425,6 +425,98 @@ func TestRouterMemoBypassedMidMigration(t *testing.T) {
 	evaluatedThenRemembered("ended")
 }
 
+// TestRouterExplainMatchesMeteredOpsAcrossMigrationWindow: a union-graph plan
+// stays honest at every migration transition. The router keeps each member's
+// part of the union under the member's stamp across transitions (only the
+// merged graph and the remembered answers go), so a query inside the window or
+// right after it refetches only the shards the copy wrote — and Explain must
+// say exactly that, whether or not the merged graph exists.
+func TestRouterExplainMatchesMeteredOpsAcrossMigrationWindow(t *testing.T) {
+	ctx := context.Background()
+	batches := captureBatches(t)
+	// No pinned or tool seeds: the ancestor walk every architecture's router
+	// answers on the union graph.
+	q := prov.Query{Type: prov.TypeFile, Direction: prov.TraverseAncestors, Projection: prov.ProjectRefs}
+	for _, arch := range []string{"s3", "s3+sdb", "s3+sdb+sqs"} {
+		for _, uncached := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/uncached=%v", arch, uncached), func(t *testing.T) {
+				tg := buildTarget(t, arch, 4, 47, uncached)
+				replay(t, ctx, tg, batches)
+				want := canonical(t, ctx, tg.querier(), q)
+				parity := func(when, strategy string) {
+					t.Helper()
+					plan := tg.router.Explain(q)
+					if plan.Strategy != strategy {
+						t.Fatalf("%s: planned as %q, want %q\n%s", when, plan.Strategy, strategy, plan)
+					}
+					before := tg.totalOps()
+					got := canonical(t, ctx, tg.querier(), q)
+					if metered := tg.totalOps() - before; plan.EstOps != metered {
+						t.Errorf("%s: predicted %d ops, metered %d\n%s", when, plan.EstOps, metered, plan)
+					}
+					if got != want {
+						t.Errorf("%s: the answer changed:\ngot:\n%s\nwant:\n%s", when, got, want)
+					}
+				}
+				parity("idle", "memo")
+
+				ctrl, err := reshard.New(reshard.Config{Router: tg.router, Clouds: tg.clouds})
+				if err != nil {
+					t.Fatal(err)
+				}
+				var plan *reshard.Plan
+				var exp *core.ArcExport
+				var src, dst core.Migrator
+				export := func() {
+					t.Helper()
+					if exp, err = src.ExportArc(ctx, plan.Moved(ctrl)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for from := 0; exp == nil || len(exp.Subjects) == 0; from++ {
+					if from == tg.router.NumShards() {
+						t.Fatal("no split of this workload moves a subject")
+					}
+					if plan, err = ctrl.PlanSplit(from, (from+1)%tg.router.NumShards()); err != nil {
+						t.Fatal(err)
+					}
+					src, dst = tg.router.Shard(plan.Src).(core.Migrator), tg.router.Shard(plan.Dst).(core.Migrator)
+					export()
+				}
+				begin := func() {
+					t.Helper()
+					if err := tg.router.BeginMigration(plan.Src, plan.Dst, exp.Subjects); err != nil {
+						t.Fatal(err)
+					}
+				}
+
+				begin()
+				parity("window open", "union-graph")
+				tg.router.AbortMigration()
+				parity("aborted", "union-graph")
+				parity("aborted, again", "memo")
+
+				export()
+				begin()
+				if err := dst.ImportArc(ctx, exp); err != nil {
+					t.Fatal(err)
+				}
+				parity("arc copied", "union-graph")
+				if err := tg.router.FlipRing(plan.Target); err != nil {
+					t.Fatal(err)
+				}
+				parity("flipped", "union-graph")
+				if _, err := src.RemoveArc(ctx, plan.Moved(ctrl)); err != nil {
+					t.Fatal(err)
+				}
+				tg.router.EndMigration()
+				parity("ended", "union-graph")
+				parity("ended, again", "memo")
+			})
+		}
+	}
+}
+
 // TestRouterMemoHitAllocations: serving a remembered Q.3 allocates for the
 // stamp and the key, never per entry of the answer.
 func TestRouterMemoHitAllocations(t *testing.T) {
@@ -457,5 +549,49 @@ func TestRouterMemoHitAllocations(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(50, ask); allocs > 40 {
 		t.Errorf("a remembered answer of %d entries cost %.0f allocations", n, allocs)
+	}
+}
+
+// BenchmarkRouterWarmQuery: the repeat the router exists to make cheap — one
+// question per regime (fan-in, multi-hop or union by architecture, union),
+// asked again of an unchanged 4-shard namespace and drained. Every answer is
+// remembered under the composite stamp, so an iteration samples four member
+// stamps per question and must meter nothing.
+func BenchmarkRouterWarmQuery(b *testing.B) {
+	ctx := context.Background()
+	tg := buildTarget(b, "s3", 4, 53, false)
+	for _, batch := range captureBatches(b) {
+		if err := tg.store.PutBatch(ctx, batch); err != nil {
+			b.Fatal(err)
+		}
+	}
+	queries := []prov.Query{
+		{Type: prov.TypeFile, Projection: prov.ProjectRefs},
+		prov.QDescendantsOfOutputs("blast"),
+		ancestorsOfMean,
+	}
+	round := func() (n int) {
+		for _, q := range queries {
+			for _, err := range tg.router.Query(ctx, q) {
+				if err != nil {
+					b.Fatal(err)
+				}
+				n++
+			}
+		}
+		return n
+	}
+	if round() == 0 {
+		b.Fatal("the warm-up round matched nothing")
+	}
+	before := tg.totalOps()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		round()
+	}
+	b.StopTimer()
+	if ops := tg.totalOps() - before; ops != 0 {
+		b.Fatalf("%d warm rounds metered %d cloud ops", b.N, ops)
 	}
 }

@@ -592,7 +592,7 @@ func (r *Router) fanOut(ctx context.Context, mig *migration, q prov.Query) ([][]
 type graphCache struct {
 	// build is a one-slot semaphore: the lock ProvenanceGraph holds across its
 	// fetches, and stops waiting for when its context ends. mu guards the
-	// fields only while they are read or replaced: validFor waits for no scan.
+	// fields only while they are read or replaced: Explain waits for no scan.
 	build  chan struct{}
 	mu     sync.Mutex
 	stamps []string
@@ -600,13 +600,25 @@ type graphCache struct {
 	graph  *prov.Graph
 }
 
-// validFor reports whether shard i's cached contribution is current at
-// stamp — and the merged graph exists, so a union-graph query would serve
-// that contribution without touching the shard.
-func (c *graphCache) validFor(i int, stamp string) bool {
+// staleParts samples every member's stamp and lists the shards whose retained
+// part was fetched under another one, or never: what ProvenanceGraph, called
+// now, fetches, and so what Explain costs — every other shard contributes at
+// zero cloud ops whether or not the merged graph exists (a migration
+// transition drops it, never the parts). The stamps are sampled before any
+// fetch: a write landing mid-fetch leaves the recorded stamp older than the
+// data, and the next call refetches.
+func (r *Router) staleParts() (stale []int, cur []string) {
+	c := &r.gcache
+	cur = make([]string, len(r.shards))
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.graph != nil && c.parts[i] != nil && c.stamps[i] == stamp
+	for i, s := range r.shards {
+		cur[i] = s.StampToken()
+		if c.parts[i] == nil || c.stamps[i] != cur[i] {
+			stale = append(stale, i)
+		}
+	}
+	return stale, cur
 }
 
 // ProvenanceGraph implements core.GraphQuerier with the union graph: every
@@ -624,17 +636,8 @@ func (r *Router) ProvenanceGraph(ctx context.Context) (*prov.Graph, error) {
 		return nil, ctx.Err()
 	}
 	mig := r.migSnapshot()
-	// Stamps are sampled before fetching: a write landing mid-fetch leaves the
-	// recorded stamp older than the data, and the next call refetches.
-	stale := make([]int, 0, len(r.shards))
-	cur := make([]string, len(r.shards))
+	stale, cur := r.staleParts()
 	c.mu.Lock()
-	for i, s := range r.shards {
-		cur[i] = s.StampToken()
-		if c.parts[i] == nil || c.stamps[i] != cur[i] {
-			stale = append(stale, i)
-		}
-	}
 	g, parts := c.graph, slices.Clone(c.parts)
 	c.mu.Unlock()
 	if len(stale) == 0 && g != nil && mig == nil {
@@ -708,14 +711,12 @@ func (r *Router) Explain(q prov.Query) core.QueryPlan {
 			r.explainMultihop(p, stripped)
 		default:
 			p.AddStep("-", strategy, 0, fmt.Sprintf("%d shards: materialize every shard's provenance (Q.1 per shard, cached contributions free), evaluate on the union graph", len(r.shards)))
-			plans := make([]core.QueryPlan, len(r.shards))
-			for i, s := range r.shards {
-				if r.gcache.validFor(i, s.StampToken()) {
-					plans[i] = core.QueryPlan{Cached: true, Exact: true}
-					plans[i].AddStep("-", "router-snapshot", 0, "shard contribution cached at its current stamp: zero cloud ops")
-					continue
-				}
-				plans[i] = s.Explain(prov.Q1())
+			retained := core.QueryPlan{Cached: true, Exact: true}
+			retained.AddStep("-", "router-snapshot", 0, "shard contribution cached at its current stamp: zero cloud ops")
+			plans := slices.Repeat([]core.QueryPlan{retained}, len(r.shards))
+			stale, _ := r.staleParts()
+			for _, i := range stale {
+				plans[i] = r.shards[i].Explain(prov.Q1())
 			}
 			mergePlans(p, plans)
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"strings"
 
 	"passcloud/internal/prov"
@@ -11,9 +12,11 @@ import (
 // instead of a repository scan — written once against the RefsExec
 // primitives and driven by four executors. The SimpleDB layer (sdbprov)
 // runs it on the live domain and, for Explain, on its planner catalog; the
-// shard router runs it by fanning each primitive out to its members as one
-// round descriptor, live and in plan space. EvalQuery (queryeval.go) stays
-// separate on purpose: it is the reference the oracles compare this against.
+// shard router fans each primitive out as one round descriptor, in plan
+// space and live — to its members' native plans, or to the member graphs
+// it retains, where a round is the reference evaluator on one member's
+// graph. EvalQuery (queryeval.go) stays separate on purpose: it is the
+// reference the oracles compare this against.
 
 // RefsExec is the substrate the pipeline runs on. Primitives return refs
 // deduplicated; only SeedsOf re-enters the pipeline.
@@ -54,7 +57,8 @@ type seedPlan int
 const (
 	// seedAll: no filters — every item.
 	seedAll seedPlan = iota
-	// seedTwoPhase: Tool filter — instances, then dependents.
+	// seedTwoPhase: Tool filter — instances, then dependents, cut to any
+	// pinned refs.
 	seedTwoPhase
 	// seedPushdown: attribute predicates in one backend expression.
 	seedPushdown
@@ -62,33 +66,16 @@ const (
 	seedListing
 	// seedPinned: explicit Refs.
 	seedPinned
-	// seedGraph: no native plan; materialize the graph and evaluate there.
-	seedGraph
 )
 
 // seedPlanOf picks the native seed strategy for q's filter section.
 func seedPlanOf(q prov.Query) seedPlan {
-	filters := q.AttrFilters()
-	pushable := func() bool {
-		for _, f := range filters {
-			if !Pushable(f.Value) {
-				return false
-			}
-		}
-		return true
-	}
 	switch {
 	case q.Tool != "":
-		if len(q.Refs) > 0 || !Pushable(q.Tool) || !pushable() {
-			return seedGraph
-		}
 		return seedTwoPhase
 	case len(q.Refs) > 0:
 		return seedPinned
-	case len(filters) > 0:
-		if !pushable() {
-			return seedGraph
-		}
+	case q.Type != "" || len(q.Attrs) > 0:
 		return seedPushdown
 	case q.RefPrefix != "":
 		return seedListing
@@ -97,18 +84,34 @@ func seedPlanOf(q prov.Query) seedPlan {
 	}
 }
 
-// HasNativeRefs reports whether NativeRefs answers q. The rest is answered
-// from the materialized graph (EvalQuery): unpushable filter values, a tool
-// section under pinned refs, and traversals from everything (one scan beats
-// chunk-querying, or fetching item by item, the whole repository).
+// HasNativeRefs reports whether NativeRefs answers q from a backend's
+// indexes. The rest a backend answers from its materialized graph: a value
+// no predicate can carry (Pushable) in a pushed-down section, a tool section
+// under pinned refs, and traversals from everything (one scan beats
+// chunk-querying, or fetching item by item, the whole repository). A
+// substrate that holds whole records runs the pipeline on every descriptor.
 func HasNativeRefs(q prov.Query) bool {
-	sp := seedPlanOf(q)
-	return sp != seedGraph && (q.Direction == prov.TraverseNone || sp != seedAll)
+	switch seedPlanOf(q) {
+	case seedAll:
+		return q.Direction == prov.TraverseNone
+	case seedPinned, seedListing: // nothing is pushed down
+		return true
+	case seedTwoPhase:
+		if len(q.Refs) > 0 || !Pushable(q.Tool) {
+			return false
+		}
+	}
+	for _, f := range q.AttrFilters() { // seedTwoPhase, seedPushdown
+		if !Pushable(f.Value) {
+			return false
+		}
+	}
+	return true
 }
 
-// NativeRefs runs the pipeline for a descriptor HasNativeRefs accepts: the
-// seed strategy its filter section selects, then — under a direction — the
-// traversal. Refs come back in the substrate's order.
+// NativeRefs runs the pipeline: the seed strategy q's filter section
+// selects, then — under a direction — the traversal. Refs come back in the
+// substrate's order.
 func NativeRefs(x RefsExec, q prov.Query) ([]prov.Ref, error) {
 	if q.Direction != prov.TraverseNone {
 		return traverse(x, q)
@@ -123,7 +126,11 @@ func NativeRefs(x RefsExec, q prov.Query) ([]prov.Ref, error) {
 		if err != nil {
 			return nil, err
 		}
-		return x.DependentsOf(instances, q.RefPrefix, filters)
+		deps, err := x.DependentsOf(instances, q.RefPrefix, filters)
+		if len(q.Refs) > 0 {
+			deps = slices.DeleteFunc(deps, func(r prov.Ref) bool { return !slices.Contains(q.Refs, r) })
+		}
+		return deps, err
 	case seedPushdown:
 		refs, err := x.MatchAttrs(filters)
 		return FilterRefPrefix(refs, q.RefPrefix), err
@@ -143,10 +150,11 @@ func NativeRefs(x RefsExec, q prov.Query) ([]prov.Ref, error) {
 // frontier's items for ancestors ("it has to retrieve each item ... then
 // lookup further ancestors") — under EvalQuery's rules: a node is emitted
 // when first reached (a seed only with IncludeSeeds) and expanded at most
-// once. Prefix-only descendants skip seed materialization entirely: the
-// whole first level is one starts-with query over every version at once,
-// which is also why a seed is never expanded when reached again — level one
-// already covered it.
+// once. Prefix-only and unfiltered descendants skip seed materialization
+// entirely: the whole first level is one starts-with query over every version
+// at once — edge-only refs included, as the evaluator seeds them — which is
+// also why a seed is never expanded when reached again: level one already
+// covered it.
 func traverse(x RefsExec, q prov.Query) ([]prov.Ref, error) {
 	step := x.InputsOf
 	if q.Direction == prov.TraverseDescendants {
@@ -176,7 +184,7 @@ func traverse(x RefsExec, q prov.Query) ([]prov.Ref, error) {
 	}
 
 	level := 0
-	if q.Direction == prov.TraverseDescendants && seedPlanOf(q) == seedListing {
+	if sp := seedPlanOf(q); q.Direction == prov.TraverseDescendants && (sp == seedListing || sp == seedAll) {
 		level1, err := x.DependentsOfPrefix(q.RefPrefix)
 		if err != nil {
 			return nil, err

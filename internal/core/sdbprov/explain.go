@@ -274,9 +274,9 @@ func storedFilters(filters []prov.AttrFilter) []prov.AttrFilter {
 // PlanQueryRefs implements core.RefPlanner: the reference set Query(q)'s
 // native plan would return, predicted from the client-side planner catalog
 // without cloud traffic. ok is false for shapes with no native indexed
-// plan (the full-graph fallbacks) — for those the shard router keeps its
-// union-graph path. Predictions are best-effort when foreign writers have
-// touched the region; Explain's Exact flag carries that caveat.
+// plan (the full-graph fallbacks) — for those the shard router answers its
+// rounds on the member graphs. Predictions are best-effort when foreign
+// writers have touched the region; Explain's Exact flag carries that caveat.
 func (l *Layer) PlanQueryRefs(q prov.Query) ([]prov.Ref, bool) {
 	if err := q.Validate(); err != nil {
 		return nil, false

@@ -81,11 +81,6 @@ type Config struct {
 	Domain string
 	// Faults optionally injects crashes inside multi-step writes.
 	Faults *sim.FaultPlan
-	// RetryWait is called between consistency retries. The default
-	// advances the simulated clock by a quarter of the propagation
-	// horizon, modeling the real time a client would wait before
-	// reissuing.
-	RetryWait func()
 	// QueryChunk is the number of OR-ed values per ancestry query
 	// expression (default 32).
 	QueryChunk int
@@ -146,11 +141,6 @@ func New(cfg Config) (*Layer, error) {
 	if cfg.QueryChunk <= 0 {
 		cfg.QueryChunk = 32
 	}
-	if cfg.RetryWait == nil {
-		clock := cfg.Cloud.Clock
-		step := cfg.Cloud.S3.MaxDelay()/4 + time.Millisecond
-		cfg.RetryWait = func() { clock.Advance(step) }
-	}
 	l := &Layer{
 		cfg:     cfg,
 		catalog: planner.NewSDBCatalog(),
@@ -206,8 +196,15 @@ func (l *Layer) CacheStats() qcache.Stats { return l.cache.Stats() }
 // stale replica. Recovery scans use it before destructive decisions.
 func (l *Layer) ConsistencyWait() {
 	for i := 0; i < 4; i++ {
-		l.cfg.RetryWait()
+		l.retryWait()
 	}
+}
+
+// retryWait is the pause between consistency retries: a quarter of the
+// propagation horizon on the simulated clock, modeling the real time a
+// client would wait before reissuing.
+func (l *Layer) retryWait() {
+	l.cfg.Cloud.Clock.Advance(l.cfg.Cloud.S3.MaxDelay()/4 + time.Millisecond)
 }
 
 // Retrier returns the layer's retry executor, shared with the protocol code
@@ -564,7 +561,7 @@ func (l *Layer) VerifiedGet(ctx context.Context, object prov.ObjectID) (*core.Ob
 			return nil, err
 		}
 		if attempt > 0 {
-			l.cfg.RetryWait()
+			l.retryWait()
 		}
 
 		var obj *s3.Object

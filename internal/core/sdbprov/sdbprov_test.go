@@ -219,7 +219,7 @@ func TestVerifiedGetNotFound(t *testing.T) {
 
 func TestVerifiedGetRetriesAcrossPropagation(t *testing.T) {
 	// Data propagates before provenance: the verified reader must wait it
-	// out (its RetryWait advances the clock) and succeed, not tear.
+	// out (its retry wait advances the clock) and succeed, not tear.
 	layer, cl := newTestLayer(t, 10*time.Second)
 	subject := ref("/slow", 0)
 	data := []byte("slow data")

@@ -100,14 +100,14 @@ func (m *probedMember) ProvenanceGraph(ctx context.Context) (*prov.Graph, error)
 // test calls it blocked. Only a failing run waits this long.
 const stuckAfter = 10 * time.Second
 
-// ancestorsOfMean is a union-graph query on every architecture's probed
-// members (a wrapped member plans no references).
+// ancestorsOfMean is answered on the member graphs on every architecture's
+// probed members (a wrapped member plans no references).
 var ancestorsOfMean = prov.QAncestors(prov.Ref{Object: "/res/mean", Version: 2})
 
-// TestRouterExplainDoesNotWaitOnUnionScan: Explain is a prediction without
-// cloud traffic, so it must return while a union-graph build is waiting on a
-// member's scan.
-func TestRouterExplainDoesNotWaitOnUnionScan(t *testing.T) {
+// TestRouterExplainDoesNotWaitOnPartScan: Explain is a prediction without
+// cloud traffic, so it must return while a fetch of the member graphs is
+// waiting on a member's scan.
+func TestRouterExplainDoesNotWaitOnPartScan(t *testing.T) {
 	ctx := context.Background()
 	tg, members := probed(t, "s3", 4, 37, true)
 	replay(t, ctx, tg, captureBatches(t))
@@ -119,14 +119,14 @@ func TestRouterExplainDoesNotWaitOnUnionScan(t *testing.T) {
 		_, err := core.CollectRefs(tg.router.Query(ctx, ancestorsOfMean))
 		queried <- err
 	}()
-	<-members[0].entered // the build is in flight, its scan of shard 0 held
+	<-members[0].entered // the fetch is in flight, its scan of shard 0 held
 
 	explained := make(chan core.QueryPlan, 1)
 	go func() { explained <- tg.router.Explain(ancestorsOfMean) }()
 	select {
 	case plan := <-explained:
 		if plan.Strategy != "union-graph" || plan.Cached || plan.EstOps == 0 {
-			t.Errorf("plan beside a cold build in flight: %s", plan)
+			t.Errorf("plan beside a cold fetch in flight: %s", plan)
 		}
 		release()
 	case <-time.After(stuckAfter):
@@ -154,9 +154,9 @@ func (c askedContext) Done() <-chan struct{} {
 	return c.Context.Done()
 }
 
-// TestUnionWaiterHonoursContext: a query that finds a union-graph build in
-// flight waits for it, and leaves the moment its own context ends.
-func TestUnionWaiterHonoursContext(t *testing.T) {
+// TestPartsWaiterHonoursContext: a query that finds a fetch of the member
+// graphs in flight waits for it, and leaves the moment its own context ends.
+func TestPartsWaiterHonoursContext(t *testing.T) {
 	ctx := context.Background()
 	tg, members := probed(t, "s3", 4, 41, true)
 	replay(t, ctx, tg, captureBatches(t))
@@ -192,7 +192,7 @@ func TestUnionWaiterHonoursContext(t *testing.T) {
 		}
 		release()
 	case <-time.After(stuckAfter):
-		t.Error("a waiter whose context ended kept waiting for the build")
+		t.Error("a waiter whose context ended kept waiting for the fetch")
 		release()
 		<-waiter
 	}
@@ -425,17 +425,17 @@ func TestRouterMemoBypassedMidMigration(t *testing.T) {
 	evaluatedThenRemembered("ended")
 }
 
-// TestRouterExplainMatchesMeteredOpsAcrossMigrationWindow: a union-graph plan
-// stays honest at every migration transition. The router keeps each member's
-// part of the union under the member's stamp across transitions (only the
-// merged graph and the remembered answers go), so a query inside the window or
-// right after it refetches only the shards the copy wrote — and Explain must
-// say exactly that, whether or not the merged graph exists.
+// TestRouterExplainMatchesMeteredOpsAcrossMigrationWindow: a plan on the
+// member graphs stays honest at every migration transition. The router keeps
+// each member's graph under the member's stamp across transitions (only the
+// remembered answers go), so a query inside the window or right after it
+// refetches only the shards the copy wrote — and Explain must say exactly
+// that.
 func TestRouterExplainMatchesMeteredOpsAcrossMigrationWindow(t *testing.T) {
 	ctx := context.Background()
 	batches := captureBatches(t)
 	// No pinned or tool seeds: the ancestor walk every architecture's router
-	// answers on the union graph.
+	// answers on the member graphs.
 	q := prov.Query{Type: prov.TypeFile, Direction: prov.TraverseAncestors, Projection: prov.ProjectRefs}
 	for _, arch := range []string{"s3", "s3+sdb", "s3+sdb+sqs"} {
 		for _, uncached := range []bool{false, true} {
@@ -517,6 +517,58 @@ func TestRouterExplainMatchesMeteredOpsAcrossMigrationWindow(t *testing.T) {
 	}
 }
 
+// TestMemberGraphRoundsSeeOneCopy: while a migration window is open both
+// copies of the moving arc sit in the member graphs the router retains, and
+// every round on them must read the authoritative one only — records
+// included, so a full projection never doubles a moved subject's records.
+func TestMemberGraphRoundsSeeOneCopy(t *testing.T) {
+	ctx := context.Background()
+	tg := buildTarget(t, "s3", 4, 59, false)
+	replay(t, ctx, tg, captureBatches(t))
+	q := prov.Query{Type: prov.TypeFile, Direction: prov.TraverseAncestors, Depth: 1, IncludeSeeds: true, Projection: prov.ProjectFull}
+	want := canonical(t, ctx, tg.querier(), q)
+	check := func(when string) {
+		t.Helper()
+		if plan := tg.router.Explain(q); plan.Strategy != "union-graph" {
+			t.Fatalf("%s: planned as %s, want the member graphs", when, plan)
+		}
+		if got := canonical(t, ctx, tg.querier(), q); got != want {
+			t.Fatalf("%s: the answer changed:\ngot:\n%s\nwant:\n%s", when, got, want)
+		}
+	}
+	ctrl, err := reshard.New(reshard.Config{Router: tg.router, Clouds: tg.clouds})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for from := 0; from < tg.router.NumShards(); from++ {
+		plan, err := ctrl.PlanSplit(from, (from+1)%tg.router.NumShards())
+		if err != nil {
+			t.Fatal(err)
+		}
+		src, dst := tg.router.Shard(plan.Src).(core.Migrator), tg.router.Shard(plan.Dst).(core.Migrator)
+		exp, err := src.ExportArc(ctx, plan.Moved(ctrl))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(exp.Subjects) == 0 {
+			continue
+		}
+		if err := tg.router.BeginMigration(plan.Src, plan.Dst, exp.Subjects); err != nil {
+			t.Fatal(err)
+		}
+		if err := dst.ImportArc(ctx, exp); err != nil {
+			t.Fatal(err)
+		}
+		check("arc copied")
+		if err := tg.router.FlipRing(plan.Target); err != nil {
+			t.Fatal(err)
+		}
+		check("flipped, source copy not yet removed")
+		return
+	}
+	t.Fatal("no split of this workload moves a subject")
+}
+
 // TestRouterMemoHitAllocations: serving a remembered Q.3 allocates for the
 // stamp and the key, never per entry of the answer.
 func TestRouterMemoHitAllocations(t *testing.T) {
@@ -553,7 +605,8 @@ func TestRouterMemoHitAllocations(t *testing.T) {
 }
 
 // BenchmarkRouterWarmQuery: the repeat the router exists to make cheap — one
-// question per regime (fan-in, multi-hop or union by architecture, union),
+// question per regime (fan-in, native rounds or member graphs by
+// architecture, member graphs),
 // asked again of an unchanged 4-shard namespace and drained. Every answer is
 // remembered under the composite stamp, so an iteration samples four member
 // stamps per question and must meter nothing.
@@ -593,5 +646,50 @@ func BenchmarkRouterWarmQuery(b *testing.B) {
 	b.StopTimer()
 	if ops := tg.totalOps() - before; ops != 0 {
 		b.Fatalf("%d warm rounds metered %d cloud ops", b.N, ops)
+	}
+}
+
+// BenchmarkRouterColdQuery: the round a write leaves cold. Each iteration
+// writes one file into a 4-shard S3 namespace whose members cache, then asks
+// Q.2, Q.3, a pinned ancestor walk and an ancestor walk from every file — all
+// answered by rounds on the member graphs, so the first refetches the written
+// shard's graph and the rest reuse it. Every question's Explain must equal
+// the ops it meters.
+func BenchmarkRouterColdQuery(b *testing.B) {
+	ctx := context.Background()
+	tg := buildTarget(b, "s3", 4, 61, false)
+	for _, batch := range captureBatches(b) {
+		if err := tg.store.PutBatch(ctx, batch); err != nil {
+			b.Fatal(err)
+		}
+	}
+	queries := []prov.Query{
+		prov.QOutputsOf("blast"),
+		prov.QDescendantsOfOutputs("blast"),
+		ancestorsOfMean,
+		{Type: prov.TypeFile, Direction: prov.TraverseAncestors, Projection: prov.ProjectRefs},
+	}
+	write := []pass.FlushEvent{writeEvent("/cold/w")}
+	b.ReportAllocs()
+	for i := 0; b.Loop(); i++ {
+		if err := tg.store.PutBatch(ctx, write); err != nil {
+			b.Fatal(err)
+		}
+		start := tg.totalOps()
+		for _, q := range queries {
+			plan := tg.router.Explain(q)
+			before := tg.totalOps()
+			for _, err := range tg.router.Query(ctx, q) {
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+			if ops := tg.totalOps() - before; ops != plan.EstOps || plan.Strategy != "union-graph" {
+				b.Fatalf("iteration %d, %s: metered %d ops\n%s", i, q.Key(), ops, plan)
+			}
+		}
+		if tg.totalOps() == start {
+			b.Fatalf("iteration %d metered nothing: the write left no shard cold", i)
+		}
 	}
 }

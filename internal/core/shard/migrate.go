@@ -7,8 +7,8 @@
 //
 // The window has two states. Before the flip the old ring is active: the
 // source shard is authoritative for the arc and the destination's
-// freshly imported copy is excluded from fan-ins, union-graph merges,
-// multi-hop rounds and provenance probes. FlipRing atomically swaps the
+// freshly imported copy is excluded from fan-ins, rounds (on the members
+// or on their graphs) and provenance probes. FlipRing atomically swaps the
 // assignment and advances the ring epoch; the destination becomes
 // authoritative (the active ring now routes there) and the source's
 // stale copy is excluded until EndMigration confirms its removal.
@@ -193,13 +193,10 @@ func (r *Router) AbortMigration() {
 }
 
 // dropDerived invalidates, at a migration state transition, what the
-// router derived under the state before it: the union-graph cache's merged
-// graph and every remembered answer. Per-shard parts stay: they are raw and
-// stamp-keyed, only the filtered merge is state-dependent.
+// router derived under the state before it: every remembered answer. The
+// member graphs stay: they are raw and stamp-keyed, and the window filters
+// the rounds run on them.
 func (r *Router) dropDerived() {
-	r.gcache.mu.Lock()
-	r.gcache.graph = nil
-	r.gcache.mu.Unlock()
 	r.memo.mu.Lock()
 	r.memo.vals = nil
 	r.memo.mu.Unlock()

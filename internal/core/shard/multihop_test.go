@@ -56,7 +56,7 @@ func writeEvent(obj prov.ObjectID) pass.FlushEvent {
 // TestMultihopIndexedPlans: on members that plan references client-side
 // (SimpleDB-backed), Q.2/Q.3-class descriptors must take the distributed
 // multi-hop strategy with indexed rounds — no step of any round may be a
-// repository Select scan (the union path's per-shard Q.1 marker). The
+// repository Select scan (the member-graph path's per-shard Q.1 marker). The
 // op/$ improvement over the scan floor is a scale property and is gated
 // at workload scale by the sharded cost matrix (internal/cost) and
 // benchdiff; this test pins the plan shape.
@@ -90,12 +90,12 @@ func TestMultihopIndexedPlans(t *testing.T) {
 		}
 	})
 
-	t.Run("s3-keeps-union", func(t *testing.T) {
+	t.Run("s3-keeps-parts", func(t *testing.T) {
 		tg := buildTarget(t, "s3", 4, 23, true)
 		replay(t, ctx, tg, batches)
 		plan := tg.router.Explain(prov.QDescendantsOfOutputs("blast"))
 		if plan.Strategy != "union-graph" {
-			t.Fatalf("members without RefPlanner must keep the union graph, got %q", plan.Strategy)
+			t.Fatalf("members without RefPlanner must answer rounds on their graphs, got %q", plan.Strategy)
 		}
 	})
 }
@@ -103,9 +103,9 @@ func TestMultihopIndexedPlans(t *testing.T) {
 // TestRouterGraphCacheInvalidation: a question repeated on an unchanged
 // namespace is answered from the router's result memo — zero cloud ops and
 // not one call to a member — and a second question at the same stamp from
-// the cached union graph, likewise; one write empties the memo and
-// invalidates exactly the written shard's contribution to the union, the
-// others keep serving from the cache. Explain says which, and what it
+// the retained member graphs, likewise; one write empties the memo and
+// invalidates exactly the written shard's graph, the others keep serving
+// from the cache. Explain says which, and what it
 // predicts is what is metered, each time.
 func TestRouterGraphCacheInvalidation(t *testing.T) {
 	ctx := context.Background()
@@ -135,15 +135,15 @@ func TestRouterGraphCacheInvalidation(t *testing.T) {
 	}
 
 	if plan, _, cold, _ := run(anc); cold <= 0 || plan.Strategy != "union-graph" {
-		t.Fatalf("cold union-graph query metered %d ops as %s, want > 0", cold, plan)
+		t.Fatalf("cold member-graph query metered %d ops as %s, want > 0", cold, plan)
 	}
 	if plan, _, warm, asked := run(anc); warm != 0 || asked != 0 || plan.Strategy != "memo" {
 		t.Fatalf("repeated query on an unchanged namespace: %d ops, %d member calls, planned as %s", warm, asked, plan)
 	}
-	// Another question at the same stamp: a second key over the one union.
+	// Another question at the same stamp: a second key over the same graphs.
 	plan, before, ops, asked := run(q3)
 	if ops != 0 || asked != 0 || plan.Strategy != "union-graph" {
-		t.Fatalf("second question on the cached union: %d ops, %d member calls, planned as %s", ops, asked, plan)
+		t.Fatalf("second question on the retained graphs: %d ops, %d member calls, planned as %s", ops, asked, plan)
 	}
 
 	// One write — a new descendant of blast's outputs — and exactly one
@@ -224,7 +224,7 @@ func TestExplainReevalLabel(t *testing.T) {
 // TestMultihopRandomizedOracle is the cross-shard equivalence oracle: a
 // seeded generator drives descriptors — multi-hop traversals included —
 // through routers of every architecture at 1/4/16 shards, and every
-// answer must match core.EvalQuery on the union graph. A final phase
+// answer must match core.EvalQuery on the unsharded store's graph. A final phase
 // checks pinned-cursor stability: a page sequence started before a
 // mid-traversal write must return exactly the pre-write evaluation.
 func TestMultihopRandomizedOracle(t *testing.T) {

@@ -20,17 +20,17 @@
 // shard-local — any filter combination without a Tool predicate, plus
 // single-hop descendant traversals seeded by record-free filters (the
 // Dependents idiom) — run each shard's native plan and merge the
-// streams. Descriptors that need edges from more than one shard (tool
-// queries, multi-hop lineage, pinned ancestor walks) run the refs pipeline
-// the members run themselves (core.NativeRefs) when every member can plan
-// references client-side (core.RefPlanner), each primitive one indexed
-// round on every shard (multihop.go). The remaining whole-graph shapes
-// evaluate on the union graph, which the router caches under the member
-// stamps with per-shard invalidation: repeated sweeps on an unchanged
-// namespace cost zero cloud ops and no rebuild, and one write refetches
-// only the written shard's contribution. Explain composes honestly on
-// every path: the plan is the sum of the per-shard plans — round by
-// round, on the multi-hop path — the router will actually run.
+// streams. Every other descriptor (tool queries, multi-hop lineage,
+// ancestor walks) runs the refs pipeline the members run themselves
+// (core.NativeRefs), each primitive one round on every shard
+// (multihop.go). A round goes to the members' own indexed plans when every
+// member can plan references client-side (core.RefPlanner) and the
+// descriptor has a native plan; otherwise it is answered from each
+// member's graph, which the router retains under the member's stamp:
+// repeated sweeps on an unchanged namespace cost zero cloud ops, and one
+// write refetches only the written shard's graph. Explain composes
+// honestly on every path: the plan is the sum of the per-shard plans —
+// round by round, on the native path — the router will actually run.
 package shard
 
 import (
@@ -74,8 +74,8 @@ type Config struct {
 const virtualNodes = 256
 
 // Router is a sharded provenance store. It implements core.Store,
-// core.Querier, core.GraphQuerier, core.Syncer and core.Stamped, and is
-// safe for concurrent use.
+// core.Querier, core.Syncer and core.Stamped, and is safe for concurrent
+// use.
 type Router struct {
 	shards []Store
 
@@ -95,9 +95,9 @@ type Router struct {
 	mig *migration
 
 	// refPlanned records whether every member implements core.RefPlanner,
-	// the capability the multi-hop path needs to compose Explain round by
-	// round. Mixed or incapable member sets keep the
-	// union-graph path for non-distributable descriptors.
+	// the capability native rounds need to compose Explain round by round.
+	// Mixed or incapable member sets answer every round from the member
+	// graphs.
 	refPlanned bool
 
 	// pins retains paginated queries' evaluated result sets; cursors bind
@@ -106,9 +106,9 @@ type Router struct {
 	// serving in-flight page sequences.
 	pins core.Pins
 
-	// gcache retains the union graph between whole-graph evaluations,
+	// gcache retains every member's graph between evaluations on them,
 	// keyed by per-shard stamps so one shard's write invalidates only that
-	// shard's contribution.
+	// shard's graph.
 	gcache graphCache
 
 	// memo retains evaluated answers under the composite stamp: a question
@@ -446,24 +446,26 @@ func (r *Router) runQuery(ctx context.Context, q prov.Query, yield func(core.Ent
 }
 
 // Router query strategies, in preference order: the single-round fan-in
-// for shard-local descriptors, the refs pipeline in rounds for what every
-// member can plan natively, the (cached) union graph for whole-repository
-// shapes.
+// for shard-local descriptors, then the refs pipeline in rounds — on the
+// members' native plans where every member can plan them, else on the
+// member graphs, under the label reports count as the union regime.
 const (
-	planFanIn      = "fanout"
-	planMultihop   = "multihop"
-	planUnionGraph = "union-graph"
-	planMemo       = "memo" // Explain's name for an answer evalAll would not evaluate
+	planFanIn    = "fanout"
+	planMultihop = "multihop"
+	planGraphs   = "union-graph"
+	planMemo     = "memo" // Explain's name for an answer evalAll would not evaluate
 )
 
 // strategyFor picks the evaluation strategy for a non-paginated
 // descriptor. Query and Explain both route through it, so the plan always
 // describes the path the run takes. What is not shard-local runs the refs
-// pipeline when the members would run it themselves (core.HasNativeRefs:
-// every round then has a native indexed plan on every shard), with one
-// router-side exception: an ancestor walk without pinned or tool seeds
-// keeps the union graph, since its seed section enumerates the namespace
-// and every frontier after it probes every shard.
+// pipeline; the strategy says where its rounds are answered. They go to the
+// members' native plans when the members would run the pipeline themselves
+// (core.HasNativeRefs: every round then has an indexed plan on every
+// shard), with one router-side exception: an ancestor walk without pinned
+// or tool seeds, whose seed section enumerates the namespace and whose every
+// frontier probes every shard. Everything else is answered from the member
+// graphs.
 func (r *Router) strategyFor(q prov.Query) string {
 	if distributable(q) {
 		return planFanIn
@@ -472,7 +474,7 @@ func (r *Router) strategyFor(q prov.Query) string {
 	if r.refPlanned && core.HasNativeRefs(q) && !wideWalk {
 		return planMultihop
 	}
-	return planUnionGraph
+	return planGraphs
 }
 
 // evalAll materializes one non-paginated evaluation, ref-sorted with one
@@ -488,11 +490,11 @@ func (r *Router) evalAll(ctx context.Context, q prov.Query) (entries []core.Entr
 	case planFanIn:
 		entries, err = r.fanIn(ctx, q)
 	case planMultihop:
-		entries, err = r.runMultihop(ctx, q)
+		entries, err = r.runRounds(ctx, q, r.fanOut)
 	default:
-		var g *prov.Graph
-		if g, err = r.ProvenanceGraph(ctx); err == nil {
-			entries = core.EvalQuery(g, q)
+		var parts []*prov.Graph
+		if parts, err = r.memberGraphs(ctx); err == nil {
+			entries, err = r.runRounds(ctx, q, onParts(parts))
 		}
 	}
 	if err == nil {
@@ -583,30 +585,27 @@ func (r *Router) fanOut(ctx context.Context, mig *migration, q prov.Query) ([][]
 	return perShard, err
 }
 
-// graphCache retains the union graph between whole-graph evaluations and
-// what it was merged from: each member's own graph (core.ProvenanceGraph: its
+// graphCache retains each member's own graph (core.ProvenanceGraph: its
 // snapshot when it caches, one scan when not) under the stamp the member
 // reported before the fetch. A member write moves that stamp and invalidates
-// exactly that part; the union shares the parts' records (prov.Union), so a
-// rebuild copies no shard. graph, when set, is the unfiltered union of parts.
+// exactly that part. The parts are raw: a migration window filters the
+// rounds run on them, never what is retained, so a transition drops nothing.
 type graphCache struct {
-	// build is a one-slot semaphore: the lock ProvenanceGraph holds across its
+	// build is a one-slot semaphore: the lock memberGraphs holds across its
 	// fetches, and stops waiting for when its context ends. mu guards the
 	// fields only while they are read or replaced: Explain waits for no scan.
 	build  chan struct{}
 	mu     sync.Mutex
 	stamps []string
 	parts  []*prov.Graph // nil: never fetched
-	graph  *prov.Graph
 }
 
 // staleParts samples every member's stamp and lists the shards whose retained
-// part was fetched under another one, or never: what ProvenanceGraph, called
+// part was fetched under another one, or never: what memberGraphs, called
 // now, fetches, and so what Explain costs — every other shard contributes at
-// zero cloud ops whether or not the merged graph exists (a migration
-// transition drops it, never the parts). The stamps are sampled before any
-// fetch: a write landing mid-fetch leaves the recorded stamp older than the
-// data, and the next call refetches.
+// zero cloud ops. The stamps are sampled before any fetch: a write landing
+// mid-fetch leaves the recorded stamp older than the data, and the next call
+// refetches.
 func (r *Router) staleParts() (stale []int, cur []string) {
 	c := &r.gcache
 	cur = make([]string, len(r.shards))
@@ -621,13 +620,12 @@ func (r *Router) staleParts() (stale []int, cur []string) {
 	return stale, cur
 }
 
-// ProvenanceGraph implements core.GraphQuerier with the union graph: every
-// shard's provenance graph merged into one — served whole from the router's
-// graph cache when no member stamp moved (zero cloud ops), else rebuilt from
-// the cached parts and a fetch of each stale one: the member's warm snapshot
-// when it has one, a full native pass when not (exactly what the composite
-// Explain predicts). The returned graph is shared: read-only.
-func (r *Router) ProvenanceGraph(ctx context.Context) (*prov.Graph, error) {
+// memberGraphs returns every member's graph at its current stamp: the
+// retained part when the member's stamp has not moved (zero cloud ops), else
+// a fetch — the member's warm snapshot when it has one, a full native pass
+// when not (exactly what the composite Explain predicts). The graphs are
+// shared: read-only.
+func (r *Router) memberGraphs(ctx context.Context) ([]*prov.Graph, error) {
 	c := &r.gcache
 	select {
 	case c.build <- struct{}{}:
@@ -635,14 +633,10 @@ func (r *Router) ProvenanceGraph(ctx context.Context) (*prov.Graph, error) {
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	}
-	mig := r.migSnapshot()
 	stale, cur := r.staleParts()
 	c.mu.Lock()
-	g, parts := c.graph, slices.Clone(c.parts)
+	parts := slices.Clone(c.parts)
 	c.mu.Unlock()
-	if len(stale) == 0 && g != nil && mig == nil {
-		return g, nil
-	}
 	err := core.RunLimited(ctx, len(stale), len(r.shards), func(k int) (err error) {
 		if parts[stale[k]], err = core.ProvenanceGraph(ctx, r.shards[stale[k]]); err != nil {
 			err = fmt.Errorf("shard %d: %w", stale[k], err)
@@ -652,36 +646,25 @@ func (r *Router) ProvenanceGraph(ctx context.Context) (*prov.Graph, error) {
 	if err != nil {
 		return nil, err // nothing is installed: what is cached keeps its stamps
 	}
-	// Mid-migration the moved arc exists on both sides of the copy: the parts
-	// stay raw (stamp-keyed, they outlive the window), the merge drops the
-	// non-authoritative side — and is never cached: its filter changes at a
-	// migration transition, not at a member stamp.
-	var keep func(int, prov.Ref) bool
-	if mig != nil {
-		keep = func(i int, subject prov.Ref) bool { return !mig.excluded(i, subject.Object) }
-	}
-	g = prov.Union(parts, keep)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, i := range stale {
 		c.stamps[i] = cur[i]
 	}
-	if c.parts, c.graph = parts, nil; mig == nil && r.migSnapshot() == nil {
-		c.graph = g // unless a transition overtook it
-	}
-	return g, nil
+	c.parts = parts
+	return parts, nil
 }
 
 // Explain implements core.Querier: the plan is the sum of the per-shard
 // plans the router will actually run — each shard's native plan for the
-// descriptor on the fan-out path, round-by-round composed plans on the
-// distributed multi-hop path, each shard's Q.1 plan (or its cached
-// router-snapshot contribution) on the union-graph path — with identical
-// operation classes merged across shards within each round. Cached and
-// Exact hold only when they hold on every shard. A paginated descriptor
-// whose pin was evicted at an unchanged generation re-evaluates; its
-// strategy carries a "pinned-reeval/" prefix so the output is
-// distinguishable from a fresh query's plan.
+// descriptor on the fan-out path, round-by-round composed plans on native
+// rounds, and for rounds on the member graphs each stale shard's Q.1 plan
+// (a zero-op router-snapshot step for each retained graph: the rounds
+// themselves cost nothing) — with identical operation classes merged across
+// shards within each round. Cached and Exact hold only when they hold on
+// every shard. A paginated descriptor whose pin was evicted at an unchanged
+// generation re-evaluates; its strategy carries a "pinned-reeval/" prefix so
+// the output is distinguishable from a fresh query's plan.
 func (r *Router) Explain(q prov.Query) core.QueryPlan {
 	p := core.QueryPlan{Arch: r.Name(), Exact: true}
 	return core.Explain(p, q, r, &r.pins, func(p *core.QueryPlan, stripped prov.Query) {
@@ -710,7 +693,7 @@ func (r *Router) Explain(q prov.Query) core.QueryPlan {
 			p.AddStep("-", strategy, 0, fmt.Sprintf("%d shards: seeds via native plans, then one indexed fan-out round per BFS level", len(r.shards)))
 			r.explainMultihop(p, stripped)
 		default:
-			p.AddStep("-", strategy, 0, fmt.Sprintf("%d shards: materialize every shard's provenance (Q.1 per shard, cached contributions free), evaluate on the union graph", len(r.shards)))
+			p.AddStep("-", strategy, 0, fmt.Sprintf("%d shards: fetch each stale member's graph (Q.1 per shard, retained graphs free), then answer every round on each member's graph", len(r.shards)))
 			retained := core.QueryPlan{Cached: true, Exact: true}
 			retained.AddStep("-", "router-snapshot", 0, "shard contribution cached at its current stamp: zero cloud ops")
 			plans := slices.Repeat([]core.QueryPlan{retained}, len(r.shards))
@@ -771,9 +754,8 @@ func foldPlans(p *core.QueryPlan, plans []core.QueryPlan) bool {
 }
 
 var (
-	_ core.Store        = (*Router)(nil)
-	_ core.Querier      = (*Router)(nil)
-	_ core.GraphQuerier = (*Router)(nil)
-	_ core.Syncer       = (*Router)(nil)
-	_ core.Stamped      = (*Router)(nil)
+	_ core.Store   = (*Router)(nil)
+	_ core.Querier = (*Router)(nil)
+	_ core.Syncer  = (*Router)(nil)
+	_ core.Stamped = (*Router)(nil)
 )

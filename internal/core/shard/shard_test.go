@@ -124,6 +124,10 @@ func buildWrapped(t testing.TB, arch string, n int, seed int64, uncached bool, w
 	return tg
 }
 
+// blastEnv is the environment captureBatches gives blast: longer than any
+// predicate value a backend can push down (core.Pushable).
+var blastEnv = "LAB=x " + strings.Repeat("E", 1200)
+
 // captureBatches drives a scripted PASS workload and records the flush
 // batches, so the identical event stream can replay into any store.
 func captureBatches(t testing.TB) [][]pass.FlushEvent {
@@ -143,7 +147,7 @@ func captureBatches(t testing.TB) [][]pass.FlushEvent {
 	for i := 0; i < 6; i++ {
 		must(sys.Ingest(ctx, fmt.Sprintf("/data/in%d", i), []byte(fmt.Sprintf("dataset-%d", i))))
 	}
-	blast := sys.Exec(nil, pass.ExecSpec{Name: "blast", Argv: []string{"blast", "-p"}, Env: "LAB=x " + strings.Repeat("E", 1200)})
+	blast := sys.Exec(nil, pass.ExecSpec{Name: "blast", Argv: []string{"blast", "-p"}, Env: blastEnv})
 	must(sys.Read(blast, "/data/in0"))
 	must(sys.Read(blast, "/data/in1"))
 	must(sys.Write(blast, "/out/blast0", []byte("hits-0"), pass.Truncate))
@@ -268,7 +272,9 @@ func TestShardedMatchesUnsharded(t *testing.T) {
 }
 
 // TestShardedMatchesUnshardedRandomized drives seeded random descriptors
-// through the 4-shard router and the unsharded reference store.
+// through the 4-shard router and the unsharded reference store. Every shape
+// class the router answers from its member graphs — where the members cannot
+// run the rounds natively — must be drawn on every architecture.
 func TestShardedMatchesUnshardedRandomized(t *testing.T) {
 	ctx := context.Background()
 	batches := captureBatches(t)
@@ -289,8 +295,11 @@ func TestShardedMatchesUnshardedRandomized(t *testing.T) {
 			q.Tool = tools[rng.Intn(len(tools))]
 		}
 		q.Type = types[rng.Intn(len(types))]
-		if rng.Intn(3) == 0 {
+		switch rng.Intn(6) {
+		case 0, 1:
 			q.Attrs = append(q.Attrs, prov.AttrFilter{Attr: prov.AttrName, Value: tools[rng.Intn(len(tools))]})
+		case 2:
+			q.Attrs = append(q.Attrs, prov.AttrFilter{Attr: prov.AttrEnv, Value: blastEnv})
 		}
 		q.RefPrefix = prefixes[rng.Intn(len(prefixes))]
 		if rng.Intn(4) == 0 {
@@ -298,6 +307,9 @@ func TestShardedMatchesUnshardedRandomized(t *testing.T) {
 			for i := 0; i < n; i++ {
 				q.Refs = append(q.Refs, refPool[rng.Intn(len(refPool))])
 			}
+		}
+		if rng.Intn(5) == 0 {
+			q = prov.Query{} // from everything
 		}
 		switch rng.Intn(3) {
 		case 1:
@@ -314,6 +326,31 @@ func TestShardedMatchesUnshardedRandomized(t *testing.T) {
 		}
 		return q
 	}
+	// shapes names the classes q belongs to that no member plans natively.
+	shapes := func(q prov.Query) (in []string) {
+		for _, f := range q.AttrFilters() {
+			if !core.Pushable(f.Value) && (q.Tool != "" || len(q.Refs) == 0) {
+				in = append(in, "value over the predicate limit")
+				break
+			}
+		}
+		if q.Tool != "" && len(q.Refs) > 0 {
+			in = append(in, "tool under pinned refs")
+		}
+		switch {
+		case q.HasFilters():
+		case q.Direction == prov.TraverseDescendants:
+			in = append(in, "descendants of everything")
+		case q.Direction == prov.TraverseAncestors:
+			in = append(in, "ancestors of everything")
+		}
+		if q.Direction == prov.TraverseAncestors && len(q.Refs) == 0 && q.Tool == "" {
+			in = append(in, "ancestor walk without pins or tool")
+		}
+		return in
+	}
+	classes := []string{"value over the predicate limit", "tool under pinned refs",
+		"descendants of everything", "ancestors of everything", "ancestor walk without pins or tool"}
 
 	for _, arch := range []string{"s3", "s3+sdb"} {
 		t.Run(arch, func(t *testing.T) {
@@ -321,15 +358,24 @@ func TestShardedMatchesUnshardedRandomized(t *testing.T) {
 			sharded := buildTarget(t, arch, 4, 99, false)
 			replay(t, ctx, flat, batches)
 			replay(t, ctx, sharded, batches)
-			for i := 0; i < 60; i++ {
+			drawn := make(map[string]int)
+			for i := 0; i < 100; i++ {
 				q := randomQuery()
 				if q.Validate() != nil {
 					continue
+				}
+				for _, shape := range shapes(q) {
+					drawn[shape]++
 				}
 				want := canonical(t, ctx, flat.querier(), q)
 				got := canonical(t, ctx, sharded.querier(), q)
 				if want != got {
 					t.Fatalf("random query %d (%s):\nunsharded:\n%s\nsharded:\n%s", i, q.Key(), want, got)
+				}
+			}
+			for _, class := range classes {
+				if drawn[class] == 0 {
+					t.Errorf("no draw of %q: %v", class, drawn)
 				}
 			}
 		})

@@ -164,7 +164,7 @@ func TestHotShardSkew(t *testing.T) {
 			t.Errorf("cached sharded result diverges from uncached scan for %s:\ncached:\n%s\nscan:\n%s", q.Key(), cached, scanned)
 		}
 	}
-	g, err := r.ProvenanceGraph(ctx)
+	g, err := core.ProvenanceGraph(ctx, r)
 	if err != nil {
 		t.Fatal(err)
 	}

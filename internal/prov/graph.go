@@ -5,7 +5,6 @@ import (
 	"io"
 	"iter"
 	"maps"
-	"slices"
 	"sort"
 )
 
@@ -51,52 +50,16 @@ func (g *Graph) AddSubject(ref Ref, records []Record) {
 	if len(records) == 0 {
 		return
 	}
-	g.records[ref] = adopt(g.records[ref], records)
+	if have := g.records[ref]; len(have) > 0 {
+		g.records[ref] = append(have, records...)
+	} else {
+		g.records[ref] = records[:len(records):len(records)] // capped: a later append reallocates
+	}
 	for i := range records {
 		if r := &records[i]; r.Attr == AttrInput && r.Value.Kind == KindRef {
 			g.children[r.Value.Ref] = append(g.children[r.Value.Ref], ref)
 		}
 	}
-}
-
-// adopt extends have by more. An empty have becomes more itself, capped so
-// that a later append reallocates instead of writing into a shared array.
-func adopt[T any](have, more []T) []T {
-	if len(have) == 0 {
-		return more[:len(more):len(more)]
-	}
-	return append(have, more...)
-}
-
-// Union merges graphs without copying what they hold: a subject or edge
-// source only one part knows — every one, for the disjoint shards of a
-// namespace — shares that part's record slice or child list, and only a ref
-// two parts hold gets a fresh concatenation, in part order. keep, when
-// non-nil, drops the subjects of part i it rejects, with their edges. Parts
-// are never written; the union is read-only while they are shared.
-func Union(parts []*Graph, keep func(part int, subject Ref) bool) *Graph {
-	var subjects, sources int
-	for _, p := range parts {
-		subjects += len(p.records)
-		sources += len(p.children)
-	}
-	g := &Graph{records: make(map[Ref][]Record, subjects), children: make(map[Ref][]Ref, sources)}
-	for i, p := range parts {
-		for ref, records := range p.records {
-			if keep == nil || keep(i, ref) {
-				g.records[ref] = adopt(g.records[ref], records)
-			}
-		}
-		for src, kids := range p.children {
-			if keep != nil {
-				kids = slices.DeleteFunc(slices.Clone(kids), func(kid Ref) bool { return !keep(i, kid) })
-			}
-			if len(kids) > 0 {
-				g.children[src] = adopt(g.children[src], kids)
-			}
-		}
-	}
-	return g
 }
 
 // Len is the number of distinct subjects.

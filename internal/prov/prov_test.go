@@ -456,3 +456,25 @@ func TestChunkJSONMatchesMarshalQuick(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestAddAfterAdoptionNeverWritesShared pins the aliasing rule: a slice
+// AddSubject adopted has spare capacity the caller still owns, and neither
+// Add nor a second AddSubject may write into it.
+func TestAddAfterAdoptionNeverWritesShared(t *testing.T) {
+	a, b, c := ref("/a", 0), ref("/b", 0), ref("/c", 0)
+	backing := make([]Record, 1, 8)
+	backing[0] = NewInput(a, b)
+	sentinel := NewString(c, AttrName, "caller's")
+	backing[:2][1] = sentinel
+
+	g := NewGraph()
+	g.AddSubject(a, backing)
+	g.Add(NewString(a, AttrName, "added"))
+	g.AddSubject(a, []Record{NewInput(a, c)})
+	if backing[:2][1] != sentinel {
+		t.Fatalf("the graph wrote %v into the adopted slice's spare capacity", backing[:2][1])
+	}
+	if got := len(g.Records(a)); got != 3 {
+		t.Fatalf("Records(a) has %d records, want 3", got)
+	}
+}

@@ -85,3 +85,77 @@ func FuzzDecodeCursor(f *testing.F) {
 		}
 	})
 }
+
+// FuzzGraphExecMatchesEvaluator: the graph executor, on at most three parts
+// where some objects also have a stale copy on another part that hide hides,
+// answers any descriptor as the reference evaluator does on the merged
+// visible graph — records included under ProjectFull. The bytes decode, one
+// choice each, into the placements, the subjects with their records, and the
+// descriptor; exhausted bytes read as zero.
+func FuzzGraphExecMatchesEvaluator(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{2, 0, 1, 1, 0, 2, 2, 0, 0, 1, 9, 2, 4, 1, 0, 2, 0, 3, 1, 1, 3, 2, 2, 1, 0, 4, 0, 0, 2, 1, 1, 0, 1, 1, 1, 2, 1, 0})
+	f.Add([]byte{1, 1, 0, 0, 1, 0, 0, 0, 8, 2, 1, 0, 1, 1, 0, 0, 0, 1, 2, 2, 1, 2, 0, 0, 3, 0, 1, 0, 0, 1, 0, 1, 2, 0, 2, 0, 1, 0, 0, 1, 1})
+	objects := []prov.ObjectID{"/a", "/a/b", "proc/1/blast", "proc/2/sort", "/c"}
+	names := []string{"blast", "sort", "/a", "/c"}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		next := func(n int) int {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return int(b) % n
+		}
+		ref := func() prov.Ref {
+			return prov.Ref{Object: objects[next(len(objects))], Version: prov.Version(next(3))}
+		}
+		parts := make([]*prov.Graph, 1+next(3))
+		home, stale := make(map[prov.ObjectID]int), make(map[prov.ObjectID]int)
+		for _, o := range objects {
+			home[o], stale[o] = next(len(parts)), -1
+			if len(parts) > 1 && next(2) == 0 {
+				stale[o] = (home[o] + 1 + next(len(parts)-1)) % len(parts)
+			}
+		}
+		for i := range parts {
+			parts[i] = prov.NewGraph()
+		}
+		whole := prov.NewGraph()
+		for n := next(10); n > 0; n-- {
+			s := ref()
+			rs := []prov.Record{
+				prov.NewString(s, prov.AttrType, []string{prov.TypeFile, prov.TypeProcess}[next(2)]),
+				prov.NewString(s, prov.AttrName, names[next(len(names))]),
+			}
+			for k := next(3); k > 0; k-- {
+				rs = append(rs, prov.NewInput(s, ref()))
+			}
+			whole.AddAll(rs)
+			parts[home[s.Object]].AddAll(rs)
+			if p := stale[s.Object]; p >= 0 {
+				parts[p].AddAll(append(rs, prov.NewString(s, prov.AttrName, names[next(len(names))]), prov.NewInput(s, ref())))
+			}
+		}
+		q := prov.Query{
+			Tool:      []string{"", "", "blast", "sort"}[next(4)],
+			Type:      []string{"", prov.TypeFile, prov.TypeProcess}[next(3)],
+			RefPrefix: []string{"", "", "/a", "/a:", "proc/", "/a/b:1"}[next(6)],
+		}
+		if next(2) == 0 {
+			q.Attrs = []prov.AttrFilter{{Attr: prov.AttrName, Value: names[next(len(names))]}}
+		}
+		for k := next(3); k > 0; k-- {
+			q.Refs = append(q.Refs, ref())
+		}
+		if q.Direction = prov.Direction(next(3)); q.Direction != prov.TraverseNone {
+			q.Depth, q.IncludeSeeds = next(3), next(2) == 0
+		}
+		q.Projection = prov.Projection(next(2))
+
+		hide := func(i int, o prov.ObjectID) bool { return i == stale[o] }
+		if !graphRefsAgree(t, whole, parts, hide, q) {
+			t.Fatalf("the graph executor disagrees with the evaluator")
+		}
+	})
+}

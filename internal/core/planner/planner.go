@@ -308,13 +308,7 @@ func sortByItemName(refs []prov.Ref) {
 func (c *SDBCatalog) Inputs(ref prov.Ref) []prov.Ref {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	var out []prov.Ref
-	for _, r := range c.items[ref] {
-		if r.Attr == prov.AttrInput && r.Value.Kind == prov.KindRef {
-			out = append(out, r.Value.Ref)
-		}
-	}
-	return append(out, c.spilledInputs[ref]...)
+	return append(prov.AppendInputs(nil, c.items[ref]), c.spilledInputs[ref]...)
 }
 
 // Records returns the subject's inline stored-form records (read-only).

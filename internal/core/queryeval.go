@@ -1,22 +1,18 @@
 package core
 
 import (
-	"sort"
 	"strings"
 
 	"passcloud/internal/prov"
 )
 
-// This file is the shared in-memory query evaluator: the reference
-// semantics of a prov.Query, executed against a materialized provenance
-// graph. Every backend uses it in two roles:
-//
-//   - as the fallback plan, whenever a descriptor (or a filter value) has
-//     no native pushdown — the backend materializes its graph once and
-//     evaluates here;
-//   - as the pushdown oracle: property tests run randomized descriptors
-//     through both a backend's native plan and this evaluator over the same
-//     records, and any disagreement is a pushdown bug.
+// This file is the reference evaluator: the semantics of a prov.Query,
+// executed against one materialized provenance graph by a level-bounded BFS
+// that shares nothing with the refs pipeline (queryrefs.go) production runs.
+// No production code calls it. It is the oracle of all three architectures:
+// property tests run randomized descriptors through a store, the shard
+// router or the graph executor and through this evaluator over the same
+// records, and any disagreement is a bug in the former.
 
 // EvalQuery evaluates q against g and returns the matching entries in
 // canonical (ref-sorted) order, projected per the descriptor. Pagination
@@ -149,14 +145,14 @@ func matchesFilters(g *prov.Graph, ref prov.Ref, q prov.Query, attrs []prov.Attr
 		return false
 	}
 	for _, f := range attrs {
-		if !MatchRecords(g.Records(ref), f.Attr, f.Value) {
+		if !matchRecords(g.Records(ref), f.Attr, f.Value) {
 			return false
 		}
 	}
 	if q.Tool != "" {
 		ok := false
 		for _, in := range g.Inputs(ref) {
-			if MatchRecords(g.Records(in), prov.AttrName, q.Tool) {
+			if matchRecords(g.Records(in), prov.AttrName, q.Tool) {
 				ok = true
 				break
 			}
@@ -168,54 +164,14 @@ func matchesFilters(g *prov.Graph, ref prov.Ref, q prov.Query, attrs []prov.Attr
 	return true
 }
 
-// MatchRecords reports whether any record asserts attr = value — the
+// matchRecords reports whether any record asserts attr = value — the
 // multi-valued-attribute rule SimpleDB predicates follow, applied to
 // decoded records.
-func MatchRecords(records []prov.Record, attr, value string) bool {
+func matchRecords(records []prov.Record, attr, value string) bool {
 	for _, r := range records {
 		if r.Attr == attr && r.Value.String() == value {
 			return true
 		}
 	}
 	return false
-}
-
-// FilterRefPrefix keeps, in place, the refs whose canonical string form
-// starts with prefix; an empty prefix keeps everything.
-func FilterRefPrefix(refs []prov.Ref, prefix string) []prov.Ref {
-	if prefix == "" {
-		return refs
-	}
-	out := refs[:0]
-	for _, r := range refs {
-		if strings.HasPrefix(r.String(), prefix) {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-// DedupeRefs returns a fresh slice of refs with duplicates removed, order
-// preserved.
-func DedupeRefs(refs []prov.Ref) []prov.Ref {
-	seen := make(map[prov.Ref]bool, len(refs))
-	out := make([]prov.Ref, 0, len(refs))
-	for _, r := range refs {
-		if !seen[r] {
-			seen[r] = true
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-// SortEntries orders entries canonically by ref — the stable total order
-// pagination slices.
-func SortEntries(entries []Entry) {
-	sort.Slice(entries, func(i, j int) bool {
-		if entries[i].Ref.Object != entries[j].Ref.Object {
-			return entries[i].Ref.Object < entries[j].Ref.Object
-		}
-		return entries[i].Ref.Version < entries[j].Ref.Version
-	})
 }

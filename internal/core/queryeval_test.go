@@ -140,22 +140,12 @@ func TestEvalQueryEdgeOnlySeeds(t *testing.T) {
 }
 
 func TestVerbHelpersCompile(t *testing.T) {
-	// The deprecated verbs must compile to descriptors that EvalQuery
-	// answers identically to the legacy graph algorithms.
+	// The deprecated verbs must compile to descriptors that the reference
+	// evaluator and the graph executor answer identically.
 	g := evalGraph()
-	q3 := EvalQueryRefs(g, prov.QDescendantsOfOutputs("blast"))
-	legacy := map[prov.Ref]bool{}
-	for _, out := range g.FindByAttr(prov.AttrName, "blast") {
-		for _, c := range g.Children(out) {
-			for _, d := range append(g.Descendants(c), c) {
-				legacy[d] = true
-			}
-		}
-	}
-	// legacy holds outputs' descendants plus the outputs; drop outputs.
-	for _, out := range q3 {
-		if !legacy[out] {
-			t.Fatalf("descendant %v not in legacy closure", out)
+	for _, q := range []prov.Query{prov.QOutputsOf("blast"), prov.QDescendantsOfOutputs("blast"), prov.QAncestors(evalRef("/grand", 0))} {
+		if !graphRefsAgree(t, g, []*prov.Graph{g}, nil, q) {
+			t.Fatalf("%s disagrees", q.Key())
 		}
 	}
 }

@@ -421,7 +421,7 @@ func Query(ctx context.Context, q prov.Query, s Stamped, pins *Pins, run RunFunc
 // RunOnGraph is the run both scan-backed stores share for what no cheaper
 // plan answers: q on the repository's materialized graph (gq's snapshot when
 // warm, else one pass) — Q.1 as the graph's subjects, one entry each,
-// anything filtered or traversed through the shared evaluator, EvalQuery.
+// anything filtered or traversed through the refs pipeline, GraphEntries.
 func RunOnGraph(ctx context.Context, q prov.Query, gq GraphQuerier, yield func(Entry, error) bool) {
 	g, err := gq.ProvenanceGraph(ctx)
 	if err != nil {
@@ -436,7 +436,7 @@ func RunOnGraph(ctx context.Context, q prov.Query, gq GraphQuerier, yield func(E
 		}
 		return
 	}
-	for _, e := range EvalQuery(g, q) {
+	for _, e := range GraphEntries([]*prov.Graph{g}, nil, q) {
 		if !yield(e, nil) {
 			return
 		}

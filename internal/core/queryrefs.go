@@ -2,6 +2,7 @@ package core
 
 import (
 	"slices"
+	"sort"
 	"strings"
 
 	"passcloud/internal/prov"
@@ -10,13 +11,13 @@ import (
 // This file is the native refs pipeline: the paper's recursive-query plan
 // (§5) — "which refs does this descriptor match", answered from indexes
 // instead of a repository scan — written once against the RefsExec
-// primitives and driven by four executors. The SimpleDB layer (sdbprov)
-// runs it on the live domain and, for Explain, on its planner catalog; the
-// shard router fans each primitive out as one round descriptor, in plan
-// space and live — to its members' native plans, or to the member graphs
-// it retains, where a round is the reference evaluator on one member's
-// graph. EvalQuery (queryeval.go) stays separate on purpose: it is the
-// reference the oracles compare this against.
+// primitives and driven by five executors, the one query engine in
+// production. The SimpleDB layer (sdbprov) runs it on the live domain and,
+// for Explain, on its planner catalog; the shard router fans each primitive
+// out as one round to its members' native plans, live and in plan space;
+// graphExec (graphexec.go) runs it on materialized graphs. The reference
+// evaluator (queryeval.go) stays separate on purpose: it is what the
+// oracles compare this against.
 
 // RefsExec is the substrate the pipeline runs on. Primitives return refs
 // deduplicated; only SeedsOf re-enters the pipeline.
@@ -148,13 +149,13 @@ func NativeRefs(x RefsExec, q prov.Query) ([]prov.Ref, error) {
 // traverse runs the traversal: seeds from the filter section, then one
 // round per BFS level — dependency queries for descendants, a fetch of the
 // frontier's items for ancestors ("it has to retrieve each item ... then
-// lookup further ancestors") — under EvalQuery's rules: a node is emitted
-// when first reached (a seed only with IncludeSeeds) and expanded at most
-// once. Prefix-only and unfiltered descendants skip seed materialization
-// entirely: the whole first level is one starts-with query over every version
-// at once — edge-only refs included, as the evaluator seeds them — which is
-// also why a seed is never expanded when reached again: level one already
-// covered it.
+// lookup further ancestors") — under the reference evaluator's rules: a
+// node is emitted when first reached (a seed only with IncludeSeeds) and
+// expanded at most once. Prefix-only and unfiltered descendants skip seed
+// materialization entirely: the whole first level is one starts-with query
+// over every version at once — edge-only refs included, as the evaluator
+// seeds them — which is also why a seed is never expanded when reached
+// again: level one already covered it.
 func traverse(x RefsExec, q prov.Query) ([]prov.Ref, error) {
 	step := x.InputsOf
 	if q.Direction == prov.TraverseDescendants {
@@ -221,4 +222,51 @@ func StripTraversal(q prov.Query) prov.Query {
 	q.Projection = prov.ProjectRefs
 	q.Limit, q.Cursor = 0, ""
 	return q
+}
+
+// MatchAll reports whether records satisfy every filter: for each, some
+// record asserts its attribute with its value — SimpleDB's rule for
+// multi-valued attributes, applied to decoded records.
+func MatchAll(records []prov.Record, filters []prov.AttrFilter) bool {
+next:
+	for _, f := range filters {
+		for i := range records {
+			if records[i].Attr == f.Attr && records[i].Value.String() == f.Value {
+				continue next
+			}
+		}
+		return false
+	}
+	return true
+}
+
+// FilterRefPrefix keeps, in place, the refs whose canonical string form
+// starts with prefix; an empty prefix keeps everything.
+func FilterRefPrefix(refs []prov.Ref, prefix string) []prov.Ref {
+	return slices.DeleteFunc(refs, func(r prov.Ref) bool { return !hasRefPrefix(r, prefix) })
+}
+
+// DedupeRefs returns a fresh slice of refs with duplicates removed, order
+// preserved.
+func DedupeRefs(refs []prov.Ref) []prov.Ref {
+	seen := make(map[prov.Ref]bool, len(refs))
+	out := make([]prov.Ref, 0, len(refs))
+	for _, r := range refs {
+		if !seen[r] {
+			seen[r] = true
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
+// SortEntries orders entries canonically by ref — the stable total order
+// pagination slices.
+func SortEntries(entries []Entry) {
+	sort.Slice(entries, func(i, j int) bool {
+		if entries[i].Ref.Object != entries[j].Ref.Object {
+			return entries[i].Ref.Object < entries[j].Ref.Object
+		}
+		return entries[i].Ref.Version < entries[j].Ref.Version
+	})
 }

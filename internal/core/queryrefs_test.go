@@ -1,85 +1,64 @@
 package core
 
 import (
+	"hash/fnv"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	"passcloud/internal/prov"
 )
 
-// graphRefs runs the refs pipeline on one graph: each primitive by a lookup
-// (child lists, inputs) or a scan of the subjects, none through EvalQuery —
-// so NativeRefs on it can be held to EvalQueryRefs on the same graph.
-type graphRefs struct{ g *prov.Graph }
-
-// matches reports whether ref's records assert every filter.
-func (x graphRefs) matches(ref prov.Ref, filters []prov.AttrFilter) bool {
-	for _, f := range filters {
-		ok := false
-		for _, r := range x.g.Records(ref) {
-			ok = ok || r.Attr == f.Attr && r.Value.String() == f.Value
+// splitGraph deals g's subjects onto n parts by object hash, as a router
+// homes them, and gives every third object a stale copy on the next part —
+// the non-authoritative side of a migration window, with a name and an input
+// the authoritative copy lacks — which hide hides.
+func splitGraph(g *prov.Graph, n int) ([]*prov.Graph, func(int, prov.ObjectID) bool) {
+	place := func(obj prov.ObjectID) (home, stale int) {
+		h := fnv.New32a()
+		h.Write([]byte(obj))
+		v := int(h.Sum32() % 3000)
+		if stale = -1; n > 1 && v/n%3 == 0 {
+			stale = (v%n + 1) % n
 		}
-		if !ok {
+		return v % n, stale
+	}
+	parts := make([]*prov.Graph, n)
+	for i := range parts {
+		parts[i] = prov.NewGraph()
+	}
+	for s, rs := range g.SubjectSeq() {
+		home, stale := place(s.Object)
+		parts[home].AddSubject(s, rs)
+		if stale >= 0 {
+			parts[stale].AddSubject(s, append(slices.Clip(rs), prov.NewString(s, prov.AttrName, "blast"), prov.NewInput(s, prov.Ref{Object: "/in/a"})))
+		}
+	}
+	return parts, func(i int, obj prov.ObjectID) bool {
+		_, stale := place(obj)
+		return i == stale
+	}
+}
+
+// graphRefsAgree reports whether GraphEntries on parts answers q as
+// EvalQueryRefs does on whole, records included under ProjectFull.
+func graphRefsAgree(t *testing.T, whole *prov.Graph, parts []*prov.Graph, hide func(int, prov.ObjectID) bool, q prov.Query) bool {
+	t.Helper()
+	entries := GraphEntries(parts, hide, q)
+	got, want := refsOf(entries), EvalQueryRefs(whole, q)
+	if !reflect.DeepEqual(got, want) && len(got)+len(want) > 0 {
+		t.Logf("%s on %d parts:\npipeline:  %v\nevaluator: %v", q.Key(), len(parts), got, want)
+		return false
+	}
+	for _, e := range entries {
+		if q.Projection == prov.ProjectFull && !reflect.DeepEqual(e.Records, whole.Records(e.Ref)) {
+			t.Logf("%s on %d parts: records of %v\npipeline:  %v\nevaluator: %v", q.Key(), len(parts), e.Ref, e.Records, whole.Records(e.Ref))
 			return false
 		}
 	}
 	return true
-}
-
-func (x graphRefs) InstancesOf(tool string) ([]prov.Ref, error) {
-	return x.MatchAttrs([]prov.AttrFilter{{Attr: prov.AttrName, Value: tool}})
-}
-
-func (x graphRefs) MatchAttrs(filters []prov.AttrFilter) ([]prov.Ref, error) {
-	subjects, _ := x.ListRefs()
-	return x.FetchAndMatch(subjects, filters)
-}
-
-func (x graphRefs) DependentsOf(refs []prov.Ref, prefix string, riding []prov.AttrFilter) ([]prov.Ref, error) {
-	var deps []prov.Ref
-	for _, r := range refs {
-		deps = append(deps, x.g.ChildList(r)...)
-	}
-	return x.FetchAndMatch(FilterRefPrefix(DedupeRefs(deps), prefix), riding)
-}
-
-func (x graphRefs) DependentsOfPrefix(prefix string) ([]prov.Ref, error) {
-	var out []prov.Ref
-	for s := range x.g.SubjectSeq() {
-		for _, in := range x.g.Inputs(s) {
-			if strings.HasPrefix(in.String(), prefix) {
-				out = append(out, s)
-				break
-			}
-		}
-	}
-	return out, nil
-}
-
-func (x graphRefs) ListRefs() ([]prov.Ref, error) { return x.g.Subjects(), nil }
-
-func (x graphRefs) FetchAndMatch(refs []prov.Ref, filters []prov.AttrFilter) ([]prov.Ref, error) {
-	var out []prov.Ref
-	for _, r := range refs {
-		if x.matches(r, filters) {
-			out = append(out, r)
-		}
-	}
-	return out, nil
-}
-
-func (x graphRefs) InputsOf(refs []prov.Ref) ([]prov.Ref, error) {
-	var out []prov.Ref
-	for _, r := range refs {
-		out = append(out, x.g.Inputs(r)...)
-	}
-	return DedupeRefs(out), nil
-}
-
-func (x graphRefs) SeedsOf(q prov.Query) ([]prov.Ref, error) {
-	return NativeRefs(x, StripTraversal(q))
 }
 
 // oracleGraph is a small lineage with the corners the pipeline must get
@@ -119,11 +98,13 @@ func oracleGraph() (*prov.Graph, string) {
 	return g, env
 }
 
-// TestNativeRefsMatchesEvaluator: on a substrate that holds whole records
-// the pipeline answers every descriptor, and answers it as the reference
-// evaluator does — the shapes HasNativeRefs keeps from a backend's indexes
-// included: filter values over the predicate limit, a tool under pinned
-// refs, and traversals from everything in both directions.
+// TestNativeRefsMatchesEvaluator: on a substrate that holds whole records —
+// the graph executor, on one graph and on that graph split into 1–4 parts
+// with stale copies hidden — the pipeline answers every descriptor, and
+// answers it as the reference evaluator does on the whole graph: the shapes
+// HasNativeRefs keeps from a backend's indexes included, filter values over
+// the predicate limit, a tool under pinned refs, and traversals from
+// everything in both directions.
 func TestNativeRefsMatchesEvaluator(t *testing.T) {
 	g, env := oracleGraph()
 	rng := rand.New(rand.NewSource(33))
@@ -167,14 +148,13 @@ func TestNativeRefsMatchesEvaluator(t *testing.T) {
 			drawn[dir+" of everything"]++
 		}
 
-		got, err := NativeRefs(graphRefs{g}, q)
-		if err != nil {
-			t.Fatal(err)
+		if pick(2) == 0 {
+			q.Projection = prov.ProjectRefs
 		}
-		got = DedupeRefs(got)
-		prov.SortRefs(got)
-		if want := EvalQueryRefs(g, q); !reflect.DeepEqual(got, want) && len(got)+len(want) > 0 {
-			t.Fatalf("draw %d, %s:\npipeline:  %v\nevaluator: %v", i, q.Key(), got, want)
+
+		parts, hide := splitGraph(g, 1+i%4)
+		if !graphRefsAgree(t, g, []*prov.Graph{g}, nil, q) || !graphRefsAgree(t, g, parts, hide, q) {
+			t.Fatalf("draw %d disagrees", i)
 		}
 	}
 	for _, shape := range []string{"value over the predicate limit", "tool under pinned refs", "descendants of everything", "ancestors of everything"} {

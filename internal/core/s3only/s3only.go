@@ -751,9 +751,9 @@ func (s *Store) ProvenanceGraph(ctx context.Context) (*prov.Graph, error) {
 // repository pass: the architecture has no index ("if we do not know the
 // exact object whose provenance we seek, then we might need to iterate
 // over the provenance of every object in the repository"), so filters and
-// traversals evaluate client-side on the materialized graph — the shared
-// core.EvalQuery semantics — while the unfiltered Q.1 shape streams the
-// scan without materializing. Paginated descriptors pin their evaluation
+// traversals evaluate client-side on the materialized graph — the refs
+// pipeline on one graph (core.RunOnGraph) — while the unfiltered Q.1 shape
+// streams the scan without materializing. Paginated descriptors pin their evaluation
 // to the snapshot generation of the first page.
 func (s *Store) Query(ctx context.Context, q prov.Query) iter.Seq2[core.Entry, error] {
 	return core.Query(ctx, q, s, &s.pins, s.runQuery)

@@ -42,6 +42,7 @@ func (l *Layer) explainInto(p *core.QueryPlan, q prov.Query) {
 			x.mute = true
 		}
 		refs, _ := core.NativeRefs(x, q) // the catalog executor never fails
+		p.Exact = p.Exact && !x.undecided
 		if p.Strategy == "" {
 			// No primitive ran: pinned refs under no filter, which cost
 			// nothing to match (their items are fetched below, if asked for).
@@ -85,13 +86,14 @@ func (l *Layer) memoizedRefs(q prov.Query) bool { return l.cache.HasRefs(refsMem
 // items is the view the live run would open now, and like the live run the
 // plan puts into it (never shared) the items a step pays to fetch, so a
 // later step finds them there. warm records that the view answered for some
-// item.
+// item; undecided, that a match was one the catalog cannot decide.
 type catalogExec struct {
-	l     *Layer
-	p     *core.QueryPlan
-	mute  bool
-	items *qcache.Items
-	warm  bool
+	l         *Layer
+	p         *core.QueryPlan
+	mute      bool
+	items     *qcache.Items
+	warm      bool
+	undecided bool
 }
 
 func (l *Layer) newCatalogExec(p *core.QueryPlan, mute bool) *catalogExec {
@@ -219,7 +221,7 @@ func (x *catalogExec) SeedsOf(q prov.Query) ([]prov.Ref, error) {
 // per-chunk decode does, including re-decoding an item matched by several
 // chunks.
 func (x *catalogExec) DependentsOf(refs []prov.Ref, prefix string, riding []prov.AttrFilter) ([]prov.Ref, error) {
-	chunkSize := x.l.cfg.QueryChunk
+	chunkSize := x.l.queryChunk
 	op, note := "Query", "dependents: chunked dependency queries"
 	if len(riding) > 0 {
 		op, note = "QueryWithAttributes", "phase 2: dependents, filter attributes riding along"
@@ -247,15 +249,20 @@ func (x *catalogExec) DependentsOf(refs []prov.Ref, prefix string, riding []prov
 
 // matchingStored keeps, in place, the refs whose stored-form catalog
 // records satisfy filters — the mirror of the live decoded comparison
-// (stored and decoded equality agree because the escaping is injective).
+// (stored and decoded equality agree because the escaping is injective). A
+// value over the overflow threshold is stored as an S3 pointer the catalog
+// cannot compare: such a match is undecided, and the plan not exact.
 func (x *catalogExec) matchingStored(refs []prov.Ref, filters []prov.AttrFilter) []prov.Ref {
 	if len(filters) == 0 {
 		return refs
 	}
+	for _, f := range filters {
+		x.undecided = x.undecided || len(refs) > 0 && !core.Pushable(f.Value)
+	}
 	stored := storedFilters(filters)
 	out := refs[:0]
 	for _, r := range refs {
-		if matchesAll(x.l.catalog.Records(r), stored) {
+		if core.MatchAll(x.l.catalog.Records(r), stored) {
 			out = append(out, r)
 		}
 	}
@@ -274,9 +281,10 @@ func storedFilters(filters []prov.AttrFilter) []prov.AttrFilter {
 // PlanQueryRefs implements core.RefPlanner: the reference set Query(q)'s
 // native plan would return, predicted from the client-side planner catalog
 // without cloud traffic. ok is false for shapes with no native indexed
-// plan (the full-graph fallbacks) — for those the shard router answers its
-// rounds on the member graphs. Predictions are best-effort when foreign
-// writers have touched the region; Explain's Exact flag carries that caveat.
+// plan (the full-graph fallbacks) — for those the shard router answers
+// them on the member graphs — and for answers that hang on a match the
+// catalog cannot decide. Predictions are best-effort when foreign writers
+// have touched the region; Explain's Exact flag carries that caveat.
 func (l *Layer) PlanQueryRefs(q prov.Query) ([]prov.Ref, bool) {
 	if err := q.Validate(); err != nil {
 		return nil, false
@@ -285,6 +293,7 @@ func (l *Layer) PlanQueryRefs(q prov.Query) ([]prov.Ref, bool) {
 	if !core.HasNativeRefs(q) {
 		return nil, false
 	}
-	refs, _ := core.NativeRefs(l.newCatalogExec(&core.QueryPlan{}, true), q)
-	return refs, true
+	x := l.newCatalogExec(&core.QueryPlan{}, true)
+	refs, _ := core.NativeRefs(x, q)
+	return refs, !x.undecided
 }

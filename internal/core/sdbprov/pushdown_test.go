@@ -135,10 +135,11 @@ func TestPushdownAgreesWithEvaluator(t *testing.T) {
 	for _, disableCache := range []bool{false, true} {
 		t.Run(fmt.Sprintf("cache=%v", !disableCache), func(t *testing.T) {
 			cl := cloud.New(cloud.Config{Seed: 7})
-			layer, err := New(Config{Cloud: cl, DisableQueryCache: disableCache, QueryChunk: 3})
+			layer, err := New(Config{Cloud: cl, DisableQueryCache: disableCache})
 			if err != nil {
 				t.Fatal(err)
 			}
+			layer.queryChunk = 3
 			rng := rand.New(rand.NewSource(42))
 			oracle := genRepo(t, layer, rng, 60)
 			ctx := context.Background()

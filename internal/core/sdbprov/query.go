@@ -30,7 +30,7 @@ import (
 //   - ListRefs (item-listing): refs-only enumeration from Select itemName().
 //
 // What has no native plan (core.HasNativeRefs) takes the Q.1 repository pass
-// (or the warm snapshot) and the shared in-memory evaluator, core.EvalQuery.
+// (or the warm snapshot) and the same pipeline on its graph, core.RunOnGraph.
 //
 // Items the query path fetches — the walk's frontiers, pinned refs under
 // filters, full-projection output — go through one per-query view
@@ -41,7 +41,7 @@ import (
 // verified reads, Provenance lookups, audits and scans fetch what is stored.
 //
 // Pushdown honesty: predicates compare against the *stored* encoding
-// (core.EscapeLiteral), because that is what SimpleDB indexed; the shared
+// (core.EscapeLiteral), because that is what SimpleDB indexed; the reference
 // evaluator compares decoded records. Property tests drive randomized
 // descriptors through both and any disagreement is a bug here. Values too
 // large to live inline (pointer-encoded, > 1 KB) cannot be matched by the
@@ -75,7 +75,7 @@ type strategy int
 
 const (
 	// onGraph: no native plan (core.HasNativeRefs) — the repository graph, one
-	// Q.1 pass or the warm snapshot, under the shared evaluator.
+	// Q.1 pass or the warm snapshot, under the refs pipeline.
 	onGraph strategy = iota
 	// byScan: Q.1 itself, that pass and nothing else.
 	byScan
@@ -255,7 +255,7 @@ func (x liveExec) FetchAndMatch(refs []prov.Ref, filters []prov.AttrFilter) ([]p
 		if err != nil {
 			return nil, err
 		}
-		if matchesAll(records, filters) {
+		if core.MatchAll(records, filters) {
 			out = append(out, r)
 		}
 	}
@@ -288,24 +288,9 @@ func (x liveExec) InputsOf(refs []prov.Ref) ([]prov.Ref, error) {
 	}
 	var inputs []prov.Ref
 	for _, rs := range records {
-		for _, rec := range rs {
-			if rec.Attr == prov.AttrInput && rec.Value.Kind == prov.KindRef {
-				inputs = append(inputs, rec.Value.Ref)
-			}
-		}
+		inputs = prov.AppendInputs(inputs, rs)
 	}
 	return core.DedupeRefs(inputs), nil
-}
-
-// matchesAll reports whether records satisfy every filter (the
-// multi-valued-attribute rule: some value of the attribute matches).
-func matchesAll(records []prov.Record, filters []prov.AttrFilter) bool {
-	for _, f := range filters {
-		if !core.MatchRecords(records, f.Attr, f.Value) {
-			return false
-		}
-	}
-	return true
 }
 
 // DependentsOf chunks the OR expression. Riding attributes come back in the
@@ -314,7 +299,7 @@ func matchesAll(records []prov.Record, filters []prov.AttrFilter) bool {
 // under the queryConcurrency bound; results merge in chunk order,
 // deduplicated, so the output is identical to the sequential scan's.
 func (x liveExec) DependentsOf(refs []prov.Ref, prefix string, riding []prov.AttrFilter) ([]prov.Ref, error) {
-	chunk := x.l.cfg.QueryChunk
+	chunk := x.l.queryChunk
 	nchunks := (len(refs) + chunk - 1) / chunk
 
 	results := make([][]prov.Ref, nchunks)
@@ -390,7 +375,7 @@ func (l *Layer) queryRefsMatching(ctx context.Context, expr string, filters []pr
 			if err != nil {
 				return nil, err
 			}
-			if matchesAll(riding, filters) {
+			if core.MatchAll(riding, filters) {
 				out = append(out, ref)
 			}
 		}

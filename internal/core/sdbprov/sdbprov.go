@@ -81,9 +81,6 @@ type Config struct {
 	Domain string
 	// Faults optionally injects crashes inside multi-step writes.
 	Faults *sim.FaultPlan
-	// QueryChunk is the number of OR-ed values per ancestry query
-	// expression (default 32).
-	QueryChunk int
 	// DisableQueryCache turns off the generation-stamped query cache,
 	// restoring one indexed query run per call (Table 3's SimpleDB row).
 	DisableQueryCache bool
@@ -125,6 +122,9 @@ type Layer struct {
 	// integrity is disabled); its checkpoints ride batch writes as the
 	// x-root attribute.
 	ledger *integrity.Ledger
+	// queryChunk is the number of OR-ed input values per dependents query
+	// expression.
+	queryChunk int
 }
 
 // New builds the layer, creating bucket and domain if needed.
@@ -138,14 +138,12 @@ func New(cfg Config) (*Layer, error) {
 	if cfg.Domain == "" {
 		cfg.Domain = core.DefaultDomain
 	}
-	if cfg.QueryChunk <= 0 {
-		cfg.QueryChunk = 32
-	}
 	l := &Layer{
-		cfg:     cfg,
-		catalog: planner.NewSDBCatalog(),
-		tracker: qcache.NewWriteTracker(cfg.Cloud),
-		retrier: retry.New(cfg.Retry, cfg.Cloud.Clock, cfg.Cloud.RNG),
+		cfg:        cfg,
+		catalog:    planner.NewSDBCatalog(),
+		tracker:    qcache.NewWriteTracker(cfg.Cloud),
+		retrier:    retry.New(cfg.Retry, cfg.Cloud.Clock, cfg.Cloud.RNG),
+		queryChunk: 32,
 	}
 	if !cfg.DisableIntegrity {
 		l.ledger = integrity.NewLedger(cfg.Writer)

@@ -340,10 +340,11 @@ func TestInputChunkExprRoundTrip(t *testing.T) {
 
 func TestDependentsChunking(t *testing.T) {
 	cl := cloud.New(cloud.Config{Seed: 1})
-	layer, err := New(Config{Cloud: cl, QueryChunk: 3})
+	layer, err := New(Config{Cloud: cl})
 	if err != nil {
 		t.Fatal(err)
 	}
+	layer.queryChunk = 3
 	ctx := context.Background()
 
 	// One tool with 10 instances, each producing one file: the dependents
@@ -398,10 +399,11 @@ func TestDependentsChunking(t *testing.T) {
 // the metered count, and from the plan.
 func TestPrefixSeededWalkNeverReexpandsSeeds(t *testing.T) {
 	cl := cloud.New(cloud.Config{Seed: 1})
-	layer, err := New(Config{Cloud: cl, QueryChunk: 2, DisableQueryCache: true})
+	layer, err := New(Config{Cloud: cl, DisableQueryCache: true})
 	if err != nil {
 		t.Fatal(err)
 	}
+	layer.queryChunk = 2
 	ctx := context.Background()
 	write := func(subject prov.Ref, inputs ...prov.Ref) {
 		t.Helper()

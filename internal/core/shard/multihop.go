@@ -1,13 +1,11 @@
-// The router's two executors of the refs pipeline (core.NativeRefs). Each
-// primitive of the pipeline becomes one round — a prov.Query descriptor
-// answered on every shard. mhRun runs the rounds live, on one of two
-// fanners: the members' own native plans (fanOut), so Q.2/Q.3-class lineage
-// keeps SimpleDB's indexed pricing instead of paying a per-shard Q.1 scan,
-// or — for what the members cannot plan natively — the member graphs the
-// router retains (onParts). mhPlan walks the identical native rounds in plan
-// space (per-shard Explain for the cost, core.RefPlanner for the answer).
-// Sharing the pipeline, and below it the rounds adapter, is what keeps
-// Router.Explain's composed estimate equal to the metered run.
+// The router's two executors of the refs pipeline (core.NativeRefs) on the
+// members' native plans: each primitive becomes one round, a prov.Query
+// descriptor answered on every shard. mhRun runs the rounds live (fanOut), so
+// Q.2/Q.3-class lineage keeps SimpleDB's indexed pricing instead of paying a
+// per-shard Q.1 scan; mhPlan walks the same rounds in plan space (per-shard
+// Explain for the cost, core.RefPlanner for the answer), which keeps
+// Router.Explain's composed estimate equal to the metered run. What members
+// cannot plan natively runs on the member graphs (core.GraphEntries).
 package shard
 
 import (
@@ -135,26 +133,22 @@ func (x rounds) refsFor(q prov.Query) ([]prov.Ref, error) {
 
 // --- live executor -----------------------------------------------------------
 
-// roundFunc answers one round on every shard: each shard's entries, one per
-// ref, less the copies mig's double-read window excludes.
-type roundFunc func(ctx context.Context, mig *migration, q prov.Query) ([][]core.Entry, error)
-
-// mhRun fans rounds out to the shards through answer. Records fetched by
+// mhRun fans rounds out to the shards' native plans. Records fetched by
 // full-projection rounds accumulate in g (the traversal's record source for
 // ancestor expansion and full-projection output); seen is the per-round
 // merge scratch, reused across levels.
 type mhRun struct {
-	answer roundFunc
-	ctx    context.Context
-	g      *prov.Graph
-	seen   map[prov.Ref]bool
+	r    *Router
+	ctx  context.Context
+	g    *prov.Graph
+	seen map[prov.Ref]bool
 	// mig is the migration window sampled once at run start, so every
 	// round of one traversal filters the same double-read copies.
 	mig *migration
 }
 
 func (x *mhRun) fanRefs(q prov.Query, _ string) ([]prov.Ref, error) {
-	perShard, err := x.answer(x.ctx, x.mig, q)
+	perShard, err := x.r.fanOut(x.ctx, x.mig, q)
 	if err != nil {
 		return nil, err
 	}
@@ -182,40 +176,18 @@ func (x *mhRun) fanRefs(q prov.Query, _ string) ([]prov.Ref, error) {
 func (x *mhRun) inputsOf(frontier []prov.Ref) []prov.Ref {
 	var parents []prov.Ref
 	for _, f := range frontier {
-		parents = append(parents, x.g.Inputs(f)...)
+		parents = prov.AppendInputs(parents, x.g.Records(f))
 	}
 	parents = core.DedupeRefs(parents)
 	prov.SortRefs(parents)
 	return parents
 }
 
-// onParts answers a round from the member graphs: on each part, the
-// reference evaluator for that part and that round alone — what the member
-// would answer natively — at no cloud op. A full-projection round only
-// fetches records (rounds.fetch), so it is a lookup of the refs on each part.
-func onParts(parts []*prov.Graph) roundFunc {
-	return func(_ context.Context, mig *migration, q prov.Query) ([][]core.Entry, error) {
-		perShard := make([][]core.Entry, len(parts))
-		for i, g := range parts {
-			if q.Projection != prov.ProjectFull {
-				perShard[i] = mig.filterEntries(i, core.EvalQuery(g, q))
-				continue
-			}
-			for _, ref := range q.Refs {
-				if records := g.Records(ref); len(records) > 0 && !mig.excluded(i, ref.Object) {
-					perShard[i] = append(perShard[i], core.Entry{Ref: ref, Records: records})
-				}
-			}
-		}
-		return perShard, nil
-	}
-}
-
 // runRounds materializes one evaluation of the pipeline, every round
-// answered through answer: the result refs in canonical order, with records
-// from the rounds' fetches under ProjectFull.
-func (r *Router) runRounds(ctx context.Context, q prov.Query, answer roundFunc) ([]core.Entry, error) {
-	x := &mhRun{answer: answer, ctx: ctx, g: prov.NewGraph(), seen: make(map[prov.Ref]bool), mig: r.migSnapshot()}
+// answered by the members' native plans: the result refs in canonical order,
+// with records from the rounds' fetches under ProjectFull.
+func (r *Router) runRounds(ctx context.Context, q prov.Query) ([]core.Entry, error) {
+	x := &mhRun{r: r, ctx: ctx, g: prov.NewGraph(), seen: make(map[prov.Ref]bool), mig: r.migSnapshot()}
 	refs, err := rounds{x, make(map[prov.Ref]bool)}.refsFor(q)
 	if err != nil {
 		return nil, err

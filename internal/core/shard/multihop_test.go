@@ -378,3 +378,43 @@ func TestAncestorPlanSeesSpilledInputs(t *testing.T) {
 		t.Errorf("router predicted %d ops (exact=%v), metered %d\n%s", plan.EstOps, plan.Exact, metered, plan)
 	}
 }
+
+// TestPlanSaysWhenAnOverflowMatchIsUndecided: a pinned ref under a filter
+// value past the overflow threshold is matched by the run on decoded records,
+// while SimpleDB's planner catalog holds that value as an S3 pointer it
+// cannot compare. On one store and through a 4-shard router the plan must
+// then predict the run — refs and metered ops — or stop claiming exactness.
+func TestPlanSaysWhenAnOverflowMatchIsUndecided(t *testing.T) {
+	ctx := context.Background()
+	batches := captureBatches(t)
+	filter := []prov.AttrFilter{{Attr: prov.AttrEnv, Value: blastEnv}}
+	for _, n := range []int{1, 4} {
+		t.Run(fmt.Sprintf("%d shards", n), func(t *testing.T) {
+			tg := buildTarget(t, "s3+sdb", n, 71, true)
+			replay(t, ctx, tg, batches)
+			blast, err := core.CollectRefs(tg.querier().Query(ctx, prov.Query{Attrs: filter, Projection: prov.ProjectRefs}))
+			if err != nil || len(blast) == 0 {
+				t.Fatalf("the blast process with the long environment: %v, %v", blast, err)
+			}
+			for name, q := range map[string]prov.Query{
+				"pinned":              {Refs: blast, Attrs: filter, Projection: prov.ProjectRefs},
+				"ancestors of pinned": {Refs: blast, Attrs: filter, Direction: prov.TraverseAncestors, Projection: prov.ProjectRefs},
+			} {
+				plan := tg.querier().Explain(q)
+				before := tg.totalOps()
+				refs, err := core.CollectRefs(tg.querier().Query(ctx, q))
+				if err != nil || len(refs) == 0 {
+					t.Fatalf("%s: the run matched nothing: %v", name, err)
+				}
+				if metered := tg.totalOps() - before; plan.Exact && plan.EstOps != metered {
+					t.Errorf("%s: an exact plan predicted %d ops, the run metered %d\n%s", name, plan.EstOps, metered, plan)
+				}
+				if rp, ok := tg.querier().(core.RefPlanner); ok {
+					if planned, ok := rp.PlanQueryRefs(q); ok && !slices.Equal(planned, refs) {
+						t.Errorf("%s: PlanQueryRefs = %v, ok; the run returned %v", name, planned, refs)
+					}
+				}
+			}
+		})
+	}
+}

@@ -490,11 +490,15 @@ func (r *Router) evalAll(ctx context.Context, q prov.Query) (entries []core.Entr
 	case planFanIn:
 		entries, err = r.fanIn(ctx, q)
 	case planMultihop:
-		entries, err = r.runRounds(ctx, q, r.fanOut)
+		entries, err = r.runRounds(ctx, q)
 	default:
 		var parts []*prov.Graph
 		if parts, err = r.memberGraphs(ctx); err == nil {
-			entries, err = r.runRounds(ctx, q, onParts(parts))
+			var hide func(int, prov.ObjectID) bool
+			if mig := r.migSnapshot(); mig != nil {
+				hide = mig.excluded
+			}
+			entries = core.GraphEntries(parts, hide, q)
 		}
 	}
 	if err == nil {

@@ -272,9 +272,10 @@ func TestShardedMatchesUnsharded(t *testing.T) {
 }
 
 // TestShardedMatchesUnshardedRandomized drives seeded random descriptors
-// through the 4-shard router and the unsharded reference store. Every shape
-// class the router answers from its member graphs — where the members cannot
-// run the rounds natively — must be drawn on every architecture.
+// through the 4-shard router and the unsharded store, and holds both to the
+// reference evaluator on the unsharded store's graph. Every shape class the
+// router answers from its member graphs — where the members cannot run the
+// rounds natively — must be drawn on every architecture.
 func TestShardedMatchesUnshardedRandomized(t *testing.T) {
 	ctx := context.Background()
 	batches := captureBatches(t)
@@ -358,6 +359,12 @@ func TestShardedMatchesUnshardedRandomized(t *testing.T) {
 			sharded := buildTarget(t, arch, 4, 99, false)
 			replay(t, ctx, flat, batches)
 			replay(t, ctx, sharded, batches)
+			// Both sides run the same engine where they answer from graphs,
+			// so the reference evaluator on the unsharded graph judges too.
+			g, err := core.ProvenanceGraph(ctx, flat.querier())
+			if err != nil {
+				t.Fatal(err)
+			}
 			drawn := make(map[string]int)
 			for i := 0; i < 100; i++ {
 				q := randomQuery()
@@ -371,6 +378,9 @@ func TestShardedMatchesUnshardedRandomized(t *testing.T) {
 				got := canonical(t, ctx, sharded.querier(), q)
 				if want != got {
 					t.Fatalf("random query %d (%s):\nunsharded:\n%s\nsharded:\n%s", i, q.Key(), want, got)
+				}
+				if oracle := canonicalEntries(core.EvalQuery(g, q)); want != oracle {
+					t.Fatalf("random query %d (%s):\nstores:\n%s\nevaluator:\n%s", i, q.Key(), want, oracle)
 				}
 			}
 			for _, class := range classes {

@@ -1,8 +1,6 @@
 package prov
 
 import (
-	"fmt"
-	"io"
 	"iter"
 	"maps"
 	"sort"
@@ -65,15 +63,6 @@ func (g *Graph) AddSubject(ref Ref, records []Record) {
 // Len is the number of distinct subjects.
 func (g *Graph) Len() int { return len(g.records) }
 
-// NumRecords is the total record count.
-func (g *Graph) NumRecords() int {
-	n := 0
-	for _, rs := range g.records {
-		n += len(rs)
-	}
-	return n
-}
-
 // Records returns the records asserted about ref, in insertion order.
 func (g *Graph) Records(ref Ref) []Record {
 	return g.records[ref]
@@ -95,10 +84,10 @@ func (g *Graph) Subjects() []Ref {
 	return out
 }
 
-// SubjectSeq yields every subject ref once, in no particular order and
-// without Subjects' copy and sort — for callers that filter the subjects and
-// order the survivors themselves. The graph must not change while ranging.
-func (g *Graph) SubjectSeq() iter.Seq[Ref] { return maps.Keys(g.records) }
+// SubjectSeq yields every subject once with its records (read-only), in no
+// particular order and without Subjects' copy and sort. The graph must not
+// change while ranging.
+func (g *Graph) SubjectSeq() iter.Seq2[Ref, []Record] { return maps.All(g.records) }
 
 // EdgeSourceSeq yields every ref that some subject lists as an input, once,
 // in no particular order — including refs with no records of their own. Such
@@ -108,77 +97,21 @@ func (g *Graph) SubjectSeq() iter.Seq[Ref] { return maps.Keys(g.records) }
 func (g *Graph) EdgeSourceSeq() iter.Seq[Ref] { return maps.Keys(g.children) }
 
 // Inputs returns ref's direct dependencies.
-func (g *Graph) Inputs(ref Ref) []Ref {
-	var out []Ref
-	for _, r := range g.records[ref] {
-		if r.Attr == AttrInput && r.Value.Kind == KindRef {
-			out = append(out, r.Value.Ref)
+func (g *Graph) Inputs(ref Ref) []Ref { return AppendInputs(nil, g.records[ref]) }
+
+// AppendInputs appends to dst the refs records name as inputs, in order.
+func AppendInputs(dst []Ref, records []Record) []Ref {
+	for i := range records {
+		if r := &records[i]; r.Attr == AttrInput && r.Value.Kind == KindRef {
+			dst = append(dst, r.Value.Ref)
 		}
 	}
-	return out
+	return dst
 }
 
-// ChildList is Children without the copy and the sort, for traversals that
-// treat the list as a set. Read-only.
+// ChildList returns the subjects that directly depend on ref, unsorted and
+// shared with the graph: read-only.
 func (g *Graph) ChildList(ref Ref) []Ref { return g.children[ref] }
-
-// Children returns the subjects that directly depend on ref, sorted.
-func (g *Graph) Children(ref Ref) []Ref {
-	out := append([]Ref(nil), g.children[ref]...)
-	sortRefs(out)
-	return out
-}
-
-// Ancestors returns every ref reachable from ref through input edges,
-// excluding ref itself, sorted.
-func (g *Graph) Ancestors(ref Ref) []Ref {
-	return g.closure(ref, g.Inputs)
-}
-
-// Descendants returns every ref that transitively depends on ref, excluding
-// ref itself, sorted. This is the paper's Q.3 shape ("find all the
-// descendants of files derived from blast").
-func (g *Graph) Descendants(ref Ref) []Ref {
-	return g.closure(ref, g.ChildList)
-}
-
-func (g *Graph) closure(start Ref, next func(Ref) []Ref) []Ref {
-	seen := map[Ref]bool{start: true}
-	var out []Ref
-	frontier := []Ref{start}
-	for len(frontier) > 0 {
-		var nextFrontier []Ref
-		for _, r := range frontier {
-			for _, n := range next(r) {
-				if !seen[n] {
-					seen[n] = true
-					out = append(out, n)
-					nextFrontier = append(nextFrontier, n)
-				}
-			}
-		}
-		frontier = nextFrontier
-	}
-	sortRefs(out)
-	return out
-}
-
-// FindByAttr returns the subjects having a record attr=value, sorted. Query
-// engines use it for phase-one lookups like "all objects whose name is
-// blast".
-func (g *Graph) FindByAttr(attr, value string) []Ref {
-	var out []Ref
-	for subject, rs := range g.records {
-		for _, r := range rs {
-			if r.Attr == attr && r.Value.String() == value {
-				out = append(out, subject)
-				break
-			}
-		}
-	}
-	sortRefs(out)
-	return out
-}
 
 // IsAcyclic verifies the causality invariant: no ref is its own ancestor.
 // PASS versioning must make this true by construction; tests assert it.
@@ -232,40 +165,8 @@ func (g *Graph) MissingAncestors() []Ref {
 	return out
 }
 
-// WriteDOT renders the graph in Graphviz DOT form for the examples.
-func (g *Graph) WriteDOT(w io.Writer) error {
-	if _, err := fmt.Fprintln(w, "digraph provenance {"); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintln(w, "  rankdir=BT;"); err != nil {
-		return err
-	}
-	for _, subject := range g.Subjects() {
-		attrs := map[string]string{}
-		for _, r := range g.records[subject] {
-			if r.Attr == AttrType || r.Attr == AttrName {
-				attrs[r.Attr] = r.Value.String()
-			}
-		}
-		shape := "box"
-		if attrs[AttrType] == TypeProcess {
-			shape = "ellipse"
-		}
-		if _, err := fmt.Fprintf(w, "  %q [shape=%s];\n", subject.String(), shape); err != nil {
-			return err
-		}
-		for _, in := range g.Inputs(subject) {
-			if _, err := fmt.Fprintf(w, "  %q -> %q;\n", subject.String(), in.String()); err != nil {
-				return err
-			}
-		}
-	}
-	_, err := fmt.Fprintln(w, "}")
-	return err
-}
-
 // SortRefs orders refs canonically: by object, then version. Query engines
-// and the shared evaluator use it as the one deterministic result order.
+// and the reference evaluator use it as the one deterministic result order.
 func SortRefs(refs []Ref) { sortRefs(refs) }
 
 func sortRefs(refs []Ref) {

@@ -109,23 +109,14 @@ func TestGraphEdgesAndClosures(t *testing.T) {
 	in := ref("/in.dat", 0)
 	out := ref("/out.dat", 1)
 
-	if g.Len() != 3 || g.NumRecords() != 9 {
-		t.Fatalf("Len=%d NumRecords=%d", g.Len(), g.NumRecords())
+	if g.Len() != 3 {
+		t.Fatalf("Len=%d", g.Len())
 	}
 	if got := g.Inputs(out); !reflect.DeepEqual(got, []Ref{proc}) {
 		t.Fatalf("Inputs(out) = %v", got)
 	}
-	if got := g.Ancestors(out); !reflect.DeepEqual(got, []Ref{in, proc}) {
-		t.Fatalf("Ancestors(out) = %v", got)
-	}
-	if got := g.Descendants(in); !reflect.DeepEqual(got, []Ref{out, proc}) {
-		t.Fatalf("Descendants(in) = %v", got)
-	}
-	if got := g.Children(in); !reflect.DeepEqual(got, []Ref{proc}) {
-		t.Fatalf("Children(in) = %v", got)
-	}
-	if got := g.FindByAttr(AttrName, "tool"); !reflect.DeepEqual(got, []Ref{proc}) {
-		t.Fatalf("FindByAttr = %v", got)
+	if got := g.ChildList(in); !reflect.DeepEqual(got, []Ref{proc}) {
+		t.Fatalf("ChildList(in) = %v", got)
 	}
 	if !g.Has(proc) || g.Has(ref("ghost", 0)) {
 		t.Fatal("Has misbehaves")
@@ -155,37 +146,6 @@ func TestGraphMissingAncestors(t *testing.T) {
 	got := g.MissingAncestors()
 	if len(got) != 1 || got[0] != ref("/never-stored.dat", 4) {
 		t.Fatalf("MissingAncestors = %v", got)
-	}
-}
-
-func TestGraphDiamondClosure(t *testing.T) {
-	// a -> b, a -> c, b -> d, c -> d: descendants of d must list each once.
-	g := NewGraph()
-	a, b, c, d := ref("a", 0), ref("b", 0), ref("c", 0), ref("d", 0)
-	g.Add(NewInput(a, b))
-	g.Add(NewInput(a, c))
-	g.Add(NewInput(b, d))
-	g.Add(NewInput(c, d))
-	if got := g.Descendants(d); !reflect.DeepEqual(got, []Ref{a, b, c}) {
-		t.Fatalf("Descendants = %v", got)
-	}
-	if got := g.Ancestors(a); !reflect.DeepEqual(got, []Ref{b, c, d}) {
-		t.Fatalf("Ancestors = %v", got)
-	}
-}
-
-func TestWriteDOT(t *testing.T) {
-	g := NewGraph()
-	g.AddAll(sampleRecords())
-	var b strings.Builder
-	if err := g.WriteDOT(&b); err != nil {
-		t.Fatal(err)
-	}
-	dot := b.String()
-	for _, want := range []string{"digraph provenance", `"/out.dat:1" -> "proc/9/tool:0"`, "ellipse"} {
-		if !strings.Contains(dot, want) {
-			t.Fatalf("DOT output missing %q:\n%s", want, dot)
-		}
 	}
 }
 

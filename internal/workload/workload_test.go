@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"passcloud/internal/core"
 	"passcloud/internal/pass"
 	"passcloud/internal/prov"
 	"passcloud/internal/sim"
@@ -20,6 +21,17 @@ type tally struct {
 	graph      *prov.Graph
 	flushed    map[prov.Ref]bool
 	violation  bool
+}
+
+// named returns the subjects whose name is name, sorted — the reference
+// evaluator's answer.
+func (c *tally) named(name string) []prov.Ref {
+	return core.EvalQueryRefs(c.graph, prov.Query{Attrs: []prov.AttrFilter{{Attr: prov.AttrName, Value: name}}})
+}
+
+// ancestors returns every ref ref's lineage reaches, sorted.
+func (c *tally) ancestors(ref prov.Ref) []prov.Ref {
+	return core.EvalQueryRefs(c.graph, prov.QAncestors(ref))
 }
 
 func newTally() *tally {
@@ -71,20 +83,20 @@ func TestLinuxCompileShape(t *testing.T) {
 		t.Fatalf("empty run: %+v", c)
 	}
 	// Every object file depends on its cc, which depends on source+headers.
-	objs := c.graph.FindByAttr(prov.AttrName, "/usr/src/linux/obj/f00000.o")
+	objs := c.named("/usr/src/linux/obj/f00000.o")
 	if len(objs) != 1 {
 		t.Fatalf("object file provenance missing: %v", objs)
 	}
-	anc := c.graph.Ancestors(objs[0])
+	anc := c.ancestors(objs[0])
 	if len(anc) < w.HeaderFanIn {
 		t.Fatalf("object ancestry too shallow: %d", len(anc))
 	}
 	// The image descends from every object file.
-	images := c.graph.FindByAttr(prov.AttrName, "/usr/src/linux/vmlinux")
+	images := c.named("/usr/src/linux/vmlinux")
 	if len(images) != 1 {
 		t.Fatal("vmlinux provenance missing")
 	}
-	if got := len(c.graph.Ancestors(images[0])); got < 64 {
+	if got := len(c.ancestors(images[0])); got < 64 {
 		t.Fatalf("vmlinux ancestry = %d, want >= sources", got)
 	}
 	if c.violation {
@@ -104,11 +116,11 @@ func TestBlastShape(t *testing.T) {
 		t.Fatalf("blast transients (%d) must exceed files (%d)", c.transients, c.files)
 	}
 	// blastall versions chain: the out file's ancestry reaches the fasta db.
-	outs := c.graph.FindByAttr(prov.AttrName, "/blast/results/job0000.out")
+	outs := c.named("/blast/results/job0000.out")
 	if len(outs) == 0 {
 		t.Fatal("job output provenance missing")
 	}
-	anc := c.graph.Ancestors(outs[len(outs)-1])
+	anc := c.ancestors(outs[len(outs)-1])
 	foundDB := false
 	for _, a := range anc {
 		if a.Object == "/blast/db/nr.fasta" {
@@ -128,18 +140,18 @@ func TestProvChallengeShape(t *testing.T) {
 	c, _ := runWorkload(t, w, 3)
 	// Stage counts: 4 align_warp + 4 reslice + 1 softmean + 3 slicer +
 	// 3 convert = 15 processes.
-	if got := len(c.graph.FindByAttr(prov.AttrName, "align_warp")); got != 4 {
+	if got := len(c.named("align_warp")); got != 4 {
 		t.Fatalf("align_warp processes = %d", got)
 	}
-	if got := len(c.graph.FindByAttr(prov.AttrName, "softmean")); got != 1 {
+	if got := len(c.named("softmean")); got != 1 {
 		t.Fatalf("softmean processes = %d", got)
 	}
 	// The gif descends from every anatomy image (the diamond).
-	gifs := c.graph.FindByAttr(prov.AttrName, "/fmri/run0000/atlas_x.gif")
+	gifs := c.named("/fmri/run0000/atlas_x.gif")
 	if len(gifs) != 1 {
 		t.Fatal("gif provenance missing")
 	}
-	anc := c.graph.Ancestors(gifs[0])
+	anc := c.ancestors(gifs[0])
 	images := 0
 	for _, a := range anc {
 		if len(a.Object) > 7 && a.Object[len(a.Object)-4:] == ".img" {

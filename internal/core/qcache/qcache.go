@@ -6,7 +6,10 @@
 //
 //   - the snapshot: the whole provenance graph, as one repository scan read
 //     it (Graph), with singleflight coalescing so concurrent identical scans
-//     share one cloud pass;
+//     share one cloud pass. The table still goes wholesale, but a store may
+//     rebuild its entry without a scan: the S3-only store patches its last
+//     snapshot with its own acknowledged writes when nothing else moved the
+//     stamp (Stats.GraphPatches counts those builds apart from scans);
 //   - the refs memo: indexed query results by descriptor key (Refs), computed
 //     in the same flight;
 //   - the item memo: the stored items the query path fetched one by one — an
@@ -186,6 +189,11 @@ type Stats struct {
 	// Coalesced counts calls that joined another caller's in-flight build
 	// instead of issuing their own cloud pass.
 	Coalesced uint64
+	// GraphPatches counts Graph misses the store answered by patching the
+	// previous snapshot with its own writes instead of scanning. The store
+	// fills it (Cache only counts misses), moving those misses out of
+	// GraphMisses, which then counts scans only.
+	GraphPatches uint64
 }
 
 // memo is one per-stamp table: every value in it was recorded under one

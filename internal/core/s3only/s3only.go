@@ -23,12 +23,15 @@
 // provenance of every object in the repository". The Querier implementation
 // does exactly that — LIST plus one HEAD per object plus one GET per
 // overflow object — so the metered cost exhibits the paper's Table 3 row.
-// Two mitigations soften the cost without changing it: the per-page HEADs
+// Three mitigations soften the cost without changing it: the per-page HEADs
 // run with bounded concurrency (ScanConcurrency), cutting scan latency by
-// the concurrency factor, and the scanned graph is kept in a
-// generation-stamped snapshot cache (internal/core/qcache) so repeated
-// queries on an unchanged repository cost zero cloud ops. Config.
-// DisableQueryCache restores the paper's every-query-scans behaviour.
+// the concurrency factor; the scanned graph is kept in a generation-stamped
+// snapshot cache (internal/core/qcache), so repeated queries on an unchanged
+// repository cost zero cloud ops; and on a strongly consistent region the
+// snapshot follows this client's own acknowledged writes (follow.go) — the
+// client knows exactly what it PUT — so only another writer's write, or a
+// write of its own that did not settle cleanly, costs the next query a scan.
+// Config.DisableQueryCache restores the paper's every-query-scans behaviour.
 package s3only
 
 import (
@@ -42,6 +45,7 @@ import (
 	"slices"
 	"strconv"
 	"sync"
+	"sync/atomic"
 
 	"passcloud/internal/cloud"
 	"passcloud/internal/cloud/awserr"
@@ -112,9 +116,14 @@ type Store struct {
 	scanConc    int
 
 	// gen counts writes; cache (nil when disabled) holds the scanned
-	// provenance graph while gen is unchanged.
-	gen   qcache.Generation
-	cache *qcache.Cache
+	// provenance graph while gen is unchanged; follow (nil when the cache is
+	// disabled or the region has a propagation delay) moves that graph
+	// forward with this client's own writes; patches counts the snapshot
+	// builds it answered.
+	gen     qcache.Generation
+	cache   *qcache.Cache
+	follow  *follower
+	patches atomic.Uint64
 	// stamp samples the repository generation independently of the cache;
 	// pagination cursors bind to it.
 	stamp qcache.StampFunc
@@ -185,6 +194,9 @@ func New(cfg Config) (*Store, error) {
 	s.stamp = qcache.CloudStamp(&s.gen, cfg.Cloud)
 	if !cfg.DisableQueryCache {
 		s.cache = qcache.New(s.stamp)
+		if cfg.Cloud.MaxDelay() == 0 {
+			s.follow = &follower{}
+		}
 	}
 	return s, nil
 }
@@ -207,10 +219,10 @@ type dataPut struct {
 	key  string
 	data []byte
 	meta map[string]string
-	// gets is what decoding this object's metadata costs a scan (overflow
-	// pointer and bundle GETs) — recorded into the planner catalog once
-	// the PUT lands.
-	gets int64
+	// stored holds the bodies of the overflow and bundle objects assembling
+	// this PUT wrote, by key; decoding the metadata costs a scan one GET
+	// each, recorded into the planner catalog once the PUT lands.
+	stored map[string][]byte
 	// ref is the file version this PUT persists.
 	ref prov.Ref
 	// riders are the transient subjects whose buffered records travel in
@@ -229,10 +241,13 @@ type batchResult struct {
 	landed []prov.Ref
 	// savedLanded reports that the pre-batch foreign leftovers persisted.
 	savedLanded bool
+	// puts lists the carrier PUTs that landed, in landing order.
+	puts []dataPut
 }
 
 func (r *batchResult) record(p dataPut) {
 	r.mu.Lock()
+	r.puts = append(r.puts, p)
 	r.landed = append(r.landed, p.ref)
 	r.landed = append(r.landed, p.riders...)
 	if p.carriesSaved {
@@ -265,28 +280,32 @@ func (r *batchResult) recordRef(ref prov.Ref) {
 // core.PartialWriteError naming the fully persisted events (file versions
 // and their transient riders); the caller retries only the remainder.
 func (s *Store) PutBatch(ctx context.Context, batch []pass.FlushEvent) error {
-	// Invalidate cached query snapshots even when the batch fails: partial
-	// effects (overflow or bundle PUTs) may already be visible to a scan.
-	defer s.gen.Bump()
+	before := s.stamp()
 	s.mu.Lock()
 	saved := append([]prov.Record(nil), s.foreign...)
 	s.mu.Unlock()
 	res := &batchResult{}
-	if err := s.tracker.Track(func() error { return s.putBatch(ctx, batch, len(saved) > 0, res) }); err != nil {
-		s.mu.Lock()
-		if res.savedLanded {
-			// The leftovers persisted with a landed PUT; restoring them
-			// would duplicate their records on the next flush. This-batch
-			// records are dropped either way: the caller re-sends their
-			// events (minus the landed ones).
-			s.foreign = nil
-		} else {
-			s.foreign = saved
-		}
-		s.mu.Unlock()
-		return core.PartialWrite(res.landed, err)
+	err := s.tracker.Track(func() error { return s.putBatch(ctx, batch, len(saved) > 0, res) })
+	// Move the stamp even when the batch fails: partial effects (overflow or
+	// bundle PUTs) may already be visible to a scan. Only a batch that
+	// succeeded may carry the snapshot along.
+	s.gen.Bump()
+	if err == nil {
+		s.followWrites(before, res.puts)
+		return nil
 	}
-	return nil
+	s.mu.Lock()
+	if res.savedLanded {
+		// The leftovers persisted with a landed PUT; restoring them would
+		// duplicate their records on the next flush. This-batch records are
+		// dropped either way: the caller re-sends their events (minus the
+		// landed ones).
+		s.foreign = nil
+	} else {
+		s.foreign = saved
+	}
+	s.mu.Unlock()
+	return core.PartialWrite(res.landed, err)
 }
 
 func (s *Store) putBatch(ctx context.Context, batch []pass.FlushEvent, savedPresent bool, res *batchResult) error {
@@ -380,7 +399,7 @@ func (s *Store) putCarrier(ctx context.Context, op, key string, body []byte, met
 func (s *Store) assemble(ctx context.Context, ref prov.Ref, data []byte, own, foreign []prov.Record) (dataPut, error) {
 	p := dataPut{key: core.DataKey(ref.Object), data: data, ref: ref}
 	var err error
-	if p.meta, p.gets, err = s.encodeMetadata(ctx, ref, own, foreign); err != nil {
+	if p.meta, p.stored, err = s.encodeMetadata(ctx, ref, own, foreign); err != nil {
 		return p, err
 	}
 	riders := bySubject(foreign)
@@ -423,7 +442,7 @@ func (s *Store) land(ctx context.Context, op string, p dataPut) error {
 		s.latest[p.key] = p.ref.Version
 	}
 	s.mu.Unlock()
-	s.catalog.Observe(p.key, p.gets)
+	s.catalog.Observe(p.key, int64(len(p.stored)))
 	return nil
 }
 
@@ -488,23 +507,28 @@ func (s *Store) doPuts(ctx context.Context, puts []dataPut, res *batchResult) er
 // (prov.S3MetaEntry), diverting >1 KB values to overflow objects
 // (core.EncodeValue) and spilling what the 2 KB limit leaves no room for
 // into a bundle object. The overflow and bundle PUTs happen before the data
-// PUT.
-func (s *Store) encodeMetadata(ctx context.Context, subject prov.Ref, own, foreign []prov.Record) (map[string]string, int64, error) {
+// PUT; stored returns their bodies by key (nil: none).
+func (s *Store) encodeMetadata(ctx context.Context, subject prov.Ref, own, foreign []prov.Record) (meta map[string]string, stored map[string][]byte, err error) {
 	ver := strconv.Itoa(int(subject.Version))
-	meta := map[string]string{core.MetaVersion: ver}
+	meta = map[string]string{core.MetaVersion: ver}
 	size := len(core.MetaVersion) + len(ver)
-	overflowN := 0
 	var spill []prov.Record
+	keep := func(key string, body []byte) {
+		if stored == nil {
+			stored = make(map[string][]byte)
+		}
+		stored[key] = body
+	}
 
 	putOverflow := func(v string) (string, error) {
-		okey := core.ProvKey(subject, strconv.Itoa(overflowN))
-		overflowN++
+		okey, body := core.ProvKey(subject, strconv.Itoa(len(stored))), []byte(v)
 		err := s.retrier.Do(ctx, "s3only/overflow-put", func() error {
-			return s.cloud.S3.Put(s.bucket, okey, []byte(v), nil)
+			return s.cloud.S3.Put(s.bucket, okey, body, nil)
 		})
 		if err != nil {
 			return "", fmt.Errorf("s3only: overflow put: %w", err)
 		}
+		keep(okey, body)
 		return okey, s.faults.Check("s3only/after-overflow-put")
 	}
 	add := func(i int, rec prov.Record, rider bool) error {
@@ -526,35 +550,34 @@ func (s *Store) encodeMetadata(ctx context.Context, subject prov.Ref, own, forei
 
 	for i, rec := range own {
 		if err := add(i, rec, false); err != nil {
-			return nil, 0, err
+			return nil, nil, err
 		}
 	}
 	for i, rec := range foreign {
 		if err := add(i, rec, true); err != nil {
-			return nil, 0, err
+			return nil, nil, err
 		}
 	}
 
-	gets := int64(overflowN)
 	if len(spill) > 0 {
 		bkey := core.ProvKey(subject, "bundle")
 		blob, err := prov.MarshalJSONRecords(spill)
 		if err != nil {
-			return nil, 0, err
+			return nil, nil, err
 		}
 		err = s.retrier.Do(ctx, "s3only/bundle-put", func() error {
 			return s.cloud.S3.Put(s.bucket, bkey, blob, nil)
 		})
 		if err != nil {
-			return nil, 0, fmt.Errorf("s3only: bundle put: %w", err)
+			return nil, nil, fmt.Errorf("s3only: bundle put: %w", err)
 		}
+		keep(bkey, blob)
 		if err := s.faults.Check("s3only/after-bundle-put"); err != nil {
-			return nil, 0, err
+			return nil, nil, err
 		}
 		meta[metaOverflow] = bkey
-		gets++
 	}
-	return meta, gets, nil
+	return meta, stored, nil
 }
 
 // carrier is one data object as read back: its key, the version its
@@ -718,15 +741,18 @@ func (s *Store) Provenance(ctx context.Context, ref prov.Ref) ([]prov.Record, er
 }
 
 // scanSeq is the live repository scan: every carrier's records, one entry
-// per subject the carrier holds, in page order.
-func (s *Store) scanSeq(ctx context.Context) iter.Seq2[core.Entry, error] {
+// per subject the carrier holds, in page order — indexed by carrier into idx
+// (nil: not indexed) as it goes.
+func (s *Store) scanSeq(ctx context.Context, idx *carrierIndex) iter.Seq2[core.Entry, error] {
 	return func(yield func(core.Entry, error) bool) {
 		for c, err := range s.carriers(ctx, false, nil) {
 			if err != nil {
 				yield(core.Entry{}, err)
 				return
 			}
-			for _, e := range bySubject(c.records) {
+			entries := bySubject(c.records)
+			idx.add(c.key, entries)
+			for _, e := range entries {
 				if !yield(e, nil) {
 					return
 				}
@@ -735,15 +761,33 @@ func (s *Store) scanSeq(ctx context.Context) iter.Seq2[core.Entry, error] {
 	}
 }
 
-// CacheStats exposes the snapshot cache counters (zero when disabled).
-func (s *Store) CacheStats() qcache.Stats { return s.cache.Stats() }
+// CacheStats exposes the snapshot cache counters (zero when disabled). A
+// snapshot build the follower answered counts as a patch, not as a miss:
+// GraphMisses counts scans.
+func (s *Store) CacheStats() qcache.Stats {
+	patches := s.patches.Load() // first: a patch's miss is counted before it
+	st := s.cache.Stats()
+	st.GraphPatches, st.GraphMisses = patches, st.GraphMisses-patches
+	return st
+}
 
 // ProvenanceGraph implements core.GraphQuerier: the repository graph, one
 // scan materialized, shared from the snapshot cache (singleflight on a
-// miss) when enabled. Read-only.
+// miss) when enabled. A miss the follower's chain reaches is answered by
+// patching the previous snapshot with this client's own writes, at zero
+// cloud ops. Read-only.
 func (s *Store) ProvenanceGraph(ctx context.Context) (*prov.Graph, error) {
 	return s.cache.Graph(ctx, func(ctx context.Context) (*prov.Graph, error) {
-		return core.CollectGraph(s.scanSeq(ctx))
+		if g := s.follow.advance(s.stamp()); g != nil {
+			s.patches.Add(1)
+			return g, nil
+		}
+		start, idx := s.stamp(), s.follow.newIndex()
+		g, err := core.CollectGraph(s.scanSeq(ctx, idx))
+		if err == nil {
+			s.follow.rebase(start, s.stamp(), g, idx)
+		}
+		return g, err
 	})
 }
 
@@ -775,7 +819,7 @@ func (s *Store) runQuery(ctx context.Context, q prov.Query, yield func(core.Entr
 		// architecture for every query class. Uncached it is the live paged
 		// scan, one LIST page resident at a time, and a subject whose records
 		// rode several carrier PUTs streams in pieces.
-		s.scanSeq(ctx)(yield)
+		s.scanSeq(ctx, nil)(yield)
 		return
 	}
 	// Anything filtered or traversed needs whole subjects (records can split
@@ -792,10 +836,13 @@ func (s *Store) Explain(q prov.Query) core.QueryPlan {
 	// catalog never sees other writers' objects.
 	p := core.QueryPlan{Arch: s.Name(), Exact: s.tracker.Foreign() == 0}
 	return core.Explain(p, q, s, &s.pins, func(p *core.QueryPlan, _ prov.Query) {
-		if s.cache.Warm() {
-			p.Strategy = "snapshot"
-			p.Cached = true
-			p.AddStep("-", "snapshot", 0, "warm snapshot: zero cloud ops")
+		if warm := s.cache.Warm(); warm || s.follow.current(s.stamp()) {
+			p.Strategy, p.Cached = "snapshot", true
+			note := "warm snapshot: zero cloud ops"
+			if !warm {
+				note = "snapshot patched with this client's own writes: zero cloud ops"
+			}
+			p.AddStep("-", "snapshot", 0, note)
 			return
 		}
 		p.Strategy = "scan"
@@ -813,12 +860,23 @@ func (s *Store) Explain(q prov.Query) core.QueryPlan {
 // The records ride a one-byte marker object so they remain discoverable by
 // the metadata scan, preserving this architecture's single-PUT atomicity.
 func (s *Store) Sync(ctx context.Context) error {
-	return s.tracker.Track(func() error { return s.sync(ctx) })
+	before := s.stamp()
+	var marker []dataPut
+	err := s.tracker.Track(func() (err error) {
+		marker, err = s.sync(ctx)
+		return err
+	})
+	if err == nil && marker != nil {
+		s.followWrites(before, marker)
+	}
+	return err
 }
 
-func (s *Store) sync(ctx context.Context) error {
+// sync persists the trailing transient provenance, returning the marker PUT
+// that landed (nil: nothing to persist).
+func (s *Store) sync(ctx context.Context) ([]dataPut, error) {
 	if err := ctx.Err(); err != nil {
-		return err
+		return nil, err
 	}
 	s.mu.Lock()
 	foreign := s.foreign
@@ -827,7 +885,7 @@ func (s *Store) sync(ctx context.Context) error {
 	s.pnodeSeq++
 	s.mu.Unlock()
 	if len(foreign) == 0 {
-		return nil
+		return nil, nil
 	}
 	// The marker PUT below changes what a scan sees; even a failed attempt
 	// may have written overflow objects.
@@ -842,7 +900,7 @@ func (s *Store) sync(ctx context.Context) error {
 	p, err := s.assemble(ctx, subject, []byte{'.'}, nil, foreign)
 	if err != nil {
 		restore()
-		return err
+		return nil, err
 	}
 	if err := s.land(ctx, "s3only/pnode-put", p); err != nil {
 		// The records did not persist: put them back so a later Sync
@@ -855,9 +913,9 @@ func (s *Store) sync(ctx context.Context) error {
 			s.pnodeSeq = seq
 		}
 		s.mu.Unlock()
-		return fmt.Errorf("s3only: pnode put: %w", err)
+		return nil, fmt.Errorf("s3only: pnode put: %w", err)
 	}
-	return nil
+	return []dataPut{p}, nil
 }
 
 // Audit implements integrity.Auditor: a live paged scan — never the query

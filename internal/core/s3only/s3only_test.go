@@ -477,12 +477,17 @@ func TestScanCancellationHonoredPerObject(t *testing.T) {
 // reason other than the object having vanished since the LIST must never
 // drop the object from a scan or an audit — a shorter result would be
 // cached as the repository, and a shorter audit reads as tampering. A
-// transient fault is absorbed by the retrier; a permanent one surfaces.
+// transient fault is absorbed by the retrier; a permanent one surfaces. An
+// own write patches the snapshot instead: no HEAD, so no fault to meet.
 func TestThrottledHeadNeverShortensScanOrAudit(t *testing.T) {
 	ctx := context.Background()
 	faults := sim.NewFaultPlan()
 	cl := cloud.New(cloud.Config{Seed: 1, Faults: faults})
 	st, err := New(Config{Cloud: cl})
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := New(Config{Cloud: cl, Writer: "b"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -505,7 +510,7 @@ func TestThrottledHeadNeverShortensScanOrAudit(t *testing.T) {
 	}
 
 	// A permanent fault is an error, never a shorter result.
-	loadN(t, st, 4) // one more object; invalidates the snapshot
+	loadN(t, other, 4) // another client adds an object; invalidates the snapshot
 	faults.ArmOp("s3/HEAD", sim.ClassPermanent, 1, 1)
 	if all, err := core.CollectBySubject(st.Query(ctx, prov.Q1())); err == nil {
 		t.Fatalf("Q.1 under a permanent HEAD fault returned %d subjects and no error", len(all))
@@ -517,18 +522,52 @@ func TestThrottledHeadNeverShortensScanOrAudit(t *testing.T) {
 	if all, err := core.CollectBySubject(st.Query(ctx, prov.Q1())); err != nil || len(all) != 4 {
 		t.Fatalf("Q.1 after the faults cleared = %d subjects, %v; want 4", len(all), err)
 	}
+
+	// This client's own write: the plan stays cached, no HEAD is issued, and
+	// the answer is a fresh scan's.
+	if err := core.Put(ctx, st, fileEvent("/load/004", 0, "x")); err != nil {
+		t.Fatal(err)
+	}
+	faults.ArmOp("s3/HEAD", sim.ClassPermanent, 0, 1)
+	if !st.Explain(prov.Q1()).Cached {
+		t.Fatalf("plan after an own write is not cached: %s", st.Explain(prov.Q1()))
+	}
+	checkAgainstScan(t, ctx, st, faults, 5)
+}
+
+// checkAgainstScan runs Q.1 with a permanent fault armed (a scan would meet
+// it), then disarms it and holds the answer to a fresh scan's.
+func checkAgainstScan(t *testing.T, ctx context.Context, st *Store, faults *sim.FaultPlan, want int) {
+	t.Helper()
+	all, err := core.CollectBySubject(st.Query(ctx, prov.Q1()))
+	if err != nil || len(all) != want {
+		t.Fatalf("Q.1 after an own write = %d subjects, %v; want %d", len(all), err, want)
+	}
+	faults.DisarmOps()
+	scan, err := core.CollectBySubject(st.scanSeq(ctx, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(all) != fmt.Sprint(scan) {
+		t.Fatalf("Q.1 after an own write differs from a fresh scan:\n%v\n%v", all, scan)
+	}
 }
 
 // TestThrottledGetNeverFailsReads: the GETs behind a read — the overflow
 // and bundle objects of a scan or an audit, the data object of Get — and
 // Provenance's HEAD ride the retrier like every other call, so one
 // throttled request is absorbed; a permanent fault surfaces as an error,
-// never as a shorter result.
+// never as a shorter result. An own write patches the snapshot instead: no
+// GET, so no fault to meet.
 func TestThrottledGetNeverFailsReads(t *testing.T) {
 	ctx := context.Background()
 	faults := sim.NewFaultPlan()
 	cl := cloud.New(cloud.Config{Seed: 1, Faults: faults})
 	st, err := New(Config{Cloud: cl})
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := New(Config{Cloud: cl, Writer: "b"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -560,7 +599,7 @@ func TestThrottledGetNeverFailsReads(t *testing.T) {
 	}
 
 	// A permanent fault is an error, never a shorter result.
-	loadN(t, st, 3) // one more object; invalidates the snapshot
+	loadN(t, other, 3) // another client adds an object; invalidates the snapshot
 	arm("s3/GET", sim.ClassPermanent)
 	if all, err := core.CollectBySubject(st.Query(ctx, prov.Q1())); err == nil {
 		t.Fatalf("Q.1 under a permanent GET fault returned %d subjects and no error", len(all))
@@ -576,6 +615,18 @@ func TestThrottledGetNeverFailsReads(t *testing.T) {
 	if all, err := core.CollectBySubject(st.Query(ctx, prov.Q1())); err != nil || len(all) != 4 {
 		t.Fatalf("Q.1 after the faults cleared = %d subjects, %v; want 4", len(all), err)
 	}
+
+	// This client's own write, with a value over the overflow threshold: the
+	// plan stays cached, no GET is issued, and the answer is a fresh scan's.
+	big2 := prov.Ref{Object: "/big2"}
+	if err := core.Put(ctx, st, fileEvent("/big2", 0, "x", prov.NewString(big2, prov.AttrEnv, strings.Repeat("F", 1500)))); err != nil {
+		t.Fatal(err)
+	}
+	arm("s3/GET", sim.ClassPermanent)
+	if !st.Explain(prov.Q1()).Cached {
+		t.Fatalf("plan after an own write is not cached: %s", st.Explain(prov.Q1()))
+	}
+	checkAgainstScan(t, ctx, st, faults, 5)
 }
 
 func TestParallelScanMatchesSequential(t *testing.T) {

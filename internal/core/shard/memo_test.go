@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"passcloud/internal/core"
+	"passcloud/internal/core/s3only"
 	"passcloud/internal/core/shard"
 	"passcloud/internal/core/shard/reshard"
 	"passcloud/internal/pass"
@@ -654,42 +655,132 @@ func BenchmarkRouterWarmQuery(b *testing.B) {
 // Q.2, Q.3, a pinned ancestor walk and an ancestor walk from every file — all
 // answered by rounds on the member graphs, so the first refetches the written
 // shard's graph and the rest reuse it. Every question's Explain must equal
-// the ops it meters.
+// the ops it meters. The write comes from another client ("foreign": the
+// written member rescans) or through the router ("own": the member patches
+// its snapshot, and the round meters nothing).
 func BenchmarkRouterColdQuery(b *testing.B) {
-	ctx := context.Background()
-	tg := buildTarget(b, "s3", 4, 61, false)
-	for _, batch := range captureBatches(b) {
-		if err := tg.store.PutBatch(ctx, batch); err != nil {
-			b.Fatal(err)
-		}
-	}
-	queries := []prov.Query{
-		prov.QOutputsOf("blast"),
-		prov.QDescendantsOfOutputs("blast"),
-		ancestorsOfMean,
-		{Type: prov.TypeFile, Direction: prov.TraverseAncestors, Projection: prov.ProjectRefs},
-	}
-	write := []pass.FlushEvent{writeEvent("/cold/w")}
-	b.ReportAllocs()
-	for i := 0; b.Loop(); i++ {
-		if err := tg.store.PutBatch(ctx, write); err != nil {
-			b.Fatal(err)
-		}
-		start := tg.totalOps()
-		for _, q := range queries {
-			plan := tg.router.Explain(q)
-			before := tg.totalOps()
-			for _, err := range tg.router.Query(ctx, q) {
-				if err != nil {
+	for _, writer := range []string{"foreign", "own"} {
+		b.Run(writer, func(b *testing.B) {
+			ctx := context.Background()
+			tg := buildTarget(b, "s3", 4, 61, false)
+			for _, batch := range captureBatches(b) {
+				if err := tg.store.PutBatch(ctx, batch); err != nil {
 					b.Fatal(err)
 				}
 			}
-			if ops := tg.totalOps() - before; ops != plan.EstOps || plan.Strategy != "union-graph" {
-				b.Fatalf("iteration %d, %s: metered %d ops\n%s", i, q.Key(), ops, plan)
+			queries := []prov.Query{
+				prov.QOutputsOf("blast"),
+				prov.QDescendantsOfOutputs("blast"),
+				ancestorsOfMean,
+				{Type: prov.TypeFile, Direction: prov.TraverseAncestors, Projection: prov.ProjectRefs},
+			}
+			// The router writes the file first, so the member's catalog counts
+			// it and the foreign overwrites leave the plans' counts right.
+			write := []pass.FlushEvent{writeEvent("/cold/w")}
+			if err := tg.store.PutBatch(ctx, write); err != nil {
+				b.Fatal(err)
+			}
+			via := tg.store
+			if writer == "foreign" {
+				other, err := s3only.New(s3only.Config{Cloud: tg.clouds[tg.router.ShardFor("/cold/w")], Writer: "other"})
+				if err != nil {
+					b.Fatal(err)
+				}
+				via = other
+			}
+			for _, q := range queries { // warm every member
+				for _, err := range tg.router.Query(ctx, q) {
+					if err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			b.ReportAllocs()
+			for i := 0; b.Loop(); i++ {
+				if err := via.PutBatch(ctx, write); err != nil {
+					b.Fatal(err)
+				}
+				start := tg.totalOps()
+				for _, q := range queries {
+					plan := tg.router.Explain(q)
+					before := tg.totalOps()
+					for _, err := range tg.router.Query(ctx, q) {
+						if err != nil {
+							b.Fatal(err)
+						}
+					}
+					if ops := tg.totalOps() - before; ops != plan.EstOps || plan.Strategy != "union-graph" {
+						b.Fatalf("iteration %d, %s: metered %d ops\n%s", i, q.Key(), ops, plan)
+					}
+				}
+				if cold := tg.totalOps() != start; cold != (writer == "foreign") {
+					b.Fatalf("iteration %d after a write from %s: cold = %v", i, writer, cold)
+				}
+			}
+		})
+	}
+}
+
+// TestOwnWriteColdRoundFlat: after this client's own write, a cold round of
+// the benchmark's six query shapes on an S3-only ×4 router meters zero cloud
+// ops at n and at 4n objects — the written member patches its snapshot with
+// what it PUT instead of rescanning a store that grows.
+func TestOwnWriteColdRoundFlat(t *testing.T) {
+	ctx := context.Background()
+	shapes := []prov.Query{
+		{Refs: []prov.Ref{{Object: "/mean/new"}}},
+		{Tool: "softmean", Type: prov.TypeFile, Projection: prov.ProjectRefs},
+		{Tool: "softmean", Type: prov.TypeFile, Projection: prov.ProjectRefs, Direction: prov.TraverseDescendants},
+		{Refs: []prov.Ref{{Object: "/mean/new"}}, Direction: prov.TraverseAncestors, Projection: prov.ProjectRefs},
+		{RefPrefix: "/data/", Direction: prov.TraverseDescendants, Depth: 1, IncludeSeeds: true, Projection: prov.ProjectRefs},
+		{Type: prov.TypeProcess, Attrs: []prov.AttrFilter{{Attr: prov.AttrName, Value: "align_warp"}}, Limit: 100},
+	}
+	round := func(tg *target) {
+		for _, q := range shapes {
+			for _, err := range tg.router.Query(ctx, q) {
+				if err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
-		if tg.totalOps() == start {
-			b.Fatalf("iteration %d metered nothing: the write left no shard cold", i)
+	}
+	coldOps := func(n int) int64 {
+		var members []*s3only.Store
+		tg := buildWrapped(t, "s3", 4, 7, false, func(_ int, st shard.Store) shard.Store {
+			members = append(members, st.(*s3only.Store))
+			return st
+		})
+		sys := pass.NewSystem(pass.Config{Kernel: "2.6.23", Flush: core.Flusher(tg.store)})
+		derive := func(tool, in, out string) {
+			p := sys.Exec(nil, pass.ExecSpec{Name: tool, Argv: []string{tool, in}})
+			for _, err := range []error{sys.Read(p, in), sys.Write(p, out, []byte(out), pass.Truncate), sys.Close(ctx, p, out)} {
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
 		}
+		for i := 0; i < n; i++ {
+			in := fmt.Sprintf("/data/in%d", i)
+			if err := sys.Ingest(ctx, in, []byte(in)); err != nil {
+				t.Fatal(err)
+			}
+			derive("align_warp", in, fmt.Sprintf("/warp/%d", i))
+			derive("softmean", fmt.Sprintf("/warp/%d", i), fmt.Sprintf("/mean/%d", i))
+		}
+		round(tg) // warm every member
+		derive("softmean", "/warp/0", "/mean/new")
+		before := tg.totalOps()
+		round(tg)
+		var patches uint64
+		for _, m := range members {
+			patches += m.CacheStats().GraphPatches
+		}
+		if patches == 0 {
+			t.Fatalf("n=%d: no member patched its snapshot", n)
+		}
+		return tg.totalOps() - before
+	}
+	if small, large := coldOps(40), coldOps(160); small != 0 || large != 0 {
+		t.Fatalf("a cold round after an own write meters %d ops at %d objects and %d at %d; want 0 at both", small, 3*40, large, 3*160)
 	}
 }

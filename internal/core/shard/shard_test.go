@@ -422,10 +422,11 @@ func TestRouterExplainMatchesMeteredOps(t *testing.T) {
 	}
 }
 
-// TestPerShardCacheInvalidation: a write through the router must
-// invalidate only the written shard's snapshot; the other shards keep
-// answering from their warm caches — the scale-out dividend of
-// per-shard qcache invalidation.
+// TestPerShardCacheInvalidation: another client's write to one shard must
+// invalidate only that shard's snapshot; the other shards keep answering
+// from their warm caches — the scale-out dividend of per-shard qcache
+// invalidation. A write through the router itself invalidates nothing: the
+// member it lands on patches its snapshot with it.
 func TestPerShardCacheInvalidation(t *testing.T) {
 	ctx := context.Background()
 	batches := captureBatches(t)
@@ -442,19 +443,16 @@ func TestPerShardCacheInvalidation(t *testing.T) {
 		t.Fatalf("expected fully warm composite plan, got %s", p)
 	}
 
-	// One write to one object: exactly one shard invalidates.
-	obj := prov.ObjectID("/post/warm")
+	// Another client overwrites one object: exactly one shard invalidates.
+	// (An object the member stored itself, so its plan still counts the
+	// objects right — though no longer exactly: the member saw a foreign write.)
+	obj := prov.ObjectID("/data/in0")
 	hot := tg.router.ShardFor(obj)
-	ev := pass.FlushEvent{
-		Ref:  prov.Ref{Object: obj, Version: 1},
-		Type: prov.TypeFile,
-		Data: []byte("x"),
-		Records: []prov.Record{
-			{Subject: prov.Ref{Object: obj, Version: 1}, Attr: prov.AttrType, Value: prov.StringValue(prov.TypeFile)},
-			{Subject: prov.Ref{Object: obj, Version: 1}, Attr: prov.AttrName, Value: prov.StringValue("/post/warm")},
-		},
+	other, err := s3only.New(s3only.Config{Cloud: tg.clouds[hot], Writer: "other"})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := tg.store.PutBatch(ctx, []pass.FlushEvent{ev}); err != nil {
+	if err := other.PutBatch(ctx, []pass.FlushEvent{writeEvent(obj)}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -484,6 +482,34 @@ func TestPerShardCacheInvalidation(t *testing.T) {
 	}
 	if plan.EstOps != metered {
 		t.Errorf("post-write plan predicted %d ops, metered %d\n%s", plan.EstOps, metered, plan)
+	}
+
+	// A write through the router: the plan stays cached, the query meters
+	// nothing, and the answer is what fresh uncached readers of the four
+	// namespaces see.
+	if err := tg.store.PutBatch(ctx, []pass.FlushEvent{writeEvent("/post/own")}); err != nil {
+		t.Fatal(err)
+	}
+	if plan := tg.router.Explain(prov.Q1()); !plan.Cached || plan.EstOps != 0 {
+		t.Fatalf("composite plan after an own write is not cached: %s", plan)
+	}
+	before := tg.totalOps()
+	got := canonical(t, ctx, tg.querier(), prov.Q1())
+	if ops := tg.totalOps() - before; ops != 0 {
+		t.Fatalf("query after an own write metered %d ops", ops)
+	}
+	fresh := make([]shard.Store, len(tg.clouds))
+	for i, cl := range tg.clouds {
+		if fresh[i], err = s3only.New(s3only.Config{Cloud: cl, DisableQueryCache: true}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	scan, err := shard.New(shard.Config{Shards: fresh})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := canonical(t, ctx, scan, prov.Q1()); got != want {
+		t.Fatalf("answer after an own write differs from a fresh scan:\n%s\nwant\n%s", got, want)
 	}
 }
 

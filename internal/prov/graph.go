@@ -3,6 +3,7 @@ package prov
 import (
 	"iter"
 	"maps"
+	"slices"
 	"sort"
 )
 
@@ -58,6 +59,48 @@ func (g *Graph) AddSubject(ref Ref, records []Record) {
 			g.children[r.Value.Ref] = append(g.children[r.Value.Ref], ref)
 		}
 	}
+}
+
+// Replace returns a copy of g in which each subject of subjects holds exactly
+// the given records — none: the subject goes — and the reverse edges follow.
+// g is left as it was, so its readers are undisturbed: the copy shares every
+// record slice and child list it does not change, and adopts the given
+// slices. Its cost is a copy of the two indexes plus the replaced subjects'
+// edges, never a rebuild from records.
+func (g *Graph) Replace(subjects map[Ref][]Record) *Graph {
+	out := &Graph{records: maps.Clone(g.records), children: maps.Clone(g.children)}
+	owned := make(map[Ref]bool) // child lists already copied out of g
+	edit := func(parent Ref, change func([]Ref) []Ref) {
+		kids := out.children[parent]
+		if !owned[parent] {
+			owned[parent] = true
+			kids = slices.Clone(kids)
+		}
+		if kids = change(kids); len(kids) == 0 {
+			delete(out.children, parent) // an edge source no subject names
+		} else {
+			out.children[parent] = kids
+		}
+	}
+	for subject, records := range subjects {
+		for _, parent := range g.Inputs(subject) {
+			edit(parent, func(kids []Ref) []Ref {
+				if i := slices.Index(kids, subject); i >= 0 {
+					kids = slices.Delete(kids, i, i+1)
+				}
+				return kids
+			})
+		}
+		for _, parent := range AppendInputs(nil, records) {
+			edit(parent, func(kids []Ref) []Ref { return append(kids, subject) })
+		}
+		if len(records) == 0 {
+			delete(out.records, subject)
+		} else {
+			out.records[subject] = records[:len(records):len(records)]
+		}
+	}
+	return out
 }
 
 // Len is the number of distinct subjects.

@@ -140,71 +140,6 @@ func TestRouterExplainDoesNotWaitOnPartScan(t *testing.T) {
 	}
 }
 
-// askedContext reports when somebody asks for its Done channel: the moment
-// a caller starts to wait with this context in hand.
-type askedContext struct {
-	context.Context
-	asked chan struct{}
-}
-
-func (c askedContext) Done() <-chan struct{} {
-	select {
-	case c.asked <- struct{}{}:
-	default:
-	}
-	return c.Context.Done()
-}
-
-// TestPartsWaiterHonoursContext: a query that finds a fetch of the member
-// graphs in flight waits for it, and leaves the moment its own context ends.
-func TestPartsWaiterHonoursContext(t *testing.T) {
-	ctx := context.Background()
-	tg, members := probed(t, "s3", 4, 41, true)
-	replay(t, ctx, tg, captureBatches(t))
-
-	release := members[0].hold()
-	defer release()
-	leader := make(chan error, 1)
-	go func() {
-		_, err := core.CollectRefs(tg.router.Query(ctx, ancestorsOfMean))
-		leader <- err
-	}()
-	<-members[0].entered
-
-	cancellable, cancel := context.WithCancel(ctx)
-	defer cancel()
-	wctx := askedContext{cancellable, make(chan struct{}, 1)}
-	waiter := make(chan error, 1)
-	go func() {
-		_, err := core.CollectRefs(tg.router.Query(wctx, prov.QDescendantsOfOutputs("blast")))
-		waiter <- err
-	}()
-	// Cancel once the waiter is waiting on its context (or, where it blocks on
-	// something that ignores the context, once it has had its chance).
-	select {
-	case <-wctx.asked:
-	case <-time.After(stuckAfter / 10):
-	}
-	cancel()
-	select {
-	case err := <-waiter:
-		if !errors.Is(err, context.Canceled) {
-			t.Errorf("waiter returned %v, want context.Canceled", err)
-		}
-		release()
-	case <-time.After(stuckAfter):
-		t.Error("a waiter whose context ended kept waiting for the fetch")
-		release()
-		<-waiter
-	}
-	if err := <-leader; err != nil {
-		t.Fatal(err)
-	}
-	if n := members[0].queries.Load() + members[0].graphs.Load(); n != 1 {
-		t.Errorf("shard 0 was asked %d times; the waiter must not have scanned beside the leader", n)
-	}
-}
-
 // derivedFile is a flush event for a new file version listing inputs.
 func derivedFile(obj prov.ObjectID, inputs ...prov.Ref) pass.FlushEvent {
 	ev := writeEvent(obj)
@@ -427,11 +362,11 @@ func TestRouterMemoBypassedMidMigration(t *testing.T) {
 }
 
 // TestRouterExplainMatchesMeteredOpsAcrossMigrationWindow: a plan on the
-// member graphs stays honest at every migration transition. The router keeps
-// each member's graph under the member's stamp across transitions (only the
+// member graphs stays honest at every migration transition. The members keep
+// their snapshots under their stamps across transitions (only the router's
 // remembered answers go), so a query inside the window or right after it
-// refetches only the shards the copy wrote — and Explain must say exactly
-// that.
+// rescans only the caching shards the copy wrote — and Explain must say
+// exactly that.
 func TestRouterExplainMatchesMeteredOpsAcrossMigrationWindow(t *testing.T) {
 	ctx := context.Background()
 	batches := captureBatches(t)
@@ -519,7 +454,7 @@ func TestRouterExplainMatchesMeteredOpsAcrossMigrationWindow(t *testing.T) {
 }
 
 // TestMemberGraphRoundsSeeOneCopy: while a migration window is open both
-// copies of the moving arc sit in the member graphs the router retains, and
+// copies of the moving arc sit in the member graphs the rounds run on, and
 // every round on them must read the authoritative one only — records
 // included, so a full projection never doubles a moved subject's records.
 func TestMemberGraphRoundsSeeOneCopy(t *testing.T) {
@@ -653,8 +588,9 @@ func BenchmarkRouterWarmQuery(b *testing.B) {
 // BenchmarkRouterColdQuery: the round a write leaves cold. Each iteration
 // writes one file into a 4-shard S3 namespace whose members cache, then asks
 // Q.2, Q.3, a pinned ancestor walk and an ancestor walk from every file — all
-// answered by rounds on the member graphs, so the first refetches the written
-// shard's graph and the rest reuse it. Every question's Explain must equal
+// answered by rounds on the member graphs, which every question asks each
+// member for: the written member rebuilds or patches its snapshot once, and
+// every other lookup is a snapshot hit. Every question's Explain must equal
 // the ops it meters. The write comes from another client ("foreign": the
 // written member rescans) or through the router ("own": the member patches
 // its snapshot, and the round meters nothing).

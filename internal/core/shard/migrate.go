@@ -194,8 +194,8 @@ func (r *Router) AbortMigration() {
 
 // dropDerived invalidates, at a migration state transition, what the
 // router derived under the state before it: every remembered answer. The
-// member graphs stay: they are raw and stamp-keyed, and the window filters
-// the rounds run on them.
+// members' own snapshots stay: they are raw and stamp-keyed, and the window
+// filters the rounds run on them.
 func (r *Router) dropDerived() {
 	r.memo.mu.Lock()
 	r.memo.vals = nil

@@ -5,7 +5,8 @@
 // per-shard Q.1 scan; mhPlan walks the same rounds in plan space (per-shard
 // Explain for the cost, core.RefPlanner for the answer), which keeps
 // Router.Explain's composed estimate equal to the metered run. What members
-// cannot plan natively runs on the member graphs (core.GraphEntries).
+// cannot plan natively runs on the member graphs (core.GraphEntries), which
+// each evaluation asks every member for: the router keeps none of them.
 package shard
 
 import (
@@ -220,11 +221,7 @@ type mhPlan struct {
 func (x *mhPlan) fanRefs(q prov.Query, note string) ([]prov.Ref, error) {
 	x.round++
 	x.p.AddStep("-", "round", 0, fmt.Sprintf("round %d: %s", x.round, note))
-	plans := make([]core.QueryPlan, len(x.r.shards))
-	for i, s := range x.r.shards {
-		plans[i] = s.Explain(q)
-	}
-	x.cached = foldPlans(x.p, plans) && x.cached
+	x.cached = foldPlans(x.p, x.r.memberPlans(q)) && x.cached
 	return x.planRefs(q), nil
 }
 

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"passcloud/internal/core"
+	"passcloud/internal/core/s3only"
 	"passcloud/internal/pass"
 	"passcloud/internal/prov"
 	"passcloud/internal/sim"
@@ -100,26 +101,22 @@ func TestMultihopIndexedPlans(t *testing.T) {
 	})
 }
 
-// TestRouterGraphCacheInvalidation: a question repeated on an unchanged
-// namespace is answered from the router's result memo — zero cloud ops and
-// not one call to a member — and a second question at the same stamp from
-// the retained member graphs, likewise; one write empties the memo and
-// invalidates exactly the written shard's graph, the others keep serving
-// from the cache. Explain says which, and what it
-// predicts is what is metered, each time.
-func TestRouterGraphCacheInvalidation(t *testing.T) {
+// TestRouterKeepsNoMemberGraphs: the router keeps no member graph of its own;
+// each member's snapshot is the one graph cache. A question repeated on an
+// unchanged namespace is answered from the router's result memo — zero cloud
+// ops and not one call to a member. A second question at the same stamp asks
+// every member for its graph: uncached members pay their Q.1 again, caching
+// members answer from their snapshots at zero ops. After one write only the
+// written member rebuilds or patches, and the answer is fresh. Explain
+// predicts what is metered, each time.
+func TestRouterKeepsNoMemberGraphs(t *testing.T) {
 	ctx := context.Background()
 	batches := captureBatches(t)
-	// Uncached members: any masking by per-shard snapshots is off, so the
-	// metered zeros below belong to the router alone.
-	tg, members := probed(t, "s3", 4, 29, true)
-	replay(t, ctx, tg, batches)
+	anc, q3 := ancestorsOfMean, prov.QDescendantsOfOutputs("blast")
 
-	anc := ancestorsOfMean
-	q3 := prov.QDescendantsOfOutputs("blast")
 	// run answers q, checks Explain's prediction against the meters, and
 	// returns the plan, the answer, and the ops and member calls it cost.
-	run := func(q prov.Query) (core.QueryPlan, []prov.Ref, int64, int64) {
+	run := func(t *testing.T, tg *target, members []*probedMember, q prov.Query) (core.QueryPlan, []prov.Ref, int64, int64) {
 		t.Helper()
 		plan := tg.router.Explain(q)
 		ops, asked := tg.totalOps(), calls(members)
@@ -133,53 +130,84 @@ func TestRouterGraphCacheInvalidation(t *testing.T) {
 		}
 		return plan, refs, ops, asked
 	}
-
-	if plan, _, cold, _ := run(anc); cold <= 0 || plan.Strategy != "union-graph" {
-		t.Fatalf("cold member-graph query metered %d ops as %s, want > 0", cold, plan)
-	}
-	if plan, _, warm, asked := run(anc); warm != 0 || asked != 0 || plan.Strategy != "memo" {
-		t.Fatalf("repeated query on an unchanged namespace: %d ops, %d member calls, planned as %s", warm, asked, plan)
-	}
-	// Another question at the same stamp: a second key over the same graphs.
-	plan, before, ops, asked := run(q3)
-	if ops != 0 || asked != 0 || plan.Strategy != "union-graph" {
-		t.Fatalf("second question on the retained graphs: %d ops, %d member calls, planned as %s", ops, asked, plan)
-	}
-
-	// One write — a new descendant of blast's outputs — and exactly one
-	// shard's contribution refetches; nothing remembered survives it.
-	outputs, err := core.CollectRefs(tg.router.Query(ctx, prov.QOutputsOf("blast")))
-	if err != nil || len(outputs) == 0 {
-		t.Fatalf("outputs of blast: %v, %v", outputs, err)
-	}
-	late := derivedFile("/post/gcache", outputs[0])
-	hot := tg.router.ShardFor(late.Ref.Object)
-	if err := tg.store.PutBatch(ctx, []pass.FlushEvent{late}); err != nil {
-		t.Fatal(err)
-	}
-	if plan := tg.router.Explain(anc); plan.Cached || plan.Strategy != "union-graph" {
-		t.Fatalf("an answer from before the write is still on offer: %s", plan)
-	}
-	perShardBefore := make([]int64, len(tg.clouds))
-	for i, cl := range tg.clouds {
-		perShardBefore[i] = cl.Usage().TotalOps()
-	}
-	_, after, _, _ := run(q3)
-	if len(after) != len(before)+1 || !slices.Contains(after, late.Ref) {
-		t.Errorf("answer after the write is not fresh: %v, was %v", after, before)
-	}
-	for i, cl := range tg.clouds {
-		delta := cl.Usage().TotalOps() - perShardBefore[i]
-		if i == hot && delta == 0 {
-			t.Errorf("written shard %d served from the stale cached contribution", i)
+	// start answers anc cold, then again from the memo.
+	start := func(t *testing.T, tg *target, members []*probedMember) int64 {
+		t.Helper()
+		plan, _, cold, _ := run(t, tg, members, anc)
+		if cold <= 0 || plan.Strategy != "union-graph" {
+			t.Fatalf("cold member-graph query metered %d ops as %s, want > 0", cold, plan)
 		}
-		if i != hot && delta != 0 {
-			t.Errorf("unwritten shard %d refetched (%d ops) after a foreign-shard write", i, delta)
+		if plan, _, warm, asked := run(t, tg, members, anc); warm != 0 || asked != 0 || plan.Strategy != "memo" {
+			t.Fatalf("repeated query on an unchanged namespace: %d ops, %d member calls, planned as %s", warm, asked, plan)
 		}
+		return cold
 	}
-	if plan, _, again, asked := run(anc); again != 0 || asked != 0 || plan.Strategy != "union-graph" {
-		t.Fatalf("query after the refetch: %d ops, %d member calls, planned as %s (cache re-pinned)", again, asked, plan)
-	}
+
+	t.Run("uncached", func(t *testing.T) {
+		tg, members := probed(t, "s3", 4, 29, true)
+		replay(t, ctx, tg, batches)
+		cold := start(t, tg, members)
+		// Another question at the same stamp: every member scans again.
+		plan, _, ops, asked := run(t, tg, members, q3)
+		if ops != cold || asked != int64(len(members)) || plan.Strategy != "union-graph" {
+			t.Fatalf("second question on uncached members: %d ops (want %d, each member's Q.1), %d member calls, planned as %s", ops, cold, asked, plan)
+		}
+	})
+
+	t.Run("cached", func(t *testing.T) {
+		tg, members := probed(t, "s3", 4, 29, false)
+		replay(t, ctx, tg, batches)
+		start(t, tg, members)
+		plan, before, ops, asked := run(t, tg, members, q3)
+		if ops != 0 || asked != int64(len(members)) || plan.Strategy != "union-graph" {
+			t.Fatalf("second question on caching members: %d ops, %d member calls, planned as %s", ops, asked, plan)
+		}
+
+		// One write — a new descendant of blast's outputs — and only the
+		// written member rebuilds its snapshot; nothing remembered survives.
+		outputs, err := core.CollectRefs(tg.router.Query(ctx, prov.QOutputsOf("blast")))
+		if err != nil || len(outputs) == 0 {
+			t.Fatalf("outputs of blast: %v, %v", outputs, err)
+		}
+		late := derivedFile("/post/members", outputs[0])
+		hot := tg.router.ShardFor(late.Ref.Object)
+		if err := tg.store.PutBatch(ctx, []pass.FlushEvent{late}); err != nil {
+			t.Fatal(err)
+		}
+		rebuilds := func() []uint64 {
+			n := make([]uint64, len(members))
+			for i, m := range members {
+				st := m.Store.(*s3only.Store).CacheStats()
+				n[i] = st.GraphMisses + st.GraphPatches
+			}
+			return n
+		}
+		perShardOps := func() []int64 {
+			n := make([]int64, len(tg.clouds))
+			for i, cl := range tg.clouds {
+				n[i] = cl.Usage().TotalOps()
+			}
+			return n
+		}
+		built, metered := rebuilds(), perShardOps()
+		_, after, _, _ := run(t, tg, members, q3)
+		if len(after) != len(before)+1 || !slices.Contains(after, late.Ref) {
+			t.Errorf("answer after the write is not fresh: %v, was %v", after, before)
+		}
+		builtAfter, meteredAfter := rebuilds(), perShardOps()
+		for i := range members {
+			want := uint64(0)
+			if i == hot {
+				want = 1
+			}
+			if builtAfter[i]-built[i] != want {
+				t.Errorf("shard %d: %d snapshot builds after a write to shard %d, want %d", i, builtAfter[i]-built[i], hot, want)
+			}
+			if i != hot && meteredAfter[i] != metered[i] {
+				t.Errorf("unwritten shard %d metered %d ops after a write to shard %d", i, meteredAfter[i]-metered[i], hot)
+			}
+		}
+	})
 }
 
 // TestExplainReevalLabel: a cursor whose pin was evicted at an unchanged

@@ -25,10 +25,10 @@
 // (core.NativeRefs), each primitive one round on every shard
 // (multihop.go). A round goes to the members' own indexed plans when every
 // member can plan references client-side (core.RefPlanner) and the
-// descriptor has a native plan; otherwise it is answered from each
-// member's graph, which the router retains under the member's stamp:
-// repeated sweeps on an unchanged namespace cost zero cloud ops, and one
-// write refetches only the written shard's graph. Explain composes
+// descriptor has a native plan; otherwise it is answered from the member
+// graphs, which the router asks every member for on each evaluation and keeps
+// none of: a caching member answers from its own snapshot at zero cloud ops,
+// an uncached one pays its scan, as it would unsharded. Explain composes
 // honestly on every path: the plan is the sum of the per-shard plans —
 // round by round, on the native path — the router will actually run.
 package shard
@@ -39,7 +39,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"iter"
-	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -106,11 +105,6 @@ type Router struct {
 	// serving in-flight page sequences.
 	pins core.Pins
 
-	// gcache retains every member's graph between evaluations on them,
-	// keyed by per-shard stamps so one shard's write invalidates only that
-	// shard's graph.
-	gcache graphCache
-
 	// memo retains evaluated answers under the composite stamp: a question
 	// repeated on an unchanged namespace calls no member and builds nothing.
 	memo resultMemo
@@ -132,8 +126,7 @@ func New(cfg Config) (*Router, error) {
 	if len(cfg.Shards) == 0 {
 		return nil, errors.New("shard: Config.Shards is required")
 	}
-	r := &Router{shards: cfg.Shards, gcache: graphCache{build: make(chan struct{}, 1),
-		stamps: make([]string, len(cfg.Shards)), parts: make([]*prov.Graph, len(cfg.Shards))}}
+	r := &Router{shards: cfg.Shards}
 	r.refPlanned = true
 	for _, s := range cfg.Shards {
 		if _, ok := s.(core.RefPlanner); !ok {
@@ -589,86 +582,31 @@ func (r *Router) fanOut(ctx context.Context, mig *migration, q prov.Query) ([][]
 	return perShard, err
 }
 
-// graphCache retains each member's own graph (core.ProvenanceGraph: its
-// snapshot when it caches, one scan when not) under the stamp the member
-// reported before the fetch. A member write moves that stamp and invalidates
-// exactly that part. The parts are raw: a migration window filters the
-// rounds run on them, never what is retained, so a transition drops nothing.
-type graphCache struct {
-	// build is a one-slot semaphore: the lock memberGraphs holds across its
-	// fetches, and stops waiting for when its context ends. mu guards the
-	// fields only while they are read or replaced: Explain waits for no scan.
-	build  chan struct{}
-	mu     sync.Mutex
-	stamps []string
-	parts  []*prov.Graph // nil: never fetched
-}
-
-// staleParts samples every member's stamp and lists the shards whose retained
-// part was fetched under another one, or never: what memberGraphs, called
-// now, fetches, and so what Explain costs — every other shard contributes at
-// zero cloud ops. The stamps are sampled before any fetch: a write landing
-// mid-fetch leaves the recorded stamp older than the data, and the next call
-// refetches.
-func (r *Router) staleParts() (stale []int, cur []string) {
-	c := &r.gcache
-	cur = make([]string, len(r.shards))
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for i, s := range r.shards {
-		cur[i] = s.StampToken()
-		if c.parts[i] == nil || c.stamps[i] != cur[i] {
-			stale = append(stale, i)
-		}
-	}
-	return stale, cur
-}
-
-// memberGraphs returns every member's graph at its current stamp: the
-// retained part when the member's stamp has not moved (zero cloud ops), else
-// a fetch — the member's warm snapshot when it has one, a full native pass
-// when not (exactly what the composite Explain predicts). The graphs are
-// shared: read-only.
+// memberGraphs returns every member's graph at its current stamp, one
+// concurrent core.ProvenanceGraph call per member: the member's warm or
+// patched snapshot when it caches (zero cloud ops), its full native pass when
+// not — exactly what the composite Explain predicts. The router keeps none of
+// them; the graphs are shared: read-only.
 func (r *Router) memberGraphs(ctx context.Context) ([]*prov.Graph, error) {
-	c := &r.gcache
-	select {
-	case c.build <- struct{}{}:
-		defer func() { <-c.build }()
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-	stale, cur := r.staleParts()
-	c.mu.Lock()
-	parts := slices.Clone(c.parts)
-	c.mu.Unlock()
-	err := core.RunLimited(ctx, len(stale), len(r.shards), func(k int) (err error) {
-		if parts[stale[k]], err = core.ProvenanceGraph(ctx, r.shards[stale[k]]); err != nil {
-			err = fmt.Errorf("shard %d: %w", stale[k], err)
+	parts := make([]*prov.Graph, len(r.shards))
+	err := core.RunLimited(ctx, len(r.shards), len(r.shards), func(i int) (err error) {
+		if parts[i], err = core.ProvenanceGraph(ctx, r.shards[i]); err != nil {
+			err = fmt.Errorf("shard %d: %w", i, err)
 		}
 		return err
 	})
-	if err != nil {
-		return nil, err // nothing is installed: what is cached keeps its stamps
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, i := range stale {
-		c.stamps[i] = cur[i]
-	}
-	c.parts = parts
-	return parts, nil
+	return parts, err
 }
 
 // Explain implements core.Querier: the plan is the sum of the per-shard
 // plans the router will actually run — each shard's native plan for the
 // descriptor on the fan-out path, round-by-round composed plans on native
-// rounds, and for rounds on the member graphs each stale shard's Q.1 plan
-// (a zero-op router-snapshot step for each retained graph: the rounds
-// themselves cost nothing) — with identical operation classes merged across
-// shards within each round. Cached and Exact hold only when they hold on
-// every shard. A paginated descriptor whose pin was evicted at an unchanged
-// generation re-evaluates; its strategy carries a "pinned-reeval/" prefix so
-// the output is distinguishable from a fresh query's plan.
+// rounds, and for rounds on the member graphs each shard's Q.1 plan (the
+// rounds themselves cost nothing) — with identical operation classes merged
+// across shards within each round. Cached and Exact hold only when they hold
+// on every shard. A paginated descriptor whose pin was evicted at an
+// unchanged generation re-evaluates; its strategy carries a "pinned-reeval/"
+// prefix so the output is distinguishable from a fresh query's plan.
 func (r *Router) Explain(q prov.Query) core.QueryPlan {
 	p := core.QueryPlan{Arch: r.Name(), Exact: true}
 	return core.Explain(p, q, r, &r.pins, func(p *core.QueryPlan, stripped prov.Query) {
@@ -688,26 +626,26 @@ func (r *Router) Explain(q prov.Query) core.QueryPlan {
 			p.AddStep("-", strategy, 0, "answer remembered for the current composite stamp: no member is asked")
 		case planFanIn:
 			p.AddStep("-", strategy, 0, fmt.Sprintf("%d shards: per-shard native plans, ref-sorted fan-in merge", len(r.shards)))
-			plans := make([]core.QueryPlan, len(r.shards))
-			for i, s := range r.shards {
-				plans[i] = s.Explain(stripped)
-			}
-			mergePlans(p, plans)
+			mergePlans(p, r.memberPlans(stripped))
 		case planMultihop:
 			p.AddStep("-", strategy, 0, fmt.Sprintf("%d shards: seeds via native plans, then one indexed fan-out round per BFS level", len(r.shards)))
 			r.explainMultihop(p, stripped)
 		default:
-			p.AddStep("-", strategy, 0, fmt.Sprintf("%d shards: fetch each stale member's graph (Q.1 per shard, retained graphs free), then answer every round on each member's graph", len(r.shards)))
-			retained := core.QueryPlan{Cached: true, Exact: true}
-			retained.AddStep("-", "router-snapshot", 0, "shard contribution cached at its current stamp: zero cloud ops")
-			plans := slices.Repeat([]core.QueryPlan{retained}, len(r.shards))
-			stale, _ := r.staleParts()
-			for _, i := range stale {
-				plans[i] = r.shards[i].Explain(prov.Q1())
-			}
-			mergePlans(p, plans)
+			// The rounds on the member graphs cost nothing: the plan is what
+			// fetching each member's graph costs, its Q.1.
+			p.AddStep("-", strategy, 0, fmt.Sprintf("%d shards: fetch each member's graph (its Q.1), then answer every round on the member graphs", len(r.shards)))
+			mergePlans(p, r.memberPlans(prov.Q1()))
 		}
 	})
+}
+
+// memberPlans is every member's plan for q, in shard order.
+func (r *Router) memberPlans(q prov.Query) []core.QueryPlan {
+	plans := make([]core.QueryPlan, len(r.shards))
+	for i, s := range r.shards {
+		plans[i] = s.Explain(q)
+	}
+	return plans
 }
 
 // mergePlans folds per-shard plans into the composite: steps with the

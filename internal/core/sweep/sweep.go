@@ -159,13 +159,17 @@ var menus = map[string]faultMenu{
 		ops:         []string{"s3/PUT"},
 	},
 	"s3+sdb": {
-		crashPoints: []string{"s3sdb/before-put", "s3sdb/after-prov", "s3sdb/after-batchput", "s3sdb/after-data", "s3sdb/after-overflow-put", "s3sdb/after-putattrs-chunk"},
-		ops:         []string{"s3/PUT", "sdb/PutAttributes", "sdb/BatchPutAttributes"},
+		crashPoints: []string{
+			"s3sdb/before-put", "s3sdb/after-prov", "s3sdb/after-batchput", "s3sdb/after-data",
+			"s3sdb/after-overflow-put", "s3sdb/after-spill-put", "s3sdb/after-putattrs-chunk",
+		},
+		ops: []string{"s3/PUT", "sdb/PutAttributes", "sdb/BatchPutAttributes"},
 	},
 	"s3+sdb+sqs": {
 		crashPoints: []string{
-			"wal/before-begin", "wal/after-begin", "wal/after-tmp-put", "wal/after-record-0", "wal/after-record-1", "wal/before-commit", "wal/after-commit",
-			"commit/after-copy", "commit/after-prov-write", "commit/after-delete-messages", "commit/after-tmp-delete",
+			"wal/before-begin", "wal/after-begin", "wal/after-overflow-put", "wal/after-tmp-put", "wal/after-record-0", "wal/after-record-1", "wal/before-commit", "wal/after-commit",
+			"commit/after-copy", "commit/after-spill-put", "commit/after-putattrs-chunk", "commit/after-batchput",
+			"commit/after-prov-write", "commit/after-delete-messages", "commit/after-tmp-delete",
 		},
 		ops: []string{"s3/PUT", "s3/COPY", "sdb/BatchPutAttributes", "sqs/SendMessage", "sqs/DeleteMessage", "sqs/ReceiveMessage"},
 	},

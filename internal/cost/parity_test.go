@@ -70,7 +70,7 @@ func TestHarnessParity(t *testing.T) {
 		audited(ShardedRow{Arch: "s3", Shards: 2, ProvBytes: 1708976, ProvOps: 334, Queries: []ShardedQueryCost{
 			{Query: "Q.1", Ops: 650, DataOut: 1740739, Results: 1369, USD: 0.0042774357538968326},
 			{Query: "Q.2", Ops: 650, DataOut: 1740739, Results: 2, USD: 0.0042774357538968326},
-			{Query: "Q.3", Ops: 0, DataOut: 0, Results: 12, USD: 0.003333833534270525},
+			{Query: "Q.3", Ops: 650, DataOut: 1740739, Results: 12, USD: 0.0042774357538968326},
 		}, VerifyOps: 650, VerifyUSD: 0.0042774357538968326}),
 		audited(ShardedRow{Arch: "s3+sdb", Shards: 1, ProvBytes: 1557313, ProvOps: 682, Queries: []ShardedQueryCost{
 			{Query: "Q.1", Ops: 1698, DataOut: 1488486, Results: 1369, USD: 0.008820352715050111},

@@ -92,7 +92,8 @@ type Options struct {
 	// generation-stamped provenance snapshot cache that lets repeated and
 	// recursive queries on an unchanged repository run at ~zero cloud ops.
 	// Disable it to reproduce the paper's Table 3 costs, where every
-	// query pays its full scan or indexed-query run.
+	// query pays its full scan or indexed-query run — behind a shard
+	// router too, which keeps no member graphs of its own.
 	DisableQueryCache bool
 	// Shards partitions the provenance namespace across that many
 	// independent store instances of the selected architecture, each

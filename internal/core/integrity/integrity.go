@@ -29,9 +29,11 @@
 package integrity
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -93,28 +95,89 @@ func ChainRecord(subject prov.Ref, token string) prov.Record {
 // sorting makes the hash independent of flush or scan order. The hash
 // doubles as the subject's Merkle leaf.
 func SubjectHash(subject prov.Ref, records []prov.Record) string {
-	lines := make([]string, 0, len(records))
-	for _, r := range records {
+	h := lineHashers.Get().(*lineHasher)
+	sum, _ := h.sum(subject, records)
+	lineHashers.Put(h)
+	x := sum.hex()
+	return string(x[:])
+}
+
+// digest is a subject hash before its hex encoding: SHA-256 truncated to
+// the hashHexLen characters SubjectHash returns.
+type digest [hashHexLen / 2]byte
+
+func (d *digest) hex() (x [hashHexLen]byte) {
+	hex.Encode(x[:], d[:])
+	return x
+}
+
+// leaf is the subject's Merkle key: hashLeaf over SubjectHash's string.
+func (d *digest) leaf() leafKey {
+	x := d.hex()
+	return hashLeaf(x[:])
+}
+
+// lineHasher renders one record set's lines into a reused buffer and
+// sorts spans of it, so hashing a subject allocates nothing once the
+// buffers have grown.
+type lineHasher struct {
+	buf   []byte
+	lines []span
+}
+
+// span is one rendered line, buf[start:end].
+type span struct{ start, end int }
+
+var lineHashers = sync.Pool{New: func() any { return new(lineHasher) }}
+
+// sum hashes SubjectHash's canonical form: the subject line, then every
+// distinct "attr\x1fvalue" line in byte order, each newline-terminated.
+// mayDup reports that DedupRecords could drop a record from the set: two
+// records rendered the same line, or several riders were skipped. Only
+// then can the deduplicated set be smaller than records.
+func (h *lineHasher) sum(subject prov.Ref, records []prov.Record) (d digest, mayDup bool) {
+	buf, lines := h.buf[:0], h.lines[:0]
+	riders := 0
+	for i := range records {
+		r := &records[i]
 		if r.Attr == AttrRoot { // defensive: riders are not records
+			riders++
 			continue
 		}
-		lines = append(lines, r.Attr+"\x1f"+r.Value.String())
+		start := len(buf)
+		buf = append(append(buf, r.Attr...), '\x1f')
+		if r.Value.Kind == prov.KindRef {
+			buf = appendRef(buf, r.Value.Ref)
+		} else {
+			buf = append(buf, r.Value.Str...)
+		}
+		lines = append(lines, span{start, len(buf)})
 	}
-	sort.Strings(lines)
-	h := sha256.New()
-	h.Write([]byte(subject.String()))
-	h.Write([]byte{'\n'})
-	prev := ""
-	first := true
-	for _, l := range lines {
-		if !first && l == prev {
+	slices.SortFunc(lines, func(a, b span) int {
+		return bytes.Compare(buf[a.start:a.end], buf[b.start:b.end])
+	})
+	msg := len(buf)
+	buf = append(appendRef(buf, subject), '\n')
+	var prev []byte
+	for i, l := range lines {
+		line := buf[l.start:l.end]
+		if i > 0 && bytes.Equal(line, prev) {
+			mayDup = true
 			continue
 		}
-		first, prev = false, l
-		h.Write([]byte(l))
-		h.Write([]byte{'\n'})
+		prev = line
+		buf = append(append(buf, line...), '\n')
 	}
-	return hex.EncodeToString(h.Sum(nil))[:hashHexLen]
+	full := sha256.Sum256(buf[msg:])
+	copy(d[:], full[:])
+	h.buf, h.lines = buf, lines
+	return d, mayDup || riders > 1
+}
+
+// appendRef appends ref's canonical object:version form (prov.Ref.String).
+func appendRef(buf []byte, ref prov.Ref) []byte {
+	buf = append(append(buf, ref.Object...), ':')
+	return strconv.AppendInt(buf, int64(ref.Version), 10)
 }
 
 // DedupRecords drops exact duplicate records, preserving first-appearance
@@ -122,7 +185,9 @@ func SubjectHash(subject prov.Ref, records []prov.Record) string {
 // S3-only design re-sends rider copies after a whole-batch replay) unions
 // them to duplicates in an audit; identical copies are not divergences. A
 // copy altered in any byte is NOT merged away and the chain and root
-// checks catch it.
+// checks catch it. The audit calls it only for a set whose hashing could
+// have met two equal records (a line rendered twice, several riders); no
+// other set can lose one.
 func DedupRecords(records []prov.Record) []prov.Record {
 	seen := make(map[prov.Record]bool, len(records))
 	out := records[:0:0]

@@ -27,7 +27,7 @@ const (
 // leafKey is a member's position in the trie and its leaf hash.
 type leafKey [sha256.Size]byte
 
-func hashLeaf(leaf string) leafKey {
+func hashLeaf[L string | []byte](leaf L) leafKey {
 	var buf [96]byte // longer leaves spill to the heap
 	buf[0] = leafDomain
 	return sha256.Sum256(append(buf[:1], leaf...))
@@ -61,12 +61,17 @@ func rootString(h *leafKey) string { return hex.EncodeToString(h[:])[:hashHexLen
 // n-1 interior hashes. Order and duplicates do not matter; the root equals
 // the one a Ledger holding the same set reports.
 func MerkleRoot(leaves []string) string {
-	if len(leaves) == 0 {
-		return rootEmpty
-	}
 	keys := make([]leafKey, len(leaves))
 	for i, leaf := range leaves {
 		keys[i] = hashLeaf(leaf)
+	}
+	return keysRoot(keys)
+}
+
+// keysRoot is MerkleRoot over member keys; it sorts keys in place.
+func keysRoot(keys []leafKey) string {
+	if len(keys) == 0 {
+		return rootEmpty
 	}
 	slices.SortFunc(keys, func(a, b leafKey) int { return bytes.Compare(a[:], b[:]) })
 	h := bulkRoot(slices.Compact(keys))

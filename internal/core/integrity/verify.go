@@ -3,7 +3,10 @@ package integrity
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"passcloud/internal/prov"
 )
@@ -32,22 +35,6 @@ type Audit struct {
 	// history, a missing predecessor is a fact of the architecture, not a
 	// divergence.
 	RetainsHistory bool
-
-	// pred is the predecessor-lookup map when chains span stores: a
-	// transient ancestor's versions ride the file flushes that trigger
-	// them, which may home on different shards, so a link's predecessor
-	// can legitimately live on another shard. nil means Entries.
-	pred map[prov.Ref][]prov.Record
-}
-
-// predecessors resolves a chain link's predecessor record set.
-func (a *Audit) predecessors(ref prov.Ref) ([]prov.Record, bool) {
-	if a.pred != nil {
-		r, ok := a.pred[ref]
-		return r, ok
-	}
-	r, ok := a.Entries[ref]
-	return r, ok
 }
 
 // DivergenceKind classifies what verification found.
@@ -143,16 +130,131 @@ func (r *ShardResult) Clean() bool { return len(r.Divergences) == 0 }
 // object version, then the root check against the highest surviving
 // checkpoint.
 func VerifyAudit(a *Audit) *ShardResult {
-	for ref, records := range a.Entries {
-		a.Entries[ref] = DedupRecords(records)
-	}
-	res := &ShardResult{Shard: a.Shard, Subjects: len(a.Entries)}
-	res.Divergences = append(res.Divergences, verifyChains(a, &res.Detached)...)
+	t := HashSubjects(a)
+	return verifyShard(t, []*SubjectTable{t})
+}
 
-	for _, records := range a.Entries {
-		res.Records += len(records)
+// SubjectTable is one audit's subject hashes, each subject hashed once:
+// chain checks read a predecessor's hash from it and DeriveRoot takes the
+// root it folded from the same hashes.
+type SubjectTable struct {
+	audit    *Audit
+	subjects []subjectInfo
+	index    map[prov.Ref]int
+	// records counts the subjects' records, deduplicated.
+	records int
+	// root is the Merkle root over every subject's leaf.
+	root string
+}
+
+// subjectInfo is what the hashing pass learns about one stored subject.
+type subjectInfo struct {
+	ref     prov.Ref
+	records []prov.Record
+	hash    digest
+	// chains counts the deduplicated set's chain records; chain is the
+	// token when there is exactly one.
+	chains int
+	chain  string
+}
+
+// HashSubjects hashes every subject of a once, on up to GOMAXPROCS
+// goroutines, and folds the hashes into the shard's Merkle root.
+func HashSubjects(a *Audit) *SubjectTable {
+	t := &SubjectTable{
+		audit:    a,
+		subjects: make([]subjectInfo, 0, len(a.Entries)),
+		index:    make(map[prov.Ref]int, len(a.Entries)),
 	}
-	root, cp, writers := DeriveRoot(a)
+	for ref, records := range a.Entries {
+		t.index[ref] = len(t.subjects)
+		t.subjects = append(t.subjects, subjectInfo{ref: ref, records: records})
+	}
+	keys := make([]leafKey, len(t.subjects))
+	var records atomic.Int64
+	forChunks(len(t.subjects), hashChunk, func(lo, hi int) {
+		h := lineHashers.Get().(*lineHasher)
+		n := 0
+		for i := lo; i < hi; i++ {
+			s := &t.subjects[i]
+			var mayDup bool
+			s.hash, mayDup = h.sum(s.ref, s.records)
+			n += s.countRecords(mayDup)
+			keys[i] = s.hash.leaf()
+		}
+		lineHashers.Put(h)
+		records.Add(int64(n))
+	})
+	t.records = int(records.Load())
+	t.root = keysRoot(keys)
+	return t
+}
+
+// hashChunk is how many subjects a hashing worker claims at a time:
+// enough to amortize the claim, few enough to balance a shard's tail.
+const hashChunk = 128
+
+// countRecords counts s's records and chain records as DedupRecords
+// leaves them; only a set that may hold a duplicate pays for it.
+func (s *subjectInfo) countRecords(mayDup bool) int {
+	records := s.records
+	if mayDup {
+		records = DedupRecords(records)
+	}
+	for i := range records {
+		if records[i].Attr == AttrChain {
+			s.chains++
+			s.chain = records[i].Value.String()
+		}
+	}
+	return len(records)
+}
+
+// Hash returns ref's subject hash, as SubjectHash renders it, and whether
+// the audit holds ref.
+func (t *SubjectTable) Hash(ref prov.Ref) (string, bool) {
+	i, ok := t.index[ref]
+	if !ok {
+		return "", false
+	}
+	x := t.subjects[i].hash.hex()
+	return string(x[:]), true
+}
+
+// forChunks runs fn over [0, n) in chunks of size claimed by up to
+// GOMAXPROCS goroutines, and returns once every chunk is done.
+func forChunks(n, size int, fn func(lo, hi int)) {
+	workers := min(runtime.GOMAXPROCS(0), (n+size-1)/size)
+	if workers <= 1 {
+		fn(0, n)
+		return
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				lo := int(next.Add(int64(size))) - size
+				if lo >= n {
+					return
+				}
+				fn(lo, min(lo+size, n))
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// verifyShard checks t's chain links, resolving predecessors through
+// tables (t's namespace), then t's root against the highest surviving
+// checkpoint.
+func verifyShard(t *SubjectTable, tables []*SubjectTable) *ShardResult {
+	a := t.audit
+	res := &ShardResult{Shard: a.Shard, Subjects: len(t.subjects), Records: t.records}
+	res.Divergences = verifyChains(t, tables, &res.Detached)
+	root, cp, writers := DeriveRoot(t)
 	res.Root = root
 	res.MultiWriter = writers > 1
 	switch {
@@ -181,45 +283,36 @@ func VerifyAudit(a *Audit) *ShardResult {
 	return res
 }
 
-// verifyChains walks every object's version history present in the audit
-// and checks each chain link.
-func verifyChains(a *Audit, detached *int) []Divergence {
-	byObject := make(map[prov.ObjectID][]prov.Ref)
-	for ref := range a.Entries {
-		byObject[ref.Object] = append(byObject[ref.Object], ref)
-	}
+// verifyChains checks the chain link of every version t holds.
+func verifyChains(t *SubjectTable, tables []*SubjectTable, detached *int) []Divergence {
 	var out []Divergence
-	for _, refs := range byObject {
-		sort.Slice(refs, func(i, j int) bool { return refs[i].Version < refs[j].Version })
-		for _, ref := range refs {
-			out = append(out, verifyLink(a, ref, detached)...)
-		}
+	for i := range t.subjects {
+		out = append(out, verifyLink(t.audit, &t.subjects[i], tables, detached)...)
 	}
 	return out
 }
 
 // verifyLink checks one version's chain record against its predecessor.
-func verifyLink(a *Audit, ref prov.Ref, detached *int) []Divergence {
-	var tokens []string
-	for _, r := range a.Entries[ref] {
-		if r.Attr == AttrChain {
-			tokens = append(tokens, r.Value.String())
-		}
-	}
+func verifyLink(a *Audit, s *subjectInfo, tables []*SubjectTable, detached *int) []Divergence {
+	ref := s.ref
 	switch {
-	case len(tokens) == 0:
+	case s.chains == 0:
 		return []Divergence{{Kind: ChainMissing, Shard: a.Shard, Subject: ref,
 			Detail: "no chain record in stored record set"}}
-	case len(tokens) > 1:
+	case s.chains > 1:
+		var tokens []string
+		for _, r := range DedupRecords(s.records) {
+			if r.Attr == AttrChain {
+				tokens = append(tokens, r.Value.String())
+			}
+		}
 		sort.Strings(tokens)
 		return []Divergence{{Kind: ChainBreak, Shard: a.Shard, Subject: ref,
 			Detail: fmt.Sprintf("%d chain records stored (want exactly one): %v", len(tokens), tokens)}}
 	}
-	token := tokens[0]
+	token := s.chain
 	if token == TokenDetached {
-		if detached != nil {
-			*detached++
-		}
+		*detached++
 		return nil
 	}
 	if ref.Version == 0 {
@@ -235,7 +328,7 @@ func verifyLink(a *Audit, ref prov.Ref, detached *int) []Divergence {
 			Detail: fmt.Sprintf("malformed chain token %q", token)}}
 	}
 	prev := prov.Ref{Object: ref.Object, Version: ref.Version - 1}
-	prevRecords, present := a.predecessors(prev)
+	prevHash, present := predecessorHash(prev, tables)
 	if !present {
 		if a.RetainsHistory {
 			return []Divergence{{Kind: ChainGap, Shard: a.Shard, Subject: ref,
@@ -246,25 +339,54 @@ func verifyLink(a *Audit, ref prov.Ref, detached *int) []Divergence {
 		// version's own hash is still pinned by the root commitment.
 		return nil
 	}
-	if got := SubjectHash(prev, prevRecords); got != want {
+	if got := prevHash.hex(); string(got[:]) != want {
 		return []Divergence{{Kind: ChainBreak, Shard: a.Shard, Subject: ref,
-			Detail: fmt.Sprintf("links to %s with hash %s, but stored records hash to %s", prev, want, got)}}
+			Detail: fmt.Sprintf("links to %s with hash %s, but stored records hash to %s", prev, want, string(got[:]))}}
 	}
 	return nil
 }
 
-// DeriveRoot re-derives a shard's Merkle root from its stored records and
-// picks the checkpoint it must equal: the highest-Seq one, when exactly
-// one writer's checkpoints survive. writers counts the distinct writers
-// found; committed is set only when that is 1, since with several each
-// root covers only its own writer's commits.
-func DeriveRoot(a *Audit) (derived string, committed Checkpoint, writers int) {
-	leaves := make([]string, 0, len(a.Entries))
-	for ref, records := range a.Entries {
-		leaves = append(leaves, SubjectHash(ref, records))
+// predecessorHash is the subject hash of a chain link's predecessor across
+// the namespace's tables. A predecessor one shard holds has that shard's
+// hash. Transient ancestors home with the file flush that triggered them,
+// so one version can be stored on several shards; it is hashed over the
+// union of its stored records.
+func predecessorHash(prev prov.Ref, tables []*SubjectTable) (digest, bool) {
+	var held *subjectInfo
+	for _, t := range tables {
+		i, ok := t.index[prev]
+		if !ok {
+			continue
+		}
+		if held == nil {
+			held = &t.subjects[i]
+			continue
+		}
+		var union []prov.Record
+		for _, t := range tables {
+			if i, ok := t.index[prev]; ok {
+				union = append(union, t.subjects[i].records...)
+			}
+		}
+		h := lineHashers.Get().(*lineHasher)
+		d, _ := h.sum(prev, union)
+		lineHashers.Put(h)
+		return d, true
 	}
+	if held == nil {
+		return digest{}, false
+	}
+	return held.hash, true
+}
+
+// DeriveRoot returns a shard's Merkle root, re-derived from its stored
+// records, and picks the checkpoint it must equal: the highest-Seq one,
+// when exactly one writer's checkpoints survive. writers counts the
+// distinct writers found; committed is set only when that is 1, since
+// with several each root covers only its own writer's commits.
+func DeriveRoot(t *SubjectTable) (derived string, committed Checkpoint, writers int) {
 	latest := make(map[string]Checkpoint)
-	for _, c := range a.Checkpoints {
+	for _, c := range t.audit.Checkpoints {
 		if have, seen := latest[c.Writer]; !seen || c.Seq > have.Seq {
 			latest[c.Writer] = c
 		}
@@ -274,7 +396,7 @@ func DeriveRoot(a *Audit) (derived string, committed Checkpoint, writers int) {
 			committed = c
 		}
 	}
-	return MerkleRoot(leaves), committed, len(latest)
+	return t.root, committed, len(latest)
 }
 
 // sortDivergences orders findings deterministically: by subject, then kind.
@@ -322,38 +444,39 @@ func (r *Result) Divergences() []Divergence {
 }
 
 // VerifyStores audits and verifies each store as one shard (index =
-// position) and composes the namespace root. With more than one shard,
-// chain links resolve predecessors through the union of every shard's
-// entries — each shard's root still covers exactly its own entries —
-// because transient ancestors home with the file flush that triggered
-// them, which can place adjacent versions of one process on different
-// shards.
+// position) and composes the namespace root. The scans run one after
+// another in shard order, so the stores see the same operations in the
+// same order whatever the CPU count; hashing shard i overlaps the scan of
+// shard i+1. Once every shard is hashed, the shards' chain and root
+// checks run in parallel. With more than one shard, a chain link's
+// predecessor resolves across every shard's table (see predecessorHash);
+// each shard's root still covers exactly its own entries.
 func VerifyStores(ctx context.Context, stores []Auditor) (*Result, error) {
-	res := &Result{}
-	audits := make([]*Audit, len(stores))
+	tables := make([]*SubjectTable, len(stores))
+	var wg sync.WaitGroup
+	defer wg.Wait() // a failed scan returns only after the shards already scanned are hashed
 	for i, st := range stores {
 		a, err := st.Audit(ctx)
 		if err != nil {
 			return nil, fmt.Errorf("integrity: audit shard %d: %w", i, err)
 		}
 		a.Shard = i
-		audits[i] = a
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			tables[i] = HashSubjects(a)
+		}()
 	}
-	var union map[prov.Ref][]prov.Record
-	if len(audits) > 1 {
-		union = make(map[prov.Ref][]prov.Record)
-		for _, a := range audits {
-			for ref, records := range a.Entries {
-				union[ref] = append(union[ref], records...)
-			}
+	wg.Wait()
+	res := &Result{Shards: make([]*ShardResult, len(tables))}
+	forChunks(len(tables), 1, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			res.Shards[i] = verifyShard(tables[i], tables)
 		}
-	}
-	roots := make([]string, 0, len(audits))
-	for _, a := range audits {
-		a.pred = union
-		sr := VerifyAudit(a)
-		res.Shards = append(res.Shards, sr)
-		roots = append(roots, sr.Root)
+	})
+	roots := make([]string, len(res.Shards))
+	for i, sr := range res.Shards {
+		roots[i] = sr.Root
 	}
 	res.NamespaceRoot = ComposeRoots(roots)
 	return res, nil
@@ -365,12 +488,12 @@ func VerifyObject(object prov.ObjectID, entries map[prov.Ref][]prov.Record, reta
 	sub := make(map[prov.Ref][]prov.Record)
 	for ref, records := range entries {
 		if ref.Object == object {
-			sub[ref] = DedupRecords(records)
+			sub[ref] = records
 		}
 	}
+	t := HashSubjects(&Audit{Shard: shard, Entries: sub, RetainsHistory: retainsHistory})
 	detached := 0
-	a := &Audit{Shard: shard, Entries: sub, RetainsHistory: retainsHistory}
-	ds := verifyChains(a, &detached)
+	ds := verifyChains(t, []*SubjectTable{t}, &detached)
 	sortDivergences(ds)
 	return ds, detached
 }

@@ -300,19 +300,18 @@ func (c *Controller) verifyCopy(ctx context.Context, plan *Plan, subjects []prov
 	if err != nil {
 		return err
 	}
+	st, dt := integrity.HashSubjects(sa), integrity.HashSubjects(da)
 	srcLeaves := make([]string, 0, len(subjects))
 	dstLeaves := make([]string, 0, len(subjects))
 	for _, ref := range subjects {
-		srcRecs, okS := sa.Entries[ref]
-		dstRecs, okD := da.Entries[ref]
+		sl, okS := st.Hash(ref)
+		dl, okD := dt.Hash(ref)
 		if !okS {
 			return fmt.Errorf("%w: %s vanished from the source mid-copy", ErrVerifyFailed, ref)
 		}
 		if !okD {
 			return fmt.Errorf("%w: %s missing on the destination", ErrVerifyFailed, ref)
 		}
-		sl := integrity.SubjectHash(ref, integrity.DedupRecords(srcRecs))
-		dl := integrity.SubjectHash(ref, integrity.DedupRecords(dstRecs))
 		if sl != dl {
 			return fmt.Errorf("%w: %s: source leaf %s != destination leaf %s",
 				ErrVerifyFailed, ref, sl, dl)
@@ -323,10 +322,10 @@ func (c *Controller) verifyCopy(ctx context.Context, plan *Plan, subjects []prov
 	if sr, dr := integrity.MerkleRoot(srcLeaves), integrity.MerkleRoot(dstLeaves); sr != dr {
 		return fmt.Errorf("%w: moved-arc root %s != destination root %s", ErrVerifyFailed, sr, dr)
 	}
-	if err := ledgerCheck("source", sa); err != nil {
+	if err := ledgerCheck("source", st); err != nil {
 		return err
 	}
-	if err := ledgerCheck("destination", da); err != nil {
+	if err := ledgerCheck("destination", dt); err != nil {
 		return err
 	}
 	return nil
@@ -349,8 +348,8 @@ func (c *Controller) audit(ctx context.Context, i int) (*integrity.Audit, error)
 // its ledger's highest committed checkpoint. Skipped when no checkpoint
 // survived or several writers committed (each writer's root covers only
 // its own writes).
-func ledgerCheck(side string, a *integrity.Audit) error {
-	derived, cp, writers := integrity.DeriveRoot(a)
+func ledgerCheck(side string, t *integrity.SubjectTable) error {
+	derived, cp, writers := integrity.DeriveRoot(t)
 	if writers == 1 && cp.Root != derived {
 		return fmt.Errorf("%w: %s ledger committed root %s != derived root %s",
 			ErrVerifyFailed, side, cp.Root, derived)

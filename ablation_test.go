@@ -185,7 +185,7 @@ func TestAblationEventualConsistencyWithoutVerificationTearsReads(t *testing.T) 
 			Subject: ref,
 			Records: []prov.Record{prov.NewString(ref, prov.AttrEnv, string(marker))},
 			MD5:     sdbprov.ConsistencyMD5(marker, nonce),
-		}}, "ablate"); err != nil {
+		}}, sdbprov.WritePoints{}); err != nil {
 			t.Fatal(err)
 		}
 		meta := map[string]string{core.MetaNonce: nonce, core.MetaVersion: "0"}

@@ -93,6 +93,12 @@ func Build(cfg Config) (shard.Store, *s3sdbsqs.CommitDaemon, error) {
 	}
 }
 
+// CrashPoints are, by name, the crash points an architecture's write path
+// and background machinery check, in protocol order: the declarations of
+// its store package, the points it passes the shared SimpleDB layer
+// included.
+var CrashPoints = map[string]sim.Points{"s3": s3only.Points, "s3+sdb": s3sdb.Points, "s3+sdb+sqs": s3sdbsqs.Points}
+
 // Sharded is n members of one architecture, each on its own namespace,
 // composed behind one store. n is 1 for the paper's single-store layout.
 type Sharded struct {

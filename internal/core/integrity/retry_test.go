@@ -44,10 +44,10 @@ type retryEnv struct {
 	faults *sim.FaultPlan
 	// writeOps are the service ops the fault schedule targets.
 	writeOps []string
-	// crashPoint, when non-empty, is a protocol point whose injected
+	// crashPoint, when non-nil, is a protocol point whose injected
 	// crash yields a half-landed batch (the WAL's sealed-transaction
 	// shape).
-	crashPoint string
+	crashPoint *sim.Point
 	// pump drains the WAL on the daemon architecture; nil elsewhere.
 	pump func(ctx context.Context) error
 }
@@ -79,7 +79,7 @@ func buildRetryEnv(t *testing.T, arch string, seed int64) *retryEnv {
 		}
 		e.store = st
 		e.writeOps = []string{"s3/PUT", "sqs/SendMessage"}
-		e.crashPoint = "wal/after-commit"
+		e.crashPoint = s3sdbsqs.PointAfterCommit
 		e.pump = func(ctx context.Context) error {
 			for round := 0; round < 20; round++ {
 				d := s3sdbsqs.NewCommitDaemon(st, faults)
@@ -142,7 +142,7 @@ func TestPartialRetryExtendsChain(t *testing.T) {
 					// the landed prefix), or a transient window long enough
 					// to exhaust the retry policy. Plus an occasional
 					// ack-loss on top.
-					if e.crashPoint == "" && rng.Intn(2) == 0 {
+					if e.crashPoint == nil && rng.Intn(2) == 0 {
 						e.faults.ArmOp("s3/PUT", sim.ClassPermanent, 1+rng.Intn(2), 1)
 					} else {
 						op := e.writeOps[rng.Intn(len(e.writeOps))]
@@ -151,7 +151,7 @@ func TestPartialRetryExtendsChain(t *testing.T) {
 					if rng.Intn(2) == 0 {
 						e.faults.ArmOp(e.writeOps[rng.Intn(len(e.writeOps))], sim.ClassAckLoss, rng.Intn(2), 1+rng.Intn(2))
 					}
-					if e.crashPoint != "" && rng.Intn(2) == 0 {
+					if e.crashPoint != nil && rng.Intn(2) == 0 {
 						// A crash after the WAL commit record is queued is
 						// the half-landed shape on this architecture: the
 						// transaction will commit, so the whole batch is

@@ -32,9 +32,6 @@ type Env struct {
 	// Recover runs the architecture's crash-recovery path (orphan scan).
 	// Nil means none.
 	Recover func(ctx context.Context) error
-	// AtomicityWindows are the client crash points whose aftermath must be
-	// all-or-nothing for atomicity to hold.
-	AtomicityWindows []string
 }
 
 // Harness builds Envs for one architecture.
@@ -59,17 +56,6 @@ type Report struct {
 // delayCfg is the consistency stress configuration shared by scenarios.
 const propDelay = 5 * time.Second
 
-// atomicityWindows are, per architecture, the client crash points whose
-// aftermath must be all-or-nothing for atomicity to hold.
-var atomicityWindows = map[string][]string{
-	"s3":     {"s3only/before-put", "s3only/after-overflow-put"},
-	"s3+sdb": {"s3sdb/after-prov", "s3sdb/after-batchput"},
-	"s3+sdb+sqs": {
-		"wal/after-begin", "wal/after-tmp-put", "wal/after-record-0",
-		"wal/after-record-1", "wal/before-commit", "wal/after-commit",
-	},
-}
-
 // StandardHarnesses returns the three architectures wired for property
 // checking.
 func StandardHarnesses(seed int64) []Harness {
@@ -81,7 +67,7 @@ func StandardHarnesses(seed int64) []Harness {
 			if err != nil {
 				return nil, err
 			}
-			env := &Env{Cloud: cl, Store: st, AtomicityWindows: atomicityWindows[name]}
+			env := &Env{Cloud: cl, Store: st}
 			switch st := st.(type) {
 			case *s3sdb.Store:
 				env.Recover = func(ctx context.Context) error {
@@ -161,22 +147,16 @@ func fileEvent(object string, records ...prov.Record) pass.FlushEvent {
 // the surviving state: atomicity holds iff data and provenance are always
 // both present or both absent (after the background machinery catches up).
 func checkAtomicity(ctx context.Context, h Harness) (bool, []string, error) {
-	// Discover the windows from a probe env.
-	probe, err := h.New(nil)
-	if err != nil {
-		return false, nil, err
-	}
 	atomic := true
 	var violations []string
-
-	for _, point := range probe.AtomicityWindows {
+	for _, point := range arch.CrashPoints[h.Name].Windows() {
 		faults := sim.NewFaultPlan()
 		faults.Arm(point)
 		env, err := h.New(faults)
 		if err != nil {
 			return false, nil, err
 		}
-		object := prov.ObjectID("/atom" + sanitize(point))
+		object := prov.ObjectID("/atom" + sanitize(point.String()))
 		perr := core.Put(ctx, env.Store, fileEvent(string(object)))
 		if perr != nil && !errors.Is(perr, sim.ErrCrash) {
 			return false, nil, perr

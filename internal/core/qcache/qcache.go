@@ -114,11 +114,11 @@ func CloudStamp(gen *Generation, cl *cloud.Cloud) StampFunc {
 	}
 }
 
-// mutatingOps are the metered operations (Meter "Service/Name" keys) that
+// MutatingOps are the metered operations (Meter "Service/Name" keys) that
 // can change what a provenance query observes. SQS traffic is absent
 // deliberately: WAL messages are not query-visible until the commit
 // daemon's S3/SimpleDB writes, which are listed.
-var mutatingOps = []string{
+var MutatingOps = []string{
 	billing.S3.String() + "/PUT",
 	billing.S3.String() + "/COPY",
 	billing.S3.String() + "/DELETE",
@@ -134,7 +134,7 @@ var mutatingOps = []string{
 // queries perform none of the listed ops, so a scan never invalidates
 // itself.
 func regionWrites(cl *cloud.Cloud) uint64 {
-	return uint64(cl.Meter.OpSum(mutatingOps))
+	return uint64(cl.Meter.OpSum(MutatingOps))
 }
 
 // WriteTracker attributes the region's metered mutations to this client:

@@ -137,7 +137,7 @@ func patchScript(t *testing.T, data []byte) uint64 {
 		case 2:
 			faults.ArmOp("s3/PUT", sim.ClassPermanent, b.n(4), 1) // a partial write
 		case 3:
-			faults.Arm([]string{"s3only/after-overflow-put", "s3only/after-bundle-put", "s3only/before-put"}[b.n(3)])
+			faults.Arm([]*sim.Point{PointAfterOverflowPut, PointAfterBundlePut, PointBeforePut}[b.n(3)])
 		}
 		theirs := fileEvent(fmt.Sprintf("/f%d", b.n(len(next))), 99, "theirs")
 		var bctx context.Context = ctx

@@ -60,6 +60,19 @@ import (
 	"passcloud/internal/sim"
 )
 
+// Points are the store's crash points, in protocol order. Its windows are
+// where Table 1's atomicity check crashes the client.
+var Points sim.Points
+
+// The crash points: before a file's PUT, after a batch's PUTs, after an
+// overflow object's PUT and after a spill bundle's PUT.
+var (
+	PointBeforePut        = Points.DeclareWindow("s3only/before-put")
+	PointAfterPut         = Points.Declare("s3only/after-put")
+	PointAfterOverflowPut = Points.DeclareWindow("s3only/after-overflow-put")
+	PointAfterBundlePut   = Points.Declare("s3only/after-bundle-put")
+)
+
 // metaOverflow is this architecture's one reserved metadata key beyond the
 // shared layout's (core.MetaVersion, integrity.AttrRoot): the pointer to
 // the spill bundle object.
@@ -326,7 +339,7 @@ func (s *Store) putBatch(ctx context.Context, batch []pass.FlushEvent, savedPres
 			continue
 		}
 
-		if err := s.faults.Check("s3only/before-put"); err != nil {
+		if err := s.faults.Check(PointBeforePut); err != nil {
 			return err
 		}
 
@@ -366,7 +379,7 @@ func (s *Store) putBatch(ctx context.Context, batch []pass.FlushEvent, savedPres
 	if err := s.doPuts(ctx, puts, res); err != nil {
 		return err
 	}
-	return s.faults.Check("s3only/after-put")
+	return s.faults.Check(PointAfterPut)
 }
 
 // putCarrier executes one provenance-carrying PUT under the retrier. When
@@ -529,7 +542,7 @@ func (s *Store) encodeMetadata(ctx context.Context, subject prov.Ref, own, forei
 			return "", fmt.Errorf("s3only: overflow put: %w", err)
 		}
 		keep(okey, body)
-		return okey, s.faults.Check("s3only/after-overflow-put")
+		return okey, s.faults.Check(PointAfterOverflowPut)
 	}
 	add := func(i int, rec prov.Record, rider bool) error {
 		rec, err := core.EncodeValue(rec, putOverflow)
@@ -572,7 +585,7 @@ func (s *Store) encodeMetadata(ctx context.Context, subject prov.Ref, own, forei
 			return nil, nil, fmt.Errorf("s3only: bundle put: %w", err)
 		}
 		keep(bkey, blob)
-		if err := s.faults.Check("s3only/after-bundle-put"); err != nil {
+		if err := s.faults.Check(PointAfterBundlePut); err != nil {
 			return nil, nil, err
 		}
 		meta[metaOverflow] = bkey

@@ -175,7 +175,7 @@ func TestMetadataSpillBundle(t *testing.T) {
 func TestAtomicityUnderCrash(t *testing.T) {
 	// Crash before the PUT: neither data nor provenance may exist.
 	faults := sim.NewFaultPlan()
-	faults.Arm("s3only/before-put")
+	faults.Arm(PointBeforePut)
 	st, _ := newTestStore(t, faults)
 	ctx := context.Background()
 

@@ -117,7 +117,7 @@ func TestWriteEncodedBatchPartialFailureListsLandedGroups(t *testing.T) {
 	// First group lands; second group fails permanently.
 	faults.ArmOp("sdb/BatchPutAttributes", sim.ClassPermanent, 1, 8)
 
-	err = layer.WriteEncodedBatch(ctx, writes, "test")
+	err = layer.WriteEncodedBatch(ctx, writes, sdbprov.WritePoints{})
 	if err == nil {
 		t.Fatal("expected the injected fault to fail the batch")
 	}

@@ -38,6 +38,24 @@ import (
 	"passcloud/internal/sim"
 )
 
+// Points are the store's crash points, in protocol order, the ones it
+// passes the SimpleDB layer included. Its windows are where Table 1's
+// atomicity check crashes the client.
+var Points sim.Points
+
+// The crash points: before a batch, after its provenance items land (the
+// §4.2 atomicity hole), after each BatchPutAttributes group, after each data
+// PUT, and the layer's overflow, spill and chunk steps.
+var (
+	PointBeforePut        = Points.Declare("s3sdb/before-put")
+	PointAfterProv        = Points.DeclareWindow("s3sdb/after-prov")
+	PointAfterBatchPut    = Points.DeclareWindow("s3sdb/after-batchput")
+	PointAfterData        = Points.Declare("s3sdb/after-data")
+	PointAfterOverflowPut = Points.Declare("s3sdb/after-overflow-put")
+	PointAfterSpillPut    = Points.Declare("s3sdb/after-spill-put")
+	PointAfterChunk       = Points.Declare("s3sdb/after-putattrs-chunk")
+)
+
 // Config parameterizes the store.
 type Config struct {
 	// Cloud supplies S3 and SimpleDB. Required.
@@ -138,7 +156,7 @@ func (s *Store) putBatch(ctx context.Context, batch []pass.FlushEvent) error {
 	// Invalidate cached query snapshots even when the batch fails partway:
 	// the provenance phase's effects may already be visible to queries.
 	defer s.Layer().InvalidateQueries()
-	if err := s.faults.Check("s3sdb/before-put"); err != nil {
+	if err := s.faults.Check(PointBeforePut); err != nil {
 		return err
 	}
 
@@ -168,7 +186,7 @@ func (s *Store) putBatch(ctx context.Context, batch []pass.FlushEvent) error {
 		if s.Layer().IntegrityEnabled() {
 			leaf = integrity.SubjectHash(ev.Ref, ev.Records)
 		}
-		encoded, err := s.Layer().EncodeValues(ctx, ev.Ref, ev.Records, "s3sdb")
+		encoded, err := s.Layer().EncodeValues(ctx, ev.Ref, ev.Records, PointAfterOverflowPut)
 		if err != nil {
 			return err
 		}
@@ -193,7 +211,9 @@ func (s *Store) putBatch(ctx context.Context, batch []pass.FlushEvent) error {
 	}
 
 	// Step 3: the batch's provenance (and MD5 records) into SimpleDB.
-	if err := s.Layer().WriteEncodedBatch(ctx, writes, "s3sdb"); err != nil {
+	if err := s.Layer().WriteEncodedBatch(ctx, writes, sdbprov.WritePoints{
+		AfterSpillPut: PointAfterSpillPut, AfterChunk: PointAfterChunk, AfterBatchPut: PointAfterBatchPut,
+	}); err != nil {
 		var pw *core.PartialWriteError
 		if errors.As(err, &pw) {
 			// Re-scope the landed set from provenance items to full events
@@ -210,7 +230,7 @@ func (s *Store) putBatch(ctx context.Context, batch []pass.FlushEvent) error {
 	}
 
 	// The atomicity hole: a crash here leaves provenance without data.
-	if err := s.faults.Check("s3sdb/after-prov"); err != nil {
+	if err := s.faults.Check(PointAfterProv); err != nil {
 		return core.PartialWrite(transientLanded(allProv), err)
 	}
 
@@ -250,7 +270,7 @@ func (s *Store) putBatch(ctx context.Context, batch []pass.FlushEvent) error {
 		}
 		s.mu.Unlock()
 		landed = append(landed, d.ev.Ref)
-		if err := s.faults.Check("s3sdb/after-data"); err != nil {
+		if err := s.faults.Check(PointAfterData); err != nil {
 			return core.PartialWrite(landed, err)
 		}
 	}

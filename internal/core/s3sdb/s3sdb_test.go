@@ -157,7 +157,7 @@ func TestSameContentOverwriteDetectedByNonce(t *testing.T) {
 func TestAtomicityViolationOrphanProvenance(t *testing.T) {
 	// The §4.2 crash: provenance stored, client dies before the data PUT.
 	faults := sim.NewFaultPlan()
-	faults.Arm("s3sdb/after-prov")
+	faults.Arm(PointAfterProv)
 	st, _ := newTestStore(t, faults, 0)
 	ctx := context.Background()
 

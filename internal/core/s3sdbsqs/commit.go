@@ -352,13 +352,18 @@ func (d *CommitDaemon) commitTx(ctx context.Context, txid string, tx *txState) (
 		if v, ok := d.committedVersion[dm.RealKey]; !ok || dm.Version > v {
 			d.committedVersion[dm.RealKey] = dm.Version
 		}
-		if err := d.faults.Check("commit/after-copy"); err != nil {
+		if err := d.faults.Check(PointCommitAfterCopy); err != nil {
 			return false, err
 		}
 	}
 
 	// (c) provenance into SimpleDB. Records were value-encoded during the
-	// log phase, so they group straight into batched item writes.
+	// log phase, so they group straight into batched item writes. An item's
+	// chunks join in log order, whatever order SQS delivered them in: a
+	// replay must split an oversized item between its attributes and its
+	// spill object as the crashed attempt did, or the two attempts'
+	// attributes together overfill the item.
+	sort.Slice(tx.provMsgs, func(i, j int) bool { return tx.provMsgs[i].Seq < tx.provMsgs[j].Seq })
 	recordsByItem := make(map[string][]prov.Record)
 	leafByItem := make(map[string]string)
 	var itemOrder []string
@@ -402,10 +407,12 @@ func (d *CommitDaemon) commitTx(ctx context.Context, txid string, tx *txState) (
 		})
 	}
 	if len(writes) > 0 {
-		if err := d.layer.WriteEncodedBatch(ctx, writes, "commit"); err != nil {
+		if err := d.layer.WriteEncodedBatch(ctx, writes, sdbprov.WritePoints{
+			AfterSpillPut: PointCommitAfterSpillPut, AfterChunk: PointCommitAfterChunk, AfterBatchPut: PointCommitAfterBatchPut,
+		}); err != nil {
 			return false, err
 		}
-		if err := d.faults.Check("commit/after-prov-write"); err != nil {
+		if err := d.faults.Check(PointCommitAfterProvWrite); err != nil {
 			return false, err
 		}
 	}
@@ -421,7 +428,7 @@ func (d *CommitDaemon) commitTx(ctx context.Context, txid string, tx *txState) (
 			return false, err
 		}
 	}
-	if err := d.faults.Check("commit/after-delete-messages"); err != nil {
+	if err := d.faults.Check(PointCommitAfterDeleteMessages); err != nil {
 		return false, err
 	}
 	// ...and only then the temporary objects, preserving idempotent replay.
@@ -434,7 +441,7 @@ func (d *CommitDaemon) commitTx(ctx context.Context, txid string, tx *txState) (
 			return false, err
 		}
 	}
-	return false, d.faults.Check("commit/after-tmp-delete")
+	return false, d.faults.Check(PointCommitAfterTmpDelete)
 }
 
 // staleReplay reports whether dm's COPY would regress its object: true when

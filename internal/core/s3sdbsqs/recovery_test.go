@@ -3,6 +3,8 @@ package s3sdbsqs
 import (
 	"context"
 	"errors"
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -61,7 +63,7 @@ func TestCommitRedeliveryDoesNotDoubleCommit(t *testing.T) {
 
 	// First daemon crashes after writing provenance, before deleting the
 	// WAL messages.
-	faults.Arm("commit/after-prov-write")
+	faults.Arm(PointCommitAfterProvWrite)
 	d1 := NewCommitDaemon(st, faults)
 	d1.Visibility = 10 * time.Second
 	if _, err := d1.RunOnce(ctx, true); !errors.Is(err, sim.ErrCrash) {
@@ -152,7 +154,7 @@ func TestStaleRedeliveryCannotRegressNewerVersion(t *testing.T) {
 		t.Fatal(err)
 	}
 	cl.Settle()
-	faults.Arm("commit/after-prov-write")
+	faults.Arm(PointCommitAfterProvWrite)
 	d1 := NewCommitDaemon(st, faults)
 	d1.Visibility = 36 * time.Second
 	if _, err := d1.RunOnce(ctx, true); !errors.Is(err, sim.ErrCrash) {
@@ -202,7 +204,7 @@ func TestIncompleteTransactionPrunedAfterRetention(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Crash after the first WAL record: begin + one record, no commit.
-	faults.Arm("wal/after-record-0")
+	faults.Arm(PointAfterRecord[0])
 	err = st.PutBatch(ctx, []pass.FlushEvent{testEvent("/wedge", 0, "x")})
 	if !errors.Is(err, sim.ErrCrash) {
 		t.Fatalf("expected injected crash, got %v", err)
@@ -237,7 +239,7 @@ func TestCommittedLogPhaseReportsLanded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	faults.Arm("wal/after-commit")
+	faults.Arm(PointAfterCommit)
 	ev := testEvent("/sealed", 0, "data")
 	err = st.PutBatch(ctx, []pass.FlushEvent{ev})
 	if !errors.Is(err, sim.ErrCrash) {
@@ -252,5 +254,58 @@ func TestCommittedLogPhaseReportsLanded(t *testing.T) {
 	}
 	if !strings.Contains(pw.Error(), "1 events landed") {
 		t.Fatalf("unexpected error rendering: %v", pw)
+	}
+}
+
+// TestReplayedOversizedItemSplitsAsBefore: a daemon that crashed between the
+// PutAttributes chunks of an oversized item left part of its attributes
+// behind. The restarted daemon receives the item's log chunks in the other
+// order, and must still split the item between its attributes and its spill
+// object as the crashed attempt did, or the two attempts' attributes
+// together overfill the item.
+func TestReplayedOversizedItemSplitsAsBefore(t *testing.T) {
+	ctx := context.Background()
+	// The layer checks the commit's chunk point against the store's plan.
+	faults := sim.NewFaultPlan()
+	st, _, cl := newTestStore(t, faults, 0)
+	var records []prov.Record
+	ref := prov.Ref{Object: "proc/1/wide", Version: 0}
+	for i := 0; i < 300; i++ {
+		records = append(records, prov.NewString(ref, fmt.Sprintf("k%03d", i), strings.Repeat("v", 40)))
+	}
+	ev := procEvent("wide", 1, records...)
+	if err := core.Put(ctx, st, ev); err != nil {
+		t.Fatal(err)
+	}
+	// commit drains the log into a fresh daemon and commits it with each
+	// transaction's chunks in log order, or reversed.
+	commit := func(reversed bool) error {
+		d := NewCommitDaemon(st, faults)
+		if err := d.drain(ctx); err != nil {
+			return err
+		}
+		for _, tx := range d.pending {
+			slices.SortFunc(tx.provMsgs, func(a, b walMessage) int { return a.Seq - b.Seq })
+			if reversed {
+				slices.Reverse(tx.provMsgs)
+			}
+		}
+		cl.Clock.Advance(d.Visibility + time.Second)
+		_, err := d.processReady(ctx)
+		return err
+	}
+	faults.Arm(PointCommitAfterChunk)
+	if err := commit(false); !errors.Is(err, sim.ErrCrash) {
+		t.Fatalf("daemon did not crash between chunks: %v", err)
+	}
+	if err := commit(true); err != nil {
+		t.Fatalf("replay: %v", err)
+	}
+	got, err := st.Provenance(ctx, ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(ev.Records) {
+		t.Fatalf("replayed item holds %d records, want %d", len(got), len(ev.Records))
 	}
 }

@@ -102,7 +102,7 @@ func TestUncommittedTransactionIsInvisible(t *testing.T) {
 	// Crash before the commit record: the daemon must ignore the
 	// transaction entirely — this is the atomicity the WAL buys.
 	faults := sim.NewFaultPlan()
-	faults.Arm("wal/before-commit")
+	faults.Arm(PointBeforeCommit)
 	st, daemon, cl := newTestStore(t, faults, 0)
 	ctx := context.Background()
 
@@ -126,19 +126,11 @@ func TestCrashWindowsNeverBreakReadCorrectness(t *testing.T) {
 	// Crash the client at every log-phase point in turn. In every case the
 	// outcome must be all-or-nothing: either the commit record made it and
 	// the daemon completes the write, or nothing becomes visible.
-	points := []string{
-		"wal/before-begin",
-		"wal/after-begin",
-		"wal/after-tmp-put",
-		"wal/after-record-0",
-		"wal/after-record-1",
-		"wal/before-commit",
-		"wal/after-commit",
-	}
-	for _, point := range points {
+	for _, pt := range append(sim.Points{PointBeforeBegin}, Points.Windows()...) {
+		point := pt.String()
 		t.Run(point, func(t *testing.T) {
 			faults := sim.NewFaultPlan()
-			faults.Arm(point)
+			faults.Arm(pt)
 			st, daemon, cl := newTestStore(t, faults, 0)
 			ctx := context.Background()
 
@@ -170,13 +162,13 @@ func TestCrashWindowsNeverBreakReadCorrectness(t *testing.T) {
 func TestDaemonCrashReplayIsIdempotent(t *testing.T) {
 	// Crash the daemon between every pair of commit steps, restart it, and
 	// verify the final state is exactly right each time.
-	points := []string{
-		"commit/after-copy",
-		"commit/after-prov-write",
-		"commit/after-delete-messages",
+	points := []*sim.Point{
+		PointCommitAfterCopy,
+		PointCommitAfterProvWrite,
+		PointCommitAfterDeleteMessages,
 	}
 	for _, point := range points {
-		t.Run(point, func(t *testing.T) {
+		t.Run(point.String(), func(t *testing.T) {
 			st, _, cl := newTestStore(t, nil, 0)
 			ctx := context.Background()
 			if err := core.Put(ctx, st, fileEvent("/replay", 0, "payload")); err != nil {
@@ -288,7 +280,7 @@ func TestOverflowValuesStoredDuringLogPhase(t *testing.T) {
 
 func TestCleanerReapsAbandonedTempObjects(t *testing.T) {
 	faults := sim.NewFaultPlan()
-	faults.Arm("wal/before-commit") // tmp object exists, tx never commits
+	faults.Arm(PointBeforeCommit) // tmp object exists, tx never commits
 	st, daemon, cl := newTestStore(t, faults, 0)
 	ctx := context.Background()
 
@@ -317,7 +309,7 @@ func TestCleanerReapsAbandonedTempObjects(t *testing.T) {
 
 func TestSQSRetentionReapsUncommittedLog(t *testing.T) {
 	faults := sim.NewFaultPlan()
-	faults.Arm("wal/before-commit")
+	faults.Arm(PointBeforeCommit)
 	st, _, cl := newTestStore(t, faults, 0)
 	ctx := context.Background()
 	if err := core.Put(ctx, st, fileEvent("/old", 0, "x")); !errors.Is(err, sim.ErrCrash) {

@@ -44,6 +44,38 @@ import (
 // TmpPrefix prefixes temporary data objects awaiting commit.
 const TmpPrefix = "tmp/"
 
+// Points are the architecture's crash points, in protocol order: the
+// client's log phase ("wal/"), then the commit daemon ("commit/"), the ones
+// each passes the SimpleDB layer included. Its windows are where Table 1's
+// atomicity check crashes the client.
+var Points sim.Points
+
+// The log phase's crash points: around the begin record, after an overflow
+// object's PUT, after each temporary object's PUT, after the first two log
+// records (by index), and around the commit record.
+var (
+	PointBeforeBegin      = Points.Declare("wal/before-begin")
+	PointAfterBegin       = Points.DeclareWindow("wal/after-begin")
+	PointAfterOverflowPut = Points.Declare("wal/after-overflow-put")
+	PointAfterTmpPut      = Points.DeclareWindow("wal/after-tmp-put")
+	PointAfterRecord      = [...]*sim.Point{Points.DeclareWindow("wal/after-record-0"), Points.DeclareWindow("wal/after-record-1")}
+	PointBeforeCommit     = Points.DeclareWindow("wal/before-commit")
+	PointAfterCommit      = Points.DeclareWindow("wal/after-commit")
+)
+
+// The commit daemon's crash points: after each COPY out of a temporary
+// object, the layer's spill, chunk and batch steps, after the provenance
+// write, after the log records' deletion and after the temporaries'.
+var (
+	PointCommitAfterCopy           = Points.Declare("commit/after-copy")
+	PointCommitAfterSpillPut       = Points.Declare("commit/after-spill-put")
+	PointCommitAfterChunk          = Points.Declare("commit/after-putattrs-chunk")
+	PointCommitAfterBatchPut       = Points.Declare("commit/after-batchput")
+	PointCommitAfterProvWrite      = Points.Declare("commit/after-prov-write")
+	PointCommitAfterDeleteMessages = Points.Declare("commit/after-delete-messages")
+	PointCommitAfterTmpDelete      = Points.Declare("commit/after-tmp-delete")
+)
+
 // Config parameterizes the store.
 type Config struct {
 	// Cloud supplies S3, SimpleDB and SQS. Required.
@@ -186,7 +218,7 @@ func (s *Store) putBatch(ctx context.Context, batch []pass.FlushEvent) error {
 		if s.Layer().IntegrityEnabled() {
 			leaf = integrity.SubjectHash(ev.Ref, ev.Records)
 		}
-		encoded, err := s.Layer().EncodeValues(ctx, ev.Ref, ev.Records, "wal")
+		encoded, err := s.Layer().EncodeValues(ctx, ev.Ref, ev.Records, PointAfterOverflowPut)
 		if err != nil {
 			return err
 		}
@@ -236,13 +268,13 @@ func (s *Store) putBatch(ctx context.Context, batch []pass.FlushEvent) error {
 	commit := walMessage{TxID: txid, Kind: kindCommit, Seq: total - 1}
 
 	// 1(b): begin record with the transaction's record count.
-	if err := s.faults.Check("wal/before-begin"); err != nil {
+	if err := s.faults.Check(PointBeforeBegin); err != nil {
 		return err
 	}
 	if err := s.send(ctx, walMessage{TxID: txid, Kind: kindBegin, Seq: 0, Count: total}); err != nil {
 		return err
 	}
-	if err := s.faults.Check("wal/after-begin"); err != nil {
+	if err := s.faults.Check(PointAfterBegin); err != nil {
 		return err
 	}
 
@@ -259,7 +291,7 @@ func (s *Store) putBatch(ctx context.Context, batch []pass.FlushEvent) error {
 		if err != nil {
 			return fmt.Errorf("s3sdbsqs: temp put: %w", err)
 		}
-		if err := s.faults.Check("wal/after-tmp-put"); err != nil {
+		if err := s.faults.Check(PointAfterTmpPut); err != nil {
 			return err
 		}
 	}
@@ -272,11 +304,13 @@ func (s *Store) putBatch(ctx context.Context, batch []pass.FlushEvent) error {
 		if err := s.send(ctx, m); err != nil {
 			return err
 		}
-		if err := s.faults.Check(fmt.Sprintf("wal/after-record-%d", i)); err != nil {
-			return err
+		if i < len(PointAfterRecord) {
+			if err := s.faults.Check(PointAfterRecord[i]); err != nil {
+				return err
+			}
 		}
 	}
-	if err := s.faults.Check("wal/before-commit"); err != nil {
+	if err := s.faults.Check(PointBeforeCommit); err != nil {
 		return err
 	}
 
@@ -294,7 +328,7 @@ func (s *Store) putBatch(ctx context.Context, batch []pass.FlushEvent) error {
 		}
 	}
 	s.mu.Unlock()
-	if err := s.faults.Check("wal/after-commit"); err != nil {
+	if err := s.faults.Check(PointAfterCommit); err != nil {
 		// The commit record is already on the queue: the transaction WILL
 		// commit once the daemon drains it. Report every event as landed so
 		// the caller does not replay the batch into a second transaction.

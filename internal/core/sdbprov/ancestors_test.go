@@ -36,7 +36,7 @@ func writeLineage(t testing.TB, l *Layer, prefix string, n int) (head prov.Ref, 
 			records = append(records, prov.NewInput(subject, prev), prov.NewInput(subject, ghost))
 			reached = append(reached, prev, ghost)
 		}
-		if err := writeItem(context.Background(), l, subject, records, "", "t"); err != nil {
+		if err := writeItem(context.Background(), l, subject, records, ""); err != nil {
 			t.Fatal(err)
 		}
 		prev = subject
@@ -58,7 +58,7 @@ func writeNoise(t testing.TB, l *Layer, n int) {
 				prov.NewString(subject, prov.AttrName, "noise"),
 			}})
 		}
-		err := l.TrackWrites(func() error { return l.WriteEncodedBatch(ctx, writes, "t") })
+		err := l.TrackWrites(func() error { return l.WriteEncodedBatch(ctx, writes, WritePoints{}) })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -181,12 +181,12 @@ func TestAncestorPlanSeesSpilledInputs(t *testing.T) {
 	var records []prov.Record
 	for i := 0; i < 300; i++ {
 		in := ref(fmt.Sprintf("/in/%03d", i), 0)
-		if err := writeItem(context.Background(), layer, in, []prov.Record{prov.NewString(in, prov.AttrType, prov.TypeFile)}, "", "t"); err != nil {
+		if err := writeItem(context.Background(), layer, in, []prov.Record{prov.NewString(in, prov.AttrType, prov.TypeFile)}, ""); err != nil {
 			t.Fatal(err)
 		}
 		records = append(records, prov.NewInput(subject, in))
 	}
-	if err := writeItem(context.Background(), layer, subject, records, "", "t"); err != nil {
+	if err := writeItem(context.Background(), layer, subject, records, ""); err != nil {
 		t.Fatal(err)
 	}
 	entries, ops := explainThenRun(t, layer, cl, prov.QAncestors(subject), "spilled inputs")
@@ -289,7 +289,7 @@ func TestItemMemoInvalidation(t *testing.T) {
 		if err := writeItem(context.Background(), layer, late, []prov.Record{
 			prov.NewString(late, prov.AttrType, prov.TypeFile),
 			prov.NewString(late, prov.AttrName, fmt.Sprint(try)),
-		}, "", "t"); err != nil {
+		}, ""); err != nil {
 			t.Fatal(err)
 		}
 		entries, _ := meteredQuery(t, layer, cl, lateQ)
@@ -320,7 +320,7 @@ func TestVerifiersBypassItemMemo(t *testing.T) {
 	if err := cl.S3.Put(layer.Bucket(), core.DataKey(obj), data, map[string]string{core.MetaNonce: "n", core.MetaVersion: "0"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := writeItem(ctx, layer, subject, []prov.Record{prov.NewString(subject, prov.AttrType, prov.TypeFile)}, ConsistencyMD5(data, "n"), "t"); err != nil {
+	if err := writeItem(ctx, layer, subject, []prov.Record{prov.NewString(subject, prov.AttrType, prov.TypeFile)}, ConsistencyMD5(data, "n")); err != nil {
 		t.Fatal(err)
 	}
 	read := ReadSide{layerReads: layer, layer: layer}
@@ -365,7 +365,7 @@ func TestItemMemoConcurrentReadersBesideWriter(t *testing.T) {
 		defer close(stop)
 		for i := 0; i < 30; i++ {
 			subject := ref(fmt.Sprintf("/w/%02d", i), 0)
-			if err := writeItem(ctx, layer, subject, []prov.Record{prov.NewString(subject, prov.AttrType, prov.TypeFile)}, "", "t"); err != nil {
+			if err := writeItem(ctx, layer, subject, []prov.Record{prov.NewString(subject, prov.AttrType, prov.TypeFile)}, ""); err != nil {
 				t.Error(err)
 				return
 			}

@@ -111,7 +111,7 @@ func (l *Layer) ImportArc(ctx context.Context, exp *core.ArcExport) error {
 		}
 		writes := make([]ItemWrite, 0, len(payload.items))
 		for _, it := range payload.items {
-			encoded, err := l.EncodeValues(ctx, it.subject, it.records, "sdbprov/reshard")
+			encoded, err := l.EncodeValues(ctx, it.subject, it.records, nil)
 			if err != nil {
 				return err
 			}
@@ -121,7 +121,7 @@ func (l *Layer) ImportArc(ctx context.Context, exp *core.ArcExport) error {
 			}
 			writes = append(writes, w)
 		}
-		return l.WriteEncodedBatch(ctx, writes, "sdbprov/reshard")
+		return l.WriteEncodedBatch(ctx, writes, WritePoints{})
 	})
 }
 
@@ -154,6 +154,7 @@ func (l *Layer) RemoveArc(ctx context.Context, match func(prov.ObjectID) bool) (
 		for _, slot := range phantoms {
 			ref, _ := prov.ParseItemName(slot)
 			l.catalog.Forget(ref)
+			refs = append(refs, ref)
 		}
 		if len(items) == 0 && len(phantoms) == 0 {
 			return nil
@@ -161,20 +162,24 @@ func (l *Layer) RemoveArc(ctx context.Context, match func(prov.ObjectID) bool) (
 		// Deletions change what queries see even if a later step fails.
 		defer l.gen.Bump()
 		seenObject := make(map[prov.ObjectID]bool)
-		for i, item := range items {
+		// refs lists the live items, then the phantoms: a phantom's item is
+		// gone, but its overflow, spill and data objects may not be.
+		for i, ref := range refs {
 			// Overflow and spill objects all live under the item's prefix.
-			if err := core.DeleteS3Prefix(ctx, l.retrier, l.cfg.Cloud.S3, l.cfg.Bucket, core.ProvKey(refs[i], "")); err != nil {
+			if err := core.DeleteS3Prefix(ctx, l.retrier, l.cfg.Cloud.S3, l.cfg.Bucket, core.ProvKey(ref, "")); err != nil {
 				return err
 			}
-			err := l.retrier.Do(ctx, "sdbprov/reshard-delete-item", func() error {
-				return l.cfg.Cloud.SDB.DeleteAttributes(l.cfg.Domain, item, nil)
-			})
-			if err != nil {
-				return fmt.Errorf("sdbprov: reshard delete item: %w", err)
+			if i < len(items) {
+				err := l.retrier.Do(ctx, "sdbprov/reshard-delete-item", func() error {
+					return l.cfg.Cloud.SDB.DeleteAttributes(l.cfg.Domain, items[i], nil)
+				})
+				if err != nil {
+					return fmt.Errorf("sdbprov: reshard delete item: %w", err)
+				}
+				l.catalog.Forget(ref)
+				removed++
 			}
-			l.catalog.Forget(refs[i])
-			removed++
-			if object := refs[i].Object; !seenObject[object] {
+			if object := ref.Object; !seenObject[object] {
 				seenObject[object] = true
 				err := l.retrier.Do(ctx, "sdbprov/reshard-delete-data", func() error {
 					return l.cfg.Cloud.S3.Delete(l.cfg.Bucket, core.DataKey(object))

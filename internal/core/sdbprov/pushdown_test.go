@@ -56,7 +56,7 @@ func genRepo(t *testing.T, layer *Layer, rng *rand.Rand, n int) *prov.Graph {
 			ghost := prov.Ref{Object: prov.ObjectID(objects[rng.Intn(len(objects))]), Version: prov.Version(1000 + i)}
 			records = append(records, prov.NewInput(subject, ghost))
 		}
-		if err := writeItem(context.Background(), layer, subject, records, "", "gen"); err != nil {
+		if err := writeItem(context.Background(), layer, subject, records, ""); err != nil {
 			t.Fatal(err)
 		}
 		g.AddAll(records)
@@ -214,21 +214,21 @@ func TestToolFilterFetchesNothingExtra(t *testing.T) {
 	if err := writeItem(context.Background(), layer, tool, []prov.Record{
 		prov.NewString(tool, prov.AttrType, prov.TypeProcess),
 		prov.NewString(tool, prov.AttrName, "blast"),
-	}, "", "t"); err != nil {
+	}, ""); err != nil {
 		t.Fatal(err)
 	}
 	out := prov.Ref{Object: "/out", Version: 0}
 	if err := writeItem(context.Background(), layer, out, []prov.Record{
 		prov.NewString(out, prov.AttrType, prov.TypeFile),
 		prov.NewInput(out, tool),
-	}, "", "t"); err != nil {
+	}, ""); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 40; i++ {
 		noise := prov.Ref{Object: prov.ObjectID(fmt.Sprintf("/noise%02d", i)), Version: 0}
 		if err := writeItem(context.Background(), layer, noise, []prov.Record{
 			prov.NewString(noise, prov.AttrType, prov.TypeFile),
-		}, "", "t"); err != nil {
+		}, ""); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -234,8 +234,9 @@ func ConsistencyMD5(data []byte, nonce string) string {
 // values over 1 KB are written to their own S3 objects (their PUTs count
 // toward the paper's op totals) and replaced by pointers; smaller literals
 // are escaped. The returned records carry the stored form and can travel
-// through the WAL or go straight to WriteEncodedBatch.
-func (l *Layer) EncodeValues(ctx context.Context, subject prov.Ref, records []prov.Record, faultPrefix string) ([]prov.Record, error) {
+// through the WAL or go straight to WriteEncodedBatch. afterOverflowPut,
+// the caller's crash point, is checked after each overflow PUT.
+func (l *Layer) EncodeValues(ctx context.Context, subject prov.Ref, records []prov.Record, afterOverflowPut *sim.Point) ([]prov.Record, error) {
 	out := make([]prov.Record, len(records))
 	overflowN := 0
 	putOverflow := func(v string) (string, error) {
@@ -249,7 +250,7 @@ func (l *Layer) EncodeValues(ctx context.Context, subject prov.Ref, records []pr
 		if err != nil {
 			return "", fmt.Errorf("sdbprov: overflow put: %w", err)
 		}
-		return okey, l.cfg.Faults.Check(faultPrefix + "/after-overflow-put")
+		return okey, l.cfg.Faults.Check(afterOverflowPut)
 	}
 	for i, rec := range records {
 		var err error
@@ -268,7 +269,7 @@ func (l *Layer) EncodeValues(ctx context.Context, subject prov.Ref, records []pr
 // observe mirrors the item into the planner catalog; callers invoke it
 // only once the SimpleDB write succeeds, so a failed write cannot leave a
 // phantom item skewing Explain.
-func (l *Layer) buildAttrs(ctx context.Context, subject prov.Ref, encoded []prov.Record, md5hex, rootToken, faultPrefix string) (attrs []sdb.ReplaceableAttr, observe func(), err error) {
+func (l *Layer) buildAttrs(ctx context.Context, subject prov.Ref, encoded []prov.Record, md5hex, rootToken string, afterSpillPut *sim.Point) (attrs []sdb.ReplaceableAttr, observe func(), err error) {
 	// Reserve room for the bookkeeping attributes.
 	reserved := 1 // AttrMore slot
 	if md5hex != "" {
@@ -309,7 +310,7 @@ func (l *Layer) buildAttrs(ctx context.Context, subject prov.Ref, encoded []prov
 		if err != nil {
 			return nil, nil, fmt.Errorf("sdbprov: spill put: %w", err)
 		}
-		if err := l.cfg.Faults.Check(faultPrefix + "/after-spill-put"); err != nil {
+		if err := l.cfg.Faults.Check(afterSpillPut); err != nil {
 			return nil, nil, err
 		}
 		attrs = append(attrs, sdb.ReplaceableAttr{Name: AttrMore, Value: mkey, Replace: true})
@@ -320,7 +321,7 @@ func (l *Layer) buildAttrs(ctx context.Context, subject prov.Ref, encoded []prov
 // putChunked stores one oversized item via chunked PutAttributes calls
 // ("Since SimpleDB allows us to store only 100 attributes per call, we
 // might have to issue multiple PutAttributes calls").
-func (l *Layer) putChunked(ctx context.Context, subject prov.Ref, attrs []sdb.ReplaceableAttr, faultPrefix string) error {
+func (l *Layer) putChunked(ctx context.Context, subject prov.Ref, attrs []sdb.ReplaceableAttr, afterChunk *sim.Point) error {
 	item := prov.EncodeItemName(subject)
 	for start := 0; start < len(attrs); start += sdb.MaxAttrsPerCall {
 		end := start + sdb.MaxAttrsPerCall
@@ -336,11 +337,22 @@ func (l *Layer) putChunked(ctx context.Context, subject prov.Ref, attrs []sdb.Re
 		if err != nil {
 			return fmt.Errorf("sdbprov: put attributes: %w", err)
 		}
-		if err := l.cfg.Faults.Check(faultPrefix + "/after-putattrs-chunk"); err != nil {
+		if err := l.cfg.Faults.Check(afterChunk); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// WritePoints are the crash points WriteEncodedBatch checks, declared by the
+// architecture that writes through the layer. A nil point is not checked.
+type WritePoints struct {
+	// AfterSpillPut follows the PUT of an item's spill object.
+	AfterSpillPut *sim.Point
+	// AfterChunk follows each PutAttributes call of an oversized item.
+	AfterChunk *sim.Point
+	// AfterBatchPut follows each BatchPutAttributes group.
+	AfterBatchPut *sim.Point
 }
 
 // ItemWrite is one subject's worth of a batched provenance write. Records
@@ -375,7 +387,7 @@ type ItemWrite struct {
 // makes the commit idempotent: a WAL replay or partial-batch retry
 // re-commits the same items with the same leaves and converges to the same
 // root (only the checkpoint sequence advances).
-func (l *Layer) WriteEncodedBatch(ctx context.Context, writes []ItemWrite, faultPrefix string) error {
+func (l *Layer) WriteEncodedBatch(ctx context.Context, writes []ItemWrite, points WritePoints) error {
 	if len(writes) > 0 {
 		// Invalidate cached query state even on failure: earlier groups of
 		// a partially written batch are already visible to queries.
@@ -417,7 +429,7 @@ func (l *Layer) WriteEncodedBatch(ctx context.Context, writes []ItemWrite, fault
 		}
 		landed = append(landed, groupSubjects...)
 		group, groupObserve, groupSubjects = group[:0], groupObserve[:0], groupSubjects[:0]
-		return l.cfg.Faults.Check(faultPrefix + "/after-batchput")
+		return l.cfg.Faults.Check(points.AfterBatchPut)
 	}
 	// partial tags errors with whatever landed before the failure.
 	partial := func(err error) error { return core.PartialWrite(landed, err) }
@@ -427,7 +439,7 @@ func (l *Layer) WriteEncodedBatch(ctx context.Context, writes []ItemWrite, fault
 		if err := ctx.Err(); err != nil {
 			return partial(err)
 		}
-		attrs, observe, err := l.buildAttrs(ctx, w.Subject, w.Records, w.MD5, rootToken, faultPrefix)
+		attrs, observe, err := l.buildAttrs(ctx, w.Subject, w.Records, w.MD5, rootToken, points.AfterSpillPut)
 		if err != nil {
 			return partial(err)
 		}
@@ -439,7 +451,7 @@ func (l *Layer) WriteEncodedBatch(ctx context.Context, writes []ItemWrite, fault
 				return partial(err)
 			}
 			clear(seen)
-			if err := l.putChunked(ctx, w.Subject, attrs, faultPrefix); err != nil {
+			if err := l.putChunked(ctx, w.Subject, attrs, points.AfterChunk); err != nil {
 				return partial(err)
 			}
 			observe()

@@ -12,8 +12,10 @@ import (
 
 	"passcloud/internal/cloud"
 	"passcloud/internal/cloud/billing"
+	"passcloud/internal/cloud/s3"
 	"passcloud/internal/cloud/sdb"
 	"passcloud/internal/core"
+	"passcloud/internal/core/integrity"
 	"passcloud/internal/prov"
 	"passcloud/internal/sim"
 )
@@ -28,15 +30,20 @@ func newTestLayer(t *testing.T, maxDelay time.Duration) (*Layer, *cloud.Cloud) {
 	return layer, cl
 }
 
+// testPoints are the crash points these tests pass the write path.
+var testPoints sim.Points
+
+var pointAfterSpillPut = testPoints.Declare("t/after-spill-put")
+
 // writeItem encodes and stores one subject's provenance as a one-element
-// batch — the write path the stores use.
-func writeItem(ctx context.Context, l *Layer, subject prov.Ref, records []prov.Record, md5hex, faultPrefix string) error {
+// batch — the write path the stores use — checking the spill point.
+func writeItem(ctx context.Context, l *Layer, subject prov.Ref, records []prov.Record, md5hex string) error {
 	return l.TrackWrites(func() error {
-		encoded, err := l.EncodeValues(ctx, subject, records, faultPrefix)
+		encoded, err := l.EncodeValues(ctx, subject, records, nil)
 		if err != nil {
 			return err
 		}
-		return l.WriteEncodedBatch(ctx, []ItemWrite{{Subject: subject, Records: encoded, MD5: md5hex}}, faultPrefix)
+		return l.WriteEncodedBatch(ctx, []ItemWrite{{Subject: subject, Records: encoded, MD5: md5hex}}, WritePoints{AfterSpillPut: pointAfterSpillPut})
 	})
 }
 
@@ -52,7 +59,7 @@ func TestWriteFetchRoundTrip(t *testing.T) {
 		prov.NewInput(subject, ref("/dep", 0)),
 		prov.NewString(subject, prov.AttrEnv, ""), // empty value survives
 	}
-	if err := writeItem(context.Background(), layer, subject, records, "cafebabe", "t"); err != nil {
+	if err := writeItem(context.Background(), layer, subject, records, "cafebabe"); err != nil {
 		t.Fatal(err)
 	}
 	got, md5hex, ok, err := layer.FetchItem(context.Background(), subject)
@@ -92,7 +99,7 @@ func TestOverflowValueRoundTrip(t *testing.T) {
 	records := []prov.Record{prov.NewString(subject, prov.AttrEnv, big)}
 
 	putsBefore := cl.Usage().OpCount(billing.S3, "PUT")
-	if err := writeItem(context.Background(), layer, subject, records, "", "t"); err != nil {
+	if err := writeItem(context.Background(), layer, subject, records, ""); err != nil {
 		t.Fatal(err)
 	}
 	if got := cl.Usage().OpCount(billing.S3, "PUT") - putsBefore; got != 1 {
@@ -111,7 +118,7 @@ func TestItemSpillBeyond256Attrs(t *testing.T) {
 	for i := 0; i < 700; i++ {
 		records = append(records, prov.NewInput(subject, ref(fmt.Sprintf("/dep%04d", i), 0)))
 	}
-	if err := writeItem(context.Background(), layer, subject, records, "beef", "t"); err != nil {
+	if err := writeItem(context.Background(), layer, subject, records, "beef"); err != nil {
 		t.Fatal(err)
 	}
 	got, md5hex, ok, err := layer.FetchItem(context.Background(), subject)
@@ -143,7 +150,7 @@ func TestEscapedLiteralRoundTripQuick(t *testing.T) {
 		i++
 		subject := ref(fmt.Sprintf("/q%d", i), 0)
 		records := []prov.Record{prov.NewString(subject, prov.AttrEnv, value)}
-		if err := writeItem(context.Background(), layer, subject, records, "", "t"); err != nil {
+		if err := writeItem(context.Background(), layer, subject, records, ""); err != nil {
 			return false
 		}
 		got, _, ok, err := layer.FetchItem(context.Background(), subject)
@@ -173,7 +180,7 @@ func TestVerifiedGetHappyPath(t *testing.T) {
 	nonce := "4-abcd"
 	if err := writeItem(context.Background(), layer, subject, []prov.Record{
 		prov.NewString(subject, prov.AttrType, prov.TypeFile),
-	}, ConsistencyMD5(data, nonce), "t"); err != nil {
+	}, ConsistencyMD5(data, nonce)); err != nil {
 		t.Fatal(err)
 	}
 	meta := map[string]string{core.MetaNonce: nonce, core.MetaVersion: "4"}
@@ -195,7 +202,7 @@ func TestVerifiedGetDetectsTamperedData(t *testing.T) {
 	nonce := "0-xyzw"
 	if err := writeItem(context.Background(), layer, subject, []prov.Record{
 		prov.NewString(subject, prov.AttrType, prov.TypeFile),
-	}, ConsistencyMD5([]byte("original"), nonce), "t"); err != nil {
+	}, ConsistencyMD5([]byte("original"), nonce)); err != nil {
 		t.Fatal(err)
 	}
 	// The data stored does not match the consistency record.
@@ -230,7 +237,7 @@ func TestVerifiedGetRetriesAcrossPropagation(t *testing.T) {
 	}
 	if err := writeItem(context.Background(), layer, subject, []prov.Record{
 		prov.NewString(subject, prov.AttrType, prov.TypeFile),
-	}, ConsistencyMD5(data, nonce), "t"); err != nil {
+	}, ConsistencyMD5(data, nonce)); err != nil {
 		t.Fatal(err)
 	}
 	obj, err := layer.VerifiedGet(context.Background(), "/slow")
@@ -254,7 +261,7 @@ func TestQueryEngineAgainstGroundTruth(t *testing.T) {
 	child := ref("/child", 0)
 	write := func(subject prov.Ref, records ...prov.Record) {
 		t.Helper()
-		if err := writeItem(context.Background(), layer, subject, records, "", "t"); err != nil {
+		if err := writeItem(context.Background(), layer, subject, records, ""); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -357,14 +364,14 @@ func TestDependentsChunking(t *testing.T) {
 		if err := writeItem(context.Background(), layer, inst, []prov.Record{
 			prov.NewString(inst, prov.AttrType, prov.TypeProcess),
 			prov.NewString(inst, prov.AttrName, "tool"),
-		}, "", "t"); err != nil {
+		}, ""); err != nil {
 			t.Fatal(err)
 		}
 		out := ref(fmt.Sprintf("/out%d", i), 0)
 		if err := writeItem(context.Background(), layer, out, []prov.Record{
 			prov.NewString(out, prov.AttrType, prov.TypeFile),
 			prov.NewInput(out, inst),
-		}, "", "t"); err != nil {
+		}, ""); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -411,7 +418,7 @@ func TestPrefixSeededWalkNeverReexpandsSeeds(t *testing.T) {
 		for _, in := range inputs {
 			records = append(records, prov.NewInput(subject, in))
 		}
-		if err := writeItem(ctx, layer, subject, records, "", "t"); err != nil {
+		if err := writeItem(ctx, layer, subject, records, ""); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -465,14 +472,14 @@ func TestExplainPredictsRidingAttrPointerGets(t *testing.T) {
 	if err := writeItem(context.Background(), layer, proc, []prov.Record{
 		prov.NewString(proc, prov.AttrType, prov.TypeProcess),
 		prov.NewString(proc, prov.AttrName, "blast"),
-	}, "", "t"); err != nil {
+	}, ""); err != nil {
 		t.Fatal(err)
 	}
 	if err := writeItem(context.Background(), layer, out, []prov.Record{
 		prov.NewString(out, prov.AttrType, prov.TypeFile),
 		prov.NewInput(out, proc),
 		prov.NewString(out, "notes", big), // stored as an S3 pointer
-	}, "", "t"); err != nil {
+	}, ""); err != nil {
 		t.Fatal(err)
 	}
 
@@ -504,7 +511,7 @@ func TestExplainPredictsRidingAttrPointerGets(t *testing.T) {
 // Explain would simulate plans over an item that does not exist.
 func TestFailedWriteLeavesNoPhantomCatalogItem(t *testing.T) {
 	faults := sim.NewFaultPlan()
-	faults.Arm("t/after-spill-put")
+	faults.Arm(pointAfterSpillPut)
 	cl := cloud.New(cloud.Config{Seed: 1})
 	layer, err := New(Config{Cloud: cl, Faults: faults})
 	if err != nil {
@@ -515,7 +522,7 @@ func TestFailedWriteLeavesNoPhantomCatalogItem(t *testing.T) {
 	for i := 0; i < sdb.MaxAttrsPerItem+10; i++ {
 		records = append(records, prov.NewString(subject, fmt.Sprintf("k%03d", i), "v"))
 	}
-	if err := writeItem(context.Background(), layer, subject, records, "", "t"); err == nil {
+	if err := writeItem(context.Background(), layer, subject, records, ""); err == nil {
 		t.Fatal("armed spill fault did not fire")
 	}
 	if n := layer.catalog.Items(); n != 0 {
@@ -551,7 +558,7 @@ func TestWriteEncodedBatchGroupsItems(t *testing.T) {
 		})
 	}
 	before := cl.Usage().Ops(billing.SimpleDB)
-	if err := layer.WriteEncodedBatch(ctx, writes, "t"); err != nil {
+	if err := layer.WriteEncodedBatch(ctx, writes, WritePoints{}); err != nil {
 		t.Fatal(err)
 	}
 	if got := cl.Usage().Ops(billing.SimpleDB) - before; got != 2 {
@@ -585,7 +592,7 @@ func TestWriteEncodedBatchOversizedItemFallsBack(t *testing.T) {
 		{Subject: big, Records: bigRecords},
 		{Subject: small, Records: []prov.Record{prov.NewString(small, prov.AttrType, prov.TypeFile)}, MD5: "beef"},
 	}
-	if err := layer.WriteEncodedBatch(ctx, writes, "t"); err != nil {
+	if err := layer.WriteEncodedBatch(ctx, writes, WritePoints{}); err != nil {
 		t.Fatal(err)
 	}
 	records, _, ok, err := layer.FetchItem(context.Background(), big)
@@ -604,7 +611,7 @@ func TestWriteEncodedBatchCancellation(t *testing.T) {
 	cancel()
 	subject := ref("/c", 0)
 	err := layer.WriteEncodedBatch(cctx, []ItemWrite{{Subject: subject,
-		Records: []prov.Record{prov.NewString(subject, prov.AttrType, prov.TypeFile)}}}, "t")
+		Records: []prov.Record{prov.NewString(subject, prov.AttrType, prov.TypeFile)}}}, WritePoints{})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -631,7 +638,7 @@ func TestEscapeQueryNeutralizesQuotes(t *testing.T) {
 	subject := ref("/esc", 0)
 	if err := writeItem(context.Background(), layer, subject, []prov.Record{
 		prov.NewString(subject, prov.AttrType, prov.TypeFile),
-	}, "", "t"); err != nil {
+	}, ""); err != nil {
 		t.Fatal(err)
 	}
 	// Unescaped, the quote closes the attribute name early and the rest of
@@ -660,7 +667,7 @@ func TestOutputsOfNoNPlusOne(t *testing.T) {
 	if err := writeItem(context.Background(), layer, tool, []prov.Record{
 		prov.NewString(tool, prov.AttrType, prov.TypeProcess),
 		prov.NewString(tool, prov.AttrName, "tool"),
-	}, "", "t"); err != nil {
+	}, ""); err != nil {
 		t.Fatal(err)
 	}
 	const deps = 40
@@ -669,7 +676,7 @@ func TestOutputsOfNoNPlusOne(t *testing.T) {
 		if err := writeItem(context.Background(), layer, out, []prov.Record{
 			prov.NewString(out, prov.AttrType, prov.TypeFile),
 			prov.NewInput(out, tool),
-		}, "", "t"); err != nil {
+		}, ""); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -700,14 +707,14 @@ func TestLayerCacheRepeatQueriesFree(t *testing.T) {
 	if err := writeItem(context.Background(), layer, tool, []prov.Record{
 		prov.NewString(tool, prov.AttrType, prov.TypeProcess),
 		prov.NewString(tool, prov.AttrName, "tool"),
-	}, "", "t"); err != nil {
+	}, ""); err != nil {
 		t.Fatal(err)
 	}
 	out := ref("/out", 0)
 	if err := writeItem(context.Background(), layer, out, []prov.Record{
 		prov.NewString(out, prov.AttrType, prov.TypeFile),
 		prov.NewInput(out, tool),
-	}, "", "t"); err != nil {
+	}, ""); err != nil {
 		t.Fatal(err)
 	}
 
@@ -741,7 +748,7 @@ func TestLayerCacheRepeatQueriesFree(t *testing.T) {
 	if err := writeItem(context.Background(), layer, out2, []prov.Record{
 		prov.NewString(out2, prov.AttrType, prov.TypeFile),
 		prov.NewInput(out2, tool),
-	}, "", "t"); err != nil {
+	}, ""); err != nil {
 		t.Fatal(err)
 	}
 	outputs, err := core.CollectRefs(layer.Query(ctx, prov.QOutputsOf("tool")))
@@ -761,7 +768,7 @@ func TestUncachedLayerKeepsPaperCosts(t *testing.T) {
 	if err := writeItem(context.Background(), layer, tool, []prov.Record{
 		prov.NewString(tool, prov.AttrType, prov.TypeProcess),
 		prov.NewString(tool, prov.AttrName, "tool"),
-	}, "", "t"); err != nil {
+	}, ""); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := core.CollectRefs(layer.Query(ctx, prov.QOutputsOf("tool"))); err != nil {
@@ -773,5 +780,34 @@ func TestUncachedLayerKeepsPaperCosts(t *testing.T) {
 	}
 	if ops := cl.Usage().TotalOps() - before; ops == 0 {
 		t.Fatal("uncached repeat query cost 0 ops; the knob does not disable the cache")
+	}
+}
+
+// TestRemoveArcDeletesTamperedItemsObjects: an item deleted out of band (the
+// adversary of a migration's copy) leaves only its ledger slot behind, and
+// removing the arc must still delete the data object the item described, or
+// the shard keeps data without provenance.
+func TestRemoveArcDeletesTamperedItemsObjects(t *testing.T) {
+	ctx := context.Background()
+	layer, cl := newTestLayer(t, 0)
+	subject := ref("/moved", 0)
+	data := []byte("payload")
+	records := []prov.Record{prov.NewString(subject, prov.AttrType, prov.TypeFile)}
+	err := layer.WriteEncodedBatch(ctx, []ItemWrite{{Subject: subject, Records: records,
+		MD5: ConsistencyMD5(data, "n"), Leaf: integrity.SubjectHash(subject, records)}}, WritePoints{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.S3.Put(layer.Bucket(), core.DataKey(subject.Object), data, map[string]string{core.MetaNonce: "n"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.SDB.DeleteAttributes(layer.Domain(), prov.EncodeItemName(subject), nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := layer.RemoveArc(ctx, func(prov.ObjectID) bool { return true }); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.S3.Get(layer.Bucket(), core.DataKey(subject.Object)); !errors.Is(err, s3.ErrNoSuchKey) {
+		t.Fatalf("the tampered-away item's data object survived the removal: %v", err)
 	}
 }

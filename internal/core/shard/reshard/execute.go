@@ -164,14 +164,14 @@ func (c *Controller) Execute(ctx context.Context, plan *Plan) (*Report, error) {
 		c.setJournal(PhaseIdle, nil)
 		return nil, err
 	}
-	if err := c.check(PointBeforeImport); err != nil {
+	if err := c.cfg.Faults.Check(PointBeforeImport); err != nil {
 		return nil, err
 	}
 	if err := dst.ImportArc(ctx, exp); err != nil {
 		return nil, c.abort(ctx, plan, match, fmt.Errorf("reshard: import: %w", err))
 	}
 	c.settle()
-	if err := c.check(PointAfterImport); err != nil {
+	if err := c.cfg.Faults.Check(PointAfterImport); err != nil {
 		return nil, err
 	}
 	if c.cfg.BeforeVerify != nil {
@@ -186,7 +186,7 @@ func (c *Controller) Execute(ctx context.Context, plan *Plan) (*Report, error) {
 	if err := c.verifyCopy(ctx, plan, exp.Subjects); err != nil {
 		return nil, c.abort(ctx, plan, match, err)
 	}
-	if err := c.check(PointBeforeFlip); err != nil {
+	if err := c.cfg.Faults.Check(PointBeforeFlip); err != nil {
 		return nil, err
 	}
 
@@ -196,7 +196,7 @@ func (c *Controller) Execute(ctx context.Context, plan *Plan) (*Report, error) {
 		return nil, c.abort(ctx, plan, match, err)
 	}
 	c.setJournal(PhaseFlipped, plan)
-	if err := c.check(PointAfterFlip); err != nil {
+	if err := c.cfg.Faults.Check(PointAfterFlip); err != nil {
 		return nil, err
 	}
 

@@ -31,13 +31,16 @@ import (
 	"passcloud/internal/sim"
 )
 
-// The controller's crash points, in protocol order. The fault sweep's
-// migration class arms these to prove copy->flip atomicity.
-const (
-	PointBeforeImport = "reshard/before-import"
-	PointAfterImport  = "reshard/after-import"
-	PointBeforeFlip   = "reshard/before-flip"
-	PointAfterFlip    = "reshard/after-flip"
+// Points are the controller's crash points, in protocol order. The fault
+// sweep's migration class arms them to prove copy->flip atomicity.
+var Points sim.Points
+
+// The controller's crash points: around the import and around the flip.
+var (
+	PointBeforeImport = Points.Declare("reshard/before-import")
+	PointAfterImport  = Points.Declare("reshard/after-import")
+	PointBeforeFlip   = Points.Declare("reshard/before-flip")
+	PointAfterFlip    = Points.Declare("reshard/after-flip")
 )
 
 // Typed failures callers branch on.
@@ -212,13 +215,4 @@ func (c *Controller) drain(ctx context.Context) error {
 	}
 	c.settle()
 	return nil
-}
-
-// check fires a controller crash point against the configured fault
-// plan; nil plans never fire.
-func (c *Controller) check(point string) error {
-	if c.cfg.Faults == nil {
-		return nil
-	}
-	return c.cfg.Faults.Check(point)
 }

@@ -346,7 +346,7 @@ func TestMigrationCrashPoints(t *testing.T) {
 	ctx := context.Background()
 	batches := workloadBatches(t)
 	points := []struct {
-		point string
+		point *sim.Point
 		want  reshard.Phase
 	}{
 		{reshard.PointBeforeImport, reshard.PhaseCopied},

@@ -46,6 +46,7 @@ import (
 	"passcloud/internal/cloud"
 	"passcloud/internal/cloud/retry"
 	"passcloud/internal/cloud/s3"
+	"passcloud/internal/cloud/sdb"
 	"passcloud/internal/core"
 	"passcloud/internal/core/arch"
 	"passcloud/internal/core/integrity"
@@ -147,31 +148,15 @@ var retryPolicy = retry.Policy{
 	Budget:      2 * time.Second,
 }
 
-// faultMenu is what the schedule may draw for one architecture.
-type faultMenu struct {
-	crashPoints []string
-	ops         []string
-}
-
-var menus = map[string]faultMenu{
-	"s3": {
-		crashPoints: []string{"s3only/before-put", "s3only/after-put", "s3only/after-overflow-put", "s3only/after-bundle-put"},
-		ops:         []string{"s3/PUT"},
-	},
-	"s3+sdb": {
-		crashPoints: []string{
-			"s3sdb/before-put", "s3sdb/after-prov", "s3sdb/after-batchput", "s3sdb/after-data",
-			"s3sdb/after-overflow-put", "s3sdb/after-spill-put", "s3sdb/after-putattrs-chunk",
-		},
-		ops: []string{"s3/PUT", "sdb/PutAttributes", "sdb/BatchPutAttributes"},
-	},
+// opMenus are the service operations each architecture's schedule may
+// fault. Its crash points are the architecture's declared ones
+// (arch.CrashPoints).
+var opMenus = map[string][]string{
+	"s3":     {"s3/PUT"},
+	"s3+sdb": {"s3/PUT", "sdb/PutAttributes", "sdb/BatchPutAttributes"},
 	"s3+sdb+sqs": {
-		crashPoints: []string{
-			"wal/before-begin", "wal/after-begin", "wal/after-overflow-put", "wal/after-tmp-put", "wal/after-record-0", "wal/after-record-1", "wal/before-commit", "wal/after-commit",
-			"commit/after-copy", "commit/after-spill-put", "commit/after-putattrs-chunk", "commit/after-batchput",
-			"commit/after-prov-write", "commit/after-delete-messages", "commit/after-tmp-delete",
-		},
-		ops: []string{"s3/PUT", "s3/COPY", "sdb/BatchPutAttributes", "sqs/SendMessage", "sqs/DeleteMessage", "sqs/ReceiveMessage"},
+		"s3/PUT", "s3/COPY", "sdb/BatchPutAttributes", "sqs/SendMessage", "sqs/DeleteMessage", "sqs/ReceiveMessage",
+		"s3/DELETE", "sdb/PutAttributes",
 	},
 }
 
@@ -179,9 +164,10 @@ var menus = map[string]faultMenu{
 type scheduledFault struct {
 	step  int
 	class sim.FaultClass
-	// target is a crash point (ClassCrash), an op name, or a corruption
-	// kind (ClassCorrupt).
+	// target names the crash point (ClassCrash, armed at point), the op,
+	// or the corruption kind (ClassCorrupt).
 	target string
+	point  *sim.Point
 	skip   int
 	count  int
 	// kind and pick parameterize a ClassCorrupt draw.
@@ -196,26 +182,27 @@ func (f scheduledFault) String() string {
 // schedule draws cfg.Faults injections from the arch's menu, deterministic
 // in the schedule RNG.
 func schedule(cfg Config, rng *sim.RNG, steps int) []scheduledFault {
-	menu := menus[cfg.Arch]
+	points, ops := arch.CrashPoints[cfg.Arch], opMenus[cfg.Arch]
 	var out []scheduledFault
 	for i := 0; i < cfg.Faults; i++ {
 		f := scheduledFault{step: rng.Intn(steps)}
 		f.class = cfg.Classes[rng.Intn(len(cfg.Classes))]
 		switch f.class {
 		case sim.ClassCrash:
-			f.target = menu.crashPoints[rng.Intn(len(menu.crashPoints))]
+			f.point = points[rng.Intn(len(points))]
+			f.target = f.point.String()
 			f.skip = rng.Intn(2)
 			f.count = 1
 		case sim.ClassTransient:
-			f.target = menu.ops[rng.Intn(len(menu.ops))]
+			f.target = ops[rng.Intn(len(ops))]
 			f.skip = rng.Intn(3)
 			f.count = 1 + rng.Intn(3) // up to 3: the policy's 4 attempts absorb it
 		case sim.ClassPermanent:
-			f.target = menu.ops[rng.Intn(len(menu.ops))]
+			f.target = ops[rng.Intn(len(ops))]
 			f.skip = rng.Intn(3)
 			f.count = 1 + rng.Intn(2)
 		case sim.ClassAckLoss:
-			f.target = menu.ops[rng.Intn(len(menu.ops))]
+			f.target = ops[rng.Intn(len(ops))]
 			f.skip = rng.Intn(3)
 			f.count = 1 + rng.Intn(2) // stays under MaxAttempts: applied, then retried through
 		case sim.ClassCorrupt:
@@ -332,10 +319,13 @@ func (e *env) mirror() (core.Querier, error) {
 }
 
 // script is the deterministic workload: a pipeline with version churn,
-// transient processes, a pipe, >1 KB record values (overflow objects) and a
-// >2 KB process environment (metadata spill on architecture 1).
+// transient processes, a pipe, >1 KB record values (overflow objects, the
+// 3 KB environment included) and, in one run in wideShare, a process fed by
+// more pipes than one SimpleDB item holds (the wide step).
 type script struct {
 	sys *pass.System
+	// wide adds the wide step.
+	wide bool
 	// procs carries process handles across steps.
 	procs map[string]*pass.Process
 	// paths tracks every file the workload writes, in creation order.
@@ -352,7 +342,7 @@ func (s *script) steps(ctx context.Context) []func() error {
 		}
 		s.paths = append(s.paths, p)
 	}
-	return []func() error{
+	steps := []func() error{
 		func() error { track("/src/a"); return s.sys.Ingest(ctx, "/src/a", []byte("alpha")) },
 		func() error { track("/src/b"); return s.sys.Ingest(ctx, "/src/b", []byte("beta")) },
 		func() error {
@@ -408,12 +398,48 @@ func (s *script) steps(ctx context.Context) []func() error {
 			}
 			return s.sys.Close(ctx, p5, "/out/3")
 		},
-		func() error { return s.sys.Sync(ctx) },
 	}
+	if s.wide {
+		steps = append(steps, func() error {
+			// More inputs than sdb.MaxAttrsPerItem: the gatherer's item
+			// spills to S3 and goes out sdb.MaxAttrsPerCall attributes per
+			// PutAttributes call; on S3-only its records and the pipes'
+			// ride /out/4's PUT and spill to the bundle.
+			track("/out/4")
+			src := s.sys.Exec(nil, pass.ExecSpec{Name: "fan"})
+			sink := s.sys.Exec(nil, pass.ExecSpec{Name: "gather"})
+			for i := 0; i < sdb.MaxAttrsPerItem; i++ {
+				if err := s.sys.Pipe(src, sink); err != nil {
+					return err
+				}
+			}
+			if err := s.sys.Write(sink, "/out/4", []byte("v0-out4"), pass.Truncate); err != nil {
+				return err
+			}
+			return s.sys.Close(ctx, sink, "/out/4")
+		})
+	}
+	return append(steps, func() error { return s.sys.Sync(ctx) })
+}
+
+// One run in wideShare takes the wide step: it costs about ten times the
+// rest of a run (a few hundred extra items to write, recover and audit).
+const wideShare = 12
+
+// wideStep reports whether the run of seed takes the wide step, drawn from
+// an RNG stream of its own so the schedule's draws stay independent of it.
+func wideStep(seed int64) bool {
+	return sim.NewRNG(seed*6151+29).Intn(wideShare) == 0
 }
 
 // Run executes one sweep.
 func Run(ctx context.Context, cfg Config) (*Result, error) {
+	return run(ctx, cfg, sim.NewFaultPlan())
+}
+
+// run executes one sweep under faults, which the caller may read after it
+// returns.
+func run(ctx context.Context, cfg Config, faults *sim.FaultPlan) (*Result, error) {
 	if cfg.Faults == 0 {
 		cfg.Faults = 6
 	}
@@ -428,13 +454,12 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	}
 	res := &Result{Arch: cfg.Arch, Seed: cfg.Seed, Shards: cfg.Shards}
 
-	faults := sim.NewFaultPlan()
 	e, err := buildEnv(cfg, faults)
 	if err != nil {
 		return nil, err
 	}
 	sys := pass.NewSystem(pass.Config{Flush: core.Flusher(e.store)})
-	sc := &script{sys: sys, procs: make(map[string]*pass.Process)}
+	sc := &script{sys: sys, procs: make(map[string]*pass.Process), wide: wideStep(cfg.Seed)}
 	steps := sc.steps(ctx)
 
 	// Draw the schedule from its own seeded RNG so region randomness and
@@ -459,7 +484,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 			}
 			switch f.class {
 			case sim.ClassCrash:
-				faults.ArmAfter(f.target, f.skip)
+				faults.ArmAfter(f.point, f.skip)
 			case sim.ClassCorrupt:
 				faults.ArmCorruption(sim.Corruption{Kind: f.kind, Pick: f.pick})
 			default:
@@ -638,15 +663,6 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// MigrationPoints lists the resharding controller's crash points the
-// migration fault class draws from.
-var MigrationPoints = []string{
-	reshard.PointBeforeImport,
-	reshard.PointAfterImport,
-	reshard.PointBeforeFlip,
-	reshard.PointAfterFlip,
-}
-
 // runMigration is the migration fault phase: split shard 0 toward shard
 // 1 with either a seed-drawn controller crash point armed or the copy
 // tampered mid-flight, then require convergence — the journal recovered
@@ -711,8 +727,9 @@ func (e *env) runMigration(ctx context.Context, cfg Config, rng *sim.RNG, faults
 			return fmt.Errorf("sweep: no moved record set to tamper with")
 		}
 	} else {
-		point = MigrationPoints[rng.Intn(len(MigrationPoints))]
-		faults.Arm(point)
+		pt := reshard.Points[rng.Intn(len(reshard.Points))]
+		faults.Arm(pt)
+		point = pt.String()
 	}
 
 	ctrl, err := reshard.New(ccfg)

@@ -11,10 +11,52 @@ import (
 // callers (tests, the property checkers) detect it with errors.Is.
 var ErrCrash = errors.New("sim: injected client crash")
 
-// CrashError reports an injected crash at a named protocol point.
+// Point is a declared crash point: a named step boundary of a protocol at
+// which the client may die. A package declares its points as package-level
+// variables through Points.Declare or Points.DeclareWindow, which list them
+// too. Check, Arm and ArmAfter take a *Point, so a name written at a check
+// site does not compile, and a package's Points holds every point it checks.
+type Point struct {
+	name   string
+	window bool
+}
+
+// String returns the point's name, "<package>/<step>".
+func (p *Point) String() string { return p.name }
+
+// Points is one package's crash points, in declaration order.
+type Points []*Point
+
+// Declare appends a crash point named name to ps and returns it.
+func (ps *Points) Declare(name string) *Point {
+	p := &Point{name: name}
+	*ps = append(*ps, p)
+	return p
+}
+
+// DeclareWindow declares a crash point that is also an atomicity window: a
+// crash there must leave data and provenance both present or both absent
+// once the architecture's background machinery has caught up (Table 1).
+func (ps *Points) DeclareWindow(name string) *Point {
+	p := ps.Declare(name)
+	p.window = true
+	return p
+}
+
+// Windows returns the atomicity windows among ps, in declaration order.
+func (ps Points) Windows() Points {
+	var out Points
+	for _, p := range ps {
+		if p.window {
+			out = append(out, p)
+		}
+	}
+	return out
+}
+
+// CrashError reports an injected crash at a declared protocol point.
 type CrashError struct {
-	// Point is the name of the crash point that fired, e.g.
-	// "s3sdb/after-put-attributes".
+	// Point is the name of the crash point that fired.
 	Point string
 }
 
@@ -142,8 +184,8 @@ type opFault struct {
 // concurrent use.
 type FaultPlan struct {
 	mu    sync.Mutex
-	armed map[string]int // point -> remaining hits before firing
-	fired map[string]int // point -> times fired (for assertions)
+	armed map[*Point]int // point -> remaining hits before firing
+	fired map[*Point]int // point -> times fired (for assertions)
 
 	opArmed  map[string][]opFault // op -> armed windows
 	opChecks map[string]int       // op -> checks seen so far
@@ -156,28 +198,29 @@ type FaultPlan struct {
 func NewFaultPlan() *FaultPlan { return &FaultPlan{} }
 
 // Arm schedules a crash the next time point is checked.
-func (p *FaultPlan) Arm(point string) { p.ArmAfter(point, 0) }
+func (p *FaultPlan) Arm(point *Point) { p.ArmAfter(point, 0) }
 
 // ArmAfter schedules a crash at the (skip+1)-th check of point. skip = 0
 // crashes on the first check; skip = 2 lets the point pass twice and crashes
 // on the third. This is how tests crash, say, the second PutAttributes call
 // of a multi-chunk store.
-func (p *FaultPlan) ArmAfter(point string, skip int) {
+func (p *FaultPlan) ArmAfter(point *Point, skip int) {
 	if p == nil {
 		return
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.armed == nil {
-		p.armed = make(map[string]int)
+		p.armed = make(map[*Point]int)
 	}
 	p.armed[point] = skip
 }
 
 // Check reports whether the client crashes at point. A nil plan never
-// crashes, so production paths can carry a nil *FaultPlan at zero cost.
-func (p *FaultPlan) Check(point string) error {
-	if p == nil {
+// crashes, so production paths can carry a nil *FaultPlan at zero cost; a
+// nil point is never armed.
+func (p *FaultPlan) Check(point *Point) error {
+	if p == nil || point == nil {
 		return nil
 	}
 	p.mu.Lock()
@@ -192,14 +235,14 @@ func (p *FaultPlan) Check(point string) error {
 	}
 	delete(p.armed, point)
 	if p.fired == nil {
-		p.fired = make(map[string]int)
+		p.fired = make(map[*Point]int)
 	}
 	p.fired[point]++
-	return &CrashError{Point: point}
+	return &CrashError{Point: point.name}
 }
 
 // Fired reports how many times a crash fired at point.
-func (p *FaultPlan) Fired(point string) int {
+func (p *FaultPlan) Fired(point *Point) int {
 	if p == nil {
 		return 0
 	}

@@ -141,10 +141,31 @@ func TestRNGConcurrentUse(t *testing.T) {
 	wg.Wait() // race detector is the assertion here
 }
 
+// testPoints are the crash points these tests arm.
+var testPoints Points
+
+var pointA, pointB = testPoints.Declare("a"), testPoints.Declare("b")
+
+func TestPointsDeclareInOrder(t *testing.T) {
+	var ps Points
+	a := ps.Declare("p/a")
+	b := ps.DeclareWindow("p/b")
+	c := ps.DeclareWindow("p/c")
+	if len(ps) != 3 || ps[0] != a || ps[1] != b || ps[2] != c {
+		t.Fatalf("declared %v, want [p/a p/b p/c]", ps)
+	}
+	if w := ps.Windows(); len(w) != 2 || w[0] != b || w[1] != c {
+		t.Fatalf("windows %v, want [p/b p/c]", w)
+	}
+	if a.String() != "p/a" {
+		t.Fatalf("String() = %q", a)
+	}
+}
+
 func TestFaultPlanFiresOnce(t *testing.T) {
 	p := NewFaultPlan()
-	p.Arm("step")
-	err := p.Check("step")
+	p.Arm(pointA)
+	err := p.Check(pointA)
 	if err == nil {
 		t.Fatal("armed point did not fire")
 	}
@@ -152,34 +173,34 @@ func TestFaultPlanFiresOnce(t *testing.T) {
 		t.Fatalf("crash error not wrapped as ErrCrash: %v", err)
 	}
 	var ce *CrashError
-	if !errors.As(err, &ce) || ce.Point != "step" {
+	if !errors.As(err, &ce) || ce.Point != "a" {
 		t.Fatalf("crash error missing point: %v", err)
 	}
-	if err := p.Check("step"); err != nil {
+	if err := p.Check(pointA); err != nil {
 		t.Fatalf("point fired twice: %v", err)
 	}
-	if got := p.Fired("step"); got != 1 {
+	if got := p.Fired(pointA); got != 1 {
 		t.Fatalf("Fired = %d, want 1", got)
 	}
 }
 
 func TestFaultPlanArmAfterSkips(t *testing.T) {
 	p := NewFaultPlan()
-	p.ArmAfter("put", 2)
+	p.ArmAfter(pointA, 2)
 	for i := 0; i < 2; i++ {
-		if err := p.Check("put"); err != nil {
+		if err := p.Check(pointA); err != nil {
 			t.Fatalf("fired on check %d, want skip", i)
 		}
 	}
-	if err := p.Check("put"); err == nil {
+	if err := p.Check(pointA); err == nil {
 		t.Fatal("did not fire on third check")
 	}
 }
 
 func TestFaultPlanUnarmedPoint(t *testing.T) {
 	p := NewFaultPlan()
-	p.Arm("a")
-	if err := p.Check("b"); err != nil {
+	p.Arm(pointA)
+	if err := p.Check(pointB); err != nil {
 		t.Fatalf("unarmed point fired: %v", err)
 	}
 	if !p.Pending() {
@@ -189,18 +210,18 @@ func TestFaultPlanUnarmedPoint(t *testing.T) {
 
 func TestNilFaultPlanIsInert(t *testing.T) {
 	var p *FaultPlan
-	if err := p.Check("anything"); err != nil {
+	if err := p.Check(pointA); err != nil {
 		t.Fatalf("nil plan crashed: %v", err)
 	}
-	if p.Fired("anything") != 0 || p.Pending() {
+	if p.Fired(pointA) != 0 || p.Pending() {
 		t.Fatal("nil plan reported state")
 	}
-	p.Arm("x") // must not panic
+	p.Arm(pointA) // must not panic
 }
 
 func TestFaultPlanConcurrent(t *testing.T) {
 	p := NewFaultPlan()
-	p.ArmAfter("op", 500)
+	p.ArmAfter(pointA, 500)
 	var wg sync.WaitGroup
 	var mu sync.Mutex
 	crashes := 0
@@ -209,7 +230,7 @@ func TestFaultPlanConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 200; j++ {
-				if err := p.Check("op"); err != nil {
+				if err := p.Check(pointA); err != nil {
 					mu.Lock()
 					crashes++
 					mu.Unlock()

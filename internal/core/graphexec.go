@@ -2,7 +2,6 @@ package core
 
 import (
 	"slices"
-	"strings"
 
 	"passcloud/internal/prov"
 )
@@ -11,9 +10,12 @@ import (
 // scan-backed store's repository graph, one part, or the shard router's
 // member graphs, one part per shard, where hide (when set) drops part i's
 // copy of an object — a migration window's non-authoritative side. Every
-// primitive is a lookup (records, inputs, child lists) or a scan of the
-// parts' subjects or edge sources; nothing is indexed or retained. A part
-// holds whole items, so a subject is matched on the part it is found on.
+// primitive reads the parts' own indexes: records, inputs and child lists by
+// ref, attribute values by their postings (prov.Graph.Posting, built once
+// per graph and carried through its patches), edge sources by a prefix's key
+// range. Only the unfiltered listing ranges every subject. graphExec itself
+// retains nothing. A part holds whole items, so a subject is matched on the
+// part it is found on.
 type graphExec struct {
 	parts []*prov.Graph
 	hide  func(part int, object prov.ObjectID) bool
@@ -59,13 +61,28 @@ func (x graphExec) InstancesOf(tool string) ([]prov.Ref, error) {
 	return x.MatchAttrs([]prov.AttrFilter{{Attr: prov.AttrName, Value: tool}})
 }
 
-// MatchAttrs scans the shown subjects for the ones whose records satisfy
-// every filter.
+// MatchAttrs finds the shown subjects whose records satisfy every filter:
+// on each part, the candidates are the smallest of the filters' postings,
+// and only they are matched; without filters every subject is one.
 func (x graphExec) MatchAttrs(filters []prov.AttrFilter) ([]prov.Ref, error) {
 	var out []prov.Ref
 	for i, g := range x.parts {
-		for s, rs := range g.SubjectSeq() {
-			if x.shown(i, s) && MatchAll(rs, filters) {
+		if len(filters) == 0 {
+			for s := range g.SubjectSeq() {
+				if x.shown(i, s) {
+					out = append(out, s)
+				}
+			}
+			continue
+		}
+		var smallest prov.Posting
+		for k, f := range filters {
+			if p := g.Posting(f.Attr, f.Value); k == 0 || p.Len() < smallest.Len() {
+				smallest = p
+			}
+		}
+		for s := range smallest.All() {
+			if x.shown(i, s) && MatchAll(g.Records(s), filters) {
 				out = append(out, s)
 			}
 		}
@@ -83,7 +100,7 @@ func (x graphExec) DependentsOf(refs []prov.Ref, prefix string, riding []prov.At
 	for i, g := range x.parts {
 		for _, r := range refs {
 			for _, c := range g.ChildList(r) {
-				if x.shown(i, c) && hasRefPrefix(c, prefix) && MatchAll(g.Records(c), riding) {
+				if x.shown(i, c) && c.HasPrefix(prefix) && MatchAll(g.Records(c), riding) {
 					out = append(out, c)
 				}
 			}
@@ -97,11 +114,7 @@ func (x graphExec) DependentsOf(refs []prov.Ref, prefix string, riding []prov.At
 func (x graphExec) DependentsOfPrefix(prefix string) ([]prov.Ref, error) {
 	var srcs []prov.Ref
 	for _, g := range x.parts {
-		for r := range g.EdgeSourceSeq() {
-			if hasRefPrefix(r, prefix) {
-				srcs = append(srcs, r)
-			}
-		}
+		srcs = slices.AppendSeq(srcs, g.EdgeSourcesWithPrefix(prefix))
 	}
 	return x.DependentsOf(srcs, "", nil)
 }
@@ -120,13 +133,4 @@ func (x graphExec) InputsOf(refs []prov.Ref) ([]prov.Ref, error) {
 
 func (x graphExec) SeedsOf(q prov.Query) ([]prov.Ref, error) {
 	return NativeRefs(x, StripTraversal(q))
-}
-
-// hasRefPrefix reports whether ref's canonical string form starts with
-// prefix, rendering it only when the object name cannot decide.
-func hasRefPrefix(ref prov.Ref, prefix string) bool {
-	if len(prefix) <= len(ref.Object) {
-		return strings.HasPrefix(string(ref.Object), prefix)
-	}
-	return strings.HasPrefix(ref.String(), prefix)
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"slices"
 	"sort"
-	"strings"
 
 	"passcloud/internal/prov"
 )
@@ -190,7 +189,7 @@ func traverse(x RefsExec, q prov.Query) ([]prov.Ref, error) {
 		if err != nil {
 			return nil, err
 		}
-		isSeed = func(r prov.Ref) bool { return strings.HasPrefix(r.String(), q.RefPrefix) }
+		isSeed = func(r prov.Ref) bool { return r.HasPrefix(q.RefPrefix) }
 		advance(level1)
 		level = 1
 	} else {
@@ -243,7 +242,7 @@ next:
 // FilterRefPrefix keeps, in place, the refs whose canonical string form
 // starts with prefix; an empty prefix keeps everything.
 func FilterRefPrefix(refs []prov.Ref, prefix string) []prov.Ref {
-	return slices.DeleteFunc(refs, func(r prov.Ref) bool { return !hasRefPrefix(r, prefix) })
+	return slices.DeleteFunc(refs, func(r prov.Ref) bool { return !r.HasPrefix(prefix) })
 }
 
 // DedupeRefs returns a fresh slice of refs with duplicates removed, order

@@ -409,6 +409,7 @@ func (d *CommitDaemon) commitTx(ctx context.Context, txid string, tx *txState) (
 	if len(writes) > 0 {
 		if err := d.layer.WriteEncodedBatch(ctx, writes, sdbprov.WritePoints{
 			AfterSpillPut: PointCommitAfterSpillPut, AfterChunk: PointCommitAfterChunk, AfterBatchPut: PointCommitAfterBatchPut,
+			Faults: d.faults,
 		}); err != nil {
 			return false, err
 		}

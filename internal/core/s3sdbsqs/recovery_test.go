@@ -265,7 +265,7 @@ func TestCommittedLogPhaseReportsLanded(t *testing.T) {
 // together overfill the item.
 func TestReplayedOversizedItemSplitsAsBefore(t *testing.T) {
 	ctx := context.Background()
-	// The layer checks the commit's chunk point against the store's plan.
+	// One plan for the store and the daemon.
 	faults := sim.NewFaultPlan()
 	st, _, cl := newTestStore(t, faults, 0)
 	var records []prov.Record
@@ -307,5 +307,36 @@ func TestReplayedOversizedItemSplitsAsBefore(t *testing.T) {
 	}
 	if len(got) != len(ev.Records) {
 		t.Fatalf("replayed item holds %d records, want %d", len(got), len(ev.Records))
+	}
+}
+
+// TestDaemonPlanArmsCommitWritePoints: the commit daemon's SimpleDB write
+// points are checked against the plan the daemon was given, not the
+// store's. Each point is armed on a daemon-only plan — the store has none —
+// and the daemon must crash there: the spill and chunk points on an item
+// past both SimpleDB limits, the batch point on a small one.
+func TestDaemonPlanArmsCommitWritePoints(t *testing.T) {
+	ctx := context.Background()
+	wide := procEvent("wide", 1)
+	for i := 0; i < 300; i++ {
+		wide.Records = append(wide.Records, prov.NewString(wide.Ref, fmt.Sprintf("k%03d", i), strings.Repeat("v", 40)))
+	}
+	for _, tc := range []struct {
+		point *sim.Point
+		ev    pass.FlushEvent
+	}{
+		{PointCommitAfterSpillPut, wide},
+		{PointCommitAfterChunk, wide},
+		{PointCommitAfterBatchPut, fileEvent("/small", 0, "small")},
+	} {
+		st, _, _ := newTestStore(t, nil, 0)
+		if err := core.Put(ctx, st, tc.ev); err != nil {
+			t.Fatal(err)
+		}
+		plan := sim.NewFaultPlan()
+		plan.Arm(tc.point)
+		if _, err := NewCommitDaemon(st, plan).RunOnce(ctx, true); !errors.Is(err, sim.ErrCrash) {
+			t.Errorf("%v armed on the daemon's plan: RunOnce returned %v, want a crash", tc.point, err)
+		}
 	}
 }

@@ -269,7 +269,7 @@ func (l *Layer) EncodeValues(ctx context.Context, subject prov.Ref, records []pr
 // observe mirrors the item into the planner catalog; callers invoke it
 // only once the SimpleDB write succeeds, so a failed write cannot leave a
 // phantom item skewing Explain.
-func (l *Layer) buildAttrs(ctx context.Context, subject prov.Ref, encoded []prov.Record, md5hex, rootToken string, afterSpillPut *sim.Point) (attrs []sdb.ReplaceableAttr, observe func(), err error) {
+func (l *Layer) buildAttrs(ctx context.Context, subject prov.Ref, encoded []prov.Record, md5hex, rootToken string, points WritePoints) (attrs []sdb.ReplaceableAttr, observe func(), err error) {
 	// Reserve room for the bookkeeping attributes.
 	reserved := 1 // AttrMore slot
 	if md5hex != "" {
@@ -310,7 +310,7 @@ func (l *Layer) buildAttrs(ctx context.Context, subject prov.Ref, encoded []prov
 		if err != nil {
 			return nil, nil, fmt.Errorf("sdbprov: spill put: %w", err)
 		}
-		if err := l.cfg.Faults.Check(afterSpillPut); err != nil {
+		if err := points.Faults.Check(points.AfterSpillPut); err != nil {
 			return nil, nil, err
 		}
 		attrs = append(attrs, sdb.ReplaceableAttr{Name: AttrMore, Value: mkey, Replace: true})
@@ -321,7 +321,7 @@ func (l *Layer) buildAttrs(ctx context.Context, subject prov.Ref, encoded []prov
 // putChunked stores one oversized item via chunked PutAttributes calls
 // ("Since SimpleDB allows us to store only 100 attributes per call, we
 // might have to issue multiple PutAttributes calls").
-func (l *Layer) putChunked(ctx context.Context, subject prov.Ref, attrs []sdb.ReplaceableAttr, afterChunk *sim.Point) error {
+func (l *Layer) putChunked(ctx context.Context, subject prov.Ref, attrs []sdb.ReplaceableAttr, points WritePoints) error {
 	item := prov.EncodeItemName(subject)
 	for start := 0; start < len(attrs); start += sdb.MaxAttrsPerCall {
 		end := start + sdb.MaxAttrsPerCall
@@ -337,7 +337,7 @@ func (l *Layer) putChunked(ctx context.Context, subject prov.Ref, attrs []sdb.Re
 		if err != nil {
 			return fmt.Errorf("sdbprov: put attributes: %w", err)
 		}
-		if err := l.cfg.Faults.Check(afterChunk); err != nil {
+		if err := points.Faults.Check(points.AfterChunk); err != nil {
 			return err
 		}
 	}
@@ -353,6 +353,10 @@ type WritePoints struct {
 	AfterChunk *sim.Point
 	// AfterBatchPut follows each BatchPutAttributes group.
 	AfterBatchPut *sim.Point
+	// Faults is the plan the points are checked against, the caller's:
+	// the commit daemon's is not the store's. Nil: the layer's
+	// Config.Faults.
+	Faults *sim.FaultPlan
 }
 
 // ItemWrite is one subject's worth of a batched provenance write. Records
@@ -388,6 +392,9 @@ type ItemWrite struct {
 // re-commits the same items with the same leaves and converges to the same
 // root (only the checkpoint sequence advances).
 func (l *Layer) WriteEncodedBatch(ctx context.Context, writes []ItemWrite, points WritePoints) error {
+	if points.Faults == nil {
+		points.Faults = l.cfg.Faults
+	}
 	if len(writes) > 0 {
 		// Invalidate cached query state even on failure: earlier groups of
 		// a partially written batch are already visible to queries.
@@ -429,7 +436,7 @@ func (l *Layer) WriteEncodedBatch(ctx context.Context, writes []ItemWrite, point
 		}
 		landed = append(landed, groupSubjects...)
 		group, groupObserve, groupSubjects = group[:0], groupObserve[:0], groupSubjects[:0]
-		return l.cfg.Faults.Check(points.AfterBatchPut)
+		return points.Faults.Check(points.AfterBatchPut)
 	}
 	// partial tags errors with whatever landed before the failure.
 	partial := func(err error) error { return core.PartialWrite(landed, err) }
@@ -439,7 +446,7 @@ func (l *Layer) WriteEncodedBatch(ctx context.Context, writes []ItemWrite, point
 		if err := ctx.Err(); err != nil {
 			return partial(err)
 		}
-		attrs, observe, err := l.buildAttrs(ctx, w.Subject, w.Records, w.MD5, rootToken, points.AfterSpillPut)
+		attrs, observe, err := l.buildAttrs(ctx, w.Subject, w.Records, w.MD5, rootToken, points)
 		if err != nil {
 			return partial(err)
 		}
@@ -451,7 +458,7 @@ func (l *Layer) WriteEncodedBatch(ctx context.Context, writes []ItemWrite, point
 				return partial(err)
 			}
 			clear(seen)
-			if err := l.putChunked(ctx, w.Subject, attrs, points.AfterChunk); err != nil {
+			if err := l.putChunked(ctx, w.Subject, attrs, points); err != nil {
 				return partial(err)
 			}
 			observe()

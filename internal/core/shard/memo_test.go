@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"iter"
+	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -718,5 +720,86 @@ func TestOwnWriteColdRoundFlat(t *testing.T) {
 	}
 	if small, large := coldOps(40), coldOps(160); small != 0 || large != 0 {
 		t.Fatalf("a cold round after an own write meters %d ops at %d objects and %d at %d; want 0 at both", small, 3*40, large, 3*160)
+	}
+}
+
+// TestOwnWriteColdRoundWorkFlat: the cold round after this client's own
+// write does work that follows its answers, not the store. The store grows
+// from n to 4n filler derivations that none of the six shapes matches, so
+// every answer keeps its size; the bytes a round allocates (the median of
+// five rounds, each after one write) must stay within ×1.5. A round that
+// copies a member's snapshot, or scans every subject for an attribute,
+// allocates or walks in proportion to the store.
+func TestOwnWriteColdRoundWorkFlat(t *testing.T) {
+	ctx := context.Background()
+	shapes := []prov.Query{
+		{Refs: []prov.Ref{{Object: "/mean/new"}}},
+		{Tool: "softmean", Type: prov.TypeFile, Projection: prov.ProjectRefs},
+		{Tool: "softmean", Type: prov.TypeFile, Projection: prov.ProjectRefs, Direction: prov.TraverseDescendants},
+		{Refs: []prov.Ref{{Object: "/mean/new"}}, Direction: prov.TraverseAncestors, Projection: prov.ProjectRefs},
+		{RefPrefix: "/data/", Direction: prov.TraverseDescendants, Depth: 1, IncludeSeeds: true, Projection: prov.ProjectRefs},
+		{Type: prov.TypeProcess, Attrs: []prov.AttrFilter{{Attr: prov.AttrName, Value: "align_warp"}}, Limit: 100},
+	}
+	round := func(tg *target) int {
+		n := 0
+		for _, q := range shapes {
+			for _, err := range tg.router.Query(ctx, q) {
+				if err != nil {
+					t.Fatal(err)
+				}
+				n++
+			}
+		}
+		return n
+	}
+	// roundBytes returns the median bytes a cold round allocates after one
+	// own write, and how many entries the last round answered.
+	roundBytes := func(fillers int) (uint64, int) {
+		tg := buildWrapped(t, "s3", 4, 7, false, func(_ int, st shard.Store) shard.Store { return st })
+		sys := pass.NewSystem(pass.Config{Kernel: "2.6.23", Flush: core.Flusher(tg.store)})
+		derive := func(tool, in, out string) {
+			p := sys.Exec(nil, pass.ExecSpec{Name: tool, Argv: []string{tool, in}})
+			for _, err := range []error{sys.Read(p, in), sys.Write(p, out, []byte(out), pass.Truncate), sys.Close(ctx, p, out)} {
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		ingest := func(path string) {
+			if err := sys.Ingest(ctx, path, []byte(path)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 20; i++ {
+			ingest(fmt.Sprintf("/data/in%d", i))
+			derive("align_warp", fmt.Sprintf("/data/in%d", i), fmt.Sprintf("/warp/%d", i))
+			derive("softmean", fmt.Sprintf("/warp/%d", i), fmt.Sprintf("/mean/%d", i))
+		}
+		for i := 0; i < fillers; i++ {
+			ingest(fmt.Sprintf("/fill/in%d", i))
+			derive("gzip", fmt.Sprintf("/fill/in%d", i), fmt.Sprintf("/fill/out%d", i))
+		}
+		round(tg) // warm every member
+		var bytes []uint64
+		answered := 0
+		for rep := 0; rep < 5; rep++ {
+			derive("softmean", "/warp/0", "/mean/new")
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			answered = round(tg)
+			runtime.ReadMemStats(&after)
+			bytes = append(bytes, after.TotalAlloc-before.TotalAlloc)
+		}
+		slices.Sort(bytes)
+		return bytes[len(bytes)/2], answered
+	}
+	small, smallAnswers := roundBytes(400)
+	large, largeAnswers := roundBytes(1600)
+	if smallAnswers != largeAnswers {
+		t.Fatalf("the fillers changed the answers: %d entries at n, %d at 4n", smallAnswers, largeAnswers)
+	}
+	t.Logf("a cold round allocates %d B at n, %d B at 4n", small, large)
+	if float64(large) > 1.5*float64(small) {
+		t.Fatalf("a cold round after an own write allocates %d B at n filler derivations and %d B at 4n; want within ×1.5", small, large)
 	}
 }

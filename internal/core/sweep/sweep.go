@@ -507,26 +507,25 @@ func run(ctx context.Context, cfg Config, faults *sim.FaultPlan) (*Result, error
 		}
 	}
 
-	// Recovery phase 1: finish the workload. Every fault window is finite,
-	// so repeated Sync attempts must converge.
-	synced := false
-	for attempt := 0; attempt < 12; attempt++ {
-		if err := sys.Sync(ctx); err != nil {
-			record("sync", err)
+	// Recovery phase 1: finish the workload, then the store's own sync.
+	// Every fault window is finite, but one spans a few checks and windows
+	// stack, so each is retried a bounded number of times with the region
+	// settled between attempts, and must converge.
+	converge := func(what string, sync func(context.Context) error) (err error) {
+		for attempt := 0; attempt < 12; attempt++ {
+			if err = sync(ctx); err == nil {
+				return nil
+			}
+			record(what, err)
 			e.settle()
-			continue
 		}
-		synced = true
-		break
+		return err
 	}
-	if !synced {
+	if converge("sync", sys.Sync) != nil {
 		res.Violations = append(res.Violations, "workload never converged: Sync kept failing after fault windows closed")
 	}
-	if err := core.SyncStore(ctx, e.store); err != nil {
-		record("store-sync", err)
-		if err := core.SyncStore(ctx, e.store); err != nil {
-			res.Violations = append(res.Violations, fmt.Sprintf("store sync never converged: %v", err))
-		}
+	if err := converge("store-sync", func(ctx context.Context) error { return core.SyncStore(ctx, e.store) }); err != nil {
+		res.Violations = append(res.Violations, fmt.Sprintf("store sync never converged: %v", err))
 	}
 
 	// Recovery phase 2: drain the WAL (fresh daemon per round = restart

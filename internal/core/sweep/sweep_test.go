@@ -235,3 +235,22 @@ func TestFaultSweepRetryOverheadMetered(t *testing.T) {
 		t.Error("transient fault sweep finished with zero metered retries; retry wiring is not covering the write path")
 	}
 }
+
+// TestStoreSyncOutlastsPermanentWindows: the store's own sync in recovery
+// retries as the workload's Sync does, with the region settled between
+// attempts. One permanent-fault window spans up to two checks and windows
+// stack, so on S3-only at 4 shards these seeds still had one open when a
+// second store sync gave up, and reported a store that was never broken.
+func TestStoreSyncOutlastsPermanentWindows(t *testing.T) {
+	ctx := context.Background()
+	for _, seed := range []int64{15, 29, 79, 97, 119} {
+		res, err := Run(ctx, Config{Arch: "s3", Seed: seed, Shards: 4, Classes: []sim.FaultClass{sim.ClassPermanent}})
+		if err != nil {
+			t.Fatalf("seed %d: sweep run failed: %v", seed, err)
+		}
+		if len(res.Violations) > 0 {
+			t.Errorf("seed %d: %d violations:\n  %s\nschedule:\n  %s",
+				seed, len(res.Violations), strings.Join(res.Violations, "\n  "), strings.Join(res.Schedule, "\n  "))
+		}
+	}
+}

@@ -37,6 +37,22 @@ func (r Ref) String() string {
 	return string(r.Object) + ":" + strconv.Itoa(int(r.Version))
 }
 
+// HasPrefix reports whether r's canonical string form starts with prefix,
+// without rendering it: past the object name, the prefix must go on with
+// the colon and then the version's leading digits.
+func (r Ref) HasPrefix(prefix string) bool {
+	object := string(r.Object)
+	if len(prefix) <= len(object) {
+		return strings.HasPrefix(object, prefix)
+	}
+	if !strings.HasPrefix(prefix, object) || prefix[len(object)] != ':' {
+		return false
+	}
+	var buf [20]byte
+	digits, rest := strconv.AppendInt(buf[:0], int64(r.Version), 10), prefix[len(object)+1:]
+	return len(rest) <= len(digits) && string(digits[:len(rest)]) == rest
+}
+
 // ParseRef parses the canonical object:version form. The version is the
 // digits after the last colon, so object names may themselves contain
 // colons. Only the spelling String renders is accepted: "f:00" or "f:+0"

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"passcloud/internal/cloud/billing"
 	"passcloud/internal/core"
 	"passcloud/internal/core/s3only"
 	"passcloud/internal/core/shard"
@@ -595,7 +596,11 @@ func BenchmarkRouterWarmQuery(b *testing.B) {
 // every other lookup is a snapshot hit. Every question's Explain must equal
 // the ops it meters. The write comes from another client ("foreign": the
 // written member rescans) or through the router ("own": the member patches
-// its snapshot, and the round meters nothing).
+// its snapshot, and the round meters nothing). The multihop case asks Q.2,
+// Q.3 and a pinned ancestor walk of 4 s3+sdb members after each write through
+// the router: native rounds, their pinned ones routed to the refs' likely
+// shards, each plan multihop and equal to the ops it meters; it reports the
+// members' GetAttributes per iteration.
 func BenchmarkRouterColdQuery(b *testing.B) {
 	for _, writer := range []string{"foreign", "own"} {
 		b.Run(writer, func(b *testing.B) {
@@ -657,6 +662,49 @@ func BenchmarkRouterColdQuery(b *testing.B) {
 			}
 		})
 	}
+	b.Run("multihop", func(b *testing.B) {
+		ctx := context.Background()
+		tg := buildTarget(b, "s3+sdb", 4, 61, true)
+		for _, batch := range captureBatches(b) {
+			if err := tg.store.PutBatch(ctx, batch); err != nil {
+				b.Fatal(err)
+			}
+		}
+		queries := []prov.Query{
+			prov.QOutputsOf("blast"),
+			prov.QDescendantsOfOutputs("blast"),
+			prov.QAncestors(prov.Ref{Object: "/res/mean", Version: 1}),
+		}
+		getAttributes := func() (n int64) {
+			for _, cl := range tg.clouds {
+				n += cl.Usage().OpCount(billing.SimpleDB, "GetAttributes")
+			}
+			return n
+		}
+		write := []pass.FlushEvent{writeEvent("/cold/w")}
+		var gets int64
+		b.ReportAllocs()
+		for i := 0; b.Loop(); i++ {
+			if err := tg.store.PutBatch(ctx, write); err != nil {
+				b.Fatal(err)
+			}
+			start := getAttributes()
+			for _, q := range queries {
+				plan := tg.router.Explain(q)
+				before := tg.totalOps()
+				for _, err := range tg.router.Query(ctx, q) {
+					if err != nil {
+						b.Fatal(err)
+					}
+				}
+				if ops := tg.totalOps() - before; ops != plan.EstOps || plan.Strategy != "multihop" {
+					b.Fatalf("iteration %d, %s: metered %d ops\n%s", i, q.Key(), ops, plan)
+				}
+			}
+			gets += getAttributes() - start
+		}
+		b.ReportMetric(float64(gets)/float64(b.N), "getattrs/op")
+	})
 }
 
 // TestOwnWriteColdRoundFlat: after this client's own write, a cold round of

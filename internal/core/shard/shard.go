@@ -22,13 +22,15 @@
 // Dependents idiom) — run each shard's native plan and merge the
 // streams. Every other descriptor (tool queries, multi-hop lineage,
 // ancestor walks) runs the refs pipeline the members run themselves
-// (core.NativeRefs), each primitive one round on every shard
-// (multihop.go). A round goes to the members' own indexed plans when every
-// member can plan references client-side (core.RefPlanner) and the
-// descriptor has a native plan; otherwise it is answered from the member
-// graphs, which the router asks every member for on each evaluation and keeps
-// none of: a caching member answers from its own snapshot at zero cloud ops,
-// an uncached one pays its scan, as it would unsharded. Explain composes
+// (core.NativeRefs), each primitive one round (multihop.go): a round that
+// searches goes to every shard, one that names its refs only to the shards
+// likely to hold them, then to the rest for what they missed. A round goes
+// to the members' own indexed plans when every member can plan references
+// client-side (core.RefPlanner) and the descriptor has a native plan;
+// otherwise it is answered from the member graphs, which the router asks
+// every member for on each evaluation and keeps none of: a caching member
+// answers from its own snapshot at zero cloud ops, an uncached one pays its
+// scan, as it would unsharded. Explain composes
 // honestly on every path: the plan is the sum of the per-shard plans —
 // round by round, on the native path — the router will actually run.
 package shard
@@ -456,9 +458,9 @@ const (
 // members' native plans when the members would run the pipeline themselves
 // (core.HasNativeRefs: every round then has an indexed plan on every
 // shard), with one router-side exception: an ancestor walk without pinned
-// or tool seeds, whose seed section enumerates the namespace and whose every
-// frontier probes every shard. Everything else is answered from the member
-// graphs.
+// or tool seeds, whose seed section enumerates the namespace and whose
+// frontiers then fetch that namespace's lineage item by item. Everything else
+// is answered from the member graphs.
 func (r *Router) strategyFor(q prov.Query) string {
 	if distributable(q) {
 		return planFanIn

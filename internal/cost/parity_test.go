@@ -79,14 +79,18 @@ func TestHarnessParity(t *testing.T) {
 		}, VerifyOps: 1698, VerifyUSD: 0.008820352715050111}),
 		audited(ShardedRow{Arch: "s3+sdb", Shards: 2, ProvBytes: 1556233, ProvOps: 682, Queries: []ShardedQueryCost{
 			{Query: "Q.1", Ops: 1699, DataOut: 1487406, Results: 1369, USD: 0.008821751679654533},
-			{Query: "Q.2", Ops: 8, DataOut: 391, Results: 2, USD: 0.0040620548971449216},
-			{Query: "Q.3", Ops: 18, DataOut: 658, Results: 12, USD: 0.004092884149876584},
+			{Query: "Q.2", Ops: 6, DataOut: 391, Results: 2, USD: 0.004055897501144922},
+			{Query: "Q.3", Ops: 16, DataOut: 658, Results: 12, USD: 0.004086726753876583},
 		}, VerifyOps: 1699, VerifyUSD: 0.008821751679654533}),
 		audited(ShardedRow{Arch: "s3+sdb+sqs", Shards: 1, ProvBytes: 3758977, ProvOps: 6868,
 			VerifyOps: 1698, VerifyUSD: 0.008822191089933047}),
 		audited(ShardedRow{Arch: "s3+sdb+sqs", Shards: 2, ProvBytes: 3758062, ProvOps: 6895,
 			VerifyOps: 1699, VerifyUSD: 0.008823846680472905}),
 	}
+	// The two-shard SimpleDB Q.2 and Q.3 were re-recorded (8 → 6, 18 → 16
+	// ops) when the router's filter round began asking each candidate on its
+	// likely shards instead of on every shard: the two candidates cost one
+	// GetAttributes each, not two.
 	if !reflect.DeepEqual(sc.Rows, wantSharded) {
 		t.Errorf("sharded matrix moved:\n got %+v\nwant %+v", sc.Rows, wantSharded)
 	}
@@ -108,14 +112,17 @@ func TestHarnessParity(t *testing.T) {
 	// 314 pinned target fetches of extraction's second query and the 562
 	// verified reads, unchanged. A value above 3136 would mean the walk and
 	// the full-projection output each fetched the lineage (4819 without the
-	// per-query item memo).
+	// per-query item memo). The two-shard SimpleDB rows were re-recorded
+	// (4818 → 4031) when the router's ancestor walk began fetching each
+	// frontier ref on its likely shards instead of on both: only a ref the
+	// edge naming it places off its home shard is still asked on two.
 	wantReplay := []ReplayRow{
 		covered(ReplayRow{Arch: "s3", Shards: 1, ExtractOps: 2194, ReplayOps: 679, ReplayUSD: 0.012325672651603819}),
 		covered(ReplayRow{Arch: "s3", Shards: 2, ExtractOps: 2196, ReplayOps: 679, ReplayUSD: 0.012325615608096124}),
 		covered(ReplayRow{Arch: "s3+sdb", Shards: 1, ExtractOps: 3135, ReplayOps: 984, ReplayUSD: 0.013667767241368332}),
-		covered(ReplayRow{Arch: "s3+sdb", Shards: 2, ExtractOps: 4818, ReplayOps: 984, ReplayUSD: 0.013666867211232225}),
+		covered(ReplayRow{Arch: "s3+sdb", Shards: 2, ExtractOps: 4031, ReplayOps: 984, ReplayUSD: 0.013666867211232225}),
 		covered(ReplayRow{Arch: "s3+sdb+sqs", Shards: 1, ExtractOps: 3135, ReplayOps: 7134, ReplayUSD: 0.022897498486543336}),
-		covered(ReplayRow{Arch: "s3+sdb+sqs", Shards: 2, ExtractOps: 4818, ReplayOps: 7142, ReplayUSD: 0.0229042736110932}),
+		covered(ReplayRow{Arch: "s3+sdb+sqs", Shards: 2, ExtractOps: 4031, ReplayOps: 7142, ReplayUSD: 0.0229042736110932}),
 	}
 	if !reflect.DeepEqual(rc.Rows, wantReplay) {
 		t.Errorf("replay matrix moved:\n got %+v\nwant %+v", rc.Rows, wantReplay)

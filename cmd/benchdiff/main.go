@@ -174,14 +174,24 @@ func (d *differ) regress(metric, what, why string) {
 
 // ratio gates and prints a relative change: worse is the fractional move
 // in the bad direction, sign (+1 for costs, -1 for benefits) turns it back
-// into the change shown.
+// into the change shown. A flagged line must show the move its verdict
+// rests on, however small: fractional values print exactly (%v is the
+// shortest spelling that reads back) rather than in the field's rounded
+// format, and a delta that rounds to zero at two decimals prints to three
+// significant digits.
 func (d *differ) ratio(metric, format string, oldV, newV any, worse, sign float64) {
-	status := "ok"
+	status, delta := "ok", fmt.Sprintf("%+.2f%%", 100*sign*worse)
 	if worse > d.tol {
 		status = "REGRESSION"
 		d.failed = true
+		if _, fractional := oldV.(float64); fractional {
+			format = "%v"
+		}
+		if strings.Trim(delta, "+-0.%") == "" {
+			delta = fmt.Sprintf("%+.3g%%", 100*sign*worse)
+		}
 	}
-	fmt.Fprintf(d.out, "%-40s old="+format+" new="+format+" delta=%+.2f%%  %s\n", metric, oldV, newV, 100*sign*worse, status)
+	fmt.Fprintf(d.out, "%-40s old="+format+" new="+format+" delta=%s  %s\n", metric, oldV, newV, delta, status)
 }
 
 // gate applies one field's rule to a pair of rows.

@@ -101,6 +101,8 @@ func TestRegressionsFail(t *testing.T) {
 		}, 1, "sharded/s3+sdb/x4/Q.2                    results 12 -> 13  REGRESSION (answers changed)"},
 		{"cost from zero", "0.5", func(rep obj) { rep["retry"].(obj)["s3"].(obj)["retries"] = 3.0 },
 			1, "REGRESSION (new cost)"},
+		{"dollar bill +1e-8 at tol 0", "0", func(rep obj) { firstRow(rep, "rebalance", "runs")["mig_usd"] = 0.00090800001 },
+			1, "rebalance/s3/migusd                      old=0.000908 new=0.00090800001 delta=+1.1e-06%  REGRESSION"},
 		{"throughput drop", "0.02", func(rep obj) { firstRow(rep, "load", "runs")["throughput_eps"] = 300.0 },
 			1, "load/s3/x4/eps"},
 		{"offered workload changed", "0.5", func(rep obj) { firstRow(rep, "load", "runs")["events"] = 228.0 },

@@ -10,9 +10,14 @@
 // a single-writer repository (the paper's evaluation setup) and degrade to
 // estimates when other clients of a shared region write behind this
 // client's back — Explain reports which via QueryPlan.Exact.
+//
+// The SimpleDB catalog keeps no index of its own: its items' inline records
+// live in a prov.Graph, whose postings, child lists and edge-source ranges
+// answer the backend's value, dependency and starts-with queries.
 package planner
 
 import (
+	"slices"
 	"sort"
 	"sync"
 
@@ -37,17 +42,20 @@ func (s ItemStats) Gets() int64 {
 	return n
 }
 
-// SDBCatalog mirrors a SimpleDB provenance domain: stored-form records per
-// item, with the value and ancestry indexes the backend's automatic
-// indexing would build. Stored-form matters — the planner must predict what
-// the backend's index will match, which is the encoded value, not the
-// decoded one. Safe for concurrent use.
+// SDBCatalog mirrors a SimpleDB provenance domain: each item's inline
+// records in stored form, held in a prov.Graph whose postings and child lists
+// are the value and ancestry indexes the backend's automatic indexing would
+// build, plus each item's decode cost. Stored form matters — the planner
+// must predict what the backend's index will match, which is the encoded
+// value, not the decoded one — so the graph stays the catalog's own: query
+// snapshots hold decoded records. Safe for concurrent use.
 type SDBCatalog struct {
-	mu      sync.Mutex
-	items   map[prov.Ref][]prov.Record
-	stats   map[prov.Ref]ItemStats
-	byAttr  map[string]map[string]map[prov.Ref]bool // attr -> stored value -> subjects
-	byInput map[prov.Ref]map[prov.Ref]bool          // input ref -> subjects listing it
+	mu sync.Mutex
+	// g holds each item's inline records; an item with none is absent from
+	// it, so stats is the item set. Unshared, g changes its nodes in place:
+	// every read of it runs under mu.
+	g     *prov.Graph
+	stats map[prov.Ref]ItemStats
 	// spilledInputs are the input refs among each item's spilled records:
 	// outside the indexes (the backend cannot match them, and Dependents
 	// must keep predicting that), but a fetch of the item decodes them.
@@ -57,10 +65,8 @@ type SDBCatalog struct {
 // NewSDBCatalog returns an empty catalog.
 func NewSDBCatalog() *SDBCatalog {
 	return &SDBCatalog{
-		items:         make(map[prov.Ref][]prov.Record),
+		g:             prov.NewGraph(),
 		stats:         make(map[prov.Ref]ItemStats),
-		byAttr:        make(map[string]map[string]map[prov.Ref]bool),
-		byInput:       make(map[prov.Ref]map[prov.Ref]bool),
 		spilledInputs: make(map[prov.Ref][]prov.Ref),
 	}
 }
@@ -75,11 +81,12 @@ func NewSDBCatalog() *SDBCatalog {
 func (c *SDBCatalog) Observe(subject prov.Ref, inline, spill []prov.Record) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if old, ok := c.items[subject]; ok {
-		c.unindex(subject, old)
+	records := slices.Clone(inline)
+	if _, ok := c.stats[subject]; ok {
+		c.g = c.g.Replace(map[prov.Ref][]prov.Record{subject: records})
+	} else {
+		c.g.AddSubject(subject, records)
 	}
-	records := append([]prov.Record(nil), inline...)
-	c.items[subject] = records
 	st := ItemStats{Spill: len(spill) > 0}
 	countPtr := func(r prov.Record) {
 		if r.Value.Kind == prov.KindString {
@@ -89,7 +96,6 @@ func (c *SDBCatalog) Observe(subject prov.Ref, inline, spill []prov.Record) {
 		}
 	}
 	for _, r := range records {
-		c.index(subject, r)
 		countPtr(r)
 	}
 	delete(c.spilledInputs, subject)
@@ -102,50 +108,15 @@ func (c *SDBCatalog) Observe(subject prov.Ref, inline, spill []prov.Record) {
 	c.stats[subject] = st
 }
 
-func (c *SDBCatalog) index(subject prov.Ref, r prov.Record) {
-	value := r.Value.String()
-	byVal := c.byAttr[r.Attr]
-	if byVal == nil {
-		byVal = make(map[string]map[prov.Ref]bool)
-		c.byAttr[r.Attr] = byVal
-	}
-	subjects := byVal[value]
-	if subjects == nil {
-		subjects = make(map[prov.Ref]bool)
-		byVal[value] = subjects
-	}
-	subjects[subject] = true
-	if r.Attr == prov.AttrInput && r.Value.Kind == prov.KindRef {
-		deps := c.byInput[r.Value.Ref]
-		if deps == nil {
-			deps = make(map[prov.Ref]bool)
-			c.byInput[r.Value.Ref] = deps
-		}
-		deps[subject] = true
-	}
-}
-
-func (c *SDBCatalog) unindex(subject prov.Ref, records []prov.Record) {
-	for _, r := range records {
-		if byVal := c.byAttr[r.Attr]; byVal != nil {
-			delete(byVal[r.Value.String()], subject)
-		}
-		if r.Attr == prov.AttrInput && r.Value.Kind == prov.KindRef {
-			delete(c.byInput[r.Value.Ref], subject)
-		}
-	}
-}
-
 // Forget drops one item's observation — the mirror of a deleted item
 // (orphan cleanup, arc migration), so scan and index predictions stop
 // counting it.
 func (c *SDBCatalog) Forget(subject prov.Ref) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if old, ok := c.items[subject]; ok {
-		c.unindex(subject, old)
+	if c.g.Has(subject) {
+		c.g = c.g.Replace(map[prov.Ref][]prov.Record{subject: nil})
 	}
-	delete(c.items, subject)
 	delete(c.stats, subject)
 	delete(c.spilledInputs, subject)
 }
@@ -154,7 +125,7 @@ func (c *SDBCatalog) Forget(subject prov.Ref) {
 func (c *SDBCatalog) Items() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.items)
+	return len(c.stats)
 }
 
 // DecodeGets is the S3 GETs a full-repository decode issues.
@@ -187,16 +158,12 @@ func (c *SDBCatalog) AttrGets(refs []prov.Ref, attrNames []string) int64 {
 	if len(attrNames) == 0 {
 		return 0
 	}
-	want := make(map[string]bool, len(attrNames))
-	for _, n := range attrNames {
-		want[n] = true
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var n int64
 	for _, ref := range refs {
-		for _, r := range c.items[ref] {
-			if !want[r.Attr] || r.Value.Kind != prov.KindString {
+		for _, r := range c.g.Records(ref) {
+			if r.Value.Kind != prov.KindString || !slices.Contains(attrNames, r.Attr) {
 				continue
 			}
 			if _, _, isPtr := core.DecodeValue(r.Value.Str); isPtr {
@@ -207,45 +174,22 @@ func (c *SDBCatalog) AttrGets(refs []prov.Ref, attrNames []string) int64 {
 	return n
 }
 
-// MatchAttr returns the subjects the backend's index would return for
-// attr = storedValue.
-func (c *SDBCatalog) MatchAttr(attr, storedValue string) []prov.Ref {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var out []prov.Ref
-	for subject := range c.byAttr[attr][storedValue] {
-		out = append(out, subject)
-	}
-	sortByItemName(out)
-	return out
-}
-
-// MatchAttrs intersects several attr = storedValue predicates, mirroring a
-// pushdown expression joined with `intersection`.
+// MatchAttrs returns the subjects the backend's index would return for
+// several attr = storedValue predicates joined with `intersection`: the
+// first predicate's posting, kept where the item's records hold the rest.
 func (c *SDBCatalog) MatchAttrs(filters []prov.AttrFilter) []prov.Ref {
 	if len(filters) == 0 {
 		return nil
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	acc := make(map[prov.Ref]bool)
-	for subject := range c.byAttr[filters[0].Attr][filters[0].Value] {
-		acc[subject] = true
-	}
-	for _, f := range filters[1:] {
-		next := c.byAttr[f.Attr][f.Value]
-		for subject := range acc {
-			if !next[subject] {
-				delete(acc, subject)
-			}
+	var out []prov.Ref
+	for subject := range c.g.Posting(filters[0].Attr, filters[0].Value).All() {
+		if core.MatchAll(c.g.Records(subject), filters[1:]) {
+			out = append(out, subject)
 		}
 	}
-	out := make([]prov.Ref, 0, len(acc))
-	for subject := range acc {
-		out = append(out, subject)
-	}
-	sortByItemName(out)
-	return out
+	return sortByItemName(out)
 }
 
 // Dependents returns the subjects listing any of refs among their inputs —
@@ -253,18 +197,11 @@ func (c *SDBCatalog) MatchAttrs(filters []prov.AttrFilter) []prov.Ref {
 func (c *SDBCatalog) Dependents(refs []prov.Ref) []prov.Ref {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	seen := make(map[prov.Ref]bool)
 	var out []prov.Ref
 	for _, r := range refs {
-		for subject := range c.byInput[r] {
-			seen[subject] = true
-		}
+		out = append(out, c.g.ChildList(r)...)
 	}
-	for subject := range seen {
-		out = append(out, subject)
-	}
-	sortByItemName(out)
-	return out
+	return sortByItemName(out)
 }
 
 // DependentsOfPrefix returns the subjects with an input whose stored ref
@@ -272,35 +209,23 @@ func (c *SDBCatalog) Dependents(refs []prov.Ref) []prov.Ref {
 func (c *SDBCatalog) DependentsOfPrefix(prefix string) []prov.Ref {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	seen := make(map[prov.Ref]bool)
 	var out []prov.Ref
-	for in, deps := range c.byInput {
-		if !hasPrefix(in.String(), prefix) {
-			continue
-		}
-		for subject := range deps {
-			seen[subject] = true
-		}
+	for in := range c.g.EdgeSourcesWithPrefix(prefix) {
+		out = append(out, c.g.ChildList(in)...)
 	}
-	for subject := range seen {
-		out = append(out, subject)
-	}
-	sortByItemName(out)
-	return out
-}
-
-func hasPrefix(s, prefix string) bool {
-	return len(s) >= len(prefix) && s[:len(prefix)] == prefix
+	return sortByItemName(out)
 }
 
 // sortByItemName mirrors the backend's result order: queries return item
 // names lexicographically sorted, which is not ref order (version 10 sorts
 // before version 2 as a string). Chunking simulations must follow it so
-// page-boundary predictions land exactly where the real run's do.
-func sortByItemName(refs []prov.Ref) {
+// page-boundary predictions land exactly where the real run's do. Each item
+// is returned once, as the backend does.
+func sortByItemName(refs []prov.Ref) []prov.Ref {
 	sort.Slice(refs, func(i, j int) bool {
 		return prov.EncodeItemName(refs[i]) < prov.EncodeItemName(refs[j])
 	})
+	return slices.Compact(refs)
 }
 
 // Inputs returns the input refs a fetch of the item decodes — inline records
@@ -308,26 +233,25 @@ func sortByItemName(refs []prov.Ref) {
 func (c *SDBCatalog) Inputs(ref prov.Ref) []prov.Ref {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return append(prov.AppendInputs(nil, c.items[ref]), c.spilledInputs[ref]...)
+	return append(prov.AppendInputs(nil, c.g.Records(ref)), c.spilledInputs[ref]...)
 }
 
 // Records returns the subject's inline stored-form records (read-only).
 func (c *SDBCatalog) Records(ref prov.Ref) []prov.Record {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.items[ref]
+	return c.g.Records(ref)
 }
 
 // AllRefs returns every mirrored item's ref in backend (item-name) order.
 func (c *SDBCatalog) AllRefs() []prov.Ref {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]prov.Ref, 0, len(c.items))
-	for subject := range c.items {
+	out := make([]prov.Ref, 0, len(c.stats))
+	for subject := range c.stats {
 		out = append(out, subject)
 	}
-	sortByItemName(out)
-	return out
+	return sortByItemName(out)
 }
 
 // S3Catalog mirrors the S3-only architecture's scan costs: the data objects

@@ -1,7 +1,9 @@
 package planner
 
 import (
+	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 
 	"passcloud/internal/core"
@@ -19,8 +21,8 @@ func TestSDBCatalogObserveReplace(t *testing.T) {
 		prov.NewString(s, prov.AttrName, "blast"),
 		prov.NewString(s, prov.AttrEnv, core.PointerValue("prov/x/0")),
 	}, nil)
-	if got := c.MatchAttr(prov.AttrName, "blast"); len(got) != 1 {
-		t.Fatalf("MatchAttr = %v", got)
+	if got := c.MatchAttrs([]prov.AttrFilter{{Attr: prov.AttrName, Value: "blast"}}); len(got) != 1 {
+		t.Fatalf("MatchAttrs = %v", got)
 	}
 	if c.ItemGets([]prov.Ref{s}) != 1 {
 		t.Fatal("pointer value must cost one decode GET")
@@ -28,7 +30,7 @@ func TestSDBCatalogObserveReplace(t *testing.T) {
 
 	// A rewrite replaces: the old index entries disappear.
 	c.Observe(s, []prov.Record{prov.NewString(s, prov.AttrName, "align")}, nil)
-	if got := c.MatchAttr(prov.AttrName, "blast"); len(got) != 0 {
+	if got := c.MatchAttrs([]prov.AttrFilter{{Attr: prov.AttrName, Value: "blast"}}); len(got) != 0 {
 		t.Fatalf("stale index entry survived: %v", got)
 	}
 	if c.Items() != 1 || c.ItemGets([]prov.Ref{s}) != 0 {
@@ -42,7 +44,7 @@ func TestSDBCatalogSpillNotIndexed(t *testing.T) {
 	inline := []prov.Record{prov.NewString(s, prov.AttrType, prov.TypeFile)}
 	spill := []prov.Record{prov.NewString(s, prov.AttrName, "hidden")}
 	c.Observe(s, inline, spill)
-	if got := c.MatchAttr(prov.AttrName, "hidden"); len(got) != 0 {
+	if got := c.MatchAttrs([]prov.AttrFilter{{Attr: prov.AttrName, Value: "hidden"}}); len(got) != 0 {
 		t.Fatalf("spilled record entered the index: %v", got)
 	}
 	if c.ItemGets([]prov.Ref{s}) != 1 {
@@ -78,4 +80,43 @@ func TestS3CatalogScanCost(t *testing.T) {
 	if objects != 2 || gets != 1 {
 		t.Fatalf("ScanCost = %d objects, %d gets", objects, gets)
 	}
+}
+
+// TestSDBCatalogConcurrentUse: writes (Observe, Forget) and plans (every
+// reader, and the records Records hands out read after it returns) run side
+// by side. The graph changes its nodes in place, so this is the race
+// detector's case.
+func TestSDBCatalogConcurrentUse(t *testing.T) {
+	c := NewSDBCatalog()
+	parent := pref("/p", 0)
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				s := pref(fmt.Sprintf("/w%d/%d", w, i%20), i%3)
+				c.Observe(s, []prov.Record{prov.NewString(s, prov.AttrName, "blast"), prov.NewInput(s, parent)}, nil)
+				if i%7 == 0 {
+					c.Forget(s)
+				}
+			}
+		}()
+	}
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			name := []prov.AttrFilter{{Attr: prov.AttrName, Value: "blast"}}
+			for i := 0; i < 200; i++ {
+				for _, s := range c.MatchAttrs(name) {
+					core.MatchAll(c.Records(s), name)
+				}
+				c.Dependents([]prov.Ref{parent})
+				c.DependentsOfPrefix("/p:")
+				c.AllRefs()
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -148,7 +148,7 @@ func (x *catalogExec) shape(strategy, pushdown string) {
 
 func (x *catalogExec) InstancesOf(tool string) ([]prov.Ref, error) {
 	x.shape("indexed-two-phase", instancesExpr(tool))
-	instances := x.l.catalog.MatchAttr(prov.AttrName, core.EscapeLiteral(tool))
+	instances := x.l.catalog.MatchAttrs([]prov.AttrFilter{{Attr: prov.AttrName, Value: core.EscapeLiteral(tool)}})
 	x.step("SimpleDB", "Query", core.PlanPages(len(instances), sdb.QueryPageLimit), "phase 1: instances of the tool")
 	return instances, nil
 }

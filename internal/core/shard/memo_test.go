@@ -106,7 +106,23 @@ const stuckAfter = 10 * time.Second
 
 // ancestorsOfMean is answered on the member graphs on every architecture's
 // probed members (a wrapped member plans no references).
-var ancestorsOfMean = prov.QAncestors(prov.Ref{Object: "/res/mean", Version: 2})
+var ancestorsOfMean = prov.QAncestors(prov.Ref{Object: "/res/mean", Version: 1})
+
+// TestAncestorsOfMeanWalksALineage: ancestorsOfMean starts at a version
+// captureBatches writes, so the checks built on it walk a real lineage
+// rather than one fetch that finds nothing.
+func TestAncestorsOfMeanWalksALineage(t *testing.T) {
+	ctx := context.Background()
+	tg := buildTarget(t, "s3+sdb", 4, 5, true)
+	replay(t, ctx, tg, captureBatches(t))
+	refs, err := core.CollectRefs(tg.router.Query(ctx, ancestorsOfMean))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Contains(refs, (prov.Ref{Object: "/data/in0", Version: 0})) {
+		t.Fatalf("ancestors of /res/mean:1 = %v, want its lineage back to /data/in0:0", refs)
+	}
+}
 
 // TestRouterExplainDoesNotWaitOnPartScan: Explain is a prediction without
 // cloud traffic, so it must return while a fetch of the member graphs is

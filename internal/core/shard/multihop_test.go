@@ -69,7 +69,7 @@ func TestMultihopIndexedPlans(t *testing.T) {
 		prov.QOutputsOf("blast"),            // Q.2 class
 		prov.QDescendantsOfOutputs("blast"), // Q.3 class
 		{Tool: "softmean", Type: prov.TypeFile, Direction: prov.TraverseDescendants, Depth: 2, Projection: prov.ProjectRefs},
-		{Refs: []prov.Ref{{Object: "/res/mean", Version: 2}}, Direction: prov.TraverseAncestors, Projection: prov.ProjectRefs},
+		{Refs: []prov.Ref{{Object: "/res/mean", Version: 1}}, Direction: prov.TraverseAncestors, Projection: prov.ProjectRefs},
 	}
 
 	t.Run("s3+sdb", func(t *testing.T) {

@@ -234,7 +234,7 @@ func testQueries() []prov.Query {
 		prov.QDescendantsOfOutputs("blast"),
 		prov.QDependents("/data/in0"),
 		prov.QDependents("/out/blast0"),
-		{Refs: []prov.Ref{{Object: "/res/mean", Version: 2}}, Direction: prov.TraverseAncestors, Projection: prov.ProjectRefs},
+		{Refs: []prov.Ref{{Object: "/res/mean", Version: 1}}, Direction: prov.TraverseAncestors, Projection: prov.ProjectRefs},
 		{Type: prov.TypeFile, Projection: prov.ProjectRefs},
 		{Type: prov.TypeProcess, Projection: prov.ProjectFull},
 		{RefPrefix: "/out/", Projection: prov.ProjectFull},

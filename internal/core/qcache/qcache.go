@@ -6,10 +6,13 @@
 //
 //   - the snapshot: the whole provenance graph, as one repository scan read
 //     it (Graph), with singleflight coalescing so concurrent identical scans
-//     share one cloud pass. The table still goes wholesale, but a store may
-//     rebuild its entry without a scan: the S3-only store patches its last
-//     snapshot with its own acknowledged writes when nothing else moved the
-//     stamp (Stats.GraphPatches counts those builds apart from scans);
+//     share one cloud pass. The table still goes wholesale, but it may also
+//     follow the store's own writes instead (Follow): when nothing but a
+//     write section of this client moved the stamp, the snapshot moves with
+//     it, the section's deltas pending, and the next read patches it through
+//     the Patcher the build returned (PatchableGraph) — the S3-only store's
+//     snapshot follows its acknowledged PUTs so. The cache counts those
+//     patches itself (Stats.GraphPatches), apart from builds;
 //   - the refs memo: indexed query results by descriptor key (Refs), computed
 //     in the same flight;
 //   - the item memo: the stored items the query path fetched one by one — an
@@ -30,8 +33,9 @@
 // that has not changed since the last scan can answer every query class
 // from the cached snapshot at zero cloud ops.
 //
-// Invalidation is write-driven. Each store owns a Generation counter and
-// bumps it whenever a write could change query results (PutBatch, Sync,
+// Invalidation is write-driven. Each store owns one Writes value, which
+// samples its stamp, brackets its own write sections and bumps its write
+// generation whenever a write could change query results (PutBatch, Sync,
 // the WAL commit daemon's SimpleDB pushes, orphan-scan deletions). Cached
 // state is keyed by the Stamp observed *before* the backing scan started,
 // so a write that lands mid-scan invalidates the snapshot being built: the
@@ -62,21 +66,6 @@ import (
 	"passcloud/internal/prov"
 )
 
-// Generation is a store's write-generation counter. Stores bump it on any
-// write that could change query results; bumping more often than necessary
-// costs cache misses, never staleness, so stores bump unconditionally —
-// including on failed batches, whose partial effects may already be
-// visible.
-type Generation struct {
-	n atomic.Uint64
-}
-
-// Bump invalidates every snapshot taken at earlier generations.
-func (g *Generation) Bump() { g.n.Add(1) }
-
-// Load returns the current generation.
-func (g *Generation) Load() uint64 { return g.n.Load() }
-
 // Stamp identifies one cacheable repository state: a write generation plus
 // the consistency epoch of the region.
 type Stamp struct {
@@ -96,22 +85,72 @@ func (s Stamp) Token() string { return fmt.Sprintf("%d.%d", s.Gen, s.Epoch) }
 // concurrent use.
 type StampFunc func() Stamp
 
-// CloudStamp builds the standard StampFunc for a store on a simulated
-// region. The generation component is the sum of two monotonic counters —
-// the store's own write generation and the region's metered mutation count
-// — so the cache also invalidates when a *different* client of a shared
-// region writes, which the store's PutBatch bumps alone cannot see. The
-// epoch component is cl's clock quantized by its propagation horizon
-// (constant on strongly consistent regions).
-func CloudStamp(gen *Generation, cl *cloud.Cloud) StampFunc {
-	horizon := int64(cl.MaxDelay())
-	return func() Stamp {
-		st := Stamp{Gen: gen.Load() + regionWrites(cl)}
-		if horizon > 0 {
-			st.Epoch = cl.Clock.Now().UnixNano() / horizon
-		}
-		return st
+// Writes is one store's own-write bookkeeping on a simulated region: its
+// stamp, its write generation, and the brackets around the write sections
+// the store performs itself (Own, Cache.Follow), which split the region's
+// mutations into this client's and everybody else's (Foreign). Mutations a
+// *concurrent* foreign writer lands inside this client's window are
+// misattributed as own: Foreign is a planner heuristic, not an audit log.
+type Writes struct {
+	cl       *cloud.Cloud
+	horizon  int64
+	gen, own atomic.Uint64
+}
+
+// NewWrites builds the bookkeeping for a store on cl. Mutations metered
+// before it existed (a pre-populated shared region) count as foreign: the
+// client's planner never observed them.
+func NewWrites(cl *cloud.Cloud) *Writes {
+	return &Writes{cl: cl, horizon: int64(cl.MaxDelay())}
+}
+
+// Stamp samples the store's stamp. The generation component is the sum of
+// two monotonic counters — the store's own write generation and the region's
+// metered mutation count — so the cache also invalidates when a *different*
+// client of a shared region writes, which the store's bumps alone cannot
+// see. The epoch component is the region's clock quantized by its
+// propagation horizon (constant on strongly consistent regions).
+func (w *Writes) Stamp() Stamp {
+	st := Stamp{Gen: w.gen.Load() + regionWrites(w.cl)}
+	if w.horizon > 0 {
+		st.Epoch = w.cl.Clock.Now().UnixNano() / w.horizon
 	}
+	return st
+}
+
+// Bump moves the store's write generation, expiring everything cached at an
+// earlier stamp. Stores bump on any write that could change query results;
+// bumping more often than necessary costs cache misses, never staleness, so
+// stores bump unconditionally — including on failed batches, whose partial
+// effects may already be visible.
+func (w *Writes) Bump() { w.gen.Add(1) }
+
+// Own runs one of this client's write sections, attributing the mutations
+// it meters to the client. Do not nest sections: attribution would
+// double-count.
+func (w *Writes) Own(f func() error) error {
+	_, _, _, err := w.track(f)
+	return err
+}
+
+// Foreign reports how many of the region's metered mutations this client
+// did not perform itself (clamped at zero under concurrent-window
+// misattribution).
+func (w *Writes) Foreign() uint64 {
+	total := regionWrites(w.cl)
+	own := w.own.Load()
+	return max(total, own) - own
+}
+
+// track runs f as an own write section, reading the region meter once
+// before it and once after. It returns the stamps sampled around f as a
+// region with no propagation delay stamps them, and how often f bumped.
+func (w *Writes) track(f func() error) (before, after Stamp, bumps uint64, err error) {
+	gen, writes := w.gen.Load(), regionWrites(w.cl)
+	err = f()
+	genAfter, writesAfter := w.gen.Load(), regionWrites(w.cl)
+	w.own.Add(writesAfter - writes)
+	return Stamp{Gen: gen + writes}, Stamp{Gen: genAfter + writesAfter}, genAfter - gen, err
 }
 
 // MutatingOps are the metered operations (Meter "Service/Name" keys) that
@@ -137,46 +176,25 @@ func regionWrites(cl *cloud.Cloud) uint64 {
 	return uint64(cl.Meter.OpSum(MutatingOps))
 }
 
-// WriteTracker attributes the region's metered mutations to this client:
-// every write path the client owns runs under Track, and whatever the
-// region meters beyond that was written by somebody else. Query planners
-// use Foreign to downgrade their predictions from exact to estimate —
-// their statistics catalogs only mirror this client's own writes.
-//
-// Attribution samples the meter around each tracked section, so mutations
-// a *concurrent* foreign writer lands inside this client's write window
-// are misattributed as own; the tracker is a planner heuristic, not an
-// audit log.
-type WriteTracker struct {
-	cl  *cloud.Cloud
-	own atomic.Int64
+// A Patcher is made by the build that read a snapshot, and knows what the
+// snapshot was built from: it brings the snapshot forward with the store's
+// own writes (Follow). The cache calls it under its lock, one call at a time,
+// so its methods must not call the Cache.
+type Patcher interface {
+	// Patch returns base with deltas (Landed.Deltas, in landing order)
+	// applied, leaving base to its readers (prov.Graph.Replace).
+	Patch(base *prov.Graph, deltas []any) *prov.Graph
+	// Room is how many pending deltas the snapshot takes: past it, a patch
+	// would apply more than a rebuild reads.
+	Room() int
 }
 
-// NewWriteTracker builds a tracker for cl. Mutations metered before the
-// tracker existed (a pre-populated shared region) count as foreign: the
-// client's planner never observed them.
-func NewWriteTracker(cl *cloud.Cloud) *WriteTracker {
-	return &WriteTracker{cl: cl}
-}
-
-// Track runs one of this client's write sections, attributing the
-// mutations it meters to the client.
-func (t *WriteTracker) Track(f func() error) error {
-	before := regionWrites(t.cl)
-	err := f()
-	t.own.Add(int64(regionWrites(t.cl) - before))
-	return err
-}
-
-// Foreign reports how many of the region's metered mutations this client
-// did not perform itself (clamped at zero under concurrent-window
-// misattribution).
-func (t *WriteTracker) Foreign() uint64 {
-	total := int64(regionWrites(t.cl))
-	if own := t.own.Load(); total > own {
-		return uint64(total - own)
-	}
-	return 0
+// Landed is what one own write section landed: how many region mutations
+// its landed writes metered, and its writes in landing order, decoded only
+// if they extend a snapshot.
+type Landed struct {
+	Mutations uint64
+	Deltas    func() ([]any, error)
 }
 
 // Stats counts cache outcomes; tests and benchmarks read it to prove that
@@ -189,10 +207,9 @@ type Stats struct {
 	// Coalesced counts calls that joined another caller's in-flight build
 	// instead of issuing their own cloud pass.
 	Coalesced uint64
-	// GraphPatches counts Graph misses the store answered by patching the
-	// previous snapshot with its own writes instead of scanning. The store
-	// fills it (Cache only counts misses), moving those misses out of
-	// GraphMisses, which then counts scans only.
+	// GraphPatches counts the snapshots patched with the store's own writes
+	// (Follow) instead of rebuilt, by the Graph call (not counted as a hit)
+	// or Items view that read them first.
 	GraphPatches uint64
 }
 
@@ -237,6 +254,15 @@ func (m *memo[K, V]) at(now Stamp) bool {
 	return m.stamp == now
 }
 
+// snapshot is the snapshot table's value: a graph as a build read it, the
+// build's Patcher (nil: it follows nothing) and the deltas landed since, which
+// the first reader applies (settle). graph and patcher never change.
+type snapshot struct {
+	graph   *prov.Graph
+	patcher Patcher
+	pending []any
+}
+
 // Cache holds one store's cached query state. The zero value is not
 // usable; construct with New. All methods are safe for concurrent use.
 // A nil *Cache is the disabled cache: Graph and Refs run their callback on
@@ -249,7 +275,7 @@ type Cache struct {
 	stamp StampFunc
 
 	mu    sync.Mutex
-	snap  memo[struct{}, *prov.Graph]
+	snap  memo[struct{}, *snapshot]
 	refs  memo[string, []prov.Ref]
 	items memo[prov.Ref, []prov.Record] // filled by Items.Share, never in flight
 	stats Stats
@@ -284,9 +310,9 @@ func resident[K comparable, V any](c *Cache, m *memo[K, V], key K) bool {
 	return ok
 }
 
-// Warm reports whether a graph snapshot for the current stamp is resident.
-// Query planners use it to predict that a scan-backed query will cost zero
-// cloud ops.
+// Warm reports whether a graph snapshot for the current stamp is resident,
+// patched or with the store's own writes pending. Query planners use it to
+// predict that a scan-backed query will cost zero cloud ops.
 func (c *Cache) Warm() bool { return c != nil && resident(c, &c.snap, struct{}{}) }
 
 // HasRefs reports whether a memoized result for key is resident at the
@@ -296,10 +322,91 @@ func (c *Cache) HasRefs(key string) bool { return c != nil && resident(c, &c.ref
 // Graph returns the provenance-graph snapshot for the current stamp,
 // building it via build on a miss. The returned graph is shared: read-only.
 func (c *Cache) Graph(ctx context.Context, build func(context.Context) (*prov.Graph, error)) (*prov.Graph, error) {
+	return c.PatchableGraph(ctx, func(ctx context.Context) (*prov.Graph, Patcher, error) {
+		g, err := build(ctx)
+		return g, nil, err
+	})
+}
+
+// PatchableGraph is Graph for a store whose snapshot follows its own writes:
+// build also returns the Patcher that brings the graph forward (Follow).
+func (c *Cache) PatchableGraph(ctx context.Context, build func(context.Context) (*prov.Graph, Patcher, error)) (*prov.Graph, error) {
 	if c == nil {
-		return build(ctx)
+		g, _, err := build(ctx)
+		return g, err
 	}
-	return fly(ctx, c, &c.snap, struct{}{}, &c.stats.GraphHits, &c.stats.GraphMisses, build)
+	served := func(s *snapshot) *snapshot {
+		s, patched := c.settle(s)
+		if !patched {
+			c.stats.GraphHits++
+		}
+		return s
+	}
+	s, err := fly(ctx, c, &c.snap, struct{}{}, served, &c.stats.GraphMisses, func(ctx context.Context) (*snapshot, error) {
+		g, p, err := build(ctx)
+		return &snapshot{graph: g, patcher: p}, err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return s.graph, nil
+}
+
+// settle applies s's pending deltas, recording the patched snapshot in its
+// place, and reports whether it patched. Under c.mu, on the current value.
+func (c *Cache) settle(s *snapshot) (*snapshot, bool) {
+	if len(s.pending) == 0 {
+		return s, false
+	}
+	s = &snapshot{graph: s.patcher.Patch(s.graph, s.pending), patcher: s.patcher}
+	c.snap.vals[struct{}{}] = s
+	c.stats.GraphPatches++
+	return s, true
+}
+
+// Follow runs an own write section (Writes.Own) that the snapshot may follow.
+// If f succeeds, bumps once, and the stamp moves by exactly that bump plus
+// the mutations f says it landed, on a region with no propagation delay (else
+// a patched snapshot would be fresher than any scan), the snapshot resident
+// before the section moves to the stamp after it with f's deltas pending, to
+// be applied in one patch at the next read. Anything else — a foreign write
+// inside the window, an ack-lost retry's extra mutation, a failed or
+// overlapping section, more pending deltas than the snapshot has Room for —
+// leaves the snapshot behind the stamp, and the next read rebuilds.
+func (c *Cache) Follow(w *Writes, f func() (Landed, error)) error {
+	var landed Landed
+	before, after, bumps, err := w.track(func() (err error) {
+		landed, err = f()
+		return err
+	})
+	if err == nil && c != nil && w.horizon == 0 && bumps == 1 {
+		c.extend(before, after, landed)
+	}
+	return err
+}
+
+// extend is Follow's move of the snapshot table from before to after.
+func (c *Cache) extend(before, after Stamp, landed Landed) {
+	if after != (Stamp{Gen: before.Gen + 1 + landed.Mutations, Epoch: before.Epoch}) {
+		return
+	}
+	c.mu.Lock()
+	s, ok := c.snap.hit(before, struct{}{})
+	c.mu.Unlock()
+	if !ok || s.patcher == nil {
+		return
+	}
+	deltas, err := landed.Deltas()
+	if err != nil {
+		return
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if now, _ := c.snap.hit(before, struct{}{}); now != s || len(s.pending)+len(deltas) > s.patcher.Room() {
+		return
+	}
+	s.pending = append(s.pending, deltas...)
+	c.snap.stamp = after // a table holding its value at before has no flights
 }
 
 // Refs memoizes one indexed query's result under key for the current
@@ -309,11 +416,16 @@ func (c *Cache) Refs(ctx context.Context, key string, compute func(context.Conte
 	if c == nil {
 		return compute(ctx)
 	}
-	return fly(ctx, c, &c.refs, key, &c.stats.RefHits, &c.stats.RefMisses, compute)
+	served := func(refs []prov.Ref) []prov.Ref {
+		c.stats.RefHits++
+		return refs
+	}
+	return fly(ctx, c, &c.refs, key, served, &c.stats.RefMisses, compute)
 }
 
 // fly is the run accessor of a table: key's value under the current stamp,
-// computed on a miss. Concurrent callers with the same key and stamp share
+// computed on a miss; served counts a hit and returns what to serve.
+// Concurrent callers with the same key and stamp share
 // one computation (singleflight); a caller whose context ends while waiting
 // detaches with its context's error, and one whose leader's context ended
 // takes over. The stamp is sampled before the computation starts and again
@@ -321,7 +433,7 @@ func (c *Cache) Refs(ctx context.Context, key string, compute func(context.Conte
 // flight registered under, so a write landing mid-scan (which bumps the
 // generation) leaves it unreachable for later queries, and a stale leader
 // never clobbers what a newer one recorded.
-func fly[K comparable, V any](ctx context.Context, c *Cache, m *memo[K, V], key K, hits, misses *uint64, compute func(context.Context) (V, error)) (V, error) {
+func fly[K comparable, V any](ctx context.Context, c *Cache, m *memo[K, V], key K, served func(V) V, misses *uint64, compute func(context.Context) (V, error)) (V, error) {
 	var zero V
 	for {
 		if err := ctx.Err(); err != nil {
@@ -330,7 +442,7 @@ func fly[K comparable, V any](ctx context.Context, c *Cache, m *memo[K, V], key 
 		now := c.stamp()
 		c.mu.Lock()
 		if v, ok := m.hit(now, key); ok {
-			*hits++
+			v = served(v)
 			c.mu.Unlock()
 			return v, nil
 		}
@@ -393,14 +505,18 @@ type Items struct {
 // Items returns a view for one query.
 func (c *Cache) Items() *Items { return &Items{c: c} }
 
-// open samples the stamp and looks for the resident snapshot. It runs at the
-// view's first Get, which precedes the query's first fetch: a write landing
-// between the two moves the stamp, and the fetch is then not shared.
+// open samples the stamp and looks for the resident snapshot, patching it if
+// the store's own writes are pending. It runs at the view's first Get, which
+// precedes the query's first fetch: a write landing between the two moves
+// the stamp, and the fetch is then not shared.
 func (v *Items) open() {
 	v.opened, v.stamp = true, v.c.stamp()
 	v.c.mu.Lock()
 	defer v.c.mu.Unlock()
-	v.graph, _ = v.c.snap.hit(v.stamp, struct{}{})
+	if s, ok := v.c.snap.hit(v.stamp, struct{}{}); ok {
+		s, _ = v.c.settle(s)
+		v.graph = s.graph
+	}
 }
 
 // Get returns ref's records as the view knows them — nil for an item that

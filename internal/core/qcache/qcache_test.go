@@ -13,7 +13,12 @@ import (
 	"passcloud/internal/prov"
 )
 
-func genStamp(gen *Generation) StampFunc {
+// generation is a write generation the test moves by hand.
+type generation struct{ atomic.Uint64 }
+
+func (g *generation) Bump() { g.Add(1) }
+
+func genStamp(gen *generation) StampFunc {
 	return func() Stamp { return Stamp{Gen: gen.Load()} }
 }
 
@@ -27,7 +32,7 @@ func testGraph(n int) *prov.Graph {
 }
 
 func TestGraphHitWhileGenerationUnchanged(t *testing.T) {
-	var gen Generation
+	var gen generation
 	c := New(genStamp(&gen))
 	builds := 0
 	build := func(context.Context) (*prov.Graph, error) {
@@ -54,7 +59,7 @@ func TestGraphHitWhileGenerationUnchanged(t *testing.T) {
 }
 
 func TestWriteInvalidatesSnapshotAndMemo(t *testing.T) {
-	var gen Generation
+	var gen generation
 	c := New(genStamp(&gen))
 	ctx := context.Background()
 	builds := 0
@@ -97,7 +102,7 @@ func TestWriteInvalidatesSnapshotAndMemo(t *testing.T) {
 }
 
 func TestConcurrentBuildsCoalesce(t *testing.T) {
-	var gen Generation
+	var gen generation
 	c := New(genStamp(&gen))
 	var builds atomic.Int64
 	started := make(chan struct{})
@@ -137,7 +142,7 @@ func TestConcurrentBuildsCoalesce(t *testing.T) {
 }
 
 func TestWaiterDetachesOnOwnCancellation(t *testing.T) {
-	var gen Generation
+	var gen generation
 	c := New(genStamp(&gen))
 	release := make(chan struct{})
 	started := make(chan struct{})
@@ -172,7 +177,7 @@ func TestWaiterDetachesOnOwnCancellation(t *testing.T) {
 }
 
 func TestLeaderCancellationPromotesWaiter(t *testing.T) {
-	var gen Generation
+	var gen generation
 	c := New(genStamp(&gen))
 	leaderCtx, cancelLeader := context.WithCancel(context.Background())
 	started := make(chan struct{})
@@ -215,7 +220,7 @@ func TestLeaderCancellationPromotesWaiter(t *testing.T) {
 // write finishes with a stale stamp and must not overwrite a snapshot a
 // later leader installed for the current stamp.
 func TestStaleLeaderDoesNotClobberNewerSnapshot(t *testing.T) {
-	var gen Generation
+	var gen generation
 	c := New(genStamp(&gen))
 	ctx := context.Background()
 
@@ -257,7 +262,7 @@ func TestStaleLeaderDoesNotClobberNewerSnapshot(t *testing.T) {
 }
 
 func TestBuildErrorIsNotCached(t *testing.T) {
-	var gen Generation
+	var gen generation
 	c := New(genStamp(&gen))
 	ctx := context.Background()
 	boom := errors.New("boom")
@@ -281,8 +286,8 @@ func TestBuildErrorIsNotCached(t *testing.T) {
 
 func TestEpochExpiresSnapshotOnEventuallyConsistentRegion(t *testing.T) {
 	cl := cloud.New(cloud.Config{Seed: 1, MaxDelay: 10 * time.Second})
-	var gen Generation
-	c := New(CloudStamp(&gen, cl))
+	w := NewWrites(cl)
+	c := New(w.Stamp)
 	ctx := context.Background()
 	builds := 0
 	build := func(context.Context) (*prov.Graph, error) {
@@ -305,15 +310,15 @@ func TestEpochExpiresSnapshotOnEventuallyConsistentRegion(t *testing.T) {
 }
 
 // TestForeignWriteInvalidates covers the shared-region case: another
-// client's write — which never bumps this store's Generation — must still
+// client's write — which never bumps this store's generation — must still
 // expire the snapshot, via the region's metered mutation count.
 func TestForeignWriteInvalidates(t *testing.T) {
 	cl := cloud.New(cloud.Config{Seed: 1})
 	if err := cl.S3.CreateBucket("pass"); err != nil {
 		t.Fatal(err)
 	}
-	var gen Generation
-	c := New(CloudStamp(&gen, cl))
+	w := NewWrites(cl)
+	c := New(w.Stamp)
 	ctx := context.Background()
 	builds := 0
 	build := func(context.Context) (*prov.Graph, error) {
@@ -337,8 +342,8 @@ func TestForeignWriteInvalidates(t *testing.T) {
 
 func TestStrongRegionEpochConstant(t *testing.T) {
 	cl := cloud.New(cloud.Config{Seed: 1})
-	var gen Generation
-	c := New(CloudStamp(&gen, cl))
+	w := NewWrites(cl)
+	c := New(w.Stamp)
 	ctx := context.Background()
 	builds := 0
 	build := func(context.Context) (*prov.Graph, error) {
@@ -362,7 +367,7 @@ func TestStrongRegionEpochConstant(t *testing.T) {
 // caller ever observes a half-built graph: every returned snapshot has the
 // full record count its build put in.
 func TestConcurrentQueriesDuringWrites(t *testing.T) {
-	var gen Generation
+	var gen generation
 	c := New(genStamp(&gen))
 	const graphSize = 50
 	build := func(context.Context) (*prov.Graph, error) {
@@ -441,8 +446,8 @@ func TestItemsServeOnlyUnderTheirStamp(t *testing.T) {
 	if err := cl.S3.CreateBucket("pass"); err != nil {
 		t.Fatal(err)
 	}
-	var gen Generation
-	c := New(CloudStamp(&gen, cl))
+	w := NewWrites(cl)
+	c := New(w.Stamp)
 	seen, unseen, later := prov.Ref{Object: "/seen"}, prov.Ref{Object: "/unseen"}, prov.Ref{Object: "/later"}
 	record := func() {
 		t.Helper()
@@ -474,7 +479,7 @@ func TestItemsServeOnlyUnderTheirStamp(t *testing.T) {
 		}
 	}
 	record()
-	gen.Bump() // own write
+	w.Bump() // own write
 	record()
 	if err := cl.S3.Put("pass", "data/foreign", []byte("x"), nil); err != nil { // foreign writer
 		t.Fatal(err)
@@ -488,7 +493,7 @@ func TestItemsServeOnlyUnderTheirStamp(t *testing.T) {
 // published — they may or may not contain the write — while the query that
 // took them keeps what it read.
 func TestItemsOvertakenByWriteAreNotShared(t *testing.T) {
-	var gen Generation
+	var gen generation
 	c := New(genStamp(&gen))
 	a, b := prov.Ref{Object: "/a"}, prov.Ref{Object: "/b"}
 	early := c.Items()
@@ -565,7 +570,7 @@ func TestItemsShareNeverRewindsTheMemo(t *testing.T) {
 // TestItemsPreferResidentSnapshot: with a snapshot warm the view answers
 // every item from it — absent ones as known-empty.
 func TestItemsPreferResidentSnapshot(t *testing.T) {
-	var gen Generation
+	var gen generation
 	c := New(genStamp(&gen))
 	if _, err := c.Graph(context.Background(), func(context.Context) (*prov.Graph, error) { return testGraph(2), nil }); err != nil {
 		t.Fatal(err)
@@ -605,7 +610,7 @@ func TestItemsOfDisabledCacheAreQueryScoped(t *testing.T) {
 // TestItemsConcurrentViewsDuringWrites: under -race, queries recording,
 // sharing and reading items beside a writer never see another ref's records.
 func TestItemsConcurrentViewsDuringWrites(t *testing.T) {
-	var gen Generation
+	var gen generation
 	c := New(genStamp(&gen))
 	var wg sync.WaitGroup
 	stop := make(chan struct{})

@@ -1,34 +1,20 @@
+// Own-write following for the S3-only snapshot (qcache.Cache.Follow): a
+// write section that succeeded and moved the stamp by exactly its bump and
+// its own acknowledged S3 mutations hands the cache the carriers it landed,
+// and the next read patches the snapshot with them through the carrierIndex
+// the scan built. The client knows exactly what it PUT, so only another
+// writer's write, or a write of its own that did not settle cleanly, costs
+// the next query a scan.
 package s3only
 
 import (
 	"fmt"
 	"slices"
-	"sync"
 
 	"passcloud/internal/core"
 	"passcloud/internal/core/qcache"
 	"passcloud/internal/prov"
 )
-
-// follower lets the snapshot follow this client's own writes instead of
-// being dropped by them. It holds a chain: the last snapshot the store built
-// (by scan or by patch), the per-carrier index it was built from, the carriers
-// this client landed since, and the stamp the snapshot reaches once they are
-// applied. A write section extends the chain only when it moved the stamp by
-// exactly its own acknowledged mutations; a foreign write, an ack-lost retry,
-// a failed batch, a migration or a concurrent section of this client leaves
-// the chain behind the stamp, and the next read scans.
-//
-// Only strongly consistent regions follow (no patching under a propagation
-// delay: a patched snapshot would be fresher than any scan there).
-type follower struct {
-	mu   sync.Mutex
-	base *prov.Graph // nil: no chain, the next read scans
-	at   qcache.Stamp
-	idx  *carrierIndex
-	// pending lists the carriers landed since base, in landing order.
-	pending []landed
-}
 
 // landed is one carrier as this client PUT it: its key and its records,
 // decoded from the exact metadata the PUT carried (grouped by subject only
@@ -63,8 +49,9 @@ func (x *carrierIndex) add(key string, entries []core.Entry) {
 	x.scanned = append(x.scanned, carrierEntries{key, entries})
 }
 
-// carriers is the number of carriers the snapshot was built from.
-func (x *carrierIndex) carriers() int {
+// Room implements qcache.Patcher: as many landed carriers as the snapshot
+// was built from; past that, a patch applies more carriers than a scan reads.
+func (x *carrierIndex) Room() int {
 	if x.byKey == nil {
 		return len(x.scanned)
 	}
@@ -132,122 +119,45 @@ func (x *carrierIndex) records(ref prov.Ref) []prov.Record {
 	return out
 }
 
-// current reports whether the chain reaches now: the snapshot at now is the
-// base with the pending carriers applied. The one test behind the read
-// (advance) and the plan (Explain). Nil-safe.
-func (f *follower) current(now qcache.Stamp) bool {
-	if f == nil {
-		return false
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.base != nil && f.at == now
-}
-
-// newIndex is the index a scan fills for rebase: nil when nothing follows.
-func (f *follower) newIndex() *carrierIndex {
-	if f == nil {
-		return nil
-	}
-	return &carrierIndex{}
-}
-
-// rebase starts a new chain at a scanned snapshot, if the stamp did not move
-// while the scan ran; else there is no chain. Nil-safe.
-func (f *follower) rebase(start, end qcache.Stamp, g *prov.Graph, idx *carrierIndex) {
-	if f == nil {
-		return
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.base, f.pending = nil, nil
-	if start == end {
-		f.base, f.at, f.idx = g, start, idx
-	}
-}
-
-// extend appends one write section's landed carriers to the chain. The
-// section sampled before at its start and after once its own generation bump
-// was in; mutations counts the S3 mutations it issued that returned success.
-// The chain reaches after only if it ended at before and the stamp moved by
-// the bump and those mutations alone — else it is dropped. The carriers are
-// decoded only when they extend a chain. If the pending carriers then
-// outnumber the snapshot's, the chain is dropped too: past that point a
-// patch applies more carriers than a scan reads.
-func (f *follower) extend(before, after qcache.Stamp, mutations uint64, decode func() ([]landed, error)) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	want := qcache.Stamp{Gen: before.Gen + 1 + mutations, Epoch: before.Epoch}
-	if f.base == nil || f.at != before || after != want {
-		f.base, f.pending = nil, nil
-		return
-	}
-	carriers, err := decode()
-	if err != nil || len(f.pending)+len(carriers) > f.idx.carriers() {
-		f.base, f.pending = nil, nil
-		return
-	}
-	f.pending = append(f.pending, carriers...)
-	f.at = after
-}
-
-// advance returns the snapshot at now — the base with the pending carriers
-// applied, which becomes the new base — or nil, dropping the chain, when the
-// chain does not reach now. Only the subjects the carriers touch are rebuilt;
-// readers of the old base are undisturbed (prov.Graph.Replace). Nil-safe.
-func (f *follower) advance(now qcache.Stamp) *prov.Graph {
-	if f == nil {
-		return nil
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.base == nil || f.at != now {
-		f.base, f.pending = nil, nil
-		return nil
-	}
-	if len(f.pending) == 0 {
-		return f.base
-	}
-	f.idx.index()
-	// Later landings of a key supersede earlier ones; distinct keys commute.
-	latest := make(map[string][]prov.Record, len(f.pending))
-	for _, c := range f.pending {
+// Patch implements qcache.Patcher: the snapshot with the landed carriers
+// applied. Later landings of a key supersede earlier ones; distinct keys
+// commute. Only the subjects the carriers touch are rebuilt; readers of the
+// old snapshot are undisturbed (prov.Graph.Replace).
+func (x *carrierIndex) Patch(base *prov.Graph, deltas []any) *prov.Graph {
+	x.index()
+	latest := make(map[string][]prov.Record, len(deltas))
+	for _, d := range deltas {
+		c := d.(landed)
 		latest[c.key] = c.records
 	}
 	touched := make(map[prov.Ref][]prov.Record)
 	for key, records := range latest {
-		f.idx.replace(key, bySubject(records), touched)
+		x.replace(key, bySubject(records), touched)
 	}
 	for ref := range touched {
-		touched[ref] = f.idx.records(ref)
+		touched[ref] = x.records(ref)
 	}
-	f.base, f.pending = f.base.Replace(touched), nil
-	return f.base
+	return base.Replace(touched)
 }
 
-// followWrites carries the snapshot along one of this client's write
-// sections that succeeded and moved the stamp once (its generation bump,
-// already in): puts are the carriers it landed, each one data PUT plus its
-// overflow and bundle PUTs. The chain extends only if nothing else moved the
-// stamp since before was sampled (follower.extend).
-func (s *Store) followWrites(before qcache.Stamp, puts []dataPut) {
-	if s.follow == nil {
-		return
-	}
+// landedPuts is what a write section's landed carrier PUTs hand the
+// snapshot: each one data PUT plus its overflow and bundle PUTs, decoded
+// only if they extend it.
+func landedPuts(puts []dataPut) qcache.Landed {
 	var mutations uint64
 	for _, p := range puts {
 		mutations += 1 + uint64(len(p.stored))
 	}
-	s.follow.extend(before, s.stamp(), mutations, func() ([]landed, error) {
-		carriers := make([]landed, len(puts))
+	return qcache.Landed{Mutations: mutations, Deltas: func() ([]any, error) {
+		deltas := make([]any, len(puts))
 		for i, p := range puts {
 			var err error
-			if carriers[i], err = decodeLanded(p); err != nil {
+			if deltas[i], err = decodeLanded(p); err != nil {
 				return nil, err
 			}
 		}
-		return carriers, nil
-	})
+		return deltas, nil
+	}}
 }
 
 // decodeLanded decodes one landed carrier from the exact metadata it was PUT

@@ -96,8 +96,8 @@ func (s *Store) ImportArc(ctx context.Context, exp *core.ArcExport) error {
 	if !ok {
 		return fmt.Errorf("s3only: import of a foreign arc payload (%T)", exp.Payload)
 	}
-	defer s.gen.Bump()
-	return s.tracker.Track(func() error {
+	defer s.writes.Bump()
+	return s.writes.Own(func() error {
 		for _, c := range payload.carriers {
 			p, err := s.assemble(ctx, c.ref, c.body, c.own, c.foreign)
 			if err != nil {
@@ -114,7 +114,7 @@ func (s *Store) ImportArc(ctx context.Context, exp *core.ArcExport) error {
 // RemoveArc implements core.Migrator.
 func (s *Store) RemoveArc(ctx context.Context, match func(prov.ObjectID) bool) (int, error) {
 	removed := 0
-	err := s.tracker.Track(func() error {
+	err := s.writes.Own(func() error {
 		type victim struct {
 			key string
 			ref prov.Ref
@@ -139,7 +139,7 @@ func (s *Store) RemoveArc(ctx context.Context, match func(prov.ObjectID) bool) (
 		if len(victims) == 0 && len(phantoms) == 0 {
 			return nil
 		}
-		defer s.gen.Bump()
+		defer s.writes.Bump()
 		forget := func(key string) {
 			if s.ledger != nil {
 				s.ledger.Remove(key)

@@ -45,7 +45,6 @@ import (
 	"slices"
 	"strconv"
 	"sync"
-	"sync/atomic"
 
 	"passcloud/internal/cloud"
 	"passcloud/internal/cloud/awserr"
@@ -128,24 +127,18 @@ type Store struct {
 	concurrency int
 	scanConc    int
 
-	// gen counts writes; cache (nil when disabled) holds the scanned
-	// provenance graph while gen is unchanged; follow (nil when the cache is
-	// disabled or the region has a propagation delay) moves that graph
-	// forward with this client's own writes; patches counts the snapshot
-	// builds it answered.
-	gen     qcache.Generation
-	cache   *qcache.Cache
-	follow  *follower
-	patches atomic.Uint64
-	// stamp samples the repository generation independently of the cache;
-	// pagination cursors bind to it.
-	stamp qcache.StampFunc
+	// writes stamps the repository (pagination cursors bind to the stamp),
+	// brackets this client's write sections — so the planner knows whether
+	// anything else wrote to the region — and bumps the write generation.
+	writes *qcache.Writes
+	// cache (nil when disabled) holds the scanned provenance graph while the
+	// stamp is unchanged, and on a region with no propagation delay carries
+	// it forward with this client's own writes (follow.go).
+	cache *qcache.Cache
 	// pins retains paginated queries’ evaluated result sets.
 	pins core.Pins
-	// catalog mirrors this client's data PUTs for Explain's predictions;
-	// tracker tells the planner whether anything else wrote to the region.
+	// catalog mirrors this client's data PUTs for Explain's predictions.
 	catalog *planner.S3Catalog
-	tracker *qcache.WriteTracker
 	// retrier backs off and retries transient cloud errors; its meters
 	// feed the cost harness's retry-overhead report.
 	retrier *retry.Retrier
@@ -186,7 +179,7 @@ func New(cfg Config) (*Store, error) {
 	}
 	s := &Store{cloud: cfg.Cloud, bucket: cfg.Bucket, faults: cfg.Faults,
 		concurrency: cfg.PutConcurrency, scanConc: cfg.ScanConcurrency,
-		catalog: planner.NewS3Catalog(), tracker: qcache.NewWriteTracker(cfg.Cloud),
+		catalog: planner.NewS3Catalog(), writes: qcache.NewWrites(cfg.Cloud),
 		retrier: retry.New(cfg.Retry, cfg.Cloud.Clock, cfg.Cloud.RNG),
 		latest:  make(map[string]prov.Version)}
 	if !cfg.DisableIntegrity {
@@ -194,7 +187,7 @@ func New(cfg Config) (*Store, error) {
 	}
 	// Resource creation meters as a mutation (CreateBucket is an S3 PUT);
 	// track it so a solo client's plans stay exact.
-	err := s.tracker.Track(func() error {
+	err := s.writes.Own(func() error {
 		//passvet:allow retrywrap -- one-shot namespace setup at construction: no caller context exists yet, and a failure surfaces directly instead of being retried behind the builder's back
 		if err := cfg.Cloud.S3.CreateBucket(cfg.Bucket); err != nil && !errors.Is(err, s3.ErrBucketAlreadyExists) {
 			return err
@@ -204,12 +197,8 @@ func New(cfg Config) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.stamp = qcache.CloudStamp(&s.gen, cfg.Cloud)
 	if !cfg.DisableQueryCache {
-		s.cache = qcache.New(s.stamp)
-		if cfg.Cloud.MaxDelay() == 0 {
-			s.follow = &follower{}
-		}
+		s.cache = qcache.New(s.writes.Stamp)
 	}
 	return s, nil
 }
@@ -293,18 +282,19 @@ func (r *batchResult) recordRef(ref prov.Ref) {
 // core.PartialWriteError naming the fully persisted events (file versions
 // and their transient riders); the caller retries only the remainder.
 func (s *Store) PutBatch(ctx context.Context, batch []pass.FlushEvent) error {
-	before := s.stamp()
 	s.mu.Lock()
 	saved := append([]prov.Record(nil), s.foreign...)
 	s.mu.Unlock()
 	res := &batchResult{}
-	err := s.tracker.Track(func() error { return s.putBatch(ctx, batch, len(saved) > 0, res) })
-	// Move the stamp even when the batch fails: partial effects (overflow or
-	// bundle PUTs) may already be visible to a scan. Only a batch that
-	// succeeded may carry the snapshot along.
-	s.gen.Bump()
+	err := s.cache.Follow(s.writes, func() (qcache.Landed, error) {
+		err := s.putBatch(ctx, batch, len(saved) > 0, res)
+		// Move the stamp even when the batch fails: partial effects (overflow
+		// or bundle PUTs) may already be visible to a scan. Only a batch that
+		// succeeded carries the snapshot along.
+		s.writes.Bump()
+		return landedPuts(res.puts), err
+	})
 	if err == nil {
-		s.followWrites(before, res.puts)
 		return nil
 	}
 	s.mu.Lock()
@@ -774,33 +764,21 @@ func (s *Store) scanSeq(ctx context.Context, idx *carrierIndex) iter.Seq2[core.E
 	}
 }
 
-// CacheStats exposes the snapshot cache counters (zero when disabled). A
-// snapshot build the follower answered counts as a patch, not as a miss:
-// GraphMisses counts scans.
-func (s *Store) CacheStats() qcache.Stats {
-	patches := s.patches.Load() // first: a patch's miss is counted before it
-	st := s.cache.Stats()
-	st.GraphPatches, st.GraphMisses = patches, st.GraphMisses-patches
-	return st
-}
+// CacheStats exposes the snapshot cache counters (zero when disabled):
+// GraphMisses counts scans, GraphPatches the snapshots patched with this
+// client's own writes.
+func (s *Store) CacheStats() qcache.Stats { return s.cache.Stats() }
 
 // ProvenanceGraph implements core.GraphQuerier: the repository graph, one
 // scan materialized, shared from the snapshot cache (singleflight on a
-// miss) when enabled. A miss the follower's chain reaches is answered by
-// patching the previous snapshot with this client's own writes, at zero
-// cloud ops. Read-only.
+// miss) when enabled. A snapshot this client's own writes moved forward is
+// patched with them at zero cloud ops, through the index the scan built.
+// Read-only.
 func (s *Store) ProvenanceGraph(ctx context.Context) (*prov.Graph, error) {
-	return s.cache.Graph(ctx, func(ctx context.Context) (*prov.Graph, error) {
-		if g := s.follow.advance(s.stamp()); g != nil {
-			s.patches.Add(1)
-			return g, nil
-		}
-		start, idx := s.stamp(), s.follow.newIndex()
+	return s.cache.PatchableGraph(ctx, func(ctx context.Context) (*prov.Graph, qcache.Patcher, error) {
+		idx := &carrierIndex{}
 		g, err := core.CollectGraph(s.scanSeq(ctx, idx))
-		if err == nil {
-			s.follow.rebase(start, s.stamp(), g, idx)
-		}
-		return g, err
+		return g, idx, err
 	})
 }
 
@@ -819,7 +797,7 @@ func (s *Store) Query(ctx context.Context, q prov.Query) iter.Seq2[core.Entry, e
 // StampToken implements core.Stamped: the repository generation this
 // store's cursors bind to, also read by composing stores (the shard
 // router) that mint composite stamps.
-func (s *Store) StampToken() string { return s.stamp().Token() }
+func (s *Store) StampToken() string { return s.writes.Stamp().Token() }
 
 // runQuery executes one non-paginated descriptor. The architecture has one
 // strategy, the repository pass, so there is nothing for the run and the plan
@@ -847,15 +825,11 @@ func (s *Store) runQuery(ctx context.Context, q prov.Query, yield func(core.Entr
 func (s *Store) Explain(q prov.Query) core.QueryPlan {
 	// Exact only while every region mutation was this client's own: the
 	// catalog never sees other writers' objects.
-	p := core.QueryPlan{Arch: s.Name(), Exact: s.tracker.Foreign() == 0}
+	p := core.QueryPlan{Arch: s.Name(), Exact: s.writes.Foreign() == 0}
 	return core.Explain(p, q, s, &s.pins, func(p *core.QueryPlan, _ prov.Query) {
-		if warm := s.cache.Warm(); warm || s.follow.current(s.stamp()) {
+		if s.cache.Warm() {
 			p.Strategy, p.Cached = "snapshot", true
-			note := "warm snapshot: zero cloud ops"
-			if !warm {
-				note = "snapshot patched with this client's own writes: zero cloud ops"
-			}
-			p.AddStep("-", "snapshot", 0, note)
+			p.AddStep("-", "snapshot", 0, "warm snapshot: zero cloud ops")
 			return
 		}
 		p.Strategy = "scan"
@@ -873,16 +847,10 @@ func (s *Store) Explain(q prov.Query) core.QueryPlan {
 // The records ride a one-byte marker object so they remain discoverable by
 // the metadata scan, preserving this architecture's single-PUT atomicity.
 func (s *Store) Sync(ctx context.Context) error {
-	before := s.stamp()
-	var marker []dataPut
-	err := s.tracker.Track(func() (err error) {
-		marker, err = s.sync(ctx)
-		return err
+	return s.cache.Follow(s.writes, func() (qcache.Landed, error) {
+		marker, err := s.sync(ctx)
+		return landedPuts(marker), err
 	})
-	if err == nil && marker != nil {
-		s.followWrites(before, marker)
-	}
-	return err
 }
 
 // sync persists the trailing transient provenance, returning the marker PUT
@@ -902,7 +870,7 @@ func (s *Store) sync(ctx context.Context) ([]dataPut, error) {
 	}
 	// The marker PUT below changes what a scan sees; even a failed attempt
 	// may have written overflow objects.
-	defer s.gen.Bump()
+	defer s.writes.Bump()
 
 	subject := prov.Ref{Object: prov.ObjectID(fmt.Sprintf("/.pnodes/%06d", seq)), Version: 0}
 	restore := func() {

@@ -78,7 +78,7 @@ func TestFailedForeignWriteKeepsExplainExactAndCacheWarm(t *testing.T) {
 	if d := cl.Usage().TotalOps() - before; d != 0 {
 		t.Fatalf("failed foreign write expired the snapshot: repeat cost %d ops, want 0", d)
 	}
-	if f := a.Layer().ForeignWrites(); f != 0 {
+	if f := a.Layer().Writes().Foreign(); f != 0 {
 		t.Fatalf("tracker attributes %d foreign mutations to a write that never landed", f)
 	}
 }

@@ -146,7 +146,7 @@ func (s *Store) Properties() core.Properties {
 // shape, repaired by the caller's retry or the OrphanScan, never reported
 // as durable.
 func (s *Store) PutBatch(ctx context.Context, batch []pass.FlushEvent) error {
-	return s.Layer().TrackWrites(func() error { return s.putBatch(ctx, batch) })
+	return s.Layer().Writes().Own(func() error { return s.putBatch(ctx, batch) })
 }
 
 func (s *Store) putBatch(ctx context.Context, batch []pass.FlushEvent) error {
@@ -155,7 +155,7 @@ func (s *Store) putBatch(ctx context.Context, batch []pass.FlushEvent) error {
 	}
 	// Invalidate cached query snapshots even when the batch fails partway:
 	// the provenance phase's effects may already be visible to queries.
-	defer s.Layer().InvalidateQueries()
+	defer s.Layer().Writes().Bump()
 	if err := s.faults.Check(PointBeforePut); err != nil {
 		return err
 	}
@@ -290,7 +290,7 @@ func (s *Store) putBatch(ctx context.Context, batch []pass.FlushEvent) error {
 // strictly worse than tolerating an orphan for one more scan).
 // Returns the refs whose provenance was removed.
 func (s *Store) OrphanScan(ctx context.Context) (refs []prov.Ref, err error) {
-	err = s.Layer().TrackWrites(func() error {
+	err = s.Layer().Writes().Own(func() error {
 		refs, err = s.orphanScan(ctx)
 		return err
 	})
@@ -299,7 +299,7 @@ func (s *Store) OrphanScan(ctx context.Context) (refs []prov.Ref, err error) {
 
 func (s *Store) orphanScan(ctx context.Context) ([]prov.Ref, error) {
 	// Deletions below change query results behind the layer's back.
-	defer s.Layer().InvalidateQueries()
+	defer s.Layer().Writes().Bump()
 
 	// Pass 1: collect candidates without deleting anything.
 	var candidates []prov.Ref

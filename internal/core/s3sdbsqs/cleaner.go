@@ -38,7 +38,7 @@ func NewCleanerForLayer(c *cloud.Cloud, layer *sdbprov.Layer) *Cleaner {
 // RunOnce deletes every temporary object older than MaxAge, returning how
 // many were removed.
 func (c *Cleaner) RunOnce(ctx context.Context) (n int, err error) {
-	err = c.layer.TrackWrites(func() error {
+	err = c.layer.Writes().Own(func() error {
 		n, err = c.runOnce(ctx)
 		return err
 	})

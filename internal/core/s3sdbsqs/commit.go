@@ -257,7 +257,7 @@ func (d *CommitDaemon) processReady(ctx context.Context) (int, error) {
 			return done, err
 		}
 		var retry bool
-		terr := d.layer.TrackWrites(func() error {
+		terr := d.layer.Writes().Own(func() error {
 			var err error
 			retry, err = d.commitTx(ctx, txid, d.pending[txid])
 			return err

@@ -178,7 +178,7 @@ func (s *Store) Queue() string { return s.queue }
 // at any point leaves an uncommitted transaction that the commit daemon
 // ignores and the cleaner eventually reaps, so a retried batch is safe.
 func (s *Store) PutBatch(ctx context.Context, batch []pass.FlushEvent) error {
-	return s.Layer().TrackWrites(func() error { return s.putBatch(ctx, batch) })
+	return s.Layer().Writes().Own(func() error { return s.putBatch(ctx, batch) })
 }
 
 func (s *Store) putBatch(ctx context.Context, batch []pass.FlushEvent) error {
@@ -192,7 +192,7 @@ func (s *Store) putBatch(ctx context.Context, batch []pass.FlushEvent) error {
 	// transaction (WriteEncodedBatch bumps the layer's generation then),
 	// but the contract is that every PutBatch invalidates: a retried or
 	// replayed batch must never be answered from a pre-write snapshot.
-	defer s.Layer().InvalidateQueries()
+	defer s.Layer().Writes().Bump()
 	txid := s.cloud.RNG.Hex(8)
 
 	// Assemble the messages that follow begin: per event — data pointer,

@@ -58,7 +58,7 @@ func writeNoise(t testing.TB, l *Layer, n int) {
 				prov.NewString(subject, prov.AttrName, "noise"),
 			}})
 		}
-		err := l.TrackWrites(func() error { return l.WriteEncodedBatch(ctx, writes, WritePoints{}) })
+		err := l.writes.Own(func() error { return l.WriteEncodedBatch(ctx, writes, WritePoints{}) })
 		if err != nil {
 			t.Fatal(err)
 		}

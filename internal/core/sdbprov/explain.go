@@ -20,7 +20,7 @@ import (
 func (l *Layer) Explain(q prov.Query) core.QueryPlan {
 	// Predictions are exact only while every region mutation came from
 	// this client: the catalog never sees other writers' items.
-	p := core.QueryPlan{Arch: "simpledb", Exact: l.tracker.Foreign() == 0}
+	p := core.QueryPlan{Arch: "simpledb", Exact: l.writes.Foreign() == 0}
 	return core.Explain(p, q, l, &l.pins, l.explainInto)
 }
 

@@ -100,7 +100,7 @@ func (l *Layer) ImportArc(ctx context.Context, exp *core.ArcExport) error {
 	if !ok {
 		return fmt.Errorf("sdbprov: import of a foreign arc payload (%T)", exp.Payload)
 	}
-	return l.TrackWrites(func() error {
+	return l.writes.Own(func() error {
 		for _, d := range payload.datas {
 			err := l.retrier.Do(ctx, "sdbprov/reshard-data-put", func() error {
 				return l.cfg.Cloud.S3.Put(l.cfg.Bucket, d.key, d.body, d.meta)
@@ -128,7 +128,7 @@ func (l *Layer) ImportArc(ctx context.Context, exp *core.ArcExport) error {
 // RemoveArc implements core.Migrator.
 func (l *Layer) RemoveArc(ctx context.Context, match func(prov.ObjectID) bool) (int, error) {
 	removed := 0
-	err := l.TrackWrites(func() error {
+	err := l.writes.Own(func() error {
 		// Names only: removal fetches no attributes.
 		var items []string
 		var refs []prov.Ref
@@ -160,7 +160,7 @@ func (l *Layer) RemoveArc(ctx context.Context, match func(prov.ObjectID) bool) (
 			return nil
 		}
 		// Deletions change what queries see even if a later step fails.
-		defer l.gen.Bump()
+		defer l.writes.Bump()
 		seenObject := make(map[prov.ObjectID]bool)
 		// refs lists the live items, then the phantoms: a phantom's item is
 		// gone, but its overflow, spill and data objects may not be.

@@ -66,7 +66,7 @@ func (l *Layer) Query(ctx context.Context, q prov.Query) iter.Seq2[core.Entry, e
 // StampToken implements core.Stamped: the repository generation this
 // layer's cursors bind to, also read by composing stores (the shard
 // router) that mint composite stamps.
-func (l *Layer) StampToken() string { return l.stamp().Token() }
+func (l *Layer) StampToken() string { return l.writes.Stamp().Token() }
 
 // strategy is how one non-paginated descriptor is answered. runQuery and
 // explainInto both switch on strategyOf, so the plan always describes the

@@ -100,20 +100,19 @@ type Config struct {
 type Layer struct {
 	cfg Config
 
-	// gen counts provenance writes; cache (nil when disabled) memoizes
-	// query results and the scanned graph while gen is unchanged.
-	gen   qcache.Generation
+	// writes stamps the repository (pagination cursors bind to the stamp),
+	// brackets this client's write sections — so the planner knows whether
+	// anything else wrote to the shared region, and its predictions degrade
+	// to estimates — and bumps the write generation on every provenance
+	// write.
+	writes *qcache.Writes
+	// cache (nil when disabled) memoizes query results and the scanned graph
+	// while the stamp is unchanged.
 	cache *qcache.Cache
-	// stamp samples the repository generation independently of the cache;
-	// pagination cursors bind to it.
-	stamp qcache.StampFunc
 	// pins retains paginated queries' evaluated result sets.
 	pins core.Pins
-	// catalog mirrors this client's writes for Explain's cost predictions;
-	// tracker tells the planner whether anything else wrote to the shared
-	// region (predictions then degrade to estimates).
+	// catalog mirrors this client's writes for Explain's cost predictions.
 	catalog *planner.SDBCatalog
-	tracker *qcache.WriteTracker
 	// retrier backs off and retries transient cloud errors on every call
 	// the layer issues; its meters feed the cost harness's retry-overhead
 	// report.
@@ -141,7 +140,7 @@ func New(cfg Config) (*Layer, error) {
 	l := &Layer{
 		cfg:        cfg,
 		catalog:    planner.NewSDBCatalog(),
-		tracker:    qcache.NewWriteTracker(cfg.Cloud),
+		writes:     qcache.NewWrites(cfg.Cloud),
 		retrier:    retry.New(cfg.Retry, cfg.Cloud.Clock, cfg.Cloud.RNG),
 		queryChunk: 32,
 	}
@@ -150,7 +149,7 @@ func New(cfg Config) (*Layer, error) {
 	}
 	// Resource creation meters as a mutation (CreateBucket is an S3 PUT);
 	// track it so a solo client's plans stay exact.
-	err := l.tracker.Track(func() error {
+	err := l.writes.Own(func() error {
 		//passvet:allow retrywrap -- one-shot namespace setup at construction: no caller context exists yet, and a failure surfaces directly instead of being retried behind the builder's back
 		if err := cfg.Cloud.S3.CreateBucket(cfg.Bucket); err != nil && !errors.Is(err, s3.ErrBucketAlreadyExists) {
 			return err
@@ -164,26 +163,17 @@ func New(cfg Config) (*Layer, error) {
 	if err != nil {
 		return nil, err
 	}
-	l.stamp = qcache.CloudStamp(&l.gen, cfg.Cloud)
 	if !cfg.DisableQueryCache {
-		l.cache = qcache.New(l.stamp)
+		l.cache = qcache.New(l.writes.Stamp)
 	}
 	return l, nil
 }
 
-// TrackWrites runs one of this client's outermost write sections under
-// the planner's write tracker, so the mutations it meters count as own.
-// Do not nest tracked sections — attribution would double-count.
-func (l *Layer) TrackWrites(f func() error) error { return l.tracker.Track(f) }
-
-// ForeignWrites reports region mutations this client did not perform.
-func (l *Layer) ForeignWrites() uint64 { return l.tracker.Foreign() }
-
-// InvalidateQueries bumps the layer's write generation, expiring every
-// cached snapshot and memoized query result. Layer write paths call it
-// themselves; callers that mutate the domain behind the layer's back
-// (orphan-scan deletions, shared-domain writers) must call it too.
-func (l *Layer) InvalidateQueries() { l.gen.Bump() }
+// Writes is the layer's own-write bookkeeping: the stores built on it run
+// each outermost write section under its Own, and Bump it when they change
+// what a query sees behind the layer's back (orphan-scan deletions, WAL
+// batches).
+func (l *Layer) Writes() *qcache.Writes { return l.writes }
 
 // CacheStats exposes the query-cache counters (zero when disabled).
 func (l *Layer) CacheStats() qcache.Stats { return l.cache.Stats() }
@@ -398,7 +388,7 @@ func (l *Layer) WriteEncodedBatch(ctx context.Context, writes []ItemWrite, point
 	if len(writes) > 0 {
 		// Invalidate cached query state even on failure: earlier groups of
 		// a partially written batch are already visible to queries.
-		defer l.gen.Bump()
+		defer l.writes.Bump()
 	}
 	rootToken := ""
 	if l.ledger != nil {

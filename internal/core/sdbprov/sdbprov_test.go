@@ -38,7 +38,7 @@ var pointAfterSpillPut = testPoints.Declare("t/after-spill-put")
 // writeItem encodes and stores one subject's provenance as a one-element
 // batch — the write path the stores use — checking the spill point.
 func writeItem(ctx context.Context, l *Layer, subject prov.Ref, records []prov.Record, md5hex string) error {
-	return l.TrackWrites(func() error {
+	return l.writes.Own(func() error {
 		encoded, err := l.EncodeValues(ctx, subject, records, nil)
 		if err != nil {
 			return err

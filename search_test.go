@@ -308,43 +308,59 @@ func TestExplainEvictedPinCostsReEvaluation(t *testing.T) {
 }
 
 // TestExplainExactDegradesOnSharedRegion: a client whose planner catalog
-// never saw another client's writes must stop claiming exact predictions.
+// never saw another client's writes must stop claiming exact predictions —
+// on every architecture, with the query cache on and off, unsharded and
+// over four shards, for a prefix query and for Q.1.
 func TestExplainExactDegradesOnSharedRegion(t *testing.T) {
 	ctx := context.Background()
-	region, err := NewRegion(Options{Architecture: S3SimpleDB, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	alice, err := region.NewClient("alice")
-	if err != nil {
-		t.Fatal(err)
-	}
-	bob, err := region.NewClient("bob")
-	if err != nil {
-		t.Fatal(err)
-	}
+	specs := []struct {
+		name string
+		spec QuerySpec
+	}{{"prefix", QuerySpec{RefPrefix: "/shared/", RefsOnly: true}}, {"Q.1", QuerySpec{}}}
+	for _, arch := range []Architecture{S3Only, S3SimpleDB, S3SimpleDBSQS} {
+		for _, uncached := range []bool{false, true} {
+			for _, shards := range []int{1, 4} {
+				for _, sp := range specs {
+					spec := sp.spec
+					t.Run(fmt.Sprintf("%s/uncached=%v/shards=%d/%s", arch, uncached, shards, sp.name), func(t *testing.T) {
+						region, err := NewRegion(Options{Architecture: arch, Seed: 3, DisableQueryCache: uncached, Shards: shards})
+						if err != nil {
+							t.Fatal(err)
+						}
+						alice, err := region.NewClient("alice")
+						if err != nil {
+							t.Fatal(err)
+						}
+						bob, err := region.NewClient("bob")
+						if err != nil {
+							t.Fatal(err)
+						}
 
-	if err := alice.Ingest(ctx, "/shared/a", []byte("x")); err != nil {
-		t.Fatal(err)
-	}
-	if err := alice.Sync(ctx); err != nil {
-		t.Fatal(err)
-	}
-	region.Settle()
+						if err := alice.Ingest(ctx, "/shared/a", []byte("x")); err != nil {
+							t.Fatal(err)
+						}
+						if err := alice.Sync(ctx); err != nil {
+							t.Fatal(err)
+						}
+						region.Settle()
 
-	spec := QuerySpec{RefPrefix: "/shared/", RefsOnly: true}
-	alicePlan, err := alice.Explain(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !alicePlan.Exact {
-		t.Fatalf("alice performed every write; her plan must be exact: %+v", alicePlan)
-	}
-	bobPlan, err := bob.Explain(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bobPlan.Exact {
-		t.Fatalf("bob never observed alice's writes; his plan must be an estimate: %+v", bobPlan)
+						alicePlan, err := alice.Explain(spec)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !alicePlan.Exact {
+							t.Fatalf("alice performed every write; her plan must be exact: %+v", alicePlan)
+						}
+						bobPlan, err := bob.Explain(spec)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if bobPlan.Exact {
+							t.Fatalf("bob never observed alice's writes; his plan must be an estimate: %+v", bobPlan)
+						}
+					})
+				}
+			}
+		}
 	}
 }
